@@ -14,7 +14,7 @@ whole substrate from scratch in pure Python:
 * :mod:`~repro.crypto.rsa` — RSA keygen (Miller–Rabin), FDH-style signing.
 * :mod:`~repro.crypto.signing` — signer/verifier abstraction and a keyring.
 * :mod:`~repro.crypto.symmetric` — authenticated symmetric encryption
-  (CTR keystream + HMAC, encrypt-then-MAC).
+  (SHAKE-256 keystream + HMAC, encrypt-then-MAC).
 * :mod:`~repro.crypto.groups` — prime-order subgroup parameters for the
   discrete-log constructions.
 * :mod:`~repro.crypto.shamir` / :mod:`~repro.crypto.feldman` — verifiable

@@ -18,18 +18,18 @@ DIGEST_SIZE = 32
 
 def digest(data: bytes | Any) -> bytes:
     """SHA-256 digest. Non-bytes inputs are canonically encoded first."""
-    if not isinstance(data, (bytes, bytearray)):
+    if not isinstance(data, (bytes, bytearray, memoryview)):
         data = canonical_bytes(data)
-    return hashlib.sha256(bytes(data)).digest()
+    return hashlib.sha256(data).digest()
 
 
 def hmac_digest(key: bytes, data: bytes | Any) -> bytes:
     """HMAC-SHA-256 over ``data`` (canonically encoded if not bytes)."""
     if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
         raise ValueError("HMAC key must be non-empty bytes")
-    if not isinstance(data, (bytes, bytearray)):
+    if not isinstance(data, (bytes, bytearray, memoryview)):
         data = canonical_bytes(data)
-    return _hmac.new(bytes(key), bytes(data), hashlib.sha256).digest()
+    return _hmac.new(key, data, hashlib.sha256).digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -1,15 +1,17 @@
 """Event scheduler: the heart of the deterministic simulation.
 
-The scheduler is a priority queue of ``(time, sequence, callback)`` entries.
+The scheduler is a priority queue of ``[time, sequence, callback]`` entries.
 The ``sequence`` counter breaks ties between events scheduled for the same
 instant, so execution order is a pure function of the schedule calls that
-produced it — two runs with the same seed interleave identically.
+produced it — two runs with the same seed interleave identically. It is
+unique, so ``heapq`` orders entries in C without ever comparing callbacks;
+cancelling an entry clears its callback in place and the loop skips it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -25,14 +27,6 @@ class TimerHandle:
     seq: int
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Scheduler:
     """A deterministic discrete-event scheduler.
 
@@ -46,8 +40,8 @@ class Scheduler:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[_Entry] = []
-        self._live: dict[tuple[float, int], _Entry] = {}
+        self._heap: list[list] = []
+        self._live: dict[tuple[float, int], list] = {}
         self._events_executed = 0
 
     @property
@@ -68,11 +62,12 @@ class Scheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        entry = _Entry(time=self._now + delay, seq=self._seq, callback=callback)
+        time, seq = self._now + delay, self._seq
         self._seq += 1
+        entry = [time, seq, callback]
         heapq.heappush(self._heap, entry)
-        self._live[(entry.time, entry.seq)] = entry
-        return TimerHandle(time=entry.time, seq=entry.seq)
+        self._live[(time, seq)] = entry
+        return TimerHandle(time=time, seq=seq)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` at an absolute simulated time ``time``."""
@@ -85,7 +80,7 @@ class Scheduler:
         entry = self._live.pop((handle.time, handle.seq), None)
         if entry is None:
             return False
-        entry.cancelled = True
+        entry[2] = None
         return True
 
     def pending(self) -> int:
@@ -95,13 +90,13 @@ class Scheduler:
     def step(self) -> bool:
         """Execute the single next event. Returns False if none remain."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
+            time, seq, callback = heapq.heappop(self._heap)
+            if callback is None:
                 continue
-            del self._live[(entry.time, entry.seq)]
-            self._now = entry.time
+            del self._live[(time, seq)]
+            self._now = time
             self._events_executed += 1
-            entry.callback()
+            callback()
             return True
         return False
 
@@ -122,11 +117,11 @@ class Scheduler:
         while self._heap:
             # Peek (skipping cancelled entries) to honour the `until` bound
             # without consuming the event.
-            while self._heap and self._heap[0].cancelled:
+            while self._heap and self._heap[0][2] is None:
                 heapq.heappop(self._heap)
             if not self._heap:
                 break
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 self._now = max(self._now, until)
                 return
             if not self.step():

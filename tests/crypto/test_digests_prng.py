@@ -19,6 +19,14 @@ def test_digest_accepts_structured_values():
     assert digest({"a": 1}) != digest({"a": 2})
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_bytes_like_inputs_hash_as_their_bytes(wrap):
+    data = b"payload " * 2048
+    assert digest(wrap(data)) == digest(data)
+    assert hmac_digest(b"key", wrap(data)) == hmac_digest(b"key", data)
+    assert hmac_digest(bytearray(b"key"), data) == hmac_digest(b"key", data)
+
+
 def test_hmac_requires_key():
     with pytest.raises(ValueError):
         hmac_digest(b"", b"data")

@@ -1,13 +1,18 @@
 """Tests for authenticated symmetric encryption."""
 
+import hashlib
+import hmac
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.symmetric import (
     AuthenticationError,
     KEY_SIZE,
     NONCE_SIZE,
+    TAG_SIZE,
     SymmetricKey,
     decrypt,
     encrypt,
@@ -86,9 +91,15 @@ def test_nonce_from_counter_unique_and_sized():
     assert all(len(n) == NONCE_SIZE for n in nonces)
 
 
-def test_nonce_from_counter_rejects_negative():
+@pytest.mark.parametrize("counter", [-1, 2**64, 2**64 + 1, 2**200])
+def test_nonce_from_counter_rejects_out_of_range(counter):
     with pytest.raises(ValueError):
-        nonce_from_counter(-1)
+        nonce_from_counter(counter)
+
+
+def test_nonce_from_counter_accepts_the_whole_range():
+    assert nonce_from_counter(0) == bytes(16)
+    assert nonce_from_counter(2**64 - 1) == bytes(8) + b"\xff" * 8
 
 
 @given(st.binary(max_size=300), st.integers(min_value=0, max_value=2**32))
@@ -104,3 +115,145 @@ def test_property_single_bitflip_always_detected(plaintext, flip_pos):
     blob[flip_pos] ^= 0x01
     with pytest.raises(AuthenticationError):
         decrypt(KEY, bytes(blob))
+
+
+# -- the construction, pinned -----------------------------------------------------
+
+KAT_KEY = SymmetricKey(material=bytes(range(KEY_SIZE)), key_id=1)
+
+# Changing any of these changes every byte ITDOS puts on the wire under a
+# communication key: do it deliberately, not as a side effect.
+KNOWN_ANSWERS = [
+    (
+        b"",
+        nonce_from_counter(0),
+        "00000000000000000000000000000000"
+        "e81a0267d781075b3ca2fcf70e30a4c31583beb2d5a79bbf808d70b21a89d91d",
+    ),
+    (
+        b"secret payload",
+        nonce_from_counter(1),
+        "00000000000000000000000000000001"
+        "b2debd6f85eb8b252109a41cd7de"
+        "ac74c8dcdf265e0efa951a769888645e26bc29a7a6440a7595029d2d3ae8c10a",
+    ),
+    (
+        bytes(range(33)),
+        b"n" * NONCE_SIZE,
+        "6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e"
+        "1c846a20b3ad9a55d6785c440153da0c47c9f896f6dffe158c8b2ecac44a264dbe"
+        "065017c3c190726cfc60b9954860e8c04b3e243c28121f140b0bd8bd51b1c34f",
+    ),
+]
+
+
+def reference_encrypt(key: SymmetricKey, plaintext: bytes, nonce: bytes) -> bytes:
+    """The construction spelled out slowly: one byte at a time, plain HMAC."""
+    enc_key = hashlib.sha256(key.material + b"|enc").digest()
+    mac_key = hashlib.sha256(key.material + b"|mac").digest()
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+    ciphertext = bytes([p ^ s for p, s in zip(plaintext, stream)])
+    tag = hmac.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()
+    return nonce + ciphertext + tag
+
+
+@pytest.mark.parametrize(
+    "plaintext, nonce, expected", KNOWN_ANSWERS, ids=["empty", "short", "33-bytes"]
+)
+def test_known_answer(plaintext, nonce, expected):
+    blob = encrypt(KAT_KEY, plaintext, nonce)
+    assert blob.hex() == expected
+    assert reference_encrypt(KAT_KEY, plaintext, nonce).hex() == expected
+    assert decrypt(KAT_KEY, blob) == plaintext
+
+
+EDGE_LENGTHS = [0, 1, 31, 32, 33, 16_384, 65_537]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(min_value=0, max_value=4096)),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_property_matches_reference(length, content_seed, counter):
+    plaintext = random.Random(content_seed).randbytes(length)
+    nonce = nonce_from_counter(counter)
+    blob = encrypt(KEY, plaintext, nonce)
+    assert blob == reference_encrypt(KEY, plaintext, nonce)
+    assert len(blob) == NONCE_SIZE + length + TAG_SIZE
+    assert decrypt(KEY, blob) == plaintext
+
+
+def test_leading_zero_bytes_survive():
+    # The XOR goes through big integers; lengths must not be normalised away.
+    plaintext = bytes(40)
+    blob = encrypt(KEY, plaintext, NONCE)
+    assert blob == reference_encrypt(KEY, plaintext, NONCE)
+    assert decrypt(KEY, blob) == plaintext
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_bytes_like_plaintext_and_blob_accepted(wrap):
+    plaintext = b"bytes-like " * 100
+    blob = encrypt(KEY, wrap(plaintext), NONCE)
+    assert type(blob) is bytes
+    assert blob == encrypt(KEY, plaintext, NONCE)
+    recovered = decrypt(KEY, wrap(blob))
+    assert type(recovered) is bytes
+    assert recovered == plaintext
+
+
+def test_bytes_like_tampering_still_detected():
+    blob = bytearray(encrypt(KEY, b"data", NONCE))
+    blob[NONCE_SIZE] ^= 0x01
+    with pytest.raises(AuthenticationError):
+        decrypt(KEY, memoryview(blob))
+
+
+def test_subkeys_derived_once_per_key_object():
+    key = SymmetricKey(material=b"d" * KEY_SIZE)
+    assert key.enc_key is key.enc_key
+    assert key.mac_key is key.mac_key
+    assert key.enc_key != key.mac_key
+    # The cached subkeys are not part of the key's identity.
+    assert key == SymmetricKey(material=b"d" * KEY_SIZE)
+    assert hash(key) == hash(SymmetricKey(material=b"d" * KEY_SIZE))
+
+
+def test_hash_constructions_per_call_are_bounded(monkeypatch):
+    """A count, not a timing: a per-block keystream loop builds hundreds of
+    hash objects for 16 KiB and cannot come back unnoticed."""
+    built = []
+    depth = [0]
+
+    def counting(name, constructor):
+        def construct(*args, **kwargs):
+            # hmac may build its inner and outer hashes through hashlib;
+            # that is one construction here, not three.
+            if depth[0] == 0:
+                built.append(name)
+            depth[0] += 1
+            try:
+                return constructor(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return construct
+
+    for module, name in [
+        (hashlib, "sha256"),
+        (hashlib, "shake_256"),
+        (hashlib, "new"),
+        (hmac, "new"),
+        (hmac, "digest"),
+    ]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+    key = SymmetricKey(material=b"c" * KEY_SIZE)  # cold: subkeys not derived yet
+    plaintext = bytes(16_384)
+    blob = encrypt(key, plaintext, NONCE)
+    assert 1 <= len(built) <= 4, built
+    del built[:]
+    assert decrypt(key, blob) == plaintext
+    assert 1 <= len(built) <= 4, built

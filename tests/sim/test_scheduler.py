@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import random
+
 import pytest
 
 from repro.sim.scheduler import Scheduler
@@ -160,3 +162,61 @@ def test_events_executed_counter():
         sched.schedule(float(i), lambda: None)
     sched.run()
     assert sched.events_executed == 5
+
+
+def _seeded_run(seed: int) -> list[tuple[float, int]]:
+    """A busy schedule driven by ``seed``: events schedule more events at
+    colliding times and cancel timers still pending, as protocol code does."""
+    rng = random.Random(seed)
+    sched = Scheduler()
+    executed: list[tuple[float, int]] = []
+    handles = []
+
+    def arm(depth: int) -> None:
+        # Coarse delays so many events share an instant and ties matter.
+        handle = sched.schedule(rng.randrange(0, 5) * 0.25, lambda: fire(handle, depth))
+        handles.append(handle)
+
+    def fire(handle, depth: int) -> None:
+        executed.append((handle.time, handle.seq))
+        assert sched.now == handle.time
+        if depth < 6:
+            for _ in range(rng.randrange(0, 4)):
+                arm(depth + 1)
+        if handles and rng.random() < 0.5:
+            sched.cancel(handles.pop(rng.randrange(len(handles))))
+
+    for _ in range(20):
+        arm(0)
+    for victim in rng.sample(handles, 5):
+        assert sched.cancel(victim) is True
+    sched.run(until=1.0)
+    sched.run()
+    assert sched.pending() == 0
+    assert sched.events_executed == len(executed)
+    return executed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2002])
+def test_same_seed_executes_identical_time_seq_sequence(seed):
+    first = _seeded_run(seed)
+    assert len(first) > 50
+    assert first == _seeded_run(seed)
+    # (time, seq) order is the whole contract: nothing else is compared.
+    assert first == sorted(first)
+    assert len(set(first)) == len(first)
+
+
+def test_callbacks_are_never_compared():
+    class Uncomparable:
+        def __call__(self):
+            pass
+
+        def __lt__(self, other):
+            raise AssertionError("the heap compared two callbacks")
+
+    sched = Scheduler()
+    for _ in range(50):
+        sched.schedule(1.0, Uncomparable())
+    sched.run()
+    assert sched.events_executed == 50
