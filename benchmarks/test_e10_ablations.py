@@ -15,7 +15,6 @@ from benchmarks.conftest import once, print_table
 from repro.crypto.rsa import generate_rsa_keypair, verify
 from repro.crypto.signing import HmacAuthenticator
 from repro.crypto.symmetric import SymmetricKey, decrypt, encrypt, nonce_from_counter
-from repro.metrics.collectors import snapshot_network
 from repro.orb.core import Orb
 from repro.orb.iiop import IiopClient, IiopServer
 from repro.sim import FixedLatency, Network, NetworkConfig
@@ -34,14 +33,14 @@ def run_itdos(value_size: int):
     client = system.add_client("driver")
     stub = client.stub(system.ref("kv", b"kv"))
     stub.put("warm", "x")
-    before = snapshot_network(system.network)
+    before = system.network.stats.snapshot()
     latencies = []
     payload = "v" * value_size
     for i in range(CALLS):
         start = system.network.now
         stub.put(f"key-{i}", payload)
         latencies.append(system.network.now - start)
-    delta = before.delta(snapshot_network(system.network))
+    delta = before.delta(system.network.stats)
     return (
         sum(latencies) / len(latencies),
         delta.messages_sent / CALLS,
@@ -60,14 +59,14 @@ def run_iiop(value_size: int):
     network.add_process(client)
     stub = client.stub(server.ref_for(b"kv"))
     stub.put("warm", "x")
-    before = snapshot_network(network)
+    before = network.stats.snapshot()
     latencies = []
     payload = "v" * value_size
     for i in range(CALLS):
         start = network.now
         stub.put(f"key-{i}", payload)
         latencies.append(network.now - start)
-    delta = before.delta(snapshot_network(network))
+    delta = before.delta(network.stats)
     return (
         sum(latencies) / len(latencies),
         delta.messages_sent / CALLS,

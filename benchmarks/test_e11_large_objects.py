@@ -14,7 +14,6 @@ integrity under a lying replica.
 from benchmarks.conftest import once, print_table
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.metrics.collectors import snapshot_network
 from repro.workloads.scenarios import KvStoreServant, standard_repository
 
 SIZES = [2_000, 20_000, 200_000]
@@ -37,11 +36,11 @@ def measure(threshold, size, seed=77, byzantine=None):
     stub = client.stub(system.ref("kv", b"kv"))
     payload = "x" * size
     stub.put("obj", payload)
-    before = snapshot_network(system.network)
+    before = system.network.stats.snapshot()
     start = system.network.now
     result = stub.get("obj")
     assert result == payload
-    delta = before.delta(snapshot_network(system.network))
+    delta = before.delta(system.network.stats)
     return delta.bytes_sent, (system.network.now - start) * 1000
 
 

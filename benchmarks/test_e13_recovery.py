@@ -20,7 +20,6 @@ Measured, for missed-traffic depth D ∈ {8, 32, 128} voted invocations:
 from benchmarks.conftest import once, print_table
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.metrics.collectors import snapshot_network
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 
 MISSED_DEPTHS = [8, 32, 128]
@@ -51,13 +50,13 @@ def run_depth(depth: int, seed: int):
     system.settle(1.0)
     # Repair and recover.
     liar.repaired = True
-    before = snapshot_network(system.network)
+    before = system.network.stats.snapshot()
     started = system.network.now
     done: list[bool] = []
     liar.recover_membership(on_complete=done.append)
     system.run_until(lambda: bool(done))
     latency = system.network.now - started
-    window = before.delta(snapshot_network(system.network))
+    window = before.delta(system.network.stats)
     # Post-recovery: the readmitted element votes with the majority.
     served_before = len(liar.dispatched)
     assert stub.add(10.0, 20.0) == 30.0

@@ -28,7 +28,6 @@ from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.replica import build_group
 from repro.crypto.signing import HmacAuthenticator, KeyRing
-from repro.metrics.collectors import snapshot_network
 from repro.sim import FixedLatency, Network, NetworkConfig
 
 BATCH_SIZES = [1, 4, 16]
@@ -89,7 +88,7 @@ def run_cell(batch_size: int, auth_mode: str, seed: int = 14):
 
         client.invoke(f"{client.pid}:{index}".encode(), on_reply)
 
-    before = snapshot_network(network)
+    before = network.stats.snapshot()
     start = network.now
     wall_start = time.perf_counter()
     for client in clients:
@@ -97,7 +96,7 @@ def run_cell(batch_size: int, auth_mode: str, seed: int = 14):
     network.run(stop_when=lambda: len(completions) >= total, max_events=10**7)
     wall = time.perf_counter() - wall_start
     duration = network.now - start
-    delta = before.delta(snapshot_network(network))
+    delta = before.delta(network.stats)
     assert len(completions) >= total
     return (
         total / duration,

@@ -17,7 +17,6 @@ from benchmarks.conftest import once, print_table
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.replica import build_group
-from repro.metrics.collectors import snapshot_network
 from repro.sim import FixedLatency, Network, NetworkConfig
 
 
@@ -37,7 +36,7 @@ def ordering_cost(n: int, f: int, requests: int = 5) -> tuple[float, float]:
     done = []
     client.invoke(b"warmup", done.append)
     network.run(stop_when=lambda: bool(done), max_events=10**6)
-    before = snapshot_network(network)
+    before = network.stats.snapshot()
     latencies = []
     for _ in range(requests):
         start = network.now
@@ -46,7 +45,7 @@ def ordering_cost(n: int, f: int, requests: int = 5) -> tuple[float, float]:
         network.run(stop_when=lambda: bool(finished), max_events=10**6)
         latencies.append(network.now - start)
     network.run(until=network.now + 1.0)  # drain trailing protocol traffic
-    delta = before.delta(snapshot_network(network))
+    delta = before.delta(network.stats)
     return delta.messages_sent / requests, sum(latencies) / len(latencies)
 
 

@@ -16,7 +16,6 @@ element pulls over the wire, as the application's object state grows, under
 import random
 
 from benchmarks.conftest import once, print_table
-from repro.metrics.collectors import snapshot_network
 from repro.workloads.generators import random_strings
 from repro.workloads.scenarios import build_kv_system
 
@@ -44,11 +43,11 @@ def run_mode(mode: str, state_bytes: int, seed: int):
     for i in range(8):
         stub.put(f"post-{i}", "x" * value_size)
     system.network.heal()
-    before = snapshot_network(system.network)
+    before = system.network.stats.snapshot()
     for i in range(8):
         stub.put(f"post2-{i}", "x" * value_size)
     system.settle(4.0)
-    delta = before.delta(snapshot_network(system.network))
+    delta = before.delta(system.network.stats)
     servant = element.orb.adapter.servant_for(b"kv")
     recovered = not element.diverged and servant.size() >= entries + 8
     return snapshot_size, delta.bytes_sent, recovered

@@ -17,7 +17,6 @@ Run:  python examples/hardened_operations.py
 
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.metrics.collectors import snapshot_network
 from repro.workloads.scenarios import KvStoreServant, standard_repository
 
 
@@ -58,9 +57,9 @@ def main() -> None:
     print("2) Large-object transfer (digest voting + single body fetch)")
     blob = "B" * 50_000
     stub.put("blob", blob)
-    before = snapshot_network(system.network)
+    before = system.network.stats.snapshot()
     fetched = stub.get("blob")
-    delta = before.delta(snapshot_network(system.network))
+    delta = before.delta(system.network.stats)
     connection = next(iter(client.endpoint.connections.values()))
     print(f"   fetched {len(fetched):,} B correctly; wire bytes {delta.bytes_sent:,} "
           f"(full-body voting would ship ~4 copies); body fetches: "

@@ -11,8 +11,8 @@ Python library. Top-level layout:
 * :mod:`repro.orb` — the CORBA-like ORB and the plain-IIOP baseline
 * :mod:`repro.itdos` — the paper's contribution (start at
   :class:`repro.itdos.ItdosSystem`)
-* :mod:`repro.baselines`, :mod:`repro.workloads`, :mod:`repro.metrics` —
-  comparison systems and the benchmark harness support
+* :mod:`repro.baselines`, :mod:`repro.workloads` — comparison systems and
+  the benchmark harness support
 
 See README.md for a guided tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for paper-vs-measured results.

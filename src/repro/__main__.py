@@ -1,11 +1,13 @@
-"""Command-line demo runner: ``python -m repro [demo]``.
+"""Command line: ``python -m repro [command]`` (default ``quickstart``).
 
-Runs one of the example scenarios without needing the examples/ directory,
-so an installed package can demonstrate itself.
+The demos run the example scenarios without needing the examples/
+directory, so an installed package can demonstrate itself; the other
+commands trace, measure, fuzz, audit and deploy the same system.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 
@@ -130,28 +132,6 @@ def _recovery_drill():
     return system, liar, done[0], result
 
 
-def _json_path(args: list[str]) -> tuple[str | None, list[str]]:
-    """Pop ``--json PATH`` out of the argument list."""
-    if "--json" in args:
-        at = args.index("--json")
-        if at + 1 >= len(args):
-            raise ValueError("--json requires a file path")
-        path = args[at + 1]
-        return path, args[:at] + args[at + 2 :]
-    return None, args
-
-
-def _from_node_dir(args: list[str]) -> tuple[str | None, list[str]]:
-    """Pop ``--from-node DIR`` out of the argument list."""
-    if "--from-node" in args:
-        at = args.index("--from-node")
-        if at + 1 >= len(args):
-            raise ValueError("--from-node requires a directory")
-        path = args[at + 1]
-        return path, args[:at] + args[at + 2 :]
-    return None, args
-
-
 def _trace_from_node(directory: str, json_path: str | None) -> int:
     """Offline mode: fold per-process span exports left by ``repro serve``."""
     from repro.obs import (
@@ -232,29 +212,17 @@ def _metrics_from_node(directory: str, json_path: str | None) -> int:
     return 0
 
 
-def cmd_trace(args: list[str]) -> int:
+def cmd_trace(args: argparse.Namespace) -> int:
     """Run a traced invocation and print its span tree."""
     from repro.obs import span_records, write_jsonl
 
-    try:
-        json_path, args = _json_path(args)
-        from_dir, args = _from_node_dir(args)
-    except ValueError as exc:
-        print(f"trace: {exc}")
-        return 2
-    if from_dir is not None:
-        if args:
-            print(f"trace: unexpected arguments {args!r} with --from-node")
+    json_path = args.json
+    if args.from_node is not None:
+        if args.scenario is not None:
+            print(f"trace: unexpected argument {args.scenario!r} with --from-node")
             return 2
-        return _trace_from_node(from_dir, json_path)
-    scenario = "calc"
-    if args and args[0] in ("calc", "recovery"):
-        scenario, args = args[0], args[1:]
-    if args:
-        print(f"trace: unexpected arguments {args!r} "
-              "(only [calc|recovery], --from-node DIR, --json PATH)")
-        return 2
-    if scenario == "recovery":
+        return _trace_from_node(args.from_node, json_path)
+    if args.scenario == "recovery":
         system, _liar, _recovered, result = _recovery_drill()
         print(f"post-recovery add(10, 20) = {result}")
         only = "recovery."
@@ -279,25 +247,13 @@ def cmd_trace(args: list[str]) -> int:
     return 0
 
 
-def cmd_metrics(args: list[str]) -> int:
+def cmd_metrics(args: argparse.Namespace) -> int:
     """Run the intrusion drill and print metrics + the health board."""
     from repro.obs import render_metrics_table, telemetry_records, write_jsonl
 
-    try:
-        json_path, args = _json_path(args)
-        from_dir, args = _from_node_dir(args)
-    except ValueError as exc:
-        print(f"metrics: {exc}")
-        return 2
-    if from_dir is not None:
-        if args:
-            print(f"metrics: unexpected arguments {args!r} with --from-node")
-            return 2
-        return _metrics_from_node(from_dir, json_path)
-    if args:
-        print(f"metrics: unexpected arguments {args!r} "
-              "(only --from-node DIR, --json PATH)")
-        return 2
+    json_path = args.json
+    if args.from_node is not None:
+        return _metrics_from_node(args.from_node, json_path)
     system, result = _traced_intrusion_drill()
     t = system.telemetry
     print(f"voted add(2, 3) = {result}  (calc-e2 lies in every reply)")
@@ -315,18 +271,11 @@ def cmd_metrics(args: list[str]) -> int:
     return 0
 
 
-def cmd_recover(args: list[str]) -> int:
+def cmd_recover(args: argparse.Namespace) -> int:
     """Run the detect → expel → repair → readmit → state-transfer drill."""
     from repro.obs import telemetry_records, write_jsonl
 
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"recover: {exc}")
-        return 2
-    if args:
-        print(f"recover: unexpected arguments {args!r} (only --json PATH)")
-        return 2
+    json_path = args.json
     system, liar, recovered, result = _recovery_drill()
     t = system.telemetry
     gm = system.gm_elements[0]
@@ -357,54 +306,18 @@ def cmd_recover(args: list[str]) -> int:
     return 0
 
 
-def cmd_chaos(args: list[str]) -> int:
-    """Sweep the Byzantine schedule fuzzer and fail on any violation.
-
-    ``python -m repro chaos [--smoke|--full] [--seed N] [--seeds K]
-    [--intensity X] [--shrink] [--json PATH]``
-    """
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """Sweep the Byzantine schedule fuzzer and fail on any violation."""
     import json as _json
 
     from repro.chaos import ScheduleRunner, scenario_matrix
 
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"chaos: {exc}")
-        return 2
-    full = False
-    seeds: tuple[int, ...] | None = None
-    seed_count: int | None = None
-    intensity = 1.0
-    shrink = False
-    it = iter(args)
-    try:
-        for arg in it:
-            if arg == "--smoke":
-                full = False
-            elif arg == "--full":
-                full = True
-            elif arg == "--seed":
-                seeds = (int(next(it)),)
-            elif arg == "--seeds":
-                seed_count = int(next(it))
-            elif arg == "--intensity":
-                intensity = float(next(it))
-            elif arg == "--shrink":
-                shrink = True
-            else:
-                print(f"chaos: unknown argument {arg!r}")
-                return 2
-    except (StopIteration, ValueError):
-        print("chaos: --seed/--seeds/--intensity need a numeric value")
-        return 2
-    if seeds is None:
-        seeds = tuple(range(seed_count if seed_count is not None else 2))
+    json_path = args.json
     runner = ScheduleRunner(
-        scenarios=scenario_matrix(full=full),
-        seeds=seeds,
-        intensity=intensity,
-        shrink=shrink,
+        scenarios=scenario_matrix(full=args.full),
+        seeds=(args.seed,) if args.seed is not None else tuple(range(args.seeds)),
+        intensity=args.intensity,
+        shrink=args.shrink,
         log=print,
     )
     sweep = runner.run()
@@ -429,11 +342,8 @@ def cmd_chaos(args: list[str]) -> int:
     return 0 if sweep.ok else 1
 
 
-def cmd_detect(args: list[str]) -> int:
+def cmd_detect(args: argparse.Namespace) -> int:
     """Run one chaos cell with the detector on; print truth vs verdict.
-
-    ``python -m repro detect [--seed N] [--intensity X] [--requests K]
-    [--benign] [--json PATH]``
 
     Fully deterministic in (seed, intensity, requests): same arguments,
     same fault schedule, same evidence, same verdict. ``--benign`` strips
@@ -445,45 +355,21 @@ def cmd_detect(args: list[str]) -> int:
     from repro.chaos import ScheduleRunner
     from repro.chaos.schedule import Scenario
 
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"detect: {exc}")
-        return 2
-    seed = 0
-    intensity = 1.0
-    requests = 6
-    benign = False
-    it = iter(args)
-    try:
-        for arg in it:
-            if arg == "--seed":
-                seed = int(next(it))
-            elif arg == "--intensity":
-                intensity = float(next(it))
-            elif arg == "--requests":
-                requests = int(next(it))
-            elif arg == "--benign":
-                benign = True
-            else:
-                print(f"detect: unknown argument {arg!r}")
-                return 2
-    except (StopIteration, ValueError):
-        print("detect: --seed/--intensity/--requests need a numeric value")
-        return 2
+    json_path = args.json
     runner = ScheduleRunner(
         scenarios=(Scenario(),),
-        seeds=(seed,),
-        requests=requests,
-        intensity=intensity,
+        seeds=(args.seed,),
+        requests=args.requests,
+        intensity=args.intensity,
         telemetry=True,
-        fault_kinds="benign" if benign else "all",
+        fault_kinds="benign" if args.benign else "all",
     )
-    result = runner.run_one(Scenario(), seed)
+    result = runner.run_one(Scenario(), args.seed)
     verdict = result.detection or {}
     t = runner.last_telemetry
-    print(f"chaos cell {result.scenario.label} seed={seed} "
-          f"intensity={intensity} ({'benign faults only' if benign else 'full fault mix'})")
+    print(f"chaos cell {result.scenario.label} seed={args.seed} "
+          f"intensity={args.intensity} "
+          f"({'benign faults only' if args.benign else 'full fault mix'})")
     print(f"  faults applied : {result.faults_applied}")
     print(f"  true faulty    : {result.true_faulty or '(none)'}")
     print(f"  active faulty  : {verdict.get('active_faulty') or '(none)'}")
@@ -515,10 +401,8 @@ def cmd_detect(args: list[str]) -> int:
     return 0
 
 
-def cmd_audit(args: list[str]) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     """Verify an audit log's hash chain and evidence signatures.
-
-    ``python -m repro audit verify [--jsonl PATH] [--json PATH]``
 
     With ``--jsonl PATH`` the chain is re-verified offline from exported
     telemetry records (no key material needed). Without it, the intrusion
@@ -529,23 +413,7 @@ def cmd_audit(args: list[str]) -> int:
 
     from repro.obs import telemetry_records, verify_chain, write_jsonl
 
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"audit: {exc}")
-        return 2
-    jsonl_path: str | None = None
-    if "--jsonl" in args:
-        at = args.index("--jsonl")
-        if at + 1 >= len(args):
-            print("audit: --jsonl requires a file path")
-            return 2
-        jsonl_path = args[at + 1]
-        args = args[:at] + args[at + 2 :]
-    if args != ["verify"]:
-        print("audit: usage: audit verify [--jsonl PATH] [--json PATH]")
-        return 2
-
+    json_path, jsonl_path = args.json, args.jsonl
     if jsonl_path is not None:
         try:
             with open(jsonl_path, encoding="utf-8") as handle:
@@ -596,194 +464,24 @@ def cmd_audit(args: list[str]) -> int:
     return 0
 
 
-def _marshal_corpus():
-    """(name, TypeCode, value) cells exercising each codec plan shape."""
-    from repro.giop.typecodes import (
-        TC_BOOLEAN,
-        TC_DOUBLE,
-        TC_STRING,
-        TC_ULONG,
-        SequenceType,
-        StructType,
-    )
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Host one node of a real cluster (see :mod:`repro.net.node`)."""
+    from repro.net.node import serve
 
-    sample = StructType(
-        "Sample", (("t", TC_DOUBLE), ("value", TC_DOUBLE), ("seq", TC_ULONG))
-    )
-    reading = StructType(
-        "Reading",
-        (
-            ("ok", TC_BOOLEAN),
-            ("label", TC_STRING),
-            ("samples", SequenceType(sample)),
-        ),
-    )
-    return [
-        ("struct", sample, {"t": 0.25, "value": 1.5, "seq": 7}),
-        ("seq<double>[256]", SequenceType(TC_DOUBLE), [float(i) for i in range(256)]),
-        (
-            "seq<struct>[64]",
-            SequenceType(sample),
-            [{"t": i * 0.5, "value": -i * 0.25, "seq": i} for i in range(64)],
-        ),
-        (
-            "mixed nested",
-            reading,
-            {
-                "ok": True,
-                "label": "sensor-7",
-                "samples": [
-                    {"t": i * 0.5, "value": i * 1.25, "seq": i} for i in range(16)
-                ],
-            },
-        ),
-    ]
+    return serve(args.config, args.node, args.out, rejoin=args.rejoin)
 
 
-def cmd_bench(args: list[str]) -> int:
-    """``bench marshal``: compiled-codec vs interpreted CDR timings."""
-    import time
-
-    from repro.giop.cdr import CdrDecoder, CdrEncoder
-    from repro.giop.codec import (
-        BUFFER_POOL,
-        FastDecoder,
-        FastEncoder,
-        clear_codec_cache,
-        codec_cache_stats,
-        compile_codec,
-    )
-    from repro.obs import metric_records, render_metrics_table, write_jsonl
-    from repro.obs.registry import MetricRegistry
-
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"bench: {exc}")
-        return 2
-    if args != ["marshal"]:
-        print("bench: usage: bench marshal [--json PATH]")
-        return 2
-
-    def rate(fn, min_time=0.1):
-        fn()  # warm: compile + caches
-        n = 1
-        while True:
-            start = time.perf_counter()
-            for _ in range(n):
-                fn()
-            elapsed = time.perf_counter() - start
-            if elapsed >= min_time:
-                return n / elapsed, elapsed / n
-            n *= 2
-
-    # The CLI owns its registry: system telemetry stays off by default.
-    registry = MetricRegistry()
-    compile_hist = registry.histogram(
-        "codec_compile_seconds", "TypeCode plan compilation time", labels=("tc",)
-    )
-    op_hist = registry.histogram(
-        "codec_marshal_seconds",
-        "Per-operation marshal cost",
-        labels=("tc", "op", "path"),
-    )
-    clear_codec_cache()
-    rows = []
-    for name, tc, value in _marshal_corpus():
-        start = time.perf_counter()
-        compile_codec(tc)
-        compile_hist.labels(tc=name).observe(time.perf_counter() - start)
-
-        def enc_interp(tc=tc, value=value):
-            encoder = CdrEncoder("big")
-            encoder.encode(tc, value)
-            return encoder.getvalue()
-
-        def enc_fast(tc=tc, value=value):
-            encoder = FastEncoder("big")
-            encoder.encode(tc, value)
-            wire = encoder.getvalue()
-            encoder.release()
-            return wire
-
-        wire = enc_interp()
-        assert wire == enc_fast()
-
-        def dec_interp(tc=tc, wire=wire):
-            return CdrDecoder(wire, "big").decode(tc)
-
-        def dec_fast(tc=tc, wire=wire):
-            return FastDecoder(wire, "big").decode(tc)
-
-        cells = {}
-        for op, path, fn in (
-            ("encode", "interpreted", enc_interp),
-            ("encode", "compiled", enc_fast),
-            ("decode", "interpreted", dec_interp),
-            ("decode", "compiled", dec_fast),
-        ):
-            ops, per_op = rate(fn)
-            cells[(op, path)] = ops
-            op_hist.labels(tc=name, op=op, path=path).observe(per_op)
-        rows.append(
-            f"  {name:18s} {len(wire):6d} B   "
-            f"encode x{cells[('encode', 'compiled')] / cells[('encode', 'interpreted')]:5.1f}   "
-            f"decode x{cells[('decode', 'compiled')] / cells[('decode', 'interpreted')]:5.1f}   "
-            f"({cells[('encode', 'compiled')]:,.0f} enc/s, "
-            f"{cells[('decode', 'compiled')]:,.0f} dec/s)"
-        )
-    print("compiled-codec speedup vs interpreted CDR (big-endian):")
-    for row in rows:
-        print(row)
-    stats = codec_cache_stats()
-    print()
-    print(
-        f"codec cache: {stats['size']:.0f} plans, hit rate "
-        f"{stats['hit_rate']:.1%} ({stats['hits']:.0f} hits / "
-        f"{stats['misses']:.0f} misses, {stats['compiled']:.0f} compiled)"
-    )
-    pool = BUFFER_POOL.stats()
-    print(
-        f"encoder pool: {pool['reused']:.0f} reuses, "
-        f"{pool['acquired']:.0f} fresh buffers"
-    )
-    print()
-    print(render_metrics_table(registry))
-    if json_path is not None:
-        records = metric_records(registry)
-        records.append({"record": "codec_cache", **stats})
-        try:
-            lines = write_jsonl(json_path, records)
-        except OSError as exc:
-            print(f"bench: cannot write {json_path}: {exc}")
-            return 1
-        print(f"\nwrote {lines} metric records to {json_path}")
-    return 0
-
-
-def cmd_serve(args: list[str]) -> int:
-    """Host one node of a real cluster (see :mod:`repro.net.node`).
-
-    ``python -m repro serve --config topology.toml --node calc-e1
-    [--out DIR] [--rejoin]``
-    """
-    from repro.net.node import main as serve_main
-
-    return serve_main(args)
-
-
-def cmd_net(args: list[str]) -> int:
+def cmd_net(args: argparse.Namespace) -> int:
     """Real-wire cluster operations: ``net smoke`` and ``net bench``.
 
-    ``python -m repro net smoke [--requests N] [--seed N] [--shards N]
-    [--json PATH]``
+    ``net smoke``
         Launch the full loopback cluster (4 GM + 4 replicas + client) as
         OS processes, drive the echo workload to quorum commit, tear down.
         Exit 1 if any request fails — the CI PR gate. ``--shards N``
         deploys the sharded kv topology instead (one replication domain
         per shard, keys routed to their home shards — E20).
 
-    ``python -m repro net bench [--requests N] [--seed N] [--json PATH]``
+    ``net bench``
         The E18 comparison: the same workload on the sim backend and on
         the wire, with throughput and p50/p99 latency side by side.
     """
@@ -791,38 +489,11 @@ def cmd_net(args: list[str]) -> int:
 
     from repro.net.bench import run_comparison, run_wire_benchmark
 
-    try:
-        json_path, args = _json_path(args)
-    except ValueError as exc:
-        print(f"net: {exc}")
-        return 2
-    if not args or args[0] not in ("smoke", "bench"):
-        print("net: usage: net {smoke|bench} [--requests N] [--seed N] "
-              "[--json PATH]")
-        return 2
-    mode, args = args[0], args[1:]
-    requests = 8 if mode == "smoke" else 40
-    seed = 7
-    shards = 1
-    it = iter(args)
-    try:
-        for arg in it:
-            if arg == "--requests":
-                requests = int(next(it))
-            elif arg == "--seed":
-                seed = int(next(it))
-            elif arg == "--shards" and mode == "smoke":
-                shards = int(next(it))
-            else:
-                print(f"net: unknown argument {arg!r}")
-                return 2
-    except (StopIteration, ValueError):
-        print("net: --requests/--seed/--shards need an integer value")
-        return 2
-
-    if mode == "smoke":
+    json_path, seed = args.json, args.seed
+    requests = args.requests or (8 if args.mode == "smoke" else 40)
+    if args.mode == "smoke":
         report = run_wire_benchmark(
-            requests=requests, seed=seed, telemetry=True, shards=shards
+            requests=requests, seed=seed, telemetry=True, shards=args.shards
         )
         ok = not report["errors"] and report["okay"] == report["requests"]
         print(f"net smoke: {report['processes']} processes, "
@@ -870,32 +541,114 @@ DEMOS = {
     "voting": demo_voting,
 }
 
-COMMANDS = {
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
-    "recover": cmd_recover,
-    "bench": cmd_bench,
-    "chaos": cmd_chaos,
-    "detect": cmd_detect,
-    "audit": cmd_audit,
-    "serve": cmd_serve,
-    "net": cmd_net,
-}
+
+def cmd_demo(args: argparse.Namespace) -> int:
+    print(f"=== repro demo: {args.command} ===")
+    DEMOS[args.command]()
+    return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The one CLI parser, and the command names it knows."""
+    parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
+    commands = parser.add_subparsers(dest="command", metavar="command")
+
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", metavar="PATH", help="also write a report file")
+    from_node = argparse.ArgumentParser(add_help=False)
+    from_node.add_argument(
+        "--from-node", metavar="DIR",
+        help="fold the *.telemetry.jsonl files a `serve` cluster left in DIR",
+    )
+
+    def command(name, run, *parents, into=commands, doc=None):
+        doc = doc or run.__doc__
+        sub = into.add_parser(
+            name, parents=parents, help=doc.strip().splitlines()[0],
+            description=doc, formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    for name, demo in DEMOS.items():
+        command(name, cmd_demo, doc=demo.__doc__)
+
+    trace = command("trace", cmd_trace, json_out, from_node)
+    trace.add_argument("scenario", nargs="?", choices=("calc", "recovery"))
+    command("metrics", cmd_metrics, json_out, from_node)
+    command("recover", cmd_recover, json_out)
+
+    chaos = command("chaos", cmd_chaos, json_out)
+    chaos.add_argument("--smoke", dest="full", action="store_false", default=False,
+                       help="the covering smoke slice (default)")
+    chaos.add_argument("--full", dest="full", action="store_true",
+                       help="the full scenario matrix")
+    chaos.add_argument("--seed", type=int, metavar="N", help="run only seed N")
+    chaos.add_argument("--seeds", type=_positive_int, default=2, metavar="K",
+                       help="run seeds 0..K-1 (default 2)")
+    chaos.add_argument("--intensity", type=_non_negative_float, default=1.0,
+                       metavar="X")
+    chaos.add_argument("--shrink", action="store_true",
+                       help="minimise the first failing fault schedule")
+
+    detect = command("detect", cmd_detect, json_out)
+    detect.add_argument("--seed", type=int, default=0, metavar="N")
+    detect.add_argument("--intensity", type=_non_negative_float, default=1.0,
+                        metavar="X")
+    detect.add_argument("--requests", type=_positive_int, default=6, metavar="K")
+    detect.add_argument("--benign", action="store_true",
+                        help="strip every Byzantine fault (control cell)")
+
+    audit = command("audit", cmd_audit, json_out)
+    audit.add_argument("action", choices=("verify",))
+    audit.add_argument("--jsonl", metavar="PATH",
+                       help="re-verify an exported chain offline")
+
+    serve = command("serve", cmd_serve)
+    serve.add_argument("--config", required=True, metavar="topology.toml")
+    serve.add_argument("--node", required=True, metavar="PID")
+    serve.add_argument("--out", default=".", metavar="DIR")
+    serve.add_argument("--rejoin", action="store_true")
+
+    net = command("net", cmd_net)
+    modes = net.add_subparsers(dest="mode", required=True, metavar="{smoke,bench}")
+    load = argparse.ArgumentParser(add_help=False)
+    load.add_argument("--requests", type=_positive_int, metavar="N",
+                      help="default: 8 for smoke, 40 for bench")
+    load.add_argument("--seed", type=int, default=7, metavar="N")
+    smoke = command("smoke", cmd_net, json_out, load, into=modes)
+    smoke.add_argument("--shards", type=int, default=1, metavar="N")
+    command("bench", cmd_net, json_out, load, into=modes)
+    return parser, set(commands.choices)
 
 
 def main(argv: list[str]) -> int:
-    name = argv[0] if argv else "quickstart"
-    command = COMMANDS.get(name)
-    if command is not None:
-        return command(argv[1:])
-    demo = DEMOS.get(name)
-    if demo is None:
-        available = ", ".join(sorted({**DEMOS, **COMMANDS}))
-        print(f"unknown demo {name!r}; available: {available}")
+    parser, known = build_parser()
+    argv = argv or ["quickstart"]
+    # argparse reports a mistyped command on stderr; keep the one-line
+    # stdout answer that lists what is available.
+    if not argv[0].startswith("-") and argv[0] not in known:
+        print(f"unknown demo {argv[0]!r}; available: {', '.join(sorted(known))}")
         return 2
-    print(f"=== repro demo: {name} ===")
-    demo()
-    return 0
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return int(exc.code or 0)
+    return args.run(args)
 
 
 if __name__ == "__main__":

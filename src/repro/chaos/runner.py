@@ -19,7 +19,6 @@ from typing import Any
 from repro.chaos.adversary import ChaosController, FaultEvent
 from repro.chaos.invariants import InvariantChecker, InvariantViolation, Violation
 from repro.chaos.schedule import PartitionWindow, Scenario, build_plan, scenario_matrix
-from repro.giop import set_fast_wire
 from repro.itdos.bootstrap import ItdosSystem
 from repro.workloads.scenarios import (
     CalculatorServant,
@@ -175,7 +174,6 @@ class ScheduleRunner:
         disabled: frozenset[int] | set[int] = frozenset(),
     ) -> RunResult:
         result = RunResult(scenario=scenario, seed=seed, requests=self.requests)
-        previous_fast_wire = set_fast_wire(scenario.fast_wire)
         system = ItdosSystem(
             seed=seed,
             repository=standard_repository(),
@@ -209,7 +207,6 @@ class ScheduleRunner:
                 }
             )
         finally:
-            set_fast_wire(previous_fast_wire)
             controller = system.network.adversary
             if controller is not None:
                 result.fault_events = list(controller.events)

@@ -105,7 +105,6 @@ class Scenario:
 
     batch_size: int = 1
     pipeline_window: int = 0
-    fast_wire: bool = True
     mid_run_recovery: bool = False
     forced_view_change: bool = False
     # E19: tentative reads at the client, one non-voting read-tier element,
@@ -122,7 +121,6 @@ class Scenario:
     @property
     def label(self) -> str:
         parts = [f"b{self.batch_size}", f"p{self.pipeline_window}"]
-        parts.append("fw" if self.fast_wire else "slow")
         if self.mid_run_recovery:
             parts.append("rec")
         if self.forced_view_change:
@@ -139,13 +137,11 @@ class Scenario:
 SMOKE_SCENARIOS: tuple[Scenario, ...] = (
     Scenario(),
     Scenario(batch_size=4, pipeline_window=4),
-    Scenario(fast_wire=False),
     Scenario(batch_size=4, forced_view_change=True),
     Scenario(pipeline_window=4, mid_run_recovery=True),
     Scenario(
         batch_size=4,
         pipeline_window=4,
-        fast_wire=False,
         mid_run_recovery=True,
         forced_view_change=True,
     ),
@@ -162,18 +158,16 @@ def scenario_matrix(full: bool = False) -> tuple[Scenario, ...]:
     cells = []
     for batch_size in (1, 4):
         for pipeline_window in (0, 4):
-            for fast_wire in (True, False):
-                for recovery in (False, True):
-                    for view_change in (False, True):
-                        cells.append(
-                            Scenario(
-                                batch_size=batch_size,
-                                pipeline_window=pipeline_window,
-                                fast_wire=fast_wire,
-                                mid_run_recovery=recovery,
-                                forced_view_change=view_change,
-                            )
+            for recovery in (False, True):
+                for view_change in (False, True):
+                    cells.append(
+                        Scenario(
+                            batch_size=batch_size,
+                            pipeline_window=pipeline_window,
+                            mid_run_recovery=recovery,
+                            forced_view_change=view_change,
                         )
+                    )
     # The read-fastpath column: every scripted disturbance combined with
     # tentative reads, a forging element, and a mid-storm reader restart.
     cells.extend(
@@ -191,7 +185,6 @@ def scenario_matrix(full: bool = False) -> tuple[Scenario, ...]:
         (
             Scenario(cross_shard=True),
             Scenario(batch_size=4, pipeline_window=4, cross_shard=True),
-            Scenario(fast_wire=False, cross_shard=True),
         )
     )
     return tuple(cells)

@@ -25,7 +25,6 @@ from repro.giop.codec import (
     clear_codec_cache,
     codec_cache_stats,
     compile_codec,
-    set_equivalence_check,
     warm_interface,
 )
 from repro.giop.idl import InterfaceDef, InterfaceRepository, Operation, Parameter
@@ -40,7 +39,6 @@ from repro.giop.messages import (
     encode_reply,
     encode_request,
     peek_request_header,
-    set_fast_wire,
 )
 from repro.giop.platforms import (
     LINUX_X86,
@@ -112,7 +110,5 @@ __all__ = [
     "encode_reply",
     "encode_request",
     "peek_request_header",
-    "set_equivalence_check",
-    "set_fast_wire",
     "warm_interface",
 ]

@@ -22,18 +22,16 @@ TypeCode tree **once** into a codec plan and reuses it for every value:
 
 Plans are cached per process, keyed on TypeCode identity (the cache pins
 the TypeCode, so ``id`` reuse cannot alias entries). Receiver-makes-right
-is preserved: each plan precompiles both byte orders. The interpreted
-coder remains the oracle — an equivalence switch
-(:func:`set_equivalence_check`, or ``REPRO_CODEC_CHECK=1``) re-runs every
-compiled encode/decode through the interpreted path and asserts
-byte-identical output — and the fallback: TypeCodes the compiler does not
-recognise simply decline compilation and take the interpreted path.
+is preserved: each plan precompiles both byte orders. The compiler covers
+every :class:`~repro.giop.typecodes.TypeCode` class and primitive kind; an
+unknown TypeCode raises :class:`~repro.giop.cdr.CdrError`. The recursive
+coder in :mod:`repro.giop.cdr` is the readable reference the plans are
+fuzzed against (``tests/giop/test_codec_equivalence.py``) — no product
+module runs it.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable
@@ -62,10 +60,6 @@ _FIXED_LEAVES = {
 }
 
 _PACK_ERRORS = (struct.error, OverflowError, TypeError, ValueError)
-
-
-class _Uncompilable(Exception):
-    """This TypeCode has no compiled plan; the interpreted path handles it."""
 
 
 def _bool_dec(raw: int) -> bool:
@@ -555,10 +549,9 @@ class CompiledCodec:
                 ):
                     parts.append(_BulkSeqOp(slot, element, seq_tc.bound))
                 else:
-                    inner = compile_codec(element)
-                    if inner is None:
-                        raise _Uncompilable(repr(element))
-                    parts.append(_LoopSeqOp(slot, inner, seq_tc.bound))
+                    parts.append(
+                        _LoopSeqOp(slot, compile_codec(element), seq_tc.bound)
+                    )
             slot += 1
         if run:
             parts.append(_Segment(run, run_start))
@@ -617,34 +610,27 @@ def _scan(tc: TypeCode, items: list) -> None:
         if kind == "void":
             items.append(("void", None))
             return
-    raise _Uncompilable(repr(tc))
+    raise CdrError(f"no codec plan for TypeCode {tc!r}")
 
 
 # -- codec cache ----------------------------------------------------------------
 
-# id(tc) -> (tc, codec | None). The entry pins the TypeCode so its id can
-# never be recycled onto a different object while cached. None records a
-# TypeCode that declined compilation (interpreted fallback), so exotic
-# codes don't retry the compiler on every call.
-_CODEC_CACHE: dict[int, tuple[TypeCode, "CompiledCodec | None"]] = {}
+# id(tc) -> (tc, codec). The entry pins the TypeCode so its id can never be
+# recycled onto a different object while cached.
+_CODEC_CACHE: dict[int, tuple[TypeCode, "CompiledCodec"]] = {}
 _CACHE_LIMIT = 4096
-_CACHE_STATS = {"hits": 0, "misses": 0, "compiled": 0, "uncompilable": 0,
-                "evictions": 0}
+_CACHE_STATS = {"hits": 0, "misses": 0, "compiled": 0, "evictions": 0}
 
 
-def compile_codec(tc: TypeCode) -> CompiledCodec | None:
-    """The compiled codec for ``tc``, or None when it must stay interpreted."""
+def compile_codec(tc: TypeCode) -> CompiledCodec:
+    """The compiled codec for ``tc``; CdrError for an unknown TypeCode."""
     entry = _CODEC_CACHE.get(id(tc))
     if entry is not None:
         _CACHE_STATS["hits"] += 1
         return entry[1]
     _CACHE_STATS["misses"] += 1
-    try:
-        codec: CompiledCodec | None = CompiledCodec(tc)
-        _CACHE_STATS["compiled"] += 1
-    except _Uncompilable:
-        codec = None
-        _CACHE_STATS["uncompilable"] += 1
+    codec = CompiledCodec(tc)
+    _CACHE_STATS["compiled"] += 1
     if len(_CODEC_CACHE) >= _CACHE_LIMIT:
         # Deployed repositories hold a few dozen TypeCodes; only test
         # fuzzers mint thousands. Wholesale reset keeps memory bounded.
@@ -678,9 +664,9 @@ def warm_interface(interface: Any) -> int:
     """
     warmed = 0
     for op in interface.operations:
-        for param in op.params:
-            warmed += compile_codec(param.tc) is not None
-        warmed += compile_codec(op.result) is not None
+        for tc in (*(param.tc for param in op.params), op.result):
+            compile_codec(tc)
+            warmed += 1
     return warmed
 
 
@@ -722,41 +708,14 @@ class _BufferPool:
 BUFFER_POOL = _BufferPool()
 
 
-# -- equivalence switch -----------------------------------------------------------
-
-_equivalence_check = os.environ.get("REPRO_CODEC_CHECK", "") not in ("", "0")
-
-
-def set_equivalence_check(enabled: bool) -> bool:
-    """Toggle interpreted-oracle checking; returns the previous setting."""
-    global _equivalence_check
-    previous = _equivalence_check
-    _equivalence_check = enabled
-    return previous
-
-
-def _values_equal(a: Any, b: Any) -> bool:
-    """Exact structural equality, NaN-tolerant (NaN == NaN here)."""
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_values_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(map(_values_equal, a, b))
-    return a == b
-
-
 # -- drop-in fast coders -----------------------------------------------------------
 
 
 class FastEncoder(CdrEncoder):
     """CdrEncoder that routes through compiled plans and a pooled buffer.
 
-    Byte-for-byte compatible with the interpreted encoder; TypeCodes
-    without a plan fall back to the inherited recursive path (which itself
-    re-enters compiled plans for any compilable children).
+    Byte-for-byte compatible with the reference encoder it subclasses for
+    the primitive/octet writers.
     """
 
     def __init__(self, byte_order: str = "big") -> None:
@@ -773,42 +732,7 @@ class FastEncoder(CdrEncoder):
         would miss), so the recursive ``tc.validate`` walk — the dominant
         cost of interpreted encoding — is skipped entirely.
         """
-        codec = compile_codec(tc)
-        if codec is None:
-            super().encode(tc, value)
-            return
-        if _equivalence_check:
-            before = bytes(self._buffer)
-            codec.encode_value_into(self._buffer, value, self._order)
-            oracle = CdrEncoder(self.byte_order)
-            oracle._buffer = bytearray(before)
-            oracle.encode(tc, value)
-            if bytes(self._buffer) != bytes(oracle._buffer):
-                raise AssertionError(
-                    f"compiled codec diverged from interpreted CDR for {tc!r}: "
-                    f"{bytes(self._buffer)!r} != {bytes(oracle._buffer)!r}"
-                )
-            return
-        codec.encode_value_into(self._buffer, value, self._order)
-
-    def _encode_unchecked(self, tc: TypeCode, value: Any) -> None:
-        codec = compile_codec(tc)
-        if codec is None:
-            super()._encode_unchecked(tc, value)
-            return
-        if _equivalence_check:
-            before = bytes(self._buffer)
-            codec.encode_value_into(self._buffer, value, self._order)
-            oracle = CdrEncoder(self.byte_order)
-            oracle._buffer = bytearray(before)
-            oracle._encode_unchecked(tc, value)
-            if bytes(self._buffer) != bytes(oracle._buffer):
-                raise AssertionError(
-                    f"compiled codec diverged from interpreted CDR for {tc!r}: "
-                    f"{bytes(self._buffer)!r} != {bytes(oracle._buffer)!r}"
-                )
-            return
-        codec.encode_value_into(self._buffer, value, self._order)
+        compile_codec(tc).encode_value_into(self._buffer, value, self._order)
 
     def release(self) -> None:
         """Return the output buffer to the pool (call after getvalue())."""
@@ -864,22 +788,9 @@ class FastDecoder(CdrDecoder):
         raise CdrError(f"unknown primitive kind {kind}")  # pragma: no cover
 
     def decode(self, tc: TypeCode) -> Any:
-        codec = compile_codec(tc)
-        if codec is None:
-            return super().decode(tc)
-        if _equivalence_check:
-            start = self._pos
-            value, self._pos = codec.decode_value(self._data, start, self._order)
-            oracle = CdrDecoder(bytes(self._data), self.byte_order)
-            oracle._pos = start
-            expected = oracle.decode(tc)
-            if not _values_equal(value, expected) or oracle._pos != self._pos:
-                raise AssertionError(
-                    f"compiled decode diverged from interpreted CDR for {tc!r}: "
-                    f"{value!r}@{self._pos} != {expected!r}@{oracle._pos}"
-                )
-            return value
-        value, self._pos = codec.decode_value(self._data, self._pos, self._order)
+        value, self._pos = compile_codec(tc).decode_value(
+            self._data, self._pos, self._order
+        )
         return value
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
+from repro.giop.cdr import CdrError
 from repro.giop.codec import FastDecoder, FastEncoder
 from repro.giop.idl import IdlError, InterfaceRepository
 from repro.giop.typecodes import TC_VOID, TypeCodeError
@@ -30,31 +30,6 @@ from repro.giop.typecodes import TC_VOID, TypeCodeError
 MAGIC = b"GIOP"
 VERSION = (1, 2)
 HEADER_SIZE = 12
-
-# Compiled-codec fast path for all message bodies. The interpreted coders
-# remain byte-identical; this switch exists for benchmarking and for
-# falling back wholesale if a codec bug is ever suspected in the field.
-_FAST_WIRE = True
-
-
-def set_fast_wire(enabled: bool) -> bool:
-    """Toggle the compiled marshal/unmarshal path; returns previous value."""
-    global _FAST_WIRE
-    previous = _FAST_WIRE
-    _FAST_WIRE = enabled
-    return previous
-
-
-def _new_encoder(byte_order: str) -> CdrEncoder:
-    return FastEncoder(byte_order) if _FAST_WIRE else CdrEncoder(byte_order)
-
-
-def _finish(body: CdrEncoder, msg_type: MsgType) -> bytes:
-    """Prepend the GIOP header and recycle a pooled encoder buffer."""
-    wire = _encode_header(body, msg_type, body.getvalue())
-    if isinstance(body, FastEncoder):
-        body.release()
-    return wire
 
 
 class GiopError(Exception):
@@ -181,7 +156,10 @@ class ReplyMessage:
         }
 
 
-def _encode_header(encoder: CdrEncoder, msg_type: MsgType, body: bytes) -> bytes:
+def _finish(encoder: FastEncoder, msg_type: MsgType) -> bytes:
+    """Prepend the GIOP header and recycle the pooled encoder buffer."""
+    body = encoder.getvalue()
+    encoder.release()
     flags = 0x01 if encoder.byte_order == "little" else 0x00
     prefix = "<" if encoder.byte_order == "little" else ">"
     return (
@@ -211,7 +189,7 @@ def encode_request(
     interface = repository.lookup(interface_name)
     op = interface.operation(operation)
     op.validate_args(args)
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     # GIOP request ids are CDR ulongs and wrap at 2^32; the transport-level
     # id (SMIOP's, clock-seeded per incarnation) is unbounded and stays the
     # authoritative correlation key.
@@ -237,7 +215,7 @@ def encode_reply(
     """Marshal a complete GIOP Reply message."""
     interface = repository.lookup(interface_name)
     op = interface.operation(operation)
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     body.write_primitive("ulong", request_id)
     body.write_primitive("ulong", int(reply_status))
     # Replies echo operation/interface so the standalone marshalling engine
@@ -257,7 +235,7 @@ def encode_reply(
 def encode_locate_request(
     request_id: int, object_key: bytes, byte_order: str = "big"
 ) -> bytes:
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     body.write_primitive("ulong", request_id)
     body.write_octets(object_key)
     return _finish(body, MsgType.LOCATE_REQUEST)
@@ -266,27 +244,27 @@ def encode_locate_request(
 def encode_locate_reply(
     request_id: int, locate_status: LocateStatus, byte_order: str = "big"
 ) -> bytes:
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     body.write_primitive("ulong", request_id)
     body.write_primitive("ulong", int(locate_status))
     return _finish(body, MsgType.LOCATE_REPLY)
 
 
 def encode_close_connection(byte_order: str = "big") -> bytes:
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     return _finish(body, MsgType.CLOSE_CONNECTION)
 
 
 def encode_message_error(byte_order: str = "big") -> bytes:
-    body = _new_encoder(byte_order)
+    body = FastEncoder(byte_order)
     return _finish(body, MsgType.MESSAGE_ERROR)
 
 
 def _split_message(data: bytes) -> tuple[MsgType, str, Any]:
     """Validate the GIOP header; return (msg_type, byte_order, body).
 
-    On the fast path the body is a zero-copy :class:`memoryview` slice of
-    the caller's buffer rather than a ``bytes`` copy.
+    The body is a zero-copy :class:`memoryview` slice of the caller's
+    buffer rather than a ``bytes`` copy.
     """
     if len(data) < HEADER_SIZE:
         raise GiopError("message shorter than GIOP header")
@@ -303,7 +281,7 @@ def _split_message(data: bytes) -> tuple[MsgType, str, Any]:
         raise GiopError(f"unknown message type {data[7]}") from exc
     prefix = "<" if byte_order == "little" else ">"
     (size,) = struct.unpack(prefix + "I", data[8:12])
-    body = memoryview(data)[HEADER_SIZE:] if _FAST_WIRE else data[HEADER_SIZE:]
+    body = memoryview(data)[HEADER_SIZE:]
     if len(body) != size:
         raise GiopError(f"size mismatch: header says {size}, body is {len(body)}")
     return msg_type, byte_order, body
@@ -330,9 +308,7 @@ def peek_request_header(data: bytes) -> RequestHeader:
     msg_type, byte_order, body = _split_message(data)
     if msg_type != MsgType.REQUEST:
         raise GiopError(f"expected REQUEST, got {msg_type.name}")
-    decoder = (
-        FastDecoder(body, byte_order) if _FAST_WIRE else CdrDecoder(body, byte_order)
-    )
+    decoder = FastDecoder(body, byte_order)
     try:
         return RequestHeader(
             request_id=decoder.read_primitive("ulong"),
@@ -356,9 +332,7 @@ def decode_message(
     Manager uses it to re-vote on proof messages outside any ORB.
     """
     msg_type, byte_order, body = _split_message(data)
-    decoder = (
-        FastDecoder(body, byte_order) if _FAST_WIRE else CdrDecoder(body, byte_order)
-    )
+    decoder = FastDecoder(body, byte_order)
     try:
         if msg_type == MsgType.REQUEST:
             return _decode_request(repository, decoder, byte_order)
@@ -386,7 +360,7 @@ def decode_message(
 
 
 def _decode_request(
-    repository: InterfaceRepository, decoder: CdrDecoder, byte_order: str
+    repository: InterfaceRepository, decoder: FastDecoder, byte_order: str
 ) -> RequestMessage:
     request_id = decoder.read_primitive("ulong")
     response_expected = decoder.read_primitive("boolean")
@@ -407,7 +381,7 @@ def _decode_request(
 
 
 def _decode_reply(
-    repository: InterfaceRepository, decoder: CdrDecoder, byte_order: str
+    repository: InterfaceRepository, decoder: FastDecoder, byte_order: str
 ) -> ReplyMessage:
     request_id = decoder.read_primitive("ulong")
     reply_status = ReplyStatus(decoder.read_primitive("ulong"))

@@ -460,31 +460,10 @@ async def run_node(
     return await NodeHarness(config, node_id, out_dir, rejoin=rejoin).run()
 
 
-def main(argv: list[str]) -> int:
+def serve(
+    config_path: str, node_id: str, out_dir: str = ".", rejoin: bool = False
+) -> int:
     """``python -m repro serve --config T.toml --node PID --out DIR``."""
-    config_path = node_id = None
-    out_dir = "."
-    rejoin = False
-    it = iter(argv)
-    for arg in it:
-        if arg == "--config":
-            config_path = next(it, None)
-        elif arg == "--node":
-            node_id = next(it, None)
-        elif arg == "--out":
-            out_dir = next(it, None) or "."
-        elif arg == "--rejoin":
-            rejoin = True
-        else:
-            print(f"serve: unknown argument {arg!r}", file=sys.stderr)
-            return EXIT_USAGE
-    if config_path is None or node_id is None:
-        print(
-            "serve: usage: serve --config topology.toml --node PID "
-            "[--out DIR] [--rejoin]",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         config = TopologyConfig.load(config_path)
     except (OSError, ValueError) as exc:

@@ -18,12 +18,56 @@ import zlib
 from typing import Any, Iterator
 
 
-def summarize(samples: list[float]) -> dict[str, float]:
-    # Imported lazily: repro.metrics pulls in collectors -> sim.network,
-    # which itself imports repro.obs at module load.
-    from repro.metrics.stats import summarize as _summarize
+def mean(values: list[float]) -> float:
+    if not values:
+        raise ValueError("mean of empty list")
+    return sum(values) / len(values)
 
-    return _summarize(samples)
+
+def percentile(values: list[float], p: float) -> float:
+    """Linear-interpolated percentile, ``p`` in [0, 100]."""
+    if not values:
+        raise ValueError("percentile of empty list")
+    if not 0 <= p <= 100:
+        raise ValueError("p must be in [0, 100]")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+
+
+#: What ``summarize`` returns for an empty sample list. ``mean`` and
+#: ``percentile`` still raise on empty input — only the aggregate summary
+#: treats "no samples yet" as a reportable state rather than an error.
+EMPTY_SUMMARY = {
+    "count": 0.0,
+    "mean": 0.0,
+    "p50": 0.0,
+    "p95": 0.0,
+    "p99": 0.0,
+    "min": 0.0,
+    "max": 0.0,
+}
+
+
+def summarize(values: list[float]) -> dict[str, float]:
+    """mean/p50/p95/p99/min/max in one dict (for bench tables)."""
+    if not values:
+        return dict(EMPTY_SUMMARY)
+    return {
+        "count": float(len(values)),
+        "mean": mean(values),
+        "p50": percentile(values, 50),
+        "p95": percentile(values, 95),
+        "p99": percentile(values, 99),
+        "min": min(values),
+        "max": max(values),
+    }
+
 
 # A family refuses to mint children beyond this many distinct label
 # combinations; excess traffic lands on one shared overflow child so a

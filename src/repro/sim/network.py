@@ -17,7 +17,7 @@ Fault-model correspondence to the paper's assumptions (§2.2):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any
 
 from repro.obs.telemetry import NOOP_TELEMETRY, Telemetry
@@ -67,6 +67,16 @@ class TrafficStats:
         self.messages_dropped = 0
         self.bytes_sent = 0
         self.multicasts_sent = 0
+
+    def snapshot(self) -> "TrafficStats":
+        """A point-in-time copy of the counters."""
+        return replace(self)
+
+    def delta(self, later: "TrafficStats") -> "TrafficStats":
+        """Traffic between this snapshot and ``later``."""
+        return TrafficStats(
+            *(after - before for before, after in zip(astuple(self), astuple(later)))
+        )
 
 
 def payload_size(payload: Any) -> int:

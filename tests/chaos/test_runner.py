@@ -4,18 +4,19 @@ The regression cells below pin the exact (scenario, seed) coordinates at
 which the chaos rig originally flushed out real bugs.  Each must now run
 clean; a reappearing violation means the corresponding fix regressed:
 
-* ``b1-p0-fw`` seed 0 — per-connect SMIOP adapters orphaned their private
+* ``b1-p0`` seed 0 — per-connect SMIOP adapters orphaned their private
   send queues (smiop.py memoization) and lost SmiopReply copies starved
   the voter forever (sockets.py retransmission).
-* ``b1-p0-fw`` seed 18 — corrupted ClientRequest wire images leaked raw
+* ``b1-p0`` seed 18 — corrupted ClientRequest wire images leaked raw
   ``KeyError`` past the PayloadError boundary (messages.py parse guard).
-* ``b4-p4-fw`` seed 12 — key-blocked queue heads stalled unbounded
+* ``b4-p4`` seed 12 — key-blocked queue heads stalled unbounded
   (replica.py far-future discard + head-stall timer) and retry backoff
   outlasted the old settle window.
-* ``b4-p4-slow-rec-vc`` seed 20 — a new-view primary re-issued a
+* ``b4-p4-rec-vc`` seed 20 — a new-view primary re-issued a
   different pre-prepare for an executed sequence, rewriting the stored
   certificate and stranding lagging replicas (bft/replica.py executed-
-  history immutability), which broke mid-run recovery.
+  history immutability), which broke mid-run recovery. (CHANGES.md
+  records it under its old label ``b4-p4-slow-rec-vc``; same schedule.)
 """
 
 from repro.chaos.adversary import FaultEvent
@@ -71,11 +72,10 @@ def test_regression_new_view_rewrote_executed_history():
     scenario = Scenario(
         batch_size=4,
         pipeline_window=4,
-        fast_wire=False,
         mid_run_recovery=True,
         forced_view_change=True,
     )
-    assert scenario.label == "b4-p4-slow-rec-vc"
+    assert scenario.label == "b4-p4-rec-vc"
     result = run_cell(scenario, seed=20)
     assert result.ok, describe(result)
 
@@ -91,7 +91,7 @@ def test_sweep_aggregates_and_logs():
     sweep = runner.run()
     assert sweep.ok and len(sweep.results) == 2
     assert sweep.failures == []
-    assert len(lines) == 2 and all("chaos b1-p0-fw" in line for line in lines)
+    assert len(lines) == 2 and all("chaos b1-p0" in line for line in lines)
     payload = sweep.to_dict()
     assert payload["ok"] is True and payload["runs"] == 2
     assert payload["faults_applied"] > 0
@@ -140,7 +140,7 @@ def test_read_fastpath_cell_pinned():
     and a mid-storm reader restart. Pinned at seed 0 so any regression in
     the read staleness invariants reproduces deterministically."""
     scenario = Scenario(read_fastpath=True)
-    assert scenario.label == "b1-p0-fw-rd"
+    assert scenario.label == "b1-p0-rd"
     result = run_cell(scenario, seed=0)
     assert result.ok, describe(result)
     assert result.fault_candidates > 0
@@ -157,17 +157,17 @@ def test_cross_shard_cell_pinned():
     seed 0 so any regression in the atomicity invariant reproduces
     deterministically."""
     scenario = Scenario(cross_shard=True)
-    assert scenario.label == "b1-p0-fw-xs"
+    assert scenario.label == "b1-p0-xs"
     result = run_cell(scenario, seed=0)
     assert result.ok, describe(result)
     assert result.fault_candidates > 0
 
 
 def test_cross_shard_cell_pinned_batched():
-    """b4-p4-fw-xs seed 0 — log fill pushed a lagging coordinator element
+    """b4-p4-xs seed 0 — log fill pushed a lagging coordinator element
     past its own high watermark (bft/replica.py fill watermark gate); the
     cell must stay clean so the bounded-log property holds under fill."""
     scenario = Scenario(batch_size=4, pipeline_window=4, cross_shard=True)
-    assert scenario.label == "b4-p4-fw-xs"
+    assert scenario.label == "b4-p4-xs"
     result = run_cell(scenario, seed=0)
     assert result.ok, describe(result)

@@ -55,9 +55,9 @@ def test_intensity_zero_silences_the_plan():
 
 def test_smoke_slice_covers_every_dimension():
     assert scenario_matrix() == SMOKE_SCENARIOS
+    assert len(set(SMOKE_SCENARIOS)) == len(SMOKE_SCENARIOS) == 7
     assert any(s.batch_size > 1 for s in SMOKE_SCENARIOS)
     assert any(s.pipeline_window > 0 for s in SMOKE_SCENARIOS)
-    assert any(not s.fast_wire for s in SMOKE_SCENARIOS)
     assert any(s.mid_run_recovery for s in SMOKE_SCENARIOS)
     assert any(s.forced_view_change for s in SMOKE_SCENARIOS)
     assert any(s.read_fastpath for s in SMOKE_SCENARIOS)
@@ -65,16 +65,21 @@ def test_smoke_slice_covers_every_dimension():
 
 
 def test_full_matrix_is_the_cross_product():
-    # 32-cell ordered cross product + the 4-cell read-fastpath column
-    # + the 3-cell cross-shard column.
+    # 16-cell ordered cross product (batch x pipeline x recovery x view
+    # change) + the 4-cell read-fastpath column + the 2-cell cross-shard
+    # column.
     cells = scenario_matrix(full=True)
-    assert len(cells) == 39
-    assert len(set(cells)) == 39
+    assert len(cells) == 22
+    assert len(set(cells)) == 22
     assert sum(1 for s in cells if s.read_fastpath) == 4
-    assert sum(1 for s in cells if s.cross_shard) == 3
+    assert sum(1 for s in cells if s.cross_shard) == 2
 
 
 def test_scenario_labels_are_unique():
     cells = scenario_matrix(full=True)
     assert len({s.label for s in cells}) == len(cells)
-    assert Scenario().label == "b1-p0-fw"
+    assert Scenario().label == "b1-p0"
+    assert (
+        Scenario(4, 4, mid_run_recovery=True, forced_view_change=True).label
+        == "b4-p4-rec-vc"
+    )

@@ -66,11 +66,9 @@ def test_large_reply_saves_bandwidth():
         system, client, stub = build(seed=3, threshold=threshold)
         big = "z" * 30_000
         stub.put("big", big)
-        from repro.metrics.collectors import snapshot_network
-
-        before = snapshot_network(system.network)
+        before = system.network.stats.snapshot()
         stub.get("big")
-        delta = before.delta(snapshot_network(system.network))
+        delta = before.delta(system.network.stats)
         return delta.bytes_sent
 
     with_digests = wire_bytes(THRESHOLD)

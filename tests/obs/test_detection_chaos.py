@@ -78,14 +78,14 @@ class TestGroundTruth:
 
 class TestOfflineVerification:
     def test_cli_audit_verify_rejects_tampered_chain(self, tmp_path, capsys):
-        from repro.__main__ import cmd_audit
+        from repro.__main__ import main
         from repro.obs import telemetry_records
 
         _, t = run_cell(seed=0)
         path = tmp_path / "telemetry.jsonl"
         records = telemetry_records(t)
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        assert cmd_audit(["verify", "--jsonl", str(path)]) == 0
+        assert main(["audit", "verify", "--jsonl", str(path)]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
         # Flip one accused field in the middle of the exported chain.
@@ -99,7 +99,7 @@ class TestOfflineVerification:
             tampered.append(json.dumps(record))
         assert flipped
         path.write_text("\n".join(tampered) + "\n")
-        assert cmd_audit(["verify", "--jsonl", str(path)]) == 1
+        assert main(["audit", "verify", "--jsonl", str(path)]) == 1
         assert "BROKEN" in capsys.readouterr().out
 
     def test_exported_chain_round_trips(self):

@@ -1,11 +1,9 @@
 """Regression tests for the satellite fixes: empty-summary stats,
-LatencyRecorder stop/cancel diagnostics, TraceRecorder drop accounting,
-and the CLI subcommands."""
+TraceRecorder drop accounting, and the CLI subcommands."""
 
 import pytest
 
-from repro.metrics.collectors import LatencyRecorder
-from repro.metrics.stats import EMPTY_SUMMARY, mean, percentile, summarize
+from repro.obs.registry import EMPTY_SUMMARY, mean, percentile, summarize
 from repro.sim.trace import TraceRecorder
 from repro.__main__ import main
 
@@ -27,32 +25,6 @@ class TestSummarizeEmpty:
         s = summarize([1.0, 2.0, 3.0])
         assert s["count"] == 3
         assert s["mean"] == pytest.approx(2.0)
-
-
-class TestLatencyRecorder:
-    def test_stop_without_start_names_key_and_open_keys(self):
-        rec = LatencyRecorder()
-        rec.start("req-1", now=0.0)
-        rec.start("req-2", now=0.0)
-        with pytest.raises(KeyError) as err:
-            rec.stop("req-9", now=1.0)
-        message = str(err.value)
-        assert "req-9" in message
-        assert "req-1" in message and "req-2" in message
-
-    def test_cancel_discards_open_measurement(self):
-        rec = LatencyRecorder()
-        rec.start("req-1", now=0.0)
-        assert rec.cancel("req-1") is True
-        assert rec.cancel("req-1") is False
-        with pytest.raises(KeyError):
-            rec.stop("req-1", now=5.0)
-        assert rec.samples == []
-
-    def test_normal_stop_still_records(self):
-        rec = LatencyRecorder()
-        rec.start("req-1", now=1.0)
-        assert rec.stop("req-1", now=3.5) == pytest.approx(2.5)
 
 
 class TestTraceRecorderDrops:

@@ -10,8 +10,7 @@ from repro.baselines.traditional_gm import (
     TraditionalKeyAuthority,
 )
 from repro.crypto.groups import TOY_GROUP
-from repro.metrics.collectors import LatencyRecorder, snapshot_network
-from repro.metrics.stats import mean, percentile, summarize
+from repro.obs.registry import mean, percentile, summarize
 from repro.sim import Network, NetworkConfig
 from repro.workloads.generators import (
     ClosedLoopDriver,
@@ -123,15 +122,7 @@ def test_percentile_single_value():
     assert percentile([7.0], 95) == 7.0
 
 
-def test_latency_recorder():
-    recorder = LatencyRecorder()
-    recorder.start("op", 1.0)
-    assert recorder.stop("op", 1.5) == 0.5
-    recorder.record(0.25)
-    assert recorder.summary()["count"] == 2
-
-
-def test_network_snapshot_delta():
+def test_traffic_stats_snapshot_delta():
     network = Network(NetworkConfig(seed=0))
     from repro.sim.process import Process
 
@@ -142,12 +133,13 @@ def test_network_snapshot_delta():
     a, b = Sink("a"), Sink("b")
     network.add_process(a)
     network.add_process(b)
-    before = snapshot_network(network)
+    before = network.stats.snapshot()
     a.send("b", b"xyz")
     network.run()
-    delta = before.delta(snapshot_network(network))
+    delta = before.delta(network.stats)
     assert delta.messages_sent == 1
     assert delta.bytes_sent == 3
+    assert before.messages_sent == 0  # a copy, not a live view
 
 
 # -- workload generators -----------------------------------------------------------

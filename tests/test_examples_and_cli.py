@@ -1,7 +1,6 @@
 """Smoke tests: every example script and CLI demo runs to completion."""
 
 import io
-import json
 import runpy
 import sys
 from contextlib import redirect_stdout
@@ -65,29 +64,33 @@ def test_example_outputs_are_deterministic():
     assert run() == run()
 
 
-def test_cli_bench_marshal(tmp_path):
-    from repro.__main__ import main
-
-    out = tmp_path / "bench.jsonl"
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(["bench", "marshal", "--json", str(out)])
-    assert code == 0
-    output = buffer.getvalue()
-    assert "compiled-codec speedup" in output
-    assert "codec cache" in output
-    assert "encoder pool" in output
-    assert out.exists()
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert any(r.get("record") == "codec_cache" for r in records)
-    assert any(r.get("metric") == "codec_marshal_seconds" for r in records)
-
-
-def test_cli_bench_usage_errors():
+def test_cli_bench_command_is_gone():
+    """`bench marshal` compared two coders; there is one now."""
     from repro.__main__ import main
 
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        assert main(["bench"]) == 2
-        assert main(["bench", "nonsense"]) == 2
-    assert "usage: bench marshal" in buffer.getvalue()
+        assert main(["bench", "marshal"]) == 2
+    assert "unknown" in buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "--seeds", "0"],  # used to run 0 cells and exit 0
+        ["chaos", "--seeds", "-1"],
+        ["chaos", "--intensity", "-3"],
+        ["detect", "--intensity", "-0.5"],
+        ["detect", "--requests", "0"],
+        ["net", "smoke", "--requests", "0"],
+        ["net", "bench", "--requests", "-4"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_out_of_range_values(argv, capsys):
+    from repro.__main__ import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "must be at least" in captured.err
+    assert captured.out == ""  # nothing ran
