@@ -6,6 +6,15 @@ scheme over the JSON-ish value universe the protocols use: ``None``, bools,
 ints, floats, strings, bytes, sequences, and string-keyed mappings (encoded
 with sorted keys). Two structurally equal values always encode identically;
 values of different types never collide (every atom is tagged).
+
+Layout: ``N`` / ``T`` / ``F`` alone; ``D`` + 8-byte big-endian double;
+``I`` / ``S`` / ``B`` + ulong length + body (decimal ASCII, UTF-8, raw);
+``L`` / ``M`` + ulong length + ulong count + the items (a mapping's items are
+key, value, key, value... in sorted key order).
+
+Both directions are one pass: the encoder appends pieces to one list and
+joins once, the parser walks integer offsets with ``unpack_from``; both are
+fuzzed against the original coder (``tests/crypto/reference_encoding.py``).
 """
 
 from __future__ import annotations
@@ -14,19 +23,16 @@ import math
 import struct
 from typing import Any
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_BYTES = b"B"
-_TAG_LIST = b"L"
-_TAG_DICT = b"M"
+_pack_atom_head = struct.Struct(">cI").pack  # tag, body length
+_pack_container_head = struct.Struct(">cII").pack  # tag, body length, count
+_pack_float = struct.Struct(">cd").pack
+_unpack_ulong = struct.Struct(">I").unpack_from
+_unpack_double = struct.Struct(">d").unpack_from
 
-
-def _length_prefixed(tag: bytes, body: bytes) -> bytes:
-    return tag + struct.pack(">I", len(body)) + body
+#: Deepest container nesting ``parse_canonical`` accepts. The deepest value
+#: the protocols build (NewViewMsg > view-change > prepared certificate >
+#: batch) nests 15; a peer sending thousands gets a ``ValueError``.
+MAX_PARSE_DEPTH = 96
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -37,41 +43,68 @@ def canonical_bytes(value: Any) -> bytes:
     Dataclass-style objects may participate by defining ``canonical_fields()``
     returning a dict.
     """
-    if value is None:
-        return _TAG_NONE
-    # bool must be tested before int (bool is an int subclass).
-    if value is True:
-        return _TAG_TRUE
-    if value is False:
-        return _TAG_FALSE
-    if isinstance(value, int):
-        body = str(value).encode("ascii")
-        return _length_prefixed(_TAG_INT, body)
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise ValueError("cannot canonically encode NaN")
-        return _TAG_FLOAT + struct.pack(">d", value)
-    if isinstance(value, str):
-        return _length_prefixed(_TAG_STR, value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return _length_prefixed(_TAG_BYTES, bytes(value))
-    if isinstance(value, (list, tuple)):
-        body = b"".join(canonical_bytes(item) for item in value)
-        return _length_prefixed(_TAG_LIST, struct.pack(">I", len(value)) + body)
-    if isinstance(value, dict):
-        parts = []
+    pieces: list[bytes] = []
+    _emit(value, pieces)
+    return b"".join(pieces)
+
+
+def _emit(value: Any, pieces: list[bytes]) -> int:
+    """Append ``value``'s encoding to ``pieces``; return its byte length.
+    Exact types first; subclasses and the rest fall to the ``isinstance`` chain."""
+    kind = type(value)
+    if kind is str:
+        tag, body = b"S", value.encode("utf-8")
+    elif kind is bytes:
+        tag, body = b"B", value
+    elif kind is int:
+        tag, body = b"I", str(value).encode("ascii")
+    elif kind is dict:
+        slot = len(pieces)
+        pieces.append(b"")  # the header, once the items' sizes are known
+        size = 4
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"dict keys must be str, got {type(key).__name__}")
-            parts.append(canonical_bytes(key))
-            parts.append(canonical_bytes(value[key]))
-        body = b"".join(parts)
-        return _length_prefixed(_TAG_DICT, struct.pack(">I", len(value)) + body)
-    fields_fn = getattr(value, "canonical_fields", None)
-    if callable(fields_fn):
-        fields = fields_fn()
-        return canonical_bytes({"__type__": type(value).__name__, **fields})
-    raise TypeError(f"cannot canonically encode {type(value).__name__}")
+            body = key.encode("utf-8")
+            pieces.append(_pack_atom_head(b"S", len(body)))
+            pieces.append(body)
+            size += 5 + len(body) + _emit(value[key], pieces)
+        pieces[slot] = _pack_container_head(b"M", size, len(value))
+        return 5 + size
+    elif kind is list or kind is tuple:
+        slot = len(pieces)
+        pieces.append(b"")
+        size = 4
+        for item in value:
+            size += _emit(item, pieces)
+        pieces[slot] = _pack_container_head(b"L", size, len(value))
+        return 5 + size
+    elif value is None or kind is bool:
+        pieces.append(b"N" if value is None else b"T" if value else b"F")
+        return 1
+    elif isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("cannot canonically encode NaN")
+        pieces.append(_pack_float(b"D", value))
+        return 9
+    elif isinstance(value, int):
+        tag, body = b"I", str(value).encode("ascii")
+    elif isinstance(value, str):
+        tag, body = b"S", value.encode("utf-8")
+    elif isinstance(value, (bytes, bytearray)):
+        tag, body = b"B", bytes(value)
+    elif isinstance(value, (list, tuple)):
+        return _emit(list(value), pieces)
+    elif isinstance(value, dict):
+        return _emit(dict(value), pieces)
+    elif callable(getattr(value, "canonical_fields", None)):
+        fields = value.canonical_fields()
+        return _emit({"__type__": type(value).__name__, **fields}, pieces)
+    else:
+        raise TypeError(f"cannot canonically encode {type(value).__name__}")
+    pieces.append(_pack_atom_head(tag, len(body)))
+    pieces.append(body)
+    return 5 + len(body)
 
 
 def parse_canonical(raw: bytes) -> Any:
@@ -79,65 +112,77 @@ def parse_canonical(raw: bytes) -> Any:
 
     Objects encoded via ``canonical_fields()`` come back as dicts (including
     their ``__type__`` marker) — protocol layers re-hydrate those themselves.
-    Raises :class:`ValueError` on malformed input or trailing bytes.
+    Raises :class:`ValueError` on malformed input, trailing bytes, or
+    containers nested deeper than :data:`MAX_PARSE_DEPTH`.
     """
-    value, pos = _parse_one(raw, 0)
+    value, pos = _parse_one(raw, 0, len(raw), MAX_PARSE_DEPTH)
     if pos != len(raw):
         raise ValueError(f"trailing bytes after canonical value at {pos}")
     return value
 
 
-def _parse_one(raw: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(raw):
+_TAG_S, _TAG_B, _TAG_I, _TAG_L, _TAG_D = b"SBILD"
+_SINGLETONS = {ord("N"): None, ord("T"): True, ord("F"): False}
+
+
+def _parse_one(raw: bytes, pos: int, limit: int, depth: int) -> tuple[Any, int]:
+    """One value starting at ``pos``; ``limit`` is the end of the input and
+    ``depth`` how many more container levels may open."""
+    if pos >= limit:
         raise ValueError("truncated canonical value")
-    tag = raw[pos : pos + 1]
+    tag = raw[pos]
     pos += 1
-    if tag == _TAG_NONE:
-        return None, pos
-    if tag == _TAG_TRUE:
-        return True, pos
-    if tag == _TAG_FALSE:
-        return False, pos
-    if tag == _TAG_FLOAT:
-        if pos + 8 > len(raw):
+    if tag not in b"SBILM":
+        if tag in _SINGLETONS:
+            return _SINGLETONS[tag], pos
+        if tag != _TAG_D:
+            raise ValueError(f"unknown canonical tag {bytes((tag,))!r}")
+        if pos + 8 > limit:
             raise ValueError("truncated float")
-        (value,) = struct.unpack(">d", raw[pos : pos + 8])
-        return value, pos + 8
-    if tag not in (_TAG_INT, _TAG_STR, _TAG_BYTES, _TAG_LIST, _TAG_DICT):
-        raise ValueError(f"unknown canonical tag {tag!r}")
-    if pos + 4 > len(raw):
+        return _unpack_double(raw, pos)[0], pos + 8
+    if pos + 4 > limit:
         raise ValueError("truncated length prefix")
-    (length,) = struct.unpack(">I", raw[pos : pos + 4])
+    end = pos + 4 + _unpack_ulong(raw, pos)[0]
     pos += 4
-    if pos + length > len(raw):
+    if end > limit:
         raise ValueError("truncated canonical body")
-    end = pos + length
-    if tag == _TAG_INT:
-        return int(raw[pos:end].decode("ascii")), end
-    if tag == _TAG_STR:
-        return raw[pos:end].decode("utf-8"), end
-    if tag == _TAG_BYTES:
+    if tag == _TAG_S:
+        return str(raw[pos:end], "utf-8"), end
+    if tag == _TAG_B:
         return bytes(raw[pos:end]), end
+    if tag == _TAG_I:
+        return int(str(raw[pos:end], "ascii")), end
     # list / dict: body = ulong count + concatenated items
-    if length < 4:
+    if end - pos < 4:
         raise ValueError("container body too short")
-    (count,) = struct.unpack(">I", raw[pos : pos + 4])
-    cursor = pos + 4
-    if tag == _TAG_LIST:
+    if depth == 0:
+        raise ValueError(f"containers nested deeper than {MAX_PARSE_DEPTH}")
+    depth -= 1
+    count = _unpack_ulong(raw, pos)[0]
+    pos += 4
+    if tag == _TAG_L:
         items = []
         for _ in range(count):
-            item, cursor = _parse_one(raw, cursor)
+            item, pos = _parse_one(raw, pos, limit, depth)
             items.append(item)
-        if cursor != end:
+        if pos != end:
             raise ValueError("list body length mismatch")
         return items, end
     mapping = {}
     for _ in range(count):
-        key, cursor = _parse_one(raw, cursor)
-        if not isinstance(key, str):
-            raise ValueError("dict key is not a string")
-        value, cursor = _parse_one(raw, cursor)
-        mapping[key] = value
-    if cursor != end:
+        if pos + 5 <= limit and raw[pos] == _TAG_S:
+            # Half of a message's atoms are field names: read them here
+            # rather than through one more call.
+            key_end = pos + 5 + _unpack_ulong(raw, pos + 1)[0]
+            if key_end > limit:
+                raise ValueError("truncated canonical body")
+            key = str(raw[pos + 5 : key_end], "utf-8")
+            pos = key_end
+        else:
+            key, pos = _parse_one(raw, pos, limit, depth)
+            if type(key) is not str:
+                raise ValueError("dict key is not a string")
+        mapping[key], pos = _parse_one(raw, pos, limit, depth)
+    if pos != end:
         raise ValueError("dict body length mismatch")
     return mapping, end

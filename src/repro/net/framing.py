@@ -27,6 +27,7 @@ HEADER_SIZE = len(MAGIC) + 4
 #: largest payloads in the system; 16 MiB leaves headroom over the 4 MiB
 #: default MessageQueue bound while still refusing absurd claims.
 DEFAULT_MAX_FRAME = 16 << 20
+_LENGTH = struct.Struct(">I")
 
 
 class FrameError(ValueError):
@@ -41,7 +42,7 @@ def encode_frame(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME) -> bytes
         raise FrameError(
             f"frame body {len(body)} bytes exceeds limit {max_frame_bytes}"
         )
-    return MAGIC + struct.pack(">I", len(body)) + body
+    return b"".join((MAGIC, _LENGTH.pack(len(body)), body))
 
 
 class FrameDecoder:
@@ -63,23 +64,32 @@ class FrameDecoder:
         Raises :class:`FrameError` on bad magic or an oversize length
         claim; the caller must treat the stream as dead afterwards.
         """
-        self._buffer.extend(data)
+        buffer = self._buffer
+        if buffer:  # part of a frame is waiting: continue it in place
+            buffer.extend(data)
+            data = buffer
         frames: list[bytes] = []
-        while True:
-            if len(self._buffer) < HEADER_SIZE:
-                break
-            if self._buffer[: len(MAGIC)] != MAGIC:
-                raise FrameError(
-                    f"bad frame magic {bytes(self._buffer[:len(MAGIC)])!r}"
-                )
-            (length,) = struct.unpack_from(">I", self._buffer, len(MAGIC))
-            if length > self.max_frame_bytes:
-                raise FrameError(
-                    f"frame claims {length} bytes, limit {self.max_frame_bytes}"
-                )
-            if len(self._buffer) < HEADER_SIZE + length:
-                break  # truncated: wait for more bytes
-            frames.append(bytes(self._buffer[HEADER_SIZE : HEADER_SIZE + length]))
-            del self._buffer[: HEADER_SIZE + length]
-            self.frames_decoded += 1
+        cursor = 0
+        # Each body is copied out once; ``data`` may be reused once we return.
+        with memoryview(data) as view:
+            filled = len(view)
+            while filled - cursor >= HEADER_SIZE:
+                if view[cursor : cursor + len(MAGIC)] != MAGIC:
+                    magic = bytes(view[cursor : cursor + len(MAGIC)])
+                    raise FrameError(f"bad frame magic {magic!r}")
+                (length,) = _LENGTH.unpack_from(view, cursor + len(MAGIC))
+                if length > self.max_frame_bytes:
+                    raise FrameError(
+                        f"frame claims {length} bytes, limit {self.max_frame_bytes}"
+                    )
+                end = cursor + HEADER_SIZE + length
+                if end > filled:
+                    break  # truncated: wait for more bytes
+                frames.append(bytes(view[cursor + HEADER_SIZE : end]))
+                cursor = end
+            if data is not buffer:
+                buffer.extend(view[cursor:])  # the rest waits for the next read
+        if data is buffer:
+            del buffer[:cursor]  # cut once per feed, after the view is released
+        self.frames_decoded += len(frames)
         return frames

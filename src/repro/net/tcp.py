@@ -4,110 +4,169 @@ One :class:`AsyncioTransport` serves one OS process. It listens on the
 process's own topology address and keeps one outbound link per peer:
 
 * **framing** — every datagram is one length-prefixed frame
-  (:mod:`repro.net.framing`) whose body is an addressed, wire-encoded
-  payload (:mod:`repro.net.wire`);
-* **reconnect** — outbound links dial lazily and redial on failure with
-  capped exponential backoff; the frame being sent when a link dies is
-  retried on the new connection (no reorder, at-least-once — protocol
-  layers dedup);
-* **backpressure** — each link owns a bounded send queue; the writer task
-  awaits ``drain()`` so a slow peer backs the queue up, and when the queue
-  is full the *newest* frame is dropped and counted. Dropping (rather than
-  blocking the single-threaded protocol loop) is exactly the wire's §2.2
-  contract: loss is allowed, retransmission is the protocol's job;
+  (:mod:`repro.net.framing`) around an addressed, wire-encoded payload
+  (:mod:`repro.net.wire`); a payload for several peers is encoded once;
+* **no task per frame** — links and inbound connections are asyncio
+  protocols: a send is one ``transport.write`` on the caller's stack, a
+  read goes from a reused buffer through the frame decoder to the
+  delivery upcall. The only task is a link's dialler;
+* **reconnect** — links dial eagerly and redial on failure with capped
+  exponential backoff. Frames accepted while a link is down wait in its
+  backlog and go out in order when it comes up; frames already handed to
+  a socket that then dies are lost (protocol layers retransmit);
+* **backpressure** — a link writes through until asyncio's write buffer
+  passes its high-water mark, then holds frames in a backlog bounded by
+  ``queue_limit``; when that is full the *newest* frame is dropped and
+  counted. Dropping (rather than blocking the single-threaded protocol
+  loop) is exactly the wire's §2.2 contract: loss is allowed,
+  retransmission is the protocol's job;
 * **hardening** — inbound streams that desynchronise, claim oversize
   frames, or carry undecodable datagrams are dropped at the frame layer
-  with a counter; a Byzantine peer cannot crash the reader.
+  with a counter; a Byzantine peer cannot crash the receiver.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable
+from collections import deque
+from typing import Any, Callable, Iterable
 
 from repro.net.faults import NetFaultInjector
 from repro.net.framing import DEFAULT_MAX_FRAME, FrameDecoder, FrameError, encode_frame
 from repro.net.transport import Transport
 from repro.net.wire import WireCodecError, decode_datagram, encode_datagram
+from repro.net.wire import readdress_datagram
 
 #: Reconnect backoff: BASE * 2^attempt, capped.
 RECONNECT_BASE = 0.05
 RECONNECT_CAP = 2.0
+#: An inbound connection's reused read buffer doubles when a ``recv`` fills it.
+READ_BUFFER_MIN, READ_BUFFER_MAX = 4 * 1024, 64 * 1024
 
 
-class _PeerLink:
-    """One outbound connection: bounded queue + reconnecting writer task."""
+class _PeerLink(asyncio.Protocol):
+    """Outbound connection: write-through, bounded backlog, reconnecting dialler."""
 
     def __init__(
         self, transport: "AsyncioTransport", pid: str, host: str, port: int
     ) -> None:
         self.transport = transport
-        self.pid = pid
-        self.host = host
-        self.port = port
-        self.queue: asyncio.Queue[bytes] = asyncio.Queue(
-            maxsize=transport.queue_limit
-        )
+        self.pid, self.host, self.port = pid, host, port
+        self.backlog: deque[bytes] = deque()
         self.connected = asyncio.Event()
-        self.writer: asyncio.StreamWriter | None = None
+        self._stream: asyncio.WriteTransport | None = None
+        self._writable = False  # connected and below the high-water mark
         self._ever_connected = False
-        self.task = transport.loop.create_task(self._run(), name=f"link:{pid}")
+        self._closed = False
+        self.task = transport.loop.create_task(self._dial(), name=f"link:{pid}")
 
-    async def _connect(self) -> asyncio.StreamWriter:
+    async def _dial(self) -> None:
         attempt = 0
         while True:
             try:
-                _reader, writer = await asyncio.open_connection(self.host, self.port)
-                if self._ever_connected:
-                    self.transport.stats["reconnects"] += 1
-                self._ever_connected = True
-                self.connected.set()
-                return writer
+                await self.transport.loop.create_connection(
+                    lambda: self, self.host, self.port
+                )
+                return
             except OSError:
-                self.connected.clear()
                 delay = min(RECONNECT_BASE * (2**attempt), RECONNECT_CAP)
                 attempt += 1
                 await asyncio.sleep(delay)
 
-    async def _run(self) -> None:
-        frame: bytes | None = None
-        try:
-            while True:
-                # Dial eagerly — the readiness barrier (ensure_links) waits
-                # on the connection, not on the first frame.
-                if self.writer is None:
-                    self.writer = await self._connect()
-                if frame is None:
-                    frame = await self.queue.get()
-                try:
-                    self.writer.write(frame)
-                    await self.writer.drain()
-                except (OSError, ConnectionError):
-                    # Link died mid-frame: redial and retry this frame.
-                    self._drop_writer()
-                    continue
-                self.transport.stats["frames_sent"] += 1
-                self.transport.stats["bytes_sent"] += len(frame)
-                frame = None
-        except asyncio.CancelledError:
-            self._drop_writer()
-            raise
+    # -- asyncio.Protocol ---------------------------------------------------
 
-    def _drop_writer(self) -> None:
+    def connection_made(self, stream: asyncio.BaseTransport) -> None:
+        if self._closed:
+            stream.close()
+            return
+        if self._ever_connected:
+            self.transport.stats["reconnects"] += 1
+        self._ever_connected = True
+        self._stream = stream  # type: ignore[assignment]
+        self.connected.set()
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        backlog = self.backlog
+        # A write may cross the high-water mark and pause us mid-flush.
+        while backlog and self._writable:
+            self._write(backlog.popleft())
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._stream = None
+        self._writable = False
         self.connected.clear()
-        if self.writer is not None:
-            try:
-                self.writer.close()
-            except Exception:  # noqa: BLE001 - already dead
-                pass
-            self.writer = None
+        if not self._closed:
+            self.task = self.transport.loop.create_task(
+                self._dial(), name=f"link:{self.pid}"
+            )
+
+    # -- sending ------------------------------------------------------------
+
+    def _write(self, frame: bytes) -> None:
+        self._stream.write(frame)  # type: ignore[union-attr]
+        stats = self.transport.stats
+        stats["frames_sent"] += 1
+        stats["bytes_sent"] += len(frame)
 
     def enqueue(self, frame: bytes) -> bool:
-        try:
-            self.queue.put_nowait(frame)
-            return True
-        except asyncio.QueueFull:
+        """Send ``frame`` now or hold it; ``False`` when the backlog is full."""
+        if self._writable:  # implies an empty backlog: order is kept
+            self._write(frame)
+        elif len(self.backlog) < self.transport.queue_limit:
+            self.backlog.append(frame)
+        else:
             return False
+        return True
+
+    def close(self) -> None:
+        self._closed = True
+        self.task.cancel()
+        if self._stream is not None:
+            # Flush what the socket buffer holds - unless the link is paused:
+            # that peer is not reading, and the flush would never end.
+            (self._stream.close if self._writable else self._stream.abort)()
+
+
+class _InboundPeer(asyncio.BufferedProtocol):
+    """One accepted connection: bytes -> frames -> the delivery upcall.
+    Reads land in one reused buffer (no allocation per ``recv``)."""
+
+    def __init__(self, transport: "AsyncioTransport") -> None:
+        self.transport = transport
+        self.decoder = FrameDecoder(max_frame_bytes=transport.max_frame_bytes)
+        self._read_buffer = memoryview(bytearray(READ_BUFFER_MIN))
+
+    def connection_made(self, stream: asyncio.BaseTransport) -> None:
+        self.stream = stream
+        self.transport._inbound.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        transport = self.transport
+        transport.stats["bytes_received"] += nbytes
+        data = self._read_buffer[:nbytes]
+        if nbytes == len(self._read_buffer) < READ_BUFFER_MAX:
+            self._read_buffer = memoryview(bytearray(2 * nbytes))  # offer more
+        try:
+            frames = self.decoder.feed(data)
+        except FrameError:
+            # Desynchronised or hostile stream: kill the connection;
+            # the peer's link will redial with a fresh decoder.
+            transport.stats["recv_dropped_bad_frame"] += 1
+            self.stream.close()
+            return
+        for body in frames:
+            transport._handle_frame(body)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport._inbound.discard(self)
 
 
 class AsyncioTransport(Transport):
@@ -132,7 +191,7 @@ class AsyncioTransport(Transport):
         self.queue_limit = queue_limit
         self._links: dict[str, _PeerLink] = {}
         self._server: asyncio.base_events.Server | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
+        self._inbound: set[_InboundPeer] = set()
         self.stats: dict[str, int] = {
             "frames_sent": 0,
             "frames_received": 0,
@@ -150,38 +209,9 @@ class AsyncioTransport(Transport):
 
     async def start(self) -> None:
         host, port = self.address_book[self.own_pid]
-        self._server = await asyncio.start_server(self._serve_peer, host, port)
-
-    async def _serve_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                self.stats["bytes_received"] += len(data)
-                try:
-                    frames = decoder.feed(data)
-                except FrameError:
-                    # Desynchronised or hostile stream: kill the connection;
-                    # the peer's link will redial with a fresh decoder.
-                    self.stats["recv_dropped_bad_frame"] += 1
-                    return
-                for body in frames:
-                    self._handle_frame(body)
-        except (OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - already dead
-                pass
+        self._server = await self.loop.create_server(
+            lambda: _InboundPeer(self), host, port
+        )
 
     def _handle_frame(self, body: bytes) -> None:
         try:
@@ -210,29 +240,41 @@ class AsyncioTransport(Transport):
     def transmit(
         self, src: str, dst: str, payload: Any, size: int, extra_delay: float
     ) -> None:
-        frame = encode_frame(
-            encode_datagram(src, dst, payload), max_frame_bytes=self.max_frame_bytes
-        )
-        delay = extra_delay
-        if self.faults is not None:
-            verdict, fault_delay = self.faults.verdict(src, dst)
-            if verdict == "drop":
-                self.stats["sends_dropped_fault"] += 1
-                return
-            delay += fault_delay
-        if delay > 0:
-            self.loop.call_later(delay, self._enqueue, dst, frame)
-        else:
-            self._enqueue(dst, frame)
+        self.transmit_many(src, (dst,), payload, size, extra_delay)
+
+    def transmit_many(
+        self, src: str, dsts: Iterable[str], payload: Any, size: int, extra_delay: float
+    ) -> None:
+        """One payload to several peers: a fault verdict per destination, in
+        order, then one encode, re-addressed for every further survivor."""
+        body: bytes | None = None
+        for dst in dsts:
+            delay = extra_delay
+            if self.faults is not None:
+                verdict, fault_delay = self.faults.verdict(src, dst)
+                if verdict == "drop":
+                    self.stats["sends_dropped_fault"] += 1
+                    continue
+                delay += fault_delay
+            if dst not in self.address_book:
+                # Unknown (e.g. expelled and deregistered): drop silently, as IP would.
+                self.stats["sends_dropped_unknown_peer"] += 1
+                continue
+            if body is None:
+                body = encode_datagram(src, dst, payload)
+            else:
+                body = readdress_datagram(body, dst)
+            frame = encode_frame(body, max_frame_bytes=self.max_frame_bytes)
+            if delay > 0:
+                self.loop.call_later(delay, self._enqueue, dst, frame)
+            else:
+                self._enqueue(dst, frame)
 
     def _enqueue(self, dst: str, frame: bytes) -> None:
         link = self._link_for(dst)
         if link is None:
-            # Receiver unknown (e.g. expelled and deregistered): drop
-            # silently, as IP would.
             self.stats["sends_dropped_unknown_peer"] += 1
-            return
-        if not link.enqueue(frame):
+        elif not link.enqueue(frame):
             self.stats["sends_dropped_queue_full"] += 1
 
     # -- readiness & shutdown ----------------------------------------------
@@ -276,18 +318,20 @@ class AsyncioTransport(Transport):
         return sum(1 for link in self._links.values() if link.connected.is_set())
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, cancel links and readers."""
+        """Graceful shutdown: stop accepting, close links and inbound peers."""
+        links = list(self._links.values())
+        self._links.clear()
+        for link in links:
+            link.close()
+        for peer in self._inbound:
+            peer.stream.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        tasks = [link.task for link in self._links.values()]
-        tasks.extend(self._reader_tasks)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._links.clear()
+        await asyncio.gather(*(link.task for link in links), return_exceptions=True)
+        # One more turn so connection_lost runs before the loop is torn down.
+        await asyncio.sleep(0)
 
     def close(self) -> None:
         """Sync best-effort close (Transport interface); prefer ``stop``."""

@@ -17,7 +17,7 @@ implementation put the same payloads on a real wire:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Network
@@ -38,6 +38,14 @@ class Transport(ABC):
     ) -> None:
         """Carry one payload toward ``dst``. Loss after this point is the
         transport's own (modelled or physical) behaviour."""
+
+    def transmit_many(
+        self, src: "ProcessId", dsts: Iterable["ProcessId"], payload: Any,
+        size: int, extra_delay: float,
+    ) -> None:
+        """One payload toward each of ``dsts``, in order (override to share work)."""
+        for dst in dsts:
+            self.transmit(src, dst, payload, size, extra_delay)
 
     def close(self) -> None:
         """Release transport resources (sockets, queues). Default: nothing."""

@@ -25,8 +25,9 @@ re-encodes byte-identically.
 from __future__ import annotations
 
 import dataclasses
+import struct
 import typing
-from typing import Any
+from typing import Any, Callable
 
 from repro.crypto.encoding import canonical_bytes, parse_canonical
 
@@ -38,9 +39,10 @@ class WireCodecError(ValueError):
     """Payload cannot cross a real process boundary."""
 
 
-_REGISTRY: dict[str, type] = {}
-_BY_CLASS: dict[type, str] = {}
-_HINT_CACHE: dict[type, dict[str, Any]] = {}
+#: Per-type plans, computed once at registration: class -> (wire name, field
+#: names) to encode; wire name -> (class, per-field tuple coercers) to decode.
+_ENCODE_PLANS: dict[type, tuple[str, tuple[str, ...]]] = {}
+_DECODE_PLANS: dict[str, tuple[type, tuple[tuple[str, Callable | None], ...]]] = {}
 
 
 def register_wire_type(cls: type, name: str | None = None) -> type:
@@ -50,37 +52,34 @@ def register_wire_type(cls: type, name: str | None = None) -> type:
     name is a deployment bug and raises.
     """
     wire_name = name or cls.__name__
-    existing = _REGISTRY.get(wire_name)
-    if existing is not None and existing is not cls:
+    existing = _DECODE_PLANS.get(wire_name)
+    if existing is not None and existing[0] is not cls:
         raise ValueError(f"wire type {wire_name!r} already registered")
-    _REGISTRY[wire_name] = cls
-    _BY_CLASS[cls] = wire_name
+    # PEP 563 modules store hints as strings; resolve them here, once.
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    _ENCODE_PLANS[cls] = (wire_name, names)
+    coercers = tuple((field, _coercer(hints.get(field))) for field in names)
+    _DECODE_PLANS[wire_name] = (cls, coercers)
     return cls
 
 
 def registered_wire_types() -> dict[str, type]:
-    return dict(_REGISTRY)
-
-
-def _hints_for(cls: type) -> dict[str, Any]:
-    hints = _HINT_CACHE.get(cls)
-    if hints is None:
-        # PEP 563 modules store hints as strings; resolve them once.
-        hints = typing.get_type_hints(cls)
-        _HINT_CACHE[cls] = hints
-    return hints
+    return {name: plan[0] for name, plan in _DECODE_PLANS.items()}
 
 
 def _encode_value(value: Any) -> Any:
-    name = _BY_CLASS.get(type(value))
-    if name is not None:
+    kind = type(value)
+    plan = _ENCODE_PLANS.get(kind)
+    if plan is not None:
         return {
-            _WIRE_KEY: name,
+            _WIRE_KEY: plan[0],
             _FIELDS_KEY: {
-                f.name: _encode_value(getattr(value, f.name))
-                for f in dataclasses.fields(value)
+                field: _encode_value(getattr(value, field)) for field in plan[1]
             },
         }
+    if kind is bytes or kind is str or kind is int:
+        return value
     if isinstance(value, (list, tuple)):
         return [_encode_value(item) for item in value]
     if isinstance(value, dict):
@@ -88,53 +87,60 @@ def _encode_value(value: Any) -> Any:
     return value
 
 
-def _coerce(value: Any, hint: Any) -> Any:
-    """Restore container types the canonical encoding flattens (tuples)."""
-    if hint is None:
-        return value
-    origin = typing.get_origin(hint)
-    if origin is tuple or hint is tuple:
+def _coercer(hint: Any) -> Callable[[Any], Any] | None:
+    """Compile a field's type hint into the function that restores the tuples
+    the canonical encoding flattens, or ``None`` when values pass through."""
+    if typing.get_origin(hint) is not tuple and hint is not tuple:
+        # Unions (e.g. ``dict[str, bytes] | bytes | None`` auth) and atoms:
+        # the shape-driven decode already rebuilt any nested objects.
+        return None
+    args = typing.get_args(hint)
+    if not args or (len(args) == 2 and args[1] is Ellipsis):
+        arity, inners = None, [_coercer(args[0]) if args else None]
+    else:
+        arity, inners = len(args), [_coercer(arg) for arg in args]
+
+    def coerce_tuple(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
-            raise WireCodecError(f"expected sequence for {hint}, got {type(value).__name__}")
-        args = typing.get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_coerce(item, args[0]) for item in value)
-        if args:
-            if len(args) != len(value):
-                raise WireCodecError(
-                    f"expected {len(args)}-tuple for {hint}, got {len(value)} items"
-                )
-            return tuple(_coerce(item, arg) for item, arg in zip(value, args))
-        return tuple(value)
-    # Unions (e.g. ``dict[str, bytes] | bytes | None`` auth) and atoms pass
-    # through: the shape-driven decode already rebuilt any nested objects.
-    return value
+            raise WireCodecError(
+                f"expected sequence for {hint}, got {type(value).__name__}"
+            )
+        if arity is None:  # ``tuple`` or ``tuple[X, ...]``
+            return tuple(value if inners[0] is None else map(inners[0], value))
+        if arity != len(value):
+            raise WireCodecError(
+                f"expected {arity}-tuple for {hint}, got {len(value)} items"
+            )
+        return tuple(
+            item if inner is None else inner(item) for inner, item in zip(inners, value)
+        )
+
+    return coerce_tuple
 
 
 def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if value.keys() == {_WIRE_KEY, _FIELDS_KEY}:
+    kind = type(value)
+    if kind is dict:
+        if len(value) == 2 and _WIRE_KEY in value and _FIELDS_KEY in value:
             name = value[_WIRE_KEY]
-            cls = _REGISTRY.get(name)
-            if cls is None:
+            plan = _DECODE_PLANS.get(name) if isinstance(name, str) else None
+            if plan is None:
                 raise WireCodecError(f"unknown wire type {name!r}")
             raw_fields = value[_FIELDS_KEY]
             if not isinstance(raw_fields, dict):
                 raise WireCodecError(f"wire type {name!r}: fields is not a dict")
-            hints = _hints_for(cls)
             kwargs: dict[str, Any] = {}
-            for f in dataclasses.fields(cls):
-                if f.name not in raw_fields:
+            for field, coerce in plan[1]:
+                if field not in raw_fields:
                     continue  # absent field: the dataclass default applies
-                kwargs[f.name] = _coerce(
-                    _decode_value(raw_fields[f.name]), hints.get(f.name)
-                )
+                item = _decode_value(raw_fields[field])
+                kwargs[field] = item if coerce is None else coerce(item)
             try:
-                return cls(**kwargs)
+                return plan[0](**kwargs)
             except (TypeError, ValueError) as exc:
                 raise WireCodecError(f"cannot rebuild {name}: {exc}") from exc
         return {key: _decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
+    if kind is list:
         return [_decode_value(item) for item in value]
     return value
 
@@ -183,9 +189,36 @@ def assert_wire_encodable(payload: Any) -> bytes:
     return wire
 
 
+# The datagram envelope, hand-laid: the canonical encoding of
+# ``{"dst": dst, "p": <payload bytes>, "src": src}`` (keys sort in that
+# order), so the head can be swapped without re-encoding what follows it.
+_DST_HEAD = struct.Struct(">cII cI3s cI")  # M len 3 | S 3 "dst" | S len(dst)
+_P_HEAD = struct.Struct(">cI1s cI")  # S 1 "p" | B len(payload)
+_SRC_HEAD = struct.Struct(">cI3s cI")  # S 3 "src" | S len(src)
+
+
+def _addressed(dst: str, *rest: Any) -> bytes:
+    """The envelope head for ``dst`` joined onto the ``p``/``src`` pieces."""
+    to = dst.encode("utf-8")
+    body_len = 4 + 13 + len(to) + sum(map(len, rest))
+    head = _DST_HEAD.pack(b"M", body_len, 3, b"S", 3, b"dst", b"S", len(to))
+    return b"".join((head, to, *rest))
+
+
 def encode_datagram(src: str, dst: str, payload: Any) -> bytes:
     """One addressed frame body: who sent it, who it is for, the payload."""
-    return canonical_bytes({"src": src, "dst": dst, "p": encode_wire_payload(payload)})
+    wire = encode_wire_payload(payload)
+    sender = src.encode("utf-8")
+    p_head = _P_HEAD.pack(b"S", 1, b"p", b"B", len(wire))
+    src_head = _SRC_HEAD.pack(b"S", 3, b"src", b"S", len(sender))
+    return _addressed(dst, p_head, wire, src_head, sender)
+
+
+def readdress_datagram(body: bytes, dst: str) -> bytes:
+    """``body`` (an :func:`encode_datagram` result) for another destination:
+    same source, same payload bytes, nothing re-encoded (multicast fan-out)."""
+    old_dst_len = _DST_HEAD.unpack_from(body)[-1]
+    return _addressed(dst, memoryview(body)[_DST_HEAD.size + old_dst_len :])
 
 
 def decode_datagram(body: bytes) -> tuple[str, str, Any]:

@@ -6,9 +6,10 @@ element, and the "network" it is attached to is this facade: the same
 attribute surface a :class:`~repro.sim.process.Process` touches
 (``scheduler``, ``send``, ``multicast``, ``telemetry``, ``trace``,
 ``stats``) but with sends routed to a :class:`Transport` and timers on the
-wall clock. Multicast is fan-out unicast over the topology's group map —
-IP multicast loopback semantics included: the sender receives its own
-copy iff it is a member, which the BFT layer relies on.
+wall clock. Multicast goes over the topology's group map with IP multicast
+loopback semantics: the sender receives its own copy iff it is a member,
+which the BFT layer relies on. The remote members are handed to the
+transport in one call, so it can encode the payload once for all of them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class NetWorld:
     ) -> None:
         self.scheduler = scheduler
         self.transport = transport
-        self.groups = dict(groups)
+        self.groups = {addr: tuple(sorted(pids)) for addr, pids in groups.items()}
         self.trace = TraceRecorder()
         self.trace.enabled = False
         self.stats = TrafficStats()
@@ -76,15 +77,22 @@ class NetWorld:
         if members is None:
             raise KeyError(f"unknown multicast address {group_addr!r}")
         self.stats.multicasts_sent += 1
-        for member in sorted(members):
-            self.send(src, member, payload)
+        size = payload_size(payload)
+        self.stats.messages_sent += len(members)
+        self.stats.bytes_sent += size * len(members)
+        own = self.hosted.pid if self.hosted is not None else None
+        remote = [member for member in members if member != own]
+        if len(remote) != len(members):
+            # Own copy: off the wire and asynchronous, as in send().
+            self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
+        self.transport.transmit_many(src, remote, payload, size, 0.0)
 
     # -- inbound ------------------------------------------------------------
 
     def deliver(self, src: ProcessId, payload: Any) -> None:
         """Hand one decoded payload to the hosted process.
 
-        A malformed or Byzantine payload must never kill the reader task:
+        A malformed or Byzantine payload must never kill the connection:
         protocol layers already treat garbage as evidence, so anything
         that still escapes is counted and dropped.
         """

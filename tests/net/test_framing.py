@@ -110,3 +110,15 @@ def test_frame_at_exact_limit_passes():
     body = b"z" * 64
     decoder = FrameDecoder(max_frame_bytes=64)
     assert decoder.feed(encode_frame(body, max_frame_bytes=64)) == [body]
+
+
+def test_one_read_carrying_thousands_of_frames_and_a_partial_tail():
+    bodies = [bytes([i % 251]) * (i % 7) for i in range(5000)]
+    stream = b"".join(encode_frame(body) for body in bodies)
+    tail = encode_frame(b"unfinished")
+    decoder = FrameDecoder()
+    assert decoder.feed(stream + tail[:-3]) == bodies
+    assert decoder.buffered == len(tail) - 3
+    assert decoder.feed(tail[-3:]) == [b"unfinished"]
+    assert decoder.buffered == 0
+    assert decoder.frames_decoded == 5001

@@ -120,3 +120,34 @@ def test_every_protocol_message_type_is_registered():
         "RejoinPetition", "QueueStateRequest", "QueueStateResponse",
     ):
         assert expected in names, f"{expected} not wire-registered"
+
+
+def test_registration_compiles_tuple_coercers_from_hints():
+    """Every shape the per-message ``_coerce`` used to interpret."""
+    import dataclasses
+
+    from repro.net import wire
+
+    @dataclasses.dataclass(frozen=True)
+    class Shapes:
+        many: tuple[int, ...]
+        nested: tuple[tuple[str, ...], ...]
+        pair: tuple[str, tuple[int, ...]]
+        bare: tuple
+        plain: list
+
+    try:
+        wire.register_wire_type(Shapes, "TestShapes")
+        value = Shapes((1, 2), (("a",), ()), ("k", (3,)), (1, "x"), [1, (2,)])
+        decoded = decode_wire_payload(encode_wire_payload(value))
+        assert decoded == dataclasses.replace(value, plain=[1, [2]])
+        assert type(decoded.nested[0]) is tuple and type(decoded.pair[1]) is tuple
+        bad_arity = dataclasses.replace(value, pair=("k", (3,), "extra"))
+        with pytest.raises(WireCodecError, match="2-tuple"):
+            decode_wire_payload(encode_wire_payload(bad_arity))
+        not_a_sequence = dataclasses.replace(value, many=7)
+        with pytest.raises(WireCodecError, match="expected sequence"):
+            decode_wire_payload(encode_wire_payload(not_a_sequence))
+    finally:
+        wire._ENCODE_PLANS.pop(Shapes, None)
+        wire._DECODE_PLANS.pop("TestShapes", None)
