@@ -875,9 +875,7 @@ class BftReplica(Process):
             # Our state diverged from the quorum: recover from a peer.
             self._request_state_transfer(seq, proof)
             return
-        self.stable_seq = seq
-        self._stable_proof = proof
-        self._stable_snapshot = own
+        self._install_checkpoint(seq, own, proof)
         t = self.telemetry
         if t.enabled:
             t.health.record_checkpoint(self.pid, seq, self.last_executed - seq)
@@ -885,6 +883,28 @@ class BftReplica(Process):
                 "bft_stable_seq", "Latest stable checkpoint, per replica",
                 labels=("pid",),
             ).labels(pid=self.pid).set(seq)
+        if self.is_primary:
+            self._drain_pending()
+            # The advanced watermark may admit batches the window held back.
+            self._maybe_flush()
+
+    def _install_checkpoint(
+        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...]
+    ) -> None:
+        """Make ``(seq, snapshot)`` the stable checkpoint and prune below it.
+
+        The one place checkpoint bookkeeping moves, whether the certificate
+        formed here (:meth:`_stabilize`) or came from a peer
+        (:meth:`adopt_stable_checkpoint`, :meth:`_on_state_response`). The
+        caller has validated ``proof`` and brought the application to at
+        least ``seq``.
+        """
+        self.stable_seq = seq
+        self._stable_proof = proof
+        self._stable_snapshot = snapshot
+        self._own_snapshots[seq] = snapshot
+        if self.last_executed < seq:
+            self.last_executed = seq
         for old_seq in [s for s in self.log if s <= seq]:
             del self.log[old_seq]
         for old_seq in [s for s in self._checkpoints if s <= seq]:
@@ -892,10 +912,7 @@ class BftReplica(Process):
         for old_seq in [s for s in self._own_snapshots if s < seq]:
             del self._own_snapshots[old_seq]
         if self.is_primary:
-            self.next_seq = max(self.next_seq, self.stable_seq)
-            self._drain_pending()
-            # The advanced watermark may admit batches the window held back.
-            self._maybe_flush()
+            self.next_seq = max(self.next_seq, seq)
 
     # ---------------------------------------------- checkpoint fetch (recovery)
 
@@ -936,22 +953,9 @@ class BftReplica(Process):
             return False
         if not self.verify_checkpoint_proof(seq, digest(snapshot), proof):
             return False
-        self.stable_seq = seq
-        self._stable_proof = proof
-        self._stable_snapshot = snapshot
-        self._own_snapshots[seq] = snapshot
-        if self.last_executed < seq:
-            self.last_executed = seq
-        for old_seq in [s for s in self.log if s <= seq]:
-            del self.log[old_seq]
-        for old_seq in [s for s in self._checkpoints if s <= seq]:
-            del self._checkpoints[old_seq]
-        for old_seq in [s for s in self._own_snapshots if s < seq]:
-            del self._own_snapshots[old_seq]
+        self._install_checkpoint(seq, snapshot, proof)
         self._awaiting.clear()
         self._refresh_vc_timer()
-        if self.is_primary:
-            self.next_seq = max(self.next_seq, self.stable_seq)
         self._try_execute()
         return True
 
@@ -990,9 +994,6 @@ class BftReplica(Process):
         self._p2p(src, response)
 
     def _on_state_response(self, src: str, msg: StateResponseMsg) -> None:
-        self._state_transfer_pending = False
-        if msg.stable_seq <= self.stable_seq or msg.stable_seq <= self.last_executed:
-            return
         if digest(msg.snapshot) != msg.state_digest:
             return
         # Proof: 2f+1 checkpoint messages from distinct replicas, same digest.
@@ -1000,14 +1001,13 @@ class BftReplica(Process):
             msg.stable_seq, msg.state_digest, msg.checkpoint_proof
         ):
             return
+        # Only a certified answer ends the transfer; junk above left it
+        # pending, so _retransmit_tick still rotates to the next candidate.
+        self._state_transfer_pending = False
+        if msg.stable_seq <= self.stable_seq or msg.stable_seq <= self.last_executed:
+            return
         self.restore_fn(msg.snapshot, msg.stable_seq)
-        self.last_executed = msg.stable_seq
-        self.stable_seq = msg.stable_seq
-        self._stable_proof = msg.checkpoint_proof
-        self._stable_snapshot = msg.snapshot
-        self._own_snapshots[msg.stable_seq] = msg.snapshot
-        for old_seq in [s for s in self.log if s <= msg.stable_seq]:
-            del self.log[old_seq]
+        self._install_checkpoint(msg.stable_seq, msg.snapshot, msg.checkpoint_proof)
         self._awaiting.clear()
         self._refresh_vc_timer()
         self._try_execute()

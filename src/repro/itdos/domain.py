@@ -116,14 +116,6 @@ class SystemDirectory:
     # many bytes use digest voting + single body fetch (None disables).
     # Only float-free result types qualify (digests need exact values).
     large_reply_threshold: int | None = None
-    # Recovery subsystem policy (repro.recovery): how long a rejoining
-    # element collects queue-state responses before cross-validating, how
-    # many rounds it tries, and after how many rounds it degrades from the
-    # freshness quorum (2f+1 matching) to the correctness minimum (f+1 —
-    # any f+1 matching snapshots contain at least one honest element's).
-    recovery_fetch_window: float = 0.25
-    recovery_max_attempts: int = 8
-    recovery_full_quorum_attempts: int = 3
     # Read fast path (Castro–Liskov read-only optimization): read_only
     # operations execute tentatively at every element against its
     # last-committed state and the client accepts on 2f+1 matching

@@ -45,7 +45,6 @@ from repro.itdos.messages import (
     GmShareEnvelope,
     OpenRequest,
     PayloadError,
-    ReadmitRequest,
     RekeyTick,
     SmiopRequest,
     key_share_to_dict,
@@ -165,7 +164,6 @@ class GroupManagerElement(BftReplica):
         CoinMessage: "gm.coin",
         OpenRequest: "gm.open",
         ChangeRequest: "gm.change",
-        ReadmitRequest: "gm.readmit",
         RejoinPetition: "gm.rejoin",
         RekeyTick: "gm.rekey",
     }
@@ -198,8 +196,6 @@ class GroupManagerElement(BftReplica):
             return self._exec_open(message, client_id)
         if isinstance(message, ChangeRequest):
             return self._exec_change(message, client_id)
-        if isinstance(message, ReadmitRequest):
-            return self._exec_readmit(message, client_id)
         if isinstance(message, RejoinPetition):
             return self._exec_rejoin(message, client_id)
         if isinstance(message, RekeyTick):
@@ -528,25 +524,14 @@ class GroupManagerElement(BftReplica):
         # Every accused element must actually dissent from the voted value.
         return all(a in decision.dissenters for a in request.accused)
 
-    def _exec_readmit(self, request: ReadmitRequest, client_id: str) -> bytes:
-        """EXTENSION: re-admit a repaired element (paper §4 future work)."""
-        if request.requester != client_id or request.requester != request.element:
-            return b"BAD"  # only the element itself may petition
-        domain = self.directory.domains.get(request.domain_id)
-        if domain is None or request.element not in domain.element_ids:
-            return b"BAD"
-        if request.element not in self.state.expelled:
-            return b"OK"  # idempotent: already a member
-        self._readmit(request.element, request.domain_id)
-        return b"READMITTED"
-
     def _exec_rejoin(self, petition: RejoinPetition, client_id: str) -> bytes:
         """EXTENSION: the signed rejoin handshake (:mod:`repro.recovery`).
 
-        The same membership action as :meth:`_exec_readmit`, hardened: the
-        petition must verify under the element's registered signing key and
-        carry a nonce above any previously accepted one, so neither a third
-        party nor a replayed old petition can flip membership. A petition
+        Re-admission is the membership action the paper leaves as future
+        work (§4: "replacement remains to be implemented"). The petition
+        must verify under the element's registered signing key and carry a
+        nonce above any previously accepted one, so neither a third party
+        nor a replayed old petition can flip membership. A petition
         with ``fresh_keys`` from a member in good standing (the proactive-
         recovery restart) rotates the key epoch without a membership change.
         """

@@ -269,69 +269,6 @@ class CommitFeed:
         return f"CommitFeed({self.domain_id}@{self.index},i={self.sender})"
 
 
-@dataclass(frozen=True)
-class ReadSyncRequest:
-    """A lagging read-tier element asks a core element for queue state.
-
-    The read tier's analogue of the PR-2 recovery fetch: same queue-mode
-    snapshot content, but a separate message pair so the recovery
-    coordinator's fingerprint-matching protocol stays untouched.
-    """
-
-    requester: str
-    domain_id: str
-    attempt: int
-
-    def wire_size(self) -> int:
-        return 48
-
-    def trace_label(self) -> str:
-        return f"ReadSyncRequest({self.requester},a={self.attempt})"
-
-
-@dataclass(frozen=True)
-class ReadSyncResponse:
-    """One core element's queue snapshot answering a :class:`ReadSyncRequest`.
-
-    Carries the application state alongside the queue (``app_state``,
-    canonical-encoded): unlike a rejoining *core* element — which replays
-    from its own divergence point — a lagging reader may have missed an
-    arbitrary stretch of the committed stream, so the servant state must
-    come with the queue position it matches. The reader adopts only on f+1
-    responses with identical fingerprints over all of it, so at least one
-    honest core element vouches for the pair.
-    """
-
-    sender: str
-    domain_id: str
-    attempt: int
-    appended: int
-    chain: bytes
-    snapshot: bytes
-    app_state: bytes = b""
-
-    def fingerprint(self) -> bytes:
-        from repro.crypto.digests import digest
-
-        return digest(
-            canonical_bytes(
-                {
-                    "domain": self.domain_id,
-                    "appended": self.appended,
-                    "chain": self.chain,
-                    "snapshot": self.snapshot,
-                    "app": self.app_state,
-                }
-            )
-        )
-
-    def wire_size(self) -> int:
-        return 96 + len(self.snapshot) + len(self.app_state)
-
-    def trace_label(self) -> str:
-        return f"ReadSyncResponse(app={self.appended},i={self.sender})"
-
-
 # -- Group Manager traffic ----------------------------------------------------------
 
 
@@ -474,48 +411,6 @@ class RekeyTick:
 
 
 @dataclass(frozen=True)
-class ReadmitRequest:
-    """EXTENSION (paper §4 future work): re-admit a repaired element.
-
-    The paper's prototype only removes faulty elements ("replacement
-    remains to be implemented"). This reproduction adds the missing half:
-    a repaired element petitions the Group Manager; re-admission rekeys its
-    communication groups *including* it, and the element recovers
-    application state through the ordinary checkpoint/state-transfer path
-    (object mode) or is still flagged diverged (queue mode, per §3.1).
-    The petition is self-signed-by-transport only — trusting a recovered
-    replica is the same assumption proactive recovery [6] makes.
-    """
-
-    requester: str
-    element: str
-    domain_id: str
-
-    KIND = "readmit_request"
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "requester": self.requester,
-                "element": self.element,
-                "domain_id": self.domain_id,
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "ReadmitRequest":
-        return ReadmitRequest(
-            requester=fields["requester"],
-            element=fields["element"],
-            domain_id=fields["domain_id"],
-        )
-
-    def trace_label(self) -> str:
-        return f"readmit_request({self.element})"
-
-
-@dataclass(frozen=True)
 class CoinMessage:
     """Commit or reveal in the GM's distributed randomness bootstrap."""
 
@@ -573,8 +468,6 @@ def parse_payload(raw: bytes) -> Any:
         parser = OpenRequest.from_fields
     elif kind == ChangeRequest.KIND:
         parser = ChangeRequest.from_fields
-    elif kind == ReadmitRequest.KIND:
-        parser = ReadmitRequest.from_fields
     elif kind == RekeyTick.KIND:
         parser = RekeyTick.from_fields
     elif kind in (CoinMessage.KIND_COMMIT, CoinMessage.KIND_REVEAL):

@@ -21,12 +21,12 @@ State maintenance:
   pump, so the reader's servant state and commit watermark
   (``queue.processed_count``) track the core elements exactly.
 * **Catch-up** — a reader that boots late, restarts, or detects a
-  persistent feed gap fetches a full snapshot from the core elements
-  (:class:`~repro.itdos.messages.ReadSyncRequest`; the read tier's
-  analogue of the PR-2 queue-mode state transfer, kept as a separate
-  message pair so the core recovery protocol is untouched). It adopts on
-  ``f+1`` matching fingerprints over (queue position, append chain,
-  queue snapshot, application state).
+  persistent feed gap runs the same fetch-and-adopt round a rejoining core
+  element does (:class:`~repro.recovery.fetch.StateFetch`, same
+  ``QueueStateRequest``/``QueueStateResponse`` pair, same 2f+1 → f+1
+  quorum schedule over fingerprints of queue position, append chain, queue
+  snapshot and application state). It needs no petition and has no tail
+  to replay; it accepts any agreed state at or past its own position.
 
 Keying: the Group Manager registers and fences readers like core elements
 (they appear in every connection's participant set and receive
@@ -41,16 +41,13 @@ from typing import Any, Callable
 
 from repro.bft.config import BftConfig
 from repro.crypto.digests import digest
-from repro.crypto.encoding import parse_canonical
 from repro.crypto.signing import RsaSigner
 from repro.itdos.domain import SystemDirectory
-from repro.itdos.messages import (
-    CommitFeed,
-    ReadSyncRequest,
-    ReadSyncResponse,
-)
+from repro.itdos.messages import CommitFeed
 from repro.itdos.replica import ItdosServerElement
 from repro.orb.core import Orb
+from repro.recovery.fetch import StateFetch
+from repro.recovery.messages import QueueStateResponse
 
 
 class ReadOnlyElement(ItdosServerElement):
@@ -64,9 +61,6 @@ class ReadOnlyElement(ItdosServerElement):
     #: Simulated seconds a missing next-index feed may stay missing (while
     #: later feeds accumulate) before the reader falls back to a full sync.
     FEED_STALL_TIMEOUT = 5.0
-    #: Window to collect ReadSyncResponses before cross-validating.
-    SYNC_FETCH_WINDOW = 0.5
-    MAX_SYNC_ATTEMPTS = 8
 
     def __init__(
         self,
@@ -98,12 +92,14 @@ class ReadOnlyElement(ItdosServerElement):
         # f+1 byte-identical feeds per index gate application (see module doc).
         self._feed_buffer: dict[int, dict[str, bytes]] = {}
         self._feed_stall_timer: Any = None
-        self._sync_attempt = 0
-        self._sync_responses: dict[str, ReadSyncResponse] = {}
-        self._sync_timer: Any = None
+        self._fetch = StateFetch(
+            self,
+            acceptable=lambda r: r.appended >= self.queue.total_appended,
+            adopt=self._adopt_sync,
+            on_give_up=self._mark_diverged,  # cannot catch up: stop serving reads
+        )
         self.feeds_applied = 0
         self.syncs_completed = 0
-        self.syncing = False
 
     def _bft_config(
         self, directory: SystemDirectory, domain_id: str, pid: str
@@ -134,8 +130,8 @@ class ReadOnlyElement(ItdosServerElement):
         return
 
     def _serve_queue_state(self, src, request) -> None:  # noqa: ANN001
-        # Core recovery cross-validates fingerprints from *core* peers; a
-        # reader's derived state must never masquerade as one of them.
+        # Catch-up cross-validates fingerprints from *core* elements; a
+        # reader's derived state must never vouch for anything.
         return
 
     def _feed_read_tier(self, payload: bytes) -> None:
@@ -157,8 +153,8 @@ class ReadOnlyElement(ItdosServerElement):
         if isinstance(payload, CommitFeed):
             self._handle_commit_feed(src, payload)
             return
-        if isinstance(payload, ReadSyncResponse):
-            self._handle_sync_response(src, payload)
+        if isinstance(payload, QueueStateResponse):
+            self._fetch.handle_response(src, payload)
             return
         super().on_message(src, payload)
 
@@ -252,7 +248,11 @@ class ReadOnlyElement(ItdosServerElement):
             # Copies exist but no f+1 agreement yet; keep waiting bounded.
             self._check_feed_gap()
 
-    # -- full catch-up (read tier's queue-mode state transfer) ------------------
+    # -- full catch-up (the shared fetch-and-adopt round) -----------------------
+
+    @property
+    def syncing(self) -> bool:
+        return self._fetch.active
 
     def resync(self) -> None:
         """Fetch and adopt a cross-validated snapshot from the core tier.
@@ -261,82 +261,14 @@ class ReadOnlyElement(ItdosServerElement):
         consistent) committed prefix — the watermark tag keeps those
         replies honest, and they carry no quorum weight anyway.
         """
-        if self.syncing:
-            return
-        self.syncing = True
-        self._sync_attempt = 0
-        self._begin_sync_round()
-
-    def _begin_sync_round(self) -> None:
-        self._sync_attempt += 1
-        if self._sync_attempt > self.MAX_SYNC_ATTEMPTS:
-            self.syncing = False
-            self._mark_diverged()  # cannot catch up: stop serving reads
-            return
-        self._sync_responses = {}
-        t = self.telemetry
-        if t.enabled:
-            t.point("readtier.sync", pid=self.pid, attempt=self._sync_attempt)
-        request = ReadSyncRequest(
-            requester=self.pid,
-            domain_id=self.domain_id,
-            attempt=self._sync_attempt,
-        )
-        for peer in self.domain_info.element_ids:
-            self.send(peer, request)
-        self._sync_timer = self.set_timer(
-            self.SYNC_FETCH_WINDOW, self._conclude_sync_round
-        )
-
-    def _handle_sync_response(self, src: str, response: ReadSyncResponse) -> None:
-        if not self.syncing or response.attempt != self._sync_attempt:
-            return
-        if response.sender != src or src not in self.domain_info.element_ids:
-            return
-        if response.domain_id != self.domain_id:
-            return
-        self._sync_responses[src] = response
-        # All core elements answered: conclude early, keep the timer as the
-        # loss fallback (it no-ops once syncing advances the attempt).
-        if len(self._sync_responses) >= self.domain_info.n:
-            self._conclude_sync_round()
-
-    def _conclude_sync_round(self) -> None:
         if not self.syncing:
-            return
-        if self._sync_timer is not None:
-            self.cancel_timer(self._sync_timer)
-            self._sync_timer = None
-        threshold = self.domain_info.f + 1
-        groups: dict[bytes, list[ReadSyncResponse]] = {}
-        for response in self._sync_responses.values():
-            groups.setdefault(response.fingerprint(), []).append(response)
-        adopted = None
-        for matching in groups.values():
-            if len(matching) >= threshold:
-                # f+1 identical fingerprints: at least one honest element
-                # vouches for this exact (queue, app state) pair. Prefer the
-                # freshest such group when several exist.
-                if adopted is None or matching[0].appended > adopted.appended:
-                    adopted = matching[0]
-        if adopted is None or adopted.appended < self.queue.total_appended:
-            self._begin_sync_round()
-            return
-        self._adopt_sync(adopted)
+            self._fetch.start()
 
-    def _adopt_sync(self, response: ReadSyncResponse) -> None:
-        try:
-            self.queue.restore(response.snapshot)
-            app = parse_canonical(response.app_state)
-            if isinstance(app, dict) and "app" in app:
-                self.app_restore_fn(app["app"])
-        except Exception:  # noqa: BLE001 - cross-validated, but stay safe
-            self._begin_sync_round()
-            return
-        self._append_chain = response.chain
+    def _adopt_sync(self, response: QueueStateResponse) -> bool:
+        if not self._restore_queue_state(response):
+            return False
         self.diverged = False
         self._clear_recovery_buffer()
-        self.syncing = False
         self.syncs_completed += 1
         self._prune_feed_buffer()
         t = self.telemetry
@@ -348,14 +280,12 @@ class ReadOnlyElement(ItdosServerElement):
             ).labels(element=self.pid).inc()
         self._apply_ready_feeds()
         self._pump()
+        return True
 
     def on_restart(self) -> None:
         super().on_restart()
         self._feed_buffer.clear()
         self._feed_stall_timer = None
-        self._sync_timer = None
-        self._sync_responses = {}
-        self.syncing = False
         # A restarted reader resyncs instead of staying diverged — its
         # whole state is derived, so re-derivation is always legal.
-        self.resync()
+        self._fetch.start()

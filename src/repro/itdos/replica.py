@@ -54,14 +54,12 @@ from repro.itdos.messages import (
     PayloadError,
     ReadReply,
     ReadRequest,
-    ReadSyncRequest,
-    ReadSyncResponse,
     SmiopReply,
     SmiopRequest,
     key_share_from_dict,
     parse_payload,
 )
-from repro.itdos.queuestate import MessageQueue
+from repro.itdos.queuestate import MessageQueue, QueueOverflow
 from repro.itdos.sockets import SmiopEndpoint, traffic_nonce
 from repro.recovery.coordinator import RecoveryCoordinator
 from repro.recovery.messages import QueueStateRequest, QueueStateResponse
@@ -224,14 +222,11 @@ class ItdosServerElement(BftReplica):
         if isinstance(payload, ReadRequest):
             self._serve_read(src, payload)
             return
-        if isinstance(payload, ReadSyncRequest):
-            self._serve_read_sync(src, payload)
-            return
         if isinstance(payload, QueueStateRequest):
             self._serve_queue_state(src, payload)
             return
         if isinstance(payload, QueueStateResponse):
-            self.recovery.handle_response(src, payload)
+            self.recovery.fetch.handle_response(src, payload)
             return
         if self.endpoint.handle_message(src, payload):
             return
@@ -954,27 +949,6 @@ class ItdosServerElement(BftReplica):
             ),
         )
 
-    def _serve_read_sync(self, src: str, request: ReadSyncRequest) -> None:
-        """Answer a lagging read-tier element's catch-up fetch."""
-        if request.domain_id != self.domain_id or request.requester != src:
-            return
-        if src not in self.domain_info.read_only_ids:
-            return
-        if self.diverged:
-            return
-        self.send(
-            src,
-            ReadSyncResponse(
-                sender=self.pid,
-                domain_id=self.domain_id,
-                attempt=request.attempt,
-                appended=self.queue.total_appended,
-                chain=self._append_chain,
-                snapshot=self.queue.snapshot(),
-                app_state=canonical_bytes({"app": self.app_state_fn()}),
-            ),
-        )
-
     def on_duplicate_request(self, request: Any) -> None:
         """A retransmitted, already-executed request: resend our SMIOP reply
         (the point-to-point reply to a singleton client may have been lost)."""
@@ -1015,29 +989,34 @@ class ItdosServerElement(BftReplica):
         The end-to-end path for a repaired or restarted element: petition
         the GM (readmission + key-epoch rotation; pass ``fresh_keys`` to
         force the rotation even when never expelled, the proactive-recovery
-        case), then adopt a cross-validated ``MessageQueue`` snapshot from
-        ``2f+1`` peers and replay the buffered ordered tail. ``callback``
-        receives the GM verdict; ``on_complete`` fires when recovery
-        finishes (with its success as a bool).
+        case), then adopt a cross-validated ``MessageQueue`` snapshot and
+        the servant state that goes with it from ``2f+1`` peers, and replay
+        the buffered ordered tail. ``callback`` receives the GM verdict;
+        ``on_complete`` fires when recovery finishes (with its success as
+        a bool).
         """
         self.recovery.begin(
             callback=callback, fresh_keys=fresh_keys, on_complete=on_complete
         )
 
     def _serve_queue_state(self, src: str, request: QueueStateRequest) -> None:
-        """Answer a rejoining peer's state-transfer fetch.
+        """Answer a catch-up fetch (:mod:`repro.recovery.fetch`).
 
-        Only fellow domain members are served, and only from an element
-        that is itself in sync — a diverged element must not export state
-        it does not trust. The response pairs the live queue snapshot with
-        our stable PBFT checkpoint certificate so the joiner can anchor the
-        fetched state to the BFT layer.
+        Served to the domain's own elements — a rejoining core peer or a
+        lagging read-tier element, with the same response — and only from
+        an element that is itself in sync: a diverged element must not
+        export state it does not trust, and one parked on a nested
+        invocation has a servant mid-call whose state matches no queue
+        position. The response pairs the live queue snapshot and the
+        servant state at its processed position with our stable PBFT
+        checkpoint certificate, so a core joiner can anchor the fetched
+        state to the BFT layer (a reader ignores the checkpoint triple).
         """
         if request.domain_id != self.domain_id or request.requester != src:
             return
-        if src not in self.domain_info.element_ids:
+        if src not in self.domain_info.all_ids:
             return
-        if self.diverged:
+        if self.diverged or self._parked is not None:
             return
         stable_seq, snapshot, proof = self.stable_checkpoint()
         t = self.telemetry
@@ -1057,9 +1036,24 @@ class ItdosServerElement(BftReplica):
                 last_executed=self.last_executed,
                 stable_seq=stable_seq,
                 checkpoint_snapshot=snapshot,
+                app_state=canonical_bytes({"app": self.app_state_fn()}),
                 checkpoint_proof=proof,
             ),
         )
+
+    def _restore_queue_state(self, response: QueueStateResponse) -> bool:
+        """Install a cross-validated peer's queue and the servant state at
+        its processed position. False — a failed adoption, the caller goes
+        another round — if either is refused; nothing is touched unless the
+        app state parses and the queue snapshot validates in full."""
+        try:
+            app = parse_canonical(response.app_state)["app"]
+            self.queue.restore(response.snapshot)
+            self.app_restore_fn(app)
+        except (KeyError, TypeError, ValueError, QueueOverflow):
+            return False
+        self._append_chain = response.chain
+        return True
 
     def on_restart(self) -> None:
         """A rebooted element keeps its identity, directory, and key store,

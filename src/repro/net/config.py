@@ -288,6 +288,7 @@ class TopologyConfig:
             CalculatorServant,
             KvStoreServant,
             ShardKvServant,
+            kv_state_hooks,
             standard_repository,
         )
 
@@ -315,6 +316,7 @@ class TopologyConfig:
                 f=self.f,
                 servants=lambda element: {b"kv": KvStoreServant()},
                 readers=self.readers,
+                **kv_state_hooks(),
             )
         else:
             system.add_server_domain(

@@ -264,14 +264,11 @@ def _register_builtin_types() -> None:
         itdos.ReadRequest,
         itdos.ReadReply,
         itdos.CommitFeed,
-        itdos.ReadSyncRequest,
-        itdos.ReadSyncResponse,
         itdos.GmShareEnvelope,
         itdos.OpenRequest,
         itdos.ProofItem,
         itdos.ChangeRequest,
         itdos.RekeyTick,
-        itdos.ReadmitRequest,
         itdos.CoinMessage,
         recovery.RejoinPetition,
         recovery.QueueStateRequest,

@@ -22,6 +22,10 @@ fence out generations more than one epoch old) lives in
 defined here.
 """
 
+# The element package imports this one back (replica -> coordinator), so it
+# must be the one that starts initialising: `import repro.recovery` on its
+# own otherwise dies half-way round the cycle.
+import repro.itdos  # noqa: F401  isort: skip
 from repro.recovery.coordinator import RecoveryCoordinator
 from repro.recovery.messages import (
     QueueStateRequest,

@@ -7,22 +7,21 @@ Drives the two halves of recovery for one
    Manager's ordering and wait for the replicated verdict. A successful
    verdict means the GM has re-added the element to domain membership and
    rotated every affected connection key to a new membership epoch.
-2. **Queue state transfer** — fetch each peer's ``MessageQueue.snapshot()``
-   plus its stable PBFT checkpoint, cross-validate the response
-   fingerprints across peers, adopt a matching set, and replay the
-   *buffered ordered tail*: every payload the element's own ordering
-   executed while it was diverged (buffered by
+2. **Queue state transfer** — one :class:`~repro.recovery.fetch.StateFetch`
+   round (the same one the read tier runs) fetches each peer's
+   ``MessageQueue.snapshot()``, servant state and stable PBFT checkpoint and
+   cross-validates the fingerprints; this class supplies what is specific
+   to a *core* element: the peer's execution position must cover our
+   buffering anchor, the checkpoint certificate must verify, and after the
+   restore the *buffered ordered tail* is replayed — every payload the
+   element's own ordering executed while it was diverged (buffered by
    ``ItdosServerElement._bft_execute``) whose sequence number postdates the
    adopted snapshot.
 
-The cross-validation quorum starts at ``2f+1`` matching responses — enough
-to guarantee the adopted snapshot is both *correct* (≥ f+1 honest) and
-*fresh* (intersects every commit quorum). If the domain cannot produce that
-many matching answers (peers mid-checkpoint, or f of them mute), later
-rounds degrade to the correctness minimum ``f+1``, accepting possible
-staleness; staleness is safe because adoption additionally requires the
-peer's execution position to cover our buffering anchor, so the snapshot
-plus our replayed tail reconstructs a prefix-consistent queue.
+A quorum that only reaches ``f+1`` may be stale; staleness is safe because
+adoption additionally requires the peer's execution position to cover our
+buffering anchor, so the snapshot plus our replayed tail reconstructs a
+prefix-consistent queue.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.digests import digest
 from repro.itdos.queuestate import QueueOverflow
+from repro.recovery.fetch import StateFetch
 from repro.recovery.messages import (
-    QueueStateRequest,
     QueueStateResponse,
     RejoinPetition,
     petition_body,
@@ -46,21 +45,21 @@ ADMITTED_VERDICTS = (b"READMITTED", b"REFRESHED", b"OK")
 
 
 class RecoveryCoordinator:
-    """Petition → fetch → cross-validate → restore → replay, with retries."""
+    """Petition, then fetch → restore → replay the buffered tail."""
 
     def __init__(self, element: "ItdosServerElement") -> None:
         self.element = element
         self.active = False
-        self.succeeded = False
-        self.attempt = 0
         self.last_verdict: bytes | None = None
         self.transfers_completed = 0
-        self.recovered_at: float | None = None
         self.bytes_transferred = 0
         self._petition_nonce = 0
-        self._fresh_keys = False
-        self._responses: dict[str, QueueStateResponse] = {}
-        self._timer: Any = None
+        self.fetch = StateFetch(
+            element,
+            acceptable=self._covers_anchor,
+            adopt=self._adopt,
+            on_give_up=lambda: self._finish(False),
+        )
         self._span: Any = None
         self._on_complete: Callable[[bool], None] | None = None
 
@@ -131,9 +130,6 @@ class RecoveryCoordinator:
         if self.active:
             return
         self.active = True
-        self.succeeded = False
-        self.attempt = 0
-        self._fresh_keys = bool(fresh_keys)
         self._on_complete = on_complete
         t = element.telemetry
         self._span = (
@@ -153,7 +149,9 @@ class RecoveryCoordinator:
             if verdict not in ADMITTED_VERDICTS:
                 self._finish(False)
             elif element.state_mode == "queue":
-                self._start_transfer()
+                self.fetch.start(
+                    trace_parent=self._span.ctx if self._span is not None else None
+                )
             else:
                 self._finish(True)
 
@@ -162,91 +160,17 @@ class RecoveryCoordinator:
 
     # -- queue state transfer ----------------------------------------------
 
-    def _start_transfer(self) -> None:
+    def _covers_anchor(self, response: QueueStateResponse) -> bool:
+        # A snapshot that predates our buffering anchor is useless: the
+        # buffer cannot bridge the gap between it and our own execution
+        # position.
         element = self.element
-        self.attempt += 1
-        if self.attempt > element.directory.recovery_max_attempts:
-            self._finish(False)
-            return
-        self._responses = {}
-        t = element.telemetry
-        if t.enabled:
-            t.point(
-                "recovery.transfer",
-                parent=self._span.ctx if self._span is not None else None,
-                pid=element.pid,
-                attempt=self.attempt,
-                quorum=self._required_matching(),
-            )
-        request = QueueStateRequest(
-            requester=element.pid, domain_id=element.domain_id, attempt=self.attempt
-        )
-        for peer in element.domain_info.element_ids:
-            if peer != element.pid:
-                element.send(peer, request)
-        # Later rounds wait longer — peers may be settling a checkpoint.
-        window = element.directory.recovery_fetch_window * self.attempt
-        self._timer = element.set_timer(window, self._window_closed)
-
-    def _required_matching(self) -> int:
-        info = self.element.domain_info
-        if self.attempt <= self.element.directory.recovery_full_quorum_attempts:
-            return min(2 * info.f + 1, info.n - 1)
-        return info.f + 1
-
-    def handle_response(self, src: str, response: QueueStateResponse) -> None:
-        element = self.element
-        if not self.active or response.attempt != self.attempt:
-            return  # stale round
-        if src != response.sender or src not in element.domain_info.element_ids:
-            return
-        if src == element.pid or response.domain_id != element.domain_id:
-            return
-        self._responses[src] = response
-        # Adopt as soon as some fingerprint reaches the quorum — no need to
-        # sit out the rest of the window.
-        required = self._required_matching()
-        if any(len(g) >= required for g in self._groups().values()):
-            if self._timer is not None:
-                element.cancel_timer(self._timer)
-                self._timer = None
-            self._try_adopt()
-
-    def _groups(self) -> dict[bytes, list[QueueStateResponse]]:
-        groups: dict[bytes, list[QueueStateResponse]] = {}
-        for response in self._responses.values():
-            groups.setdefault(response.fingerprint(), []).append(response)
-        return groups
-
-    def _window_closed(self) -> None:
-        self._timer = None
-        self._try_adopt()
-
-    def _try_adopt(self) -> None:
-        if not self.active:
-            return
-        element = self.element
-        required = self._required_matching()
         anchor = (
             element._recovery_anchor
             if element._recovery_anchor is not None
             else element.last_executed
         )
-        best: QueueStateResponse | None = None
-        for members in self._groups().values():
-            if len(members) < required:
-                continue
-            candidate = members[0]
-            if candidate.last_executed < anchor:
-                # Snapshot predates our buffering anchor: our buffer cannot
-                # bridge the gap between it and our own execution position.
-                continue
-            if best is None or candidate.last_executed > best.last_executed:
-                best = candidate
-        if best is not None and self._adopt(best):
-            self._finish(True)
-        else:
-            self._start_transfer()
+        return response.last_executed >= anchor
 
     def _adopt(self, response: QueueStateResponse) -> bool:
         element = self.element
@@ -259,11 +183,8 @@ class RecoveryCoordinator:
             response.checkpoint_proof,
         ):
             return False
-        try:
-            element.queue.restore(response.snapshot)
-        except (ValueError, QueueOverflow):
+        if not element._restore_queue_state(response):
             return False  # retry round will overwrite any partial state
-        element._append_chain = response.chain
         # Replay the buffered ordered tail past the snapshot position.
         replayed = 0
         for seq, payload in element._recovery_buffer:
@@ -288,7 +209,6 @@ class RecoveryCoordinator:
                 response.checkpoint_proof,
             )
         self.transfers_completed += 1
-        self.recovered_at = element.now
         self.bytes_transferred += response.wire_size()
         if t.enabled:
             t.point(
@@ -304,18 +224,11 @@ class RecoveryCoordinator:
                 "recovery_transfers_total", "Queue state transfers completed"
             ).inc()
         element._pump()
+        self._finish(True)
         return True
 
     def _finish(self, success: bool) -> None:
         self.active = False
-        self.succeeded = success
-        # Snapshots are the largest payloads in the system; keeping the
-        # final round's responses parked would hold every peer's queue
-        # image until the next recovery.
-        self._responses = {}
-        if self._timer is not None:
-            self.element.cancel_timer(self._timer)
-            self._timer = None
         t = self.element.telemetry
         if self._span is not None:
             self._span.attrs["outcome"] = "recovered" if success else "gave_up"

@@ -7,12 +7,14 @@ Two message groups:
   additionally *signed* with the element's registered RSA key and carries a
   monotone nonce, so the GM can check that the petitioner controls the
   element identity and that an old petition is not being replayed;
-* **queue state transfer** — point-to-point
-  :class:`QueueStateRequest`/:class:`QueueStateResponse` between fellow
-  domain elements. The response bundles the peer's live
-  ``MessageQueue.snapshot()``, its rolling append chain, and its stable
-  PBFT checkpoint (snapshot + 2f+1 certificate), letting the joiner
-  cross-validate the fetched state against the BFT layer before adopting.
+* **catch-up** — point-to-point
+  :class:`QueueStateRequest`/:class:`QueueStateResponse`, the one message
+  pair behind both a rejoining core element and a lagging read-tier
+  element (:mod:`repro.recovery.fetch` drives the round). The response
+  bundles the peer's live ``MessageQueue.snapshot()``, its rolling append
+  chain, the servant state that belongs to that queue position, and its
+  stable PBFT checkpoint (snapshot + 2f+1 certificate) so a core joiner
+  can anchor the fetched state to the BFT layer before adopting.
 
 The petition payload kind is registered with
 :func:`repro.itdos.messages.register_payload_kind` at import, so the
@@ -95,7 +97,7 @@ register_payload_kind(RejoinPetition.KIND, RejoinPetition.from_fields)
 
 @dataclass(frozen=True)
 class QueueStateRequest:
-    """Ask a fellow domain element for its current queue state."""
+    """Ask a core element of our domain for its current queue state."""
 
     requester: str
     domain_id: str
@@ -113,6 +115,11 @@ class QueueStateResponse:
     certificate for ``(stable_seq, checkpoint_snapshot)`` — the recovery
     "checkpoint fetch RPC". Proof *contents* differ per peer (different
     quorum subsets), so :meth:`fingerprint` covers everything except it.
+
+    ``app_state`` is the canonical ``{"app": app_state_fn()}`` of the
+    servants *at* ``snapshot``'s processed position: the queue snapshot
+    only holds the unprocessed suffix, so an adopter that missed any
+    processed payload needs the state those payloads produced.
     """
 
     sender: str
@@ -124,6 +131,7 @@ class QueueStateResponse:
     last_executed: int  # the peer's BFT execution position
     stable_seq: int
     checkpoint_snapshot: bytes
+    app_state: bytes
     checkpoint_proof: tuple = ()
 
     def fingerprint(self) -> bytes:
@@ -137,12 +145,18 @@ class QueueStateResponse:
                     "last_executed": self.last_executed,
                     "stable_seq": self.stable_seq,
                     "checkpoint": digest(self.checkpoint_snapshot),
+                    "app": digest(self.app_state),
                 }
             )
         )
 
     def wire_size(self) -> int:
-        return 96 + len(self.snapshot) + len(self.checkpoint_snapshot)
+        return (
+            96
+            + len(self.snapshot)
+            + len(self.checkpoint_snapshot)
+            + len(self.app_state)
+        )
 
     def trace_label(self) -> str:
         return (

@@ -255,8 +255,9 @@ class KvStoreServant(Servant):
     def size(self) -> int:
         return len(self.data)
 
-    # State hooks for object-mode checkpointing (the Castro–Liskov
-    # baseline in experiment E4).
+    # State hooks (see kv_state_hooks): catch-up ships the store with the
+    # queue position it belongs to, and object-mode checkpoints (the
+    # Castro–Liskov baseline in experiment E4) carry it.
     def get_state(self) -> dict[str, str]:
         return dict(self.data)
 
@@ -353,6 +354,24 @@ def build_bank_system(
     return system
 
 
+def kv_state_hooks() -> dict[str, Any]:
+    """``app_state_fn``/``app_restore_fn`` for a domain hosting one
+    :class:`KvStoreServant` under ``b"kv"``: what lets a recovered element
+    or a resynced reader adopt the store that belongs to the queue position
+    it adopts (and, in object mode, what checkpoints carry). Not for
+    :class:`ShardKvServant` — its staged transactions and decisions live
+    outside ``data``, so the sharded builders wire no hooks.
+    """
+    return {
+        "app_state_fn": lambda element: (
+            lambda: element.orb.adapter.servant_for(b"kv").get_state()
+        ),
+        "app_restore_fn": lambda element: (
+            lambda state: element.orb.adapter.servant_for(b"kv").set_state(state)
+        ),
+    }
+
+
 def build_read_heavy_system(
     f: int = 1,
     seed: int = 0,
@@ -378,6 +397,7 @@ def build_read_heavy_system(
         f=f,
         servants=lambda element: {b"kv": KvStoreServant()},
         readers=readers,
+        **kv_state_hooks(),
     )
     return system
 
@@ -447,11 +467,6 @@ def build_kv_system(
         f=f,
         servants=lambda element: {b"kv": KvStoreServant()},
         state_mode=state_mode,
-        app_state_fn=lambda element: (
-            lambda: element.orb.adapter.servant_for(b"kv").get_state()
-        ),
-        app_restore_fn=lambda element: (
-            lambda state: element.orb.adapter.servant_for(b"kv").set_state(state)
-        ),
+        **kv_state_hooks(),
     )
     return system

@@ -65,8 +65,22 @@ def test_caught_up_replica_rejoins_protocol():
 
 def test_state_response_with_bad_snapshot_ignored():
     harness, apps = make_app_harness()
-    replica = harness.replicas[0]
-    from repro.bft.messages import StateResponseMsg
+    from repro.bft.messages import StateResponseMsg, StatusMsg
+
+    lagger = harness.replicas[3]
+    others = {r.pid for r in harness.replicas[:3]}
+    harness.network.partition({lagger.pid}, others)
+    harness.invoke_and_run([b"1"] * 8)
+    harness.network.heal()
+    # The first candidate the lagger will ask never answers, and nobody
+    # pushes state at it unasked (peers do that on a StatusMsg from a
+    # replica behind their checkpoint) — only the pull can complete.
+    harness.replicas[0]._on_state_request = lambda src, msg: None
+    mcast = lagger._mcast
+    lagger._mcast = lambda m: None if isinstance(m, StatusMsg) else mcast(m)
+    harness.invoke_and_run([b"1"] * 4, client_name="client2")
+    harness.run_until(lambda: lagger._state_transfer_pending)
+    assert lagger.messages_sent["StateRequestMsg"] == 1
 
     forged = StateResponseMsg(
         stable_seq=100,
@@ -75,9 +89,17 @@ def test_state_response_with_bad_snapshot_ignored():
         checkpoint_proof=(),
         sender=harness.replicas[1].pid,
     )
-    replica.deliver(harness.replicas[1].pid, forged)
-    assert replica.last_executed == 0
-    assert apps[replica.pid].total == 0
+    lagger.deliver(harness.replicas[1].pid, forged)
+    assert lagger.last_executed == 0
+    assert apps[lagger.pid].total == 0
+    # Junk neither cancels the transfer nor the retry that rotates to the
+    # next candidate, which completes it.
+    assert lagger._state_transfer_pending
+    harness.run(until=harness.network.now + 3.0)
+    assert lagger.messages_sent["StateRequestMsg"] == 2
+    assert not lagger._state_transfer_pending
+    assert lagger.last_executed >= 8
+    assert apps[lagger.pid].total >= 8
 
 
 def test_state_response_with_insufficient_proof_ignored():

@@ -14,21 +14,23 @@ import pytest
 
 from repro.chaos.byzantine import ForgedWatermarkElement, LaggingReader
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.messages import (
-    CommitFeed,
-    ReadReply,
-    ReadRequest,
-    ReadSyncRequest,
-    ReadSyncResponse,
+from repro.itdos.messages import CommitFeed, ReadReply, ReadRequest
+from repro.recovery.messages import QueueStateRequest, QueueStateResponse
+from repro.workloads.scenarios import (
+    KvStoreServant,
+    kv_state_hooks,
+    standard_repository,
 )
-from repro.workloads.scenarios import KvStoreServant, standard_repository
 
+# Everything the read tier can put on the wire. Its catch-up is the shared
+# QueueState pair, which a deployment without readers (and without a
+# recovery in progress) never sends either.
 READ_MESSAGE_TYPES = (
     ReadRequest,
     ReadReply,
     CommitFeed,
-    ReadSyncRequest,
-    ReadSyncResponse,
+    QueueStateRequest,
+    QueueStateResponse,
 )
 
 
@@ -52,6 +54,7 @@ def make_kv(
         readers=readers,
         byzantine=byzantine,
         reader_class=reader_class,
+        **kv_state_hooks(),
     )
     system.settle(1.0)  # GM bootstrap
     return system
@@ -204,14 +207,40 @@ def test_reader_restart_catches_up_via_state_sync():
         stub.put(f"k{i}", f"v{i}")
     system.settle(0.5)
     [reader] = system.read_tier("kv")
-    reader.restart()
+    reader.crash()
     for i in range(3, 6):
-        stub.put(f"k{i}", f"v{i}")
+        stub.put(f"k{i}", f"v{i}")  # feeds the reader never sees
+    reader.restart()
     system.settle(2.0)
     assert reader.syncs_completed >= 1
     assert not reader.diverged
     assert reader.queue.total_appended == 6
     assert reader._append_chain == system.elements["kv-e0"]._append_chain
+    # The adopted queue position came with the store that belongs to it:
+    # k3..k5 were ordered while the reader was down, so only the shipped
+    # servant state can have put them there.
+    servant = reader.orb.adapter.servant_for(b"kv")
+    assert servant.data == {f"k{i}": f"v{i}" for i in range(6)}
+
+
+def test_kv_builders_wire_the_servant_state_hooks():
+    """Every unsharded KvStore deployment ships the store with a catch-up:
+    core elements and readers alike export and restore ``servant.data``."""
+    from repro.net.config import TopologyConfig
+    from repro.workloads.scenarios import build_kv_system, build_read_heavy_system
+
+    systems = [
+        build_kv_system(seed=3),
+        build_read_heavy_system(seed=3, readers=1),
+        TopologyConfig(seed=3, domain="kv", workload="kv", readers=1).build_system(),
+    ]
+    for system in systems:
+        for element in system.domain_elements("kv") + system.read_tier("kv"):
+            servant = element.orb.adapter.servant_for(b"kv")
+            servant.put("k", "v")
+            assert element.app_state_fn() == {"k": "v"}
+            element.app_restore_fn({"other": "state"})
+            assert servant.data == {"other": "state"}
 
 
 def test_lagging_reader_recovers_through_the_stall_timer():

@@ -11,8 +11,12 @@ import pytest
 
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.itdos.messages import ReadmitRequest
-from repro.workloads.scenarios import KvStoreServant, standard_repository
+from repro.itdos.messages import encode_payload
+from repro.workloads.scenarios import (
+    KvStoreServant,
+    kv_state_hooks,
+    standard_repository,
+)
 
 
 def build_object_mode_system(seed=0, byzantine=None):
@@ -27,13 +31,8 @@ def build_object_mode_system(seed=0, byzantine=None):
         f=1,
         servants=lambda element: {b"kv": KvStoreServant()},
         state_mode="object",
-        app_state_fn=lambda element: (
-            lambda: element.orb.adapter.servant_for(b"kv").get_state()
-        ),
-        app_restore_fn=lambda element: (
-            lambda state: element.orb.adapter.servant_for(b"kv").set_state(state)
-        ),
         byzantine=byzantine or {},
+        **kv_state_hooks(),
     )
     return system
 
@@ -103,17 +102,24 @@ def test_readmission_is_idempotent_and_guarded():
 
 def test_third_party_cannot_readmit():
     """Only the element itself may petition (the GM checks the BFT client
-    identity against the petitioned element)."""
+    identity against the petitioned element), and the unsigned
+    ``readmit_request`` that used to do the same thing is no longer a
+    payload kind the GM knows."""
     system = build_object_mode_system(seed=73, byzantine={2: LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
-    expel_liar(system, client, stub)
+    liar = expel_liar(system, client, stub)
     mallory = system.add_client("mallory")
-    request = ReadmitRequest(requester="mallory", element="kv-e2", domain_id="kv")
-    verdicts = []
-    mallory.endpoint.gm_engine.invoke(request.to_payload(), verdicts.append)
-    system.run_until(lambda: bool(verdicts))
-    assert verdicts[0] == b"BAD"
+    petition = liar.recovery.make_petition()  # genuinely signed by kv-e2
+    legacy = encode_payload(
+        "readmit_request",
+        {"requester": "kv-e2", "element": "kv-e2", "domain_id": "kv"},
+    )
+    for sender, payload in ((mallory, petition.to_payload()), (liar, legacy)):
+        verdicts = []
+        sender.endpoint.gm_engine.invoke(payload, verdicts.append)
+        system.run_until(lambda: bool(verdicts))
+        assert verdicts[0] == b"BAD"
     for gm in system.gm_elements:
         assert "kv-e2" in gm.state.expelled
 

@@ -116,10 +116,51 @@ def test_every_protocol_message_type_is_registered():
         "ClientRequest", "BatchMsg", "PrePrepareMsg", "PrepareMsg",
         "CommitMsg", "BftReply", "CheckpointMsg", "ViewChangeMsg",
         "NewViewMsg", "SmiopRequest", "SmiopReply", "OpenRequest",
-        "GmShareEnvelope", "ChangeRequest", "ReadmitRequest", "CoinMessage",
+        "GmShareEnvelope", "ChangeRequest", "CoinMessage", "CommitFeed",
         "RejoinPetition", "QueueStateRequest", "QueueStateResponse",
     ):
         assert expected in names, f"{expected} not wire-registered"
+    # One catch-up pair, one signed petition: the duplicates are gone.
+    assert not names & {"ReadSyncRequest", "ReadSyncResponse", "ReadmitRequest"}
+
+
+def test_queue_state_response_round_trips_with_servant_state():
+    """The catch-up response crosses the seam byte-identically with a
+    non-empty ``app_state`` and a checkpoint certificate."""
+    import dataclasses
+
+    from repro.crypto.encoding import canonical_bytes
+    from repro.recovery.messages import QueueStateResponse
+
+    snapshot = canonical_bytes({"mode": "queue", "chain": b"\x07" * 32, "appended": 8})
+    response = QueueStateResponse(
+        sender="kv-e1",
+        domain_id="kv",
+        attempt=2,
+        appended=9,
+        chain=b"\x09" * 32,
+        snapshot=canonical_bytes({"processed": 8, "items": [[9, b"payload"]]}),
+        last_executed=9,
+        stable_seq=8,
+        checkpoint_snapshot=snapshot,
+        app_state=canonical_bytes({"app": {"k0": "v0", "k1": "v1"}}),
+        checkpoint_proof=tuple(
+            bft.CheckpointMsg(seq=8, state_digest=b"\x05" * 32, sender=f"kv-e{i}")
+            for i in range(3)
+        ),
+    )
+    wire = assert_wire_encodable(response)
+    decoded = decode_wire_payload(wire)
+    assert decoded == response
+    assert decoded.fingerprint() == response.fingerprint()
+    assert encode_wire_payload(decoded) == wire
+    without_app = dataclasses.replace(
+        response, app_state=canonical_bytes({"app": None})
+    )
+    assert without_app.fingerprint() != response.fingerprint()
+    assert response.wire_size() - without_app.wire_size() == len(
+        response.app_state
+    ) - len(without_app.app_state)
 
 
 def test_registration_compiles_tuple_coercers_from_hints():

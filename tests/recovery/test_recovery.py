@@ -11,8 +11,18 @@ import pytest
 
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.recovery.messages import RejoinPetition, petition_body
-from repro.workloads.scenarios import CalculatorServant, standard_repository
+from repro.recovery.messages import (
+    QueueStateRequest,
+    QueueStateResponse,
+    RejoinPetition,
+    petition_body,
+)
+from repro.workloads.scenarios import (
+    CalculatorServant,
+    build_bank_system,
+    build_kv_system,
+    standard_repository,
+)
 
 
 def build_queue_mode_system(seed=7, byzantine=None, telemetry=False):
@@ -218,6 +228,69 @@ def test_restart_then_recover_catches_up():
     assert stub.add(5.0, 5.0) == 10.0
     system.settle(1.0)
     assert len(element.dispatched) > served_before
+
+
+def test_recovered_element_has_its_peers_servant_state():
+    """A queue position is adopted together with the servant state that
+    belongs to it: the element that was down for 25 of 30 puts comes back
+    holding every key, and answering reads gets nobody expelled."""
+    system = build_kv_system(seed=5)
+    client = system.add_client("alice")
+    stub = client.stub(system.ref("kv", b"kv"))
+    for i in range(5):
+        stub.put(f"k{i}", f"v{i}")
+    victim = system.elements["kv-e2"]
+    victim.crash()
+    for i in range(5, 30):
+        stub.put(f"k{i}", f"v{i}")
+    victim.restart()
+
+    verdict, recovered = recover(system, victim)
+    assert verdict == b"OK" and recovered
+    assert not victim.diverged
+    stores = {
+        element.pid: element.orb.adapter.servant_for(b"kv").data
+        for element in system.domain_elements("kv")
+    }
+    assert len(stores["kv-e0"]) == 30
+    assert all(store == stores["kv-e0"] for store in stores.values())
+    assert victim.queue.processed_count == system.elements["kv-e0"].queue.processed_count
+    # What was transferred now includes the store, not just the queue.
+    assert victim.recovery.bytes_transferred > 240
+
+    for i in range(10, 20):
+        assert stub.get(f"k{i}") == f"v{i}"
+    system.settle(3.0)
+    for gm in system.gm_elements:
+        assert gm.state.expelled == set()
+
+
+def test_element_parked_on_a_nested_call_does_not_vouch_for_state():
+    """While a bank element's servant is suspended inside its nested ledger
+    call, its state matches no queue position — it must not answer a
+    catch-up fetch until the call resolves."""
+    system = build_bank_system(seed=3)
+    client = system.add_client("alice")
+    results = []
+    client.async_invoke(
+        system.ref("bank", b"bank"), "audited_deposit", ("acct", 10.0), results.append
+    )
+    responder = system.elements["bank-e0"]
+    system.run_until(lambda: responder._parked is not None)
+
+    sent = []
+    responder.send = lambda dst, payload: sent.append((dst, payload))
+    request = QueueStateRequest(requester="bank-e1", domain_id="bank", attempt=1)
+    responder.deliver("bank-e1", request)
+    assert sent == []
+    del responder.send
+
+    system.run_until(lambda: bool(results))
+    assert responder._parked is None
+    responder.send = lambda dst, payload: sent.append((dst, payload))
+    responder.deliver("bank-e1", request)
+    [(dst, response)] = sent
+    assert dst == "bank-e1" and isinstance(response, QueueStateResponse)
 
 
 def test_proactive_rotation_cycles_all_elements():
