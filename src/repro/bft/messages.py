@@ -1,6 +1,7 @@
 """PBFT protocol messages.
 
-Every message is a frozen dataclass with:
+Every message is a frozen dataclass (registered with
+:func:`repro.schema.message`, which reads its one field list) with:
 
 * ``canonical_fields()`` — deterministic content for digests/signing,
 * ``wire_size()`` — estimated encoded size, so the simulated network can
@@ -19,6 +20,7 @@ from typing import Any
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.memo import MemoCache
+from repro.schema import message, plan_of
 
 _HEADER_OVERHEAD = 48  # nominal per-message framing cost in bytes
 
@@ -51,8 +53,9 @@ def _auth_size(auth: dict[str, bytes] | bytes | None) -> int:
 class BftMessage:
     """Common behaviour for all protocol messages."""
 
-    def canonical_fields(self) -> dict:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def canonical_fields(self) -> dict:
+        """The signed form (:mod:`repro.schema`): every field but ``auth``."""
+        return plan_of(type(self)).signed(self)
 
     def canonical_encoding(self) -> bytes:
         """Canonical TLV bytes of the message content, memoized.
@@ -104,6 +107,7 @@ def _payload_size(value: Any) -> int:
     return 8
 
 
+@message
 @dataclass(frozen=True)
 class ClientRequest(BftMessage):
     """<REQUEST, o, t, c>: operation payload, client timestamp, client id."""
@@ -113,13 +117,6 @@ class ClientRequest(BftMessage):
     payload: bytes
     auth: bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "timestamp": self.timestamp,
-            "payload": self.payload,
-        }
-
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
@@ -127,6 +124,7 @@ class ClientRequest(BftMessage):
         return f"Request(c={self.client_id},t={self.timestamp})"
 
 
+@message
 @dataclass(frozen=True)
 class BatchMsg(BftMessage):
     """An ordered batch of client requests sharing one sequence number.
@@ -142,9 +140,6 @@ class BatchMsg(BftMessage):
 
     requests: tuple[ClientRequest, ...]
 
-    def canonical_fields(self) -> dict:
-        return {"requests": [r.canonical_fields() for r in self.requests]}
-
     def wire_size(self) -> int:
         return _HEADER_OVERHEAD + sum(r.wire_size() for r in self.requests)
 
@@ -152,6 +147,7 @@ class BatchMsg(BftMessage):
         return f"Batch(k={len(self.requests)})"
 
 
+@message(unsigned=("batch",))
 @dataclass(frozen=True)
 class PrePrepareMsg(BftMessage):
     """<PRE-PREPARE, v, n, d> piggybacking the request batch itself."""
@@ -163,14 +159,6 @@ class PrePrepareMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "view": self.view,
-            "seq": self.seq,
-            "request_digest": self.request_digest,
-            "sender": self.sender,
-        }
-
     def wire_size(self) -> int:
         return super().wire_size() + self.batch.wire_size() + _auth_size(self.auth)
 
@@ -178,6 +166,7 @@ class PrePrepareMsg(BftMessage):
         return f"PrePrepare(v={self.view},n={self.seq})"
 
 
+@message
 @dataclass(frozen=True)
 class PrepareMsg(BftMessage):
     """<PREPARE, v, n, d, i>."""
@@ -188,14 +177,6 @@ class PrepareMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "view": self.view,
-            "seq": self.seq,
-            "request_digest": self.request_digest,
-            "sender": self.sender,
-        }
-
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
@@ -203,6 +184,7 @@ class PrepareMsg(BftMessage):
         return f"Prepare(v={self.view},n={self.seq},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class CommitMsg(BftMessage):
     """<COMMIT, v, n, d, i>."""
@@ -213,14 +195,6 @@ class CommitMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "view": self.view,
-            "seq": self.seq,
-            "request_digest": self.request_digest,
-            "sender": self.sender,
-        }
-
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
@@ -228,6 +202,7 @@ class CommitMsg(BftMessage):
         return f"Commit(v={self.view},n={self.seq},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class BftReply(BftMessage):
     """<REPLY, v, t, c, i, r> from replica ``sender`` to the client."""
@@ -239,15 +214,6 @@ class BftReply(BftMessage):
     result: bytes
     auth: bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "view": self.view,
-            "timestamp": self.timestamp,
-            "client_id": self.client_id,
-            "sender": self.sender,
-            "result": self.result,
-        }
-
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
@@ -255,6 +221,7 @@ class BftReply(BftMessage):
         return f"Reply(t={self.timestamp},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class CheckpointMsg(BftMessage):
     """<CHECKPOINT, n, d, i>: digest of the application state at seq n."""
@@ -264,17 +231,11 @@ class CheckpointMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "seq": self.seq,
-            "state_digest": self.state_digest,
-            "sender": self.sender,
-        }
-
     def trace_label(self) -> str:
         return f"Checkpoint(n={self.seq},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class PreparedCertificate(BftMessage):
     """Proof that a request prepared at (view, seq): pre-prepare + 2f prepares."""
@@ -282,13 +243,8 @@ class PreparedCertificate(BftMessage):
     pre_prepare: PrePrepareMsg
     prepares: tuple[PrepareMsg, ...]
 
-    def canonical_fields(self) -> dict:
-        return {
-            "pre_prepare": self.pre_prepare.canonical_fields(),
-            "prepares": [p.canonical_fields() for p in self.prepares],
-        }
 
-
+@message
 @dataclass(frozen=True)
 class ViewChangeMsg(BftMessage):
     """<VIEW-CHANGE, v+1, n, C, P, i>.
@@ -305,19 +261,11 @@ class ViewChangeMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "new_view": self.new_view,
-            "stable_seq": self.stable_seq,
-            "checkpoint_proof": [c.canonical_fields() for c in self.checkpoint_proof],
-            "prepared": [p.canonical_fields() for p in self.prepared],
-            "sender": self.sender,
-        }
-
     def trace_label(self) -> str:
         return f"ViewChange(v={self.new_view},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class NewViewMsg(BftMessage):
     """<NEW-VIEW, v+1, V, O>: view-change quorum + re-issued pre-prepares."""
@@ -328,18 +276,11 @@ class NewViewMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def canonical_fields(self) -> dict:
-        return {
-            "new_view": self.new_view,
-            "view_changes": [v.canonical_fields() for v in self.view_changes],
-            "pre_prepares": [p.canonical_fields() for p in self.pre_prepares],
-            "sender": self.sender,
-        }
-
     def trace_label(self) -> str:
         return f"NewView(v={self.new_view})"
 
 
+@message
 @dataclass(frozen=True)
 class StatusMsg(BftMessage):
     """Periodic liveness beacon: how far this replica has progressed.
@@ -355,18 +296,11 @@ class StatusMsg(BftMessage):
     stable_seq: int
     sender: str
 
-    def canonical_fields(self) -> dict:
-        return {
-            "view": self.view,
-            "last_executed": self.last_executed,
-            "stable_seq": self.stable_seq,
-            "sender": self.sender,
-        }
-
     def trace_label(self) -> str:
         return f"Status(exec={self.last_executed},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class FillMsg(BftMessage):
     """Committed log entries for a lagging peer.
@@ -379,15 +313,6 @@ class FillMsg(BftMessage):
     entries: tuple[tuple[PrePrepareMsg, tuple[CommitMsg, ...]], ...]
     sender: str
 
-    def canonical_fields(self) -> dict:
-        return {
-            "entries": [
-                [pp.canonical_fields(), [c.canonical_fields() for c in commits]]
-                for pp, commits in self.entries
-            ],
-            "sender": self.sender,
-        }
-
     def wire_size(self) -> int:
         return 48 + sum(
             pp.wire_size() + sum(c.wire_size() for c in commits)
@@ -399,6 +324,7 @@ class FillMsg(BftMessage):
         return f"Fill(seqs={seqs})"
 
 
+@message
 @dataclass(frozen=True)
 class StateRequestMsg(BftMessage):
     """Ask a peer for the application state at its stable checkpoint."""
@@ -406,13 +332,11 @@ class StateRequestMsg(BftMessage):
     low_seq: int
     sender: str
 
-    def canonical_fields(self) -> dict:
-        return {"low_seq": self.low_seq, "sender": self.sender}
-
     def trace_label(self) -> str:
         return f"StateRequest(from={self.low_seq})"
 
 
+@message
 @dataclass(frozen=True)
 class StateResponseMsg(BftMessage):
     """State snapshot + proof it matches a stable checkpoint."""
@@ -422,15 +346,6 @@ class StateResponseMsg(BftMessage):
     snapshot: bytes
     checkpoint_proof: tuple[CheckpointMsg, ...]
     sender: str
-
-    def canonical_fields(self) -> dict:
-        return {
-            "stable_seq": self.stable_seq,
-            "state_digest": self.state_digest,
-            "snapshot": self.snapshot,
-            "checkpoint_proof": [c.canonical_fields() for c in self.checkpoint_proof],
-            "sender": self.sender,
-        }
 
     def trace_label(self) -> str:
         return f"StateResponse(n={self.stable_seq})"

@@ -35,7 +35,7 @@ class CoinCommit:
     pid: str
     commitment: bytes
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {"pid": self.pid, "commitment": self.commitment}
 
 
@@ -46,7 +46,7 @@ class CoinReveal:
     pid: str
     value: bytes
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {"pid": self.pid, "value": self.value}
 
 

@@ -28,7 +28,7 @@ class DleqProof:
     challenge: int
     response: int
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {"challenge": self.challenge, "response": self.response}
 
 

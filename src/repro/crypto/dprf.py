@@ -68,7 +68,7 @@ class KeyShare:
     value: int
     proof: DleqProof
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {
             "index": self.index,
             "value": self.value,

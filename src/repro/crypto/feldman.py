@@ -59,5 +59,5 @@ class FeldmanCommitment:
             share.index
         )
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {"commitments": list(self.commitments)}

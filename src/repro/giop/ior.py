@@ -36,7 +36,7 @@ class ObjectRef:
         if self.transport not in _TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: a value object, not a message
         return {
             "interface_name": self.interface_name,
             "domain_id": self.domain_id,

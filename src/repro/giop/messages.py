@@ -69,7 +69,7 @@ class RequestMessage:
     def trace_label(self) -> str:
         return f"Request({self.interface_name}.{self.operation}#{self.request_id})"
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: CDR is its wire form, not the schema
         return {
             "request_id": self.request_id,
             "response_expected": self.response_expected,
@@ -146,7 +146,7 @@ class ReplyMessage:
     def trace_label(self) -> str:
         return f"Reply({self.interface_name}.{self.operation}#{self.request_id})"
 
-    def canonical_fields(self) -> dict:
+    def canonical_fields(self) -> dict:  # hand-written: CDR is its wire form, not the schema
         return {
             "request_id": self.request_id,
             "reply_status": int(self.reply_status),

@@ -24,19 +24,16 @@ Message kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.crypto.dleq import DleqProof
 from repro.crypto.dprf import KeyShare
-from repro.crypto.encoding import canonical_bytes, parse_canonical
+from repro.crypto.encoding import parse_canonical
+from repro.schema import encode_payload, from_payload, message
 
 
 class PayloadError(Exception):
     """Malformed ITDOS payload."""
-
-
-def encode_payload(kind: str, fields: dict[str, Any]) -> bytes:
-    return canonical_bytes({"kind": kind, **fields})
 
 
 def decode_payload(raw: bytes) -> dict[str, Any]:
@@ -52,6 +49,7 @@ def decode_payload(raw: bytes) -> dict[str, Any]:
 # -- SMIOP traffic ---------------------------------------------------------------
 
 
+@message(kind="smiop_request")
 @dataclass(frozen=True)
 class SmiopRequest:
     """One encrypted GIOP request travelling into a server domain."""
@@ -62,34 +60,11 @@ class SmiopRequest:
     ciphertext: bytes
     sender: str
 
-    KIND = "smiop_request"
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "conn_id": self.conn_id,
-                "request_id": self.request_id,
-                "key_id": self.key_id,
-                "ciphertext": self.ciphertext,
-                "sender": self.sender,
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "SmiopRequest":
-        return SmiopRequest(
-            conn_id=fields["conn_id"],
-            request_id=fields["request_id"],
-            key_id=fields["key_id"],
-            ciphertext=fields["ciphertext"],
-            sender=fields["sender"],
-        )
-
     def trace_label(self) -> str:
         return f"SmiopRequest(conn={self.conn_id},req={self.request_id})"
 
 
+@message(kind="smiop_reply")
 @dataclass(frozen=True)
 class SmiopReply:
     """One element's encrypted GIOP reply, signed over the plaintext.
@@ -112,34 +87,6 @@ class SmiopReply:
     signature: bytes
     is_digest: bool = False
 
-    KIND = "smiop_reply"
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "conn_id": self.conn_id,
-                "request_id": self.request_id,
-                "key_id": self.key_id,
-                "ciphertext": self.ciphertext,
-                "sender": self.sender,
-                "signature": self.signature,
-                "is_digest": self.is_digest,
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "SmiopReply":
-        return SmiopReply(
-            conn_id=fields["conn_id"],
-            request_id=fields["request_id"],
-            key_id=fields["key_id"],
-            ciphertext=fields["ciphertext"],
-            sender=fields["sender"],
-            signature=fields["signature"],
-            is_digest=fields.get("is_digest", False),
-        )
-
     def wire_size(self) -> int:
         return 64 + len(self.ciphertext) + len(self.signature)
 
@@ -148,6 +95,7 @@ class SmiopReply:
         return f"Smiop{kind}Reply(conn={self.conn_id},req={self.request_id},i={self.sender})"
 
 
+@message
 @dataclass(frozen=True)
 class BodyRequest:
     """EXTENSION (§4 large objects): fetch the full reply body once.
@@ -165,6 +113,7 @@ class BodyRequest:
         return f"BodyRequest(conn={self.conn_id},req={self.request_id})"
 
 
+@message
 @dataclass(frozen=True)
 class BodyReply:
     """The (encrypted) full reply body answering a :class:`BodyRequest`."""
@@ -185,6 +134,7 @@ class BodyReply:
 # -- read fast path (Castro–Liskov read-only optimization) -----------------------
 
 
+@message
 @dataclass(frozen=True)
 class ReadRequest:
     """One encrypted read-only GIOP request, sent point-to-point.
@@ -210,6 +160,7 @@ class ReadRequest:
         return f"ReadRequest(conn={self.conn_id},read={self.read_id})"
 
 
+@message
 @dataclass(frozen=True)
 class ReadReply:
     """One element's tentative reply to a :class:`ReadRequest`.
@@ -245,6 +196,7 @@ class ReadReply:
         )
 
 
+@message
 @dataclass(frozen=True)
 class CommitFeed:
     """One committed ordered payload, streamed to the read tier.
@@ -272,6 +224,7 @@ class CommitFeed:
 # -- Group Manager traffic ----------------------------------------------------------
 
 
+@message(kind="open_request")
 @dataclass(frozen=True)
 class OpenRequest:
     """Figure 3 step 1: ask the Group Manager to establish a connection."""
@@ -281,36 +234,15 @@ class OpenRequest:
     requester_domain: str  # "" for singletons
     target_domain: str
 
-    KIND = "open_request"
-
     def __post_init__(self) -> None:
         if self.requester_kind not in ("singleton", "domain"):
             raise ValueError(f"bad requester_kind {self.requester_kind!r}")
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "requester": self.requester,
-                "requester_kind": self.requester_kind,
-                "requester_domain": self.requester_domain,
-                "target_domain": self.target_domain,
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "OpenRequest":
-        return OpenRequest(
-            requester=fields["requester"],
-            requester_kind=fields["requester_kind"],
-            requester_domain=fields["requester_domain"],
-            target_domain=fields["target_domain"],
-        )
 
     def trace_label(self) -> str:
         return f"open_request({self.requester}->{self.target_domain})"
 
 
+@message
 @dataclass(frozen=True)
 class ProofItem:
     """One signed plaintext reply inside a change_request proof."""
@@ -319,22 +251,8 @@ class ProofItem:
     plaintext: bytes  # the GIOP reply wire bytes the element signed
     signature: bytes
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sender": self.sender,
-            "plaintext": self.plaintext,
-            "signature": self.signature,
-        }
 
-    @staticmethod
-    def from_dict(fields: dict[str, Any]) -> "ProofItem":
-        return ProofItem(
-            sender=fields["sender"],
-            plaintext=fields["plaintext"],
-            signature=fields["signature"],
-        )
-
-
+@message(kind="change_request")
 @dataclass(frozen=True)
 class ChangeRequest:
     """§3.6: ask the Group Manager to expel faulty element(s).
@@ -352,38 +270,11 @@ class ChangeRequest:
     request_id: int  # the request on which the fault was observed
     proof: tuple[ProofItem, ...] = ()
 
-    KIND = "change_request"
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "requester": self.requester,
-                "requester_kind": self.requester_kind,
-                "requester_domain": self.requester_domain,
-                "accused_domain": self.accused_domain,
-                "accused": list(self.accused),
-                "request_id": self.request_id,
-                "proof": [p.to_dict() for p in self.proof],
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "ChangeRequest":
-        return ChangeRequest(
-            requester=fields["requester"],
-            requester_kind=fields["requester_kind"],
-            requester_domain=fields["requester_domain"],
-            accused_domain=fields["accused_domain"],
-            accused=tuple(fields["accused"]),
-            request_id=fields["request_id"],
-            proof=tuple(ProofItem.from_dict(p) for p in fields["proof"]),
-        )
-
     def trace_label(self) -> str:
         return f"change_request(accused={list(self.accused)})"
 
 
+@message(kind="rekey_tick")
 @dataclass(frozen=True)
 class RekeyTick:
     """EXTENSION (§3.5 "periodically re-initialize"): epoch rekey trigger.
@@ -397,19 +288,11 @@ class RekeyTick:
     pid: str
     epoch: int
 
-    KIND = "rekey_tick"
-
-    def to_payload(self) -> bytes:
-        return encode_payload(self.KIND, {"pid": self.pid, "epoch": self.epoch})
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "RekeyTick":
-        return RekeyTick(pid=fields["pid"], epoch=fields["epoch"])
-
     def trace_label(self) -> str:
         return f"rekey_tick(epoch={self.epoch})"
 
 
+@message
 @dataclass(frozen=True)
 class CoinMessage:
     """Commit or reveal in the GM's distributed randomness bootstrap."""
@@ -418,6 +301,7 @@ class CoinMessage:
     pid: str
     value: bytes  # commitment digest or revealed coin
 
+    # The one hand-written ordered form: the kind tag *is* the ``phase`` field.
     KIND_COMMIT = "coin_commit"
     KIND_REVEAL = "coin_reveal"
 
@@ -431,53 +315,20 @@ class CoinMessage:
         return CoinMessage(phase=phase, pid=fields["pid"], value=fields["value"])
 
 
-# Payload kinds contributed by other packages (e.g. repro.recovery), keyed
-# by kind tag. Registration keeps `parse_payload` the single dispatch point
-# without this module importing its extensions (no circular imports).
-_EXTENSION_KINDS: dict[str, Callable[[dict[str, Any]], Any]] = {}
-
-
-def register_payload_kind(kind: str, parser: Callable[[dict[str, Any]], Any]) -> None:
-    """Register a parser for an extension payload kind.
-
-    Idempotent for the same parser; registering a different parser under an
-    existing kind is a deployment bug and raises.
-    """
-    existing = _EXTENSION_KINDS.get(kind)
-    if existing is not None and existing is not parser:
-        raise ValueError(f"payload kind {kind!r} already registered")
-    _EXTENSION_KINDS[kind] = parser
-
-
 def parse_payload(raw: bytes) -> Any:
     """Decode a BFT payload into its typed ITDOS message.
 
-    Raises :class:`PayloadError` for *any* malformed input — a truncated or
-    bit-flipped wire image must never leak a raw ``KeyError``/``TypeError``
-    into a replica's dispatch loop (corrupted retransmissions reach this
-    parser before any envelope decryption can reject them).
+    Raises :class:`PayloadError` for *any* malformed input — a truncated,
+    bit-flipped or hostile wire image must never leak a raw ``KeyError``/
+    ``TypeError`` into a replica's dispatch loop (corrupted retransmissions
+    reach this parser before any envelope decryption can reject them).
     """
     fields = decode_payload(raw)
     kind = fields["kind"]
-    parser = None
-    if kind == SmiopRequest.KIND:
-        parser = SmiopRequest.from_fields
-    elif kind == SmiopReply.KIND:
-        parser = SmiopReply.from_fields
-    elif kind == OpenRequest.KIND:
-        parser = OpenRequest.from_fields
-    elif kind == ChangeRequest.KIND:
-        parser = ChangeRequest.from_fields
-    elif kind == RekeyTick.KIND:
-        parser = RekeyTick.from_fields
-    elif kind in (CoinMessage.KIND_COMMIT, CoinMessage.KIND_REVEAL):
-        parser = lambda f: CoinMessage.from_fields(kind, f)  # noqa: E731
-    else:
-        parser = _EXTENSION_KINDS.get(kind)
-    if parser is None:
-        raise PayloadError(f"unknown payload kind {kind!r}")
     try:
-        return parser(fields)
+        if kind in (CoinMessage.KIND_COMMIT, CoinMessage.KIND_REVEAL):
+            return CoinMessage.from_fields(kind, fields)
+        return from_payload(fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise PayloadError(f"malformed {kind!r} payload: {exc}") from exc
 
@@ -485,6 +336,8 @@ def parse_payload(raw: bytes) -> Any:
 # -- key share delivery ----------------------------------------------------------------
 
 
+# Hand-written: a KeyShare is a crypto value object, not a message, and it
+# travels flattened together with its nonce.
 def key_share_to_dict(nonce: bytes, share: KeyShare) -> dict[str, Any]:
     return {
         "nonce": nonce,
@@ -506,6 +359,7 @@ def key_share_from_dict(fields: dict[str, Any]) -> tuple[bytes, KeyShare]:
     return fields["nonce"], share
 
 
+@message
 @dataclass(frozen=True)
 class GmShareEnvelope:
     """One GM element's key share for one (connection, key generation).

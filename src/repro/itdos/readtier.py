@@ -43,7 +43,7 @@ from repro.bft.config import BftConfig
 from repro.crypto.digests import digest
 from repro.crypto.signing import RsaSigner
 from repro.itdos.domain import SystemDirectory
-from repro.itdos.messages import CommitFeed
+from repro.itdos.messages import CommitFeed, GmShareEnvelope, ReadRequest
 from repro.itdos.replica import ItdosServerElement
 from repro.orb.core import Orb
 from repro.recovery.fetch import StateFetch
@@ -107,10 +107,10 @@ class ReadOnlyElement(ItdosServerElement):
         # The reader is NOT a BFT replica; it reuses the replica machinery
         # only as a shell (queue + ORB pump + key store). BftReplica's
         # constructor insists the pid be in the replica set, so hand it a
-        # private config with this pid appended — the reader never receives
-        # or sends a single BFT protocol message (it is not in the ordering
-        # multicast group), so the synthetic membership is inert, and every
-        # *real* config derivation in the system still uses element_ids.
+        # private config with this pid appended. The synthetic membership is
+        # NOT inert by itself — the inherited handlers would execute a core's
+        # FillMsg into the reader's queue — so ``on_message`` lets no BFT
+        # message reach them. Every *real* config derivation uses element_ids.
         config = directory.bft_config_for(domain_id)
         return replace(config, replica_ids=config.replica_ids + (pid,))
 
@@ -129,14 +129,6 @@ class ReadOnlyElement(ItdosServerElement):
         # a non-voting element contributes observability, not accusations.
         return
 
-    def _serve_queue_state(self, src, request) -> None:  # noqa: ANN001
-        # Catch-up cross-validates fingerprints from *core* elements; a
-        # reader's derived state must never vouch for anything.
-        return
-
-    def _feed_read_tier(self, payload: bytes) -> None:
-        return  # readers consume the feed; only core elements produce it
-
     def _issue_nested(self, parked, record, request_id, call) -> None:  # noqa: ANN001
         # A nested invocation needs a client role inside another domain's
         # ordering, and its reply only travels through *core* ordering —
@@ -152,11 +144,14 @@ class ReadOnlyElement(ItdosServerElement):
     def on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, CommitFeed):
             self._handle_commit_feed(src, payload)
-            return
-        if isinstance(payload, QueueStateResponse):
+        elif isinstance(payload, QueueStateResponse):
             self._fetch.handle_response(src, payload)
-            return
-        super().on_message(src, payload)
+        elif isinstance(payload, ReadRequest):
+            self._serve_read(src, payload)
+        elif isinstance(payload, GmShareEnvelope):
+            self._handle_server_share(src, payload)
+        # Everything else is dropped: no inherited BFT or ordered-path handler
+        # may run on a reader (``_bft_config``), nor may a reader vouch for state.
 
     # -- commit-feed application ----------------------------------------------
 

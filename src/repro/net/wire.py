@@ -13,23 +13,22 @@ to an equal object, so
   crash, so the oracle surfaces it first.
 
 Encoding is the canonical TLV scheme (:mod:`repro.crypto.encoding`) over a
-shape-driven translation: a registered dataclass becomes
+shape-driven translation: a :func:`repro.schema.message` dataclass becomes
 ``{"__wire__": <name>, "f": {<field>: <value>...}}`` with every field
 translated recursively (including ``auth`` material, which the *signed*
 canonical form deliberately excludes — the wire must carry it). Decoding
 rebuilds objects bottom-up and restores tuple-ness from the dataclass's
 type hints, so a round-tripped message is ``==`` to the original and
-re-encodes byte-identically.
+re-encodes byte-identically. (A type is known once its module is imported.)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import struct
-import typing
-from typing import Any, Callable
+from typing import Any
 
 from repro.crypto.encoding import canonical_bytes, parse_canonical
+from repro.schema import plan_named, plan_of
 
 _WIRE_KEY = "__wire__"
 _FIELDS_KEY = "f"
@@ -39,43 +38,14 @@ class WireCodecError(ValueError):
     """Payload cannot cross a real process boundary."""
 
 
-#: Per-type plans, computed once at registration: class -> (wire name, field
-#: names) to encode; wire name -> (class, per-field tuple coercers) to decode.
-_ENCODE_PLANS: dict[type, tuple[str, tuple[str, ...]]] = {}
-_DECODE_PLANS: dict[str, tuple[type, tuple[tuple[str, Callable | None], ...]]] = {}
-
-
-def register_wire_type(cls: type, name: str | None = None) -> type:
-    """Register a frozen-dataclass payload type for wire transfer.
-
-    Idempotent for the same class; a different class under an existing
-    name is a deployment bug and raises.
-    """
-    wire_name = name or cls.__name__
-    existing = _DECODE_PLANS.get(wire_name)
-    if existing is not None and existing[0] is not cls:
-        raise ValueError(f"wire type {wire_name!r} already registered")
-    # PEP 563 modules store hints as strings; resolve them here, once.
-    hints = typing.get_type_hints(cls)
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    _ENCODE_PLANS[cls] = (wire_name, names)
-    coercers = tuple((field, _coercer(hints.get(field))) for field in names)
-    _DECODE_PLANS[wire_name] = (cls, coercers)
-    return cls
-
-
-def registered_wire_types() -> dict[str, type]:
-    return {name: plan[0] for name, plan in _DECODE_PLANS.items()}
-
-
 def _encode_value(value: Any) -> Any:
     kind = type(value)
-    plan = _ENCODE_PLANS.get(kind)
+    plan = plan_of(kind)
     if plan is not None:
         return {
-            _WIRE_KEY: plan[0],
+            _WIRE_KEY: plan.name,
             _FIELDS_KEY: {
-                field: _encode_value(getattr(value, field)) for field in plan[1]
+                field: _encode_value(getattr(value, field)) for field in plan.names
             },
         }
     if kind is bytes or kind is str or kind is int:
@@ -87,56 +57,19 @@ def _encode_value(value: Any) -> Any:
     return value
 
 
-def _coercer(hint: Any) -> Callable[[Any], Any] | None:
-    """Compile a field's type hint into the function that restores the tuples
-    the canonical encoding flattens, or ``None`` when values pass through."""
-    if typing.get_origin(hint) is not tuple and hint is not tuple:
-        # Unions (e.g. ``dict[str, bytes] | bytes | None`` auth) and atoms:
-        # the shape-driven decode already rebuilt any nested objects.
-        return None
-    args = typing.get_args(hint)
-    if not args or (len(args) == 2 and args[1] is Ellipsis):
-        arity, inners = None, [_coercer(args[0]) if args else None]
-    else:
-        arity, inners = len(args), [_coercer(arg) for arg in args]
-
-    def coerce_tuple(value: Any) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise WireCodecError(
-                f"expected sequence for {hint}, got {type(value).__name__}"
-            )
-        if arity is None:  # ``tuple`` or ``tuple[X, ...]``
-            return tuple(value if inners[0] is None else map(inners[0], value))
-        if arity != len(value):
-            raise WireCodecError(
-                f"expected {arity}-tuple for {hint}, got {len(value)} items"
-            )
-        return tuple(
-            item if inner is None else inner(item) for inner, item in zip(inners, value)
-        )
-
-    return coerce_tuple
-
-
 def _decode_value(value: Any) -> Any:
     kind = type(value)
     if kind is dict:
         if len(value) == 2 and _WIRE_KEY in value and _FIELDS_KEY in value:
             name = value[_WIRE_KEY]
-            plan = _DECODE_PLANS.get(name) if isinstance(name, str) else None
+            plan = plan_named(name) if isinstance(name, str) else None
             if plan is None:
                 raise WireCodecError(f"unknown wire type {name!r}")
             raw_fields = value[_FIELDS_KEY]
             if not isinstance(raw_fields, dict):
                 raise WireCodecError(f"wire type {name!r}: fields is not a dict")
-            kwargs: dict[str, Any] = {}
-            for field, coerce in plan[1]:
-                if field not in raw_fields:
-                    continue  # absent field: the dataclass default applies
-                item = _decode_value(raw_fields[field])
-                kwargs[field] = item if coerce is None else coerce(item)
             try:
-                return plan[0](**kwargs)
+                return plan.build(raw_fields, _decode_value)
             except (TypeError, ValueError) as exc:
                 raise WireCodecError(f"cannot rebuild {name}: {exc}") from exc
         return {key: _decode_value(item) for key, item in value.items()}
@@ -234,47 +167,3 @@ def decode_datagram(body: bytes) -> tuple[str, str, Any]:
     ):
         raise WireCodecError("datagram missing src/dst/payload")
     return fields["src"], fields["dst"], decode_wire_payload(fields["p"])
-
-
-def _register_builtin_types() -> None:
-    """Register every payload type the protocol layers put on the wire."""
-    from repro.bft import messages as bft
-    from repro.itdos import messages as itdos
-    from repro.recovery import messages as recovery
-
-    for cls in (
-        bft.ClientRequest,
-        bft.BatchMsg,
-        bft.PrePrepareMsg,
-        bft.PrepareMsg,
-        bft.CommitMsg,
-        bft.BftReply,
-        bft.CheckpointMsg,
-        bft.PreparedCertificate,
-        bft.ViewChangeMsg,
-        bft.NewViewMsg,
-        bft.StatusMsg,
-        bft.FillMsg,
-        bft.StateRequestMsg,
-        bft.StateResponseMsg,
-        itdos.SmiopRequest,
-        itdos.SmiopReply,
-        itdos.BodyRequest,
-        itdos.BodyReply,
-        itdos.ReadRequest,
-        itdos.ReadReply,
-        itdos.CommitFeed,
-        itdos.GmShareEnvelope,
-        itdos.OpenRequest,
-        itdos.ProofItem,
-        itdos.ChangeRequest,
-        itdos.RekeyTick,
-        itdos.CoinMessage,
-        recovery.RejoinPetition,
-        recovery.QueueStateRequest,
-        recovery.QueueStateResponse,
-    ):
-        register_wire_type(cls)
-
-
-_register_builtin_types()

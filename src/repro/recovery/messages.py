@@ -16,20 +16,18 @@ Two message groups:
   stable PBFT checkpoint (snapshot + 2f+1 certificate) so a core joiner
   can anchor the fetched state to the BFT layer before adopting.
 
-The petition payload kind is registered with
-:func:`repro.itdos.messages.register_payload_kind` at import, so the
-existing ``parse_payload`` dispatch decodes it without this package being a
-dependency of :mod:`repro.itdos.messages`.
+All three register with :func:`repro.schema.message` at import; the
+petition's ``kind=`` is what lets ``parse_payload`` decode it without this
+package being a dependency of :mod:`repro.itdos.messages`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
-from repro.itdos.messages import encode_payload, register_payload_kind
+from repro.schema import message
 
 
 def petition_body(element: str, domain_id: str, fresh_keys: bool, nonce: int) -> bytes:
@@ -45,6 +43,7 @@ def petition_body(element: str, domain_id: str, fresh_keys: bool, nonce: int) ->
     )
 
 
+@message(kind="rejoin_petition")
 @dataclass(frozen=True)
 class RejoinPetition:
     """Signed request to re-enter (or key-refresh) a replication domain.
@@ -61,40 +60,14 @@ class RejoinPetition:
     nonce: int
     signature: bytes
 
-    KIND = "rejoin_petition"
-
     def body(self) -> bytes:
         return petition_body(self.element, self.domain_id, self.fresh_keys, self.nonce)
-
-    def to_payload(self) -> bytes:
-        return encode_payload(
-            self.KIND,
-            {
-                "element": self.element,
-                "domain_id": self.domain_id,
-                "fresh_keys": self.fresh_keys,
-                "nonce": self.nonce,
-                "signature": self.signature,
-            },
-        )
-
-    @staticmethod
-    def from_fields(fields: dict[str, Any]) -> "RejoinPetition":
-        return RejoinPetition(
-            element=fields["element"],
-            domain_id=fields["domain_id"],
-            fresh_keys=fields["fresh_keys"],
-            nonce=fields["nonce"],
-            signature=fields["signature"],
-        )
 
     def trace_label(self) -> str:
         return f"rejoin_petition({self.element},fresh={self.fresh_keys})"
 
 
-register_payload_kind(RejoinPetition.KIND, RejoinPetition.from_fields)
-
-
+@message
 @dataclass(frozen=True)
 class QueueStateRequest:
     """Ask a core element of our domain for its current queue state."""
@@ -107,6 +80,7 @@ class QueueStateRequest:
         return f"queue_state_request({self.requester},attempt={self.attempt})"
 
 
+@message
 @dataclass(frozen=True)
 class QueueStateResponse:
     """One peer's view of the replicated queue, anchored to its checkpoint.

@@ -335,3 +335,72 @@ def test_parse_payload_wraps_missing_and_mistyped_fields():
         parse_payload(canonical_bytes(mistyped))
     except PayloadError:
         pass  # either outcome is fine, as long as nothing else escapes
+
+
+@pytest.mark.parametrize(
+    "kind", [["x"], {"k": "x"}, 7, None, b"smiop_request", True, 2.5, [], ""]
+)
+def test_parse_payload_rejects_any_kind_value(kind):
+    """The ``kind`` tag is attacker-controlled and need not be a string: an
+    unhashable one used to escape the parser as a raw ``TypeError`` from
+    the registry lookup, outside the ``try``."""
+    from repro.crypto.encoding import canonical_bytes
+
+    with pytest.raises(PayloadError):
+        parse_payload(canonical_bytes({"kind": kind}))
+    with pytest.raises(PayloadError):
+        parse_payload(canonical_bytes({"kind": kind, "pid": "p", "value": b"v"}))
+
+
+_NOT_A_SEQUENCE = [7, None, b"raw", "text", {"k": 1}]
+_NOT_PROOF_ITEMS = [[7], [None], [["nested"]], [{"sender": "s"}], [{"sender": "s", "junk": 1}]]
+
+
+@pytest.mark.parametrize(
+    "field,garbage",
+    [("accused", g) for g in _NOT_A_SEQUENCE]
+    + [("proof", g) for g in _NOT_A_SEQUENCE + _NOT_PROOF_ITEMS],
+)
+def test_parse_payload_rejects_garbage_inside_change_request(field, garbage):
+    from repro.crypto.encoding import canonical_bytes, parse_canonical
+
+    message = ChangeRequest(
+        requester="c",
+        requester_kind="singleton",
+        requester_domain="",
+        accused_domain="kv",
+        accused=("kv-e0",),
+        request_id=3,
+        proof=(ProofItem(sender="kv-e0", plaintext=b"p", signature=b"s"),),
+    )
+    fields = parse_canonical(message.to_payload())
+    assert parse_payload(canonical_bytes(fields)) == message
+    with pytest.raises(PayloadError):
+        parse_payload(canonical_bytes({**fields, field: garbage}))
+
+
+@pytest.mark.parametrize("target", ["kv", "gm"])
+def test_client_ordered_poison_payload_leaves_the_domain_serving(target):
+    """A registered singleton client gets ``{"kind": ["x"]}`` ordered. Every
+    correct element must shrug it off — it used to raise out of the execute
+    upcall and stay at the queue head, re-raising on every later request."""
+    from repro.crypto.encoding import canonical_bytes
+    from repro.workloads.scenarios import build_kv_system
+
+    system = build_kv_system(f=1, seed=7)
+    system.settle(1.0)
+    client = system.add_client("mallory")
+    stub = client.stub(system.ref("kv", b"kv"))
+    stub.put("before", "1")
+    endpoint = client.endpoint
+    engine = endpoint.gm_engine if target == "gm" else endpoint.engine_for("kv")
+    victims = system.gm_elements if target == "gm" else system.domain_elements("kv")
+    executed = [element.last_executed for element in victims]
+    engine.invoke(canonical_bytes({"kind": ["x"]}))
+    system.settle(1.0)  # raised TypeError out of run() before the fix
+    assert [e.last_executed for e in victims] == [n + 1 for n in executed]  # it WAS ordered
+    stub.put("after", "2")
+    system.settle(1.0)
+    for element in system.domain_elements("kv"):
+        assert element.orb.adapter.servant_for(b"kv").data == {"before": "1", "after": "2"}
+        assert element.queue.head() is None and not element.diverged

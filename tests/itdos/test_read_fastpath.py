@@ -223,6 +223,45 @@ def test_reader_restart_catches_up_via_state_sync():
     assert servant.data == {f"k{i}": f"v{i}" for i in range(6)}
 
 
+def test_reader_is_unreachable_through_its_inherited_bft_handlers():
+    """A reader is a BftReplica only as a shell (its private config lists
+    it as a replica). A core element's FillMsg of *genuine* commit
+    certificates used to execute straight into the reader's queue —
+    doubling it, arming the status beacon, and killing the commit feed
+    (every later ``feed.index <= total_appended``)."""
+    from repro.bft.messages import FillMsg, StatusMsg
+    from repro.workloads.scenarios import build_read_heavy_system
+
+    system = build_read_heavy_system(seed=3, readers=1)
+    system.settle(1.0)
+    _, stub = client_and_stub(system)
+    for i in range(5):
+        stub.put(f"k{i}", f"v{i}")
+    system.settle(0.5)
+    [reader] = system.read_tier("kv")
+    core = system.elements["kv-e1"]
+    assert (reader.queue.total_appended, reader.last_executed) == (5, 0)
+    entries = []
+    for seq in range(1, core.last_executed + 1):
+        entry = core.log[seq]
+        commits = tuple(entry.commits.values())[: core.config.quorum]
+        entries.append((entry.pre_prepare, commits))
+    core.send(reader.pid, FillMsg(entries=tuple(entries), sender=core.pid))
+    core.send(
+        reader.pid,
+        StatusMsg(view=0, last_executed=0, stable_seq=0, sender=core.pid),
+    )
+    system.settle(0.5)
+    assert (reader.queue.total_appended, reader.last_executed) == (5, 0)
+    assert reader._retransmit_timer is None and not reader.log
+    # ... and the feed is still what moves it.
+    stub.put("k5", "v5")
+    system.settle(0.5)
+    assert reader.queue.total_appended == reader.feeds_applied == 6
+    assert reader._append_chain == core._append_chain
+    assert stub.get("k5") == "v5"
+
+
 def test_kv_builders_wire_the_servant_state_hooks():
     """Every unsharded KvStore deployment ships the store with a catch-up:
     core elements and readers alike export and restore ``servant.data``."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import schema
 from repro.bft import messages as bft
 from repro.net.wire import (
     WireCodecError,
@@ -10,8 +11,8 @@ from repro.net.wire import (
     decode_wire_payload,
     encode_datagram,
     encode_wire_payload,
-    registered_wire_types,
 )
+from tests.message_samples import message_classes, scratch_registry
 
 
 def make_request(auth: bytes | None = b"\x01" * 8) -> bft.ClientRequest:
@@ -110,18 +111,12 @@ def test_datagram_missing_fields_rejected():
 
 
 def test_every_protocol_message_type_is_registered():
-    """The registry must cover the whole cross-process vocabulary."""
-    names = set(registered_wire_types())
-    for expected in (
-        "ClientRequest", "BatchMsg", "PrePrepareMsg", "PrepareMsg",
-        "CommitMsg", "BftReply", "CheckpointMsg", "ViewChangeMsg",
-        "NewViewMsg", "SmiopRequest", "SmiopReply", "OpenRequest",
-        "GmShareEnvelope", "ChangeRequest", "CoinMessage", "CommitFeed",
-        "RejoinPetition", "QueueStateRequest", "QueueStateResponse",
-    ):
-        assert expected in names, f"{expected} not wire-registered"
+    """The registry is the whole cross-process vocabulary and nothing else:
+    every frozen dataclass the three message modules define, by name."""
+    registry = schema.registered()
+    assert registry == message_classes()
     # One catch-up pair, one signed petition: the duplicates are gone.
-    assert not names & {"ReadSyncRequest", "ReadSyncResponse", "ReadmitRequest"}
+    assert not set(registry) & {"ReadSyncRequest", "ReadSyncResponse", "ReadmitRequest"}
 
 
 def test_queue_state_response_round_trips_with_servant_state():
@@ -167,18 +162,18 @@ def test_registration_compiles_tuple_coercers_from_hints():
     """Every shape the per-message ``_coerce`` used to interpret."""
     import dataclasses
 
-    from repro.net import wire
+    with scratch_registry():
 
-    @dataclasses.dataclass(frozen=True)
-    class Shapes:
-        many: tuple[int, ...]
-        nested: tuple[tuple[str, ...], ...]
-        pair: tuple[str, tuple[int, ...]]
-        bare: tuple
-        plain: list
+        @schema.message
+        @dataclasses.dataclass(frozen=True)
+        class Shapes:
+            many: tuple[int, ...]
+            nested: tuple[tuple[str, ...], ...]
+            pair: tuple[str, tuple[int, ...]]
+            bare: tuple
+            plain: list
 
-    try:
-        wire.register_wire_type(Shapes, "TestShapes")
+        assert schema.registered()["Shapes"] is Shapes
         value = Shapes((1, 2), (("a",), ()), ("k", (3,)), (1, "x"), [1, (2,)])
         decoded = decode_wire_payload(encode_wire_payload(value))
         assert decoded == dataclasses.replace(value, plain=[1, [2]])
@@ -189,6 +184,28 @@ def test_registration_compiles_tuple_coercers_from_hints():
         not_a_sequence = dataclasses.replace(value, many=7)
         with pytest.raises(WireCodecError, match="expected sequence"):
             decode_wire_payload(encode_wire_payload(not_a_sequence))
-    finally:
-        wire._ENCODE_PLANS.pop(Shapes, None)
-        wire._DECODE_PLANS.pop("TestShapes", None)
+    assert "Shapes" not in schema.registered()
+    with pytest.raises(WireCodecError):  # forgotten: no longer encodable
+        encode_wire_payload(value)
+
+
+def test_second_class_under_a_registered_name_or_kind_is_refused():
+    """What ``register_wire_type`` / ``register_payload_kind`` each refused."""
+    import dataclasses
+
+    with scratch_registry():
+        with pytest.raises(ValueError, match="already registered"):
+
+            @schema.message
+            @dataclasses.dataclass(frozen=True)
+            class PrepareMsg:  # noqa: F811 - the clash is the point
+                view: int
+
+        with pytest.raises(ValueError, match="already registered"):
+
+            @schema.message(kind="smiop_request")
+            @dataclasses.dataclass(frozen=True)
+            class Impostor:
+                conn_id: int
+
+    assert schema.registered()["PrepareMsg"] is bft.PrepareMsg
