@@ -99,11 +99,13 @@ class InvariantChecker:
     # -- wiring -------------------------------------------------------------
 
     def _replicas(self) -> list[tuple[str, Any]]:
-        """(domain_id, replica) for every ordering participant."""
+        """(domain_id, replica) for every ordering participant: GM and core
+        elements, not the read tier (it orders nothing, keeps no journal)."""
         out = [("gm", gm) for gm in self.system.gm_elements]
         out.extend(
             (element.domain_id, element)
             for element in self.system.elements.values()
+            if hasattr(element, "order_journal")
         )
         return out
 

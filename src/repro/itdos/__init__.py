@@ -19,10 +19,10 @@ The paper's primary contribution, assembled from the substrates:
   (Figure 3), threshold generation of communication keys via the
   distributed PRF, and expulsion of faulty elements by rekeying (§3.3, §3.5,
   §3.6).
-* **Server elements and clients** (:mod:`~repro.itdos.replica`,
-  :mod:`~repro.itdos.client`) — the two-thread model: Castro–Liskov
-  delivery feeding an ORB loop, with nested invocations via parked
-  generators (§3.1).
+* **Server elements and clients** (:mod:`~repro.itdos.element` under
+  :mod:`~repro.itdos.replica`; :mod:`~repro.itdos.client`) — the two-thread
+  model: Castro–Liskov delivery feeding an ORB loop, with nested
+  invocations via parked generators (§3.1).
 * **Fault injection** (:mod:`~repro.itdos.faults`) and the **enclave
   firewall proxy** (:mod:`~repro.itdos.firewall`, Figure 1).
 

@@ -33,14 +33,16 @@ from repro.giop.platforms import (
 )
 from repro.itdos.client import ItdosClient
 from repro.itdos.domain import DomainInfo, SystemDirectory
+from repro.itdos.element import QueueElement
 from repro.itdos.group_manager import GroupManagerElement
+from repro.itdos.readtier import ReadOnlyElement
 from repro.itdos.replica import ItdosServerElement
 from repro.orb.core import Orb
 from repro.orb.servant import Servant
 from repro.sim import FixedLatency, Network, NetworkConfig
 from repro.sim.latency import LatencyModel
 
-ServantFactory = Callable[[ItdosServerElement], dict[bytes, Servant]]
+ServantFactory = Callable[[QueueElement], dict[bytes, Servant]]
 
 
 class ItdosSystem:
@@ -97,8 +99,8 @@ class ItdosSystem:
             read_timeout=read_timeout,
         )
         self.clients: dict[str, ItdosClient] = {}
-        self.elements: dict[str, ItdosServerElement] = {}
-        self.read_elements: dict[str, ItdosServerElement] = {}
+        # Every server-domain process by pid, read tier included.
+        self.elements: dict[str, ItdosServerElement | ReadOnlyElement] = {}
         self.gm_elements: list[GroupManagerElement] = []
         self.proactive_schedulers: list[Any] = []
         # -- Group Manager domain -------------------------------------------
@@ -161,13 +163,13 @@ class ItdosSystem:
         n: int | None = None,
         platforms: list[PlatformProfile] | None = None,
         state_mode: str = "queue",
-        app_state_fn: Callable[[ItdosServerElement], Callable[[], Any]] | None = None,
-        app_restore_fn: Callable[[ItdosServerElement], Callable[[Any], None]] | None = None,
+        app_state_fn: Callable[[QueueElement], Callable[[], Any]] | None = None,
+        app_restore_fn: Callable[[QueueElement], Callable[[Any], None]] | None = None,
         element_class: type[ItdosServerElement] = ItdosServerElement,
         byzantine: dict[int, type[ItdosServerElement]] | None = None,
         queue_max_bytes: int = 1 << 22,
         readers: int = 0,
-        reader_class: type[ItdosServerElement] | None = None,
+        reader_class: type[ReadOnlyElement] | None = None,
     ) -> list[ItdosServerElement]:
         """Create a replicated server: ``n >= 3f+1`` elements (default 3f+1).
 
@@ -201,24 +203,17 @@ class ItdosSystem:
             )
         group_addr = self.network.create_group(domain_id)
         byzantine = byzantine or {}
-        created = []
         domain_auth = self._domain_auth(list(element_ids))
-        for index, pid in enumerate(element_ids):
-            self.directory.platforms[pid] = platforms[index]
+
+        def build(pid: str, platform: PlatformProfile, cls: type, **kwargs: Any):
+            self.directory.platforms[pid] = platform
             self._register_pairwise(pid)
             signer = self._make_signer(pid)
-            orb = Orb(self.directory.repository, platform=platforms[index])
+            orb = Orb(self.directory.repository, platform=platform)
             orb.telemetry = self.network.telemetry
-            cls = byzantine.get(index, element_class)
             element = cls(
-                pid,
-                self.directory,
-                domain_id,
-                orb,
-                signer,
-                state_mode=state_mode,
-                queue_max_bytes=queue_max_bytes,
-                auth=domain_auth(pid),
+                pid, self.directory, domain_id, orb, signer,
+                queue_max_bytes=queue_max_bytes, **kwargs,
             )
             if app_state_fn is not None:
                 element.app_state_fn = app_state_fn(element)
@@ -227,45 +222,28 @@ class ItdosSystem:
             for object_key, servant in servants(element).items():
                 orb.adapter.activate(object_key, servant)
             self.network.add_process(element)
-            group_addr.join(pid)
             self.elements[pid] = element
+            return element
+
+        created = []
+        for index, pid in enumerate(element_ids):
+            element = build(
+                pid, platforms[index], byzantine.get(index, element_class),
+                state_mode=state_mode, auth=domain_auth(pid),
+            )
+            group_addr.join(pid)
             created.append(element)
         # Read tier last: the core elements' RNG draws (pairwise keys,
         # signers) stay identical whether or not readers are configured.
-        if readers:
-            from repro.itdos.readtier import ReadOnlyElement
-
-            cls = reader_class or ReadOnlyElement
-            reader_platforms = (
-                assign_heterogeneous(count + readers)[count:]
-                if self.heterogeneous
-                else assign_homogeneous(readers)
-            )
-            for index, pid in enumerate(read_only_ids):
-                self.directory.platforms[pid] = reader_platforms[index]
-                self._register_pairwise(pid)
-                signer = self._make_signer(pid)
-                orb = Orb(self.directory.repository, platform=reader_platforms[index])
-                orb.telemetry = self.network.telemetry
-                reader = cls(
-                    pid,
-                    self.directory,
-                    domain_id,
-                    orb,
-                    signer,
-                    queue_max_bytes=queue_max_bytes,
-                )
-                if app_state_fn is not None:
-                    reader.app_state_fn = app_state_fn(reader)
-                if app_restore_fn is not None:
-                    reader.app_restore_fn = app_restore_fn(reader)
-                for object_key, servant in servants(reader).items():
-                    orb.adapter.activate(object_key, servant)
-                # Deliberately NOT joined to the domain's multicast group:
-                # a reader takes no part in ordering.
-                self.network.add_process(reader)
-                self.elements[pid] = reader
-                self.read_elements[pid] = reader
+        # Deliberately NOT joined to the domain's multicast group: a reader
+        # takes no part in ordering.
+        reader_platforms = (
+            assign_heterogeneous(count + readers)[count:]
+            if self.heterogeneous
+            else assign_homogeneous(readers)
+        )
+        for pid, platform in zip(read_only_ids, reader_platforms):
+            build(pid, platform, reader_class or ReadOnlyElement)
         return created
 
     def add_sharded_domain(
@@ -345,10 +323,10 @@ class ItdosSystem:
         info = self.directory.domain(domain_id)
         return [self.elements[pid] for pid in info.element_ids]
 
-    def read_tier(self, domain_id: str) -> list[ItdosServerElement]:
+    def read_tier(self, domain_id: str) -> list[ReadOnlyElement]:
         """The domain's non-voting read-only elements (may be empty)."""
         info = self.directory.domain(domain_id)
-        return [self.read_elements[pid] for pid in info.read_only_ids]
+        return [self.elements[pid] for pid in info.read_only_ids]
 
     def enable_proactive_recovery(
         self, domain_id: str, period: float = 5.0, downtime: float = 0.05

@@ -12,11 +12,24 @@ briefly for in-flight traffic, then dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.crypto.dprf import DprfError, DprfPublic, KeyShare, combine_shares
-from repro.crypto.symmetric import SymmetricKey
+from repro.crypto.encoding import parse_canonical
+from repro.crypto.symmetric import AuthenticationError, SymmetricKey, decrypt
+from repro.itdos.domain import SystemDirectory
+from repro.itdos.messages import GmShareEnvelope, key_share_from_dict
 from repro.obs.telemetry import NOOP_TELEMETRY
+
+
+class _HeldShare(NamedTuple):
+    """One GM element's verified share, under what that element *said*."""
+
+    nonce: bytes
+    claims: tuple  # the connection metadata its envelope carried
+    share: KeyShare
+    epoch: int
+    fence_floor: int
 
 
 @dataclass
@@ -25,30 +38,33 @@ class PendingKeyAssembly:
 
     conn_id: int
     key_id: int
-    nonce: bytes | None = None
-    shares: dict[int, KeyShare] = field(default_factory=dict)
-    # share.index -> the membership epoch that GM element claimed for this
-    # generation, and the fence floor (oldest epoch still acceptable) it
-    # announced. Both are adopted as the MINIMUM over contributing shares:
-    # a single faulty GM can only delay epoch fencing (safe), never trigger
-    # it early to lock honest traffic out.
-    epochs: dict[int, int] = field(default_factory=dict)
-    floors: dict[int, int] = field(default_factory=dict)
+    # share.index -> the first verified share of each GM element. A share
+    # verifies against any nonce its holder cares to evaluate, so one share
+    # vouches for nothing: the key combines from the first ``(nonce,
+    # claims)`` that ``f_gm + 1`` elements agree on, which at most ``f_gm``
+    # liars can never make a false one. One slot per element bounds the
+    # assembly however many statements a liar tries.
+    held: dict[int, _HeldShare] = field(default_factory=dict)
+    # Membership epoch and fence floor of the combined generation: the
+    # MINIMUM over the contributing shares, so a single faulty GM can only
+    # delay epoch fencing (safe), never trigger it early to lock honest
+    # traffic out.
+    epoch: int = 0
+    fence_floor: int = 0
     # GM elements whose shares failed verification — "the client and server
     # replication domain elements ... can verify which Group Manager
     # replication domain elements acted correctly" (§3.5).
     invalid_from: list[str] = field(default_factory=list)
-    # Parallel to ``invalid_from``: why each share was rejected. A
-    # "verify" failure is individually attributable (the share fails the
-    # public DPRF parameters on its own); a "nonce" mismatch is only
-    # relative to the first-seen nonce, so it never convicts by itself.
+    # Parallel to ``invalid_from``: why each share was flagged. A "verify"
+    # failure is individually attributable (the share fails the public DPRF
+    # parameters on its own) and the share is discarded; a "nonce" mismatch
+    # is only relative to the first-seen nonce, so it never convicts by
+    # itself and the share still counts toward its own statement.
     invalid_reasons: list[str] = field(default_factory=list)
 
-    def adopted_epoch(self) -> int:
-        return min(self.epochs.values()) if self.epochs else 0
-
-    def adopted_floor(self) -> int:
-        return min(self.floors.values()) if self.floors else 0
+    def _flag(self, gm_element: str, reason: str) -> None:
+        self.invalid_from.append(gm_element)
+        self.invalid_reasons.append(reason)
 
     def add(
         self,
@@ -58,31 +74,31 @@ class PendingKeyAssembly:
         share: KeyShare,
         epoch: int = 0,
         fence_floor: int = 0,
+        claims: tuple = (),
     ) -> SymmetricKey | None:
-        """Add one share; returns the combined key when enough are valid."""
-        if self.nonce is None:
-            self.nonce = nonce
-        elif nonce != self.nonce:
-            self.invalid_from.append(gm_element)
-            self.invalid_reasons.append("nonce")
-            return None
-        if share.index in self.shares:
+        """Add one share; returns the combined key once ``f_gm + 1`` verified
+        shares agree on ``(nonce, claims)`` — the one just added among them."""
+        if share.index in self.held:
             return None
         if not public.verify_share(nonce, share):
-            self.invalid_from.append(gm_element)
-            self.invalid_reasons.append("verify")
+            self._flag(gm_element, "verify")
             return None
-        self.shares[share.index] = share
-        self.epochs[share.index] = epoch
-        self.floors[share.index] = fence_floor
-        if len(self.shares) >= public.threshold:
-            try:
-                return combine_shares(
-                    public, self.nonce, list(self.shares.values()), key_id=self.key_id
-                )
-            except DprfError:  # pragma: no cover - shares were pre-verified
-                return None
-        return None
+        if self.held and nonce != next(iter(self.held.values())).nonce:
+            self._flag(gm_element, "nonce")
+        self.held[share.index] = _HeldShare(nonce, claims, share, epoch, fence_floor)
+        agreeing = [
+            h for h in self.held.values() if (h.nonce, h.claims) == (nonce, claims)
+        ]
+        if len(agreeing) < public.threshold:
+            return None
+        self.epoch = min(h.epoch for h in agreeing)
+        self.fence_floor = min(h.fence_floor for h in agreeing)
+        try:
+            return combine_shares(
+                public, nonce, [h.share for h in agreeing], key_id=self.key_id
+            )
+        except DprfError:  # pragma: no cover - shares were pre-verified
+            return None
 
 
 @dataclass
@@ -202,6 +218,39 @@ class KeyStore:
                 evidence=evidence,
             )
 
+    def offer_envelope(
+        self, envelope: GmShareEnvelope, directory: SystemDirectory
+    ) -> SymmetricKey | None:
+        """Figure 3 steps 2–3, either side: open one GM element's envelope
+        with our pairwise key and feed its share. A returned key means
+        ``f_gm + 1`` elements whose envelopes authenticated and whose shares
+        verified agree with *this* envelope's connection metadata — only then
+        may the caller act on any of it. A corrupt envelope is dropped."""
+        try:
+            pairwise = SymmetricKey(
+                material=directory.pairwise_key(envelope.gm_element, self.owner_pid)
+            )
+            nonce, share = key_share_from_dict(
+                parse_canonical(decrypt(pairwise, envelope.ciphertext))
+            )
+        except (AuthenticationError, ValueError, KeyError):
+            return None
+        return self.offer_share(
+            envelope.gm_element,
+            envelope.conn_id,
+            envelope.key_id,
+            nonce,
+            share,
+            epoch=envelope.epoch,
+            fence_floor=envelope.fence_floor,
+            claims=(
+                envelope.client,
+                envelope.client_kind,
+                envelope.client_domain,
+                envelope.target_domain,
+            ),
+        )
+
     def offer_share(
         self,
         gm_element: str,
@@ -211,8 +260,11 @@ class KeyStore:
         share: KeyShare,
         epoch: int = 0,
         fence_floor: int = 0,
+        claims: tuple = (),
     ) -> SymmetricKey | None:
-        """Feed one decrypted share; returns the key if it just completed."""
+        """Feed one decrypted share; returns the key if it just completed —
+        i.e. if this share is one of ``f_gm + 1`` verified ones that agree on
+        the nonce and on ``claims`` (:class:`PendingKeyAssembly`)."""
         existing = self.connections.get(conn_id)
         if existing is not None and existing.get(key_id) is not None:
             # Already assembled — but still verify the late share, so that
@@ -229,7 +281,7 @@ class KeyStore:
         before_invalid = len(pending.invalid_from)
         key = pending.add(
             self.public, gm_element, nonce, share, epoch=epoch,
-            fence_floor=fence_floor,
+            fence_floor=fence_floor, claims=claims,
         )
         if len(pending.invalid_from) > before_invalid:
             self.invalid_share_events.append((gm_element, conn_id, key_id))
@@ -238,10 +290,10 @@ class KeyStore:
             )
         if key is None:
             return None
-        adopted_epoch = pending.adopted_epoch()
-        adopted_floor = pending.adopted_floor()
         del self._pending[(conn_id, key_id)]
-        if not self.install(key, conn_id, epoch=adopted_epoch, fence_floor=adopted_floor):
+        if not self.install(
+            key, conn_id, epoch=pending.epoch, fence_floor=pending.fence_floor
+        ):
             return None
         return key
 

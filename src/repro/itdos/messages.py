@@ -366,8 +366,9 @@ class GmShareEnvelope:
 
     Sent point-to-point to each participant; the share itself is encrypted
     under the pairwise key the GM element shares with the recipient
-    (footnote 2 of the paper). Connection metadata travels in the clear —
-    it is bound into the share's verification anyway via the nonce.
+    (footnote 2 of the paper). Connection metadata travels in the clear and
+    is bound to nothing: receivers act on it only once ``f_gm + 1`` elements
+    with verified shares agree (:meth:`~repro.itdos.keys.KeyStore.offer_envelope`).
     """
 
     gm_element: str

@@ -36,21 +36,19 @@ through the same §3.6 machinery — it just never appears in a quorum.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable
 
-from repro.bft.config import BftConfig
-from repro.crypto.digests import digest
 from repro.crypto.signing import RsaSigner
 from repro.itdos.domain import SystemDirectory
+from repro.itdos.element import QueueElement
 from repro.itdos.messages import CommitFeed, GmShareEnvelope, ReadRequest
-from repro.itdos.replica import ItdosServerElement
 from repro.orb.core import Orb
 from repro.recovery.fetch import StateFetch
 from repro.recovery.messages import QueueStateResponse
+from repro.sim.process import Process
 
 
-class ReadOnlyElement(ItdosServerElement):
+class ReadOnlyElement(QueueElement, Process):
     """A non-voting read-tier element of one replication domain."""
 
     READ_TIER = "read"
@@ -72,22 +70,13 @@ class ReadOnlyElement(ItdosServerElement):
         app_state_fn: Callable[[], Any] | None = None,
         app_restore_fn: Callable[[Any], None] | None = None,
         queue_max_bytes: int = 1 << 22,
-        auth: Any = None,
     ) -> None:
-        info = directory.domain(domain_id)
-        if pid not in info.read_only_ids:
+        if pid not in directory.domain(domain_id).read_only_ids:
             raise ValueError(f"{pid!r} is not in the read tier of {domain_id!r}")
-        super().__init__(
-            pid,
-            directory,
-            domain_id,
-            orb,
-            signer,
-            state_mode="queue",
-            app_state_fn=app_state_fn,
-            app_restore_fn=app_restore_fn,
-            queue_max_bytes=queue_max_bytes,
-            auth=auth,
+        Process.__init__(self, pid)
+        self._init_element(
+            directory, domain_id, orb, signer, "queue",
+            app_state_fn, app_restore_fn, queue_max_bytes,
         )
         # f+1 byte-identical feeds per index gate application (see module doc).
         self._feed_buffer: dict[int, dict[str, bytes]] = {}
@@ -101,33 +90,18 @@ class ReadOnlyElement(ItdosServerElement):
         self.feeds_applied = 0
         self.syncs_completed = 0
 
-    def _bft_config(
-        self, directory: SystemDirectory, domain_id: str, pid: str
-    ) -> BftConfig:
-        # The reader is NOT a BFT replica; it reuses the replica machinery
-        # only as a shell (queue + ORB pump + key store). BftReplica's
-        # constructor insists the pid be in the replica set, so hand it a
-        # private config with this pid appended. The synthetic membership is
-        # NOT inert by itself — the inherited handlers would execute a core's
-        # FillMsg into the reader's queue — so ``on_message`` lets no BFT
-        # message reach them. Every *real* config derivation uses element_ids.
-        config = directory.bft_config_for(domain_id)
-        return replace(config, replica_ids=config.replica_ids + (pid,))
+    # -- quorum isolation: what is not a reader's job ---------------------------
 
-    # -- quorum isolation: a reader never speaks on the ordered path -----------
+    def _not_my_job(self, *args: Any) -> None:
+        """Ordered replies, first or repeated, come from core elements only:
+        a reader's would be an extra ballot in the client's ReplyVoter. §3.6
+        accusations carry quorum weight (f+1 domain change_requests); a
+        non-voting element contributes observability, not accusations. And
+        a reply copy to a core element's nested call rides the committed
+        stream past every reader, addressed to none of them."""
 
-    def _send_reply(self, record, request_id, plaintext) -> None:  # noqa: ANN001
-        # Ordered replies come from core elements only; a reader reply
-        # would be an extra ballot in the client's ReplyVoter.
-        return
-
-    def _send_digest_reply(self, record, request_id, plaintext, key) -> None:  # noqa: ANN001
-        return
-
-    def _report_request_fault(self, record, outcome) -> None:  # noqa: ANN001
-        # §3.6 accusations carry quorum weight (f+1 domain change_requests);
-        # a non-voting element contributes observability, not accusations.
-        return
+    _send_reply = _resend_reply = _not_my_job
+    _report_request_fault = _process_ordered_reply = _not_my_job
 
     def _issue_nested(self, parked, record, request_id, call) -> None:  # noqa: ANN001
         # A nested invocation needs a client role inside another domain's
@@ -150,8 +124,8 @@ class ReadOnlyElement(ItdosServerElement):
             self._serve_read(src, payload)
         elif isinstance(payload, GmShareEnvelope):
             self._handle_server_share(src, payload)
-        # Everything else is dropped: no inherited BFT or ordered-path handler
-        # may run on a reader (``_bft_config``), nor may a reader vouch for state.
+        # Everything else is dropped: a reader has no ordering protocol to
+        # speak, no client role, and may not vouch for state.
 
     # -- commit-feed application ----------------------------------------------
 
@@ -198,8 +172,7 @@ class ReadOnlyElement(ItdosServerElement):
         # sync restore, whatever core seqs the snapshot carried) — keep them
         # monotone, nothing else reads them.
         last_seq = self.queue.items[-1].seq if self.queue.items else 0
-        self.queue.append(max(index, last_seq), payload)
-        self._append_chain = digest(self._append_chain + payload)
+        self._append(max(index, last_seq), payload)
         self.feeds_applied += 1
         t = self.telemetry
         if t.enabled:
@@ -263,7 +236,6 @@ class ReadOnlyElement(ItdosServerElement):
         if not self._restore_queue_state(response):
             return False
         self.diverged = False
-        self._clear_recovery_buffer()
         self.syncs_completed += 1
         self._prune_feed_buffer()
         t = self.telemetry
@@ -278,7 +250,7 @@ class ReadOnlyElement(ItdosServerElement):
         return True
 
     def on_restart(self) -> None:
-        super().on_restart()
+        self._wipe_volatile()
         self._feed_buffer.clear()
         self._feed_stall_timer = None
         # A restarted reader resyncs instead of staying diverged — its

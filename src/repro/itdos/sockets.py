@@ -24,8 +24,8 @@ from typing import Any, Callable
 
 from repro.bft.client import BftClientEngine
 from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes, parse_canonical
-from repro.crypto.symmetric import AuthenticationError, SymmetricKey, decrypt, encrypt
+from repro.crypto.encoding import canonical_bytes
+from repro.crypto.symmetric import AuthenticationError, decrypt, encrypt
 from repro.crypto.memo import MemoCache
 from repro.giop.messages import (
     ReplyMessage,
@@ -45,7 +45,6 @@ from repro.itdos.messages import (
     ReadRequest,
     SmiopReply,
     SmiopRequest,
-    key_share_from_dict,
 )
 from repro.itdos.voter import ReadOutcome, ReadVoter, ReplyVoter, VoteOutcome
 from repro.sim.process import Process
@@ -828,25 +827,7 @@ class SmiopEndpoint:
             return False
         if not self._is_client_of(envelope):
             return False
-        try:
-            pairwise = SymmetricKey(
-                material=self.directory.pairwise_key(envelope.gm_element, self.owner.pid)
-            )
-            plaintext = decrypt(pairwise, envelope.ciphertext)
-            fields = parse_canonical(plaintext)
-            nonce, share = key_share_from_dict(fields)
-        except (AuthenticationError, ValueError, KeyError):
-            return True  # corrupt share envelope: drop
-        key = self.key_store.offer_share(
-            envelope.gm_element,
-            envelope.conn_id,
-            envelope.key_id,
-            nonce,
-            share,
-            epoch=envelope.epoch,
-            fence_floor=envelope.fence_floor,
-        )
-        if key is not None:
+        if self.key_store.offer_envelope(envelope, self.directory) is not None:
             self._key_ready(envelope)
         return True
 
@@ -859,7 +840,9 @@ class SmiopEndpoint:
     def _key_ready(self, envelope: GmShareEnvelope) -> None:
         connection = self.connections.get(envelope.conn_id)
         if connection is None:
-            target = self.directory.domain(envelope.target_domain)
+            target = self.directory.domains.get(envelope.target_domain)
+            if target is None:
+                return  # f_gm + 1 elements naming an undeployed domain: drop
             connection = OutgoingConnection(self, envelope.conn_id, target)
             self.connections[envelope.conn_id] = connection
             self._by_target[envelope.target_domain] = connection

@@ -191,10 +191,9 @@ class RecoveryCoordinator:
             if seq <= response.last_executed:
                 continue
             try:
-                element.queue.append(seq, payload)
+                element._append(seq, payload)
             except (ValueError, QueueOverflow):
                 return False
-            element._append_chain = digest(element._append_chain + payload)
             replayed += 1
         if response.last_executed > element.last_executed:
             element.last_executed = response.last_executed

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.recovery.messages import QueueStateRequest, QueueStateResponse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.itdos.replica import ItdosServerElement
+    from repro.itdos.element import QueueElement
 
 
 class StateFetch:
@@ -46,7 +46,7 @@ class StateFetch:
 
     def __init__(
         self,
-        element: "ItdosServerElement",
+        element: "QueueElement",
         acceptable: Callable[[QueueStateResponse], bool],
         adopt: Callable[[QueueStateResponse], bool],
         on_give_up: Callable[[], None],

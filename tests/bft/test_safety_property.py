@@ -6,8 +6,7 @@ the linearisability core of the protocol. Liveness is checked only when
 the schedule leaves a quorum connected.
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tests.bft.conftest import Harness
@@ -25,12 +24,22 @@ events = st.lists(
 )
 
 
+# Found by a random seed: the second request completes only after the healed
+# group has walked its view-change back-off past view 7.
+SLOW_HEAL = [
+    ("invoke", 0), ("crash", 0), ("advance", 2.0),
+    ("invoke", 0), ("partition", 1), ("advance", 2.0),
+]
+
+
 @settings(
     max_examples=20,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(schedule=events, seed=st.integers(min_value=0, max_value=1000))
+@example(schedule=SLOW_HEAL, seed=0)
 def test_property_no_divergent_execution(schedule, seed):
     harness = Harness(seed=seed)
     client = harness.client()
@@ -73,5 +82,15 @@ def test_property_no_divergent_execution(schedule, seed):
         assert len(executions) == 1, f"divergence at seq {seq}: {executions}"
 
     # LIVENESS (conditional): with one crash at most and the network healed,
-    # every invocation eventually completed.
+    # every invocation eventually completes. The view-change timeout doubles
+    # per consecutive change (capped at 2**8), so "eventually" is the whole
+    # back-off ladder, not a literal: a group that healed mid-escalation may
+    # have to sit out its longest timeouts before a view sticks.
+    timeout = harness.config.view_change_timeout
+    ladder = sum(timeout * 2**step for step in range(9))
+    harness.network.run(
+        until=harness.network.now + ladder,
+        max_events=4_000_000,
+        stop_when=lambda: len(client.completed) == invoked,
+    )
     assert len(client.completed) == invoked

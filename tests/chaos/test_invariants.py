@@ -245,3 +245,28 @@ def test_read_decisions_scan_is_incremental():
     assert checker.violations == []
     connection.read_decisions.append((3, 4))  # beyond the prefix
     expect(checker, "read-decided-beyond-commit", checker.check_read_decisions)
+
+
+def test_a_reader_is_audited_for_dispatch_and_keys_not_for_ordering():
+    """A read-tier element orders nothing — no journal, no watermarks, no
+    checkpoints to audit — but it does run servants and hold keys."""
+    from repro.workloads.scenarios import build_read_heavy_system
+
+    system = build_read_heavy_system(seed=5, readers=1)
+    system.settle(1.0)
+    stub = system.add_client("alice").stub(system.ref("kv", b"kv"))
+    for i in range(6):
+        stub.put(f"k{i}", "v")  # past a checkpoint, so check_checkpoints bites
+    system.settle(0.5)
+    [reader] = system.read_tier("kv")
+    checker = InvariantChecker(system)
+    audited = [replica.pid for _, replica in checker._replicas()]
+    assert reader.pid not in audited and "kv-e0" in audited and "gm-0" in audited
+    assert reader in checker._key_stores()
+    checker.on_deliver("a", "b", b"x")
+    checker.deep_check()
+    assert checker.violations == []
+    assert len(reader.dispatch_log) == 6
+    reader.dispatch_log.append(reader.dispatch_log[-1])
+    expect(checker, "duplicate-dispatch", checker.check_dispatch_logs)
+    assert checker.violations[-1].process == reader.pid

@@ -194,6 +194,57 @@ def test_duplicate_share_index_ignored(dprf):
     assert store.current_key(1) is None  # still only one distinct index
 
 
+def test_first_seen_nonce_does_not_own_the_assembly(dprf):
+    """A share verifies against whatever nonce its holder evaluated, so one
+    GM element getting in first with its own nonce must not lock the
+    honest ones out: the key combines from the nonce f_gm+1 agree on."""
+    public, holders = dprf
+    store = KeyStore(public)
+    assert store.offer_share("gm-3", 1, 0, b"liar", holders[3].evaluate(b"liar")) is None
+    assert store.offer_share("gm-0", 1, 0, b"true", holders[0].evaluate(b"true")) is None
+    key = store.offer_share("gm-1", 1, 0, b"true", holders[1].evaluate(b"true"))
+    assert key is not None and store.current_key(1).material == key.material
+    # The disagreement is on record, but only as soft "nonce" evidence
+    # against whoever differed from the first-seen nonce.
+    assert {gm for gm, _, _ in store.invalid_share_events} == {"gm-0", "gm-1"}
+
+
+def test_shares_only_combine_when_their_envelopes_agree(dprf):
+    """``claims`` — the connection metadata of the envelope a share came in
+    — is part of what f_gm+1 elements must agree on: a valid share for the
+    right nonce under different claims is a different statement."""
+    public, holders = dprf
+    store = KeyStore(public)
+    nonce = b"n"
+    honest, liar = ("alice", "singleton"), ("mallory", "singleton")
+    store.offer_share("gm-3", 1, 0, nonce, holders[3].evaluate(nonce), claims=liar)
+    assert (
+        store.offer_share("gm-0", 1, 0, nonce, holders[0].evaluate(nonce), claims=honest)
+        is None
+    )
+    assert store.current_key(1) is None  # two valid shares, two statements
+    key = store.offer_share(
+        "gm-1", 1, 0, nonce, holders[1].evaluate(nonce), claims=honest
+    )
+    assert key is not None
+    assert store.invalid_share_events == []  # same nonce throughout
+
+
+def test_straggler_share_after_assembly_is_still_verified(dprf):
+    public, holders = dprf
+    store = KeyStore(public)
+    nonce = b"n"
+    for index, gm in enumerate(("gm-0", "gm-1")):
+        store.offer_share(gm, 1, 0, nonce, holders[index].evaluate(nonce))
+    assert store.current_key(1) is not None
+    good = holders[2].evaluate(nonce)
+    assert store.offer_share("gm-2", 1, 0, nonce, good) is None
+    assert store.invalid_share_events == []
+    forged = type(good)(index=holders[3].index, value=good.value, proof=good.proof)
+    assert store.offer_share("gm-3", 1, 0, nonce, forged) is None
+    assert store.invalid_share_events == [("gm-3", 1, 0)]
+
+
 # -- payload serialisation ---------------------------------------------------------
 
 

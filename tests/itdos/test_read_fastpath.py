@@ -223,12 +223,72 @@ def test_reader_restart_catches_up_via_state_sync():
     assert servant.data == {f"k{i}": f"v{i}" for i in range(6)}
 
 
+#: What a BftReplica carries that a reader must not even have.
+BFT_SURFACE = (
+    "view", "log", "config", "client_table", "order_journal", "auth",
+    "recovery", "endpoint", "_retransmit_timer", "last_executed",
+)
+
+
+def test_reader_is_a_queue_element_on_a_plain_process():
+    from repro.bft.replica import BftReplica
+    from repro.itdos.element import QueueElement
+    from repro.itdos.readtier import ReadOnlyElement
+    from repro.itdos.replica import ItdosServerElement
+    from repro.sim.process import Process
+
+    assert ReadOnlyElement.__mro__ == (ReadOnlyElement, QueueElement, Process, object)
+    assert ItdosServerElement.__mro__[:3] == (
+        ItdosServerElement, QueueElement, BftReplica,
+    )
+    system = make_kv(readers=1)
+    [reader] = system.read_tier("kv")
+    assert [name for name in BFT_SURFACE if hasattr(reader, name)] == []
+    # The core element next to it kept every one of them.
+    assert all(hasattr(system.elements["kv-e0"], name) for name in BFT_SURFACE)
+
+
+def test_reader_consumes_four_message_types_and_nothing_else():
+    """One sample of every registered message, sent by a core element: only
+    CommitFeed, QueueStateResponse, ReadRequest and GmShareEnvelope have a
+    handler on a reader at all; nothing else moves its queue, its chain,
+    its feed counter or its timers."""
+    from repro import schema
+    from repro.itdos.messages import GmShareEnvelope
+    from tests.message_samples import sample
+
+    consumed = {CommitFeed, QueueStateResponse, ReadRequest, GmShareEnvelope}
+    system = make_kv(readers=1)
+    _, stub = client_and_stub(system)
+    stub.put("k", "v")
+    system.settle(0.5)
+    [reader] = system.read_tier("kv")
+    core = system.elements["kv-e1"]
+
+    def state():
+        return (
+            reader.queue.total_appended,
+            reader._append_chain,
+            reader.feeds_applied,
+            set(reader._timers),
+        )
+
+    classes = schema.registered().values()
+    assert consumed <= set(classes) and len(classes) >= 30
+    for cls in classes:
+        before = state()
+        core.send(reader.pid, sample(cls))
+        system.settle(0.1)
+        if cls not in consumed:
+            assert state() == before, cls.__name__
+
+
 def test_reader_is_unreachable_through_its_inherited_bft_handlers():
-    """A reader is a BftReplica only as a shell (its private config lists
+    """A reader used to be a BftReplica as a shell (a private config listed
     it as a replica). A core element's FillMsg of *genuine* commit
-    certificates used to execute straight into the reader's queue —
-    doubling it, arming the status beacon, and killing the commit feed
-    (every later ``feed.index <= total_appended``)."""
+    certificates executed straight into the reader's queue — doubling it,
+    arming the status beacon, and killing the commit feed (every later
+    ``feed.index <= total_appended``). It has no such handlers now."""
     from repro.bft.messages import FillMsg, StatusMsg
     from repro.workloads.scenarios import build_read_heavy_system
 
@@ -240,7 +300,8 @@ def test_reader_is_unreachable_through_its_inherited_bft_handlers():
     system.settle(0.5)
     [reader] = system.read_tier("kv")
     core = system.elements["kv-e1"]
-    assert (reader.queue.total_appended, reader.last_executed) == (5, 0)
+    assert reader.queue.total_appended == 5
+    chain, timers = reader._append_chain, set(reader._timers)
     entries = []
     for seq in range(1, core.last_executed + 1):
         entry = core.log[seq]
@@ -252,8 +313,11 @@ def test_reader_is_unreachable_through_its_inherited_bft_handlers():
         StatusMsg(view=0, last_executed=0, stable_seq=0, sender=core.pid),
     )
     system.settle(0.5)
-    assert (reader.queue.total_appended, reader.last_executed) == (5, 0)
-    assert reader._retransmit_timer is None and not reader.log
+    # Nothing executed, no beacon armed, no log to fill — there is no
+    # execution position, retransmit timer or log on a reader to begin with.
+    assert (reader.queue.total_appended, reader._append_chain) == (5, chain)
+    assert set(reader._timers) == timers
+    assert [name for name in BFT_SURFACE if hasattr(reader, name)] == []
     # ... and the feed is still what moves it.
     stub.put("k5", "v5")
     system.settle(0.5)
