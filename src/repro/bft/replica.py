@@ -157,6 +157,20 @@ class BftReplica(Process):
         self._last_view_change: ViewChangeMsg | None = None
         self._last_new_view: NewViewMsg | None = None
         self._retransmit_timer: TimerHandle | None = None
+        # Delivery dispatch table: built once here, not on every on_message.
+        self._handlers: dict[type, Callable[[str, Any], None]] = {
+            ClientRequest: self._on_client_request,
+            PrePrepareMsg: self._on_pre_prepare,
+            PrepareMsg: self._on_prepare,
+            CommitMsg: self._on_commit,
+            CheckpointMsg: self._on_checkpoint,
+            ViewChangeMsg: self._on_view_change,
+            NewViewMsg: self._on_new_view,
+            StateRequestMsg: self._on_state_request,
+            StateResponseMsg: self._on_state_response,
+            StatusMsg: self._on_status,
+            FillMsg: self._on_fill,
+        }
         # Observability.
         self.messages_sent: dict[str, int] = {}
         self.executions: list[tuple[int, str, int]] = []  # (seq, client, timestamp)
@@ -221,19 +235,7 @@ class BftReplica(Process):
                 )
                 t.detect.observe_auth_reject(src, reason)
             return
-        handler = {
-            ClientRequest: self._on_client_request,
-            PrePrepareMsg: self._on_pre_prepare,
-            PrepareMsg: self._on_prepare,
-            CommitMsg: self._on_commit,
-            CheckpointMsg: self._on_checkpoint,
-            ViewChangeMsg: self._on_view_change,
-            NewViewMsg: self._on_new_view,
-            StateRequestMsg: self._on_state_request,
-            StateResponseMsg: self._on_state_response,
-            StatusMsg: self._on_status,
-            FillMsg: self._on_fill,
-        }.get(type(payload))
+        handler = self._handlers.get(type(payload))
         if handler is not None:
             handler(src, payload)
 

@@ -11,7 +11,8 @@ whole substrate from scratch in pure Python:
 * :mod:`~repro.crypto.digests` — SHA-256 digests and HMAC (stand-ins for
   MD5-class hashing; same interface, stronger primitive).
 * :mod:`~repro.crypto.prng` — a deterministic PRG (SHA-256 in counter mode).
-* :mod:`~repro.crypto.rsa` — RSA keygen (Miller–Rabin), FDH-style signing.
+* :mod:`~repro.crypto.rsa` — RSA keygen (Miller–Rabin), FDH-style signing by
+  CRT with a verify-before-release check.
 * :mod:`~repro.crypto.signing` — signer/verifier abstraction and a keyring.
 * :mod:`~repro.crypto.symmetric` — authenticated symmetric encryption
   (SHAKE-256 keystream + HMAC, encrypt-then-MAC).
@@ -29,7 +30,7 @@ These are reproduction-grade primitives: correct constructions at laptop
 scale, not audited production cryptography.
 """
 
-from repro.crypto.coin import CoinCommit, CoinReveal, combine_reveals, make_coin_pair
+from repro.crypto.coin import combine_reveals, make_coin_pair
 from repro.crypto.digests import digest, hmac_digest
 from repro.crypto.dleq import DleqProof, dleq_prove, dleq_verify
 from repro.crypto.dprf import DprfPublic, DprfShareholder, KeyShare, combine_shares, dprf_setup
@@ -49,8 +50,6 @@ from repro.crypto.signing import HmacAuthenticator, KeyRing, RsaSigner, Signer
 from repro.crypto.symmetric import SymmetricKey, decrypt, encrypt
 
 __all__ = [
-    "CoinCommit",
-    "CoinReveal",
     "DeterministicPrng",
     "DlGroup",
     "DleqProof",

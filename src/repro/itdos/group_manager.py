@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.bft.client import BftClientEngine
 from repro.bft.replica import BftReplica
+from repro.crypto.coin import combine_reveals, make_coin_pair, reveal_matches
 from repro.crypto.digests import digest
 from repro.crypto.dprf import DprfShareholder
 from repro.crypto.encoding import canonical_bytes
@@ -148,8 +149,7 @@ class GroupManagerElement(BftReplica):
             return
         self._coin_submitted = True
         self._schedule_rekey_tick()
-        self._coin_value = self._coin_rng.randbytes(32)
-        commitment = digest(self.pid.encode() + b"|" + self._coin_value)
+        commitment, self._coin_value = make_coin_pair(self.pid, self._coin_rng)
         message = CoinMessage(phase="commit", pid=self.pid, value=commitment)
         self.self_engine.invoke(message.to_payload())
 
@@ -222,8 +222,7 @@ class GroupManagerElement(BftReplica):
             if state.phase != "reveal" or message.pid in state.coin_reveals:
                 return b"DUP"
             commitment = state.coin_commits.get(message.pid)
-            expected = digest(message.pid.encode() + b"|" + message.value)
-            if commitment is None or commitment != expected:
+            if not reveal_matches(commitment, message.pid, message.value):
                 return b"BAD"  # reveal does not open the commitment
             state.coin_reveals[message.pid] = message.value
             if len(state.coin_reveals) == len(state.coin_commits):
@@ -266,11 +265,9 @@ class GroupManagerElement(BftReplica):
 
     def _seed_prng(self) -> None:
         state = self.state
-        material = b"".join(
-            pid.encode() + b"|" + state.coin_reveals[pid]
-            for pid in sorted(state.coin_reveals)
+        self.prng = DeterministicPrng(
+            combine_reveals(state.coin_commits, state.coin_reveals)
         )
-        self.prng = DeterministicPrng(digest(material))
         state.phase = "ready"
         queued, state.queued_opens = state.queued_opens, []
         for request in queued:
@@ -708,9 +705,7 @@ class GroupManagerElement(BftReplica):
         if state.phase == "ready" and data.get("prng_position", -1) >= 0:
             # Reseed from the (restored) reveals — the same combination every
             # peer performed — and fast-forward to the replicated position.
-            material = b"".join(
-                pid.encode() + b"|" + state.coin_reveals[pid]
-                for pid in sorted(state.coin_reveals)
+            self.prng = DeterministicPrng(
+                combine_reveals(state.coin_commits, state.coin_reveals)
             )
-            self.prng = DeterministicPrng(digest(material))
             self.prng.seek(data["prng_position"])

@@ -65,7 +65,7 @@ def test_caught_up_replica_rejoins_protocol():
 
 def test_state_response_with_bad_snapshot_ignored():
     harness, apps = make_app_harness()
-    from repro.bft.messages import StateResponseMsg, StatusMsg
+    from repro.bft.messages import StateRequestMsg, StateResponseMsg, StatusMsg
 
     lagger = harness.replicas[3]
     others = {r.pid for r in harness.replicas[:3]}
@@ -75,7 +75,7 @@ def test_state_response_with_bad_snapshot_ignored():
     # The first candidate the lagger will ask never answers, and nobody
     # pushes state at it unasked (peers do that on a StatusMsg from a
     # replica behind their checkpoint) — only the pull can complete.
-    harness.replicas[0]._on_state_request = lambda src, msg: None
+    harness.replicas[0]._handlers[StateRequestMsg] = lambda src, msg: None
     mcast = lagger._mcast
     lagger._mcast = lambda m: None if isinstance(m, StatusMsg) else mcast(m)
     harness.invoke_and_run([b"1"] * 4, client_name="client2")

@@ -6,87 +6,98 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.coin import (
-    CoinReveal,
-    combine_reveals,
-    make_coin_pair,
-    reveal_matches,
-)
+from repro.crypto.coin import combine_reveals, make_coin_pair, reveal_matches
 
 
 def make_round(pids, seed=0):
+    """``(commits, reveals)`` as the Group Manager state holds them: pid -> bytes."""
     rng = random.Random(seed)
-    commits, reveals = {}, []
+    commits, reveals = {}, {}
     for pid in pids:
-        commit, reveal = make_coin_pair(pid, rng)
-        commits[pid] = commit
-        reveals.append(reveal)
+        commits[pid], reveals[pid] = make_coin_pair(pid, rng)
     return commits, reveals
+
+
+def without(reveals, *pids):
+    return {pid: value for pid, value in reveals.items() if pid not in pids}
 
 
 def test_reveal_matches_own_commit():
     commits, reveals = make_round(["a", "b"])
-    for reveal in reveals:
-        assert reveal_matches(commits[reveal.pid], reveal)
+    for pid, value in reveals.items():
+        assert reveal_matches(commits[pid], pid, value)
 
 
 def test_reveal_mismatched_pid_rejected():
     commits, reveals = make_round(["a", "b"])
-    cross = CoinReveal(pid="a", value=reveals[1].value)
-    assert not reveal_matches(commits["a"], cross)
+    assert not reveal_matches(commits["a"], "a", reveals["b"])
+    assert not reveal_matches(commits["b"], "a", reveals["b"])
+    assert not reveal_matches(None, "a", reveals["a"])  # never committed
 
 
 def test_combine_deterministic_order_independent():
     commits, reveals = make_round(["a", "b", "c"])
     seed1 = combine_reveals(commits, reveals)
-    seed2 = combine_reveals(commits, list(reversed(reveals)))
+    seed2 = combine_reveals(commits, dict(reversed(reveals.items())))
     assert seed1 == seed2
 
 
 def test_combine_excludes_bad_reveal():
     commits, reveals = make_round(["a", "b", "c"])
-    forged = CoinReveal(pid="c", value=b"\x00" * 32)
-    honest_only = combine_reveals(commits, reveals[:2], minimum=2)
-    with_forged = combine_reveals(commits, reveals[:2] + [forged], minimum=2)
+    honest_only = combine_reveals(commits, without(reveals, "c"))
+    with_forged = combine_reveals(commits, {**reveals, "c": b"\x00" * 32})
     assert honest_only == with_forged  # forged reveal contributed nothing
 
 
 def test_combine_excludes_uncommitted_reveal():
     commits, reveals = make_round(["a", "b"])
-    stranger = CoinReveal(pid="zz", value=b"\x01" * 32)
-    assert combine_reveals(commits, reveals + [stranger]) == combine_reveals(
+    stranger = {"zz": b"\x01" * 32}
+    assert combine_reveals(commits, {**reveals, **stranger}) == combine_reveals(
         commits, reveals
     )
 
 
 def test_combine_minimum_enforced():
+    # No seed from nothing: zero surviving reveals is an error, not H(b"").
     commits, reveals = make_round(["a", "b", "c"])
     with pytest.raises(ValueError):
-        combine_reveals(commits, reveals[:1], minimum=2)
+        combine_reveals(commits, {})
+    with pytest.raises(ValueError):
+        combine_reveals(commits, {"a": b"\x00" * 32, "zz": reveals["a"]})
 
 
 def test_one_honest_coin_changes_seed():
     # Same adversarial coins, different honest coin -> different seed.
-    commits_a, reveals_a = make_round(["adv"], seed=1)
-    honest1 = make_coin_pair("honest", random.Random(2))
-    honest2 = make_coin_pair("honest", random.Random(3))
-    commits_a["honest"] = honest1[0]
-    seed1 = combine_reveals(commits_a, reveals_a + [honest1[1]])
-    commits_b, reveals_b = make_round(["adv"], seed=1)
-    commits_b["honest"] = honest2[0]
-    seed2 = combine_reveals(commits_b, reveals_b + [honest2[1]])
-    assert seed1 != seed2
+    seeds = []
+    for honest_seed in (2, 3):
+        commits, reveals = make_round(["adv"], seed=1)
+        commits["honest"], reveals["honest"] = make_coin_pair(
+            "honest", random.Random(honest_seed)
+        )
+        seeds.append(combine_reveals(commits, reveals))
+    assert seeds[0] != seeds[1]
 
 
 def test_withholding_changes_but_does_not_control_seed():
     # An adversary may withhold its reveal; the seed still combines from
     # the rest and remains well defined.
     commits, reveals = make_round(["a", "b", "c"])
-    seed_without_c = combine_reveals(commits, reveals[:2], minimum=2)
-    seed_with_c = combine_reveals(commits, reveals, minimum=2)
+    seed_without_c = combine_reveals(commits, without(reveals, "c"))
+    seed_with_c = combine_reveals(commits, reveals)
     assert seed_without_c != seed_with_c  # withholding has an effect...
     assert len(seed_without_c) == 32  # ...but the protocol still completes
 
+
+def test_seed_is_the_hash_the_group_manager_always_computed():
+    # The PRNG seed every GM element derives is pinned by the chaos event
+    # hashes; this is the same formula spelled out, so a reshaped module
+    # cannot drift from it unnoticed.
+    from repro.crypto.digests import digest
+
+    commits, reveals = make_round(["gm-2", "gm-0", "gm-1"], seed=5)
+    material = b"".join(pid.encode() + b"|" + reveals[pid] for pid in sorted(reveals))
+    assert combine_reveals(commits, reveals) == digest(material)
+    assert commits["gm-0"] == digest(b"gm-0|" + reveals["gm-0"])
 
 @settings(max_examples=25)
 @given(
@@ -97,6 +108,6 @@ def test_property_combine_stable(n, seed):
     pids = [f"p{i}" for i in range(n)]
     commits, reveals = make_round(pids, seed)
     rng = random.Random(seed)
-    shuffled = list(reveals)
+    shuffled = list(reveals.items())
     rng.shuffle(shuffled)
-    assert combine_reveals(commits, reveals) == combine_reveals(commits, shuffled)
+    assert combine_reveals(commits, reveals) == combine_reveals(commits, dict(shuffled))

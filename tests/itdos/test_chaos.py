@@ -106,6 +106,32 @@ def test_coin_withholding_gm_element():
     assert len(ready) >= 3
 
 
+def test_forged_coin_reveal_is_refused_and_a_genuine_one_seeds_every_element():
+    """`_exec_coin` lets a reveal in only if it opens its sender's commitment
+    (`crypto.coin.reveal_matches`), and every element seeds its PRNG from
+    `crypto.coin.combine_reveals` over the same opened set."""
+    from repro.itdos.messages import CoinMessage
+
+    system = make_system(seed=106)
+    # gm-0 is among the first n-f committers; while it sits on its reveal the
+    # group waits in the reveal phase (that wait is ROADMAP item 5's, not
+    # this test's), which leaves room to offer reveals by hand.
+    saboteur = system.gm_elements[0]
+    saboteur._side_effect_reveal = lambda: None
+    system.settle(2.0)
+    assert {gm.state.phase for gm in system.gm_elements} == {"reveal"}
+    forged = CoinMessage(phase="reveal", pid=saboteur.pid, value=b"\x00" * 32)
+    genuine = CoinMessage(phase="reveal", pid=saboteur.pid, value=saboteur._coin_value)
+    for gm in system.gm_elements:
+        assert gm._exec_coin(forged, saboteur.pid) == b"BAD"
+        assert saboteur.pid not in gm.state.coin_reveals
+        assert gm.state.phase == "reveal"
+        assert gm._exec_coin(genuine, saboteur.pid) == b"OK"
+        assert gm.state.phase == "ready"
+    draws = {gm.prng.next_bytes(16) for gm in system.gm_elements}
+    assert len(draws) == 1
+
+
 def test_combined_faults_loss_plus_liar_plus_crash():
     """Loss + one lying element + one crashed element, same domain, f=1 —
     the absolute boundary of the fault budget, plus network misbehaviour."""
