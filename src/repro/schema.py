@@ -12,6 +12,8 @@ A message is a frozen dataclass decorated with :func:`message`, which reads
   ``{"kind": kind, **fields}``, nested messages as plain dicts;
 * **wire** — what crosses a socket (:mod:`repro.net.wire`):
   ``{"__wire__": name, "f": {...}}`` with every field, ``auth`` included.
+  Its constant bytes (the head, each field's key item) are laid out here,
+  once, so the codec writes and matches them without building that dict.
 
 Sits below ``bft``, ``itdos``, ``recovery`` and ``net``; imports none of them.
 """
@@ -25,6 +27,7 @@ from typing import Any, Callable
 from repro.crypto.encoding import canonical_bytes
 
 _ATOMS = (int, str, bytes, bool)
+WIRE_KEY, FIELDS_KEY = "__wire__", "f"  # the wire form's two keys
 _BY_CLASS: dict[type, "Plan"] = {}
 _BY_NAME: dict[str, "Plan"] = {}
 _BY_KIND: dict[str, "Plan"] = {}
@@ -44,16 +47,20 @@ class Plan:
         self.plain = _accessor(self.names, hints, "plain")
         #: per field, what restores its tuples and nested messages (or None)
         self.coercers = tuple((n, _coercer(hints[n])) for n in self.names)
+        #: the wire form's constants: the items before the field map; per
+        #: field, in canonical (sorted) order, (key item, name, coercer)
+        self.wire_head = b"".join(map(canonical_bytes, (WIRE_KEY, self.name, FIELDS_KEY)))
+        self.wire_keys = tuple((canonical_bytes(n), n, c) for n, c in sorted(self.coercers))
+        self.wire_fields = dict(self.coercers)  # for a field map in any other order
 
-    def build(self, fields: dict, decode: Callable[[Any], Any] | None = None) -> Any:
-        """An instance from a field dict off the wire (each value first put
-        through ``decode``): unknown keys ignored, absent fields left to the
-        dataclass defaults, ``TypeError``/``ValueError`` when that fails."""
+    def build(self, fields: dict) -> Any:
+        """An instance from a decoded field dict: unknown keys ignored,
+        absent fields left to the dataclass defaults, ``TypeError``/
+        ``ValueError`` when that fails."""
         kwargs = {}
         for name, coerce in self.coercers:
             if name in fields:
-                item = fields[name] if decode is None else decode(fields[name])
-                kwargs[name] = item if coerce is None else coerce(item)
+                kwargs[name] = fields[name] if coerce is None else coerce(fields[name])
         return self.cls(**kwargs)
 
     def coerce(self, value: Any) -> Any:

@@ -57,7 +57,7 @@ def test_datagram_envelope_is_the_canonical_mapping(payload):
 
 def test_multicast_encodes_the_payload_once(monkeypatch):
     datagram_encodes = count_calls(monkeypatch, tcp, "encode_datagram")
-    tlv_encodes = count_calls(monkeypatch, wire, "canonical_bytes")
+    readdresses = count_calls(monkeypatch, tcp, "readdress_datagram")
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -75,7 +75,9 @@ def test_multicast_encodes_the_payload_once(monkeypatch):
         return world, frames, delivered_synchronously, process.received
 
     world, frames, delivered_synchronously, received = asyncio.run(scenario())
-    assert len(datagram_encodes) == 1 and len(tlv_encodes) == 1
+    # Three remote members: the payload is laid out once, the other two
+    # frames are that one re-addressed.
+    assert len(datagram_encodes) == 1 and len(readdresses) == 2
     assert frames == [
         (dst, encode_frame(encode_datagram("a", dst, MESSAGE))) for dst in "bcd"
     ]

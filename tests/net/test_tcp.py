@@ -212,3 +212,53 @@ def test_queue_full_drops_newest():
         return dropped
 
     assert asyncio.run(scenario()) >= 2
+
+
+def test_hostile_frames_cost_one_counted_drop_each_and_never_raise():
+    """The mutated corpus of ``test_wire_reference`` at the frame handler:
+    a frame is delivered, misrouted or one ``recv_dropped_bad_frame`` -
+    nothing else moves, nothing raises, and the good frame behind a bad one
+    in the same read still arrives."""
+    from repro.net import tcp
+    from repro.net.framing import encode_frame
+    from repro.net.wire import WireCodecError, decode_datagram, encode_datagram
+    from tests.net.test_wire_reference import mutated_frames, restructured_frames, same
+
+    delivered = []
+    transport = AsyncioTransport(
+        "kv-e2", {}, None, lambda src, payload: delivered.append((src, payload))
+    )
+    outcomes = {"frames_received": [], "recv_dropped_misrouted": [], "recv_dropped_bad_frame": []}
+    for body in mutated_frames(11, 1500) + restructured_frames(11, 500):
+        before, already = dict(transport.stats), len(delivered)
+        transport._handle_frame(body)
+        moved = {name: count - before[name] for name, count in transport.stats.items()}
+        (counter,) = (name for name, by in moved.items() if by)
+        assert moved[counter] == 1
+        outcomes[counter].append(body)
+        try:
+            src, dst, payload = decode_datagram(body)
+        except WireCodecError:
+            assert counter == "recv_dropped_bad_frame"
+            continue
+        assert counter == ("frames_received" if dst == "kv-e2" else "recv_dropped_misrouted")
+        assert len(delivered) == already + (dst == "kv-e2")
+        assert dst != "kv-e2" or same(delivered[-1], (src, payload))
+    assert all(len(bodies) > 20 for bodies in outcomes.values()), {
+        name: len(bodies) for name, bodies in outcomes.items()
+    }
+    assert len(delivered) == len(outcomes["frames_received"])
+
+    good = encode_datagram("kv-e1", "kv-e2", b"behind a bad frame")
+    peer = tcp._InboundPeer(transport)
+    for bad in outcomes["recv_dropped_bad_frame"][:100]:
+        dropped, already = transport.stats["recv_dropped_bad_frame"], len(delivered)
+        read = memoryview(encode_frame(bad) + encode_frame(good))
+        while read:  # one read when it fits the buffer, as most do
+            buffer = peer.get_buffer(-1)
+            size = min(len(buffer), len(read))
+            buffer[:size] = read[:size]
+            peer.buffer_updated(size)
+            read = read[size:]
+        assert transport.stats["recv_dropped_bad_frame"] == dropped + 1
+        assert delivered[already:] == [("kv-e1", b"behind a bad frame")]

@@ -102,12 +102,40 @@ def test_datagram_round_trip():
 
 
 def test_datagram_missing_fields_rejected():
-    from repro.crypto.encoding import canonical_bytes
+    """The envelope is ``encode_datagram``'s bytes and nothing else: the
+    three keys, in its order, with lengths that add up to the body."""
+    import struct
 
-    with pytest.raises(WireCodecError):
-        decode_datagram(canonical_bytes({"src": "a", "p": b""}))
-    with pytest.raises(WireCodecError):
-        decode_datagram(b"not a datagram at all")
+    from repro.crypto.encoding import canonical_bytes
+    from tests.net.test_wire_reference import hand_laid
+
+    def mapping(*items, count=None):
+        return hand_laid(*map(canonical_bytes, items), count=count)
+
+    payload = encode_wire_payload(7)
+    good = mapping("dst", "b", "p", payload, "src", "a")
+    assert good == encode_datagram("a", "b", 7)
+    assert decode_datagram(good) == ("a", "b", 7)
+    past_the_body = bytearray(good)
+    p_length_at = good.index(b"B", good.index(b"p")) + 1
+    past_the_body[p_length_at : p_length_at + 4] = struct.pack(">I", len(good))
+    for bad in (
+        canonical_bytes({"src": "a", "p": b""}),  # no dst
+        mapping("dst", "b", "p", payload, "src", "a", "ttl", 3),  # an extra key
+        mapping("p", payload, "dst", "b", "src", "a"),  # swapped key order
+        mapping("dst", "b", "p", payload, "src", "a", count=2),  # count != 3
+        mapping("dst", "b", "p", payload, "src", "a", count=4),
+        mapping("dst", "b", "p", "not bytes", "src", "a"),  # p is a string
+        mapping("dst", 7, "p", payload, "src", "a"),  # dst is an int
+        bytes(past_the_body),  # p claims more than the body holds
+        good + b"N",  # trailing bytes after src
+        good[:-1] + b"ab",  # ... or inside it, past its length
+        mapping("dst", "b", "p", payload + b"N", "src", "a"),  # ... or after the payload
+        good[:-1],
+        b"not a datagram at all",
+    ):
+        with pytest.raises(WireCodecError):
+            decode_datagram(bad)
 
 
 def test_every_protocol_message_type_is_registered():
@@ -174,7 +202,27 @@ def test_registration_compiles_tuple_coercers_from_hints():
             plain: list
 
         assert schema.registered()["Shapes"] is Shapes
+        # The wire form's constants: the head up to the field map, then the
+        # fields in canonical (sorted) order, each with its key item.
+        plan = schema.plan_of(Shapes)
+        assert plan.wire_head == (
+            b"S\x00\x00\x00\x08__wire__S\x00\x00\x00\x06ShapesS\x00\x00\x00\x01f"
+        )
+        assert [(key, name) for key, name, _ in plan.wire_keys] == [
+            (b"S\x00\x00\x00\x04bare", "bare"),
+            (b"S\x00\x00\x00\x04many", "many"),
+            (b"S\x00\x00\x00\x06nested", "nested"),
+            (b"S\x00\x00\x00\x04pair", "pair"),
+            (b"S\x00\x00\x00\x05plain", "plain"),
+        ]
+        assert plan.wire_keys[2][2](([["a"], []])) == (("a",), ())  # nested's coercer
+        assert plan.wire_keys[4][2] is None and plan.wire_fields["plain"] is None
+        assert plan.wire_fields["nested"] is plan.wire_keys[2][2]
         value = Shapes((1, 2), (("a",), ()), ("k", (3,)), (1, "x"), [1, (2,)])
+        assert encode_wire_payload(value).startswith(
+            b"M" + (len(encode_wire_payload(value)) - 5).to_bytes(4, "big")
+            + b"\x00\x00\x00\x02" + plan.wire_head + b"M"
+        )
         decoded = decode_wire_payload(encode_wire_payload(value))
         assert decoded == dataclasses.replace(value, plain=[1, [2]])
         assert type(decoded.nested[0]) is tuple and type(decoded.pair[1]) is tuple
