@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.memo import MemoCache
@@ -57,7 +57,7 @@ class MessageAuth(ABC):
     last_reject_reason: str = ""
 
     @abstractmethod
-    def stamp(self, message: Any, receivers: list[str]) -> Any:
+    def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
         """Return a copy of ``message`` carrying authentication material."""
 
     @abstractmethod
@@ -69,7 +69,7 @@ class NullAuth(MessageAuth):
     """No cryptographic authentication; rely on the simulator's honest
     source addressing."""
 
-    def stamp(self, message: Any, receivers: list[str]) -> Any:
+    def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
         return message
 
     def accept(self, src: str, message: Any) -> bool:
@@ -92,7 +92,7 @@ class HmacAuth(MessageAuth):
     def stamp_cache(self) -> MemoCache:
         return self._stamped
 
-    def stamp(self, message: Any, receivers: list[str]) -> Any:
+    def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
         others = tuple(r for r in receivers if r != self.authenticator.own_id)
         key = (message, others)
         cached = self._stamped.get(key)
@@ -141,7 +141,7 @@ class RsaAuth(MessageAuth):
     def stamp_cache(self) -> MemoCache:
         return self._stamped
 
-    def stamp(self, message: Any, receivers: list[str]) -> Any:
+    def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
         cached = self._stamped.get(message)
         if cached is not None:
             return cached

@@ -158,6 +158,7 @@ class BftReplica(Process):
         self._last_new_view: NewViewMsg | None = None
         self._retransmit_timer: TimerHandle | None = None
         # Delivery dispatch table: built once here, not on every on_message.
+        # A subclass extends it in place with the types it consumes itself.
         self._handlers: dict[type, Callable[[str, Any], None]] = {
             ClientRequest: self._on_client_request,
             PrePrepareMsg: self._on_pre_prepare,
@@ -206,38 +207,44 @@ class BftReplica(Process):
             ).labels(group=self.config.address, type=label).inc()
 
     def _mcast(self, message: Any) -> None:
-        stamped = self.auth.stamp(message, list(self.config.replica_ids))
+        stamped = self.auth.stamp(message, self.config.replica_ids)
         self._count(type(message).__name__)
         self.multicast(self.config.address, stamped)
 
     def _p2p(self, dst: str, message: Any) -> None:
-        stamped = self.auth.stamp(message, [dst])
+        stamped = self.auth.stamp(message, (dst,))
         self._count(type(message).__name__)
         self.send(dst, stamped)
 
     # ------------------------------------------------------------- dispatch
 
     def on_message(self, src: str, payload: Any) -> None:
+        if self._admit(src, payload):
+            handler = self._handlers.get(type(payload))
+            if handler is not None:
+                handler(src, payload)
+
+    def _admit(self, src: str, payload: Any) -> bool:
+        """The gate in front of the dispatch table: arm the retransmission
+        tick on the first delivery, then ask the authenticator."""
         if self._retransmit_timer is None:
             self._schedule_retransmit()
         checker = self.client_auth if isinstance(payload, ClientRequest) else self.auth
-        if src != self.pid and not checker.accept(src, payload):
-            t = self.telemetry
-            if t.enabled:
-                # Soft evidence only: a bad MAC/signature is indistinguishable
-                # from wire corruption of an honest sender's message.
-                reason = getattr(checker, "last_reject_reason", "") or "rejected"
-                t.evidence(
-                    "invalid-auth",
-                    accused=src,
-                    reporter=self.pid,
-                    detail=f"{type(payload).__name__}: {reason}",
-                )
-                t.detect.observe_auth_reject(src, reason)
-            return
-        handler = self._handlers.get(type(payload))
-        if handler is not None:
-            handler(src, payload)
+        if src == self.pid or checker.accept(src, payload):
+            return True
+        t = self.telemetry
+        if t.enabled:
+            # Soft evidence only: a bad MAC/signature is indistinguishable
+            # from wire corruption of an honest sender's message.
+            reason = getattr(checker, "last_reject_reason", "") or "rejected"
+            t.evidence(
+                "invalid-auth",
+                accused=src,
+                reporter=self.pid,
+                detail=f"{type(payload).__name__}: {reason}",
+            )
+            t.detect.observe_auth_reject(src, reason)
+        return False
 
     def on_restart(self) -> None:
         """Reboot bookkeeping: timer handles died with the restart, so drop

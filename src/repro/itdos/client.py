@@ -86,7 +86,7 @@ class ItdosClient(Process):
 
         with t.use(root_ctx):
             self.orb.transport_for(ref).connect(ref, on_connection)
-        network = self._require_network()
+        network = self.network
         network.run(stop_when=lambda: bool(outcome), max_events=2_000_000)
         if root is not None:
             t.end(root)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bft.client import BftClientEngine
+from repro.bft.messages import BftReply
 from repro.bft.replica import BftReplica
 from repro.crypto.coin import combine_reveals, make_coin_pair, reveal_matches
 from repro.crypto.digests import digest
@@ -154,9 +155,9 @@ class GroupManagerElement(BftReplica):
         self.self_engine.invoke(message.to_payload())
 
     def on_message(self, src: str, payload: Any) -> None:
-        if self.self_engine.handle_message(src, payload):
-            return
-        super().on_message(src, payload)
+        # Ours alone is the acknowledgement of a coin message we submitted.
+        if type(payload) is not BftReply or not self.self_engine.handle_message(src, payload):
+            super().on_message(src, payload)
 
     # -- the replicated state machine --------------------------------------------
 

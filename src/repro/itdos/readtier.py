@@ -89,6 +89,13 @@ class ReadOnlyElement(QueueElement, Process):
         )
         self.feeds_applied = 0
         self.syncs_completed = 0
+        # Delivery dispatch table: everything a reader consumes.
+        self._handlers: dict[type, Callable[[str, Any], Any]] = {
+            CommitFeed: self._handle_commit_feed,
+            QueueStateResponse: self._fetch.handle_response,
+            ReadRequest: self._serve_read,
+            GmShareEnvelope: self._handle_server_share,
+        }
 
     # -- quorum isolation: what is not a reader's job ---------------------------
 
@@ -116,16 +123,11 @@ class ReadOnlyElement(QueueElement, Process):
     # -- message routing -------------------------------------------------------
 
     def on_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, CommitFeed):
-            self._handle_commit_feed(src, payload)
-        elif isinstance(payload, QueueStateResponse):
-            self._fetch.handle_response(src, payload)
-        elif isinstance(payload, ReadRequest):
-            self._serve_read(src, payload)
-        elif isinstance(payload, GmShareEnvelope):
-            self._handle_server_share(src, payload)
-        # Everything else is dropped: a reader has no ordering protocol to
-        # speak, no client role, and may not vouch for state.
+        # A type with no row is dropped: a reader has no ordering protocol
+        # to speak, no client role, and may not vouch for state.
+        handler = self._handlers.get(type(payload))
+        if handler is not None:
+            handler(src, payload)
 
     # -- commit-feed application ----------------------------------------------
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.bft.messages import BftReply
 from repro.bft.replica import BftReplica
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes, parse_canonical
@@ -47,6 +48,7 @@ from repro.itdos.messages import (
     CommitFeed,
     GmShareEnvelope,
     PayloadError,
+    ReadReply,
     ReadRequest,
     SmiopReply,
     SmiopRequest,
@@ -108,23 +110,39 @@ class ItdosServerElement(QueueElement, BftReplica):
         # Last SmiopReply sent to each singleton client's connection, for
         # retransmission when the (point-to-point) reply is lost.
         self._reply_cache: dict[int, SmiopReply] = {}
+        # The rows this shell adds to the replica's dispatch table: handled
+        # here, ahead of the replica-to-replica authenticator.
+        rows: dict[type, Callable[[str, Any], None]] = {
+            GmShareEnvelope: self._on_gm_share,
+            BodyRequest: self._handle_body_request,
+            ReadRequest: self._serve_read,
+            QueueStateRequest: self._serve_queue_state,
+            QueueStateResponse: self.recovery.fetch.handle_response,
+            **dict.fromkeys(
+                (SmiopReply, ReadReply, BodyReply, BftReply), self._on_endpoint_message
+            ),
+        }
+        self._handlers.update(rows)
+        self._shell_rows = frozenset(rows)
 
     # -- message routing -----------------------------------------------------------
 
     def on_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, GmShareEnvelope):
-            if not self._handle_server_share(src, payload):
-                self.endpoint.handle_gm_share(src, payload)  # our client role
-        elif isinstance(payload, BodyRequest):
-            self._handle_body_request(src, payload)
-        elif isinstance(payload, ReadRequest):
-            self._serve_read(src, payload)
-        elif isinstance(payload, QueueStateRequest):
-            self._serve_queue_state(src, payload)
-        elif isinstance(payload, QueueStateResponse):
-            self.recovery.fetch.handle_response(src, payload)
-        elif not self.endpoint.handle_message(src, payload):
+        kind = type(payload)
+        if kind in self._shell_rows:
+            self._handlers[kind](src, payload)
+        else:  # PBFT's own rows, behind the replica's authenticator
             super().on_message(src, payload)
+
+    def _on_gm_share(self, src: str, envelope: GmShareEnvelope) -> None:
+        if not self._handle_server_share(src, envelope):
+            self.endpoint.handle_gm_share(src, envelope)  # our client role
+
+    def _on_endpoint_message(self, src: str, payload: Any) -> None:
+        """Our client role's reply traffic. A copy the endpoint does not claim
+        meets the ordering protocol's gate, which has no row for it either."""
+        if not self.endpoint.handle_message(src, payload):
+            self._admit(src, payload)
 
     # -- the state machine (BFT execute upcall) ----------------------------------------
 

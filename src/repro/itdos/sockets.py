@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.bft.client import BftClientEngine
+from repro.bft.messages import BftReply
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.symmetric import AuthenticationError, decrypt, encrypt
@@ -731,6 +732,14 @@ class SmiopEndpoint:
         # ids (per-connection high-water dedup + traffic-nonce uniqueness).
         self.timestamp_base = 0
         self.request_id_base = 0
+        # Inbound routing: exact type -> handler, built once (see handle_message).
+        self._routes: dict[type, Callable[[str, Any], bool]] = {
+            GmShareEnvelope: self.handle_gm_share,
+            BftReply: self._on_bft_reply,
+            SmiopReply: self._reply_route(lambda c, src, reply: c.handle_reply(reply)),
+            ReadReply: self._reply_route(OutgoingConnection.handle_read_reply),
+            BodyReply: self._reply_route(OutgoingConnection.handle_body_reply),
+        }
 
     # -- engines ---------------------------------------------------------------
 
@@ -865,31 +874,29 @@ class SmiopEndpoint:
     # -- inbound routing --------------------------------------------------------
 
     def handle_message(self, src: str, payload: Any) -> bool:
-        """Route a delivery to the GM engine, a domain engine, key shares,
-        or a connection's reply path. Returns True when consumed."""
-        if isinstance(payload, GmShareEnvelope):
-            return self.handle_gm_share(src, payload)
-        if isinstance(payload, SmiopReply):
-            connection = self.connections.get(payload.conn_id)
-            if connection is not None and src == payload.sender:
-                connection.handle_reply(payload)
-                return True
-            return False
-        if isinstance(payload, ReadReply):
-            connection = self.connections.get(payload.conn_id)
-            if connection is not None and src == payload.sender:
-                connection.handle_read_reply(src, payload)
-                return True
-            return False
-        if isinstance(payload, BodyReply):
-            connection = self.connections.get(payload.conn_id)
-            if connection is not None and src == payload.sender:
-                connection.handle_body_reply(src, payload)
-                return True
-            return False
-        if self.gm_engine.handle_message(src, payload):
+        """Route a delivery by its type to key-share assembly, a connection's
+        reply path or the BFT client engines. Returns True when consumed."""
+        route = self._routes.get(type(payload))
+        return route is not None and route(src, payload)
+
+    def _reply_route(self, handle: Callable[[OutgoingConnection, str, Any], None]):
+        """The route of one reply type: the connection the reply names gets
+        it, if there is one and ``src`` is the sender it claims."""
+
+        def route(src: str, reply: Any) -> bool:
+            connection = self.connections.get(reply.conn_id)
+            if connection is None or src != reply.sender:
+                return False
+            handle(connection, src, reply)
             return True
-        return any(engine.handle_message(src, payload) for engine in self._engines.values())
+
+        return route
+
+    def _on_bft_reply(self, src: str, payload: BftReply) -> bool:
+        """A CL-level acknowledgement: the GM engine's or a domain engine's."""
+        return self.gm_engine.handle_message(src, payload) or any(
+            engine.handle_message(src, payload) for engine in self._engines.values()
+        )
 
     # -- fault reporting -----------------------------------------------------------
 

@@ -5,8 +5,10 @@ Protocol objects arm timers through
 ``network.scheduler`` — a :class:`~repro.sim.scheduler.Scheduler` in the
 simulation. This class presents the same surface (``now``, ``schedule``,
 ``cancel``, ``pending``) but fires callbacks on real elapsed time via
-``loop.call_later``, so the exact same replica/voter/GM code runs
-unmodified in a real process.
+``loop.call_later`` — or, for a zero delay (an element's own copy of a
+multicast), ``loop.call_soon``: still asynchronous, never in asyncio's
+timer heap — so the exact same replica/voter/GM code runs unmodified in
+a real process.
 
 Handles are the simulator's :class:`TimerHandle` dataclass — processes
 stash them in sets and hand them back for cancellation, so identity must
@@ -28,7 +30,7 @@ class RealTimeScheduler:
         self.loop = loop
         self._t0 = loop.time()
         self._seq = 0
-        self._live: dict[tuple[float, int], asyncio.TimerHandle] = {}
+        self._live: dict[TimerHandle, asyncio.Handle] = {}
         self._events_executed = 0
 
     @property
@@ -45,23 +47,19 @@ class RealTimeScheduler:
             raise ValueError(f"negative delay: {delay}")
         handle = TimerHandle(time=self.now + delay, seq=self._seq)
         self._seq += 1
-        key = (handle.time, handle.seq)
 
         def fire() -> None:
-            self._live.pop(key, None)
+            del self._live[handle]
             self._events_executed += 1
             callback()
 
-        self._live[key] = self.loop.call_later(delay, fire)
+        self._live[handle] = (
+            self.loop.call_later(delay, fire) if delay else self.loop.call_soon(fire)
+        )
         return handle
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.schedule(time - self.now, callback)
-
     def cancel(self, handle: TimerHandle) -> bool:
-        timer = self._live.pop((handle.time, handle.seq), None)
+        timer = self._live.pop(handle, None)
         if timer is None:
             return False
         timer.cancel()
@@ -72,9 +70,8 @@ class RealTimeScheduler:
 
     def cancel_all(self) -> int:
         """Shutdown path: cancel every armed timer so the loop can drain."""
-        cancelled = 0
+        cancelled = len(self._live)
         for timer in self._live.values():
             timer.cancel()
-            cancelled += 1
         self._live.clear()
         return cancelled

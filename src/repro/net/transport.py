@@ -7,9 +7,8 @@ reaches the destination process. Factoring the seam this way keeps every
 fault/latency model in the deterministic oracle while letting a second
 implementation put the same payloads on a real wire:
 
-* :class:`SimTransport` — schedules an in-memory delivery on the
-  simulation's discrete-event scheduler (the historical behaviour of
-  ``Network._deliver_later``, extracted verbatim);
+* :class:`SimTransport` — posts an in-memory delivery on the simulation's
+  discrete-event scheduler;
 * :class:`~repro.net.tcp.AsyncioTransport` — frames the payload through
   :mod:`repro.net.wire` and writes it to a TCP peer.
 """
@@ -78,20 +77,22 @@ class SimTransport(Transport):
 
         def do_deliver() -> None:
             # Receiver may have been removed or crashed in the interim.
-            if dst not in network.processes:
+            process = network.processes.get(dst)
+            if process is None:
                 network.stats.messages_dropped += 1
                 if network._m_dropped is not None:
                     network._m_dropped.labels(reason="late").inc()
                 return
             network.stats.messages_delivered += 1
-            network.trace.record(network.scheduler.now, "deliver", src, dst, payload)
+            if network.trace.enabled:
+                network.trace.record(network.scheduler.now, "deliver", src, dst, payload)
             if network._m_delivered is not None:
                 network._m_delivered.inc()
                 # Feed the phi-accrual timeliness estimator: every delivery
                 # is one inter-arrival observation for its sender.
                 network.telemetry.detect.observe_arrival(src, network.scheduler.now)
-            network.processes[dst].deliver(src, payload)
+            process.deliver(src, payload)
             if network.on_deliver is not None:
                 network.on_deliver(src, dst, payload)
 
-        network.scheduler.schedule(delay, do_deliver)
+        network.scheduler.post(delay, do_deliver)

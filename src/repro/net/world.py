@@ -4,9 +4,8 @@ In the simulator, one :class:`~repro.sim.network.Network` owns every
 process. In the wire backend each OS process owns exactly one protocol
 element, and the "network" it is attached to is this facade: the same
 attribute surface a :class:`~repro.sim.process.Process` touches
-(``scheduler``, ``send``, ``multicast``, ``telemetry``, ``trace``,
-``stats``) but with sends routed to a :class:`Transport` and timers on the
-wall clock. Multicast goes over the topology's group map with IP multicast
+(``scheduler``, ``send``, ``multicast``, ``telemetry``, ``stats``) but with
+sends routed to a :class:`Transport` and timers on the wall clock. Multicast goes over the topology's group map with IP multicast
 loopback semantics: the sender receives its own copy iff it is a member,
 which the BFT layer relies on. The remote members are handed to the
 transport in one call, so it can encode the payload once for all of them.
@@ -22,7 +21,6 @@ from repro.net.transport import Transport
 from repro.obs.telemetry import NOOP_TELEMETRY, Telemetry
 from repro.sim.network import TrafficStats, payload_size
 from repro.sim.process import Process, ProcessId
-from repro.sim.trace import TraceRecorder
 
 
 class NetWorld:
@@ -38,8 +36,6 @@ class NetWorld:
         self.scheduler = scheduler
         self.transport = transport
         self.groups = {addr: tuple(sorted(pids)) for addr, pids in groups.items()}
-        self.trace = TraceRecorder()
-        self.trace.enabled = False
         self.stats = TrafficStats()
         self.telemetry: Telemetry = NOOP_TELEMETRY
         if telemetry:

@@ -268,7 +268,7 @@ class IiopClient(Process):
             connection.send_locate(ref.object_key, outcome.append)
 
         self.connect(ref.domain_id, on_connection)
-        network = self._require_network()
+        network = self.network
         network.run(stop_when=lambda: bool(outcome), max_events=100_000)
         if not outcome:
             raise CommFailure("no locate reply")
@@ -298,7 +298,7 @@ class IiopClient(Process):
             )
 
         self.connect(ref.domain_id, on_connection)
-        network = self._require_network()
+        network = self.network
         network.run(stop_when=lambda: bool(outcome), max_events=1_000_000)
         if not outcome:
             raise CommFailure(f"no reply for {ref.interface_name}.{operation}")

@@ -23,14 +23,22 @@ class MulticastGroup:
             raise ValueError("multicast address must be non-empty")
         self.address = address
         self.members: set[ProcessId] = set()
+        self._ordered: tuple[ProcessId, ...] | None = None
 
     def join(self, pid: ProcessId) -> None:
         """Add ``pid`` to the group (idempotent, like IGMP join)."""
         self.members.add(pid)
+        self._ordered = None
 
     def leave(self, pid: ProcessId) -> None:
         """Remove ``pid``; leaving a group one is not in is a no-op."""
         self.members.discard(pid)
+        self._ordered = None
+
+    def ordered(self) -> tuple[ProcessId, ...]:
+        """The members in fan-out (sorted) order, kept until a join or leave."""
+        self._ordered = self._ordered or tuple(sorted(self.members))
+        return self._ordered
 
     def __contains__(self, pid: ProcessId) -> bool:
         return pid in self.members

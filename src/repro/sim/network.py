@@ -195,7 +195,8 @@ class Network:
         self.stats.messages_sent += 1
         size = payload_size(payload)
         self.stats.bytes_sent += size
-        self.trace.record(self.scheduler.now, "send", src, dst, payload)
+        if self.trace.enabled:
+            self.trace.record(self.scheduler.now, "send", src, dst, payload)
         if self._m_sent is not None:
             self._m_sent.inc()
             self._m_bytes.inc(size)
@@ -210,30 +211,35 @@ class Network:
         group = self.groups.get(group_addr)
         if group is None:
             raise KeyError(f"unknown multicast address {group_addr!r}")
-        self.stats.multicasts_sent += 1
+        members = group.ordered()
         size = payload_size(payload)
-        self.trace.record(self.scheduler.now, "multicast", src, group_addr, payload)
-        for member in sorted(group.members):
-            self.stats.messages_sent += 1
-            self.stats.bytes_sent += size
-            if self._m_sent is not None:
-                self._m_sent.inc()
-                self._m_bytes.inc(size)
+        self.stats.multicasts_sent += 1
+        self.stats.messages_sent += len(members)
+        self.stats.bytes_sent += size * len(members)
+        if self.trace.enabled:
+            self.trace.record(self.scheduler.now, "multicast", src, group_addr, payload)
+        if self._m_sent is not None:  # per copy, as the unicast path counts
+            self._m_sent.inc(len(members))
+            self._m_bytes.inc(size * len(members))
+        for member in members:
             self._transmit(src, member, payload, size)
 
     def _drop(self, src: ProcessId, dst: ProcessId, payload: Any, reason: str) -> None:
         self.stats.messages_dropped += 1
-        self.trace.record(self.scheduler.now, "drop", src, dst, payload)
+        if self.trace.enabled:
+            self.trace.record(self.scheduler.now, "drop", src, dst, payload)
         if self._m_dropped is not None:
             self._m_dropped.labels(reason=reason).inc()
 
     def _transmit(self, src: ProcessId, dst: ProcessId, payload: Any, size: int) -> None:
+        """The fault gates, in order, then the transport seam. An unarmed
+        gate (no partition, no loss, no adversary) costs one truth test."""
         if dst not in self.processes:
             # Receiver gone (e.g. expelled then deregistered): drop silently,
             # as IP would.
             self._drop(src, dst, payload, "unreachable")
             return
-        if self.is_partitioned(src, dst):
+        if self._partitioned and self.is_partitioned(src, dst):
             self._drop(src, dst, payload, "partition")
             return
         if self.config.drop_probability and self.rng.random() < self.config.drop_probability:
@@ -250,20 +256,9 @@ class Network:
                     self._drop(src, dst, payload, "chaos")
                     return
                 for extra_delay, adjusted in verdict:
-                    self._deliver_later(src, dst, adjusted, size, extra_delay)
+                    self.transport.transmit(src, dst, adjusted, size, extra_delay)
                 return
-        self._deliver_later(src, dst, payload, size, 0.0)
-
-    def _deliver_later(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        payload: Any,
-        size: int,
-        extra_delay: float,
-    ) -> None:
-        """Hand a gate-surviving message to the transport seam."""
-        self.transport.transmit(src, dst, payload, size, extra_delay)
+        self.transport.transmit(src, dst, payload, size, 0.0)
 
     # -- running ------------------------------------------------------------
 

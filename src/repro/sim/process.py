@@ -10,12 +10,24 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.telemetry import NOOP_TELEMETRY
 from repro.sim.scheduler import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.network import Network
 
 ProcessId = str
+
+
+class _Detached:
+    """:attr:`Process.network` until :meth:`Process.attach`: the shared no-op
+    telemetry, and on any other use an error saying what is missing — so an
+    attached process pays no check per send."""
+
+    telemetry = NOOP_TELEMETRY
+
+    def __getattr__(self, name: str) -> Any:
+        raise RuntimeError("process is not attached to a network")
 
 
 class Process:
@@ -34,7 +46,7 @@ class Process:
         if not pid:
             raise ValueError("process id must be non-empty")
         self.pid: ProcessId = pid
-        self.network: Network | None = None
+        self.network: Network = _Detached()  # type: ignore[assignment]
         self.crashed: bool = False
         self._timers: set[TimerHandle] = set()
 
@@ -44,23 +56,14 @@ class Process:
         """Called by :meth:`Network.add_process`; do not call directly."""
         self.network = network
 
-    def _require_network(self) -> Network:
-        if self.network is None:
-            raise RuntimeError(f"process {self.pid!r} is not attached to a network")
-        return self.network
-
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self._require_network().scheduler.now
+        return self.network.scheduler.now
 
     @property
     def telemetry(self):
         """The world's telemetry facade (the shared no-op when unattached)."""
-        if self.network is None:
-            from repro.obs.telemetry import NOOP_TELEMETRY
-
-            return NOOP_TELEMETRY
         return self.network.telemetry
 
     # -- messaging --------------------------------------------------------
@@ -69,13 +72,13 @@ class Process:
         """Send ``payload`` point-to-point to process ``dst``."""
         if self.crashed:
             return
-        self._require_network().send(self.pid, dst, payload)
+        self.network.send(self.pid, dst, payload)
 
     def multicast(self, group_addr: str, payload: Any) -> None:
         """Send ``payload`` to every member of an IP-multicast group."""
         if self.crashed:
             return
-        self._require_network().multicast(self.pid, group_addr, payload)
+        self.network.multicast(self.pid, group_addr, payload)
 
     def deliver(self, src: ProcessId, payload: Any) -> None:
         """Entry point used by the network. Routes to :meth:`on_message`."""
@@ -91,21 +94,20 @@ class Process:
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` after ``delay`` simulated seconds (unless crashed)."""
-        scheduler = self._require_network().scheduler
 
         def guarded() -> None:
             self._timers.discard(handle)
             if not self.crashed:
                 callback()
 
-        handle = scheduler.schedule(delay, guarded)
+        handle = self.network.scheduler.schedule(delay, guarded)
         self._timers.add(handle)
         return handle
 
     def cancel_timer(self, handle: TimerHandle) -> bool:
         """Cancel a pending timer set by this process."""
         self._timers.discard(handle)
-        return self._require_network().scheduler.cancel(handle)
+        return self.network.scheduler.cancel(handle)
 
     def cancel_all_timers(self) -> int:
         """Cancel every timer this process still has armed.
@@ -114,7 +116,7 @@ class Process:
         the crash flag nor resets subclass state, so a node can quiesce its
         scheduler before tearing the process down.
         """
-        scheduler = self._require_network().scheduler
+        scheduler = self.network.scheduler
         cancelled = 0
         for handle in list(self._timers):
             if scheduler.cancel(handle):
@@ -139,10 +141,7 @@ class Process:
         Unlike :meth:`recover`, timers armed before the crash do not fire
         after a restart — a rebooted process re-arms its own periodic work.
         """
-        scheduler = self._require_network().scheduler
-        for handle in list(self._timers):
-            scheduler.cancel(handle)
-        self._timers.clear()
+        self.cancel_all_timers()
         self.crashed = False
         self.on_restart()
 

@@ -1,18 +1,8 @@
-"""Event scheduler: the heart of the deterministic simulation.
-
-The scheduler is a priority queue of ``[time, sequence, callback]`` entries.
-The ``sequence`` counter breaks ties between events scheduled for the same
-instant, so execution order is a pure function of the schedule calls that
-produced it — two runs with the same seed interleave identically. It is
-unique, so ``heapq`` orders entries in C without ever comparing callbacks;
-cancelling an entry clears its callback in place and the loop skips it.
-"""
-
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -25,12 +15,18 @@ class TimerHandle:
 
     time: float
     seq: int
+    #: The simulator's heap entry; its callback slot is ``None`` once the
+    #: event has fired or been cancelled.
+    entry: Any = field(default=None, compare=False, repr=False)
 
 
 class Scheduler:
     """A deterministic discrete-event scheduler.
 
-    Example::
+    A heap of ``[time, seq, callback]`` entries. ``seq`` is unique and breaks
+    ties between events of the same instant, so execution order is a pure
+    function of the :meth:`schedule`/:meth:`post` calls that produced it and
+    ``heapq`` never compares callbacks. Example::
 
         sched = Scheduler()
         sched.schedule(1.5, lambda: print("fires at t=1.5"))
@@ -41,7 +37,6 @@ class Scheduler:
         self._now = 0.0
         self._seq = 0
         self._heap: list[list] = []
-        self._live: dict[tuple[float, int], list] = {}
         self._events_executed = 0
 
     @property
@@ -54,6 +49,14 @@ class Scheduler:
         """Total number of events executed so far (for budget checks)."""
         return self._events_executed
 
+    def post(self, delay: float, callback: Callable[[], None]) -> None:
+        """Queue an event nobody can cancel (a message delivery): one heap
+        entry, ordered with :meth:`schedule`'s by the same ``seq`` counter."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        heapq.heappush(self._heap, [self._now + delay, self._seq, callback])
+        self._seq += 1
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
@@ -62,43 +65,28 @@ class Scheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        time, seq = self._now + delay, self._seq
+        entry = [self._now + delay, self._seq, callback]
         self._seq += 1
-        entry = [time, seq, callback]
         heapq.heappush(self._heap, entry)
-        self._live[(time, seq)] = entry
-        return TimerHandle(time=time, seq=seq)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule ``callback`` at an absolute simulated time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        return self.schedule(time - self._now, callback)
+        return TimerHandle(entry[0], entry[1], entry)
 
     def cancel(self, handle: TimerHandle) -> bool:
         """Cancel a pending event. Returns True if it had not yet fired."""
-        entry = self._live.pop((handle.time, handle.seq), None)
-        if entry is None:
+        entry = handle.entry
+        if entry[2] is None:
             return False
         entry[2] = None
         return True
 
     def pending(self) -> int:
         """Number of events still waiting to fire."""
-        return len(self._live)
+        return sum(entry[2] is not None for entry in self._heap)
 
     def step(self) -> bool:
         """Execute the single next event. Returns False if none remain."""
-        while self._heap:
-            time, seq, callback = heapq.heappop(self._heap)
-            if callback is None:
-                continue
-            del self._live[(time, seq)]
-            self._now = time
-            self._events_executed += 1
-            callback()
-            return True
-        return False
+        before = self._events_executed
+        self.run(stop_when=lambda: True)
+        return self._events_executed != before
 
     def run(
         self,
@@ -113,19 +101,22 @@ class Scheduler:
         ``max_events``: safety valve against runaway protocols.
         ``stop_when``: predicate checked after every event.
         """
+        heap = self._heap
+        heappop = heapq.heappop
         executed = 0
-        while self._heap:
-            # Peek (skipping cancelled entries) to honour the `until` bound
-            # without consuming the event.
-            while self._heap and self._heap[0][2] is None:
-                heapq.heappop(self._heap)
-            if not self._heap:
-                break
-            if until is not None and self._heap[0][0] > until:
-                self._now = max(self._now, until)
-                return
-            if not self.step():
-                break
+        while heap:
+            entry = heap[0]
+            callback = entry[2]
+            if callback is None:
+                heappop(heap)
+                continue
+            if until is not None and entry[0] > until:
+                break  # honour the bound without consuming the event
+            heappop(heap)
+            entry[2] = None  # fired: a later cancel() of its handle says so
+            self._now = entry[0]
+            self._events_executed += 1
+            callback()
             executed += 1
             if stop_when is not None and stop_when():
                 return

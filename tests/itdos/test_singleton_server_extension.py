@@ -80,7 +80,7 @@ def test_singleton_server_offers_no_fault_tolerance():
 
     # Bounded run: no voted reply can form.
     with pytest.raises((NoResponse, RuntimeError)):
-        client._require_network().run = _bounded_run(client._require_network())
+        client.network.run = _bounded_run(client.network)
         stub.audited_deposit("acct", 10.0)
 
 

@@ -1,8 +1,10 @@
-"""Unit tests for the discrete-event scheduler."""
+"""Unit tests for the discrete-event scheduler, and the model it is held to."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.scheduler import Scheduler
 
@@ -50,20 +52,19 @@ def test_negative_delay_rejected():
         sched.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
+def test_post_shares_the_tie_break_counter_with_schedule():
     sched = Scheduler()
-    seen = []
-    sched.schedule(1.0, lambda: sched.schedule_at(5.0, lambda: seen.append(sched.now)))
+    fired = []
+    sched.schedule(1.0, lambda: fired.append("a"))
+    assert sched.post(1.0, lambda: fired.append("b")) is None
+    sched.schedule(1.0, lambda: fired.append("c"))
+    sched.post(0.5, lambda: fired.append("first"))
+    assert sched.pending() == 4
     sched.run()
-    assert seen == [5.0]
-
-
-def test_schedule_at_past_rejected():
-    sched = Scheduler()
-    sched.schedule(2.0, lambda: None)
-    sched.run()
+    assert fired == ["first", "a", "b", "c"]
+    assert (sched.events_executed, sched.pending()) == (4, 0)
     with pytest.raises(ValueError):
-        sched.schedule_at(1.0, lambda: None)
+        sched.post(-0.1, lambda: None)
 
 
 def test_cancel_prevents_firing():
@@ -87,6 +88,33 @@ def test_cancel_after_fire_returns_false():
     handle = sched.schedule(1.0, lambda: None)
     sched.run()
     assert sched.cancel(handle) is False
+
+
+def test_stale_cancels_leave_pending_alone():
+    """``Process.restart``/``cancel_all_timers`` cancel every handle they
+    stashed, fired or not, and shutdown then asserts ``pending() == 0``: a
+    cancel of a fired or already-cancelled event must not count again."""
+    sched = Scheduler()
+    fired = sched.schedule(1.0, lambda: None)
+    sched.post(1.0, lambda: None)
+    gone = sched.schedule(2.0, lambda: None)
+    keep = sched.schedule(3.0, lambda: None)
+    sched.run(until=1.5)
+    assert sched.cancel(gone) is True
+    assert sched.pending() == 1
+    for _ in range(3):
+        assert sched.cancel(fired) is False
+        assert sched.cancel(gone) is False
+        assert sched.pending() == 1
+    # ... nor may a callback that cancels its own, already firing, event.
+    own = []
+    own.append(sched.schedule(0.5, lambda: own.append(sched.cancel(own[0]))))
+    sched.run(until=2.5)
+    assert own[1] is False and sched.pending() == 1
+    assert sched.cancel(keep) is True
+    assert sched.pending() == 0
+    sched.run()
+    assert sched.events_executed == 3
 
 
 def test_run_until_stops_before_later_events():
@@ -220,3 +248,130 @@ def test_callbacks_are_never_compared():
         sched.schedule(1.0, Uncomparable())
     sched.run()
     assert sched.events_executed == 50
+
+
+# -- the scheduler against a reference model ---------------------------------------
+
+
+class Reference:
+    """The scheduler's contract written the slow way: one sorted list of
+    ``(time, seq, callback)``; a handle is its ``(time, seq)``."""
+
+    def __init__(self):
+        self.now, self.seq, self.queue, self.events_executed = 0.0, 0, [], 0
+
+    def schedule(self, delay, callback):
+        self.queue.append((self.now + delay, self.seq, callback))
+        self.queue.sort(key=lambda entry: entry[:2])
+        self.seq += 1
+        return (self.now + delay, self.seq - 1)
+
+    def post(self, delay, callback):
+        self.schedule(delay, callback)
+
+    def cancel(self, handle):
+        live = [entry for entry in self.queue if entry[:2] == handle]
+        self.queue = [entry for entry in self.queue if entry[:2] != handle]
+        return bool(live)
+
+    def cancel_all(self):
+        cancelled, self.queue = len(self.queue), []
+        return cancelled
+
+    def pending(self):
+        return len(self.queue)
+
+    def step(self):
+        if not self.queue:
+            return False
+        self.now, _seq, callback = self.queue.pop(0)
+        self.events_executed += 1
+        callback()
+        return True
+
+    def run(self, until=None, max_events=None, stop_when=None):
+        executed = 0
+        while self.queue and (until is None or self.queue[0][0] <= until):
+            self.step()
+            executed += 1
+            if stop_when is not None and stop_when():
+                return
+            if max_events is not None and executed >= max_events:
+                raise RuntimeError("max_events")
+        if until is not None:
+            self.now = max(self.now, until)
+
+
+def programs(arms, delays, drivers):
+    """Lists of operations: arm an event whose callback arms more (possibly at
+    the same instant) and cancels others; cancel the k-th handle issued so far,
+    be it live, fired or already cancelled; and whatever ``drivers`` adds."""
+    arm, delay = st.sampled_from(arms), st.sampled_from(delays)
+    cancel = st.tuples(st.just("cancel"), st.integers(0, 40))
+    event = st.recursive(
+        st.tuples(arm, delay, st.just(())),
+        lambda inner: st.tuples(arm, delay, st.lists(inner | cancel, max_size=3).map(tuple)),
+        max_leaves=8,
+    )
+    return st.lists(st.one_of(event, cancel, *drivers), max_size=30)
+
+
+def play(sched, program, drive):
+    """Run ``program`` on ``sched``; the trace is every firing and, after each
+    operation, what the scheduler says about itself. ``drive(sched, op)``
+    performs the operations that are not arm/cancel."""
+    trace, handles, idents = [], [], iter(range(10**6))
+
+    def do(op):
+        if op[0] == "cancel":
+            return bool(handles) and sched.cancel(handles[op[1] % len(handles)])
+        if op[0] not in ("schedule", "post"):
+            return drive(sched, op)
+        kind, delay, children = op
+        ident = next(idents)
+
+        def fire():
+            trace.append(("fired", ident))
+            for child in children:
+                do(child)
+
+        handle = getattr(sched, kind)(delay, fire)
+        if handle is not None:
+            handles.append(handle)
+        return None
+
+    for op in program:
+        result = do(op)
+        trace.append((op[0], result, sched.now, sched.pending(), sched.events_executed))
+    return trace
+
+
+def _drive_sim(sched, op):
+    if op[0] == "step":
+        return sched.step()
+    if op[0] == "until":
+        sched.run(until=sched.now + op[1])
+    elif op[0] == "stop_when":
+        target = sched.events_executed + op[1]
+        sched.run(stop_when=lambda: sched.events_executed >= target)
+    else:
+        try:
+            sched.run(max_events=op[1])
+        except RuntimeError:
+            return "RuntimeError"
+    return None
+
+
+SIM_DELAYS = (0.0, 0.0, 0.25, 0.5, 1.0)
+SIM_DRIVERS = (
+    st.just(("step",)),
+    st.tuples(st.just("until"), st.sampled_from(SIM_DELAYS)),
+    st.tuples(st.just("stop_when"), st.integers(1, 4)),
+    st.tuples(st.just("max_events"), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs(("schedule", "post"), SIM_DELAYS, SIM_DRIVERS))
+def test_scheduler_matches_the_reference_model(program):
+    assert play(Scheduler(), program, _drive_sim) == play(Reference(), program, _drive_sim)
