@@ -19,7 +19,7 @@ import time
 
 from benchmarks.conftest import once, print_table
 from repro.giop.cdr import CdrDecoder, CdrEncoder
-from repro.giop.codec import FastDecoder, FastEncoder, codec_cache_stats
+from repro.giop.codec import codec_cache_stats, compile_codec
 from repro.giop.typecodes import (
     TC_BOOLEAN,
     TC_DOUBLE,
@@ -82,12 +82,13 @@ def _measure_cell(tc, value, byte_order):
         encoder.encode(tc, value)
         return encoder.getvalue()
 
+    codec = compile_codec(tc)
+    order = 0 if byte_order == "big" else 1
+
     def enc_fast():
-        encoder = FastEncoder(byte_order)
-        encoder.encode(tc, value)
-        wire = encoder.getvalue()
-        encoder.release()
-        return wire
+        buf = bytearray()
+        codec.encode_value_into(buf, value, order)
+        return bytes(buf)
 
     wire = enc_interp()
     assert wire == enc_fast()  # byte identity before any timing
@@ -96,7 +97,7 @@ def _measure_cell(tc, value, byte_order):
         return CdrDecoder(wire, byte_order).decode(tc)
 
     def dec_fast():
-        return FastDecoder(wire, byte_order).decode(tc)
+        return codec.decode_value(memoryview(wire), 0, order)[0]
 
     assert dec_fast() == dec_interp()
     return {

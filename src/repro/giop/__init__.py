@@ -18,10 +18,8 @@ extensions:
   bits — the two phenomena that break byte-by-byte voting [3].
 """
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
+from repro.giop.cdr import CdrError
 from repro.giop.codec import (
-    FastDecoder,
-    FastEncoder,
     clear_codec_cache,
     codec_cache_stats,
     compile_codec,
@@ -67,12 +65,8 @@ from repro.giop.typecodes import (
 )
 
 __all__ = [
-    "CdrDecoder",
-    "CdrEncoder",
     "CdrError",
     "EnumType",
-    "FastDecoder",
-    "FastEncoder",
     "GiopError",
     "InterfaceDef",
     "InterfaceRepository",

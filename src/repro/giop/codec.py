@@ -1,13 +1,13 @@
-"""Compiled CDR codecs: the marshal/vote fast path.
+"""Compiled CDR codecs and per-operation message plans: the marshal/vote path.
 
 ITDOS votes on *unmarshalled* data (§3.6), so every request is CDR-encoded
 once per sender and decoded ``3f+1`` times in the voters — marshalling, not
 the ordering protocol, dominates once batching has amortized the quorum
 traffic (Chondros et al. make the same observation about real PBFT
-deployments). The interpreted :class:`~repro.giop.cdr.CdrEncoder` /
-:class:`~repro.giop.cdr.CdrDecoder` walk the TypeCode tree recursively and
-issue one ``struct.pack``/``unpack`` per field; this module compiles a
-TypeCode tree **once** into a codec plan and reuses it for every value:
+deployments). The interpreted reference coder in :mod:`repro.giop.cdr`
+walks the TypeCode tree recursively and issues one ``struct.pack``/``unpack``
+per field; this module compiles a TypeCode tree **once** into a codec plan
+and reuses it for every value:
 
 * contiguous runs of fixed-size primitives — across struct nesting
   boundaries — collapse into a single precomputed :class:`struct.Struct`,
@@ -18,16 +18,20 @@ TypeCode tree **once** into a codec plan and reuses it for every value:
 * variable parts (strings, nested sequences) become dedicated plan ops;
 * decode is **zero-copy**: a :class:`memoryview` cursor with
   ``struct.unpack_from``, never ``bytes(data)`` up front;
-* encoders draw their output ``bytearray`` from a small process-wide pool.
+* encode appends to the caller's ``bytearray``, aligned relative to where
+  the CDR stream starts in it, so a GIOP message is one buffer.
 
-Plans are cached per process, keyed on TypeCode identity (the cache pins
+Codecs are cached per process, keyed on TypeCode identity (the cache pins
 the TypeCode, so ``id`` reuse cannot alias entries). Receiver-makes-right
 is preserved: each plan precompiles both byte orders. The compiler covers
 every :class:`~repro.giop.typecodes.TypeCode` class and primitive kind; an
-unknown TypeCode raises :class:`~repro.giop.cdr.CdrError`. The recursive
-coder in :mod:`repro.giop.cdr` is the readable reference the plans are
-fuzzed against (``tests/giop/test_codec_equivalence.py``) — no product
-module runs it.
+unknown TypeCode raises :class:`~repro.giop.cdr.CdrError`.
+
+:class:`OperationPlan` lays one IDL operation out for
+:mod:`repro.giop.messages` (constant name bytes, body codecs); the
+repository builds one per operation at registration. The recursive coder is
+the reference these are fuzzed against (``tests/giop/test_codec_equivalence.py``,
+``tests/giop/test_messages_reference.py``) — no product module runs it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ import struct
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
+from repro.giop.cdr import CdrError
 from repro.giop.typecodes import (
+    TC_VOID,
     EnumType,
     PrimitiveType,
     SequenceType,
@@ -215,7 +220,7 @@ class _Segment:
             units[(p + sizes[p]) % 8] == units[p] for p in range(8)
         )
 
-    def encode(self, buf: bytearray, flat: list, order: int) -> None:
+    def encode(self, buf: bytearray, flat: list, order: int, origin: int) -> None:
         values = flat[self.start : self.start + self.count]
         for i, must_be_bool in self.checks:
             if (type(values[i]) is bool) is not must_be_bool:
@@ -225,7 +230,7 @@ class _Segment:
                 )
         for i, conv in self.enc_convs:
             values[i] = conv(values[i])
-        packer = self.structs[order][len(buf) % 8]
+        packer = self.structs[order][(len(buf) - origin) % 8]
         try:
             buf += packer.pack(*values)
         except _PACK_ERRORS as exc:
@@ -256,7 +261,7 @@ class _VoidOp:
     def __init__(self, slot: int) -> None:
         self.slot = slot
 
-    def encode(self, buf: bytearray, flat: list, order: int) -> None:
+    def encode(self, buf: bytearray, flat: list, order: int, origin: int) -> None:
         if flat[self.slot] is not None:
             raise CdrError(f"void must be None, got {flat[self.slot]!r}")
 
@@ -273,39 +278,46 @@ class _StringOp:
     def __init__(self, slot: int) -> None:
         self.slot = slot
 
-    def encode(self, buf: bytearray, flat: list, order: int) -> None:
-        value = flat[self.slot]
-        if not isinstance(value, str):
-            raise CdrError(f"cannot pack {value!r} as string")
-        encoded = value.encode("utf-8")
-        pad = -len(buf) % 4
-        endian = "big" if order == 0 else "little"
-        buf += (
-            b"\x00" * pad
-            + (len(encoded) + 1).to_bytes(4, endian)
-            + encoded
-            + b"\x00"
-        )
+    def encode(self, buf: bytearray, flat: list, order: int, origin: int) -> None:
+        buf += b"\x00" * ((origin - len(buf)) % 4) + cdr_string(flat[self.slot], order)
 
     def decode(self, view: memoryview, pos: int, flat: list, order: int) -> int:
-        pos = _read_align(view, pos, 4)
-        length = _read_ulong(view, pos, order)
-        pos += 4
-        if length < 1:
-            raise CdrError("string missing NUL terminator")
-        if pos + length > len(view):
-            raise CdrError(
-                f"truncated stream: need {length} bytes at offset {pos}, "
-                f"have {len(view) - pos}"
-            )
-        raw = view[pos : pos + length]
-        if raw[length - 1] != 0:
-            raise CdrError("string not NUL-terminated")
-        try:
-            flat.append(str(raw[: length - 1], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CdrError("invalid UTF-8 in string") from exc
-        return pos + length
+        value, pos = read_string(view, pos, order)
+        flat.append(value)
+        return pos
+
+
+def cdr_string(value: Any, order: int) -> bytes:
+    """``value`` as a CDR string: ulong length, UTF-8, NUL (no leading pad)."""
+    if not isinstance(value, str):
+        raise CdrError(f"cannot pack {value!r} as string")
+    encoded = value.encode("utf-8")
+    return (len(encoded) + 1).to_bytes(4, "big" if order == 0 else "little") + encoded + b"\x00"
+
+
+def read_string(view: Any, pos: int, order: int) -> tuple[str, int]:
+    """The CDR string at ``pos`` (4-aligned first) and the offset past it."""
+    pos += -pos % 4 + 4
+    if pos > len(view):
+        raise CdrError(
+            f"truncated stream: need a string length at offset {pos - 4}, "
+            f"have {max(len(view) - pos + 4, 0)}"
+        )
+    length = int.from_bytes(view[pos - 4 : pos], "big" if order == 0 else "little")
+    if length < 1:
+        raise CdrError("string missing NUL terminator")
+    if pos + length > len(view):
+        raise CdrError(
+            f"truncated stream: need {length} bytes at offset {pos}, "
+            f"have {len(view) - pos}"
+        )
+    raw = view[pos : pos + length]
+    if raw[length - 1] != 0:
+        raise CdrError("string not NUL-terminated")
+    try:
+        return str(raw[: length - 1], "utf-8"), pos + length
+    except UnicodeDecodeError as exc:
+        raise CdrError("invalid UTF-8 in string") from exc
 
 
 def _read_align(view: memoryview, pos: int, align: int) -> int:
@@ -347,18 +359,18 @@ class _BulkSeqOp:
             self.enc_conv = self.dec_conv = None
             self.kind = element.kind
 
-    def encode(self, buf: bytearray, flat: list, order: int) -> None:
+    def encode(self, buf: bytearray, flat: list, order: int, origin: int) -> None:
         value = flat[self.slot]
         if not isinstance(value, (list, tuple)):
             raise CdrError(f"cannot pack {value!r} as sequence")
         n = len(value)
         if self.bound is not None and n > self.bound:
             raise CdrError(f"sequence length {n} exceeds bound {self.bound}")
-        pad = -len(buf) % 4
+        pad = (origin - len(buf)) % 4
         buf += b"\x00" * pad + n.to_bytes(4, "big" if order == 0 else "little")
         if not n:
             return
-        buf += b"\x00" * (-len(buf) % self.align)
+        buf += b"\x00" * ((origin - len(buf)) % self.align)
         if self.kind == "boolean":
             if any(type(item) is not bool for item in value):
                 raise CdrError("boolean sequence requires bool elements")
@@ -428,14 +440,14 @@ class _LoopSeqOp:
         self.element = element
         self.bound = bound
 
-    def encode(self, buf: bytearray, flat: list, order: int) -> None:
+    def encode(self, buf: bytearray, flat: list, order: int, origin: int) -> None:
         value = flat[self.slot]
         if not isinstance(value, (list, tuple)):
             raise CdrError(f"cannot pack {value!r} as sequence")
         n = len(value)
         if self.bound is not None and n > self.bound:
             raise CdrError(f"sequence length {n} exceeds bound {self.bound}")
-        pad = -len(buf) % 4
+        pad = (origin - len(buf)) % 4
         buf += b"\x00" * pad + n.to_bytes(4, "big" if order == 0 else "little")
         element = self.element
         seg = element.single_segment
@@ -443,7 +455,7 @@ class _LoopSeqOp:
         i = 0
         while i < n:
             if bulk and n - i > 1:
-                phase = len(buf) % 8
+                phase = (len(buf) - origin) % 8
                 if seg.stable[phase]:
                     flat_tail: list = []
                     flatten = element.flatten
@@ -469,7 +481,7 @@ class _LoopSeqOp:
                     except _PACK_ERRORS as exc:
                         raise CdrError(f"cannot pack sequence run: {exc}") from exc
                     return
-            element.encode_value_into(buf, value[i], order)
+            element.encode_value_into(buf, value[i], order, origin)
             i += 1
 
     def decode(self, view: memoryview, pos: int, flat: list, order: int) -> int:
@@ -566,14 +578,15 @@ class CompiledCodec:
             else None
         )
 
-    def encode_value_into(self, buf: bytearray, value: Any, order: int) -> None:
+    def encode_value_into(self, buf: bytearray, value: Any, order: int, origin: int = 0) -> None:
+        """Append ``value``, aligned relative to where the stream starts in ``buf``."""
         flat: list = []
         try:
             self.flatten(value, flat)
         except (KeyError, TypeError, AttributeError) as exc:
             raise CdrError(f"value does not match {self.tc!r}: {exc}") from exc
         for part in self.parts:
-            part.encode(buf, flat, order)
+            part.encode(buf, flat, order, origin)
 
     def decode_value(self, view: memoryview, pos: int, order: int) -> tuple[Any, int]:
         flat: list = []
@@ -670,128 +683,33 @@ def warm_interface(interface: Any) -> int:
     return warmed
 
 
-# -- encoder buffer pool ---------------------------------------------------------
+# -- operation plans -------------------------------------------------------------
 
 
-class _BufferPool:
-    """A small free-list of output bytearrays for FastEncoder."""
+class OperationPlan:
+    """One IDL operation's GIOP message plan, laid out once per byte order.
 
-    __slots__ = ("max_buffers", "max_bytes", "_free", "acquired", "reused")
-
-    def __init__(self, max_buffers: int = 32, max_bytes: int = 1 << 20) -> None:
-        self.max_buffers = max_buffers
-        self.max_bytes = max_bytes
-        self._free: list[bytearray] = []
-        self.acquired = 0
-        self.reused = 0
-
-    def acquire(self) -> bytearray:
-        if self._free:
-            self.reused += 1
-            return self._free.pop()
-        self.acquired += 1
-        return bytearray()
-
-    def release(self, buf: bytearray) -> None:
-        if len(self._free) < self.max_buffers and len(buf) <= self.max_bytes:
-            del buf[:]
-            self._free.append(buf)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "free": float(len(self._free)),
-            "acquired": float(self.acquired),
-            "reused": float(self.reused),
-        }
-
-
-BUFFER_POOL = _BufferPool()
-
-
-# -- drop-in fast coders -----------------------------------------------------------
-
-
-class FastEncoder(CdrEncoder):
-    """CdrEncoder that routes through compiled plans and a pooled buffer.
-
-    Byte-for-byte compatible with the reference encoder it subclasses for
-    the primitive/octet writers.
+    ``names[order]`` is the constant tail of a request or reply preamble:
+    the operation string, its pad to 4 and the interface string, as CDR
+    bytes. ``keys[order]`` is the same two strings without the pad — the
+    exact bytes a message carries, and so the key a receiver looks the plan
+    up by (the pad is never read). ``params`` and ``result`` are the body
+    codecs from :func:`compile_codec`; ``result`` is None for ``void``.
     """
 
-    def __init__(self, byte_order: str = "big") -> None:
-        super().__init__(byte_order)
-        self._buffer = BUFFER_POOL.acquire()
-        self._order = 0 if byte_order == "big" else 1
+    __slots__ = ("interface_name", "operation", "op", "names", "keys", "params", "result")
 
-    def encode(self, tc: TypeCode, value: Any) -> None:
-        """Marshal ``value`` per ``tc``, rejecting the same values as the
-        interpreted ``validate``-then-encode path.
-
-        Compiled plans validate *while* packing (struct formats enforce
-        ranges; plan ops carry the bool/str/bound/field checks pack alone
-        would miss), so the recursive ``tc.validate`` walk — the dominant
-        cost of interpreted encoding — is skipped entirely.
-        """
-        compile_codec(tc).encode_value_into(self._buffer, value, self._order)
-
-    def release(self) -> None:
-        """Return the output buffer to the pool (call after getvalue())."""
-        buf, self._buffer = self._buffer, bytearray()
-        BUFFER_POOL.release(buf)
-
-
-class FastDecoder(CdrDecoder):
-    """CdrDecoder over a zero-copy memoryview cursor with compiled plans."""
-
-    def __init__(self, data: Any, byte_order: str = "big") -> None:
-        if byte_order not in ("big", "little"):
-            raise ValueError("byte_order must be 'big' or 'little'")
-        self.byte_order = byte_order
-        self._prefix = ">" if byte_order == "big" else "<"
-        self._order = 0 if byte_order == "big" else 1
-        # No bytes(data) copy — the cursor reads the caller's buffer.
-        self._data = data if isinstance(data, memoryview) else memoryview(data)
-        self._pos = 0
-
-    def _take(self, size: int) -> bytes:
-        if self._pos + size > len(self._data):
-            raise CdrError(
-                f"truncated stream: need {size} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        chunk = bytes(self._data[self._pos : self._pos + size])
-        self._pos += size
-        return chunk
-
-    def read_primitive(self, kind: str) -> Any:
-        leaf = _FIXED_LEAVES.get(kind)
-        if leaf is not None:
-            char, size, align = leaf
-            self._align(align)
-            pos = self._pos
-            if pos + size > len(self._data):
-                raise CdrError(
-                    f"truncated stream: need {size} bytes at offset {pos}, "
-                    f"have {len(self._data) - pos}"
-                )
-            (raw,) = struct.unpack_from(self._prefix + char, self._data, pos)
-            self._pos = pos + size
-            if kind == "boolean":
-                return _bool_dec(raw)
-            return raw
-        if kind == "string":
-            flat: list = []
-            self._pos = _STRING_OP.decode(self._data, self._pos, flat, self._order)
-            return flat[0]
-        if kind == "void":
-            return None
-        raise CdrError(f"unknown primitive kind {kind}")  # pragma: no cover
-
-    def decode(self, tc: TypeCode) -> Any:
-        value, self._pos = compile_codec(tc).decode_value(
-            self._data, self._pos, self._order
+    def __init__(self, interface_name: str, op: Any) -> None:
+        self.interface_name = interface_name
+        self.operation = op.name
+        self.op = op
+        self.keys = tuple(
+            (cdr_string(op.name, order), cdr_string(interface_name, order))
+            for order in (0, 1)
         )
-        return value
-
-
-_STRING_OP = _StringOp(0)
+        self.names = tuple(
+            operation + b"\x00" * (-len(operation) % 4) + interface
+            for operation, interface in self.keys
+        )
+        self.params = tuple(compile_codec(param.tc) for param in op.params)
+        self.result = None if op.result is TC_VOID else compile_codec(op.result)

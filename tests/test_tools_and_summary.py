@@ -49,6 +49,16 @@ def test_extract_timings_absent():
     assert report.extract_timings("no tables here") == ""
 
 
+def test_sampler_prints_per_request_rows(capsys):
+    import tools.sample as sample
+
+    assert sample.main(["sim_null", "--slices", "4", "--interval", "0.001"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sim_null: ") and "CPU µs/request" in out
+    # The scheduler loop is under every sample taken while requests run.
+    assert "src/repro/sim/scheduler.py:run" in out
+
+
 def test_system_summary():
     system = make_system(seed=300)
     system.add_server_domain(
