@@ -29,6 +29,7 @@ from repro.bft.config import BftConfig
 from repro.bft.replica import build_group
 from repro.crypto.signing import HmacAuthenticator, KeyRing
 from repro.sim import FixedLatency, Network, NetworkConfig
+from tests.history import History
 
 BATCH_SIZES = [1, 4, 16]
 AUTH_MODES = ["null", "hmac", "rsa"]
@@ -174,6 +175,7 @@ def test_e14_view_change_reproposes_batches(benchmark):
             pipeline_window=4,
         )
         replicas = build_group(network, config)
+        history = History(network)
         total = 32
         results: dict[str, bytes] = {}
         clients = []
@@ -195,15 +197,15 @@ def test_e14_view_change_reproposes_batches(benchmark):
             stop_when=lambda: len(results) >= total, max_events=10**7
         )
         live = [r for r in replicas if not r.crashed]
-        return results, live, total
+        return results, live, total, history
 
-    results, live, total = once(benchmark, scenario)
+    results, live, total, history = once(benchmark, scenario)
     assert len(results) == total
     for replica in live:
         assert replica.view >= 1
         # Exactly-once execution across the view change.
-        executed = [(c, t) for _, c, t in replica.executions]
+        executed = [(c, t) for _, c, t in history.executions[replica.pid]]
         assert len(executed) == len(set(executed))
         assert len(executed) == total
-        assert replica.executions == live[0].executions
+        assert history.executions[replica.pid] == history.executions[live[0].pid]
     benchmark.extra_info["completed_across_view_change"] = len(results)

@@ -4,10 +4,10 @@ ITDOS encodes every request once per sender and decodes every reply 3f+1
 times in the client-side voter (§3.6), so CDR marshalling sits on the
 system's hottest path once E14's batching has amortized the ordering
 traffic. This experiment times the compiled codec plans against the
-reference TypeCode walker in ``repro.giop.cdr``: encode/decode ops/s per
-corpus TypeCode, both byte orders — the struct/sequence workloads must
-show the >= 3x combined speedup the plans exist for. Byte-identity of the
-two is asserted inline for every cell.
+reference TypeCode walker in ``tests/giop/reference_cdr.py``: encode/decode
+ops/s per corpus TypeCode, both byte orders — the struct/sequence workloads
+must show the >= 3x combined speedup the plans exist for. Byte-identity of
+the two is asserted inline for every cell.
 
 The end-to-end off/on cell (ordered req/s with the wire path switched
 between the two coders, x1.38 in RESULTS.md) is retired: the product has
@@ -18,7 +18,6 @@ one coder and no switch to flip. The scoreboard's ``giop.self_us`` /
 import time
 
 from benchmarks.conftest import once, print_table
-from repro.giop.cdr import CdrDecoder, CdrEncoder
 from repro.giop.codec import codec_cache_stats, compile_codec
 from repro.giop.typecodes import (
     TC_BOOLEAN,
@@ -28,6 +27,7 @@ from repro.giop.typecodes import (
     SequenceType,
     StructType,
 )
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder
 
 SAMPLE = StructType(
     "Sample", (("t", TC_DOUBLE), ("value", TC_DOUBLE), ("seq", TC_ULONG))

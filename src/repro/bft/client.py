@@ -75,7 +75,6 @@ class BftClientEngine:
         self._view_estimate = 0
         self._pending: dict[int, _PendingOp] = {}  # timestamp -> op
         self._queue: list[tuple[bytes, ReplyCallback]] = []
-        self.completed: list[tuple[int, bytes]] = []  # (timestamp, result)
 
     @property
     def client_id(self) -> str:
@@ -164,7 +163,6 @@ class BftClientEngine:
             if op.timer is not None:
                 self.owner.cancel_timer(op.timer)
                 op.timer = None
-            self.completed.append((payload.timestamp, payload.result))
             del self._pending[payload.timestamp]
             op.callback(payload.result)
             self._dispatch_queued()
@@ -202,10 +200,6 @@ class BftClient(Process):
 
     def on_message(self, src: str, payload: Any) -> None:
         self.engine.handle_message(src, payload)
-
-    @property
-    def completed(self) -> list[tuple[int, bytes]]:
-        return self.engine.completed
 
     @property
     def outstanding(self) -> int:

@@ -174,8 +174,6 @@ class BftReplica(Process):
         }
         # Observability.
         self.messages_sent: dict[str, int] = {}
-        self.executions: list[tuple[int, str, int]] = []  # (seq, client, timestamp)
-        self.order_journal: list[tuple[int, bytes]] = []  # (seq, batch digest)
 
     # ---------------------------------------------------------------- utils
 
@@ -798,13 +796,14 @@ class BftReplica(Process):
             assert entry.pre_prepare is not None
             self.last_executed += 1
             entry.executed = True
-            # Committed-order journal: (seq, batch content digest). External
-            # checkers (repro.chaos) assert that every replica's journal
-            # agrees on the digest at each sequence number it executed —
-            # the committed-sequence prefix-agreement safety property.
-            self.order_journal.append(
-                (self.last_executed, entry.pre_prepare.request_digest)
-            )
+            # (seq, batch content digest) to the observer: the chaos checker
+            # asserts every replica agrees on the digest at each sequence
+            # number it executed — committed-sequence prefix agreement.
+            observer = self.network.observer
+            if observer is not None:
+                observer.on_order(
+                    self.pid, self.last_executed, entry.pre_prepare.request_digest
+                )
             # Real progress: relax the escalated view-change patience.
             self._consecutive_view_changes = 0
             # Every replica unpacks the batch in its recorded order, so
@@ -841,7 +840,9 @@ class BftReplica(Process):
             result = self.execute_fn(
                 request.payload, seq, request.client_id, request.timestamp
             )
-        self.executions.append((seq, request.client_id, request.timestamp))
+        observer = self.network.observer
+        if observer is not None:
+            observer.on_execute(self.pid, seq, request.client_id, request.timestamp)
         reply = BftReply(
             view=self.view,
             timestamp=request.timestamp,

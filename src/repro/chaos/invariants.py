@@ -1,16 +1,20 @@
 """Global safety invariants, asserted after every delivered message.
 
-The checker is an omniscient observer: it reads every process's internal
-state directly (journals, dispatch logs, key stores, checkpoints) and
-raises :class:`InvariantViolation` the moment any cross-process safety
-predicate breaks — so a recorded violation trace ends at the exact
-delivery that broke the system, not at whatever later symptom a test
-would have noticed.
+The checker is an omniscient observer, fed two ways. Processes report each
+ordered batch, servant dispatch and decided fast-path read as an event on
+``Network.observer`` (the checker is that observer; nothing keeps a history
+list), and the checker buffers the events. Key stores, watermarks,
+checkpoints and votes it reads directly from process state. After every
+delivery (``Network.on_deliver``) it judges what it holds and raises
+:class:`InvariantViolation` the moment any cross-process safety predicate
+breaks — never inside the process that reported the event — so a recorded
+violation trace ends at the exact delivery that broke the system, not at
+whatever later symptom a test would have noticed.
 
 Predicates (the paper's safety story, made executable):
 
-* **prefix agreement** — every replica's committed-order journal agrees on
-  the batch digest at each sequence number it executed (PBFT safety).
+* **prefix agreement** — every replica agrees on the batch digest at each
+  sequence number it executed (PBFT safety).
 * **no duplicate execution** — per (connection, request id), a servant
   dispatches at most once, ids strictly increasing (§3.6).
 * **vote consistency** — a decided reply vote has ≥ f+1 distinct
@@ -83,30 +87,47 @@ class InvariantChecker:
         self.violations: list[Violation] = []
         self.checks_run = 0
         # Full-state scans (key stores, watermarks, checkpoints, votes) run
-        # every ``deep_check_interval`` deliveries; the incremental journal
-        # and dispatch scans run on every delivery.
+        # every ``deep_check_interval`` deliveries; ordering and dispatch
+        # events are judged on every delivery.
         self.deep_check_interval = max(1, deep_check_interval)
         self._events = 0
+        # Observer events not yet judged, in the order they happened.
+        self._orders: list[tuple[str, int, bytes]] = []
+        self._dispatches: list[tuple[str, int, int]] = []
+        self._decided_reads: list[tuple[str, int, int, int]] = []
         # Reference committed-order digests, first writer wins.
         self._order_ref: dict[tuple[str, int], bytes] = {}
-        self._journal_pos: dict[str, int] = {}
-        self._dispatch_pos: dict[str, int] = {}
         self._last_dispatch: dict[tuple[str, int], int] = {}
         self._epoch_floor: dict[tuple[str, int], tuple[int, int]] = {}
         self._checkpoint_ref: dict[tuple[str, int], bytes] = {}
-        self._read_decisions_pos: dict[tuple[str, int], int] = {}
+
+    # -- the Network.observer hooks: record only; on_deliver judges --------
+
+    def on_order(self, pid: str, seq: int, batch_digest: bytes) -> None:
+        self._orders.append((pid, seq, batch_digest))
+
+    def on_execute(self, pid: str, seq: int, client_id: str, timestamp: int) -> None:
+        """Nothing to judge: the batch's own order event covers it."""
+
+    def on_dispatch(self, pid: str, conn_id: int, request_id: int) -> None:
+        self._dispatches.append((pid, conn_id, request_id))
+
+    def on_read_decided(
+        self, pid: str, conn_id: int, read_id: int, watermark: int
+    ) -> None:
+        self._decided_reads.append((pid, conn_id, read_id, watermark))
 
     # -- wiring -------------------------------------------------------------
 
     def _replicas(self) -> list[tuple[str, Any]]:
         """(domain_id, replica) for every ordering participant: GM and core
-        elements, not the read tier (it orders nothing, keeps no journal)."""
+        elements, not the read tier (it orders nothing)."""
         out = [("gm", gm) for gm in self.system.gm_elements]
-        out.extend(
-            (element.domain_id, element)
-            for element in self.system.elements.values()
-            if hasattr(element, "order_journal")
-        )
+        for domain_id, info in self.system.directory.domains.items():
+            if info.kind != "gm":
+                out.extend(
+                    (domain_id, self.system.elements[pid]) for pid in info.element_ids
+                )
         return out
 
     def _key_stores(self) -> list[Any]:
@@ -126,8 +147,8 @@ class InvariantChecker:
     def on_deliver(self, src: str, dst: str, payload: Any) -> None:
         self._events += 1
         self.checks_run += 1
-        self.check_order_journals()
-        self.check_dispatch_logs()
+        self.check_ordering()
+        self.check_dispatches()
         self.check_read_reply(src, payload)
         if self._events % self.deep_check_interval == 0:
             self.deep_check()
@@ -137,46 +158,38 @@ class InvariantChecker:
         self.check_watermarks()
         self.check_checkpoints()
         self.check_vote_consistency()
-        self.check_read_decisions()
+        self.check_decided_reads()
         self.check_cross_shard_atomicity()
 
     # -- individual predicates ----------------------------------------------
 
-    def check_order_journals(self) -> None:
+    def check_ordering(self) -> None:
         """Committed-sequence prefix agreement across each domain."""
-        for domain_id, replica in self._replicas():
-            journal = replica.order_journal
-            pos = self._journal_pos.get(replica.pid, 0)
-            if len(journal) <= pos:
-                continue
-            for seq, batch_digest in journal[pos:]:
-                ref = self._order_ref.setdefault((domain_id, seq), batch_digest)
-                if ref != batch_digest:
-                    self._fail(
-                        "order-divergence",
-                        replica.pid,
-                        f"seq {seq}: {batch_digest.hex()[:16]} != {ref.hex()[:16]}",
-                    )
-            self._journal_pos[replica.pid] = len(journal)
+        orders, self._orders = self._orders, []
+        for pid, seq, batch_digest in orders:
+            element = self.system.elements.get(pid)
+            domain_id = "gm" if element is None else element.domain_id
+            ref = self._order_ref.setdefault((domain_id, seq), batch_digest)
+            if ref != batch_digest:
+                self._fail(
+                    "order-divergence",
+                    pid,
+                    f"seq {seq}: {batch_digest.hex()[:16]} != {ref.hex()[:16]}",
+                )
 
-    def check_dispatch_logs(self) -> None:
+    def check_dispatches(self) -> None:
         """No duplicate servant execution per (connection, request id)."""
-        for element in self.system.elements.values():
-            log = element.dispatch_log
-            pos = self._dispatch_pos.get(element.pid, 0)
-            if len(log) <= pos:
-                continue
-            for conn_id, request_id in log[pos:]:
-                key = (element.pid, conn_id)
-                last = self._last_dispatch.get(key, 0)
-                if request_id <= last:
-                    self._fail(
-                        "duplicate-dispatch",
-                        element.pid,
-                        f"conn {conn_id}: request {request_id} after {last}",
-                    )
-                self._last_dispatch[key] = request_id
-            self._dispatch_pos[element.pid] = len(log)
+        dispatches, self._dispatches = self._dispatches, []
+        for pid, conn_id, request_id in dispatches:
+            key = (pid, conn_id)
+            last = self._last_dispatch.get(key, 0)
+            if request_id <= last:
+                self._fail(
+                    "duplicate-dispatch",
+                    pid,
+                    f"conn {conn_id}: request {request_id} after {last}",
+                )
+            self._last_dispatch[key] = request_id
 
     def check_key_fences(self) -> None:
         """Per-connection epoch/fence monotonicity; no fenced keys held."""
@@ -290,32 +303,27 @@ class InvariantChecker:
                 f"> committed prefix {bound}",
             )
 
-    def check_read_decisions(self) -> None:
+    def check_decided_reads(self) -> None:
         """Every decided fast-path read sits within the committed prefix.
 
         Byzantine core elements may serve forged watermarks; the 2f+1
         matching-(watermark, value) quorum must keep any such forgery from
         ever *deciding* a read beyond what the honest domain committed.
         """
-        for client in self.system.clients.values():
-            for conn_id, connection in client.endpoint.connections.items():
-                decisions = getattr(connection, "read_decisions", None)
-                if not decisions:
-                    continue
-                state_key = (client.pid, conn_id)
-                pos = self._read_decisions_pos.get(state_key, 0)
-                if len(decisions) <= pos:
-                    continue
-                bound = self._committed_prefix(connection.target.domain_id)
-                for read_id, watermark in decisions[pos:]:
-                    if bound is not None and watermark > bound:
-                        self._fail(
-                            "read-decided-beyond-commit",
-                            client.pid,
-                            f"conn {conn_id} read {read_id}: decided watermark "
-                            f"{watermark} > committed prefix {bound}",
-                        )
-                self._read_decisions_pos[state_key] = len(decisions)
+        reads, self._decided_reads = self._decided_reads, []
+        for pid, conn_id, read_id, watermark in reads:
+            owner = self.system.clients.get(pid) or self.system.elements[pid]
+            connection = owner.endpoint.connections.get(conn_id)
+            if connection is None:
+                continue  # dropped since: its target is no longer known
+            bound = self._committed_prefix(connection.target.domain_id)
+            if bound is not None and watermark > bound:
+                self._fail(
+                    "read-decided-beyond-commit",
+                    pid,
+                    f"conn {conn_id} read {read_id}: decided watermark "
+                    f"{watermark} > committed prefix {bound}",
+                )
 
     def check_cross_shard_atomicity(self) -> None:
         """No honest process both commits and aborts the same transaction.
@@ -358,8 +366,8 @@ class InvariantChecker:
         """Run every predicate once more; ``pending`` maps still-unanswered
         invocation labels to their submission context (eventual-reply
         liveness under a bounded-loss schedule)."""
-        self.check_order_journals()
-        self.check_dispatch_logs()
+        self.check_ordering()
+        self.check_dispatches()
         self.deep_check()
         if pending:
             labels = ", ".join(str(k) for k in list(pending)[:8])

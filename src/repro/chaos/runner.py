@@ -184,6 +184,10 @@ class ScheduleRunner:
             bft_pipeline_window=scenario.pipeline_window,
             read_fastpath=scenario.read_fastpath,
         )
+        # Observing from the first event: the checker judges every ordered
+        # batch and dispatch since construction, warm-up included.
+        checker = InvariantChecker(system)
+        system.network.observer = checker
         t = system.telemetry
         span = (
             t.begin("chaos.run", scenario=scenario.label, seed=seed)
@@ -191,7 +195,7 @@ class ScheduleRunner:
             else None
         )
         try:
-            self._run_cell(system, scenario, seed, disabled, result)
+            self._run_cell(system, scenario, seed, disabled, result, checker)
         except InvariantViolation as exc:
             result.ok = False
             result.violations.append(exc.violation.to_dict())
@@ -214,6 +218,7 @@ class ScheduleRunner:
                 result.faults_applied = dict(controller.applied)
             system.network.adversary = None
             system.network.on_deliver = None
+            system.network.observer = None
             result.sim_time = system.network.now
             result.deliveries = system.network.stats.messages_delivered
             if span is not None:
@@ -279,6 +284,7 @@ class ScheduleRunner:
         seed: int,
         disabled: frozenset[int] | set[int],
         result: RunResult,
+        checker: InvariantChecker,
     ) -> None:
         read_cell = scenario.read_fastpath
         cross_cell = scenario.cross_shard
@@ -402,7 +408,7 @@ class ScheduleRunner:
         controller = ChaosController(
             system.network, plan, seed=seed ^ 0x5EED, disabled=disabled
         )
-        checker = InvariantChecker(system, corrupt=equivocators)
+        checker.corrupt = set(equivocators)
         system.network.adversary = controller
         system.network.on_deliver = checker.on_deliver
 

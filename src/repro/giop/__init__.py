@@ -18,12 +18,11 @@ extensions:
   bits — the two phenomena that break byte-by-byte voting [3].
 """
 
-from repro.giop.cdr import CdrError
 from repro.giop.codec import (
+    CdrError,
     clear_codec_cache,
     codec_cache_stats,
     compile_codec,
-    warm_interface,
 )
 from repro.giop.idl import InterfaceDef, InterfaceRepository, Operation, Parameter
 from repro.giop.ior import ObjectRef
@@ -104,5 +103,4 @@ __all__ = [
     "encode_reply",
     "encode_request",
     "peek_request_header",
-    "warm_interface",
 ]

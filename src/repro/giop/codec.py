@@ -4,10 +4,9 @@ ITDOS votes on *unmarshalled* data (§3.6), so every request is CDR-encoded
 once per sender and decoded ``3f+1`` times in the voters — marshalling, not
 the ordering protocol, dominates once batching has amortized the quorum
 traffic (Chondros et al. make the same observation about real PBFT
-deployments). The interpreted reference coder in :mod:`repro.giop.cdr`
-walks the TypeCode tree recursively and issues one ``struct.pack``/``unpack``
-per field; this module compiles a TypeCode tree **once** into a codec plan
-and reuses it for every value:
+deployments). An interpreted coder walks the TypeCode tree recursively
+and issues one ``struct.pack``/``unpack`` per field; this module compiles a
+TypeCode tree **once** into a codec plan and reuses it for every value:
 
 * contiguous runs of fixed-size primitives — across struct nesting
   boundaries — collapse into a single precomputed :class:`struct.Struct`,
@@ -25,13 +24,13 @@ Codecs are cached per process, keyed on TypeCode identity (the cache pins
 the TypeCode, so ``id`` reuse cannot alias entries). Receiver-makes-right
 is preserved: each plan precompiles both byte orders. The compiler covers
 every :class:`~repro.giop.typecodes.TypeCode` class and primitive kind; an
-unknown TypeCode raises :class:`~repro.giop.cdr.CdrError`.
+unknown TypeCode raises :class:`CdrError`.
 
 :class:`OperationPlan` lays one IDL operation out for
 :mod:`repro.giop.messages` (constant name bytes, body codecs); the
-repository builds one per operation at registration. The recursive coder is
-the reference these are fuzzed against (``tests/giop/test_codec_equivalence.py``,
-``tests/giop/test_messages_reference.py``) — no product module runs it.
+repository builds one per operation at registration. The recursive coder
+lives in the tests (``tests/giop/reference_cdr.py``) as the reference these
+are fuzzed against.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import struct
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable
 
-from repro.giop.cdr import CdrError
 from repro.giop.typecodes import (
     TC_VOID,
     EnumType,
@@ -49,6 +47,11 @@ from repro.giop.typecodes import (
     StructType,
     TypeCode,
 )
+
+
+class CdrError(Exception):
+    """Malformed CDR stream or value/TypeCode mismatch during coding."""
+
 
 # kind -> (struct format char, wire size, CDR natural alignment)
 _FIXED_LEAVES = {
@@ -666,21 +669,6 @@ def clear_codec_cache() -> None:
     _CODEC_CACHE.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
-
-
-def warm_interface(interface: Any) -> int:
-    """Precompile codecs for every operation of an IDL interface.
-
-    Called from stub construction and servant activation so first
-    invocations don't pay compile latency. Returns the number of TypeCodes
-    now compiled (cached included).
-    """
-    warmed = 0
-    for op in interface.operations:
-        for tc in (*(param.tc for param in op.params), op.result):
-            compile_codec(tc)
-            warmed += 1
-    return warmed
 
 
 # -- operation plans -------------------------------------------------------------

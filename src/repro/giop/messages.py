@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
 
-from repro.giop.cdr import CdrError
-from repro.giop.codec import OperationPlan, cdr_string, read_string
+from repro.giop.codec import CdrError, OperationPlan, cdr_string, read_string
 from repro.giop.idl import InterfaceRepository
 
 MAGIC = b"GIOP"

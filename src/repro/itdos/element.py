@@ -151,14 +151,11 @@ class QueueElement:
         self.diverged = False  # queue-mode element that lost sync (§3.1)
         # Observability.
         self.dispatched: list[tuple[int, str, str]] = []  # (conn, iface, op)
-        # Parallel (conn, request_id) log — the chaos InvariantChecker reads
-        # this to assert no duplicate execution per connection (§3.6).
-        self.dispatch_log: list[tuple[int, int]] = []
         self.undecryptable_skipped = 0
         self.stale_requests_discarded = 0
-        # Read fast path (tentative execution) bookkeeping. Served reads
-        # never enter dispatch_log — they do not consume ordered request
-        # ids and must not disturb the at-most-once ordered discipline.
+        # Read fast path (tentative execution) bookkeeping. Served reads are
+        # not dispatches — they do not consume ordered request ids and must
+        # not disturb the at-most-once ordered discipline.
         self.reads_served = 0
         self.reads_refused = 0
 
@@ -453,7 +450,11 @@ class QueueElement:
         self, message: RequestMessage, record: IncomingConnection, request_id: int
     ) -> None:
         self.dispatched.append((record.conn_id, message.interface_name, message.operation))
-        self.dispatch_log.append((record.conn_id, request_id))
+        observer = self.network.observer
+        if observer is not None:
+            # The chaos checker asserts at most one dispatch per (connection,
+            # request id), ids strictly increasing (§3.6).
+            observer.on_dispatch(self.pid, record.conn_id, request_id)
         t = self.telemetry
         if t.enabled:
             t.point(

@@ -176,9 +176,6 @@ class OutgoingConnection:
         # read-only replicas instead of always fanning to the whole set.
         self._read_rr = 0
         self.reader_polls: dict[str, int] = {}
-        # (read_id, decided watermark) per fast-path decision — the chaos
-        # InvariantChecker compares these against the committed prefix.
-        self.read_decisions: list[tuple[int, int]] = []
         self._read_decided_wm: int | None = None
 
     @property
@@ -465,8 +462,14 @@ class OutgoingConnection:
         self._cancel_read_timer()
         self.read_fastpath_hits += 1
         self._read_decided_wm = outcome.watermark
-        self.read_decisions.append((outcome.read_id, outcome.watermark))
-        t = self.endpoint.owner.telemetry
+        owner = self.endpoint.owner
+        observer = owner.network.observer
+        if observer is not None:
+            # The chaos checker holds the decided watermark to the prefix.
+            observer.on_read_decided(
+                owner.pid, self.conn_id, outcome.read_id, outcome.watermark
+            )
+        t = owner.telemetry
         if t.enabled:
             t.registry.counter(
                 "read_fastpath_hits_total",

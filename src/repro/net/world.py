@@ -42,6 +42,7 @@ class NetWorld:
             self.telemetry = Telemetry(enabled=True, clock=lambda: scheduler.now)
         self.hosted: Process | None = None
         self.delivery_errors = 0
+        self.observer: Any = None  # as Network.observer
 
     # -- wiring -------------------------------------------------------------
 

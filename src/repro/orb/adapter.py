@@ -8,7 +8,6 @@ registration.
 
 from __future__ import annotations
 
-from repro.giop.codec import warm_interface
 from repro.giop.ior import ObjectRef
 from repro.orb.errors import ObjectNotExist
 from repro.orb.servant import Servant
@@ -27,9 +26,6 @@ class ObjectAdapter:
         if object_key in self._servants:
             raise ValueError(f"object key {object_key!r} already active")
         self._servants[object_key] = servant
-        # Precompile marshal plans for the servant's operations: every reply
-        # this element sends will use them.
-        warm_interface(servant.interface)
         return object_key
 
     def deactivate(self, object_key: bytes) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.giop.codec import warm_interface
 from repro.giop.idl import InterfaceDef
 from repro.giop.ior import ObjectRef
 from repro.orb.errors import BadOperation
@@ -33,8 +32,6 @@ class Stub:
         self._ref = ref
         self._interface = interface
         self._invoker = invoker
-        # Precompile marshal plans so the first invocation is already warm.
-        warm_interface(interface)
 
     @property
     def ref(self) -> ObjectRef:

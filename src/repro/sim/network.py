@@ -132,6 +132,11 @@ class Network:
         # after a receiver processed a message — the chaos InvariantChecker
         # hangs global safety assertions off this.
         self.on_deliver: Any = None
+        # History observer: processes report each ordered batch, execution,
+        # servant dispatch and decided fast-path read as it happens
+        # (``on_order``, ``on_execute``, ``on_dispatch``, ``on_read_decided``,
+        # each with the reporting pid first) instead of keeping a list.
+        self.observer: Any = None
 
     # -- topology ----------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
 from repro.bft.replica import BftReplica, build_group
 from repro.sim import FixedLatency, Network, NetworkConfig
+from tests.history import History
 
 
 def make_config(f=1, group_id="grp", **overrides):
@@ -33,7 +34,12 @@ class Harness:
         )
         self.config = make_config(f=f, **(config_overrides or {}))
         self.replicas = build_group(self.network, self.config, byzantine=byzantine)
+        self.history = History(self.network)
         self.clients: dict[str, BftClient] = {}
+
+    def executions(self, replica) -> list:
+        """``(seq, client, timestamp)`` per request ``replica`` executed."""
+        return self.history.executions[replica.pid]
 
     def client(self, name="client") -> BftClient:
         if name not in self.clients:

@@ -31,7 +31,7 @@ def test_full_batch_shares_one_sequence_number():
     # All four requests rode one pre-prepare / one sequence number.
     assert primary.next_seq == 1
     assert primary.messages_sent.get("PrePrepareMsg", 0) == 1
-    assert [seq for seq, _, _ in primary.executions] == [1, 1, 1, 1]
+    assert [seq for seq, _, _ in harness.executions(primary)] == [1, 1, 1, 1]
     # ...and completed well before the batch delay would have fired.
     assert harness.network.now < 0.05
     for i in range(4):
@@ -62,7 +62,7 @@ def test_batch_execution_order_is_deterministic_across_replicas():
     harness = Harness(config_overrides={"batch_size": 8, "batch_delay": 0.05})
     results = submit_many(harness, 8)
     harness.run_until(lambda: len(results) == 8)
-    histories = [r.executions for r in harness.replicas]
+    histories = [harness.executions(r) for r in harness.replicas]
     assert all(h == histories[0] for h in histories[1:])
     assert len(histories[0]) == 8
 
@@ -142,9 +142,9 @@ def test_view_change_reproposes_uncommitted_batch():
     for replica in live:
         assert replica.view >= 1
         # Both requests executed exactly once, sharing one sequence number.
-        seqs = [seq for seq, _, _ in replica.executions]
+        seqs = [seq for seq, _, _ in harness.executions(replica)]
         assert len(seqs) == 2 and len(set(seqs)) == 1
-        assert replica.executions == live[0].executions
+        assert harness.executions(replica) == harness.executions(live[0])
 
 
 def test_view_change_folds_unflushed_batch_into_pending():
@@ -220,7 +220,7 @@ def test_empty_batch_fills_view_change_gaps():
             ),
         )
     assert replica.last_executed == 1
-    assert replica.executions == []  # nothing application-visible ran
+    assert harness.executions(replica) == []  # nothing application-visible ran
 
 
 def test_client_max_outstanding_queues_and_drains():

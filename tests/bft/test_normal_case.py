@@ -15,7 +15,7 @@ def test_single_request_executes_on_all_replicas(harness):
     harness.run(until=harness.network.now + 1.0)
     for replica in harness.replicas:
         assert replica.last_executed == 1
-        assert [e[0] for e in replica.executions] == [1]
+        assert [e[0] for e in harness.executions(replica)] == [1]
 
 
 def test_requests_execute_in_total_order(harness):
@@ -26,7 +26,8 @@ def test_requests_execute_in_total_order(harness):
     orders = []
     for replica in harness.replicas:
         executed_payloads = [
-            (seq, client, ts) for (seq, client, ts) in replica.executions
+            (seq, client, ts)
+            for (seq, client, ts) in harness.executions(replica)
         ]
         orders.append(executed_payloads)
     assert all(order == orders[0] for order in orders)
@@ -42,7 +43,7 @@ def test_interleaved_clients_agree_on_order(harness):
     harness.run_until(lambda: len(done) == 10)
     harness.run(until=harness.network.now + 1.0)
     sequences = [
-        [(seq, client, ts) for seq, client, ts in replica.executions]
+        [(seq, client, ts) for seq, client, ts in harness.executions(replica)]
         for replica in harness.replicas
     ]
     assert all(s == sequences[0] for s in sequences)
@@ -72,7 +73,7 @@ def test_duplicate_request_not_executed_twice(harness):
     harness.run(until=harness.network.now + 1.0)
     for replica in harness.replicas:
         assert replica.last_executed == 1
-        assert len(replica.executions) == 1
+        assert len(harness.executions(replica)) == 1
 
 
 def test_retransmitted_request_gets_cached_reply(harness):

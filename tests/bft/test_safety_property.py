@@ -45,6 +45,7 @@ def test_property_no_divergent_execution(schedule, seed):
     client = harness.client()
     crashed = 0
     invoked = 0
+    completed: list[bytes] = []  # each accepted result, once per invocation
     for action, arg in schedule:
         if action == "invoke":
             # PBFT clients are single-outstanding: a request pipelined
@@ -54,7 +55,7 @@ def test_property_no_divergent_execution(schedule, seed):
             if client.outstanding:
                 continue
             invoked += 1
-            client.invoke(bytes([arg]))
+            client.invoke(bytes([arg]), completed.append)
         elif action == "crash" and crashed == 0:
             # At most one crash: stay within f=1.
             target = harness.replicas[arg]
@@ -76,7 +77,7 @@ def test_property_no_divergent_execution(schedule, seed):
     # SAFETY: per sequence number, all replicas that executed it agree.
     by_seq: dict[int, set] = {}
     for replica in harness.replicas:
-        for seq, client_id, ts in replica.executions:
+        for seq, client_id, ts in harness.executions(replica):
             by_seq.setdefault(seq, set()).add((client_id, ts))
     for seq, executions in by_seq.items():
         assert len(executions) == 1, f"divergence at seq {seq}: {executions}"
@@ -91,6 +92,6 @@ def test_property_no_divergent_execution(schedule, seed):
     harness.network.run(
         until=harness.network.now + ladder,
         max_events=4_000_000,
-        stop_when=lambda: len(client.completed) == invoked,
+        stop_when=lambda: len(completed) == invoked,
     )
-    assert len(client.completed) == invoked
+    assert len(completed) == invoked

@@ -20,7 +20,7 @@ def test_lagging_replica_filled_before_any_checkpoint():
     # Status beacons fire on the retransmit tick; give them time.
     harness.run(until=harness.network.now + 3.0)
     assert lagger.last_executed == 5
-    assert lagger.executions == harness.replicas[0].executions
+    assert harness.executions(lagger) == harness.executions(harness.replicas[0])
 
 
 def test_fill_rejects_inconsistent_certificate():
@@ -86,7 +86,7 @@ def test_bft_progress_under_sustained_loss():
     # Every live replica converges on a consistent history: a replica may
     # have jumped over a range via state transfer, but everything it DID
     # execute matches the full history at the same sequence numbers.
-    histories = [r.executions for r in harness.replicas]
+    histories = [harness.executions(r) for r in harness.replicas]
     lengths = [len(h) for h in histories]
     assert max(lengths) == 8
     full = {seq: (client, ts) for seq, client, ts in max(histories, key=len)}

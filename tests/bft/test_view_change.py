@@ -34,7 +34,7 @@ def test_equivocating_primary_cannot_fork_order():
     harness.run(until=harness.network.now + 2.0)
     # All correct replicas agree on one execution history.
     correct = harness.replicas[1:]
-    histories = [r.executions for r in correct]
+    histories = [harness.executions(r) for r in correct]
     assert all(h == histories[0] for h in histories)
     # No sequence number executed twice.
     seqs = [seq for seq, _, _ in histories[0]]
@@ -51,7 +51,7 @@ def test_work_committed_before_view_change_survives():
     harness.run(until=harness.network.now + 2.0)
     live = [r for r in harness.replicas if not r.crashed]
     for replica in live:
-        timestamps = [(c, t) for _, c, t in replica.executions]
+        timestamps = [(c, t) for _, c, t in harness.executions(replica)]
         assert ("client", 1) in timestamps
         assert ("client", 2) in timestamps
         assert ("client2", 1) in timestamps
@@ -78,7 +78,7 @@ def test_view_change_then_normal_operation_continues():
     more = harness.invoke_and_run([f"steady-{i}".encode() for i in range(5)])
     assert more == [b"ok:steady-" + str(i).encode() for i in range(5)]
     live = [r for r in harness.replicas if not r.crashed]
-    histories = [r.executions for r in live]
+    histories = [harness.executions(r) for r in live]
     assert all(h == histories[0] for h in histories)
 
 

@@ -30,7 +30,9 @@ def test_prepared_request_carries_into_new_view():
     seqs = set()
     for replica in live:
         matching = [
-            seq for seq, client_id, ts in replica.executions if client_id == "c2"
+            seq
+            for seq, client_id, ts in harness.executions(replica)
+            if client_id == "c2"
         ]
         assert len(matching) == 1
         seqs.add(matching[0])
@@ -85,5 +87,5 @@ def test_executed_requests_never_reexecuted_across_views():
     more = harness.invoke_and_run([b"once-3"], client_name="c2")
     harness.run(until=harness.network.now + 2.0)
     for replica in harness.replicas[1:]:
-        timestamps = [(c, t) for _, c, t in replica.executions]
+        timestamps = [(c, t) for _, c, t in harness.executions(replica)]
         assert len(timestamps) == len(set(timestamps))  # no double execution

@@ -7,12 +7,10 @@ import pytest
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 
 
-def make_replica(pid, journal=(), stable=0, executed=0, high=100, snapshot=b""):
+def make_replica(pid, stable=0, executed=0, high=100, snapshot=b""):
     return SimpleNamespace(
         pid=pid,
         domain_id="calc",
-        order_journal=list(journal),
-        dispatch_log=[],
         stable_seq=stable,
         last_executed=executed,
         high_watermark=high,
@@ -22,11 +20,13 @@ def make_replica(pid, journal=(), stable=0, executed=0, high=100, snapshot=b""):
 
 
 def make_system(elements=(), gms=(), clients=()):
+    calc = SimpleNamespace(kind="server", element_ids=tuple(r.pid for r in elements))
     return SimpleNamespace(
         network=SimpleNamespace(now=1.0),
         gm_elements=list(gms),
         elements={r.pid: r for r in elements},
         clients={c.pid: c for c in clients},
+        directory=SimpleNamespace(domains={"calc": calc}),
     )
 
 
@@ -38,35 +38,49 @@ def expect(checker, name, fn):
 
 
 def test_clean_system_passes_every_predicate():
-    replicas = [make_replica(f"e{i}", journal=[(1, b"d1"), (2, b"d2")], executed=2)
-                for i in range(4)]
-    for r in replicas:
-        r.dispatch_log = [(7, 1), (7, 2)]
+    replicas = [make_replica(f"e{i}", executed=2) for i in range(4)]
     checker = InvariantChecker(make_system(replicas))
+    for r in replicas:
+        checker.on_order(r.pid, 1, b"d1")
+        checker.on_order(r.pid, 2, b"d2")
+        checker.on_execute(r.pid, 1, "alice", 1)
+        checker.on_dispatch(r.pid, 7, 1)
+        checker.on_dispatch(r.pid, 7, 2)
     checker.on_deliver("a", "b", b"x")
     checker.final(pending=None)
     assert checker.violations == []
 
 
 def test_order_divergence_detected():
-    good = make_replica("e0", journal=[(1, b"digest-a")], executed=1)
-    evil = make_replica("e1", journal=[(1, b"digest-b")], executed=1)
-    checker = InvariantChecker(make_system([good, evil]))
-    expect(checker, "order-divergence", checker.check_order_journals)
+    checker = InvariantChecker(
+        make_system([make_replica("e0", executed=1), make_replica("e1", executed=1)])
+    )
+    checker.on_order("e0", 1, b"digest-a")
+    checker.on_order("e1", 1, b"digest-b")
+    expect(checker, "order-divergence", checker.check_ordering)
+
+
+def test_events_are_judged_on_delivery_not_when_reported():
+    checker = InvariantChecker(make_system([make_replica("e0")]))
+    for request_id in (1, 2, 2):
+        checker.on_dispatch("e0", 7, request_id)  # never raises here
+    assert checker.violations == []
+    with pytest.raises(InvariantViolation):
+        checker.on_deliver("a", "b", b"x")
 
 
 def test_duplicate_dispatch_detected():
-    replica = make_replica("e0")
-    replica.dispatch_log = [(7, 1), (7, 2), (7, 2)]
-    checker = InvariantChecker(make_system([replica]))
-    expect(checker, "duplicate-dispatch", checker.check_dispatch_logs)
+    checker = InvariantChecker(make_system([make_replica("e0")]))
+    for request_id in (1, 2, 2):
+        checker.on_dispatch("e0", 7, request_id)
+    expect(checker, "duplicate-dispatch", checker.check_dispatches)
 
 
 def test_dispatch_regression_detected():
-    replica = make_replica("e0")
-    replica.dispatch_log = [(7, 3), (7, 1)]
-    checker = InvariantChecker(make_system([replica]))
-    expect(checker, "duplicate-dispatch", checker.check_dispatch_logs)
+    checker = InvariantChecker(make_system([make_replica("e0")]))
+    for request_id in (3, 1):
+        checker.on_dispatch("e0", 7, request_id)
+    expect(checker, "duplicate-dispatch", checker.check_dispatches)
 
 
 def _with_keys(pid, epoch, floor, epoch_of):
@@ -169,15 +183,7 @@ def _read_world(appended=3, corrupt=()):
         replica = make_replica(f"e{i}")
         replica.queue = SimpleNamespace(total_appended=appended)
         elements.append(replica)
-    system = make_system(elements)
-    system.directory = SimpleNamespace(
-        domains={
-            "calc": SimpleNamespace(
-                element_ids=tuple(f"e{i}" for i in range(4))
-            )
-        }
-    )
-    return InvariantChecker(system, corrupt=set(corrupt))
+    return InvariantChecker(make_system(elements), corrupt=set(corrupt))
 
 
 def _read_reply(sender, watermark):
@@ -215,11 +221,9 @@ def test_corrupt_sender_forgery_is_not_an_honest_violation():
     assert checker.violations == []
 
 
-def _client_with_read_decisions(decisions):
-    connection = SimpleNamespace(
-        read_decisions=list(decisions),
-        target=SimpleNamespace(domain_id="calc", f=1),
-    )
+def _reading_client():
+    """Client ``alice`` with one connection, 7, to the calc domain."""
+    connection = SimpleNamespace(target=SimpleNamespace(domain_id="calc", f=1))
     return SimpleNamespace(
         pid="alice",
         endpoint=SimpleNamespace(connections={7: connection}),
@@ -229,22 +233,21 @@ def _client_with_read_decisions(decisions):
 
 def test_read_decided_beyond_commit_detected():
     checker = _read_world(appended=3)
-    client = _client_with_read_decisions([(1, 9)])
-    checker.system.clients = {"alice": client}
-    expect(checker, "read-decided-beyond-commit", checker.check_read_decisions)
+    checker.system.clients = {"alice": _reading_client()}
+    checker.on_read_decided("alice", 7, 1, 9)
+    expect(checker, "read-decided-beyond-commit", checker.check_decided_reads)
 
 
 def test_read_decisions_scan_is_incremental():
     checker = _read_world(appended=3)
-    client = _client_with_read_decisions([(1, 2)])
-    checker.system.clients = {"alice": client}
-    checker.check_read_decisions()  # clean; position advances past (1, 2)
-    connection = client.endpoint.connections[7]
-    connection.read_decisions.append((2, 3))
-    checker.check_read_decisions()
+    checker.system.clients = {"alice": _reading_client()}
+    checker.on_read_decided("alice", 7, 1, 2)
+    checker.check_decided_reads()  # clean; (1, 2) is judged and dropped
+    checker.on_read_decided("alice", 7, 2, 3)
+    checker.check_decided_reads()
     assert checker.violations == []
-    connection.read_decisions.append((3, 4))  # beyond the prefix
-    expect(checker, "read-decided-beyond-commit", checker.check_read_decisions)
+    checker.on_read_decided("alice", 7, 3, 4)  # beyond the prefix
+    expect(checker, "read-decided-beyond-commit", checker.check_decided_reads)
 
 
 def test_a_reader_is_audited_for_dispatch_and_keys_not_for_ordering():
@@ -253,20 +256,25 @@ def test_a_reader_is_audited_for_dispatch_and_keys_not_for_ordering():
     from repro.workloads.scenarios import build_read_heavy_system
 
     system = build_read_heavy_system(seed=5, readers=1)
+    checker = InvariantChecker(system)
+    system.network.observer = checker
     system.settle(1.0)
     stub = system.add_client("alice").stub(system.ref("kv", b"kv"))
     for i in range(6):
         stub.put(f"k{i}", "v")  # past a checkpoint, so check_checkpoints bites
     system.settle(0.5)
     [reader] = system.read_tier("kv")
-    checker = InvariantChecker(system)
     audited = [replica.pid for _, replica in checker._replicas()]
     assert reader.pid not in audited and "kv-e0" in audited and "gm-0" in audited
     assert reader in checker._key_stores()
     checker.on_deliver("a", "b", b"x")
     checker.deep_check()
     assert checker.violations == []
-    assert len(reader.dispatch_log) == 6
-    reader.dispatch_log.append(reader.dispatch_log[-1])
-    expect(checker, "duplicate-dispatch", checker.check_dispatch_logs)
+    # The reader reported its six dispatches (request ids 1..6); a replay of
+    # the last one is caught and charged to the reader.
+    assert len(reader.dispatched) == 6
+    conn_id = reader.dispatched[-1][0]
+    assert checker._last_dispatch[(reader.pid, conn_id)] == 6
+    checker.on_dispatch(reader.pid, conn_id, 6)
+    expect(checker, "duplicate-dispatch", checker.check_dispatches)
     assert checker.violations[-1].process == reader.pid

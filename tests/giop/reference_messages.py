@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
 from repro.giop.codec import _FIXED_LEAVES, _bool_dec, _StringOp, compile_codec
 from repro.giop.idl import IdlError, InterfaceRepository
 from repro.giop.messages import (
@@ -40,6 +39,7 @@ from repro.giop.messages import (
     RequestMessage,
 )
 from repro.giop.typecodes import TC_VOID, TypeCode, TypeCodeError
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder, CdrError
 
 
 class FastEncoder(CdrEncoder):

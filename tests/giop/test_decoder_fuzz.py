@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.encoding import parse_canonical
-from repro.giop.cdr import CdrDecoder, CdrError
 from repro.giop.messages import GiopError, decode_message, encode_request
 from repro.giop.typecodes import TC_DOUBLE, TC_LONG, TC_STRING, SequenceType, StructType
 from repro.itdos.messages import PayloadError, parse_payload
+from tests.giop.reference_cdr import CdrDecoder, CdrError
 from tests.itdos.conftest import make_repository
 
 REPO = make_repository()

@@ -1,7 +1,8 @@
 """Known-answer test: GIOP wire bytes as hex literals, both byte orders.
 
 There is one coder; the fuzz suite compares it with the reference in
-``repro.giop.cdr``, but both live in this repo and could drift together.
+``tests/giop/reference_cdr.py``, but both live in this repo and could drift
+together.
 The ``GOLDEN`` literals were laid out by hand from the CDR rules (alignment
 relative to the body start, NUL-terminated length-prefixed strings, IEEE 754)
 and pin the encoder and the decoder to something outside the codebase.

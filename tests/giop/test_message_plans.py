@@ -4,17 +4,18 @@ A repository builds one :class:`~repro.giop.codec.OperationPlan` per IDL
 operation when the interface is registered, and finds it on decode by the
 exact bytes of the operation and interface strings. Nothing a peer sends —
 object keys, unknown names — is cached or compiled, and the interpreted
-``CdrEncoder``/``CdrDecoder`` never run on a live invocation.
+``CdrEncoder``/``CdrDecoder`` (``reference_cdr.py``, not part of the
+package) never run on a live invocation.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 import string
 
 import pytest
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder
 from repro.giop.codec import codec_cache_stats
 from repro.giop.idl import InterfaceRepository
 from repro.giop.messages import (
@@ -31,6 +32,7 @@ from repro.workloads.scenarios import (
     build_calc_system,
     build_read_heavy_system,
 )
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder
 from tests.giop.reference_messages import FastEncoder, _finish
 
 
@@ -105,6 +107,8 @@ def test_registering_after_traffic_decodes_at_once():
 
 
 def test_reference_coder_never_runs_on_a_live_invocation(monkeypatch):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.giop.cdr")
     ran: list[str] = []
 
     def tripwire(name):

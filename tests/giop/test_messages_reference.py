@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.giop import messages as product
-from repro.giop.cdr import CdrError
+from repro.giop.codec import CdrError
 from repro.giop.idl import IdlError, InterfaceDef, InterfaceRepository, Operation, Parameter
 from repro.giop.messages import GiopError, LocateStatus, ReplyStatus
 from repro.giop.typecodes import (

