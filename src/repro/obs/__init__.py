@@ -3,7 +3,9 @@
 The public surface:
 
 * :class:`Telemetry` / :data:`NOOP_TELEMETRY` — the per-simulation facade
-  (enable via ``Network.enable_telemetry()`` or ``ItdosSystem(telemetry=True)``)
+  (enable via ``Network.enable_telemetry()`` or ``ItdosSystem(telemetry=True)``);
+  disabled, its five sinks below are ``None`` and every call site guards on
+  ``telemetry.enabled``, so each sink has exactly one implementation
 * :class:`MetricRegistry` — labeled counters/gauges/histograms
 * :class:`Tracer` / :class:`Span` / :class:`TraceContext` — span trees
 * :class:`HealthBoard` — per-element dissent/view-change/expulsion rollup
@@ -15,15 +17,9 @@ The public surface:
 * :mod:`repro.obs.export` — JSONL + table exporters
 """
 
-from repro.obs.audit import (
-    NULL_AUDIT,
-    AuditEntry,
-    AuditLog,
-    verify_chain,
-)
+from repro.obs.audit import AuditEntry, AuditLog, verify_chain
 from repro.obs.detect import (
     ACCUSE_THRESHOLD,
-    NULL_DETECT,
     REPORT_THRESHOLD,
     Ewma,
     FaultEstimator,
@@ -47,10 +43,8 @@ from repro.obs.export import (
     tracer_from_records,
     write_jsonl,
 )
-from repro.obs.health import NULL_HEALTH, ElementHealth, HealthBoard, HealthEvent
+from repro.obs.health import ElementHealth, HealthBoard, HealthEvent
 from repro.obs.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -58,7 +52,7 @@ from repro.obs.registry import (
     MetricRegistry,
 )
 from repro.obs.telemetry import NOOP_TELEMETRY, Telemetry
-from repro.obs.tracing import NULL_TRACER, Span, TraceContext, Tracer
+from repro.obs.tracing import Span, TraceContext, Tracer
 
 __all__ = [
     "ACCUSE_THRESHOLD",
@@ -76,12 +70,6 @@ __all__ = [
     "MetricFamily",
     "MetricRegistry",
     "NOOP_TELEMETRY",
-    "NULL_AUDIT",
-    "NULL_DETECT",
-    "NULL_HEALTH",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
     "PhiAccrual",
     "REPORT_THRESHOLD",
     "Span",

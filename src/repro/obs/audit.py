@@ -115,8 +115,6 @@ class AuditLog:
         # first report may land.
         self._dedup_seen: set = set()
 
-    enabled = True
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -244,11 +242,6 @@ class AuditLog:
             )
         return "\n".join(lines)
 
-    def reset(self) -> None:
-        self.entries.clear()
-        self.dropped = 0
-        self._dedup_seen.clear()
-
 
 def verify_chain(records: Iterable[dict[str, Any]]) -> tuple[bool, str | None]:
     """Offline chain verification over exported ``audit_entry`` dicts.
@@ -268,47 +261,3 @@ def verify_chain(records: Iterable[dict[str, Any]]) -> tuple[bool, str | None]:
             return False, f"entry {position}: content does not match its digest"
         prev = record["digest"]
     return True, None
-
-
-class NullAuditLog:
-    """Do-nothing log behind a disabled Telemetry."""
-
-    __slots__ = ()
-
-    enabled = False
-    entries: list = []
-    dropped = 0
-    head = GENESIS
-
-    def __len__(self) -> int:
-        return 0
-
-    def record(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def against(self, accused: str) -> list:
-        return []
-
-    def hard_against(self, accused: str) -> list:
-        return []
-
-    def kinds(self) -> dict:
-        return {}
-
-    def verify(self) -> tuple[bool, None]:
-        return True, None
-
-    def verify_signatures(self, verify: Any) -> list:
-        return []
-
-    def to_records(self) -> list:
-        return []
-
-    def render(self, limit: int = 12) -> str:
-        return "audit log disabled"
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_AUDIT = NullAuditLog()

@@ -174,8 +174,6 @@ class FaultEstimator:
             labels=("element", "signal"),
         )
 
-    enabled = True
-
     # -- internals -----------------------------------------------------------
 
     def _state(self, pid: str) -> _ElementState:
@@ -340,73 +338,3 @@ class FaultEstimator:
                 }
             )
         return out
-
-    def reset(self) -> None:
-        self._elements.clear()
-        self._phases.clear()
-        self.first_suspected.clear()
-        self.first_accused.clear()
-
-
-class NullFaultEstimator:
-    """Do-nothing estimator behind a disabled Telemetry."""
-
-    __slots__ = ()
-
-    enabled = False
-    first_suspected: dict = {}
-    first_accused: dict = {}
-
-    def note_evidence(self, kind: str, accused: str, hard: bool) -> None:
-        pass
-
-    def observe_arrival(self, src: str, now: float) -> None:
-        pass
-
-    def observe_phase(self, pid: str, phase: str, duration: float) -> None:
-        pass
-
-    def observe_garbage(self, pid: str, reason: str) -> None:
-        pass
-
-    def observe_auth_reject(self, pid: str, reason: str) -> None:
-        pass
-
-    def observe_retransmission(self, pid: str) -> None:
-        pass
-
-    def components(self, pid: str, now: float | None = None) -> dict:
-        return {}
-
-    def suspicion(self, pid: str, now: float | None = None) -> float:
-        return 0.0
-
-    def scores(self, now: float | None = None) -> dict:
-        return {}
-
-    def accused(self, now: float | None = None) -> list:
-        return []
-
-    def suspected(self, now: float | None = None) -> list:
-        return []
-
-    def evidence_kinds(self, pid: str) -> dict:
-        return {}
-
-    def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        return {
-            "scores": {},
-            "accused": [],
-            "suspected": [],
-            "first_suspected": {},
-            "first_accused": {},
-        }
-
-    def to_records(self, now: float | None = None) -> list:
-        return []
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_DETECT = NullFaultEstimator()

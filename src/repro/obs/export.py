@@ -31,7 +31,7 @@ def metric_records(registry: Any) -> list[dict[str, Any]]:
 
 def span_records(tracer: Any) -> list[dict[str, Any]]:
     out = []
-    for span in getattr(tracer, "spans", []):
+    for span in tracer.spans:
         record = {"record": "span"}
         record.update(span.to_dict())
         out.append(record)

@@ -10,7 +10,7 @@ is answerable from the board alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.tracing import TraceContext
@@ -35,22 +35,6 @@ class ElementHealth:
     hard_evidence: int = 0
     last_evidence: str = ""
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "dissents": self.dissents,
-            "view_changes": self.view_changes,
-            "last_view": self.last_view,
-            "stable_seq": self.stable_seq,
-            "checkpoint_lag": self.checkpoint_lag,
-            "expelled": self.expelled,
-            "readmitted": self.readmitted,
-            "suspicion": self.suspicion,
-            "evidence": self.evidence,
-            "hard_evidence": self.hard_evidence,
-            "last_evidence": self.last_evidence,
-        }
-
 
 @dataclass(frozen=True)
 class HealthEvent:
@@ -63,16 +47,6 @@ class HealthEvent:
     trace_id: int | None = None
     span_id: int | None = None
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "element": self.element,
-            "detail": self.detail,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-        }
-
 
 @dataclass
 class HealthBoard:
@@ -83,8 +57,6 @@ class HealthBoard:
     # Highest communication-key membership epoch observed (Group Manager
     # rollup): every expulsion/readmission advances it.
     key_epoch: int = 0
-
-    enabled = True
 
     def element(self, pid: str) -> ElementHealth:
         health = self.elements.get(pid)
@@ -219,18 +191,13 @@ class HealthBoard:
     def expelled(self) -> list[str]:
         return [pid for pid, h in sorted(self.elements.items()) if h.expelled]
 
-    def reset(self) -> None:
-        self.elements.clear()
-        self.events.clear()
-        self.key_epoch = 0
-
     def events_of(self, kind: str) -> list[HealthEvent]:
         return [e for e in self.events if e.kind == kind]
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            "elements": [h.as_dict() for _, h in sorted(self.elements.items())],
-            "events": [e.as_dict() for e in self.events],
+            "elements": [asdict(h) for _, h in sorted(self.elements.items())],
+            "events": [asdict(e) for e in self.events],
             "key_epoch": self.key_epoch,
         }
 
@@ -294,59 +261,3 @@ class HealthBoard:
                     f"  t={event.time * 1000:.3f}ms {event.kind} {event.element}{detail}{span}"
                 )
         return "\n".join(lines)
-
-
-class NullHealthBoard:
-    """Do-nothing board behind a disabled Telemetry."""
-
-    __slots__ = ()
-
-    enabled = False
-    elements: dict = {}
-    events: list = []
-    key_epoch = 0
-
-    def element(self, pid: str) -> None:
-        return None
-
-    def record_dissent(self, pid: str) -> None:
-        pass
-
-    def record_suspicion(self, pid: str, score: float) -> None:
-        pass
-
-    def record_evidence(self, pid: str, kind: str, hard: bool = False, **kwargs: Any) -> None:
-        pass
-
-    def record_view_change(self, pid: str, new_view: int, **kwargs: Any) -> None:
-        pass
-
-    def record_checkpoint(self, pid: str, stable_seq: int, lag: int) -> None:
-        pass
-
-    def record_expulsion(self, pids: Iterable[str], **kwargs: Any) -> int:
-        return 0
-
-    def record_readmission(self, pids: Iterable[str], **kwargs: Any) -> int:
-        return 0
-
-    def record_key_epoch(self, epoch: int, **kwargs: Any) -> bool:
-        return False
-
-    def expelled(self) -> list:
-        return []
-
-    def events_of(self, kind: str) -> list:
-        return []
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"elements": [], "events": [], "key_epoch": 0}
-
-    def render(self) -> str:
-        return "health board disabled"
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_HEALTH = NullHealthBoard()

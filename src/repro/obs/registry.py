@@ -6,10 +6,10 @@ child bound to one label-value combination (created on first use, cached
 thereafter). A family declared with no labels acts as its own single child,
 so ``registry.counter("x").inc()`` just works.
 
-Disabled mode: :data:`NULL_REGISTRY` hands back the shared
-:data:`NULL_METRIC` singleton for every request — no families, no children,
-no samples are ever allocated, and every mutator is a bare ``pass``. That is
-what keeps benchmarks honest when telemetry is off.
+Disabled mode has no registry at all: a disabled ``Telemetry`` sets
+``registry`` to ``None`` and every publishing site guards on
+``telemetry.enabled`` first, so no family, child or sample is ever allocated.
+That is what keeps benchmarks honest when telemetry is off.
 """
 
 from __future__ import annotations
@@ -281,8 +281,6 @@ class MetricFamily:
 class MetricRegistry:
     """Namespace of metric families; the one place exporters read from."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         # Labels stamped onto every collected entry — deployment identity
@@ -324,15 +322,6 @@ class MetricRegistry:
     def families(self) -> list[MetricFamily]:
         return [self._families[name] for name in sorted(self._families)]
 
-    def reset(self) -> None:
-        """Drop every family so back-to-back runs don't bleed together.
-
-        Callers that cached child handles must re-request them after a
-        reset — the registry hands out fresh families, so stale handles
-        would mutate orphaned instruments nobody collects.
-        """
-        self._families.clear()
-
     def collect(self) -> list[dict[str, Any]]:
         """Flat snapshot: one dict per (family, label combination)."""
         out = []
@@ -348,64 +337,3 @@ class MetricRegistry:
                 entry.update(child.snapshot())
                 out.append(entry)
         return out
-
-
-class NullMetric:
-    """Shared do-nothing stand-in for every instrument when disabled."""
-
-    __slots__ = ()
-
-    kind = "null"
-    value = 0.0
-    count = 0
-
-    def labels(self, **kv: Any) -> "NullMetric":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def summary(self) -> dict[str, float]:
-        return summarize([])
-
-
-class NullRegistry:
-    """Registry stand-in: every request returns the one NULL_METRIC."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> NullMetric:
-        return NULL_METRIC
-
-    def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> NullMetric:
-        return NULL_METRIC
-
-    def histogram(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> NullMetric:
-        return NULL_METRIC
-
-    def get(self, name: str) -> None:
-        return None
-
-    def families(self) -> list:
-        return []
-
-    def collect(self) -> list:
-        return []
-
-    def reset(self) -> None:
-        pass
-
-
-NULL_METRIC = NullMetric()
-NULL_REGISTRY = NullRegistry()

@@ -1,10 +1,11 @@
 """The Telemetry facade: one handle per simulation, wired through Network.
 
 Instrumented code never imports concrete registries or tracers; it asks the
-facade. When disabled (the default — benchmarks stay honest) every component
-behind the facade is a shared null singleton and every helper bails on the
-first ``enabled`` check, so the cost at each call site is one attribute load
-and one branch.
+facade. When disabled (the default — benchmarks stay honest) the five sinks
+(``registry``, ``tracer``, ``health``, ``audit``, ``detect``) are ``None``:
+every call site guards on ``enabled`` first, and every helper below bails on
+that same check, so the cost at each site is one attribute load and one
+branch. An unguarded sink access fails loudly instead of recording nothing.
 
 Two propagation mechanisms, both safe because the simulator executes one
 scheduled callback at a time in one Python process:
@@ -24,17 +25,11 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Hashable, Iterator
 
-from repro.obs.audit import NULL_AUDIT, AuditLog
-from repro.obs.detect import NULL_DETECT, FaultEstimator
-from repro.obs.health import NULL_HEALTH, HealthBoard
-from repro.obs.registry import NULL_REGISTRY, MetricRegistry
-from repro.obs.tracing import (
-    DEFAULT_SPAN_CAPACITY,
-    NULL_TRACER,
-    Span,
-    TraceContext,
-    Tracer,
-)
+from repro.obs.audit import AuditLog
+from repro.obs.detect import FaultEstimator
+from repro.obs.health import HealthBoard
+from repro.obs.registry import MetricRegistry
+from repro.obs.tracing import Span, TraceContext, Tracer
 
 # The correlation map evicts its oldest binding past this size; protocol
 # identifiers are unbound as soon as their hop completes, so a healthy run
@@ -46,34 +41,25 @@ class Telemetry:
     """Facade over registry + tracer + health board + propagation state."""
 
     def __init__(
-        self,
-        enabled: bool = True,
-        clock: Callable[[], float] | None = None,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
-        correlation_cap: int = DEFAULT_CORRELATION_CAP,
+        self, enabled: bool = True, clock: Callable[[], float] | None = None
     ) -> None:
         self.enabled = enabled
+        self.registry: MetricRegistry | None = None
+        self.tracer: Tracer | None = None
+        self.health: HealthBoard | None = None
+        self.audit: AuditLog | None = None
+        self.detect: FaultEstimator | None = None
         if enabled:
             self.registry = MetricRegistry()
-            self.tracer = Tracer(clock=clock, capacity=span_capacity)
+            self.tracer = Tracer(clock=clock)
             self.health = HealthBoard()
             self.audit = AuditLog(clock=self.now)
             self.detect = FaultEstimator(
                 self.registry, self.health, self.audit, clock=self.now
             )
-        else:
-            self.registry = NULL_REGISTRY  # type: ignore[assignment]
-            self.tracer = NULL_TRACER  # type: ignore[assignment]
-            self.health = NULL_HEALTH  # type: ignore[assignment]
-            self.audit = NULL_AUDIT  # type: ignore[assignment]
-            self.detect = NULL_DETECT  # type: ignore[assignment]
         self.current: TraceContext | None = None
-        self.correlation_cap = correlation_cap
         self.correlation_dropped = 0
         self._correlation: OrderedDict[Hashable, TraceContext] = OrderedDict()
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self.tracer.bind_clock(clock)
 
     def now(self) -> float:
         return self.tracer.now() if self.enabled else 0.0
@@ -106,24 +92,6 @@ class Telemetry:
         )
         self.detect.note_evidence(kind, accused, hard)
 
-    def reset(self) -> None:
-        """Clear accumulated state so one facade can serve sequential runs."""
-        if not self.enabled:
-            return
-        self.registry.reset()
-        self.tracer.clear()
-        self.health.reset()
-        self.audit.reset()
-        self.detect.reset()
-        # The estimator cached family handles from the registry; rebuild it
-        # so its gauges land in the freshly reset namespace.
-        self.detect = FaultEstimator(
-            self.registry, self.health, self.audit, clock=self.now
-        )
-        self.current = None
-        self._correlation.clear()
-        self.correlation_dropped = 0
-
     # -- ambient context -----------------------------------------------------
 
     @contextmanager
@@ -144,7 +112,7 @@ class Telemetry:
             return
         if key in self._correlation:
             self._correlation.move_to_end(key)
-        elif len(self._correlation) >= self.correlation_cap:
+        elif len(self._correlation) >= DEFAULT_CORRELATION_CAP:
             self._correlation.popitem(last=False)
             self.correlation_dropped += 1
         self._correlation[key] = ctx

@@ -100,13 +100,6 @@ class Tracer:
         self._next_trace_id = 1
         self._next_span_id = 1
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
     def now(self) -> float:
         return self._clock()
 
@@ -284,53 +277,3 @@ class Tracer:
         if self.dropped:
             lines.append(f"... {self.dropped} spans dropped (capacity {self.capacity})")
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
-
-class NullTracer:
-    """Do-nothing tracer behind a disabled Telemetry."""
-
-    __slots__ = ()
-
-    enabled = False
-    spans: list = []
-    dropped = 0
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    def begin(self, name: str, **kwargs: Any) -> None:
-        return None
-
-    def end(self, span: Any, end: float | None = None) -> None:
-        pass
-
-    def point(self, name: str, **kwargs: Any) -> None:
-        return None
-
-    def record(self, name: str, start: float, **kwargs: Any) -> None:
-        return None
-
-    def trace_ids(self) -> list:
-        return []
-
-    def spans_of(self, trace_id: int) -> list:
-        return []
-
-    def find(self, **kwargs: Any) -> list:
-        return []
-
-    def tree(self, trace_id: int) -> list:
-        return []
-
-    def render(self, trace_id: int) -> str:
-        return "tracing disabled"
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

@@ -10,7 +10,7 @@ from repro.obs import (
     REPORT_THRESHOLD,
     Telemetry,
 )
-from repro.obs.detect import EWMA_WARMUP, NULL_DETECT, SOFT_CAP
+from repro.obs.detect import EWMA_WARMUP, SOFT_CAP
 
 
 def make_estimator():
@@ -172,13 +172,6 @@ class TestIntegration:
         assert record["element"] == "gm-1"
         assert 0.0 < record["score"] < ACCUSE_THRESHOLD
         assert record["evidence_kinds"] == {"invalid-share": 1}
-
-    def test_null_estimator_is_inert(self):
-        NULL_DETECT.note_evidence("x", "e1", hard=True)
-        NULL_DETECT.observe_garbage("e1", "r")
-        assert NULL_DETECT.scores() == {}
-        assert NULL_DETECT.accused() == []
-        assert NULL_DETECT.to_records() == []
 
     def test_thresholds_are_ordered(self):
         # The structural zero-false-accusation argument needs this ordering.

@@ -121,8 +121,8 @@ class TestEndToEndTrace:
         stub = client.stub(system.ref("calc", b"calc"))
         assert stub.add(2.0, 3.0) == pytest.approx(5.0)
         assert not system.telemetry.enabled
-        assert system.telemetry.tracer.trace_ids() == []
-        assert system.telemetry.registry.collect() == []
+        assert system.telemetry.tracer is None
+        assert system.telemetry.registry is None
 
 
 class TestHealthDrill:

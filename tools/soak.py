@@ -9,6 +9,13 @@ bounded cache reads as flat. A site whose live object count rises by at
 least half an object per request in between is per-request history: the
 run fails and prints it.
 
+Each snapshot follows a full ``gc.collect()``. Besides freeing unreachable
+cycles, a full collection empties CPython's free lists (tuples, dicts,
+floats, ...). A block parked on a free list stays traced to the line that
+first allocated it, so without the collection a free list's fill reads as
+growth at that line (seen as ~580 objects at ``itdos/vvm.py:270`` on
+``readmix``, in some full test-suite runs only).
+
 One site is exempt: ``QueueElement.dispatched``, the per-element dispatch
 list the scoreboard's health check reads (``len(element.dispatched)``).
 
@@ -26,6 +33,7 @@ Usage: python tools/soak.py [--requests 200000] [--first 10000]
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import os
 import resource
@@ -134,6 +142,7 @@ def rss_mb() -> float:
 
 
 def _snapshot() -> tracemalloc.Snapshot:
+    gc.collect()
     return tracemalloc.take_snapshot().filter_traces(
         (
             tracemalloc.Filter(False, tracemalloc.__file__),
