@@ -24,11 +24,11 @@ from repro.chaos.schedule import ChaosPlan
 
 #: Fields on honest traffic the adversary may corrupt. These are exactly
 #: the fields protected end-to-end by authenticated encryption, signatures,
-#: or content digests — flipping them models line noise / a meddling
+#: MACs or content digests — flipping them models line noise / a meddling
 #: network, which receivers must reject. Unprotected protocol fields are
 #: off limits for *honest* senders: garbling those is indistinguishable
 #: from the sender lying, which would silently breach the ≤f fault budget.
-HONEST_CORRUPTIBLE_FIELDS = ("ciphertext", "signature", "payload")
+HONEST_CORRUPTIBLE_FIELDS = ("ciphertext", "signature", "mac", "payload")
 
 
 @dataclass(frozen=True)

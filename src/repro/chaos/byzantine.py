@@ -20,7 +20,7 @@ class ForgedWatermarkElement(ItdosServerElement):
 
     Alternates between *futuristic* (claims a prefix nobody committed yet)
     and *stale* (claims an old prefix while serving current state) — both
-    validly signed, so only the client's 2f+1 matching-(watermark, value)
+    validly MACed, so only the client's 2f+1 matching-(watermark, value)
     quorum stands between the lie and a decided read. The chaos invariant
     ``read-decided-beyond-commit`` asserts the quorum always wins.
     """

@@ -3,11 +3,12 @@
 Two authentication regimes coexist, exactly as in Castro–Liskov:
 
 * **Signatures** (:class:`RsaSigner`) — unforgeable and *transferable*; the
-  expulsion protocol needs them because a client forwards signed replies to
-  the Group Manager as proof of a faulty value (§3.6).
-* **HMAC authenticators** (:class:`HmacAuthenticator`) — cheap pairwise MACs
-  for the high-rate BFT protocol messages; not transferable, so never usable
-  as proof.
+  expulsion protocol needs them because a client forwards signed (ordered)
+  replies to the Group Manager as proof of a faulty value (§3.6).
+* **MACs** — cheap pairwise HMACs: :class:`HmacAuthenticator` vectors for
+  BFT protocol messages, and a client–element key on each tentative read
+  reply. Not transferable, so never proof — nor needed as such: the read
+  voter accuses no one, and an undecided read falls back to ordering.
 
 The :class:`KeyRing` plays the role of the deployed PKI: it maps process ids
 to public keys and is distributed out of band ("the authentication tokens

@@ -1,8 +1,8 @@
 """System bootstrap: assemble a full ITDOS deployment on one simulator.
 
 Deployment-time material (domain membership, RSA keypairs, GM pairwise
-keys, DPRF shares) is generated here — this is the paper's out-of-band
-configuration and PKI (§2.2). Typical use::
+keys, DPRF shares, read keys) is generated here — this is the paper's
+out-of-band configuration and PKI (§2.2). Typical use::
 
     system = ItdosSystem(seed=1)
     system.add_server_domain(
@@ -17,6 +17,7 @@ configuration and PKI (§2.2). Typical use::
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Any, Callable
 
@@ -79,6 +80,8 @@ class ItdosSystem:
         if telemetry:
             self.network.enable_telemetry()
         self.rng = random.Random(seed ^ 0x17D05)
+        # Own stream: no ``self.rng`` draw moves with the read fast path.
+        self.read_key_rng = random.Random(seed ^ 0x4EAD)
         self.rsa_bits = rsa_bits
         self.heterogeneous = heterogeneous
         # Replica-to-replica BFT message authentication: "none" trusts the
@@ -148,6 +151,12 @@ class ItdosSystem:
             if key not in self.directory.pairwise_keys:
                 self.directory.pairwise_keys[key] = self.rng.randbytes(32)
 
+    def _register_read_keys(self, clients, elements) -> None:
+        """One read-reply MAC key per (client, server element) pair."""
+        if self.directory.read_fastpath:
+            for pair in itertools.product(clients, elements):
+                self.directory.read_keys[pair] = self.read_key_rng.randbytes(32)
+
     def _make_signer(self, pid: str) -> RsaSigner:
         keypair = generate_rsa_keypair(self.rsa_bits, self.rng)
         self.directory.keyring.register(pid, keypair.public)
@@ -208,6 +217,7 @@ class ItdosSystem:
         def build(pid: str, platform: PlatformProfile, cls: type, **kwargs: Any):
             self.directory.platforms[pid] = platform
             self._register_pairwise(pid)
+            self._register_read_keys(self.clients, [pid])
             signer = self._make_signer(pid)
             orb = Orb(self.directory.repository, platform=platform)
             orb.telemetry = self.network.telemetry
@@ -305,6 +315,7 @@ class ItdosSystem:
         if platform is not None:
             self.directory.platforms[name] = platform
         self._register_pairwise(name)
+        self._register_read_keys([name], self.elements)
         client = ItdosClient(name, self.directory)
         client.orb.telemetry = self.network.telemetry
         self.network.add_process(client)

@@ -101,6 +101,8 @@ class SystemDirectory:
     keyring: KeyRing = field(default_factory=KeyRing)
     # (gm_element_pid, participant_pid) -> 32-byte pairwise symmetric key.
     pairwise_keys: dict[tuple[str, str], bytes] = field(default_factory=dict)
+    # (client_pid, element_pid) -> 32-byte read-reply MAC key (fast path).
+    read_keys: dict[tuple[str, str], bytes] = field(default_factory=dict)
     platforms: dict[str, PlatformProfile] = field(default_factory=dict)
     # Inexact voting tolerances (§3.6 / [31]).
     vote_abs_tol: float = 1e-9
@@ -173,6 +175,10 @@ class SystemDirectory:
             raise KeyError(
                 f"no pairwise key between {gm_element!r} and {participant!r}"
             ) from None
+
+    def read_key(self, client: str, element: str) -> bytes | None:
+        """The key one client shares with one core or read-tier element."""
+        return self.read_keys.get((client, element))
 
     # -- voting comparators -----------------------------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes, parse_canonical
+from repro.crypto.encoding import parse_canonical
 from repro.crypto.signing import RsaSigner
 from repro.crypto.symmetric import decrypt, encrypt
 from repro.giop.ior import ObjectRef
@@ -41,6 +41,7 @@ from repro.itdos.messages import (
     SmiopReply,
     SmiopRequest,
     parse_payload,
+    read_reply_mac,
 )
 from repro.itdos.queuestate import MessageQueue, QueueOverflow
 from repro.itdos.sockets import traffic_nonce
@@ -558,7 +559,8 @@ class QueueElement:
         through the ordered path.
         """
         admitted = self._admit_read(src, envelope)
-        if admitted is None:
+        mac_key = self.directory.read_key(src, self.pid)
+        if admitted is None or mac_key is None:
             self.reads_refused += 1
             return
         record, key, message = admitted
@@ -593,16 +595,18 @@ class QueueElement:
             reply_wire = self.orb.marshal_reply(message, result)
         self.reads_served += 1
         nonce = traffic_nonce(envelope.conn_id, envelope.read_id, self.pid, "trd")
+        ciphertext = encrypt(key, reply_wire, nonce)
         self.send(
             src,
             ReadReply(
                 conn_id=envelope.conn_id,
                 read_id=envelope.read_id,
                 key_id=key.key_id,
-                ciphertext=encrypt(key, reply_wire, nonce),
+                ciphertext=ciphertext,
                 sender=self.pid,
-                signature=self.signer.sign(
-                    canonical_bytes({"wm": watermark, "body": reply_wire})
+                mac=read_reply_mac(
+                    mac_key, envelope.conn_id, envelope.read_id, self.pid,
+                    self.READ_TIER, watermark, ciphertext,
                 ),
                 watermark=watermark,
                 tier=self.READ_TIER,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.crypto.digests import hmac_digest
 from repro.crypto.dleq import DleqProof
 from repro.crypto.dprf import KeyShare
 from repro.crypto.encoding import parse_canonical
@@ -169,9 +170,10 @@ class ReadReply:
     processed ordered payloads) at execution time; the client only accepts
     2f+1 replies matching on *(watermark, value)*, so replies computed
     against divergent prefixes can never be mixed into one decision.
-    ``signature`` covers ``canonical_bytes({"wm": watermark, "body":
-    plaintext})`` — binding the watermark, so a faulty element cannot
-    re-label an old value as current without forging a signature.
+    ``mac`` (:func:`read_reply_mac`, under the key the client shares with
+    ``sender`` alone) binds every field but ``key_id``: no element can
+    re-label, replay or speak for a peer. It proves nothing to a third party,
+    and need not: the read voter accuses no one (§3.6 proof is signed).
     ``tier`` distinguishes core elements ("core") from non-voting read-tier
     elements ("read"); read-tier replies are observability-only at the
     client and never count toward the quorum.
@@ -182,18 +184,28 @@ class ReadReply:
     key_id: int
     ciphertext: bytes
     sender: str
-    signature: bytes
+    mac: bytes
     watermark: int
     tier: str = "core"  # "core" | "read"
 
     def wire_size(self) -> int:
-        return 72 + len(self.ciphertext) + len(self.signature)
+        return 72 + len(self.ciphertext) + len(self.mac)
 
     def trace_label(self) -> str:
         return (
             f"ReadReply(conn={self.conn_id},read={self.read_id},"
             f"wm={self.watermark},{self.tier[0]}={self.sender})"
         )
+
+
+def read_reply_mac(
+    key: bytes, conn_id: int, read_id: int, sender: str, tier: str,
+    watermark: int, ciphertext: bytes,
+) -> bytes:
+    """HMAC-SHA-256 of a :class:`ReadReply` in one layout that parses one way
+    only: integers in decimal, strings after their length, ciphertext last."""
+    head = f"{conn_id}:{read_id}:{watermark}:{len(sender)}:{sender}{len(tier)}:{tier}"
+    return hmac_digest(key, head.encode() + ciphertext)
 
 
 @message

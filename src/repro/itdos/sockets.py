@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from repro.bft.client import BftClientEngine
 from repro.bft.messages import BftReply
-from repro.crypto.digests import digest
+from repro.crypto.digests import constant_time_equal, digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.symmetric import AuthenticationError, decrypt, encrypt
 from repro.crypto.memo import MemoCache
@@ -46,6 +46,7 @@ from repro.itdos.messages import (
     ReadRequest,
     SmiopReply,
     SmiopRequest,
+    read_reply_mac,
 )
 from repro.itdos.voter import ReadOutcome, ReadVoter, ReplyVoter, VoteOutcome
 from repro.sim.process import Process
@@ -385,7 +386,7 @@ class OutgoingConnection:
             )
 
     def handle_read_reply(self, src: str, reply: ReadReply) -> None:
-        """Feed one tentative reply through decrypt/verify/read-vote."""
+        """Feed one tentative reply through MAC check/decrypt/read-vote."""
         if reply.read_id != self.read_voter.current_read_id:
             return
         settled = self._read_handler is None
@@ -393,8 +394,21 @@ class OutgoingConnection:
             reply.tier == "read" and self._read_decided_wm is not None
         ):
             # Late core replies of a settled read carry no information; late
-            # *reader* replies still feed the per-tier lag metric (after
-            # signature verification below).
+            # *reader* replies still feed the per-tier lag metric (after the
+            # MAC check below).
+            return
+        # A reply re-labelled, replayed from another read or connection, or
+        # claiming another sender costs one HMAC: the MAC binds them all.
+        mac_key = self.endpoint.directory.read_key(
+            self.endpoint.owner.pid, reply.sender
+        )
+        expected = mac_key and read_reply_mac(
+            mac_key, self.conn_id, reply.read_id, reply.sender, reply.tier,
+            reply.watermark, reply.ciphertext,
+        )
+        if not expected or not constant_time_equal(reply.mac, expected):
+            self.read_voter.discard("mac")
+            self._garbage(reply.sender, "mac")
             return
         key = self.endpoint.key_store.key_for(self.conn_id, reply.key_id)
         if key is None:
@@ -404,16 +418,6 @@ class OutgoingConnection:
         except AuthenticationError:
             self.read_voter.discard("decrypt")
             self._garbage(reply.sender, "decrypt")
-            return
-        # The signature binds the watermark to the reply body: a faulty
-        # element cannot re-label a stale value as current, nor replay
-        # another element's reply under its own watermark.
-        manifest = canonical_bytes({"wm": reply.watermark, "body": plaintext})
-        if not self.endpoint.directory.keyring.verify(
-            reply.sender, manifest, reply.signature
-        ):
-            self.read_voter.discard("signature")
-            self._garbage(reply.sender, "signature")
             return
         if reply.tier == "read" and self._read_decided_wm is not None:
             self._observe_reader_lag(reply.sender, reply.watermark)

@@ -195,7 +195,7 @@ def _read_reply(sender, watermark):
         key_id=1,
         ciphertext=b"",
         sender=sender,
-        signature=b"",
+        mac=b"",
         watermark=watermark,
     )
 
