@@ -5,7 +5,7 @@ ordered batch, servant dispatch and decided fast-path read as an event on
 ``Network.observer`` (the checker is that observer; nothing keeps a history
 list), and the checker buffers the events. Key stores, watermarks,
 checkpoints and votes it reads directly from process state. After every
-delivery (``Network.on_deliver``) it judges what it holds and raises
+delivery (the observer's ``on_deliver``) it judges what it holds and raises
 :class:`InvariantViolation` the moment any cross-process safety predicate
 breaks — never inside the process that reported the event — so a recorded
 violation trace ends at the exact delivery that broke the system, not at
@@ -142,7 +142,7 @@ class InvariantChecker:
         self.violations.append(violation)
         raise InvariantViolation(violation)
 
-    # -- the Network.on_deliver hook ----------------------------------------
+    # -- the delivery hook: judge ------------------------------------------
 
     def on_deliver(self, src: str, dst: str, payload: Any) -> None:
         self._events += 1

@@ -184,8 +184,8 @@ class ScheduleRunner:
             bft_pipeline_window=scenario.pipeline_window,
             read_fastpath=scenario.read_fastpath,
         )
-        # Observing from the first event: the checker judges every ordered
-        # batch and dispatch since construction, warm-up included.
+        # Observing from the first event: the checker judges every delivery,
+        # ordered batch and dispatch since construction, warm-up included.
         checker = InvariantChecker(system)
         system.network.observer = checker
         t = system.telemetry
@@ -217,7 +217,6 @@ class ScheduleRunner:
                 result.fault_candidates = controller.fault_candidates
                 result.faults_applied = dict(controller.applied)
             system.network.adversary = None
-            system.network.on_deliver = None
             system.network.observer = None
             result.sim_time = system.network.now
             result.deliveries = system.network.stats.messages_delivered
@@ -410,7 +409,6 @@ class ScheduleRunner:
         )
         checker.corrupt = set(equivocators)
         system.network.adversary = controller
-        system.network.on_deliver = checker.on_deliver
 
         # -- workload: staggered async invocations through the storm --------
         # Read cells interleave fast-path reads (odd indices, ``mean`` is

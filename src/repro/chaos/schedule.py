@@ -5,7 +5,8 @@ fault probabilities, dynamic partition windows, and the set of equivocating
 replicas, all active only inside a bounded time horizon. The plan is built
 once per run from a seeded RNG, so the whole schedule is a pure function of
 (scenario, seed) — the property every recorded violation relies on to
-replay.
+replay. The same plan drives the real wire: a topology file's ``[faults]``
+table is one (:mod:`repro.net.config`), so a plan checks its own ranges.
 
 The horizon matters for liveness checking: the §2.2 fault model only
 promises progress under *bounded* loss, so the runner asserts
@@ -15,8 +16,9 @@ quiet, never during the storm itself.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,18 @@ class ChaosPlan:
     equivocators: frozenset[str] = frozenset()
     # Processes never touched by the adversary (none by default).
     protect: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and positive")
+        for spec in fields(self):
+            if spec.name.startswith("p_") and not 0.0 <= getattr(self, spec.name) <= 1.0:
+                raise ValueError(f"{spec.name} must be in [0, 1]")
+        if self.max_extra_delay < 0 or self.duplicate_delay < 0 or self.reorder_factor < 1:
+            raise ValueError("delays must be non-negative and reorder_factor >= 1")
+        for window in self.partitions:
+            if not window.start < window.end:
+                raise ValueError(f"partition window {window.start}..{window.end} is empty")
 
 
 def build_plan(

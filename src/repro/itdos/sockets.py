@@ -423,24 +423,10 @@ class OutgoingConnection:
             self._observe_reader_lag(reply.sender, reply.watermark)
         if settled:
             return
-        cached = self._decode_memo.get(plaintext)
-        if cached is None:
-            try:
-                message = decode_message(
-                    self.endpoint.directory.repository, plaintext
-                )
-            except Exception:  # noqa: BLE001 - garbage from a Byzantine element
-                self.read_voter.discard("malformed")
-                self._garbage(reply.sender, "malformed")
-                return
-            if not isinstance(message, ReplyMessage):
-                self.read_voter.discard("malformed")
-                self._garbage(reply.sender, "malformed")
-                return
-            value = (int(message.reply_status), message.result)
-            self._decode_memo.put(plaintext, (value[0], _copy_value(value[1])))
-        else:
-            value = (cached[0], _copy_value(cached[1]))
+        decoded = self._decode_reply(self.read_voter, reply.sender, plaintext)
+        if decoded is None:
+            return
+        value, _memoized = decoded
         self.read_voter.offer(
             reply.sender,
             reply.read_id,
@@ -525,6 +511,28 @@ class OutgoingConnection:
         if t.enabled:
             t.detect.observe_garbage(sender, reason)
 
+    def _decode_reply(
+        self, voter: Any, sender: str, plaintext: bytes
+    ) -> tuple[tuple[int, Any], bool] | None:
+        """``((status, result), memoized)`` for one reply plaintext, through
+        the decode memo; ``None`` once garbage is discarded from ``voter``."""
+        cached = self._decode_memo.get(plaintext)
+        if cached is not None:
+            return (cached[0], _copy_value(cached[1])), True
+        try:
+            message = decode_message(self.endpoint.directory.repository, plaintext)
+        except Exception:  # noqa: BLE001 - garbage from a Byzantine element
+            message = None
+        if not isinstance(message, ReplyMessage):
+            voter.discard("malformed")
+            self._garbage(sender, "malformed")
+            return None
+        status = int(message.reply_status)
+        # The memo keeps a private copy so no consumer of the decoded value
+        # can mutate the cached entry (see _copy_value).
+        self._decode_memo.put(plaintext, (status, _copy_value(message.result)))
+        return (status, message.result), False
+
     def handle_reply(self, reply: SmiopReply) -> None:
         """Feed one element's reply copy through decrypt/verify/vote."""
         key = self.endpoint.key_store.key_for(self.conn_id, reply.key_id)
@@ -559,27 +567,10 @@ class OutgoingConnection:
                 raw=None,
             )
             return
-        cached = self._decode_memo.get(plaintext)
-        memoized = cached is not None
-        if cached is None:
-            try:
-                message = decode_message(
-                    self.endpoint.directory.repository, plaintext
-                )
-            except Exception:  # noqa: BLE001 - garbage from a Byzantine element
-                self.voter.discard("malformed")
-                self._garbage(reply.sender, "malformed")
-                return
-            if not isinstance(message, ReplyMessage):
-                self.voter.discard("malformed")
-                self._garbage(reply.sender, "malformed")
-                return
-            value = (int(message.reply_status), message.result)
-            # The memo keeps a private copy so no consumer of the decoded
-            # value can mutate the cached entry (see _copy_value).
-            self._decode_memo.put(plaintext, (value[0], _copy_value(value[1])))
-        else:
-            value = (cached[0], _copy_value(cached[1]))
+        decoded = self._decode_reply(self.voter, reply.sender, plaintext)
+        if decoded is None:
+            return
+        value, memoized = decoded
         t = self.endpoint.owner.telemetry
         if t.enabled:
             t.registry.counter(
@@ -680,12 +671,10 @@ class OutgoingConnection:
             return
         if not isinstance(message, ReplyMessage):
             return
-        from repro.crypto.digests import digest as _digest
-
         manifest = canonical_bytes(
             {"status": int(message.reply_status), "result": message.result}
         )
-        if _digest(manifest) != value_digest:
+        if digest(manifest) != value_digest:
             return  # body does not match the voted digest: reject, fallback
         self._awaiting_body = None
         self._finish_request_span(request_id)

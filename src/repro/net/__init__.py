@@ -15,10 +15,9 @@ The package layers bottom-up:
 ``wire``       payload-object ↔ canonical-bytes codec shared by both
                backends (the byte-identity contract)
 ``transport``  the Transport seam + the simulator implementation
-``faults``     per-link drop/delay/partition injection for the wire
-               backend, mirroring the chaos adversary's knobs
 ``clock``      wall-clock scheduler presenting the simulator's timer API
-``world``      Network-compatible facade hosting one element per process
+``world``      Network-compatible facade hosting one element per process;
+               its ``adversary`` slot runs the chaos plan's link faults
 ``tcp``        the asyncio TCP transport (reconnect, backpressure)
 ``config``     topology files and deterministic cluster construction
 ``node``       the per-process element harness behind ``repro serve``
@@ -27,7 +26,6 @@ The package layers bottom-up:
 
 from repro.net.clock import RealTimeScheduler
 from repro.net.config import TopologyConfig, TopologyError
-from repro.net.faults import LinkFault, NetFaultInjector
 from repro.net.framing import FrameDecoder, FrameError, encode_frame
 from repro.net.transport import SimTransport, Transport
 from repro.net.wire import (
@@ -42,8 +40,6 @@ __all__ = [
     "FrameDecoder",
     "FrameError",
     "encode_frame",
-    "LinkFault",
-    "NetFaultInjector",
     "NetWorld",
     "RealTimeScheduler",
     "SimTransport",

@@ -21,12 +21,14 @@ that is a TOML file every node reads at boot::
     requests = 20
     read_fraction = 0.0    # share of client requests that are reads
 
-    [faults]           # optional net-level degradation (repro.net.faults)
-    drop = 0.01
-    [[faults.link]]
-    src = "calc-e0"
-    dst = "calc-e1"
-    delay = 0.005
+    [faults]           # optional: a repro.chaos ChaosPlan, keys = its fields
+    horizon = 3.0      # required; seconds after each node's own boot
+    p_drop = 0.01
+    p_duplicate = 0.02
+    [[faults.partitions]]
+    start = 0.5
+    end = 1.5
+    group_a = ["calc-e3"]
 
 Every process constructs the *entire* :class:`ItdosSystem` from the same
 seed in the same order, so RSA keypairs, GM pairwise keys, and DPRF shares
@@ -34,16 +36,24 @@ come out identical across OS processes — the simulator's bootstrap doubles
 as the PKI ceremony. Each node then lifts only its own element onto the
 wire; the rest of the in-memory deployment is inert scaffolding.
 
+The ``[faults]`` table is parsed into a plan at load time, so a bad plan
+fails at boot; each node's :class:`~repro.chaos.adversary.ChaosController`
+(seeded with the topology seed) applies it at its world's ``adversary``
+slot, the gate the simulator's chaos runs use.
+
 Parsed with :mod:`tomllib` where available (Python >= 3.11); a small
 built-in subset parser covers 3.10 so the CI matrix needs no new deps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any
 
 from repro.net.framing import DEFAULT_MAX_FRAME
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.schedule import ChaosPlan
 
 
 class TopologyError(ValueError):
@@ -154,6 +164,30 @@ def load_toml(path: str) -> dict:
     return _toml_subset_loads(data.decode("utf-8"))
 
 
+def parse_fault_plan(table: dict) -> ChaosPlan:
+    """A topology's ``[faults]`` table as a :class:`ChaosPlan`: its keys are
+    the plan's field names, partitions are ``[[faults.partitions]]``."""
+    # Imported here: repro.chaos pulls in the bootstrap, which imports repro.net.
+    from repro.chaos.schedule import ChaosPlan, PartitionWindow
+
+    unknown = set(table) - {spec.name for spec in fields(ChaosPlan)}
+    if unknown:
+        raise TopologyError(f"unknown [faults] keys: {sorted(unknown)}")
+    if "horizon" not in table:
+        raise TopologyError("[faults] needs a horizon")
+    spec = dict(table)
+    try:
+        spec["partitions"] = tuple(
+            PartitionWindow(**{**window, "group_a": frozenset(window["group_a"])})
+            for window in table.get("partitions", ())
+        )
+        for key in ("equivocators", "protect"):
+            spec[key] = frozenset(table.get(key, ()))
+        return ChaosPlan(**spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TopologyError(f"bad [faults] plan: {exc}") from exc
+
+
 # -- the topology ------------------------------------------------------------
 
 
@@ -173,7 +207,7 @@ class TopologyConfig:
     telemetry: bool = True
     max_frame_bytes: int = DEFAULT_MAX_FRAME
     queue_limit: int = 1024
-    faults: dict = field(default_factory=dict)
+    faults: ChaosPlan | None = None  # link faults on every node's wire
     # Read fast path (E19): number of non-voting read-tier nodes (role
     # "read-only"), whether clients may use tentative reads at all, and
     # what fraction of the client workload is reads (0.0 = all writes,
@@ -352,7 +386,7 @@ class TopologyConfig:
             telemetry=bool(net.get("telemetry", True)),
             max_frame_bytes=int(net.get("max_frame", DEFAULT_MAX_FRAME)),
             queue_limit=int(net.get("queue_limit", 1024)),
-            faults=dict(spec.get("faults", {})),
+            faults=parse_fault_plan(spec["faults"]) if "faults" in spec else None,
             readers=int(system.get("readers", 0)),
             read_fastpath=bool(system.get("read_fastpath", False)),
             read_fraction=float(client.get("read_fraction", 0.0)),

@@ -16,8 +16,16 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 from repro.net.config import TopologyConfig
+
+
+def _toml_value(value: object) -> str:
+    """A float or a set of pids, as a TOML value."""
+    if isinstance(value, frozenset):
+        return "[" + ", ".join(f'"{pid}"' for pid in sorted(value)) + "]"
+    return repr(value)
 
 
 def write_topology(config: TopologyConfig, path: str) -> str:
@@ -46,22 +54,21 @@ def write_topology(config: TopologyConfig, path: str) -> str:
         f"requests = {config.requests}",
         f"read_fraction = {config.read_fraction}",
     ]
-    if config.faults:
-        lines.append("")
-        lines.append("[faults]")
-        for key in ("drop", "delay"):
-            if config.faults.get(key):
-                lines.append(f"{key} = {config.faults[key]}")
-        for link in config.faults.get("link", []):
-            lines.append("")
-            lines.append("[[faults.link]]")
-            for key, value in link.items():
-                if isinstance(value, str):
-                    lines.append(f'{key} = "{value}"')
-                elif isinstance(value, bool):
-                    lines.append(f"{key} = {'true' if value else 'false'}")
-                else:
-                    lines.append(f"{key} = {value}")
+    if config.faults is not None:
+        lines += ["", "[faults]"]
+        lines += [
+            f"{spec.name} = {_toml_value(getattr(config.faults, spec.name))}"
+            for spec in fields(config.faults)
+            if spec.name != "partitions"
+        ]
+        for window in config.faults.partitions:
+            lines += [
+                "",
+                "[[faults.partitions]]",
+                f"start = {window.start!r}",
+                f"end = {window.end!r}",
+                f"group_a = {_toml_value(window.group_a)}",
+            ]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return path

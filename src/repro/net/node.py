@@ -35,7 +35,6 @@ from typing import Any
 
 from repro.net.clock import RealTimeScheduler
 from repro.net.config import TopologyConfig
-from repro.net.faults import NetFaultInjector
 from repro.net.tcp import AsyncioTransport
 from repro.net.world import NetWorld
 
@@ -96,11 +95,6 @@ class NodeHarness:
         else:
             self.element = self.system.elements[self.node_id]
         self.scheduler = RealTimeScheduler(loop)
-        faults = (
-            NetFaultInjector.from_config(config.faults, seed=config.seed)
-            if config.faults
-            else None
-        )
         world = NetWorld(
             self.scheduler,
             transport=None,  # type: ignore[arg-type] - bound just below
@@ -112,11 +106,14 @@ class NodeHarness:
             config.address_book(),
             loop,
             world.deliver,
-            faults=faults,
             max_frame_bytes=config.max_frame_bytes,
             queue_limit=config.queue_limit,
         )
         world.transport = self.transport
+        if config.faults is not None:
+            from repro.chaos.adversary import ChaosController
+
+            world.adversary = ChaosController(world, config.faults, seed=config.seed)
         self.world = world
         world.host(self.element)
         # The bootstrap bound the ORB to the (inert) sim world's telemetry;
@@ -344,6 +341,8 @@ class NodeHarness:
                 "delivery_errors": self.world.delivery_errors,
             },
         }
+        if self.world.adversary is not None:
+            stats["faults_applied"] = dict(self.world.adversary.applied)
         if self.role == "replica":
             stats["replica"] = {
                 "dispatched": len(self.element.dispatched),

@@ -31,7 +31,6 @@ import asyncio
 from collections import deque
 from typing import Any, Callable, Iterable
 
-from repro.net.faults import NetFaultInjector
 from repro.net.framing import DEFAULT_MAX_FRAME, FrameDecoder, FrameError, encode_frame
 from repro.net.transport import Transport
 from repro.net.wire import WireCodecError, decode_datagram, encode_datagram
@@ -178,7 +177,6 @@ class AsyncioTransport(Transport):
         address_book: dict[str, tuple[str, int]],
         loop: asyncio.AbstractEventLoop,
         on_deliver: Callable[[str, Any], None],
-        faults: NetFaultInjector | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME,
         queue_limit: int = 1024,
     ) -> None:
@@ -186,7 +184,6 @@ class AsyncioTransport(Transport):
         self.address_book = dict(address_book)
         self.loop = loop
         self.on_deliver = on_deliver
-        self.faults = faults
         self.max_frame_bytes = max_frame_bytes
         self.queue_limit = queue_limit
         self._links: dict[str, _PeerLink] = {}
@@ -199,7 +196,6 @@ class AsyncioTransport(Transport):
             "bytes_received": 0,
             "sends_dropped_queue_full": 0,
             "sends_dropped_unknown_peer": 0,
-            "sends_dropped_fault": 0,
             "recv_dropped_bad_frame": 0,
             "recv_dropped_misrouted": 0,
             "reconnects": 0,
@@ -245,17 +241,10 @@ class AsyncioTransport(Transport):
     def transmit_many(
         self, src: str, dsts: Iterable[str], payload: Any, size: int, extra_delay: float
     ) -> None:
-        """One payload to several peers: a fault verdict per destination, in
-        order, then one encode, re-addressed for every further survivor."""
+        """One payload to several peers: one encode, re-addressed for every
+        further known destination."""
         body: bytes | None = None
         for dst in dsts:
-            delay = extra_delay
-            if self.faults is not None:
-                verdict, fault_delay = self.faults.verdict(src, dst)
-                if verdict == "drop":
-                    self.stats["sends_dropped_fault"] += 1
-                    continue
-                delay += fault_delay
             if dst not in self.address_book:
                 # Unknown (e.g. expelled and deregistered): drop silently, as IP would.
                 self.stats["sends_dropped_unknown_peer"] += 1
@@ -265,8 +254,8 @@ class AsyncioTransport(Transport):
             else:
                 body = readdress_datagram(body, dst)
             frame = encode_frame(body, max_frame_bytes=self.max_frame_bytes)
-            if delay > 0:
-                self.loop.call_later(delay, self._enqueue, dst, frame)
+            if extra_delay > 0:
+                self.loop.call_later(extra_delay, self._enqueue, dst, frame)
             else:
                 self._enqueue(dst, frame)
 

@@ -92,7 +92,7 @@ class SimTransport(Transport):
                 # is one inter-arrival observation for its sender.
                 network.telemetry.detect.observe_arrival(src, network.scheduler.now)
             process.deliver(src, payload)
-            if network.on_deliver is not None:
-                network.on_deliver(src, dst, payload)
+            if network.observer is not None:
+                network.observer.on_deliver(src, dst, payload)
 
         network.scheduler.post(delay, do_deliver)

@@ -9,6 +9,11 @@ sends routed to a :class:`Transport` and timers on the wall clock. Multicast goe
 loopback semantics: the sender receives its own copy iff it is a member,
 which the BFT layer relies on. The remote members are handed to the
 transport in one call, so it can encode the payload once for all of them.
+
+Link faults come through the same ``adversary`` slot as the simulator's
+(a :class:`~repro.chaos.adversary.ChaosController` in practice): every
+remote copy is put to ``adversary.intercept`` exactly as
+``Network._transmit`` does, so one plan means one thing on both backends.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ class NetWorld:
         self.hosted: Process | None = None
         self.delivery_errors = 0
         self.observer: Any = None  # as Network.observer
+        self.adversary: Any = None  # as Network.adversary
 
     # -- wiring -------------------------------------------------------------
 
@@ -67,7 +73,10 @@ class NetWorld:
             # (quorum counting mid-handler) relies on that.
             self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
             return
-        self.transport.transmit(src, dst, payload, size, 0.0)
+        if self.adversary is not None:
+            self._intercept(src, dst, payload, size)
+        else:
+            self.transport.transmit(src, dst, payload, size, 0.0)
 
     def multicast(self, src: ProcessId, group_addr: str, payload: Any) -> None:
         members = self.groups.get(group_addr)
@@ -82,7 +91,23 @@ class NetWorld:
         if len(remote) != len(members):
             # Own copy: off the wire and asynchronous, as in send().
             self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
-        self.transport.transmit_many(src, remote, payload, size, 0.0)
+        if self.adversary is not None:
+            for dst in remote:
+                self._intercept(src, dst, payload, size)
+        else:
+            self.transport.transmit_many(src, remote, payload, size, 0.0)
+
+    def _intercept(self, src: ProcessId, dst: ProcessId, payload: Any, size: int) -> None:
+        """One remote copy through the adversary: ``None`` passes, ``[]``
+        drops, else each ``(extra_delay, payload)`` goes on the wire."""
+        verdict = self.adversary.intercept(src, dst, payload, size)
+        if verdict is None:
+            self.transport.transmit(src, dst, payload, size, 0.0)
+            return
+        if not verdict:
+            self.stats.messages_dropped += 1
+        for extra_delay, adjusted in verdict:
+            self.transport.transmit(src, dst, adjusted, size, extra_delay)
 
     # -- inbound ------------------------------------------------------------
 

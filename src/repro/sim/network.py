@@ -128,14 +128,13 @@ class Network:
         # is swallowed. Orthogonal to filters/partitions, which model
         # *infrastructure*; the adversary models the §2.2 threat itself.
         self.adversary: Any = None
-        # Post-delivery observer: called as ``on_deliver(src, dst, payload)``
-        # after a receiver processed a message — the chaos InvariantChecker
-        # hangs global safety assertions off this.
-        self.on_deliver: Any = None
         # History observer: processes report each ordered batch, execution,
         # servant dispatch and decided fast-path read as it happens
         # (``on_order``, ``on_execute``, ``on_dispatch``, ``on_read_decided``,
-        # each with the reporting pid first) instead of keeping a list.
+        # each with the reporting pid first) instead of keeping a list, and
+        # the transport calls ``on_deliver(src, dst, payload)`` after a
+        # receiver processed a message — the chaos InvariantChecker hangs
+        # its global safety assertions off that.
         self.observer: Any = None
 
     # -- topology ----------------------------------------------------------

@@ -43,3 +43,6 @@ class History:
 
     def on_read_decided(self, pid, conn_id, read_id, watermark) -> None:
         self.read_decisions[(pid, conn_id)].append((read_id, watermark))
+
+    def on_deliver(self, src, dst, payload) -> None:
+        """Deliveries are not history."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.schedule import ChaosPlan, PartitionWindow
 from repro.net.config import (
     TopologyConfig,
     TopologyError,
@@ -28,11 +29,18 @@ telemetry = true
 requests = 12
 
 [faults]
-delay = 0.005
-[[faults.link]]
-src = "calc-e0"
-dst = "calc-e1"
-drop = 0.5
+horizon = 4.0
+p_drop = 0.05
+p_duplicate = 0.5
+protect = ["gm-0"]
+[[faults.partitions]]
+start = 0.5
+end = 1.25
+group_a = ["calc-e3", "calc-e2"]
+[[faults.partitions]]
+start = 2
+end = 3
+group_a = ["gm-1"]
 """
 
 
@@ -46,7 +54,7 @@ def test_subset_parser_matches_tomllib():
         assert parsed == tomllib.loads(SAMPLE)
     assert parsed["system"]["seed"] == 42
     assert parsed["system"]["clients"] == ["client-0", "client-1"]
-    assert parsed["faults"]["link"][0]["drop"] == 0.5
+    assert parsed["faults"]["partitions"][0]["group_a"] == ["calc-e3", "calc-e2"]
 
 
 def test_subset_parser_rejects_garbage():
@@ -83,8 +91,45 @@ def test_validation():
         TopologyConfig(clients=())
 
 
+def test_faults_table_is_a_chaos_plan():
+    plan = TopologyConfig.from_dict(_toml_subset_loads(SAMPLE)).faults
+    assert plan == ChaosPlan(
+        horizon=4.0,
+        p_drop=0.05,
+        p_duplicate=0.5,
+        protect=frozenset({"gm-0"}),
+        partitions=(
+            PartitionWindow(0.5, 1.25, frozenset({"calc-e2", "calc-e3"})),
+            PartitionWindow(2.0, 3.0, frozenset({"gm-1"})),
+        ),
+    )
+    assert TopologyConfig.from_dict({}).faults is None
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"horizon": 3.0, "p_drop": 1.5},
+        {"horizon": 3.0, "p_delay": -0.1},
+        {"horizon": 3.0, "max_extra_delay": -1.0},
+        {"p_drop": 0.1},
+        {"horizon": float("inf")},
+        {"horizon": 3.0, "drop": 0.01},
+        {"horizon": 3.0, "delay": 0.005},
+        {"horizon": 3.0, "link": [{"src": "a", "dst": "b", "drop": 1.0}]},
+        {"horizon": 3.0, "partitions": [{"start": 2.0, "end": 1.0, "group_a": ["a"]}]},
+        {"horizon": 3.0, "partitions": [{"start": 0.0, "end": 1.0}]},
+        {"horizon": 3.0, "partitions": [{"start": 0, "end": 1, "group_a": [], "x": 1}]},
+    ],
+)
+def test_bad_fault_plans_fail_at_load(table):
+    with pytest.raises(TopologyError):
+        TopologyConfig.from_dict({"faults": table})
+
+
 def test_write_then_load_round_trips(tmp_path):
     config = TopologyConfig.from_dict(_toml_subset_loads(SAMPLE))
+    assert config.faults is not None and len(config.faults.partitions) == 2
     path = str(tmp_path / "topology.toml")
     write_topology(config, path)
     loaded = TopologyConfig.load(path)

@@ -6,11 +6,12 @@ import asyncio
 import pytest
 
 from repro.bft import messages as bft
+from repro.chaos.adversary import ChaosController
+from repro.chaos.schedule import ChaosPlan, PartitionWindow
 from repro.crypto.encoding import canonical_bytes
 from repro.itdos.messages import PayloadError, decode_payload
 from repro.net import tcp, wire
 from repro.net.clock import RealTimeScheduler
-from repro.net.faults import LinkFault, NetFaultInjector
 from repro.net.framing import encode_frame
 from repro.net.tcp import AsyncioTransport
 from repro.net.wire import (
@@ -89,28 +90,30 @@ def test_multicast_encodes_the_payload_once(monkeypatch):
 
 def test_dropped_and_unknown_destinations_cost_no_encode(monkeypatch):
     datagram_encodes = count_calls(monkeypatch, tcp, "encode_datagram")
-    verdicts = []
+    cut = PartitionWindow(start=0.0, end=60.0, group_a=frozenset({"b"}))
+    judged = []
 
-    class Scripted(NetFaultInjector):
-        def verdict(self, src, dst):
-            verdicts.append(dst)
-            return super().verdict(src, dst)
+    class Spy(ChaosController):
+        def intercept(self, src, dst, payload, size):
+            judged.append(dst)
+            return super().intercept(src, dst, payload, size)
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        faults = Scripted()
-        faults.set_link("a", "b", LinkFault(partitioned=True))
-        a, _b, _ia, _ib, _ = make_pair(loop, faults=faults)
-        a.transmit("a", "b", b"partitioned", 0, 0.0)
-        a.transmit("a", "stranger", b"unknown", 0, 0.0)
-        a.transmit_many("a", ["b", "stranger", "b"], b"all lost", 0, 0.0)
+        a, _b, _ia, _ib, _ = make_pair(loop)
+        world = NetWorld(RealTimeScheduler(loop), a, {"grp": ("a", "b", "stranger")})
+        world.host(Recorder("a"))
+        world.adversary = Spy(world, ChaosPlan(horizon=60.0, partitions=(cut,)))
+        world.send("a", "b", b"partitioned")
+        world.send("a", "stranger", b"unknown")
+        world.multicast("a", "grp", b"all lost")
         await a.stop()
-        return a.stats
+        return world, a.stats
 
-    stats = asyncio.run(scenario())
+    world, stats = asyncio.run(scenario())
     assert datagram_encodes == []
-    assert verdicts == ["b", "stranger", "b", "stranger", "b"]  # one each, in order
-    assert stats["sends_dropped_fault"] == 3
+    assert judged == ["b", "stranger", "b", "stranger"]  # one each, in order
+    assert world.stats.messages_dropped == 2
     assert stats["sends_dropped_unknown_peer"] == 2
 
 

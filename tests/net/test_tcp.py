@@ -6,7 +6,6 @@ import socket
 import pytest
 
 from repro.bft import messages as bft
-from repro.net.faults import LinkFault, NetFaultInjector
 from repro.net.framing import FrameError
 from repro.net.tcp import AsyncioTransport
 
@@ -23,13 +22,12 @@ def free_ports(count):
     return ports
 
 
-def make_pair(loop, faults=None, **kwargs):
+def make_pair(loop, **kwargs):
     port_a, port_b = free_ports(2)
     book = {"a": ("127.0.0.1", port_a), "b": ("127.0.0.1", port_b)}
     inbox_a, inbox_b = [], []
     a = AsyncioTransport("a", book, loop,
-                        lambda src, p: inbox_a.append((src, p)),
-                        faults=faults, **kwargs)
+                        lambda src, p: inbox_a.append((src, p)), **kwargs)
     b = AsyncioTransport("b", book, loop,
                         lambda src, p: inbox_b.append((src, p)))
     return a, b, inbox_a, inbox_b, book
@@ -178,26 +176,6 @@ def test_reconnect_redelivers_across_server_restart():
     assert inbox_b[0] == ("a", b"one")
     assert inbox_b[1] == ("a", b"two")
     assert reconnects >= 1
-
-
-def test_fault_injector_gates_sends():
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        faults = NetFaultInjector()
-        faults.set_link("a", "b", LinkFault(drop_probability=1.0))
-        a, b, _ia, inbox_b, _ = make_pair(loop, faults=faults)
-        await a.start()
-        await b.start()
-        a.transmit("a", "b", b"doomed", 0, 0.0)
-        await asyncio.sleep(0.1)
-        dropped = a.stats["sends_dropped_fault"]
-        await a.stop()
-        await b.stop()
-        return inbox_b, dropped
-
-    inbox_b, dropped = asyncio.run(scenario())
-    assert inbox_b == []
-    assert dropped == 1
 
 
 def test_queue_full_drops_newest():
