@@ -34,12 +34,6 @@ def main() -> None:
         f=1,
         servants=lambda element: {b"vault": KvStoreServant()},
         state_mode="object",
-        app_state_fn=lambda element: (
-            lambda: element.orb.adapter.servant_for(b"vault").get_state()
-        ),
-        app_restore_fn=lambda element: (
-            lambda state: element.orb.adapter.servant_for(b"vault").set_state(state)
-        ),
         byzantine={2: LyingElement},  # vault-e2 is compromised
     )
     client = system.add_client("operator")

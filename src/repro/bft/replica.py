@@ -1238,8 +1238,6 @@ class BftReplica(Process):
 def build_group(
     network: Any,
     config: BftConfig,
-    execute_factory: Callable[[str], ExecuteFn] | None = None,
-    replica_class: type[BftReplica] = BftReplica,
     auth_factory: Callable[[str], MessageAuth] | None = None,
     byzantine: dict[str, type[BftReplica]] | None = None,
 ) -> list[BftReplica]:
@@ -1252,13 +1250,8 @@ def build_group(
     replicas = []
     byzantine = byzantine or {}
     for pid in config.replica_ids:
-        cls = byzantine.get(pid, replica_class)
-        replica = cls(
-            pid,
-            config,
-            execute_fn=execute_factory(pid) if execute_factory else None,
-            auth=auth_factory(pid) if auth_factory else None,
-        )
+        cls = byzantine.get(pid, BftReplica)
+        replica = cls(pid, config, auth=auth_factory(pid) if auth_factory else None)
         network.add_process(replica)
         group.join(pid)
         replicas.append(replica)

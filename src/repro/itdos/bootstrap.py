@@ -57,8 +57,6 @@ class ItdosSystem:
         repository: InterfaceRepository | None = None,
         group: DlGroup = SIM_GROUP,
         rsa_bits: int = 256,
-        vote_abs_tol: float = 1e-9,
-        vote_rel_tol: float = 1e-9,
         checkpoint_interval: int = 16,
         heterogeneous: bool = True,
         large_reply_threshold: int | None = None,
@@ -70,7 +68,6 @@ class ItdosSystem:
         bft_batch_delay: float = 0.0,
         bft_pipeline_window: int = 0,
         read_fastpath: bool = False,
-        read_timeout: float = 0.75,
     ) -> None:
         if protocol_auth not in ("none", "hmac"):
             raise ValueError(f"unsupported protocol_auth {protocol_auth!r}")
@@ -90,8 +87,6 @@ class ItdosSystem:
         self.protocol_auth = protocol_auth
         self.directory = SystemDirectory(
             repository=repository or InterfaceRepository(),
-            vote_abs_tol=vote_abs_tol,
-            vote_rel_tol=vote_rel_tol,
             checkpoint_interval=checkpoint_interval,
             large_reply_threshold=large_reply_threshold,
             telemetry=self.network.telemetry,
@@ -99,13 +94,11 @@ class ItdosSystem:
             bft_batch_delay=bft_batch_delay,
             bft_pipeline_window=bft_pipeline_window,
             read_fastpath=read_fastpath,
-            read_timeout=read_timeout,
         )
         self.clients: dict[str, ItdosClient] = {}
         # Every server-domain process by pid, read tier included.
         self.elements: dict[str, ItdosServerElement | ReadOnlyElement] = {}
         self.gm_elements: list[GroupManagerElement] = []
-        self.proactive_schedulers: list[Any] = []
         # -- Group Manager domain -------------------------------------------
         n_gm = 3 * f_gm + 1
         gm_ids = tuple(f"gm-{i}" for i in range(n_gm))
@@ -172,9 +165,6 @@ class ItdosSystem:
         n: int | None = None,
         platforms: list[PlatformProfile] | None = None,
         state_mode: str = "queue",
-        app_state_fn: Callable[[QueueElement], Callable[[], Any]] | None = None,
-        app_restore_fn: Callable[[QueueElement], Callable[[Any], None]] | None = None,
-        element_class: type[ItdosServerElement] = ItdosServerElement,
         byzantine: dict[int, type[ItdosServerElement]] | None = None,
         queue_max_bytes: int = 1 << 22,
         readers: int = 0,
@@ -225,10 +215,6 @@ class ItdosSystem:
                 pid, self.directory, domain_id, orb, signer,
                 queue_max_bytes=queue_max_bytes, **kwargs,
             )
-            if app_state_fn is not None:
-                element.app_state_fn = app_state_fn(element)
-            if app_restore_fn is not None:
-                element.app_restore_fn = app_restore_fn(element)
             for object_key, servant in servants(element).items():
                 orb.adapter.activate(object_key, servant)
             self.network.add_process(element)
@@ -238,7 +224,7 @@ class ItdosSystem:
         created = []
         for index, pid in enumerate(element_ids):
             element = build(
-                pid, platforms[index], byzantine.get(index, element_class),
+                pid, platforms[index], byzantine.get(index, ItdosServerElement),
                 state_mode=state_mode, auth=domain_auth(pid),
             )
             group_addr.join(pid)
@@ -264,8 +250,6 @@ class ItdosSystem:
         servants: ServantFactory,
         object_key: bytes = b"kv",
         cross_shard: bool = True,
-        coordinator_f: int | None = None,
-        coordinator_byzantine: dict[int, type[ItdosServerElement]] | None = None,
         **kwargs: Any,
     ) -> "ShardMap":
         """Partition one object space across ``shards`` replication domains.
@@ -301,13 +285,12 @@ class ItdosSystem:
             }
             self.add_server_domain(
                 shard_map.coordinator_id,
-                f=coordinator_f if coordinator_f is not None else f,
+                f=f,
                 servants=lambda element: {
                     COORDINATOR_OBJECT_KEY: TxnCoordinatorServant(
                         element, shard_map, refs
                     )
                 },
-                byzantine=coordinator_byzantine,
             )
         return shard_map
 
@@ -359,7 +342,6 @@ class ItdosSystem:
             downtime=downtime,
         )
         scheduler.start()
-        self.proactive_schedulers.append(scheduler)
         return scheduler
 
     def settle(self, duration: float = 2.0, max_events: int = 2_000_000) -> None:
@@ -368,10 +350,6 @@ class ItdosSystem:
 
     def run_until(self, predicate: Callable[[], bool], max_events: int = 2_000_000) -> None:
         self.network.run(stop_when=predicate, max_events=max_events)
-
-    @property
-    def gm_primary(self) -> GroupManagerElement:
-        return self.gm_elements[0]
 
     @property
     def telemetry(self):

@@ -104,9 +104,9 @@ class SystemDirectory:
     # (client_pid, element_pid) -> 32-byte read-reply MAC key (fast path).
     read_keys: dict[tuple[str, str], bytes] = field(default_factory=dict)
     platforms: dict[str, PlatformProfile] = field(default_factory=dict)
-    # Inexact voting tolerances (§3.6 / [31]).
-    vote_abs_tol: float = 1e-9
-    vote_rel_tol: float = 1e-9
+    # Inexact voting tolerances (§3.6 / [31]); constants, not fields.
+    VOTE_ABS_TOL = 1e-9
+    VOTE_REL_TOL = 1e-9
     checkpoint_interval: int = 16
     # Ordering-path batching knobs, applied uniformly to every domain's
     # PBFT group (all processes must derive identical configs). Defaults
@@ -125,7 +125,7 @@ class SystemDirectory:
     # timeout or divergence. Off by default — the ordered path is the
     # baseline and disabling must reproduce pre-fast-path traffic exactly.
     read_fastpath: bool = False
-    read_timeout: float = 0.75
+    READ_TIMEOUT = 0.75  # seconds a fast-path read waits (a constant)
     # Deployment-wide observability; bootstrap swaps in a live Telemetry.
     telemetry: Telemetry = NOOP_TELEMETRY
 
@@ -195,7 +195,7 @@ class SystemDirectory:
         """Comparator for reply values of one operation (inexact floats)."""
         self._count_compile("reply")
         op = self.repository.lookup(interface_name).operation(operation)
-        return compile_comparator(op.result, self.vote_abs_tol, self.vote_rel_tol)
+        return compile_comparator(op.result, self.VOTE_ABS_TOL, self.VOTE_REL_TOL)
 
     def request_comparator(self, interface_name: str, operation: str) -> Comparator:
         """Comparator for the argument tuples of one operation."""
@@ -203,7 +203,7 @@ class SystemDirectory:
         op = self.repository.lookup(interface_name).operation(operation)
         param_tcs: list[TypeCode] = [p.tc for p in op.params]
         comparators = [
-            compile_comparator(tc, self.vote_abs_tol, self.vote_rel_tol)
+            compile_comparator(tc, self.VOTE_ABS_TOL, self.VOTE_REL_TOL)
             for tc in param_tcs
         ]
 

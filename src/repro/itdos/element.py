@@ -23,7 +23,7 @@ The mixin expects the process side to be initialised first (``pid``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.crypto.digests import digest
 from repro.crypto.encoding import parse_canonical
@@ -48,6 +48,7 @@ from repro.itdos.sockets import traffic_nonce
 from repro.itdos.voter import RequestVoter, VoteOutcome
 from repro.itdos.vvm import Comparator
 from repro.orb.core import Orb
+from repro.orb.errors import ObjectNotExist
 from repro.orb.servant import PendingCall
 from repro.orb.stubs import Stub
 from repro.recovery.messages import QueueStateResponse
@@ -118,8 +119,6 @@ class QueueElement:
         orb: Orb,
         signer: RsaSigner,
         state_mode: str,
-        app_state_fn: Callable[[], Any] | None,
-        app_restore_fn: Callable[[Any], None] | None,
         queue_max_bytes: int,
     ) -> None:
         if directory.dprf_public is None:
@@ -132,8 +131,6 @@ class QueueElement:
         self.orb = orb
         self.signer = signer
         self.state_mode = state_mode
-        self.app_state_fn = app_state_fn or (lambda: None)
-        self.app_restore_fn = app_restore_fn or (lambda state: None)
         self.queue = MessageQueue(max_bytes=queue_max_bytes)
         self._append_chain = b"\x00" * 32  # rolling digest of ordered payloads
         self.key_store = KeyStore(directory.dprf_public)
@@ -229,16 +226,47 @@ class QueueElement:
         self.queue.append(seq, payload)
         self._append_chain = digest(self._append_chain + payload)
 
+    def servant_state(self) -> dict[str, Any] | None:
+        """The servant half of catch-up and object-mode checkpoints: each
+        servant's ``get_state()`` by object key (latin-1), ``None`` if no
+        servant declares state."""
+        adapter = self.orb.adapter
+        states = {
+            key.decode("latin-1"): state
+            for key in adapter.object_keys()
+            if (state := adapter.servant_for(key).get_state()) is not None
+        }
+        return states or None
+
+    def _adopt_servant_state(self, states: Any) -> None:
+        """Hand each servant its part of a peer's :meth:`servant_state`, all
+        or nothing: a key with no active servant (``ObjectNotExist``) or a
+        state a servant rejects raises with every servant as it was."""
+        if not isinstance(states, (dict, type(None))):
+            raise TypeError("servant state is not keyed by object key")
+        adapter = self.orb.adapter
+        servants = {key: adapter.servant_for(key.encode("latin-1")) for key in states or {}}
+        kept = {key: servant.get_state() for key, servant in servants.items()}
+        try:
+            for key, servant in servants.items():
+                servant.set_state(states[key])
+        except (KeyError, TypeError, ValueError):
+            for key, servant in servants.items():
+                servant.set_state(kept[key])
+            raise
+
     def _restore_queue_state(self, response: QueueStateResponse) -> bool:
         """Install a cross-validated peer's queue and the servant state at
         its processed position. False — a failed adoption, the caller goes
-        another round — if either is refused; nothing is touched unless the
-        app state parses and the queue snapshot validates in full."""
+        another round — if either is refused, with the queue, the chain and
+        every servant left as they were."""
+        kept = self.queue.snapshot()
         try:
-            app = parse_canonical(response.app_state)["app"]
+            states = parse_canonical(response.app_state)["app"]
             self.queue.restore(response.snapshot)
-            self.app_restore_fn(app)
-        except (KeyError, TypeError, ValueError, QueueOverflow):
+            self._adopt_servant_state(states)
+        except (KeyError, TypeError, ValueError, QueueOverflow, ObjectNotExist):
+            self.queue.restore(kept)
             return False
         self._append_chain = response.chain
         return True

@@ -86,6 +86,3 @@ class EnclaveFirewall:
     def install(self, network: Network) -> "EnclaveFirewall":
         network.add_filter(self.admit)
         return self
-
-    def uninstall(self, network: Network) -> None:
-        network.remove_filter(self.admit)

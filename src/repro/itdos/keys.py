@@ -385,6 +385,3 @@ class KeyStore:
     def key_for(self, conn_id: int, key_id: int) -> SymmetricKey | None:
         keys = self.connections.get(conn_id)
         return keys.get(key_id) if keys else None
-
-    def knows_connection(self, conn_id: int) -> bool:
-        return conn_id in self.connections

@@ -67,17 +67,12 @@ class ReadOnlyElement(QueueElement, Process):
         domain_id: str,
         orb: Orb,
         signer: RsaSigner,
-        app_state_fn: Callable[[], Any] | None = None,
-        app_restore_fn: Callable[[Any], None] | None = None,
         queue_max_bytes: int = 1 << 22,
     ) -> None:
         if pid not in directory.domain(domain_id).read_only_ids:
             raise ValueError(f"{pid!r} is not in the read tier of {domain_id!r}")
         Process.__init__(self, pid)
-        self._init_element(
-            directory, domain_id, orb, signer, "queue",
-            app_state_fn, app_restore_fn, queue_max_bytes,
-        )
+        self._init_element(directory, domain_id, orb, signer, "queue", queue_max_bytes)
         # f+1 byte-identical feeds per index gate application (see module doc).
         self._feed_buffer: dict[int, dict[str, bytes]] = {}
         self._feed_stall_timer: Any = None

@@ -75,8 +75,6 @@ class ItdosServerElement(QueueElement, BftReplica):
         orb: Orb,
         signer: RsaSigner,
         state_mode: str = "queue",
-        app_state_fn: Callable[[], Any] | None = None,
-        app_restore_fn: Callable[[Any], None] | None = None,
         queue_max_bytes: int = 1 << 22,
         auth: Any = None,
     ) -> None:
@@ -90,8 +88,7 @@ class ItdosServerElement(QueueElement, BftReplica):
             auth=auth,
         )
         self._init_element(
-            directory, domain_id, orb, signer, state_mode,
-            app_state_fn, app_restore_fn, queue_max_bytes,
+            directory, domain_id, orb, signer, state_mode, queue_max_bytes
         )
         self.endpoint = SmiopEndpoint(
             self, directory, self.key_store, kind="domain", own_domain=domain_id
@@ -516,7 +513,7 @@ class ItdosServerElement(QueueElement, BftReplica):
                 last_executed=self.last_executed,
                 stable_seq=stable_seq,
                 checkpoint_snapshot=snapshot,
-                app_state=canonical_bytes({"app": self.app_state_fn()}),
+                app_state=canonical_bytes({"app": self.servant_state()}),
                 checkpoint_proof=proof,
             ),
         )
@@ -544,7 +541,7 @@ class ItdosServerElement(QueueElement, BftReplica):
             "appended": self.queue.total_appended,
         }
         if self.state_mode == "object":
-            view["app"] = self.app_state_fn()
+            view["app"] = self.servant_state()
         return canonical_bytes(view)
 
     def _restore(self, snapshot: bytes, seq: int) -> None:
@@ -554,7 +551,7 @@ class ItdosServerElement(QueueElement, BftReplica):
         self._append_chain = data.get("chain", self._append_chain)
         if data.get("mode") == "object":
             # Castro–Liskov-style recovery: adopt the full object state.
-            self.app_restore_fn(data.get("app"))
+            self._adopt_servant_state(data.get("app"))
             self.queue.items.clear()
             self.queue.bytes_held = 0
             self.queue.processed_count = data.get("appended", 0)

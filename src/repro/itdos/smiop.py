@@ -40,14 +40,6 @@ class SmiopConnectionAdapter(Connection):
     def connected(self) -> bool:
         return self.connection.connected
 
-    @property
-    def queued(self) -> int:
-        return len(self._send_queue)
-
-    @property
-    def queued_reads(self) -> int:
-        return len(self._read_queue)
-
     def send_request(
         self, wire: bytes, on_reply: ReplyHandler | None, read_only: bool = False
     ) -> None:

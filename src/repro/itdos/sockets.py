@@ -341,7 +341,7 @@ class OutgoingConnection:
         for pid in self.target.element_ids + readers:
             self.endpoint.owner.send(pid, envelope)
         self._read_timer = self.endpoint.owner.set_timer(
-            self.endpoint.directory.read_timeout,
+            self.endpoint.directory.READ_TIMEOUT,
             lambda: self._read_give_up(read_id, "timeout"),
         )
 

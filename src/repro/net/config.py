@@ -322,7 +322,6 @@ class TopologyConfig:
             CalculatorServant,
             KvStoreServant,
             ShardKvServant,
-            kv_state_hooks,
             standard_repository,
         )
 
@@ -332,33 +331,22 @@ class TopologyConfig:
             repository=standard_repository(),
             read_fastpath=self.read_fastpath,
         )
-        if self.shards > 1:
-            # Shard domains only: single-key traffic fans out per shard on
-            # the wire; the cross-shard coordinator stays a simulator
-            # concern, so no "{domain}-txc" processes exist out here.
-            system.add_sharded_domain(
-                self.domain,
-                shards=self.shards,
-                f=self.f,
-                servants=lambda element: {b"kv": ShardKvServant()},
-                object_key=b"kv",
-                cross_shard=False,
-            )
-        elif self.workload == "kv":
-            system.add_server_domain(
-                self.domain,
-                f=self.f,
-                servants=lambda element: {b"kv": KvStoreServant()},
-                readers=self.readers,
-                **kv_state_hooks(),
-            )
+        if self.workload == "calc":
+            servant_class = CalculatorServant
         else:
-            system.add_server_domain(
-                self.domain,
-                f=self.f,
-                servants=lambda element: {b"calc": CalculatorServant()},
-                readers=self.readers,
-            )
+            servant_class = ShardKvServant if self.shards > 1 else KvStoreServant
+        # Shard domains only: single-key traffic fans out per shard on the
+        # wire; the cross-shard coordinator stays a simulator concern, so no
+        # "{domain}-txc" processes exist out here.
+        system.add_sharded_domain(
+            self.domain,
+            shards=self.shards,
+            f=self.f,
+            servants=lambda element: {self.object_key: servant_class()},
+            object_key=self.object_key,
+            cross_shard=False,
+            readers=self.readers,
+        )
         for name in self.clients:
             system.add_client(name)
         return system

@@ -54,8 +54,16 @@ class Servant:
 
     interface: InterfaceDef
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
+    def get_state(self) -> Any:
+        """The replicated object state (canonical-encodable) that catch-up
+        and object-mode checkpoints carry; ``None``, the default, is none."""
+        return None
+
+    def set_state(self, state: Any) -> None:
+        """Adopt a peer's :meth:`get_state`, or raise ``TypeError``/
+        ``ValueError`` — changing nothing — on a value it does not accept."""
+        if state is not None:
+            raise TypeError(f"{type(self).__name__} declares no state")
 
     def dispatch(self, operation: str, args: tuple[Any, ...]) -> Any:
         """Invoke ``operation``; returns the result or a live generator.

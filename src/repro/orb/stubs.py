@@ -37,15 +37,6 @@ class Stub:
     def ref(self) -> ObjectRef:
         return self._ref
 
-    def is_read_only(self, operation: str) -> bool:
-        """Whether the IDL declares ``operation`` side-effect free.
-
-        Surface for callers (workload generators, tooling) that want to
-        know which calls are fast-path eligible; the transport learns the
-        same fact from the interface repository, not from the stub.
-        """
-        return self._interface.operation(operation).read_only
-
     def __getattr__(self, name: str) -> Callable[..., Any]:
         # Only reached for names not found normally — i.e. operations.
         if not self._interface.has_operation(name):

@@ -184,7 +184,7 @@ class RecoveryCoordinator:
         ):
             return False
         if not element._restore_queue_state(response):
-            return False  # retry round will overwrite any partial state
+            return False  # refused whole: nothing adopted, the next round retries
         # Replay the buffered ordered tail past the snapshot position.
         replayed = 0
         for seq, payload in element._recovery_buffer:

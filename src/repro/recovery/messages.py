@@ -90,10 +90,11 @@ class QueueStateResponse:
     "checkpoint fetch RPC". Proof *contents* differ per peer (different
     quorum subsets), so :meth:`fingerprint` covers everything except it.
 
-    ``app_state`` is the canonical ``{"app": app_state_fn()}`` of the
-    servants *at* ``snapshot``'s processed position: the queue snapshot
-    only holds the unprocessed suffix, so an adopter that missed any
-    processed payload needs the state those payloads produced.
+    ``app_state`` is the canonical ``{"app": element.servant_state()}`` —
+    each servant's ``get_state()`` keyed by object key, ``None`` if no
+    servant declares state — *at* ``snapshot``'s processed position: the
+    queue snapshot only holds the unprocessed suffix, so an adopter that
+    missed any processed payload needs the state those payloads produced.
     """
 
     sender: str

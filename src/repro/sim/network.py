@@ -189,9 +189,6 @@ class Network:
         """
         self._filters.append(fn)
 
-    def remove_filter(self, fn) -> None:
-        self._filters.remove(fn)
-
     # -- transmission -------------------------------------------------------
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:

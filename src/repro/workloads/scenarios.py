@@ -255,14 +255,18 @@ class KvStoreServant(Servant):
     def size(self) -> int:
         return len(self.data)
 
-    # State hooks (see kv_state_hooks): catch-up ships the store with the
-    # queue position it belongs to, and object-mode checkpoints (the
-    # Castro–Liskov baseline in experiment E4) carry it.
+    # Catch-up ships the store with the queue position it belongs to, and
+    # object-mode checkpoints (the Castro–Liskov baseline in experiment E4)
+    # carry it.
     def get_state(self) -> dict[str, str]:
         return dict(self.data)
 
     def set_state(self, state: dict[str, str]) -> None:
-        self.data = dict(state or {})
+        if not isinstance(state, dict) or not all(
+            isinstance(value, str) for value in state.values()
+        ):
+            raise TypeError("KV state maps keys to str values")
+        self.data = dict(state)
 
 
 class ShardKvServant(KvStoreServant):
@@ -310,6 +314,24 @@ class ShardKvServant(KvStoreServant):
     def decision(self, txn: str) -> str:
         return self.txn_decisions.get(txn, "")
 
+    # A recovered participant needs its peers' staged prepares and decisions
+    # as well as their data: commits, and refusing torn prepares, use them.
+    def get_state(self) -> dict[str, Any]:
+        return {
+            "data": dict(self.data),
+            "pending": dict(self.pending),
+            "txn_decisions": dict(self.txn_decisions),
+        }
+
+    def set_state(self, state: dict[str, Any]) -> None:
+        pending = {
+            txn: [(key, value) for key, value in writes]
+            for txn, writes in dict(state["pending"]).items()
+        }
+        decisions = dict(state["txn_decisions"])
+        super().set_state(state["data"])
+        self.pending, self.txn_decisions = pending, decisions
+
 
 # -- deployments --------------------------------------------------------------------
 
@@ -354,24 +376,6 @@ def build_bank_system(
     return system
 
 
-def kv_state_hooks() -> dict[str, Any]:
-    """``app_state_fn``/``app_restore_fn`` for a domain hosting one
-    :class:`KvStoreServant` under ``b"kv"``: what lets a recovered element
-    or a resynced reader adopt the store that belongs to the queue position
-    it adopts (and, in object mode, what checkpoints carry). Not for
-    :class:`ShardKvServant` — its staged transactions and decisions live
-    outside ``data``, so the sharded builders wire no hooks.
-    """
-    return {
-        "app_state_fn": lambda element: (
-            lambda: element.orb.adapter.servant_for(b"kv").get_state()
-        ),
-        "app_restore_fn": lambda element: (
-            lambda state: element.orb.adapter.servant_for(b"kv").set_state(state)
-        ),
-    }
-
-
 def build_read_heavy_system(
     f: int = 1,
     seed: int = 0,
@@ -397,7 +401,6 @@ def build_read_heavy_system(
         f=f,
         servants=lambda element: {b"kv": KvStoreServant()},
         readers=readers,
-        **kv_state_hooks(),
     )
     return system
 
@@ -407,7 +410,6 @@ def build_sharded_kv_system(
     f: int = 1,
     seed: int = 0,
     cross_shard: bool = True,
-    coordinator_byzantine: dict[int, type] | None = None,
     **kwargs: Any,
 ) -> tuple[ItdosSystem, ShardMap]:
     """KV object space partitioned across ``shards`` replication domains (E20).
@@ -431,7 +433,6 @@ def build_sharded_kv_system(
         servants=lambda element: {b"kv": ShardKvServant()},
         object_key=b"kv",
         cross_shard=cross_shard,
-        coordinator_byzantine=coordinator_byzantine,
     )
     return system, shard_map
 
@@ -467,6 +468,5 @@ def build_kv_system(
         f=f,
         servants=lambda element: {b"kv": KvStoreServant()},
         state_mode=state_mode,
-        **kv_state_hooks(),
     )
     return system

@@ -18,7 +18,6 @@ from repro.itdos.messages import CommitFeed, ReadReply, ReadRequest
 from repro.recovery.messages import QueueStateRequest, QueueStateResponse
 from repro.workloads.scenarios import (
     KvStoreServant,
-    kv_state_hooks,
     standard_repository,
 )
 from tests.history import History
@@ -56,7 +55,6 @@ def make_kv(
         readers=readers,
         byzantine=byzantine,
         reader_class=reader_class,
-        **kv_state_hooks(),
     )
     system.settle(1.0)  # GM bootstrap
     return system
@@ -337,8 +335,10 @@ def test_reader_is_unreachable_through_its_inherited_bft_handlers():
 
 
 def test_kv_builders_wire_the_servant_state_hooks():
-    """Every unsharded KvStore deployment ships the store with a catch-up:
-    core elements and readers alike export and restore ``servant.data``."""
+    """Every KvStore deployment ships the store with a catch-up: core
+    elements and readers alike export and restore ``servant.data`` through
+    the element's servant-state path, keyed by object key, with nothing
+    wired by the builder."""
     from repro.net.config import TopologyConfig
     from repro.workloads.scenarios import build_kv_system, build_read_heavy_system
 
@@ -351,8 +351,8 @@ def test_kv_builders_wire_the_servant_state_hooks():
         for element in system.domain_elements("kv") + system.read_tier("kv"):
             servant = element.orb.adapter.servant_for(b"kv")
             servant.put("k", "v")
-            assert element.app_state_fn() == {"k": "v"}
-            element.app_restore_fn({"other": "state"})
+            assert element.servant_state() == {"kv": {"k": "v"}}
+            element._adopt_servant_state({"kv": {"other": "state"}})
             assert servant.data == {"other": "state"}
 
 

@@ -18,7 +18,6 @@ from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.messages import ReadReply, read_reply_mac
 from repro.workloads.scenarios import (
     KvStoreServant,
-    kv_state_hooks,
     standard_repository,
 )
 from tests.history import History
@@ -45,8 +44,7 @@ def make_kv(
             servants=lambda element: {b"kv": KvStoreServant()},
             readers=readers,
             byzantine=byzantine,
-            **kv_state_hooks(),
-        )
+            )
     system.settle(1.0)  # GM bootstrap
     return system
 

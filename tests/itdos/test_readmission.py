@@ -14,7 +14,6 @@ from repro.itdos.faults import LyingElement
 from repro.itdos.messages import encode_payload
 from repro.workloads.scenarios import (
     KvStoreServant,
-    kv_state_hooks,
     standard_repository,
 )
 
@@ -32,7 +31,6 @@ def build_object_mode_system(seed=0, byzantine=None):
         servants=lambda element: {b"kv": KvStoreServant()},
         state_mode="object",
         byzantine=byzantine or {},
-        **kv_state_hooks(),
     )
     return system
 

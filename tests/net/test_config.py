@@ -1,5 +1,7 @@
 """Topology files: parsing, derived membership, key-material determinism."""
 
+import hashlib
+
 import pytest
 
 from repro.chaos.schedule import ChaosPlan, PartitionWindow
@@ -155,3 +157,53 @@ def test_build_system_key_material_is_deterministic():
             two.directory.keyring.public_key(pid)
         ), f"{pid} RSA keypair diverged between constructions"
     assert one.directory.pairwise_keys == two.directory.pairwise_keys
+
+
+#: sha256 over the derived deployment of each topology below — process ids,
+#: RSA public keys, GM pairwise keys, read keys, platforms and the served
+#: interfaces — recorded when ``build_system`` still had one branch per
+#: workload. One ``add_sharded_domain`` call must reproduce all of it.
+KEY_MATERIAL_PINS = {
+    "calc": (
+        dict(domain="calc", workload="calc"),
+        "e688e842590585d0ff77b65c8d3bec947e0e6c267f0679377160d9eff6dbabc4",
+    ),
+    "kv": (
+        dict(domain="kv", workload="kv"),
+        "ecf3d11d9eaf7d5658e9b0e0a0dd08148364ffff99d3971b8d682a5c26f130e8",
+    ),
+    "kv-readers": (
+        dict(domain="kv", workload="kv", readers=2, read_fastpath=True),
+        "26e396e038677b578aa8ea557dcfb06581aaf995387c398397aa73a09804fd81",
+    ),
+    "kv-shards": (
+        dict(domain="kv", workload="kv", shards=2),
+        "0ad8cf2972082d3893e461e6eb050c6942ab15fff64c3e4cee8c808af9377211",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_MATERIAL_PINS))
+def test_build_system_derives_the_pinned_key_material(case):
+    spec, pin = KEY_MATERIAL_PINS[case]
+    config = TopologyConfig(seed=11, **spec)
+    system = config.build_system()
+    directory = system.directory
+    pids = list(system.network.processes)
+    material = [
+        pids,
+        [
+            (pid, directory.keyring.public_key(pid))
+            for pid in pids
+            if directory.keyring.knows(pid)
+        ],
+        sorted(directory.pairwise_keys.items()),
+        sorted(directory.read_keys.items()),
+        sorted(directory.platforms.items()),
+        [
+            system.ref(domain_id, config.object_key).interface_name
+            for domain_id in config.domain_ids
+        ],
+    ]
+    assert pids == list(config.node_ids())
+    assert hashlib.sha256(repr(material).encode()).hexdigest() == pin

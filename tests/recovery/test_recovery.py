@@ -7,8 +7,11 @@ model, where an expelled element cannot be repaired by object-state copy
 and must re-adopt the message queue from its peers.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.crypto.encoding import canonical_bytes
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
 from repro.recovery.messages import (
@@ -19,8 +22,11 @@ from repro.recovery.messages import (
 )
 from repro.workloads.scenarios import (
     CalculatorServant,
+    KvStoreServant,
     build_bank_system,
     build_kv_system,
+    build_sharded_kv_system,
+    router_for,
     standard_repository,
 )
 
@@ -263,6 +269,96 @@ def test_recovered_element_has_its_peers_servant_state():
     system.settle(3.0)
     for gm in system.gm_elements:
         assert gm.state.expelled == set()
+
+
+def test_recovered_shard_element_gets_its_transactions_back():
+    """Participant durability for the cross-shard commit: a ShardKvServant
+    element down across 20 puts and 20 two-shard transactions comes back
+    with its peers' keys *and* transaction decisions, and keeps agreeing
+    with them on the traffic that follows."""
+    system, shard_map = build_sharded_kv_system(shards=2, seed=5)
+    client = system.add_client("alice")
+    system.settle(1.0)
+    router = router_for(system, client, shard_map)
+
+    def on_shard(shard, tag):
+        n = 0
+        while shard_map.shard_of(f"{tag}.{n}") != shard:
+            n += 1
+        return f"{tag}.{n}"
+
+    def traffic(tag, count):
+        for i in range(count):
+            router.invoke(f"{tag}-p{i}", "put", f"{tag}-p{i}", "v")
+            keys = [on_shard(0, f"{tag}-t{i}"), on_shard(1, f"{tag}-t{i}")]
+            assert router.transact(keys, ["x", "y"]) == 1
+
+    victim = system.elements["kv-s0-e2"]
+    victim.crash()
+    traffic("down", 20)
+    victim.restart()
+    verdict, recovered = recover(system, victim, fresh_keys=True)
+    assert verdict == b"REFRESHED" and recovered
+    traffic("up", 6)
+    system.settle(3.0)
+
+    mine = victim.orb.adapter.servant_for(b"kv")
+    peer = system.elements["kv-s0-e0"].orb.adapter.servant_for(b"kv")
+    assert len(peer.txn_decisions) == 26
+    assert mine.data == peer.data
+    assert mine.txn_decisions == peer.txn_decisions
+    assert mine.pending == peer.pending == {}
+
+
+@pytest.mark.parametrize(
+    "app",
+    [
+        {"ghost": {"k": "v"}},  # names an object key with no active servant
+        {"a": {"k": "v"}, "b": 5},  # "b" rejects after "a" accepted
+        {"a": {"k": ["not", "a", "str"]}},  # "a" rejects
+        5,  # not keyed by object key at all
+    ],
+)
+def test_a_rejected_adoption_touches_nothing(app):
+    """A catch-up whose servant state cannot be adopted is a failed
+    adoption (the fetch goes another round): the queue, the append chain
+    and every servant stay exactly as they were, and nothing escapes."""
+    system = ItdosSystem(
+        seed=17, repository=standard_repository(), heterogeneous=False
+    )
+    system.add_server_domain(
+        "kv",
+        f=1,
+        servants=lambda element: {b"a": KvStoreServant(), b"b": KvStoreServant()},
+    )
+    client = system.add_client("alice")
+    client.stub(system.ref("kv", b"a")).put("mine", "1")
+    element = system.elements["kv-e0"]
+    before = (element.queue.snapshot(), element._append_chain, element.servant_state())
+    assert before[2] == {"a": {"mine": "1"}, "b": {}}
+    peer = QueueStateResponse(
+        sender="kv-e1",
+        domain_id="kv",
+        attempt=1,
+        appended=99,
+        chain=b"\x07" * 32,
+        snapshot=canonical_bytes({"processed": 98, "items": [[50, b"payload"]]}),
+        last_executed=50,
+        stable_seq=0,
+        checkpoint_snapshot=b"",
+        app_state=canonical_bytes({"app": app}),
+    )
+    assert element._restore_queue_state(peer) is False
+    after = (element.queue.snapshot(), element._append_chain, element.servant_state())
+    assert after == before
+    # The same response with a state the servants accept is adopted whole.
+    good = dataclasses.replace(
+        peer, app_state=canonical_bytes({"app": {"a": {"k": "v"}}})
+    )
+    assert element._restore_queue_state(good) is True
+    assert element.queue.snapshot() == good.snapshot
+    assert element._append_chain == good.chain
+    assert element.servant_state() == {"a": {"k": "v"}, "b": {}}
 
 
 def test_element_parked_on_a_nested_call_does_not_vouch_for_state():
