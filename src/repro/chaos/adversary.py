@@ -105,6 +105,7 @@ class ChaosController:
         # space the shrinker searches over.
         self.fault_candidates = 0
         self.applied: dict[str, int] = {}
+        self.rolled = 0  # copies that reached the rolls (not cut or exempt)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -153,6 +154,7 @@ class ChaosController:
         # stream (and therefore fault indices) stays aligned between a full
         # run and its shrink probes for the unchanged prefix.
         rolls = [self.rng.random() for _ in range(6)]
+        self.rolled += 1
         kind_name = type(payload).__name__
         adjusted = payload
         if (

@@ -34,17 +34,24 @@ def percentile(values: list[float], fraction: float) -> float:
 
 
 def pick_base_port(count: int, attempts: int = 64) -> int:
-    """A base port with ``count`` consecutive free TCP ports above it.
+    """A base port with ``count`` consecutive free TCP ports above it, all
+    below the kernel's ephemeral range: the cluster's own outbound
+    connections take ports from that range, and one could otherwise land on
+    a node's port between this probe and the node's bind.
 
-    Raciness is inherent (another process can grab a port between probe
-    and bind); the launcher surfaces that as a node failing to come ready,
-    and callers retry with a fresh range.
+    Raciness with other processes is inherent; the launcher surfaces it as
+    a node failing to come ready, and callers retry with a fresh range.
     """
     import random
 
+    try:  # Linux; elsewhere the range starts at or above 32768
+        with open("/proc/sys/net/ipv4/ip_local_port_range", encoding="ascii") as handle:
+            ephemeral = int(handle.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        ephemeral = 32768
     rng = random.Random(os.getpid() ^ int(time.time() * 1000))
     for _ in range(attempts):
-        base = rng.randrange(20000, 60000 - count)
+        base = rng.randrange(20000, max(ephemeral, 20001 + count) - count)
         sockets = []
         try:
             for offset in range(count):

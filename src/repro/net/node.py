@@ -343,6 +343,7 @@ class NodeHarness:
         }
         if self.world.adversary is not None:
             stats["faults_applied"] = dict(self.world.adversary.applied)
+            stats["faults_rolled"] = self.world.adversary.rolled
         if self.role == "replica":
             stats["replica"] = {
                 "dispatched": len(self.element.dispatched),

@@ -17,17 +17,22 @@ The bytes are the canonical TLV encoding (:mod:`repro.crypto.encoding`) of
 :func:`repro.schema.message` dataclass, every field included (``auth`` too,
 which the *signed* form leaves out) and nested messages the same way. Both
 directions are one pass between bytes and objects, with no dict tree in
-between: the writer lays each value behind the head and key items its
-class's :class:`~repro.schema.Plan` holds as constants; the reader walks the
-frame once, matches those keys as bytes and reads a field map straight into
-constructor arguments, restoring tuples from the type hints. The two-pass
-codec this replaced is the test oracle (``tests/net/reference_wire.py``).
+between. Per message class they are generated source, compiled on first use
+from its :class:`~repro.schema.Plan` (``wire_head``, ``wire_keys``, the
+field hints): the writer lays each field's key item and value, an atom of
+the hinted type (``None`` where the hint admits it) inline; the reader reads
+exactly that layout into locals and calls the class with keyword arguments,
+and at its first deviation hands the rest of the map to the one fallback,
+:func:`_read_fields`, key by key. Plain values are not compiled. The
+two-pass codec this replaced is the test oracle (``tests/net/reference_wire.py``).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any
+import types
+import typing
+from typing import Any, Callable
 
 from repro.crypto.encoding import MAX_PARSE_DEPTH, _emit, _pack_container_head
 from repro.crypto.encoding import _parse_one, _unpack_ulong, canonical_bytes
@@ -38,30 +43,35 @@ _TAG_S, _TAG_B, _TAG_I, _TAG_L = b"SBIL"
 # on ``S 1 "f" M <field map>``: the constant bytes around the two lengths.
 _OPEN = canonical_bytes(WIRE_KEY) + b"S"
 _FIELDS = canonical_bytes(FIELDS_KEY) + b"M"
+_pack_ulong = struct.Struct(">I").pack
+#: Per atom a field may be hinted as: its tag, how a compiled writer encodes
+#: ``v``, how a compiled reader decodes ``raw[a:e]``.
+_ATOMS = {
+    int: (b"I", "str(v).encode()", "int(str(raw[a:e], 'ascii'))"),
+    str: (b"S", "v.encode()", "str(raw[a:e], 'utf-8')"),
+    bytes: (b"B", "v", "raw[a:e]"),
+}
 
 
 class WireCodecError(ValueError):
     """Payload cannot cross a real process boundary."""
 
 
+class _Deviation(Exception):
+    """A compiled reader met bytes outside its writer's layout."""
+
+
 def _write(value: Any, pieces: list[bytes]) -> int:
-    """Append ``value``'s encoding to ``pieces``; return its byte length. A
-    message is its plan's constant head and key items around its values."""
+    """Append ``value``'s encoding to ``pieces``; return its byte length."""
     plan = plan_of(type(value))
-    if plan is None and not isinstance(value, (list, tuple, dict)):
+    if plan is not None:
+        write = _WRITERS.get(plan) or _WRITERS.setdefault(plan, _compile_writer(plan))
+        return write(value, pieces)
+    if not isinstance(value, (list, tuple, dict)):
         return _emit(value, pieces)  # atoms, and whatever canonical_bytes refuses
     slot = len(pieces)
-    pieces.append(b"")  # the header (a message's two), once the items are sized
+    pieces.append(b"")  # the header, once the items are sized
     size = 4
-    if plan is not None:
-        for key, field, _ in plan.wire_keys:
-            pieces.append(key)
-            size += len(key) + _write(getattr(value, field), pieces)
-        head = plan.wire_head
-        outer = _pack_container_head(b"M", 9 + len(head) + size, 2)
-        inner = _pack_container_head(b"M", size, len(plan.wire_keys))
-        pieces[slot] = b"".join((outer, head, inner))
-        return 14 + len(head) + size
     tag = b"M" if isinstance(value, dict) else b"L"
     if tag == b"M":
         for key in sorted(value):
@@ -111,7 +121,8 @@ def _read(raw: bytes, pos: int, limit: int, depth: int) -> tuple[Any, int]:
         and fields_at + len(_FIELDS) + 8 <= end  # the field map's length and count
         and (plan := plan_named(str(raw[name_at:fields_at], "utf-8"))) is not None
     ):
-        value, pos = _read_fields(raw, fields_at + len(_FIELDS), limit, depth, plan)
+        read = _READERS.get(plan) or _READERS.setdefault(plan, _compile_reader(plan))
+        value, pos = read(raw, fields_at + len(_FIELDS), limit, depth)
     else:
         value = {}
         for _ in range(count):
@@ -135,11 +146,13 @@ def _read(raw: bytes, pos: int, limit: int, depth: int) -> tuple[Any, int]:
     return value, end
 
 
-def _read_fields(raw: bytes, pos: int, limit: int, depth: int, plan: Plan) -> tuple[Any, int]:
-    """``plan``'s message from the field map whose length and count are at
-    ``pos``, read straight into constructor arguments: values read (nested
-    messages built) then coerced, unknown keys read and dropped, absent
-    fields left to the dataclass defaults."""
+def _read_fields(
+    raw: bytes, pos: int, limit: int, depth: int, plan: Plan,
+    at: int = 0, kwargs: dict | None = None,
+) -> tuple[Any, int]:
+    """``plan``'s message from the field map at ``pos``, key by key (from
+    ``at``, holding ``kwargs``, when a compiled reader hands it over): unknown
+    keys read and dropped, repeats overwritten, absent fields defaulted."""
     try:
         end = pos + 4 + _unpack_ulong(raw, pos)[0]
         if not pos + 8 <= end <= limit:
@@ -147,15 +160,9 @@ def _read_fields(raw: bytes, pos: int, limit: int, depth: int, plan: Plan) -> tu
         if depth == 0:
             raise ValueError(f"containers nested deeper than {MAX_PARSE_DEPTH}")
         depth -= 1
-        kwargs, left = {}, _unpack_ulong(raw, pos + 4)[0]
-        pos += 8
-        for key, field, coerce in plan.wire_keys:  # in the order encoders write
-            if not left or not raw.startswith(key, pos):
-                break
-            value, pos = _read(raw, pos + len(key), limit, depth)
-            kwargs[field] = value if coerce is None else coerce(value)
-            left -= 1
-        for _ in range(left):  # out of that order, unknown, repeated: key by key
+        kwargs = kwargs or {}
+        left, pos = _unpack_ulong(raw, pos + 4)[0] - len(kwargs), at or pos + 8
+        for _ in range(left):
             field, pos = _parse_one(raw, pos, limit, depth)
             if type(field) is not str:
                 raise ValueError("dict key is not a string")
@@ -168,6 +175,137 @@ def _read_fields(raw: bytes, pos: int, limit: int, depth: int, plan: Plan) -> tu
         return plan.cls(**kwargs), end
     except (TypeError, ValueError) as exc:
         raise WireCodecError(f"cannot rebuild {plan.name}: {exc}") from exc
+
+
+def _field_kind(hint: Any) -> tuple[str, bytes, str, str]:
+    """(kind, tag, encode, decode) for a field hinted ``hint``: the atom it
+    names, ``None`` or anything (``auth``'s unions), or anything."""
+    if hint in _ATOMS:
+        return ("atom", *_ATOMS[hint])
+    if typing.get_origin(hint) in (typing.Union, types.UnionType) and (
+        type(None) in typing.get_args(hint)
+    ):
+        return ("none", b"N", "", "")
+    return ("any", b"", "", "")
+
+
+_WRITE = {  # per field kind; ``k`` is the key item, ``t`` it with the tag
+    "atom": """
+    v = o.{name}
+    if type(v) is {atom}:
+        b = {encode}
+        append(t{i} + pack_len(len(b)))
+        append(b)
+        size += {width} + 5 + len(b)
+    else:
+        append(k{i})
+        size += {width} + write(v, pieces)""",
+    "none": """
+    v = o.{name}
+    if v is None:
+        append(t{i})
+        size += {width} + 1
+    else:
+        append(k{i})
+        size += {width} + write(v, pieces)""",
+    "any": """
+    append(k{i})
+    size += {width} + write(o.{name}, pieces)""",
+}
+_READ = {  # per field kind; a field read whole moves ``p`` and ``i`` on
+    "atom": """
+        a = {width} + 5 + p
+        if a > end or not raw.startswith(t{i}, p): raise Deviation
+        e = a + unpack(raw, a - 4)[0]
+        if e > end: raise Deviation
+        v{i}, p, i = {decode}, e, {i} + 1""",
+    "none": """
+        if raw.startswith(t{i}, p):
+            v{i}, p, i = None, {width} + 1 + p, {i} + 1
+        elif raw.startswith(k{i}, p):
+            v{i}, p = read(raw, p + {width}, limit, inner)
+            v{i}, i = {coerced}, {i} + 1
+        else: raise Deviation""",
+    "any": """
+        if not raw.startswith(k{i}, p): raise Deviation
+        v{i}, p = read(raw, p + {width}, limit, inner)
+        v{i}, i = {coerced}, {i} + 1""",
+}
+
+
+def _compile(
+    plan: Plan, role: str, template: str, fields: dict[str, str], scope: dict[str, Any]
+) -> Callable:
+    """``<role>_<name>``, which ``template`` defines for ``plan``, one ``fields``
+    entry per field; charged to this file, so a profiler counts its time here."""
+    lines = []
+    for i, (key, name, coerce) in enumerate(plan.wire_keys):
+        kind, tag, encode, decode = _field_kind(hint := plan.hints[name])
+        scope.update({f"k{i}": key, f"t{i}": key + tag, f"c{i}": coerce})
+        lines.append(fields[kind].format(
+            i=i, name=name, width=len(key), atom=getattr(hint, "__name__", ""), encode=encode,
+            decode=decode, coerced=f"c{i}(v{i})" if coerce else f"v{i}",
+        ))
+    names = [name for _, name, _ in plan.wire_keys]
+    values = [f"v{i}" for i in range(len(names))]
+    function = f"{role}_{plan.name}"
+    source = template.format(
+        function=function, name=plan.name, fields="".join(lines), head=len(plan.wire_head),
+        count=len(values), values=", ".join(values), unset=" = ".join([*values, "None"]),
+        kwargs=", ".join(map("{}={}".format, names, values)),
+    )
+    exec(compile(source, __file__, "exec"), scope)  # noqa: S102 - names, constants
+    return scope[function]
+
+
+def _compile_writer(plan: Plan) -> Callable[[Any, list[bytes]], int]:
+    """``plan``'s writer: the head, then per field the key item and value,
+    laid inline when the hint names it, else through :func:`_write`."""
+    head = plan.wire_head
+    return _compile(plan, "write", """
+def {function}(o, pieces):
+    append = pieces.append
+    slot = len(pieces)
+    append(b'')
+    size = 4{fields}
+    pieces[slot] = pack_head(b'M', 9 + {head} + size, middle, size, count)
+    return 14 + {head} + size
+""", _WRITE, {
+        "write": _write, "pack_len": _pack_ulong,
+        # M <outer length> <2 items> head M <inner length> <field count>
+        "pack_head": struct.Struct(f">cI{len(head) + 5}sI4s").pack,
+        "middle": _pack_ulong(2) + head + b"M", "count": _pack_ulong(len(plan.wire_keys)),
+    })
+
+
+def _compile_reader(plan: Plan) -> Callable[[bytes, int, int, int], tuple[Any, int]]:
+    """``plan``'s reader of the field map at ``pos``: the writer's layout
+    inline; at the first deviation the map and the fields read so far go to
+    :func:`_read_fields`, so no value is read twice (one pass, hostile or not)."""
+    return _compile(plan, "read", """
+def {function}(raw, pos, limit, depth):
+    end = pos + 4 + unpack(raw, pos)[0]
+    if not pos + 8 <= end <= limit or depth == 0 or unpack(raw, pos + 4)[0] != {count}:
+        return read_fields(raw, pos, limit, depth, plan)
+    inner, p, i = depth - 1, pos + 8, 0
+    {unset}
+    try:{fields}
+        if p == end:
+            return cls({kwargs}), end
+    except Deviation:
+        pass
+    except (TypeError, ValueError) as exc:
+        raise WireCodecError(f"cannot rebuild {name}: {{exc}}") from exc
+    return read_fields(raw, pos, limit, depth, plan, p, dict(zip(names[:i], [{values}])))
+""", _READ, {
+        "unpack": _unpack_ulong, "read": _read, "read_fields": _read_fields, "cls": plan.cls,
+        "plan": plan, "names": [name for _, name, _ in plan.wire_keys],
+        "Deviation": _Deviation, "WireCodecError": WireCodecError,
+    })
+
+
+_WRITERS: dict[Plan, Callable[[Any, list[bytes]], int]] = {}
+_READERS: dict[Plan, Callable[[bytes, int, int, int], tuple[Any, int]]] = {}
 
 
 def _read_all(raw: bytes, pos: int, limit: int) -> Any:

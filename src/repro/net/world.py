@@ -10,6 +10,9 @@ loopback semantics: the sender receives its own copy iff it is a member,
 which the BFT layer relies on. The remote members are handed to the
 transport in one call, so it can encode the payload once for all of them.
 
+Nothing is sized here: bytes are the frames the transport wrote
+(``transport.stats["bytes_sent"]``), so the ``size`` handed on is 0.
+
 Link faults come through the same ``adversary`` slot as the simulator's
 (a :class:`~repro.chaos.adversary.ChaosController` in practice): every
 remote copy is put to ``adversary.intercept`` exactly as
@@ -24,7 +27,7 @@ from typing import Any
 from repro.net.clock import RealTimeScheduler
 from repro.net.transport import Transport
 from repro.obs.telemetry import NOOP_TELEMETRY, Telemetry
-from repro.sim.network import TrafficStats, payload_size
+from repro.sim.network import TrafficStats
 from repro.sim.process import Process, ProcessId
 
 
@@ -65,8 +68,6 @@ class NetWorld:
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         self.stats.messages_sent += 1
-        size = payload_size(payload)
-        self.stats.bytes_sent += size
         if self.hosted is not None and dst == self.hosted.pid:
             # Self-send: stay off the wire, but keep the asynchrony — the
             # simulator never delivers re-entrantly and protocol code
@@ -74,18 +75,16 @@ class NetWorld:
             self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
             return
         if self.adversary is not None:
-            self._intercept(src, dst, payload, size)
+            self._intercept(src, dst, payload)
         else:
-            self.transport.transmit(src, dst, payload, size, 0.0)
+            self.transport.transmit(src, dst, payload, 0, 0.0)
 
     def multicast(self, src: ProcessId, group_addr: str, payload: Any) -> None:
         members = self.groups.get(group_addr)
         if members is None:
             raise KeyError(f"unknown multicast address {group_addr!r}")
         self.stats.multicasts_sent += 1
-        size = payload_size(payload)
         self.stats.messages_sent += len(members)
-        self.stats.bytes_sent += size * len(members)
         own = self.hosted.pid if self.hosted is not None else None
         remote = [member for member in members if member != own]
         if len(remote) != len(members):
@@ -93,21 +92,21 @@ class NetWorld:
             self.scheduler.schedule(0.0, lambda: self.deliver(src, payload))
         if self.adversary is not None:
             for dst in remote:
-                self._intercept(src, dst, payload, size)
+                self._intercept(src, dst, payload)
         else:
-            self.transport.transmit_many(src, remote, payload, size, 0.0)
+            self.transport.transmit_many(src, remote, payload, 0, 0.0)
 
-    def _intercept(self, src: ProcessId, dst: ProcessId, payload: Any, size: int) -> None:
+    def _intercept(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
         """One remote copy through the adversary: ``None`` passes, ``[]``
         drops, else each ``(extra_delay, payload)`` goes on the wire."""
-        verdict = self.adversary.intercept(src, dst, payload, size)
+        verdict = self.adversary.intercept(src, dst, payload, 0)
         if verdict is None:
-            self.transport.transmit(src, dst, payload, size, 0.0)
+            self.transport.transmit(src, dst, payload, 0, 0.0)
             return
         if not verdict:
             self.stats.messages_dropped += 1
         for extra_delay, adjusted in verdict:
-            self.transport.transmit(src, dst, adjusted, size, extra_delay)
+            self.transport.transmit(src, dst, adjusted, 0, extra_delay)
 
     # -- inbound ------------------------------------------------------------
 

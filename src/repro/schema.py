@@ -39,6 +39,7 @@ class Plan:
     def __init__(self, cls: type, unsigned: tuple[str, ...]) -> None:
         hints = typing.get_type_hints(cls)  # PEP 563 strings resolved here, once
         self.cls = cls
+        self.hints = hints
         self.name = cls.__name__  # the ``__wire__`` tag
         self.names = tuple(field.name for field in dataclasses.fields(cls))
         signed = tuple(n for n in self.names if n != "auth" and n not in unsigned)

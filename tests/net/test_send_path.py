@@ -56,9 +56,23 @@ def test_datagram_envelope_is_the_canonical_mapping(payload):
     )
 
 
+class Socket:
+    """A connected link's stream: keeps the frames written to it."""
+
+    def __init__(self, dst, written):
+        self.dst, self.written = dst, written
+
+    def write(self, frame):
+        self.written.append((self.dst, frame))
+
+    def close(self):
+        pass
+
+
 def test_multicast_encodes_the_payload_once(monkeypatch):
     datagram_encodes = count_calls(monkeypatch, tcp, "encode_datagram")
     readdresses = count_calls(monkeypatch, tcp, "readdress_datagram")
+    sized = count_calls(monkeypatch, bft.PrepareMsg, "wire_size")
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -67,15 +81,17 @@ def test_multicast_encodes_the_payload_once(monkeypatch):
         world = NetWorld(RealTimeScheduler(loop), None, {"grp": ("d", "b", "a", "c")})
         transport = AsyncioTransport("a", book, loop, world.deliver)
         frames = []
-        transport._enqueue = lambda dst, frame: frames.append((dst, frame))
+        for dst in "bcd":  # every link up, its socket a recorder
+            transport._link_for(dst).connection_made(Socket(dst, frames))
         world.transport = transport
         world.host(process)
         world.multicast("a", "grp", MESSAGE)
         delivered_synchronously = list(process.received)
         await asyncio.sleep(0.02)
-        return world, frames, delivered_synchronously, process.received
+        await transport.stop()
+        return world, transport.stats, frames, delivered_synchronously, process.received
 
-    world, frames, delivered_synchronously, received = asyncio.run(scenario())
+    world, stats, frames, delivered_synchronously, received = asyncio.run(scenario())
     # Three remote members: the payload is laid out once, the other two
     # frames are that one re-addressed.
     assert len(datagram_encodes) == 1 and len(readdresses) == 2
@@ -85,7 +101,10 @@ def test_multicast_encodes_the_payload_once(monkeypatch):
     assert delivered_synchronously == []  # own copy is never re-entrant
     assert received == [("a", MESSAGE)]
     assert world.stats.messages_sent == 4
-    assert world.stats.bytes_sent == 4 * MESSAGE.wire_size()
+    # Bytes are the frames the transport wrote; no copy was sized by a model.
+    assert stats["frames_sent"] == 3
+    assert stats["bytes_sent"] == sum(len(frame) for _dst, frame in frames)
+    assert world.stats.bytes_sent == 0 and sized == []
 
 
 def test_dropped_and_unknown_destinations_cost_no_encode(monkeypatch):

@@ -15,6 +15,7 @@
 """
 
 import dataclasses
+import itertools
 import random
 import struct
 
@@ -33,7 +34,7 @@ from tests.crypto.test_encoding_reference import (
     plain_values,
     same_values,
 )
-from tests.message_samples import samples
+from tests.message_samples import sample, samples
 from tests.net import reference_wire as reference
 
 SAMPLES = samples()
@@ -531,3 +532,107 @@ def test_nesting_is_bounded_exactly_where_the_reference_bounds_it():
     assert judge(in_envelope(in_lists(message, MAX_PARSE_DEPTH - 1))) == "both reject"
     with pytest.raises(WireCodecError, match="nested deeper"):
         wire.decode_wire_payload(in_lists(message, MAX_PARSE_DEPTH - 1))
+
+
+# -- (d) every registered plan, through its compiled writer and reader ----------------
+#
+# ``net/wire.py`` compiles a writer and a reader per plan from the field hints.
+# The reader reads the writer's layout inline and hands anything else to the
+# key-by-key path; these hold both paths to the reference for every plan,
+# with the handing-over observed, not assumed.
+
+
+@pytest.fixture
+def handed_over(monkeypatch):
+    """The plans whose compiled reader handed a field map to the key-by-key
+    path (readers are recompiled against the counting fallback)."""
+    plans = []
+    fallback = wire._read_fields
+
+    def counted(raw, pos, limit, depth, plan, *read_so_far):
+        plans.append(plan.name)
+        return fallback(raw, pos, limit, depth, plan, *read_so_far)
+
+    monkeypatch.setattr(wire, "_read_fields", counted)
+    monkeypatch.setattr(wire, "_READERS", {})
+    return plans
+
+
+def plan_sample(name):
+    return sample(schema.registered()[name])
+
+
+def field_items(message, names, **values):
+    """The fields ``names`` of ``message`` in that order, each as the writer
+    lays it: key item, then value (from ``values`` where it names the field,
+    which need not pass the message's own validation)."""
+    return [
+        part for field in names
+        for part in (canonical_bytes(field),
+                     wire.encode_wire_payload(values.get(field, getattr(message, field))))
+    ]
+
+
+#: A value of another atom type for an ``int``/``bytes``/``str`` slot.
+WRONG_TAG = {int: "7", bytes: 7, str: b"7"}
+
+
+def off_layout(message):
+    """label -> payload bytes outside the writer's layout for ``message``'s plan."""
+    plan = schema.plan_of(type(message))
+    names = sorted(plan.names)
+    unknown = (canonical_bytes("zz"), canonical_bytes(1))
+    shapes = {
+        "unknown extra key": message_bytes(plan.name, *field_items(message, names), *unknown),
+        "unknown key first": message_bytes(plan.name, *unknown, *field_items(message, names)),
+    }
+    if len(names) > 1:
+        shapes["fields out of writer order"] = message_bytes(
+            plan.name, *field_items(message, names[::-1])
+        )
+    for field in dataclasses.fields(message):
+        if (field.default, field.default_factory) != (dataclasses.MISSING, dataclasses.MISSING):
+            present = [name for name in names if name != field.name]
+            shapes[f"defaulted {field.name} absent"] = message_bytes(
+                plan.name, *field_items(message, present)
+            )
+        wrong = WRONG_TAG.get(plan.hints[field.name])
+        if wrong is not None:
+            shapes[f"wrong tag in {field.name}"] = message_bytes(
+                plan.name, *field_items(message, names, **{field.name: wrong})
+            )
+    return shapes
+
+
+@pytest.mark.parametrize("name", sorted(schema.registered()))
+def test_every_plan_writes_and_reads_as_the_reference_does(name, handed_over):
+    """Honest values in every auth form are written byte for byte as the
+    reference writes them and read back by the compiled reader alone."""
+    message = plan_sample(name)
+    honest = [message]
+    if "auth" in schema.plan_of(type(message)).names:
+        honest += [dataclasses.replace(message, auth=auth)
+                   for auth in (None, b"\x0b" * 32, {"e1": b"\x01" * 8, "e2": b"\x02" * 8})]
+    for value in honest:
+        assert_codecs_agree_on(value)
+    assert handed_over == []
+
+
+@pytest.mark.parametrize("name", sorted(schema.registered()))
+def test_a_bool_in_an_int_field_is_still_t_or_f(name, handed_over):
+    message = plan_sample(name)
+    plan = schema.plan_of(type(message))
+    int_fields = [field for field in sorted(plan.names) if plan.hints[field] is int]
+    for field, flag in zip(int_fields, itertools.cycle((True, False))):
+        value = with_field(message, plan.names.index(field), flag)
+        assert_codecs_agree_on(value)
+        assert canonical_bytes(field) + (b"T" if flag else b"F") in wire.encode_wire_payload(value)
+    assert handed_over.count(name) == 2 * len(int_fields)  # decoded, then re-decoded
+
+
+@pytest.mark.parametrize("name", sorted(schema.registered()))
+def test_every_plan_hands_frames_off_its_layout_to_the_key_by_key_path(name, handed_over):
+    for label, payload in off_layout(plan_sample(name)).items():
+        handed_over.clear()
+        assert judge(in_envelope(payload)) in ("both accept", "both reject"), label
+        assert handed_over[:1] == [name], label

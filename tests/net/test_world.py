@@ -42,16 +42,26 @@ def make_world(process, loop):
     return world, transport
 
 
-def test_remote_send_goes_to_transport():
+def test_remote_send_goes_to_transport(monkeypatch):
+    from tests.net.test_send_path import MESSAGE, count_calls
+
+    sized = count_calls(monkeypatch, type(MESSAGE), "wire_size")
+
     async def scenario():
         world, transport = make_world(Recorder("a"), asyncio.get_running_loop())
         world.send("a", "b", b"ping")
+        world.send("a", "b", MESSAGE)
+        world.multicast("a", "gm", MESSAGE)
         return world, transport
 
     world, transport = asyncio.run(scenario())
-    assert transport.sent == [("a", "b", b"ping")]
-    assert world.stats.messages_sent == 1
-    assert world.stats.bytes_sent > 0
+    assert transport.sent == [
+        ("a", "b", b"ping"), ("a", "b", MESSAGE), ("a", "g0", MESSAGE), ("a", "g1", MESSAGE)
+    ]
+    assert world.stats.messages_sent == 4
+    # The world sizes nothing: bytes are what the transport writes
+    # (tests/net/test_send_path.py counts them against the frames).
+    assert world.stats.bytes_sent == 0 and sized == []
 
 
 def test_self_send_stays_off_the_wire_but_is_asynchronous():

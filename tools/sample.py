@@ -6,7 +6,8 @@ Builds the workload from ``bench.workloads``, runs its warm-up, then runs
 ``--interval`` CPU seconds and records the Python stack. A function's
 *inclusive* share is the fraction of samples with it anywhere on the
 stack, its *self* share the fraction with it on top; both are scaled by
-the CPU time per request. Modules are reported the same way. Unlike the
+the CPU time per request. Modules are reported the same way; functions
+twice, sorted by inclusive and by self time. Unlike the
 traced run (a probe frame per call) or cProfile (a hook per call), the
 cost is per sample, so call-heavy code is not inflated.
 
@@ -90,17 +91,21 @@ def main(argv: list[str] | None = None) -> int:
         options.workload, options.seed, options.slices, options.interval
     )
     print(f"{options.workload}: {samples} samples, {us_per_req:,.0f} CPU µs/request")
-    for title, modules in (("module", True), ("function", False)):
+    # Sorted by inclusive time (where a request's time goes, top down) and
+    # by self time (which code itself is hot, whoever calls it).
+    for title, modules, column in (
+        ("module", True, 0), ("function", False, 0), ("function by self time", False, 1)
+    ):
         rows = sorted(
             ((key, value) for key, value in counts.items()
              if key.endswith(":*") == modules and options.match in key),
-            key=lambda item: -item[1][0],
+            key=lambda item: -item[1][column],
         )[: options.top]
-        print(f"\n{'inclusive µs':>12} {'share':>6} {'self µs':>8}  {title}")
+        print(f"\n{'inclusive µs':>12} {'share':>6} {'self µs':>8} {'share':>6}  {title}")
         for key, (inclusive, own) in rows:
-            share = inclusive / max(samples, 1)
-            print(f"{share * us_per_req:12.1f} {share:6.1%} "
-                  f"{own / max(samples, 1) * us_per_req:8.1f}  {key.removesuffix(':*')}")
+            share, own_share = inclusive / max(samples, 1), own / max(samples, 1)
+            print(f"{share * us_per_req:12.1f} {share:6.1%} {own_share * us_per_req:8.1f} "
+                  f"{own_share:6.1%}  {key.removesuffix(':*')}")
     return 0
 
 
