@@ -43,8 +43,6 @@ from repro.crypto.digests import digest
 from repro.sim.process import Process
 from repro.sim.scheduler import TimerHandle
 
-NULL_CLIENT = "__null__"
-
 ExecuteFn = Callable[[bytes, int, str, int], bytes]
 SnapshotFn = Callable[[], bytes]
 RestoreFn = Callable[[bytes, int], None]
@@ -145,7 +143,10 @@ class BftReplica(Process):
         # view-change timeout doubles with it so a lossy period escalates
         # to long patience instead of thrashing through views.
         self._consecutive_view_changes = 0
-        self._awaiting: set[bytes] = set()  # request digests awaiting execution
+        # Outstanding requests (Castro–Liskov): client_id -> the highest
+        # timestamp we accepted from it, dropped once the client table
+        # reaches it. The view-change timer runs while this is non-empty.
+        self._awaiting: dict[str, int] = {}
         self._future: list[tuple[str, Any]] = []  # messages for future views
         self._state_transfer_pending = False
         self._state_transfer_started = 0.0
@@ -290,26 +291,7 @@ class BftReplica(Process):
                 continue
             if self.is_primary:
                 self._mcast(pre_prepare)
-            else:
-                self._mcast(
-                    entry.own_prepare
-                    or PrepareMsg(
-                        view=pre_prepare.view,
-                        seq=seq,
-                        request_digest=pre_prepare.request_digest,
-                        sender=self.pid,
-                    )
-                )
-            if entry.commit_sent:
-                self._mcast(
-                    entry.own_commit
-                    or CommitMsg(
-                        view=pre_prepare.view,
-                        seq=seq,
-                        request_digest=pre_prepare.request_digest,
-                        sender=self.pid,
-                    )
-                )
+            self._recontribute(entry)
         # Own checkpoints that have not stabilised yet.
         for seq in sorted(self._own_snapshots):
             if seq > self.stable_seq:
@@ -421,10 +403,7 @@ class BftReplica(Process):
                 # replies travel separately from the BFT-level ack, §3.1).
                 self.on_duplicate_request(request)
             return
-        request_digest = request.content_digest()
-        if request_digest not in self._awaiting:
-            self._awaiting.add(request_digest)
-            self._ensure_vc_timer()
+        self._await(request)
         if self.in_view_change:
             self.pending_requests.append(request)
             return
@@ -434,6 +413,16 @@ class BftReplica(Process):
             # Backup: relay to the primary so a client that only knows one
             # replica still makes progress; keep our own copy pending.
             self._p2p(self.primary, request)
+
+    def _await(self, request: ClientRequest) -> None:
+        """Count ``request`` as outstanding unless the client table has
+        already reached its timestamp."""
+        last = self.client_table.get(request.client_id)
+        if last is not None and request.timestamp <= last[0]:
+            return
+        if request.timestamp > self._awaiting.get(request.client_id, 0):
+            self._awaiting[request.client_id] = request.timestamp
+            self._sync_vc_timer()
 
     def _order(self, request: ClientRequest) -> None:
         """Primary: queue the request for the next batch and maybe flush."""
@@ -601,28 +590,8 @@ class BftReplica(Process):
                 if (
                     entry.pre_prepare.view == msg.view
                     and entry.pre_prepare.request_digest == msg.request_digest
-                    and not entry.executed
                 ):
-                    if not self.is_primary:
-                        self._mcast(
-                            entry.own_prepare
-                            or PrepareMsg(
-                                view=msg.view,
-                                seq=msg.seq,
-                                request_digest=msg.request_digest,
-                                sender=self.pid,
-                            )
-                        )
-                    if entry.commit_sent:
-                        self._mcast(
-                            entry.own_commit
-                            or CommitMsg(
-                                view=msg.view,
-                                seq=msg.seq,
-                                request_digest=msg.request_digest,
-                                sender=self.pid,
-                            )
-                        )
+                    self._recontribute(entry)
                 elif entry.pre_prepare.view == msg.view:
                     # Two internally-consistent pre-prepares for the same
                     # (view, seq) with different digests: hard evidence of an
@@ -648,14 +617,8 @@ class BftReplica(Process):
                 return  # already accepted one for this (or a later) view
         entry.pre_prepare = msg
         entry.t_pre_prepare = self.now
-        if not entry.executed:
-            for request in msg.batch.requests:
-                if request.client_id == NULL_CLIENT:
-                    continue
-                request_digest = request.content_digest()
-                if request_digest not in self._awaiting:
-                    self._awaiting.add(request_digest)
-                    self._ensure_vc_timer()
+        for request in msg.batch.requests:
+            self._await(request)
         if not self.is_primary:
             prepare = PrepareMsg(
                 view=msg.view,
@@ -667,6 +630,21 @@ class BftReplica(Process):
             self._mcast(prepare)
         self._check_prepared(msg.seq)
         self._check_committed(msg.seq)
+
+    def _recontribute(self, entry: _LogEntry) -> None:
+        """Re-send our prepare (a backup's) and commit for an accepted entry."""
+        pre_prepare = entry.pre_prepare
+        assert pre_prepare is not None
+        fields = dict(
+            view=pre_prepare.view,
+            seq=pre_prepare.seq,
+            request_digest=pre_prepare.request_digest,
+            sender=self.pid,
+        )
+        if not self.is_primary:
+            self._mcast(entry.own_prepare or PrepareMsg(**fields))
+        if entry.commit_sent:
+            self._mcast(entry.own_commit or CommitMsg(**fields))
 
     def _on_prepare(self, src: str, msg: PrepareMsg) -> None:
         if msg.view > self.view:
@@ -813,20 +791,16 @@ class BftReplica(Process):
                 self._execute(request, self.last_executed)
             if self.last_executed % self.config.checkpoint_interval == 0:
                 self._take_checkpoint(self.last_executed)
-        self._refresh_vc_timer()
+        self._sync_vc_timer()
         # Completed instances free pipeline-window slots for queued batches.
         self._maybe_flush()
 
     def _execute(self, request: ClientRequest, seq: int) -> None:
-        request_digest = request.content_digest()
-        self._awaiting.discard(request_digest)
-        if request.client_id == NULL_CLIENT:
-            return
         last = self.client_table.get(request.client_id)
         if last is not None and request.timestamp <= last[0]:
             return  # duplicate ordered twice across a view change
         t = self.telemetry
-        ctx = t.lookup(request_digest) if t.enabled else None
+        ctx = t.lookup(request.content_digest()) if t.enabled else None
         if ctx is not None:
             span = t.begin("bft.execute", parent=ctx, pid=self.pid, seq=seq)
             # The application upcall runs under the execute span so spans it
@@ -851,6 +825,8 @@ class BftReplica(Process):
             result=result,
         )
         self.client_table[request.client_id] = (request.timestamp, reply)
+        if self._awaiting.get(request.client_id, 0) <= request.timestamp:
+            self._awaiting.pop(request.client_id, None)
         self._p2p(request.client_id, reply)
 
     # ------------------------------------------------------------ checkpoints
@@ -965,7 +941,6 @@ class BftReplica(Process):
             return False
         self._install_checkpoint(seq, snapshot, proof)
         self._awaiting.clear()
-        self._refresh_vc_timer()
         self._try_execute()
         return True
 
@@ -1019,7 +994,6 @@ class BftReplica(Process):
         self.restore_fn(msg.snapshot, msg.stable_seq)
         self._install_checkpoint(msg.stable_seq, msg.snapshot, msg.checkpoint_proof)
         self._awaiting.clear()
-        self._refresh_vc_timer()
         self._try_execute()
 
     # ------------------------------------------------------------ view change
@@ -1030,16 +1004,20 @@ class BftReplica(Process):
             2 ** min(self._consecutive_view_changes, 8)
         )
 
-    def _ensure_vc_timer(self) -> None:
-        if self._vc_timer is None and self._awaiting:
-            self._vc_timer = self.set_timer(self._vc_timeout, self._on_vc_timeout)
+    def _sync_vc_timer(self, fresh: bool = False) -> None:
+        """The only place the view-change timer is armed or cancelled.
 
-    def _refresh_vc_timer(self) -> None:
-        if not self._awaiting and self._vc_timer is not None:
+        It runs while a view change is in flight (to escalate a failed one)
+        or a request we accepted is outstanding, and nowhere else: an idle
+        group never suspects its primary. ``fresh`` restarts it at the
+        current back-off.
+        """
+        running = self.in_view_change or bool(self._awaiting)
+        if self._vc_timer is not None and (fresh or not running):
             self.cancel_timer(self._vc_timer)
             self._vc_timer = None
-        elif self._awaiting and self._vc_timer is None:
-            self._ensure_vc_timer()
+        if running and self._vc_timer is None:
+            self._vc_timer = self.set_timer(self._vc_timeout, self._on_vc_timeout)
 
     @property
     def _view_change_target(self) -> int:
@@ -1096,8 +1074,8 @@ class BftReplica(Process):
         )
         self._last_view_change = message
         self._mcast(message)
-        # Keep a timer so a failed view change escalates to the next view.
-        self._vc_timer = self.set_timer(self._vc_timeout, self._on_vc_timeout)
+        # A failed view change escalates to the next view.
+        self._sync_vc_timer(fresh=True)
         # Adopt the target view optimistically only in our VC bookkeeping;
         # self.view advances when the NEW-VIEW arrives (or when we are the
         # new primary and assemble it).
@@ -1145,10 +1123,6 @@ class BftReplica(Process):
         if new_view <= self.view and not (new_view == self.view and self.in_view_change):
             return
         votes = self._view_changes.get(new_view, {})
-        if self.pid not in votes and self.in_view_change:
-            # Our own view-change (sent via multicast loopback) may still be
-            # in flight; wait for it rather than special-casing.
-            pass
         if len(votes) < self.config.quorum:
             return
         view_changes = tuple(votes[s] for s in sorted(votes))
@@ -1214,9 +1188,7 @@ class BftReplica(Process):
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
         self.in_view_change = False
-        if self._vc_timer is not None:
-            self.cancel_timer(self._vc_timer)
-            self._vc_timer = None
+        self._sync_vc_timer(fresh=True)
         # A primary demoted without having started the view change itself
         # may still hold an accumulating batch; requeue it for reordering.
         self._fold_batch_into_pending()
@@ -1231,7 +1203,6 @@ class BftReplica(Process):
         future, self._future = self._future, []
         for src, message in future:
             self.on_message(src, message)
-        self._refresh_vc_timer()
         self._drain_pending()
 
 

@@ -24,28 +24,27 @@ events = st.lists(
 )
 
 
-# Found by a random seed: the second request completes only after the healed
-# group has walked its view-change back-off past view 7.
+# Found by a random seed. A replica joining a view change while its own
+# timer ran left that timer armed, and it fired into healthy views: the
+# group climbed to view 10 before the second request completed, and to 26
+# with no traffic at all.
 SLOW_HEAL = [
     ("invoke", 0), ("crash", 0), ("advance", 2.0),
     ("invoke", 0), ("partition", 1), ("advance", 2.0),
 ]
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(schedule=events, seed=st.integers(min_value=0, max_value=1000))
-@example(schedule=SLOW_HEAL, seed=0)
-def test_property_no_divergent_execution(schedule, seed):
+def play(schedule, seed):
+    """Drive ``schedule`` on a fresh group, then heal and settle 10 s.
+
+    Returns the harness, the results accepted so far (one per completed
+    invocation) and the number of invocations made.
+    """
     harness = Harness(seed=seed)
     client = harness.client()
     crashed = 0
     invoked = 0
-    completed: list[bytes] = []  # each accepted result, once per invocation
+    completed: list[bytes] = []
     for action, arg in schedule:
         if action == "invoke":
             # PBFT clients are single-outstanding: a request pipelined
@@ -73,6 +72,19 @@ def test_property_no_divergent_execution(schedule, seed):
             harness.run(until=harness.network.now + arg, max_events=500_000)
     harness.network.heal()
     harness.run(until=harness.network.now + 10.0, max_events=1_000_000)
+    return harness, completed, invoked
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(schedule=events, seed=st.integers(min_value=0, max_value=1000))
+@example(schedule=SLOW_HEAL, seed=0)
+def test_property_no_divergent_execution(schedule, seed):
+    harness, completed, invoked = play(schedule, seed)
 
     # SAFETY: per sequence number, all replicas that executed it agree.
     by_seq: dict[int, set] = {}
@@ -83,15 +95,13 @@ def test_property_no_divergent_execution(schedule, seed):
         assert len(executions) == 1, f"divergence at seq {seq}: {executions}"
 
     # LIVENESS (conditional): with one crash at most and the network healed,
-    # every invocation eventually completes. The view-change timeout doubles
-    # per consecutive change (capped at 2**8), so "eventually" is the whole
-    # back-off ladder, not a literal: a group that healed mid-escalation may
-    # have to sit out its longest timeouts before a view sticks.
-    timeout = harness.config.view_change_timeout
-    ladder = sum(timeout * 2**step for step in range(9))
+    # every invocation completes within a short horizon after the settle.
+    # The view-change back-off only escalates while a view change or an
+    # accepted request is outstanding, so a healed group is back on a
+    # stable view well inside the settle; 2 s covers the client's retry.
     harness.network.run(
-        until=harness.network.now + ladder,
-        max_events=4_000_000,
+        until=harness.network.now + 2.0,
+        max_events=1_000_000,
         stop_when=lambda: len(completed) == invoked,
     )
     assert len(completed) == invoked

@@ -1,5 +1,7 @@
 """State transfer: a lagging or diverged replica catches up from peers."""
 
+import pytest
+
 from tests.bft.conftest import Harness
 
 
@@ -143,3 +145,23 @@ def test_state_response_from_foreign_senders_ignored():
     )
     harness.replicas[0].deliver("grp-r1", forged)
     assert harness.replicas[0].last_executed == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="BFT state transfer carries the application snapshot but not "
+    "client_table, so a caught-up replica treats a client's retransmitted "
+    "old timestamps as new (ROADMAP item 6(b))",
+)
+def test_state_transfer_carries_the_client_table():
+    harness, _apps = make_app_harness()
+    lagger = harness.replicas[3]
+    others = {r.pid for r in harness.replicas[:3]}
+    harness.network.partition({lagger.pid}, others)
+    harness.invoke_and_run([b"1"] * 3, client_name="a")
+    harness.invoke_and_run([b"1"] * 9, client_name="b")
+    harness.network.heal()
+    harness.run(until=harness.network.now + 5.0)
+    assert all(r.last_executed == 12 for r in harness.replicas)
+    assert all(r.client_table["a"][0] == 3 for r in harness.replicas[:3])
+    assert lagger.client_table.get("a", (0, None))[0] == 3

@@ -8,6 +8,9 @@ committed as constants. A change that moves delivery order, consumes the
 scheduler's ``seq`` or the network's RNG in a different order, or drops,
 adds or re-routes a message moves a hash; a change that means to says so by
 re-pinning (``PYTHONPATH=src python -m tests.chaos.test_replay_pins``).
+
+Each cell's system then runs on, healed, for an idle minute: with no
+request outstanding, no ordering replica may change view.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 
 import pytest
 
+from repro.bft.replica import BftReplica
 from repro.chaos import ScheduleRunner, scenario_matrix
 from repro.sim.latency import UniformLatency
 from repro.workloads.scenarios import build_calc_system
@@ -34,8 +38,8 @@ PINS = {
     "b4-p4-rec-vc/0": "2270065aa1fbc38d6c6bdff5b1b59a270ab24a1418466a83198efed7d5eb6e39",
     "b4-p4-rec-vc/1": "f3a961d08faa029fa9178cc86999f190ea94b5bf3b09eef926f365dc6224b0a3",
     "b1-p0-rd/0": "313ee8d32ca77e959e9a19ade8c9b8c53f3b07635ef1766b3a16ead1d096693d",
-    "b1-p0-rd/1": "43114a254833ecd08eed51cf9c60bc37a834f575b0806959d232f55743699281",
-    "b1-p0-xs/0": "a3ad957062fe57d13d39ae895911263a130bf627cac9fcae9bf80896049b060d",
+    "b1-p0-rd/1": "51ce93d59a0c3a2fe5ed76f3b99b67d2f72b6303cb32f870c7364907b40abf37",
+    "b1-p0-xs/0": "70fe69e137dd7c96d7e38323f33faf624e816c0a3a4a0334a8e1f1dace6d88e1",
     "b1-p0-xs/1": "3f0ca06e00e452bfd2b033b4cf062590a064e424678401c11a6f18437ec93a34",
 }
 
@@ -44,17 +48,37 @@ PINS = {
 #: fixed latency and no ambient loss, so they cannot.
 LOSSY_PIN = "10695c525c55b2ec6ca5366adddc823503032f8a09178cd08634e3f5ef31cf8e"
 
+#: Cells whose idle minute still moves a view. BFT state transfer does not
+#: carry ``client_table``: a coordinator element caught up by it treats
+#: alice's retransmitted timestamps as new and climbs views alone.
+NOT_QUIESCENT = {"b1-p0-xs/0"}
+
 
 def _sha(value: object) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def smoke_cell(label: str) -> str:
+class _KeepSystem(ScheduleRunner):
+    """Keeps the system of the cell it ran, to run on after the RunResult."""
+
+    def _run_cell(self, system, *args) -> None:
+        self.system = system
+        super()._run_cell(system, *args)
+
+
+def smoke_cell(label: str) -> tuple[str, object]:
+    """One smoke cell: the hash of its RunResult, and its system."""
     scenario_label, seed = label.split("/")
     [scenario] = [s for s in scenario_matrix() if s.label == scenario_label]
-    result = ScheduleRunner().run_one(scenario, int(seed))
+    runner = _KeepSystem()
+    result = runner.run_one(scenario, int(seed))
     assert result.ok, result.violations
-    return _sha(result.to_dict())
+    return _sha(result.to_dict()), runner.system
+
+
+@pytest.fixture(scope="module", params=sorted(PINS))
+def cell(request):
+    return (request.param, *smoke_cell(request.param))
 
 
 def lossy_cell() -> str:
@@ -80,9 +104,30 @@ def test_pins_cover_the_smoke_slice():
     assert len(PINS) == 14
 
 
-@pytest.mark.parametrize("label", sorted(PINS))
-def test_smoke_cell_replays_bit_for_bit(label):
-    assert smoke_cell(label) == PINS[label]
+def test_smoke_cell_replays_bit_for_bit(cell):
+    label, sha, _system = cell
+    assert sha == PINS[label]
+
+
+def test_smoke_cell_quiesces(cell, request):
+    """Run on past the RunResult: the adversary is gone, so the network is
+    healed. Settle 10 s, then idle 60 s: no live ordering replica changes
+    view or sits in a view change."""
+    label, _sha, system = cell
+    if label in NOT_QUIESCENT:
+        request.applymarker(
+            pytest.mark.xfail(strict=True, reason="state transfer drops client_table")
+        )
+    network = system.network
+    network.run(until=network.now + 10.0)
+    live = [
+        p for p in network.processes.values()
+        if isinstance(p, BftReplica) and not p.crashed
+    ]
+    views = {r.pid: r.view for r in live}
+    network.run(until=network.now + 60.0)
+    assert {r.pid: r.view for r in live} == views
+    assert not [r.pid for r in live if r.in_view_change]
 
 
 def test_lossy_jittered_cell_replays_bit_for_bit():
@@ -90,5 +135,5 @@ def test_lossy_jittered_cell_replays_bit_for_bit():
 
 
 if __name__ == "__main__":
-    print(json.dumps({label: smoke_cell(label) for label in PINS}, indent=4))
+    print(json.dumps({label: smoke_cell(label)[0] for label in PINS}, indent=4))
     print("LOSSY_PIN =", repr(lossy_cell()))
