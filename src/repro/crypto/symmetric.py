@@ -9,8 +9,14 @@ an XOF stream cipher:
 * ciphertext: plaintext XOR keystream, as one big-integer XOR,
 * tag: ``HMAC-SHA-256(mac_key, nonce || ciphertext)``,
 * ``enc_key``/``mac_key`` derived from the communication key by domain
-  separation (once per key object), so one shared secret yields
-  independent subkeys.
+  separation, so one shared secret yields independent subkeys.
+
+What depends only on the key is computed once per key object: the two
+subkeys, and the SHAKE-256 state with ``enc_key`` already absorbed, which
+each message copies before absorbing its nonce. The tag's pad states are
+cached per ``mac_key`` by :func:`~repro.crypto.digests.hmac_of`, so the tag
+is RFC 2104 HMAC byte for byte; ciphertexts and tags are exactly those of
+the construction above spelled out call by call.
 
 Every byte-proportional step is a single call into C; §4 names large
 objects under confidentiality as the performance obstacle, and a
@@ -24,12 +30,11 @@ Wire format: ``nonce(16) || ciphertext || tag(32)``.
 from __future__ import annotations
 
 import hashlib
-import hmac
-import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
-from repro.crypto.digests import constant_time_equal
+from repro.crypto.digests import constant_time_equal, hmac_of
 
 NONCE_SIZE = 16
 TAG_SIZE = 32
@@ -64,6 +69,11 @@ class SymmetricKey:
     def mac_key(self) -> bytes:
         return hashlib.sha256(self.material + b"|mac").digest()
 
+    @cached_property
+    def keystream(self) -> Any:
+        """SHAKE-256 with ``enc_key`` absorbed; copied, never updated."""
+        return hashlib.shake_256(self.enc_key)
+
     def canonical_fields(self) -> dict:
         # Only the id is ever serialised; material never goes on the wire.
         return {"key_id": self.key_id}
@@ -71,7 +81,7 @@ class SymmetricKey:
 
 def _stream_xor(key: SymmetricKey, nonce: bytes, data: bytes) -> bytes:
     """``data`` XOR the keystream for ``(key, nonce)``; its own inverse."""
-    xof = hashlib.shake_256(key.enc_key)
+    xof = key.keystream.copy()
     xof.update(nonce)
     size = len(data)
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(xof.digest(size), "big")
@@ -79,17 +89,16 @@ def _stream_xor(key: SymmetricKey, nonce: bytes, data: bytes) -> bytes:
 
 
 def _tag(key: SymmetricKey, nonce: bytes, ciphertext: bytes) -> bytes:
-    mac = hmac.new(key.mac_key, nonce, hashlib.sha256)
-    mac.update(ciphertext)
-    return mac.digest()
+    return hmac_of(key.mac_key, nonce, ciphertext)
 
 
 def encrypt(key: SymmetricKey, plaintext: bytes, nonce: bytes) -> bytes:
     """Encrypt and authenticate ``plaintext``.
 
-    The caller supplies the nonce: in the deterministic simulation each
-    connection derives nonces from its strictly increasing request
-    identifiers, which also guarantees uniqueness per key.
+    The caller supplies the nonce: SMIOP derives it with
+    :func:`repro.itdos.sockets.traffic_nonce` from the connection, its
+    strictly increasing request identifier, the sender and the direction,
+    so that no nonce repeats under one key.
     """
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
@@ -108,9 +117,3 @@ def decrypt(key: SymmetricKey, blob: bytes) -> bytes:
         raise AuthenticationError("bad authentication tag")
     return _stream_xor(key, nonce, ciphertext)
 
-
-def nonce_from_counter(counter: int) -> bytes:
-    """Derive a unique nonce from a strictly increasing counter."""
-    if not 0 <= counter < 2**64:
-        raise ValueError("counter must be in [0, 2**64)")
-    return struct.pack(">QQ", 0, counter)

@@ -205,7 +205,7 @@ def read_reply_mac(
     """HMAC-SHA-256 of a :class:`ReadReply` in one layout that parses one way
     only: integers in decimal, strings after their length, ciphertext last."""
     head = f"{conn_id}:{read_id}:{watermark}:{len(sender)}:{sender}{len(tier)}:{tier}"
-    return hmac_digest(key, head.encode() + ciphertext)
+    return hmac_digest(key, head.encode(), ciphertext)
 
 
 @message

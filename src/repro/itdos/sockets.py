@@ -20,6 +20,7 @@ element embeds one too, for nested invocations):
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Callable
 
 from repro.bft.client import BftClientEngine
@@ -67,13 +68,31 @@ def _copy_value(value: Any) -> Any:
     return value
 
 
+# traffic_nonce hashes the canonical encoding of
+# ``{"conn": conn, "dir": dir, "req": req, "sender": sender}`` (keys sort in
+# that order), laid out by hand: constant key bytes around the four atoms.
+_NONCE_HEAD = struct.Struct(">cII")  # M | body length | 4 items
+_NONCE_CONN = canonical_bytes("conn") + b"I"
+_NONCE_DIR = canonical_bytes("dir") + b"S"
+_NONCE_REQ = canonical_bytes("req") + b"I"
+_NONCE_SENDER = canonical_bytes("sender") + b"S"
+# the item count, the four atoms' length fields and the keys
+_NONCE_FIXED = 4 + 4 * 4 + sum(map(len, (_NONCE_CONN, _NONCE_DIR, _NONCE_REQ, _NONCE_SENDER)))
+_ulong = struct.Struct(">I").pack
+
+
 def traffic_nonce(conn_id: int, request_id: int, sender: str, direction: str) -> bytes:
     """Deterministic unique nonce for one encrypted SMIOP message."""
-    return digest(
-        canonical_bytes(
-            {"conn": conn_id, "req": request_id, "sender": sender, "dir": direction}
-        )
-    )[:16]
+    conn, req = b"%d" % conn_id, b"%d" % request_id
+    way, who = direction.encode("utf-8"), sender.encode("utf-8")
+    size = _NONCE_FIXED + len(conn) + len(way) + len(req) + len(who)
+    return digest(b"".join((
+        _NONCE_HEAD.pack(b"M", size, 4),
+        _NONCE_CONN, _ulong(len(conn)), conn,
+        _NONCE_DIR, _ulong(len(way)), way,
+        _NONCE_REQ, _ulong(len(req)), req,
+        _NONCE_SENDER, _ulong(len(who)), who,
+    )))[:16]
 
 
 def reply_value_comparator(

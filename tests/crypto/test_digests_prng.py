@@ -1,11 +1,60 @@
 """Tests for digests, HMAC, and the deterministic PRG."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.digests import constant_time_equal, digest, hmac_digest
+from repro.crypto.digests import constant_time_equal, digest, hmac_digest, hmac_of
+from repro.crypto.encoding import canonical_bytes
 from repro.crypto.prng import DeterministicPrng
+
+# Key lengths around SHA-256's 64-byte block: up to it a key is padded, past
+# it hashed first.
+KEYS = st.one_of(
+    st.sampled_from([1, 32, 63, 64, 65, 200]), st.integers(min_value=1, max_value=200)
+).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+WRAPS = st.sampled_from([bytes, bytearray, memoryview])
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=20) | st.binary(max_size=20),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def stdlib_hmac(key: bytes, data: bytes) -> bytes:
+    return hmac.new(key, data, hashlib.sha256).digest()
+
+
+@given(KEYS, st.binary(max_size=300), WRAPS, st.integers(min_value=0, max_value=300))
+def test_hmac_is_the_stdlib_hmac_whole_or_split(key, data, wrap, cut):
+    expected = stdlib_hmac(key, data)
+    head, tail = data[:cut], data[cut:]
+    assert hmac_digest(key, wrap(data)) == expected
+    assert hmac_digest(key, wrap(head), wrap(tail)) == expected
+    assert hmac_digest(bytearray(key), head, tail) == expected
+    assert hmac_of(key, wrap(data)) == expected
+    assert hmac_of(key, wrap(head), wrap(tail)) == expected
+    assert hmac_of(key) == stdlib_hmac(key, b"")
+
+
+@given(KEYS, VALUES.filter(lambda value: not isinstance(value, bytes)), st.binary(max_size=40))
+def test_hmac_of_a_value_is_the_hmac_of_its_canonical_bytes(key, value, suffix):
+    # A bytes part is MACed as it is, not encoded; inside a container it is.
+    encoded = canonical_bytes(value)
+    assert hmac_digest(key, value) == stdlib_hmac(key, encoded)
+    assert hmac_digest(key, value, suffix) == stdlib_hmac(key, encoded + suffix)
+
+
+def test_hmac_past_the_key_cache_bound():
+    keys = [i.to_bytes(4, "big") for i in range(1500)]
+    for _ in range(2):
+        for key in keys:
+            assert hmac_digest(key, b"m") == stdlib_hmac(key, b"m")
 
 
 def test_digest_fixed_size_and_deterministic():

@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,16 @@ from repro.crypto.symmetric import (
     SymmetricKey,
     decrypt,
     encrypt,
-    nonce_from_counter,
 )
+
+
+def nonce_from_counter(counter: int) -> bytes:
+    """A unique nonce from a strictly increasing counter: the tests' own
+    derivation (SMIOP uses ``repro.itdos.sockets.traffic_nonce``)."""
+    if not 0 <= counter < 2**64:
+        raise ValueError("counter must be in [0, 2**64)")
+    return struct.pack(">QQ", 0, counter)
+
 
 KEY = SymmetricKey(material=b"k" * KEY_SIZE, key_id=1)
 OTHER = SymmetricKey(material=b"j" * KEY_SIZE, key_id=2)
@@ -221,39 +230,102 @@ def test_subkeys_derived_once_per_key_object():
     assert hash(key) == hash(SymmetricKey(material=b"d" * KEY_SIZE))
 
 
+# sha256 of ``encrypt`` at fixed inputs, recorded before the per-key state was
+# cached: the AEAD's bytes must not move with how the work is arranged.
+PINNED_KEY = SymmetricKey(material=bytes(range(KEY_SIZE)), key_id=1)
+PINNED_NONCE = bytes(range(100, 116))
+PINNED_DIGESTS = {
+    0: "84fbbb8c2a025b46b096786a27a72906a6128e22669e25fd46cf173da25fea5e",
+    1: "df3e5339e8d7ae63c123720f5bc43772d6d756bd937e97598e3c7bc292f395a0",
+    64: "b334a7d3e3ba22d78878d60c7e64d9fda2dbea3112b9a2e045e45be36481fa96",
+    65: "fde073b1b581ec5c0f8499bf568a04dbfe489af8f324b9cf2e841c903087a05c",
+    16_384: "a5c78b1444d08fb4bddf00481500f87dcbd13e42a663ca8434142915e6ca860f",
+}
+
+
+@pytest.mark.parametrize("length", sorted(PINNED_DIGESTS))
+def test_ciphertext_bytes_pinned(length):
+    plaintext = bytes(i * 7 % 251 for i in range(length))
+    blob = encrypt(PINNED_KEY, plaintext, PINNED_NONCE)
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DIGESTS[length]
+    assert blob == reference_encrypt(PINNED_KEY, plaintext, PINNED_NONCE)
+    assert decrypt(PINNED_KEY, blob) == plaintext
+
+
+def test_keystream_state_is_copied_not_consumed():
+    key = SymmetricKey(material=b"s" * KEY_SIZE)
+    assert key.keystream is key.keystream
+    first = encrypt(key, b"same plaintext", NONCE)
+    encrypt(key, b"another message", b"m" * NONCE_SIZE)
+    assert encrypt(key, b"same plaintext", NONCE) == first
+    assert key.keystream.digest(8) == hashlib.shake_256(key.enc_key).digest(8)
+
+
+class _Counted:
+    """A hash object whose ``copy()`` is recorded as a construction."""
+
+    def __init__(self, inner, built: list, name: str) -> None:
+        self.inner, self.built, self.name = inner, built, name
+
+    def update(self, data) -> None:
+        self.inner.update(data)
+
+    def digest(self, *size) -> bytes:
+        return self.inner.digest(*size)
+
+    def copy(self) -> "_Counted":
+        self.built.append(f"{self.name}.copy")
+        return _Counted(self.inner.copy(), self.built, self.name)
+
+
 def test_hash_constructions_per_call_are_bounded(monkeypatch):
     """A count, not a timing: a per-block keystream loop builds hundreds of
-    hash objects for 16 KiB and cannot come back unnoticed."""
+    hash objects for 16 KiB and cannot come back unnoticed. Copying a
+    prepared state counts as a construction; what depends only on the key
+    is built on the key's first use and never again."""
     built = []
     depth = [0]
 
-    def counting(name, constructor):
+    def counting(name, constructor, wrap):
         def construct(*args, **kwargs):
             # hmac may build its inner and outer hashes through hashlib;
             # that is one construction here, not three.
-            if depth[0] == 0:
+            outer = depth[0] == 0
+            if outer:
                 built.append(name)
             depth[0] += 1
             try:
-                return constructor(*args, **kwargs)
+                made = constructor(*args, **kwargs)
             finally:
                 depth[0] -= 1
+            return _Counted(made, built, name) if wrap and outer else made
 
         return construct
 
-    for module, name in [
-        (hashlib, "sha256"),
-        (hashlib, "shake_256"),
-        (hashlib, "new"),
-        (hmac, "new"),
-        (hmac, "digest"),
+    for module, name, wrap in [
+        (hashlib, "sha256", True),
+        (hashlib, "shake_256", True),
+        (hashlib, "new", True),
+        (hmac, "new", False),
+        (hmac, "digest", False),
     ]:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name), wrap))
 
-    key = SymmetricKey(material=b"c" * KEY_SIZE)  # cold: subkeys not derived yet
+    # Cold: material no other test uses, so neither the subkeys, the
+    # keystream state nor the HMAC pad states exist yet.
+    key = SymmetricKey(material=b"construction count, cold key set")
     plaintext = bytes(16_384)
     blob = encrypt(key, plaintext, NONCE)
+    fresh = [name for name in built if not name.endswith(".copy")]
+    # enc_key, mac_key, the keystream state, the inner and outer pad states
+    assert len(fresh) <= 5, built
+    assert len(built) - len(fresh) <= 4, built
+    # Warm: nothing keyed is built again, only copies of prepared states.
+    del built[:]
+    encrypt(key, plaintext, b"w" * NONCE_SIZE)
+    assert all(name.endswith(".copy") for name in built), built
     assert 1 <= len(built) <= 4, built
     del built[:]
     assert decrypt(key, blob) == plaintext
+    assert all(name.endswith(".copy") for name in built), built
     assert 1 <= len(built) <= 4, built

@@ -12,8 +12,11 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chaos.byzantine import ForgedWatermarkElement
+from repro.crypto.digests import hmac_digest
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.messages import ReadReply, read_reply_mac
 from repro.workloads.scenarios import (
@@ -274,3 +277,23 @@ def test_fastpath_off_derives_no_read_keys_and_moves_no_other_draw():
     assert [off.directory.keyring.public_key(pid) for pid in off.elements] == [
         on.directory.keyring.public_key(pid) for pid in on.elements
     ]
+
+
+@given(
+    st.binary(min_size=1, max_size=80),
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=2**64),
+    st.text(max_size=16),
+    st.sampled_from(["core", "read"]),
+    st.integers(min_value=0, max_value=2**32),
+    st.binary(max_size=200),
+)
+def test_read_reply_mac_is_the_hmac_of_head_then_ciphertext(
+    key, conn_id, read_id, sender, tier, watermark, ciphertext
+):
+    """Passing head and ciphertext as two parts MACs the bytes the
+    concatenating version did."""
+    head = f"{conn_id}:{read_id}:{watermark}:{len(sender)}:{sender}{len(tier)}:{tier}"
+    assert read_reply_mac(
+        key, conn_id, read_id, sender, tier, watermark, ciphertext
+    ) == hmac_digest(key, head.encode() + ciphertext)

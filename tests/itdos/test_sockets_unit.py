@@ -1,7 +1,11 @@
 """Unit-level tests for the ITDOS socket layer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.crypto.digests import digest
+from repro.crypto.encoding import canonical_bytes
 from repro.itdos.messages import GmShareEnvelope, SmiopReply
 from repro.itdos.sockets import traffic_nonce
 from tests.itdos.conftest import CalculatorServant, make_system
@@ -143,6 +147,27 @@ def test_reply_from_wrong_source_not_routed():
     )
     # Network source differs from the claimed sender: not consumed.
     assert client.endpoint.handle_message("calc-e1", reply) is False
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.integers(min_value=0, max_value=2**64),
+    st.text(max_size=24),
+    st.sampled_from(["req", "rep", "dig", "body", "trq", "trd"]) | st.text(max_size=8),
+)
+def test_traffic_nonce_is_the_digest_of_its_canonical_map(conn, req, sender, direction):
+    expected = digest(
+        canonical_bytes({"conn": conn, "req": req, "sender": sender, "dir": direction})
+    )[:16]
+    assert traffic_nonce(conn, req, sender, direction) == expected
+
+
+def test_traffic_nonce_non_ascii_sender():
+    sender = "élément-ζ-0"
+    expected = digest(
+        canonical_bytes({"conn": 3, "req": 2**64, "sender": sender, "dir": "rep"})
+    )[:16]
+    assert traffic_nonce(3, 2**64, sender, "rep") == expected
 
 
 def test_traffic_nonce_uniqueness():

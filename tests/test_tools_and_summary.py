@@ -59,6 +59,26 @@ def test_sampler_prints_per_request_rows(capsys):
     assert "src/repro/sim/scheduler.py:run" in out
 
 
+def test_sampler_charges_generated_code_to_its_class():
+    import dataclasses
+    import sys
+
+    import tools.sample as sample
+
+    @dataclasses.dataclass
+    class Probe:
+        # The factory runs inside the __init__ that dataclasses generate.
+        row: tuple = dataclasses.field(
+            default_factory=lambda: sample.frame_row(sys._getframe(1))
+        )
+
+    assert Probe().row == ("<string>", "Probe.__init__")
+    assert sample.frame_row(sys._getframe()) == (
+        "tests/test_tools_and_summary.py",
+        "test_sampler_charges_generated_code_to_its_class",
+    )
+
+
 def test_system_summary():
     system = make_system(seed=300)
     system.add_server_domain(

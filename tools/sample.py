@@ -7,7 +7,9 @@ Builds the workload from ``bench.workloads``, runs its warm-up, then runs
 *inclusive* share is the fraction of samples with it anywhere on the
 stack, its *self* share the fraction with it on top; both are scaled by
 the CPU time per request. Modules are reported the same way; functions
-twice, sorted by inclusive and by self time. Unlike the
+twice, sorted by inclusive and by self time. Code that dataclasses
+generate has no file of its own; its rows read ``<string>:Class.method``,
+after the class of the frame's ``self``. Unlike the
 traced run (a probe frame per call) or cProfile (a hook per call), the
 cost is per sample, so call-heavy code is not inflated.
 
@@ -27,6 +29,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (os.path.join(ROOT, "src"), ROOT):
     if _path not in sys.path:
         sys.path.insert(0, _path)
+
+
+def frame_row(frame) -> tuple[str, str]:
+    """The file (relative to the repo) and function a frame is charged to.
+    Generated code (a dataclass's ``__init__``, ``__eq__``, ...) has the file
+    ``<string>`` and is charged to the class of its ``self``."""
+    code = frame.f_code
+    if code.co_filename != "<string>":
+        return os.path.relpath(code.co_filename, ROOT), code.co_name
+    owner = frame.f_locals.get("self")
+    if owner is None:
+        return "<string>", code.co_name
+    return "<string>", f"{type(owner).__name__}.{code.co_name}"
 
 
 def sample(workload: str, seed: int, slices: int, interval: float) -> tuple[dict, int, float]:
@@ -50,9 +65,8 @@ def sample(workload: str, seed: int, slices: int, interval: float) -> tuple[dict
         seen = set()
         top = True
         while frame is not None:
-            code = frame.f_code
-            name = os.path.relpath(code.co_filename, ROOT)
-            for key in (f"{name}:{code.co_name}", f"{name}:*"):
+            name, function = frame_row(frame)
+            for key in (f"{name}:{function}", f"{name}:*"):
                 entry = counts.setdefault(key, [0, 0])
                 if key not in seen:
                     seen.add(key)
