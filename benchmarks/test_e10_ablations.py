@@ -12,9 +12,11 @@ import random
 import time
 
 from benchmarks.conftest import once, print_table
+from repro.crypto.dprf import combine_verified, dprf_setup
+from repro.crypto.groups import SIM_GROUP
 from repro.crypto.rsa import generate_rsa_keypair, verify
 from repro.crypto.signing import HmacAuthenticator
-from repro.crypto.symmetric import SymmetricKey, decrypt, encrypt, nonce_from_counter
+from repro.crypto.symmetric import NONCE_SIZE, SymmetricKey, decrypt, encrypt
 from repro.orb.core import Orb
 from repro.orb.iiop import IiopClient, IiopServer
 from repro.sim import FixedLatency, Network, NetworkConfig
@@ -122,7 +124,7 @@ def test_e10_cost_of_intrusion_tolerance(benchmark):
             ("RSA-512 sign", lambda: keypair.sign(blob)),
             ("RSA-512 verify", lambda: verify(keypair.public, blob, keypair.sign(blob))),
             ("HMAC authenticator", lambda: hmac.mac_for("b", blob)),
-            ("encrypt+decrypt", lambda: decrypt(key, encrypt(key, blob, nonce_from_counter(1)))),
+            ("encrypt+decrypt", lambda: decrypt(key, encrypt(key, blob, bytes(NONCE_SIZE)))),
         ]:
             start = time.perf_counter()
             iterations = 20
@@ -139,6 +141,31 @@ def test_e10_cost_of_intrusion_tolerance(benchmark):
         ["payload", "RSA sign", "RSA sign+verify", "HMAC", "encrypt+decrypt"],
         mech_rows,
     )
+
+    # The DPRF key path (§3.5) at the simulations' group: a GM element's share
+    # with its proof, a participant's check of one share against a nonce it
+    # has hashed already, and the f+1 interpolation of checked shares.
+    public, holders = dprf_setup(SIM_GROUP, n=4, f=1, rng=random.Random(0))
+    nonce = b"e10b-nonce"
+    point = public.hash_input(nonce)
+    shares = [holder.evaluate(nonce) for holder in holders[:2]]
+    key_rows = []
+    for name, fn in [
+        ("share evaluation", lambda: holders[0].evaluate(nonce)),
+        ("share check", lambda: public.check_share(point, shares[0])),
+        ("f+1 interpolation", lambda: combine_verified(public, nonce, shares)),
+    ]:
+        start = time.perf_counter()
+        iterations = 20
+        for _ in range(iterations):
+            fn()
+        key_rows.append([name, f"{(time.perf_counter() - start) / iterations * 1e6:,.0f}"])
+    print_table(
+        "E10b — DPRF key path, SIM_GROUP, f = 1 (µs per operation, wall clock)",
+        ["operation", "µs"],
+        key_rows,
+    )
+    assert all(public.check_share(point, share) for share in shares)
 
     # Signing dwarfs MACs (why Castro-Liskov moved to authenticators, and
     # why §4 worries about signing multi-gigabyte objects).

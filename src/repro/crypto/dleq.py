@@ -45,8 +45,14 @@ def dleq_prove(
     group: DlGroup, g1: int, g2: int, x: int, rng: random.Random
 ) -> DleqProof:
     """Prove knowledge of ``x`` with ``h1 = g1^x`` and ``h2 = g2^x``."""
-    h1 = group.exp(g1, x)
-    h2 = group.exp(g2, x)
+    return dleq_prove_powers(group, g1, group.exp(g1, x), g2, group.exp(g2, x), x, rng)
+
+
+def dleq_prove_powers(
+    group: DlGroup, g1: int, h1: int, g2: int, h2: int, x: int, rng: random.Random
+) -> DleqProof:
+    """:func:`dleq_prove` for a prover that already holds ``h1 = g1^x`` and
+    ``h2 = g2^x``; the proof is the same, bit for bit."""
     w = group.random_exponent(rng)
     a1 = group.exp(g1, w)
     a2 = group.exp(g2, w)
@@ -61,6 +67,14 @@ def dleq_verify(
     """Check a proof that ``log_g1(h1) == log_g2(h2)``."""
     if not (group.contains(h1) and group.contains(h2)):
         return False
+    return dleq_check(group, g1, h1, g2, h2, proof)
+
+
+def dleq_check(
+    group: DlGroup, g1: int, h1: int, g2: int, h2: int, proof: DleqProof
+) -> bool:
+    """The proof equation of :func:`dleq_verify` alone, for a caller that has
+    already checked ``h1`` and ``h2`` lie in the subgroup."""
     a1 = group.mul(group.exp(g1, proof.response), group.exp(h1, proof.challenge))
     a2 = group.mul(group.exp(g2, proof.response), group.exp(h2, proof.challenge))
     return _challenge(group, g1, h1, g2, h2, a1, a2) == proof.challenge

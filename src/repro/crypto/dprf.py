@@ -13,6 +13,20 @@ DDH-based):
 * **Combination.** Any ``f+1`` *verified* shares interpolate in the exponent:
   ``h^s = Π σ_i^{λ_i}``; the communication key is ``H(x || h^s)``.
 
+What is computed how often:
+
+* **Once per key set** — :class:`DprfPublic` derives every member key
+  ``y_i`` from the commitments, and checks that it lies in the subgroup,
+  when it is built. A share check then tests only ``σ_i``'s membership and
+  the proof equation (:meth:`DprfPublic.check_share`).
+* **Once per input per process** — ``h = HashToGroup(x)``: a shareholder
+  hashes ``x`` once per evaluation and proves with the ``y_i`` and ``σ_i``
+  it already holds; a participant hashes a nonce once and checks every
+  share under it against that point (:mod:`repro.itdos.keys`).
+* **Once per share** — the check. Shares already checked are interpolated
+  by :func:`combine_verified`; :func:`combine_shares` is check-then-combine
+  for a caller holding unchecked shares.
+
 Properties exercised by experiment E5:
 
 * any ``f+1`` honest shares yield the same key (agreement);
@@ -23,10 +37,10 @@ Properties exercised by experiment E5:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.digests import digest
-from repro.crypto.dleq import DleqProof, dleq_prove, dleq_verify
+from repro.crypto.dleq import DleqProof, dleq_check, dleq_prove_powers
 from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.groups import DlGroup
 from repro.crypto.shamir import Share, lagrange_coefficient, share_secret
@@ -45,19 +59,40 @@ class DprfPublic:
     n: int
     f: int
     commitment: FeldmanCommitment
+    # y_1 .. y_n, derived from the commitments when the parameters are built;
+    # 0 stands for a key outside the subgroup, which no share can verify under.
+    member_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = (self.commitment.share_public_key(i) for i in range(1, self.n + 1))
+        object.__setattr__(
+            self, "member_keys", tuple(y if self.group.contains(y) else 0 for y in keys)
+        )
 
     @property
     def threshold(self) -> int:
         """Shares needed to evaluate: ``f + 1``."""
         return self.f + 1
 
+    def hash_input(self, x: bytes) -> int:
+        """``h = HashToGroup(x)``: the point :meth:`check_share` takes."""
+        return self.group.hash_to_element(x)
+
     def verify_share(self, x: bytes, share: "KeyShare") -> bool:
         """Non-interactively check one key share against the commitments."""
+        return self.check_share(self.hash_input(x), share)
+
+    def check_share(self, point: int, share: "KeyShare") -> bool:
+        """:meth:`verify_share` with the input already hashed into the group:
+        ``point = hash_input(x)``."""
         if not 1 <= share.index <= self.n:
             return False
-        h = self.group.hash_to_element(x)
-        y_i = self.commitment.share_public_key(share.index)
-        return dleq_verify(self.group, self.group.g, y_i, h, share.value, share.proof)
+        y_i = self.member_keys[share.index - 1]
+        return (
+            y_i != 0
+            and self.group.contains(share.value)
+            and dleq_check(self.group, self.group.g, y_i, point, share.value, share.proof)
+        )
 
 
 @dataclass(frozen=True)
@@ -90,17 +125,11 @@ class DprfShareholder:
     def evaluate(self, x: bytes) -> KeyShare:
         """Produce this element's key share for input ``x``, with proof."""
         group = self.public.group
-        h = group.hash_to_element(x)
+        h = self.public.hash_input(x)
         value = group.exp(h, self._secret)
-        proof = dleq_prove_two_bases(group, group.g, h, self._secret, self._rng)
+        y_i = self.public.member_keys[self.index - 1]
+        proof = dleq_prove_powers(group, group.g, y_i, h, value, self._secret, self._rng)
         return KeyShare(index=self.index, value=value, proof=proof)
-
-
-def dleq_prove_two_bases(
-    group: DlGroup, g1: int, g2: int, x: int, rng: random.Random
-) -> DleqProof:
-    """Alias making the two-base structure explicit at the call site."""
-    return dleq_prove(group, g1, g2, x, rng)
 
 
 def dprf_setup(
@@ -133,12 +162,13 @@ def combine_shares(
     Raises :class:`DprfError` listing the indices of any invalid shares, or
     if fewer than ``f+1`` distinct valid shares remain.
     """
+    point = public.hash_input(x)
     valid: dict[int, KeyShare] = {}
     bad: list[int] = []
     for share in shares:
         if share.index in valid:
             continue
-        if public.verify_share(x, share):
+        if public.check_share(point, share):
             valid[share.index] = share
         else:
             bad.append(share.index)
@@ -148,7 +178,15 @@ def combine_shares(
         raise DprfError(
             f"need {public.threshold} valid shares, have {len(valid)}"
         )
-    chosen = sorted(valid.values(), key=lambda s: s.index)[: public.threshold]
+    return combine_verified(public, x, list(valid.values()), key_id=key_id)
+
+
+def combine_verified(
+    public: DprfPublic, x: bytes, shares: list[KeyShare], key_id: int = 0
+) -> SymmetricKey:
+    """Interpolate the key from ``f+1`` shares of distinct indices that have
+    already been checked against ``x``; nothing is verified here."""
+    chosen = sorted(shares, key=lambda s: s.index)[: public.threshold]
     indices = [s.index for s in chosen]
     group = public.group
     acc = 1

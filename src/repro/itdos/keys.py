@@ -4,7 +4,10 @@ Each participant of a connection (the client and every server element)
 receives one :class:`~repro.itdos.messages.GmShareEnvelope` per Group
 Manager element, decrypts its share with the pairwise key, **verifies** the
 share against the DPRF public parameters, and combines ``f_gm + 1`` valid
-shares into the communication key (§3.5). Rekeying after an expulsion
+shares into the communication key (§3.5). Each share is checked once, against
+a nonce hashed into the group once: the assembly reuses the point of a held
+share under the same nonce, and a combined generation keeps the point of its
+nonce for the stragglers, dropping it with the key. Rekeying after an expulsion
 simply starts a new assembly under the next ``key_id``; old keys are kept
 briefly for in-flight traffic, then dropped.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from repro.crypto.dprf import DprfError, DprfPublic, KeyShare, combine_shares
+from repro.crypto.dprf import DprfPublic, KeyShare, combine_verified
 from repro.crypto.encoding import parse_canonical
 from repro.crypto.symmetric import AuthenticationError, SymmetricKey, decrypt
 from repro.itdos.domain import SystemDirectory
@@ -26,6 +29,7 @@ class _HeldShare(NamedTuple):
     """One GM element's verified share, under what that element *said*."""
 
     nonce: bytes
+    point: int  # the nonce hashed into the group
     claims: tuple  # the connection metadata its envelope carried
     share: KeyShare
     epoch: int
@@ -80,12 +84,17 @@ class PendingKeyAssembly:
         shares agree on ``(nonce, claims)`` — the one just added among them."""
         if share.index in self.held:
             return None
-        if not public.verify_share(nonce, share):
+        point = next((h.point for h in self.held.values() if h.nonce == nonce), None)
+        if point is None:
+            point = public.hash_input(nonce)
+        if not public.check_share(point, share):
             self._flag(gm_element, "verify")
             return None
         if self.held and nonce != next(iter(self.held.values())).nonce:
             self._flag(gm_element, "nonce")
-        self.held[share.index] = _HeldShare(nonce, claims, share, epoch, fence_floor)
+        self.held[share.index] = _HeldShare(
+            nonce, point, claims, share, epoch, fence_floor
+        )
         agreeing = [
             h for h in self.held.values() if (h.nonce, h.claims) == (nonce, claims)
         ]
@@ -93,12 +102,9 @@ class PendingKeyAssembly:
             return None
         self.epoch = min(h.epoch for h in agreeing)
         self.fence_floor = min(h.fence_floor for h in agreeing)
-        try:
-            return combine_shares(
-                public, nonce, [h.share for h in agreeing], key_id=self.key_id
-            )
-        except DprfError:  # pragma: no cover - shares were pre-verified
-            return None
+        return combine_verified(
+            public, nonce, [h.share for h in agreeing], key_id=self.key_id
+        )
 
 
 @dataclass
@@ -127,6 +133,9 @@ class ConnectionKeys:
     current_epoch: int = 0
     fence_floor: int = 0
     epoch_of: dict[int, int] = field(default_factory=dict)
+    # key_id -> (nonce, point) the generation was combined under, kept as long
+    # as its key so a straggling share under that nonce is not hashed again.
+    inputs: dict[int, tuple[bytes, int]] = field(default_factory=dict)
     # Why the most recent install() returned False ("" after a success);
     # read by the owning KeyStore's evidence hook.
     last_reject: str = ""
@@ -168,6 +177,7 @@ class ConnectionKeys:
             ]:
                 del self.keys[old]
                 self.epoch_of.pop(old, None)
+                self.inputs.pop(old, None)
         if self.fence_floor > 0:
             self._purge_fenced()
         if key.key_id not in self.keys:
@@ -180,10 +190,17 @@ class ConnectionKeys:
             k for k, e in self.epoch_of.items() if e < self.fence_floor
         ]:
             self.keys.pop(old, None)
+            self.inputs.pop(old, None)
             del self.epoch_of[old]
 
     def current(self) -> SymmetricKey | None:
         return self.keys.get(self.current_key_id)
+
+    def point_for(self, key_id: int, nonce: bytes) -> int | None:
+        """The stored point of ``nonce`` if generation ``key_id`` was
+        combined under it; any other nonce is not stored."""
+        held = self.inputs.get(key_id)
+        return held[1] if held is not None and held[0] == nonce else None
 
     def get(self, key_id: int) -> SymmetricKey | None:
         return self.keys.get(key_id)
@@ -271,7 +288,10 @@ class KeyStore:
             # "the client and server replication domain elements ... can
             # verify which Group Manager replication domain elements acted
             # correctly" (§3.5) even for stragglers.
-            if not self.public.verify_share(nonce, share):
+            point = existing.point_for(key_id, nonce)
+            if point is None:
+                point = self.public.hash_input(nonce)
+            if not self.public.check_share(point, share):
                 self.invalid_share_events.append((gm_element, conn_id, key_id))
                 self._invalid_share(gm_element, conn_id, key_id, "verify", nonce, share)
             return None
@@ -295,6 +315,8 @@ class KeyStore:
             key, conn_id, epoch=pending.epoch, fence_floor=pending.fence_floor
         ):
             return None
+        # The share just offered completed the key: its point is the generation's.
+        self.connections[conn_id].inputs[key_id] = (nonce, pending.held[share.index].point)
         return key
 
     def _invalid_share(

@@ -59,6 +59,16 @@ def test_sampler_prints_per_request_rows(capsys):
     assert "src/repro/sim/scheduler.py:run" in out
 
 
+def test_sampler_samples_the_set_up(capsys):
+    import tools.sample as sample
+
+    assert sample.main(["sim_null", "--setup", "--interval", "0.001"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sim_null: ") and "CPU µs of set-up" in out
+    # Settle and warm-up run the scheduler; the warm-up's handshake is there.
+    assert "src/repro/sim/scheduler.py:run" in out
+
+
 def test_sampler_charges_generated_code_to_its_class():
     import dataclasses
     import sys

@@ -13,7 +13,12 @@ after the class of the frame's ``self``. Unlike the
 traced run (a probe frame per call) or cProfile (a hook per call), the
 cost is per sample, so call-heavy code is not inflated.
 
+``--setup`` samples the set-up instead — build, settle and warm-up, where
+every connection handshake runs — and scales the same tables by its whole
+CPU time.
+
 Usage: python tools/sample.py sim_readmix [--slices 150] [--seed 7] [--top 25]
+       python tools/sample.py sim_batched --setup
 """
 
 from __future__ import annotations
@@ -44,19 +49,10 @@ def frame_row(frame) -> tuple[str, str]:
     return "<string>", f"{type(owner).__name__}.{code.co_name}"
 
 
-def sample(workload: str, seed: int, slices: int, interval: float) -> tuple[dict, int, float]:
-    """Per-(function and module) ``[inclusive, self]`` sample counts, the
-    number of samples, and CPU µs per request."""
-    from bench.child import run_plan
-    from bench.workloads import WORKLOADS, warmup_plans
-
-    spec = WORKLOADS[workload]
-    stream = spec.slices(random.Random(seed), {})
-    cluster = spec.build(seed)
-    cluster.settle()
-    problems: list[str] = []
-    for plan in warmup_plans(stream):
-        run_plan(cluster, plan, problems)
+def profile(run, interval: float) -> tuple[dict, int, float, object]:
+    """Run ``run()`` under the sampler: per-(function and module)
+    ``[inclusive, self]`` sample counts, the number of samples, the CPU
+    seconds taken and what ``run`` returned."""
     counts: dict[str, list[int]] = {}
     samples = [0]
 
@@ -76,20 +72,54 @@ def sample(workload: str, seed: int, slices: int, interval: float) -> tuple[dict
             top = False
             frame = frame.f_back
 
-    plans = [next(stream) for _ in range(slices)]
     previous = signal.signal(signal.SIGPROF, on_tick)
     cpu = time.process_time()
     signal.setitimer(signal.ITIMER_PROF, interval, interval)
     try:
-        requests = sum(run_plan(cluster, plan, problems)[2] for plan in plans)
+        result = run()
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
         cpu = time.process_time() - cpu
         signal.signal(signal.SIGPROF, previous)
+    return counts, samples[0], cpu, result
+
+
+def sample(
+    workload: str, seed: int, slices: int, interval: float, setup: bool = False
+) -> tuple[dict, int, float]:
+    """Per-(function and module) ``[inclusive, self]`` sample counts, the
+    number of samples, and CPU µs per request (per set-up with ``setup``)."""
+    from bench.child import run_plan
+    from bench.workloads import WORKLOADS, warmup_plans
+
+    spec = WORKLOADS[workload]
+    stream = spec.slices(random.Random(seed), {})
+    problems: list[str] = []
+
+    def set_up():
+        cluster = spec.build(seed)
+        cluster.settle()
+        for plan in warmup_plans(stream):
+            run_plan(cluster, plan, problems)
+        return cluster
+
+    if setup:
+        counts, samples, cpu, cluster = profile(set_up, interval)
         cluster.close()
+        per = 1
+    else:
+        cluster = set_up()
+        plans = [next(stream) for _ in range(slices)]
+        try:
+            counts, samples, cpu, per = profile(
+                lambda: sum(run_plan(cluster, plan, problems)[2] for plan in plans),
+                interval,
+            )
+        finally:
+            cluster.close()
     if problems:
         raise SystemExit(f"{workload} went wrong: {problems[:3]}")
-    return counts, samples[0], cpu * 1e6 / requests
+    return counts, samples, cpu * 1e6 / per
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,11 +130,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--interval", type=float, default=0.0003, help="CPU seconds")
     parser.add_argument("--top", type=int, default=25, help="rows per table")
     parser.add_argument("--match", default="src/", help="only rows containing this")
+    parser.add_argument(
+        "--setup", action="store_true", help="sample build, settle and warm-up instead"
+    )
     options = parser.parse_args(argv)
     counts, samples, us_per_req = sample(
-        options.workload, options.seed, options.slices, options.interval
+        options.workload, options.seed, options.slices, options.interval, options.setup
     )
-    print(f"{options.workload}: {samples} samples, {us_per_req:,.0f} CPU µs/request")
+    unit = "CPU µs of set-up" if options.setup else "CPU µs/request"
+    print(f"{options.workload}: {samples} samples, {us_per_req:,.0f} {unit}")
     # Sorted by inclusive time (where a request's time goes, top down) and
     # by self time (which code itself is hot, whoever calls it).
     for title, modules, column in (
