@@ -12,9 +12,10 @@ they can serve as transferable expulsion proof (§3.6). Three strategies:
 
 Both cryptographic strategies share the message's memoized canonical
 encoding (``auth`` is outside the canonical fields, so clean and stamped
-instances encode identically) and keep a bounded cache of stamped forms:
-stamping a message for n receivers marshals once, and a retransmission of
-an identical message reuses the whole authenticator vector or signature.
+instances encode identically) and memoize each stamped form for as long as
+the message it was stamped from lives: stamping a message for n receivers
+marshals once, and a retransmission of an identical message reuses the
+whole authenticator vector or signature.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
 from repro.crypto.encoding import canonical_bytes
-from repro.crypto.memo import MemoCache
+from repro.crypto.memo import WeakMemo
 from repro.crypto.signing import HmacAuthenticator, KeyRing, RsaSigner
-
-#: Stamped protocol messages retained per strategy instance. Sized to cover
-#: a replica's retransmission working set (a few dozen live messages), not
-#: the whole log.
-STAMP_CACHE_SIZE = 1024
-
 
 def _content_bytes(message: Any) -> bytes:
     """The canonical bytes a MAC or signature covers.
@@ -79,23 +74,21 @@ class NullAuth(MessageAuth):
 class HmacAuth(MessageAuth):
     """Authenticator vectors over pairwise keys (Castro–Liskov style)."""
 
-    def __init__(
-        self, authenticator: HmacAuthenticator, stamp_cache_size: int = STAMP_CACHE_SIZE
-    ) -> None:
+    def __init__(self, authenticator: HmacAuthenticator) -> None:
         self.authenticator = authenticator
-        # (message, receivers) -> stamped copy. Keyed on content equality,
-        # so the fresh-but-identical prepares/commits a retransmission tick
-        # rebuilds hit without re-MACing.
-        self._stamped = MemoCache(maxsize=stamp_cache_size)
+        # (message, receivers) -> stamped copy, held as long as the message
+        # is. Keyed on content equality, so the fresh-but-identical
+        # prepares/commits a retransmission tick rebuilds hit without
+        # re-MACing.
+        self._stamped = WeakMemo()
 
     @property
-    def stamp_cache(self) -> MemoCache:
+    def stamp_cache(self) -> WeakMemo:
         return self._stamped
 
     def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
         others = tuple(r for r in receivers if r != self.authenticator.own_id)
-        key = (message, others)
-        cached = self._stamped.get(key)
+        cached = self._stamped.get(message, others)
         if cached is not None:
             return cached
         data = _content_bytes(message)  # marshalled once, shared by every MAC
@@ -105,7 +98,7 @@ class HmacAuth(MessageAuth):
             if self.authenticator.knows(peer)
         }
         stamped = dataclasses.replace(message, auth=vector)
-        self._stamped.put(key, stamped)
+        self._stamped.put(message, others, stamped)
         return stamped
 
     def accept(self, src: str, message: Any) -> bool:
@@ -127,27 +120,24 @@ class HmacAuth(MessageAuth):
 class RsaAuth(MessageAuth):
     """One transferable signature per message."""
 
-    def __init__(
-        self,
-        signer: RsaSigner,
-        keyring: KeyRing,
-        stamp_cache_size: int = STAMP_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, signer: RsaSigner, keyring: KeyRing) -> None:
         self.signer = signer
         self.keyring = keyring
-        self._stamped = MemoCache(maxsize=stamp_cache_size)
+        # message -> stamped copy, held as long as the message is; one
+        # signature serves every receiver set.
+        self._stamped = WeakMemo()
 
     @property
-    def stamp_cache(self) -> MemoCache:
+    def stamp_cache(self) -> WeakMemo:
         return self._stamped
 
     def stamp(self, message: Any, receivers: Sequence[str]) -> Any:
-        cached = self._stamped.get(message)
+        cached = self._stamped.get(message, None)
         if cached is not None:
             return cached
         signature = self.signer.sign(_content_bytes(message))
         stamped = dataclasses.replace(message, auth=signature)
-        self._stamped.put(message, stamped)
+        self._stamped.put(message, None, stamped)
         return stamped
 
     def accept(self, src: str, message: Any) -> bool:

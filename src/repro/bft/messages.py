@@ -19,22 +19,25 @@ from typing import Any
 
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
-from repro.crypto.memo import MemoCache
+from repro.crypto.memo import WeakMemo
 from repro.schema import message, plan_of
 
 _HEADER_OVERHEAD = 48  # nominal per-message framing cost in bytes
 
-# Content-addressed caches shared by every message instance. Keys are the
+# Content-addressed memos shared by every message instance. Keys are the
 # messages themselves: frozen dataclasses whose ``auth`` field is excluded
-# from comparison and hashing, so a clean message and its stamped copy map
-# to the same entry — the bytes computed when the sender stamps are the
-# bytes every receiver verifies, hashed exactly once.
-_ENCODING_CACHE = MemoCache(maxsize=8192)
-_DIGEST_CACHE = MemoCache(maxsize=8192)
+# from comparison and hashing, so a clean message, its stamped copy and an
+# equal copy decoded separately map to the same entry — the bytes computed
+# when the sender stamps are the bytes every receiver verifies, hashed
+# exactly once. An entry lives exactly as long as the message it was stored
+# under: a request or batch carries its payload and its encoding is as
+# large again, so nothing here may outlive the protocol's own reference.
+_ENCODING_CACHE = WeakMemo()
+_DIGEST_CACHE = WeakMemo()
 
 
 def marshal_cache_stats() -> dict[str, dict[str, float]]:
-    """Observability hook: hit/miss/eviction counters for both caches."""
+    """Observability hook: size and hit/miss counters for both memos."""
     return {
         "encoding": _ENCODING_CACHE.stats(),
         "digest": _DIGEST_CACHE.stats(),
@@ -61,8 +64,9 @@ class BftMessage:
         """Canonical TLV bytes of the message content, memoized.
 
         Level 1 is a per-instance slot; level 2 is the content-addressed
-        LRU, which a stamped copy (equal under dataclass comparison — the
-        ``auth`` field never compares) shares with the clean original.
+        memo, which a stamped copy (equal under dataclass comparison — the
+        ``auth`` field never compares) shares with the clean original while
+        that original lives.
         """
         cached = self.__dict__.get("_enc")
         if cached is None:

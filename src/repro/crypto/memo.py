@@ -1,78 +1,74 @@
-"""Bounded content-addressed memoization for the protocol hot path.
+"""Content-addressed memoization whose entries live as long as their key.
 
 The ordering stack hashes the same message many times: a pre-prepare is
 digested when built, once per receiver when MAC-stamped, again at every
 receiver's accept, and once more per retransmission tick. All of those
-calls encode the same canonical bytes. :class:`MemoCache` is a small LRU
-keyed by the (hashable, frozen) message itself, so equal messages —
-including stamped copies, whose ``auth`` field is excluded from equality
-and hashing — share one encoding and one digest.
+calls encode the same canonical bytes. :class:`WeakMemo` maps a (hashable,
+frozen) message to a value computed from it, so equal messages — including
+stamped copies, whose ``auth`` field is excluded from equality and hashing,
+and an equal copy decoded separately — share one encoding and one digest.
 
-The cache is deliberately dumb: no weak references (frozen dataclasses
-holding only primitives are cheap to retain), no locks (the simulation is
-single-threaded), just strict LRU eviction plus hit/miss/eviction counters
-so benchmarks can report cache effectiveness.
+An entry is held weakly on its key and dies with the message it was first
+stored under: the memo keeps nothing alive that the protocol has let go.
+A message is not cheap to retain — a request or batch carries its payload,
+and its canonical encoding is as large again — so a count-bounded cache
+keyed by strong references holds thousands of payloads it will never hit.
+No size bound is needed and none is kept. No locks either: the simulation
+is single-threaded. Hit/miss counters let benchmarks report effectiveness.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
+from weakref import WeakKeyDictionary
+
+_MISSING = object()
+_EMPTY: dict = {}
 
 
-class MemoCache:
-    """A bounded LRU mapping with hit/miss/eviction accounting."""
+class WeakMemo:
+    """A mapping from live key objects to computed values, with hit/miss
+    accounting. Keys compare by value; an entry is dropped when the object
+    it was stored under is collected.
 
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._data: OrderedDict[Hashable, Any] = OrderedDict()
+    Use one instance either through :meth:`memo` (one value per key) or
+    through :meth:`get`/:meth:`put` (one value per key and part).
+    """
+
+    def __init__(self) -> None:
+        self._data: WeakKeyDictionary[Any, Any] = WeakKeyDictionary()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        try:
-            value = self._data[key]
-        except KeyError:
+    def get(self, key: Any, part: Any) -> Any:
+        """The value stored for ``(key, part)``, or ``None``. ``part`` is a
+        plain hashable that qualifies the key (a receiver set), held as
+        long as ``key`` is."""
+        value = self._data.get(key, _EMPTY).get(part)
+        if value is None:
             self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
+        else:
+            self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
+    def put(self, key: Any, part: Any, value: Any) -> None:
+        parts = self._data.get(key)
+        if parts is None:
+            parts = self._data[key] = {}
+        parts[part] = value
 
-    def memo(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+    def memo(self, key: Any, compute: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing it on a miss."""
-        try:
-            value = self._data[key]
-        except KeyError:
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
             self.misses += 1
-            value = compute()
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            value = self._data[key] = compute()
             return value
-        self._data.move_to_end(key)
         self.hits += 1
         return value
-
-    def clear(self) -> None:
-        self._data.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -84,6 +80,7 @@ class MemoCache:
             "size": float(len(self._data)),
             "hits": float(self.hits),
             "misses": float(self.misses),
-            "evictions": float(self.evictions),
+            # Nothing is evicted: an entry ends with its key.
+            "evictions": 0.0,
             "hit_rate": self.hit_rate,
         }

@@ -28,7 +28,6 @@ from repro.bft.messages import BftReply
 from repro.crypto.digests import constant_time_equal, digest
 from repro.crypto.encoding import canonical_bytes
 from repro.crypto.symmetric import AuthenticationError, decrypt, encrypt
-from repro.crypto.memo import MemoCache
 from repro.giop.messages import (
     ReplyMessage,
     decode_message,
@@ -66,6 +65,24 @@ def _copy_value(value: Any) -> Any:
     if isinstance(value, list):
         return [_copy_value(v) for v in value]
     return value
+
+
+class _DecodeMemo:
+    """Reply plaintext -> decoded ``(status, result)`` for one voter's vote
+    in progress and the vote before it, whose straggler copies arrive after
+    the next request has begun; anything older is dropped."""
+
+    __slots__ = ("current", "before")
+
+    def __init__(self) -> None:
+        self.current: dict[bytes, tuple[int, Any]] = {}
+        self.before: dict[bytes, tuple[int, Any]] = {}
+
+    def begin(self) -> None:
+        self.before, self.current = self.current, {}
+
+    def get(self, plaintext: bytes) -> tuple[int, Any] | None:
+        return self.current.get(plaintext) or self.before.get(plaintext)
 
 
 # traffic_nonce hashes the canonical encoding of
@@ -165,12 +182,16 @@ class OutgoingConnection:
         # Large-object digest path (extension): body fetch in progress.
         self._awaiting_body: tuple[int, bytes, list[str]] | None = None
         self.body_fetches = 0
-        # Decoded-ballot memo: heterogeneous replicas produce different
-        # bytes for equal values, but same-platform elements (and duplicate
-        # copies) produce identical plaintext — unmarshal those once per
-        # voter, not once per element. Pure memoization: voting still
-        # happens on the decoded values via the §3.6 comparators.
-        self._decode_memo: MemoCache = MemoCache(maxsize=64)
+        # Decoded-ballot memos, one per voter: heterogeneous replicas
+        # produce different bytes for equal values, but same-platform
+        # elements (and duplicate copies) produce identical plaintext —
+        # unmarshal those once per vote, not once per element. Pure
+        # memoization: voting still happens on the decoded values via the
+        # §3.6 comparators.
+        self._reply_memo = _DecodeMemo()
+        self._read_memo = _DecodeMemo()
+        self.reply_decodes = 0
+        self.reply_memo_hits = 0
         # Read fast path (Castro–Liskov read-only optimization). Reads live
         # in their own id space, seeded like request ids for incarnation
         # safety; they never consume ordered request ids, so any number of
@@ -226,6 +247,7 @@ class OutgoingConnection:
             self.endpoint.directory, header.interface_name, header.operation
         )
         self.voter.begin(request_id, comparator)
+        self._reply_memo.begin()
         self._on_reply = on_reply
         nonce = traffic_nonce(self.conn_id, request_id, self.endpoint.owner.pid, "req")
         envelope = SmiopRequest(
@@ -334,6 +356,7 @@ class OutgoingConnection:
         )
         readers = self._rotate_readers()
         self.read_voter.begin(read_id, comparator, readers_polled=readers)
+        self._read_memo.begin()
         self._read_handler = on_reply
         self._read_fallback_cb = on_fallback
         self._read_decided_wm = None
@@ -442,7 +465,7 @@ class OutgoingConnection:
             self._observe_reader_lag(reply.sender, reply.watermark)
         if settled:
             return
-        decoded = self._decode_reply(self.read_voter, reply.sender, plaintext)
+        decoded = self._decode_reply(self.read_voter, self._read_memo, reply.sender, plaintext)
         if decoded is None:
             return
         value, _memoized = decoded
@@ -531,13 +554,16 @@ class OutgoingConnection:
             t.detect.observe_garbage(sender, reason)
 
     def _decode_reply(
-        self, voter: Any, sender: str, plaintext: bytes
+        self, voter: Any, memo: _DecodeMemo, sender: str, plaintext: bytes
     ) -> tuple[tuple[int, Any], bool] | None:
         """``((status, result), memoized)`` for one reply plaintext, through
-        the decode memo; ``None`` once garbage is discarded from ``voter``."""
-        cached = self._decode_memo.get(plaintext)
+        ``voter``'s decode memo; ``None`` once garbage is discarded from
+        ``voter``."""
+        cached = memo.get(plaintext)
         if cached is not None:
+            self.reply_memo_hits += 1
             return (cached[0], _copy_value(cached[1])), True
+        self.reply_decodes += 1
         try:
             message = decode_message(self.endpoint.directory.repository, plaintext)
         except Exception:  # noqa: BLE001 - garbage from a Byzantine element
@@ -549,7 +575,7 @@ class OutgoingConnection:
         status = int(message.reply_status)
         # The memo keeps a private copy so no consumer of the decoded value
         # can mutate the cached entry (see _copy_value).
-        self._decode_memo.put(plaintext, (status, _copy_value(message.result)))
+        memo.current[plaintext] = (status, _copy_value(message.result))
         return (status, message.result), False
 
     def handle_reply(self, reply: SmiopReply) -> None:
@@ -586,7 +612,7 @@ class OutgoingConnection:
                 raw=None,
             )
             return
-        decoded = self._decode_reply(self.voter, reply.sender, plaintext)
+        decoded = self._decode_reply(self.voter, self._reply_memo, reply.sender, plaintext)
         if decoded is None:
             return
         value, memoized = decoded

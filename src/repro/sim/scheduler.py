@@ -26,7 +26,10 @@ class Scheduler:
     A heap of ``[time, seq, callback]`` entries. ``seq`` is unique and breaks
     ties between events of the same instant, so execution order is a pure
     function of the :meth:`schedule`/:meth:`post` calls that produced it and
-    ``heapq`` never compares callbacks. Example::
+    ``heapq`` never compares callbacks. A cancelled entry stays in the heap
+    with its callback cleared; once cancelled entries outnumber live ones
+    the heap is rebuilt without them (asyncio's rule), which moves no event,
+    since none shares another's ``(time, seq)``. Example::
 
         sched = Scheduler()
         sched.schedule(1.5, lambda: print("fires at t=1.5"))
@@ -37,6 +40,7 @@ class Scheduler:
         self._now = 0.0
         self._seq = 0
         self._heap: list[list] = []
+        self._cancelled = 0  # entries in the heap whose callback is None
         self._events_executed = 0
 
     @property
@@ -76,11 +80,18 @@ class Scheduler:
         if entry[2] is None:
             return False
         entry[2] = None
+        self._cancelled += 1
+        heap = self._heap
+        if 2 * self._cancelled > len(heap):
+            # In place: a running run() holds this very list.
+            heap[:] = [live for live in heap if live[2] is not None]
+            heapq.heapify(heap)
+            self._cancelled = 0
         return True
 
     def pending(self) -> int:
         """Number of events still waiting to fire."""
-        return sum(entry[2] is not None for entry in self._heap)
+        return len(self._heap) - self._cancelled
 
     def step(self) -> bool:
         """Execute the single next event. Returns False if none remain."""
@@ -109,6 +120,7 @@ class Scheduler:
             callback = entry[2]
             if callback is None:
                 heappop(heap)
+                self._cancelled -= 1
                 continue
             if until is not None and entry[0] > until:
                 break  # honour the bound without consuming the event

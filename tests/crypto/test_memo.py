@@ -1,8 +1,7 @@
-"""MemoCache and the digest/marshal/stamp caches layered on it."""
+"""WeakMemo and the digest/marshal/stamp caches layered on it."""
 
 import dataclasses
-
-import pytest
+import gc
 
 from repro.bft.auth import HmacAuth, RsaAuth
 from repro.bft.messages import (
@@ -13,44 +12,49 @@ from repro.bft.messages import (
 )
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
-from repro.crypto.memo import MemoCache
+from repro.crypto.memo import WeakMemo
 from repro.crypto.signing import HmacAuthenticator, KeyRing
 
 
-# -- the cache itself ----------------------------------------------------------
+# -- the memo itself -----------------------------------------------------------
+
+
+class Key:
+    """A weakly referenceable key that compares by value, like a message."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return isinstance(other, Key) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
 
 
 def test_memo_cache_basic_get_put():
-    cache = MemoCache(maxsize=4)
-    assert cache.get("a") is None
-    cache.put("a", 1)
-    assert cache.get("a") == 1
-    assert "a" in cache and len(cache) == 1
-    assert cache.hits == 1 and cache.misses == 1
-
-
-def test_memo_cache_lru_eviction_order():
-    cache = MemoCache(maxsize=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.get("a")  # refresh "a": "b" becomes least recent
-    cache.put("c", 3)
-    assert "a" in cache and "c" in cache
-    assert "b" not in cache
-    assert cache.evictions == 1
-    assert len(cache) == 2
+    cache = WeakMemo()
+    a = Key("a")
+    assert cache.get(a, "x") is None
+    cache.put(a, "x", 1)
+    cache.put(a, "y", 2)
+    assert cache.get(Key("a"), "x") == 1 and cache.get(a, "y") == 2
+    assert cache.get(a, "z") is None
+    assert len(cache) == 1
+    assert cache.hits == 2 and cache.misses == 2
 
 
 def test_memo_cache_memo_computes_once():
-    cache = MemoCache(maxsize=8)
+    cache = WeakMemo()
     calls = []
 
     def compute():
         calls.append(1)
         return 42
 
-    assert cache.memo("k", compute) == 42
-    assert cache.memo("k", compute) == 42
+    k = Key("k")
+    assert cache.memo(k, compute) == 42
+    assert cache.memo(Key("k"), compute) == 42
     assert len(calls) == 1
     assert cache.hits == 1 and cache.misses == 1
     assert cache.hit_rate == 0.5
@@ -58,16 +62,18 @@ def test_memo_cache_memo_computes_once():
     assert stats["size"] == 1.0 and stats["hit_rate"] == 0.5
 
 
-def test_memo_cache_rejects_non_positive_size():
-    with pytest.raises(ValueError):
-        MemoCache(maxsize=0)
-
-
-def test_memo_cache_clear():
-    cache = MemoCache(maxsize=4)
-    cache.put("a", 1)
-    cache.clear()
-    assert len(cache) == 0 and "a" not in cache
+def test_weak_memo_entry_dies_with_its_key():
+    cache = WeakMemo()
+    first = Key("k")
+    cache.memo(first, lambda: b"bytes")
+    equal = Key("k")
+    assert cache.memo(equal, lambda: b"other") == b"bytes"  # shared while alive
+    del first
+    gc.collect()
+    # The entry was stored under ``first``; an equal live key keeps nothing.
+    assert len(cache) == 0
+    assert cache.memo(equal, lambda: b"fresh") == b"fresh"
+    assert cache.stats()["evictions"] == 0.0
 
 
 # -- message-level memoization -------------------------------------------------
@@ -146,16 +152,41 @@ def test_rsa_stamp_cache_reuses_signature():
     assert RsaAuth(signers["b"], ring).accept("a", first)
 
 
-def test_stamp_cache_bounded():
+def test_stamp_cache_entry_dies_with_message():
     auths = HmacAuthenticator.bootstrap(["a", "b"], seed=0)
-    auth = HmacAuth(auths["a"], stamp_cache_size=4)
+    auth = HmacAuth(auths["a"])
     for seq in range(10):
         auth.stamp(
             PrepareMsg(view=0, seq=seq, request_digest=b"\x04" * 32, sender="a"),
             ["b"],
         )
-    assert len(auth.stamp_cache) <= 4
-    assert auth.stamp_cache.evictions == 6
+    held = PrepareMsg(view=0, seq=99, request_digest=b"\x04" * 32, sender="a")
+    stamped = auth.stamp(held, ["b"])
+    gc.collect()
+    # Only the message still referenced keeps its stamped form; the stamped
+    # copy itself does not keep the entry alive.
+    assert len(auth.stamp_cache) == 1
+    del held
+    gc.collect()
+    assert len(auth.stamp_cache) == 0 and stamped.auth
+
+
+def test_message_memos_hold_no_message():
+    requests = [
+        ClientRequest(client_id="c", timestamp=t, payload=bytes(1024))
+        for t in range(1000, 1100)
+    ]
+    before = marshal_cache_stats()
+    for request in requests:
+        request.content_digest()
+    grown = marshal_cache_stats()
+    assert grown["encoding"]["size"] >= before["encoding"]["size"] + 100
+    del requests, request
+    gc.collect()
+    after = marshal_cache_stats()
+    # The memos shrink back as the messages go: no entry outlives its key.
+    assert after["encoding"]["size"] <= before["encoding"]["size"]
+    assert after["digest"]["size"] <= before["digest"]["size"]
 
 
 def test_batch_digest_uses_memoized_members():

@@ -238,10 +238,10 @@ def test_reply_decode_memoized_on_identical_copies():
     # 3f+1 = 4 identical copies; the voter decides once a quorum matches,
     # so at least one later copy is served from the memo instead of a
     # second full unmarshal.
-    assert connection._decode_memo.hits >= 1
-    hits_before = connection._decode_memo.hits
+    assert connection.reply_memo_hits >= 1
+    hits_before = connection.reply_memo_hits
     assert stub.add(4.0, 5.0) == 9.0  # fresh bytes, fresh decode, fresh memo hits
-    assert connection._decode_memo.hits > hits_before
+    assert connection.reply_memo_hits > hits_before
 
 
 def test_reply_decode_memo_isolated_from_result_mutation():
@@ -269,7 +269,7 @@ def test_reply_decode_memo_isolated_from_result_mutation():
     assert stub.history() == [1.5]
     system.settle(1.0)  # let the post-decision straggler copies arrive
     # Homogeneous replicas send identical plaintext: the memo did hit.
-    assert connection._decode_memo.hits >= 1
+    assert connection.reply_memo_hits >= 1
     assert len(offered) == 4  # 3f+1 copies all reached the voter
     assert all(value == (0, [1.5]) for value in offered)
     # Each copy is a fresh object — memo hits must not share one list.
@@ -279,7 +279,7 @@ def test_reply_decode_memo_isolated_from_result_mutation():
     for value in offered:
         value[1].append("poison")
     cached = [
-        entry for entry in connection._decode_memo._data.values()
+        entry for entry in connection._reply_memo.current.values()
         if isinstance(entry[1], list)
     ]
     assert cached and all(entry == (0, [1.5]) for entry in cached)
@@ -321,8 +321,7 @@ def test_reply_unmarshal_telemetry_sources():
     assert memoized >= 1
     # every copy that reached the unmarshal stage was accounted for
     connection = next(iter(client.endpoint.connections.values()))
-    memo = connection._decode_memo
-    assert decoded + memoized == memo.hits + memo.misses
+    assert decoded + memoized == connection.reply_decodes + connection.reply_memo_hits
 
 
 def test_clean_invoke_never_retransmits():

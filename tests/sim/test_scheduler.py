@@ -117,6 +117,27 @@ def test_stale_cancels_leave_pending_alone():
     assert sched.events_executed == 3
 
 
+def test_cancelled_entries_never_outnumber_live_ones():
+    """A timer re-armed on every event (a retransmission tick, a view-change
+    timer) leaves a cancelled entry behind each time; the heap is rebuilt
+    without them once they outnumber live entries, and nothing moves."""
+    sched = Scheduler()
+    fired = []
+    timer = [sched.schedule(5.0, lambda: fired.append("timeout"))]
+
+    def tick(i):
+        fired.append(i)
+        sched.cancel(timer[0])
+        timer[0] = sched.schedule(5.0, lambda: fired.append("timeout"))
+        assert len(sched._heap) <= 2 * sched.pending() + 1
+
+    for i in range(1000):
+        sched.post(0.001 * i, lambda i=i: tick(i))
+    sched.run()
+    assert fired == list(range(1000)) + ["timeout"]
+    assert sched.pending() == 0 and sched._heap == []
+
+
 def test_run_until_stops_before_later_events():
     sched = Scheduler()
     fired = []

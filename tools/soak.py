@@ -19,15 +19,21 @@ growth at that line (seen as ~580 objects at ``itdos/vvm.py:270`` on
 One site is exempt: ``QueueElement.dispatched``, the per-element dispatch
 list the scoreboard's health check reads (``len(element.dispatched)``).
 
+Counting objects misses a cache that keeps few but large ones, so the
+``payload16k`` shape also fails when the run retains, net, a quarter of one
+value a request (:data:`MAX_RETAINED_BYTES_PER_REQUEST`).
+
 Shapes: ``calc`` is the ``sim_null`` deployment (``build_calc_system(f=1,
 seed=3)``, ``Calculator.add``); ``readmix`` is a KV domain with two readers
-and the read fast path (nine ``get`` to one ``put`` over 32 keys).
+and the read fast path (nine ``get`` to one ``put`` over 32 keys);
+``payload16k`` is the ``sim_payload16k`` deployment (the ``kv`` topology
+``repro serve`` boots), each 16 KiB value put and then read back.
 
 Traced requests cost several times an untraced one, so the default run
 (10,000 then 200,000 requests on ``calc``) takes tens of minutes.
 
 Usage: python tools/soak.py [--requests 200000] [--first 10000]
-                            [--shape calc|readmix] [--top 12]
+                            [--shape calc|readmix|payload16k] [--top 12]
 """
 
 from __future__ import annotations
@@ -46,6 +52,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (os.path.join(ROOT, "src"), ROOT):
     if _path not in sys.path:
         sys.path.insert(0, _path)
+
+
+#: The payload16k shape's value size, as ``sim_payload16k``'s.
+PAYLOAD_CHARS = 16 * 1024
+#: Net bytes a request may leave behind on ``payload16k``: a quarter of one
+#: value. A cache that keeps each request's message keeps ~27 KB a request.
+MAX_RETAINED_BYTES_PER_REQUEST = PAYLOAD_CHARS // 4
 
 
 def _calc() -> Callable[[int], None]:
@@ -78,9 +91,33 @@ def _readmix() -> Callable[[int], None]:
     return request
 
 
+def _payload16k() -> Callable[[int], None]:
+    import random
+
+    from repro.net.config import TopologyConfig
+
+    config = TopologyConfig(seed=3, workload="kv", domain="kv", telemetry=False)
+    system = config.build_system()
+    system.settle(1.0)
+    kv = system.add_client("alice").stub(system.ref(config.domain, config.object_key))
+
+    def value(i: int) -> str:
+        return random.Random(i).randbytes(PAYLOAD_CHARS // 2).hex()
+
+    def request(i: int) -> None:
+        key = f"k{i // 2 % 32}"
+        if i % 2 == 0:
+            kv.put(key, value(i))
+        elif kv.get(key) != value(i - 1):
+            raise AssertionError(f"request {i} read back a value nobody wrote")
+
+    return request
+
+
 SHAPES: dict[str, Callable[[], Callable[[int], None]]] = {
     "calc": _calc,
     "readmix": _readmix,
+    "payload16k": _payload16k,
 }
 
 
@@ -117,6 +154,16 @@ class Report:
     def retained_bytes(self) -> int:
         """Net bytes retained between the snapshots, the exempt site aside."""
         return sum(site.size_diff for site in self.sites if site.where != self.exempt)
+
+    def retained_per_request(self) -> float:
+        return self.retained_bytes() / self.requests
+
+    def too_heavy(self) -> bool:
+        """Does the ``payload16k`` run retain a quarter of a value a request?"""
+        return (
+            self.shape == "payload16k"
+            and self.retained_per_request() >= MAX_RETAINED_BYTES_PER_REQUEST
+        )
 
 
 def _where(filename: str, lineno: int) -> str:
@@ -194,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{options.shape}: requests {report.first:,} -> {report.total:,}; "
         f"RSS {report.rss_mb[0]:.1f} -> {report.rss_mb[1]:.1f} MB (tracing on); "
         f"retained {report.retained_bytes():,} B "
-        f"({report.retained_bytes() / report.requests:.2f} B/request) "
+        f"({report.retained_per_request():.2f} B/request) "
         f"excluding {report.exempt}"
     )
     print(f"{'objects':>10} {'per req':>8} {'bytes':>12}  site")
@@ -206,7 +253,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{site.count_diff:10,} {site.count_diff / report.requests:8.3f} "
             f"{site.size_diff:12,}  {site.where}{mark}"
         )
-    return 1 if offenders else 0
+    if report.too_heavy():
+        print(
+            f"retains {report.retained_per_request():,.0f} B/request, "
+            f"limit {MAX_RETAINED_BYTES_PER_REQUEST:,}"
+        )
+    return 1 if offenders or report.too_heavy() else 0
 
 
 if __name__ == "__main__":
