@@ -268,8 +268,6 @@ class BftReplica(Process):
         without changing safety (all messages are idempotent at receivers).
         """
         self._schedule_retransmit()
-        if self.crashed:
-            return
         if self.in_view_change and self._last_view_change is not None:
             self._mcast(self._last_view_change)
             return

@@ -9,13 +9,15 @@ Cachin–Kursawe–Shoup [5]):
 
 1. each participant draws a random value ``r_i`` and broadcasts
    ``commit_i = H(pid || r_i)``;
-2. once commits are collected, each broadcasts the reveal ``r_i``;
-3. the combined seed is ``H`` over the reveals of every participant whose
-   reveal matched its commit, in pid order.
+2. once n - f commits are ordered, each committer broadcasts its reveal;
+3. the phase closes at the f+1-th reveal that opens its commit, and the seed
+   is ``H`` over exactly those reveals, in pid order.
 
-With at least one honest participant, the seed is unpredictable to the
-adversary *before* the reveal phase; committing first prevents last-mover
-bias by ≤ f corrupt elements choosing their value after seeing others.
+At most f of the n - f committers are faulty, so f+1 reveals always arrive
+(a withheld reveal stalls no one) and include an honest one: the seed is
+unpredictable before an honest reveal is ordered. A faulty orderer can
+still choose which f+1 of the ≤ 2f+1 reveals close the phase — C(2f+1, f+1)
+seeds, 3 at f = 1 — as it could under a time bound on the phase.
 The message-level protocol lives in the Group Manager; these are the pure
 functions it composes, over the ``pid -> bytes`` maps its replicated state holds.
 """
@@ -44,8 +46,8 @@ def combine_reveals(commits: dict[str, bytes], reveals: dict[str, bytes]) -> byt
     """Derive the shared seed from all correctly opened reveals.
 
     Reveals without a matching commit (or failing the commitment check) are
-    excluded — a corrupt element can withhold its coin but cannot steer the
-    result. Raises ``ValueError`` if no reveal survives.
+    excluded — a corrupt element can withhold its coin but cannot pick it
+    after seeing an honest one. Raises ``ValueError`` if no reveal survives.
     """
     opened = sorted(
         pid

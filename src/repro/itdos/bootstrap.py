@@ -62,7 +62,6 @@ class ItdosSystem:
         large_reply_threshold: int | None = None,
         rekey_interval: float | None = None,
         protocol_auth: str = "none",
-        gm_element_class: type[GroupManagerElement] = GroupManagerElement,
         telemetry: bool = False,
         bft_batch_size: int = 1,
         bft_batch_delay: float = 0.0,
@@ -109,7 +108,7 @@ class ItdosSystem:
         group_addr = self.network.create_group(gm_info.domain_id)
         gm_auth = self._domain_auth(list(gm_ids))
         for pid, holder in zip(gm_ids, holders):
-            element = gm_element_class(
+            element = GroupManagerElement(
                 pid,
                 self.directory,
                 holder,

@@ -12,7 +12,9 @@ cryptographic side effects:
   through the GM's own BFT group, seeds every element's PRNG identically
   (§3.5: "a distributed random number generation process to initialize ...
   the pseudo-random number generators of each Group Manager replication
-  domain element");
+  domain element"). The reveal phase closes at the f+1-th valid reveal, so
+  a committer that withholds its reveal stalls no one; a faulty GM primary
+  can only choose which f+1 reveals count (see :mod:`repro.crypto.coin`);
 * **connection establishment** (Figure 3) — an ordered ``open_request``
   assigns a connection id and a fresh PRF nonce; each element then evaluates
   its *own* DPRF share on that common nonce and sends it, encrypted under
@@ -36,7 +38,7 @@ from repro.bft.replica import BftReplica
 from repro.crypto.coin import combine_reveals, make_coin_pair, reveal_matches
 from repro.crypto.digests import digest
 from repro.crypto.dprf import DprfShareholder
-from repro.crypto.encoding import canonical_bytes
+from repro.crypto.encoding import canonical_bytes, parse_canonical
 from repro.crypto.prng import DeterministicPrng
 from repro.crypto.symmetric import SymmetricKey, encrypt
 from repro.giop.messages import ReplyMessage, decode_message
@@ -48,7 +50,6 @@ from repro.itdos.messages import (
     OpenRequest,
     PayloadError,
     RekeyTick,
-    SmiopRequest,
     key_share_to_dict,
     parse_payload,
 )
@@ -108,7 +109,7 @@ class GroupManagerElement(BftReplica):
         pid: str,
         directory: SystemDirectory,
         shareholder: DprfShareholder,
-        coin_rng_seed: int | None = None,
+        coin_rng_seed: int,
         rekey_interval: float | None = None,
         **bft_kwargs: Any,
     ) -> None:
@@ -123,9 +124,7 @@ class GroupManagerElement(BftReplica):
         # Engine through which this element submits coin messages into its
         # own group's ordering.
         self.self_engine = BftClientEngine(self, config)
-        self._coin_rng = random.Random(
-            coin_rng_seed if coin_rng_seed is not None else hash(pid) & 0xFFFFFFFF
-        )
+        self._coin_rng = random.Random(coin_rng_seed)
         self._coin_value: bytes | None = None
         self._coin_submitted = False
         # Periodic rekeying (§3.5 "periodically re-initialize"): every
@@ -201,9 +200,7 @@ class GroupManagerElement(BftReplica):
             return self._exec_rejoin(message, client_id)
         if isinstance(message, RekeyTick):
             return self._exec_rekey_tick(message, client_id)
-        if isinstance(message, SmiopRequest):
-            return b"BAD"  # the GM hosts no CORBA objects (§2)
-        return b"BAD"
+        return b"BAD"  # the GM hosts no CORBA objects (§2)
 
     # -- coin tossing ---------------------------------------------------------------
 
@@ -226,7 +223,7 @@ class GroupManagerElement(BftReplica):
             if not reveal_matches(commitment, message.pid, message.value):
                 return b"BAD"  # reveal does not open the commitment
             state.coin_reveals[message.pid] = message.value
-            if len(state.coin_reveals) == len(state.coin_commits):
+            if len(state.coin_reveals) == self.gm_info.f + 1:
                 self._seed_prng()
             return b"OK"
         return b"BAD"
@@ -286,27 +283,26 @@ class GroupManagerElement(BftReplica):
         if self.state.phase != "ready":
             self.state.queued_opens.append(request)
             return b"QUEUED"
+        domain = None
+        key = (request.requester, request.target_domain)
         if request.requester_kind == "domain":
-            # A replicated client: wait for f+1 matching open_requests so a
-            # single faulty element cannot open connections unilaterally.
             domain = self.directory.domains.get(request.requester_domain)
             if domain is None or request.requester not in domain.element_ids:
                 return b"BAD"
             key = (request.requester_domain, request.target_domain)
-            if key in self.state.conn_by_pair:
-                self._reissue(self.state.conn_by_pair[key])
-                return b"OK"
+        conn_id = self.state.conn_by_pair.get(key)
+        if conn_id is not None:
+            # Idempotent re-send of the current generation's shares.
+            self._issue_keys(self.state.connections[conn_id])
+            return b"OK"
+        if domain is not None:
+            # A replicated client: wait for f+1 matching open_requests so a
+            # single faulty element cannot open connections unilaterally.
             seen = self.state.pending_domain_opens.setdefault(key, set())
             seen.add(request.requester)
             if len(seen) < domain.f + 1:
                 return b"PENDING"
             del self.state.pending_domain_opens[key]
-            self._open_connection(request)
-            return b"OK"
-        key = (request.requester, request.target_domain)
-        if key in self.state.conn_by_pair:
-            self._reissue(self.state.conn_by_pair[key])
-            return b"OK"
         self._open_connection(request)
         return b"OK"
 
@@ -329,10 +325,6 @@ class GroupManagerElement(BftReplica):
         )
         state.conn_by_pair[pair] = record.conn_id
         self._issue_keys(record)
-
-    def _reissue(self, conn_id: int) -> None:
-        """Idempotent re-send of the current generation's shares."""
-        self._issue_keys(self.state.connections[conn_id])
 
     # -- key issuance (per-element side effect) --------------------------------------------
 
@@ -669,8 +661,6 @@ class GroupManagerElement(BftReplica):
 
     def _gm_restore(self, snapshot: bytes, seq: int) -> None:
         """Adopt replicated GM state fetched via BFT state transfer."""
-        from repro.crypto.encoding import parse_canonical
-
         data = parse_canonical(snapshot)
         if not isinstance(data, dict) or "phase" not in data:
             return

@@ -36,10 +36,11 @@ class Process:
     Subclasses implement :meth:`on_message`. Processes send messages through
     the network they are attached to and may set deterministic timers.
 
-    A crashed process silently drops deliveries and timer callbacks; this is
-    the *crash* half of the fault model. Byzantine behaviour is implemented
-    by subclassing (see :mod:`repro.itdos.faults`), never by flags scattered
-    through correct-process code.
+    A crashed process silently drops deliveries; this is the *crash* half of
+    the fault model. A timer that falls due during a crash is held and fires
+    on :meth:`recover`, so no periodic chain dies with a crash. Byzantine
+    behaviour is implemented by subclassing (see :mod:`repro.itdos.faults`),
+    never by flags scattered through correct-process code.
     """
 
     def __init__(self, pid: ProcessId) -> None:
@@ -49,6 +50,7 @@ class Process:
         self.network: Network = _Detached()  # type: ignore[assignment]
         self.crashed: bool = False
         self._timers: set[TimerHandle] = set()
+        self._overdue: list[Callable[[], None]] = []
 
     # -- wiring -----------------------------------------------------------
 
@@ -93,11 +95,14 @@ class Process:
     # -- timers -----------------------------------------------------------
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        """Run ``callback`` after ``delay`` simulated seconds (unless crashed)."""
+        """Run ``callback`` after ``delay`` simulated seconds, or on
+        :meth:`recover` if the process is crashed when it falls due."""
 
         def guarded() -> None:
             self._timers.discard(handle)
-            if not self.crashed:
+            if self.crashed:
+                self._overdue.append(callback)
+            else:
                 callback()
 
         handle = self.network.scheduler.schedule(delay, guarded)
@@ -122,6 +127,7 @@ class Process:
             if scheduler.cancel(handle):
                 cancelled += 1
         self._timers.clear()
+        self._overdue.clear()
         return cancelled
 
     # -- fault control ----------------------------------------------------
@@ -131,15 +137,18 @@ class Process:
         self.crashed = True
 
     def recover(self) -> None:
-        """Resume after a crash. State is whatever the subclass preserved."""
+        """Resume after a crash. State is whatever the subclass preserved;
+        the timers that fell due during the crash fire now, in order."""
         self.crashed = False
+        while self._overdue and not self.crashed:
+            self._overdue.pop(0)()
 
     def restart(self) -> None:
         """Reboot the process: cancel every pending timer, clear the crash
         flag, and give the subclass its :meth:`on_restart` reset hook.
 
-        Unlike :meth:`recover`, timers armed before the crash do not fire
-        after a restart — a rebooted process re-arms its own periodic work.
+        Unlike :meth:`recover`, timers armed before the crash (overdue ones
+        too) never fire — a rebooted process re-arms its own periodic work.
         """
         self.cancel_all_timers()
         self.crashed = False

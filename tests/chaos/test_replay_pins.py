@@ -10,7 +10,9 @@ adds or re-routes a message moves a hash; a change that means to says so by
 re-pinning (``PYTHONPATH=src python -m tests.chaos.test_replay_pins``).
 
 Each cell's system then runs on, healed, for an idle minute: with no
-request outstanding, no ordering replica may change view.
+request outstanding, no ordering replica may change view, and the primary a
+``vc`` cell crashed and recovered must be indistinguishable from a peer the
+adversary never touched (:func:`tests.equivalence.same_state`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.bft.replica import BftReplica
 from repro.chaos import ScheduleRunner, scenario_matrix
 from repro.sim.latency import UniformLatency
 from repro.workloads.scenarios import build_calc_system
+from tests.equivalence import same_state, state_of
 
 PINS = {
     "b1-p0/0": "71919451d2a2a24563110b893c3b782156f2734097ace04d099e5532a969ac0f",
@@ -46,7 +49,7 @@ PINS = {
 #: Loss and jitter on: pins the order of the network RNG's draws (one loss
 #: draw, then one latency draw, per surviving copy) — the smoke cells run
 #: fixed latency and no ambient loss, so they cannot.
-LOSSY_PIN = "10695c525c55b2ec6ca5366adddc823503032f8a09178cd08634e3f5ef31cf8e"
+LOSSY_PIN = "460daa9c46627ac7d9a9e84dda85bab7d907a0145d2a296160e8184ccbd59721"
 
 #: Cells whose idle minute still moves a view. BFT state transfer does not
 #: carry ``client_table``: a coordinator element caught up by it treats
@@ -66,14 +69,15 @@ class _KeepSystem(ScheduleRunner):
         super()._run_cell(system, *args)
 
 
-def smoke_cell(label: str) -> tuple[str, object]:
-    """One smoke cell: the hash of its RunResult, and its system."""
+def smoke_cell(label: str) -> tuple[str, object, object]:
+    """One smoke cell: the hash of its RunResult, its system, and the
+    RunResult."""
     scenario_label, seed = label.split("/")
     [scenario] = [s for s in scenario_matrix() if s.label == scenario_label]
     runner = _KeepSystem()
     result = runner.run_one(scenario, int(seed))
     assert result.ok, result.violations
-    return _sha(result.to_dict()), runner.system
+    return _sha(result.to_dict()), runner.system, result
 
 
 @pytest.fixture(scope="module", params=sorted(PINS))
@@ -105,7 +109,7 @@ def test_pins_cover_the_smoke_slice():
 
 
 def test_smoke_cell_replays_bit_for_bit(cell):
-    label, sha, _system = cell
+    label, sha, _system, _result = cell
     assert sha == PINS[label]
 
 
@@ -113,7 +117,7 @@ def test_smoke_cell_quiesces(cell, request):
     """Run on past the RunResult: the adversary is gone, so the network is
     healed. Settle 10 s, then idle 60 s: no live ordering replica changes
     view or sits in a view change."""
-    label, _sha, system = cell
+    label, _sha, system, result = cell
     if label in NOT_QUIESCENT:
         request.applymarker(
             pytest.mark.xfail(strict=True, reason="state transfer drops client_table")
@@ -128,6 +132,10 @@ def test_smoke_cell_quiesces(cell, request):
     network.run(until=network.now + 60.0)
     assert {r.pid: r.view for r in live} == views
     assert not [r.pid for r in live if r.in_view_change]
+    if label.startswith("b4-p0-vc/"):
+        primary, *peers = (system.elements[f"calc-e{i}"] for i in range(4))
+        peer = next(p for p in peers if p.pid not in result.true_faulty)
+        assert same_state(primary, peer), (state_of(primary), state_of(peer))
 
 
 def test_lossy_jittered_cell_replays_bit_for_bit():

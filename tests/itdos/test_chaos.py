@@ -8,6 +8,8 @@ failures, and a GM element withholding its coin reveal at bootstrap.
 
 import pytest
 
+from repro.crypto.coin import combine_reveals
+from repro.itdos.messages import CoinMessage
 from repro.sim.latency import UniformLatency
 from tests.history import History
 from tests.itdos.conftest import CalculatorServant, make_system
@@ -85,52 +87,73 @@ def test_gm_primary_crash_tolerated():
     assert stub.add(5.0, 5.0) == 10.0
 
 
-def test_coin_withholding_gm_element():
+@pytest.mark.parametrize("withholder", range(4), ids=lambda i: f"gm-{i}")
+def test_coin_withholding_gm_element(withholder):
     """A GM element that commits but never reveals cannot block the
-    bootstrap: the coin protocol proceeds on the commits that opened."""
-    from repro.itdos.group_manager import GroupManagerElement
-
-    class WithholdingGm(GroupManagerElement):
-        def _side_effect_reveal(self):
-            return  # commit, then never reveal
-
-    system = make_system(seed=106, gm_element_class=GroupManagerElement)
+    bootstrap: the reveal phase closes at the f+1-th valid reveal, and every
+    element seeds its PRNG from exactly those reveals."""
+    system = make_system(seed=106)
     # Replace one element's behaviour before the bootstrap timers fire.
-    saboteur = system.gm_elements[3]
+    saboteur = system.gm_elements[withholder]
     saboteur._side_effect_reveal = lambda: None
+    system.settle(5.0)
+    gms = system.gm_elements
+    assert [gm.state.phase for gm in gms] == ["ready"] * 4
+    f = gms[0].gm_info.f
+    for gm in gms:
+        assert len(gm.state.coin_reveals) == f + 1
+        assert saboteur.pid not in gm.state.coin_reveals
+        assert gm.prng._seed == combine_reveals(gm.state.coin_commits, gm.state.coin_reveals)
+    assert len({gm.prng._seed for gm in gms}) == 1
     system.add_server_domain(
         "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
     )
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))
     assert stub.add(6.0, 1.0) == 7.0
-    ready = [gm for gm in system.gm_elements if gm.state.phase == "ready"]
-    assert len(ready) >= 3
+
+
+def test_a_reveal_ordered_after_the_close_changes_no_seed():
+    """Every committer reveals; the ones ordered after the f+1-th get DUP."""
+    system = make_system(seed=106)
+    system.settle(5.0)
+    gms = system.gm_elements
+    seeds = [gm.prng._seed for gm in gms]
+    state = gms[0].state
+    late = [gm for gm in gms if gm.pid in state.coin_commits and gm.pid not in state.coin_reveals]
+    assert late  # n - f = 3 committers, f + 1 = 2 reveals counted
+    verdicts = []
+    for gm in late:
+        reveal = CoinMessage(phase="reveal", pid=gm.pid, value=gm._coin_value)
+        gm.self_engine.invoke(reveal.to_payload(), verdicts.append)
+    system.settle(2.0)
+    assert verdicts == [b"DUP"] * len(late)
+    assert [gm.prng._seed for gm in gms] == seeds
 
 
 def test_forged_coin_reveal_is_refused_and_a_genuine_one_seeds_every_element():
     """`_exec_coin` lets a reveal in only if it opens its sender's commitment
     (`crypto.coin.reveal_matches`), and every element seeds its PRNG from
-    `crypto.coin.combine_reveals` over the same opened set."""
-    from repro.itdos.messages import CoinMessage
-
+    `crypto.coin.combine_reveals` over the same f+1 opened reveals."""
     system = make_system(seed=106)
-    # gm-0 is among the first n-f committers; while it sits on its reveal the
-    # group waits in the reveal phase (that wait is ROADMAP item 5's, not
-    # this test's), which leaves room to offer reveals by hand.
-    saboteur = system.gm_elements[0]
-    saboteur._side_effect_reveal = lambda: None
-    system.settle(2.0)
-    assert {gm.state.phase for gm in system.gm_elements} == {"reveal"}
-    forged = CoinMessage(phase="reveal", pid=saboteur.pid, value=b"\x00" * 32)
-    genuine = CoinMessage(phase="reveal", pid=saboteur.pid, value=saboteur._coin_value)
-    for gm in system.gm_elements:
-        assert gm._exec_coin(forged, saboteur.pid) == b"BAD"
-        assert saboteur.pid not in gm.state.coin_reveals
-        assert gm.state.phase == "reveal"
-        assert gm._exec_coin(genuine, saboteur.pid) == b"OK"
-        assert gm.state.phase == "ready"
-    draws = {gm.prng.next_bytes(16) for gm in system.gm_elements}
+    gms = system.gm_elements
+    # Stop the moment every element has opened the reveal phase, before any
+    # ordered reveal executes, and offer reveals by hand.
+    system.run_until(lambda: all(gm.state.phase == "reveal" for gm in gms))
+    assert not any(gm.state.coin_reveals for gm in gms)
+    committers = sorted(gms[0].state.coin_commits)
+    by_pid = {gm.pid: gm for gm in gms}
+    first, second = (by_pid[pid] for pid in committers[:2])
+    forged = CoinMessage(phase="reveal", pid=first.pid, value=b"\x00" * 32)
+    for gm in gms:
+        assert gm._exec_coin(forged, first.pid) == b"BAD"
+        assert first.pid not in gm.state.coin_reveals
+        for committer, phase in ((first, "reveal"), (second, "ready")):
+            genuine = CoinMessage(phase="reveal", pid=committer.pid, value=committer._coin_value)
+            assert gm._exec_coin(genuine, committer.pid) == b"OK"
+            assert gm.state.phase == phase
+        assert sorted(gm.state.coin_reveals) == committers[:2]
+    draws = {gm.prng.next_bytes(16) for gm in gms}
     assert len(draws) == 1
 
 

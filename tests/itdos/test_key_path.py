@@ -26,7 +26,7 @@ NONCES = [b"nonce-0", b"nonce-1", b"nonce-2"]
 
 SHARES_SHA256 = "4fc0b580454ad0117462690f1c0cdfa1fc4f79ff0b6fe78e0cdfe0568bed3d29"
 KEYS_SHA256 = "bd657ec02a392b153da72d496b9e1615f46b5791226ef9dfa1345e6aaac6310c"
-INSTALLED_SHA256 = "06f0215d36867c9b4e5b9f1de4627e5f26a9c7e0d48c67aaf95fb53cab831eec"
+INSTALLED_SHA256 = "dd1b6d31860dc917b9df1054b4dfc8fe9d75393babd36e08c18672b4cd4373f0"
 
 
 def sha256_of(rows) -> str:

@@ -253,6 +253,37 @@ def test_timer_suppressed_by_crash():
     assert fired == []
 
 
+def test_timers_due_during_a_crash_fire_in_order_on_recover():
+    net = make_net()
+    a = Recorder("a")
+    net.add_process(a)
+    fired = []
+    a.set_timer(1.0, lambda: fired.append(("t1", a.now)))
+    a.set_timer(2.0, lambda: fired.append(("t2", a.now)))
+    a.set_timer(5.0, lambda: fired.append(("t3", a.now)))
+    a.crash()
+    net.run(until=3.0)
+    assert fired == []
+    a.recover()
+    assert fired == [("t1", 3.0), ("t2", 3.0)]
+    net.run()
+    assert fired[2:] == [("t3", 5.0)]
+
+
+@pytest.mark.parametrize("discard", ["restart", "cancel_all_timers"])
+def test_restart_and_cancel_all_timers_discard_overdue_timers(discard):
+    net = make_net()
+    a = Recorder("a")
+    net.add_process(a)
+    fired = []
+    a.set_timer(1.0, lambda: fired.append("t"))
+    a.crash()
+    net.run()
+    getattr(a, discard)()
+    a.recover()
+    assert fired == []
+
+
 def test_unattached_process_send_raises():
     p = Recorder("lonely")
     with pytest.raises(RuntimeError):
