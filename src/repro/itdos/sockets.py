@@ -67,24 +67,6 @@ def _copy_value(value: Any) -> Any:
     return value
 
 
-class _DecodeMemo:
-    """Reply plaintext -> decoded ``(status, result)`` for one voter's vote
-    in progress and the vote before it, whose straggler copies arrive after
-    the next request has begun; anything older is dropped."""
-
-    __slots__ = ("current", "before")
-
-    def __init__(self) -> None:
-        self.current: dict[bytes, tuple[int, Any]] = {}
-        self.before: dict[bytes, tuple[int, Any]] = {}
-
-    def begin(self) -> None:
-        self.before, self.current = self.current, {}
-
-    def get(self, plaintext: bytes) -> tuple[int, Any] | None:
-        return self.current.get(plaintext) or self.before.get(plaintext)
-
-
 # traffic_nonce hashes the canonical encoding of
 # ``{"conn": conn, "dir": dir, "req": req, "sender": sender}`` (keys sort in
 # that order), laid out by hand: constant key bytes around the four atoms.
@@ -182,14 +164,14 @@ class OutgoingConnection:
         # Large-object digest path (extension): body fetch in progress.
         self._awaiting_body: tuple[int, bytes, list[str]] | None = None
         self.body_fetches = 0
-        # Decoded-ballot memos, one per voter: heterogeneous replicas
-        # produce different bytes for equal values, but same-platform
-        # elements (and duplicate copies) produce identical plaintext —
-        # unmarshal those once per vote, not once per element. Pure
-        # memoization: voting still happens on the decoded values via the
-        # §3.6 comparators.
-        self._reply_memo = _DecodeMemo()
-        self._read_memo = _DecodeMemo()
+        # Decoded-ballot memos, one per voter, for its one vote in progress:
+        # heterogeneous replicas produce different bytes for equal values,
+        # but same-platform elements produce identical plaintext — unmarshal
+        # those once per vote, not once per element. Pure memoization:
+        # voting still happens on the decoded values via the §3.6
+        # comparators.
+        self._reply_memo: dict[bytes, tuple[int, Any]] = {}
+        self._read_memo: dict[bytes, tuple[int, Any]] = {}
         self.reply_decodes = 0
         self.reply_memo_hits = 0
         # Read fast path (Castro–Liskov read-only optimization). Reads live
@@ -247,7 +229,7 @@ class OutgoingConnection:
             self.endpoint.directory, header.interface_name, header.operation
         )
         self.voter.begin(request_id, comparator)
-        self._reply_memo.begin()
+        self._reply_memo.clear()
         self._on_reply = on_reply
         nonce = traffic_nonce(self.conn_id, request_id, self.endpoint.owner.pid, "req")
         envelope = SmiopRequest(
@@ -356,7 +338,7 @@ class OutgoingConnection:
         )
         readers = self._rotate_readers()
         self.read_voter.begin(read_id, comparator, readers_polled=readers)
-        self._read_memo.begin()
+        self._read_memo.clear()
         self._read_handler = on_reply
         self._read_fallback_cb = on_fallback
         self._read_decided_wm = None
@@ -547,14 +529,15 @@ class OutgoingConnection:
 
         Soft signal only: the simulated network never spoofs sender ids,
         but corruption of an honest sender's ciphertext or signature in
-        flight produces exactly the same observation.
+        flight produces exactly the same observation. A copy the voter
+        refuses unread (see :meth:`handle_reply`) never gets here.
         """
         t = self.endpoint.owner.telemetry
         if t.enabled:
             t.detect.observe_garbage(sender, reason)
 
     def _decode_reply(
-        self, voter: Any, memo: _DecodeMemo, sender: str, plaintext: bytes
+        self, voter: Any, memo: dict, sender: str, plaintext: bytes
     ) -> tuple[tuple[int, Any], bool] | None:
         """``((status, result), memoized)`` for one reply plaintext, through
         ``voter``'s decode memo; ``None`` once garbage is discarded from
@@ -575,11 +558,21 @@ class OutgoingConnection:
         status = int(message.reply_status)
         # The memo keeps a private copy so no consumer of the decoded value
         # can mutate the cached entry (see _copy_value).
-        memo.current[plaintext] = (status, _copy_value(message.result))
+        memo[plaintext] = (status, _copy_value(message.result))
         return (status, message.result), False
 
     def handle_reply(self, reply: SmiopReply) -> None:
-        """Feed one element's reply copy through decrypt/verify/vote."""
+        """Feed one element's reply copy through decrypt/verify/vote.
+
+        A copy :meth:`ReplyVoter.refusal` refuses from its clear-text fields
+        is discarded first: no key lookup, decrypt, verify or unmarshal, and
+        never parked. So a forged copy under a stale id is not reported to
+        :meth:`_garbage`; the id is the sender's own claim (§3.6). Stragglers
+        of the current request still take the full path.
+        """
+        if (reason := self.voter.refusal(reply.sender, reply.request_id)) is not None:
+            self.voter.discard(reason)
+            return
         key = self.endpoint.key_store.key_for(self.conn_id, reply.key_id)
         if key is None:
             # Key generation not assembled yet (rekey in flight): park it.

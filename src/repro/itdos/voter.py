@@ -8,7 +8,8 @@ Two kinds exist, matching the two directions of a connection:
   decides at ``f+1`` identical (or by majority among ``2f+1``), flags
   dissenting senders as candidate faults, and discards anything carrying a
   stale request identifier ("the receiver neither uses the message's value
-  nor penalizes the sender").
+  nor penalizes the sender"). :meth:`ReplyVoter.refusal` lets the transport
+  apply that rule before any crypto, so a forged stale copy is not garbage.
 * :class:`RequestVoter` — on each server element, for connections whose
   client is itself a replication domain: collates the ordered copies of a
   logical request and delivers one voted request to the ORB. Because the
@@ -143,21 +144,26 @@ class ReplyVoter:
 
     # -- message intake -------------------------------------------------------
 
+    def refusal(self, sender: str, request_id: int) -> str | None:
+        """``"stale"``, ``"duplicate"`` or ``"overflow"`` if a copy can no
+        longer count, else None; both inputs travel in the clear."""
+        if request_id != self.current_request_id:
+            return "stale"
+        if sender in self._raw:
+            return "duplicate"
+        if len(self._ballots) >= self.n * MAX_BALLOTS_FACTOR:
+            return "overflow"
+        return None
+
     def offer(self, sender: str, request_id: int, value: Any, raw: Any = None) -> None:
         """Consider one reply copy.
 
-        Copies for anything but the current outstanding request are
-        discarded without penalty: a late reply and a Byzantine replay are
-        indistinguishable here (§3.6).
+        Copies :meth:`refusal` refuses are discarded without penalty: a late
+        reply and a Byzantine replay are indistinguishable here (§3.6). The
+        transport asks first, so such copies skip decrypt and verify too.
         """
-        if request_id != self.current_request_id:
-            self.discard("stale")
-            return
-        if sender in self._raw:
-            self.discard("duplicate")
-            return
-        if len(self._ballots) >= self.n * MAX_BALLOTS_FACTOR:
-            self.discard("overflow")
+        if (reason := self.refusal(sender, request_id)) is not None:
+            self.discard(reason)
             return
         self._ballots.append((sender, value))
         self._keys.append(ballot_key(value))

@@ -279,7 +279,7 @@ def test_reply_decode_memo_isolated_from_result_mutation():
     for value in offered:
         value[1].append("poison")
     cached = [
-        entry for entry in connection._reply_memo.current.values()
+        entry for entry in connection._reply_memo.values()
         if isinstance(entry[1], list)
     ]
     assert cached and all(entry == (0, [1.5]) for entry in cached)
@@ -357,3 +357,185 @@ def test_lost_request_is_retransmitted_with_backoff():
     assert replies, "retransmission did not recover the lost request"
     assert connection.retransmissions > before
     assert connection._retry_timer is None  # stopped once decided
+
+
+# -- copies that can no longer count skip the crypto ------------------------------
+
+
+def test_closed_loop_decrypts_and_verifies_only_copies_that_can_count(monkeypatch):
+    """A closed loop (each request issued from the previous decision, as
+    ``bench/child.py`` does) leaves the previous request's stragglers arriving
+    under a stale id: they are discarded before decrypt and RSA verify, and
+    the decode memo never holds more than the vote in progress."""
+    from repro.itdos import sockets
+
+    system = make_system(seed=7)
+    system.add_server_domain(
+        "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
+    )
+    client = system.add_client("alice")
+    ref = system.ref("calc", b"calc")
+    client.stub(ref).add(0.0, 0.0)
+    system.settle(1.0)
+    connection = next(iter(client.endpoint.connections.values()))
+    voter = connection.voter
+    counts = {"decrypt": 0, "verify": 0, "current": 0, "stale": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sockets, "decrypt", counted("decrypt", sockets.decrypt))
+    keyring = system.directory.keyring
+    monkeypatch.setattr(keyring, "verify", counted("verify", keyring.verify))
+    pristine_offer, pristine_handle = voter.offer, connection.handle_reply
+
+    def offer(sender, request_id, value, raw=None):
+        counts["current"] += request_id == voter.current_request_id
+        pristine_offer(sender, request_id, value, raw=raw)
+
+    def handle_reply(reply):
+        counts["stale"] += reply.request_id != voter.current_request_id
+        pristine_handle(reply)
+
+    voter.offer, connection.handle_reply = offer, handle_reply
+    discarded_before = voter.discarded
+    memo_sizes, left = [], [8]
+
+    def issue(i):
+        def on_result(value):
+            assert value == float(i)
+            # Only this vote's plaintexts are memoised: nothing older.
+            assert all(entry == (0, float(i)) for entry in connection._reply_memo.values())
+            memo_sizes.append(len(connection._reply_memo))
+            left[0] -= 1
+            if left[0]:
+                issue(i + 1)
+        client.async_invoke(ref, "add", (float(i), 0.0), on_result)
+
+    issue(1)
+    system.network.run(stop_when=lambda: left[0] == 0)
+    assert len(memo_sizes) == 8 and all(size >= 1 for size in memo_sizes)
+    assert counts["stale"] > 0  # the closed loop does leave stragglers behind
+    assert counts["decrypt"] == counts["verify"] == counts["current"]
+    assert voter.discarded - discarded_before == counts["stale"]
+
+
+def replayed_copies():
+    """A telemetry-on calc system whose client just decided a request, then
+    began a new one without running the network. Returns the system, the
+    connection, the previous request's reply copies and the observed
+    ``(sender, reason)`` garbage reports."""
+    system = make_system(seed=206, telemetry=True)
+    system.add_server_domain(
+        "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
+    )
+    client = system.add_client("alice")
+    stub = client.stub(system.ref("calc", b"calc"))
+    stub.add(1.0, 1.0)
+    system.settle(1.0)
+    connection = next(iter(client.endpoint.connections.values()))
+    copies = []
+    pristine_handle = connection.handle_reply
+
+    def record(reply):
+        copies.append(reply)
+        pristine_handle(reply)
+
+    connection.handle_reply = record
+    assert stub.add(2.0, 2.0) == 4.0
+    system.settle(1.0)
+    assert len(copies) == 4
+    connection.handle_reply = pristine_handle
+    garbage = []
+    system.telemetry.detect.observe_garbage = lambda sender, reason: garbage.append(
+        (sender, reason)
+    )
+    wire = client.orb.marshal_request(
+        system.ref("calc", b"calc"), "add", (3.0, 3.0), request_id=9
+    )
+    connection.send_request(wire, lambda plaintext: None)
+    return system, connection, copies, garbage
+
+
+def flipped(reply, **changes):
+    from dataclasses import replace
+
+    ciphertext = bytes([reply.ciphertext[0] ^ 0x01]) + reply.ciphertext[1:]
+    return replace(reply, ciphertext=ciphertext, **changes)
+
+
+def reply_discards(system, reason):
+    family = system.telemetry.registry.get("voter_discarded_total")
+    return family.labels(kind="reply", reason=reason).value if family else 0
+
+
+def test_forged_copy_under_a_stale_id_is_stale_not_garbage():
+    """The trade-off: the request id travels in the clear, so a corrupted
+    copy claiming a stale id is discarded unread and reported to nobody."""
+    system, connection, copies, garbage = replayed_copies()
+    stale = reply_discards(system, "stale")
+    connection.handle_reply(flipped(copies[0]))
+    assert reply_discards(system, "stale") == stale + 1
+    assert garbage == []
+
+
+def test_forged_copy_under_the_current_id_is_still_decrypt_garbage():
+    system, connection, copies, garbage = replayed_copies()
+    current = connection.voter.current_request_id
+    connection.handle_reply(flipped(copies[0], request_id=current))
+    assert reply_discards(system, "decrypt") == 1
+    assert garbage == [(copies[0].sender, "decrypt")]
+
+
+def test_duplicate_from_a_ballot_holder_is_dropped_before_decrypt(monkeypatch):
+    from repro.itdos import sockets
+
+    system, connection, copies, garbage = replayed_copies()
+    own = []
+    pristine_handle = connection.handle_reply
+
+    def record(reply):
+        own.append(reply)
+        pristine_handle(reply)
+
+    connection.handle_reply = record
+    system.settle(1.0)  # the new request's copies arrive and are voted
+    assert connection.voter._decided is not None and own
+    decrypts = []
+    monkeypatch.setattr(
+        sockets, "decrypt", lambda key, ciphertext: decrypts.append(ciphertext)
+    )
+    duplicates = reply_discards(system, "duplicate")
+    pristine_handle(own[0])
+    assert decrypts == []
+    assert reply_discards(system, "duplicate") == duplicates + 1
+
+
+def test_a_failed_decrypt_does_not_cost_the_sender_its_ballot():
+    """A forged copy under a sender's name that fails decrypt takes no
+    ballot, so that sender's genuine copy, arriving later, still counts."""
+    system, connection, copies, garbage = replayed_copies()
+    sender = copies[0].sender
+    current = connection.voter.current_request_id
+    connection.handle_reply(flipped(copies[0], request_id=current))
+    assert garbage == [(sender, "decrypt")]
+    assert sender not in connection.voter._raw
+    system.settle(1.0)
+    assert sender in connection.voter._raw
+
+
+def test_stale_copy_under_a_missing_key_generation_is_not_parked():
+    system, connection, copies, garbage = replayed_copies()
+    key_store = connection.endpoint.key_store
+    future = copies[0].key_id + 5
+    stale = reply_discards(system, "stale")
+    connection.handle_reply(flipped(copies[0], key_id=future))
+    assert reply_discards(system, "stale") == stale + 1
+    assert (connection.conn_id, future) not in key_store._waiters
+    # The same copy under the current id waits for its key generation.
+    current = connection.voter.current_request_id
+    connection.handle_reply(flipped(copies[0], key_id=future, request_id=current))
+    assert (connection.conn_id, future) in key_store._waiters
