@@ -346,7 +346,6 @@ class StateResponseMsg(BftMessage):
     """State snapshot + proof it matches a stable checkpoint."""
 
     stable_seq: int
-    state_digest: bytes
     snapshot: bytes
     checkpoint_proof: tuple[CheckpointMsg, ...]
     sender: str

@@ -14,6 +14,11 @@ Checkpoints every ``k`` executions garbage-collect the log; view changes
 replace an unresponsive primary; state transfer catches up replicas that
 missed a stable checkpoint. The application is a pluggable upcall — ITDOS
 installs its message-queue state machine here (§3.1).
+
+A checkpoint covers the whole replicated state: the application snapshot
+and the client table. So ``execute_fn``'s results must be deterministic
+across a group (ITDOS returns a static ack, the GM status strings); one that
+is not splits the digest, and the ``checkpoint-divergence`` invariant fails.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.bft.messages import (
     ViewChangeMsg,
 )
 from repro.crypto.digests import digest
+from repro.crypto.encoding import canonical_bytes, parse_canonical
 from repro.sim.process import Process
 from repro.sim.scheduler import TimerHandle
 
@@ -127,14 +133,13 @@ class BftReplica(Process):
         self._batch: list[ClientRequest] = []
         self._batch_digests: set[bytes] = set()
         self._batch_timer: TimerHandle | None = None
-        # client_id -> (timestamp, cached BftReply) of last executed request.
-        self.client_table: dict[str, tuple[int, BftReply | None]] = {}
+        # client_id -> (timestamp, result) of its last executed request.
+        self.client_table: dict[str, tuple[int, bytes]] = {}
         # Checkpoint messages by seq then sender.
         self._checkpoints: dict[int, dict[str, CheckpointMsg]] = {}
         # Our own snapshots by seq, retained until superseded.
         self._own_snapshots: dict[int, bytes] = {}
         self._stable_proof: tuple[CheckpointMsg, ...] = ()
-        self._stable_snapshot: bytes = b""
         # View change machinery.
         self.in_view_change = False
         self._view_changes: dict[int, dict[str, ViewChangeMsg]] = {}
@@ -293,24 +298,14 @@ class BftReplica(Process):
         # Own checkpoints that have not stabilised yet.
         for seq in sorted(self._own_snapshots):
             if seq > self.stable_seq:
-                self._mcast(
-                    CheckpointMsg(
-                        seq=seq,
-                        state_digest=digest(self._own_snapshots[seq]),
-                        sender=self.pid,
-                    )
-                )
+                self._send_checkpoint(seq)
         # A stalled state transfer: retry with the next candidate.
         if self._state_transfer_pending and (
             self.now - self._state_transfer_started
             > 2 * self.config.view_change_timeout
         ):
             self._state_transfer_pending = False
-            if self._state_transfer_proof:
-                self._request_state_transfer(
-                    max(c.seq for c in self._state_transfer_proof),
-                    self._state_transfer_proof,
-                )
+            self._request_state_transfer(self._state_transfer_proof)
         # Status beacon: lets peers that are ahead fill our log gaps.
         self._mcast(
             StatusMsg(
@@ -394,9 +389,9 @@ class BftReplica(Process):
     def _on_client_request(self, src: str, request: ClientRequest) -> None:
         last = self.client_table.get(request.client_id)
         if last is not None and request.timestamp <= last[0]:
-            # Already executed: retransmit the cached reply (at-most-once).
-            if request.timestamp == last[0] and last[1] is not None:
-                self._p2p(request.client_id, last[1])
+            # Already executed: resend its result (at-most-once).
+            if request.timestamp == last[0]:
+                self._reply(request, last[1])
                 # Let the application layer retransmit ITS reply too (ITDOS
                 # replies travel separately from the BFT-level ack, §3.1).
                 self.on_duplicate_request(request)
@@ -815,25 +810,28 @@ class BftReplica(Process):
         observer = self.network.observer
         if observer is not None:
             observer.on_execute(self.pid, seq, request.client_id, request.timestamp)
-        reply = BftReply(
-            view=self.view,
-            timestamp=request.timestamp,
-            client_id=request.client_id,
-            sender=self.pid,
-            result=result,
-        )
-        self.client_table[request.client_id] = (request.timestamp, reply)
+        self.client_table[request.client_id] = (request.timestamp, result)
         if self._awaiting.get(request.client_id, 0) <= request.timestamp:
             self._awaiting.pop(request.client_id, None)
+        self._reply(request, result)
+
+    def _reply(self, request: ClientRequest, result: bytes) -> None:
+        reply = BftReply(
+            view=self.view, timestamp=request.timestamp, client_id=request.client_id,
+            sender=self.pid, result=result,
+        )
         self._p2p(request.client_id, reply)
 
     # ------------------------------------------------------------ checkpoints
 
     def _take_checkpoint(self, seq: int) -> None:
-        snapshot = self.snapshot_fn()
+        snapshot = canonical_bytes({"app": self.snapshot_fn(), "clients": self.client_table})
         self._own_snapshots[seq] = snapshot
-        message = CheckpointMsg(seq=seq, state_digest=digest(snapshot), sender=self.pid)
-        self._mcast(message)
+        self._send_checkpoint(seq)
+
+    def _send_checkpoint(self, seq: int) -> None:
+        state_digest = digest(self._own_snapshots[seq])
+        self._mcast(CheckpointMsg(seq=seq, state_digest=state_digest, sender=self.pid))
 
     def _on_checkpoint(self, src: str, msg: CheckpointMsg) -> None:
         if msg.sender != src or msg.seq <= self.stable_seq:
@@ -850,14 +848,11 @@ class BftReplica(Process):
     def _stabilize(
         self, seq: int, state_digest: bytes, proof: tuple[CheckpointMsg, ...]
     ) -> None:
-        if self.last_executed < seq:
-            # We are behind the group: remember the proof and fetch state.
-            self._request_state_transfer(seq, proof)
-            return
-        own = self._own_snapshots.get(seq)
+        own = self._own_snapshots.get(seq)  # None while we have not executed seq
         if own is None or digest(own) != state_digest:
-            # Our state diverged from the quorum: recover from a peer.
-            self._request_state_transfer(seq, proof)
+            # We are behind the group, or our state diverged from the
+            # quorum: remember the proof and fetch state from a peer.
+            self._request_state_transfer(proof)
             return
         self._install_checkpoint(seq, own, proof)
         t = self.telemetry
@@ -878,14 +873,12 @@ class BftReplica(Process):
         """Make ``(seq, snapshot)`` the stable checkpoint and prune below it.
 
         The one place checkpoint bookkeeping moves, whether the certificate
-        formed here (:meth:`_stabilize`) or came from a peer
-        (:meth:`adopt_stable_checkpoint`, :meth:`_on_state_response`). The
-        caller has validated ``proof`` and brought the application to at
+        formed here (:meth:`_stabilize`) or came from a peer (:meth:`_adopt`).
+        The caller has validated ``proof`` and brought the application to at
         least ``seq``.
         """
         self.stable_seq = seq
         self._stable_proof = proof
-        self._stable_snapshot = snapshot
         self._own_snapshots[seq] = snapshot
         if self.last_executed < seq:
             self.last_executed = seq
@@ -907,7 +900,8 @@ class BftReplica(Process):
         fetches peers' stable checkpoints out of band and validates them
         with :meth:`verify_checkpoint_proof`.
         """
-        return self.stable_seq, self._stable_snapshot, self._stable_proof
+        snapshot = self._own_snapshots.get(self.stable_seq, b"")
+        return self.stable_seq, snapshot, self._stable_proof
 
     def verify_checkpoint_proof(
         self, seq: int, state_digest: bytes, proof: tuple[CheckpointMsg, ...]
@@ -926,27 +920,43 @@ class BftReplica(Process):
     def adopt_stable_checkpoint(
         self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...]
     ) -> bool:
-        """Adopt a peer's stable-checkpoint *bookkeeping* without restoring.
+        """Adopt a peer's stable checkpoint without restoring the application.
 
-        Used by recovery-level state transfer: the caller has already
-        brought the application layer to (at least) ``seq`` by other means,
-        so only the BFT-side checkpoint state moves — stable seq, proof,
-        log pruning. Returns False if the proof fails or is not ahead.
+        Used by recovery-level state transfer: the caller brought the
+        application to (at least) ``seq`` by other means. A checkpoint
+        covers it and the client table (deterministic results only), so the
+        table merges forward here, then stable seq, proof and log pruning
+        move. Returns False if the proof fails or is not ahead.
         """
         if seq <= self.stable_seq:
             return False
         if not self.verify_checkpoint_proof(seq, digest(snapshot), proof):
             return False
+        self._adopt(seq, snapshot, proof, restore=False)
+        return True
+
+    def _adopt(
+        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...], restore: bool
+    ) -> None:
+        """The one way a peer's certified checkpoint enters: restore the
+        application part if ``restore``, merge the client table forward
+        only (an entry never moves back in timestamp), install, and execute
+        whatever the log already holds past ``seq``."""
+        state = parse_canonical(snapshot)
+        if restore:
+            self.restore_fn(state["app"], seq)
+        for client_id, (timestamp, result) in state["clients"].items():
+            if timestamp > self.client_table.get(client_id, (0, b""))[0]:
+                self.client_table[client_id] = (timestamp, result)
         self._install_checkpoint(seq, snapshot, proof)
         self._awaiting.clear()
         self._try_execute()
-        return True
 
     # --------------------------------------------------------- state transfer
 
-    def _request_state_transfer(
-        self, seq: int, proof: tuple[CheckpointMsg, ...]
-    ) -> None:
+    def _request_state_transfer(self, proof: tuple[CheckpointMsg, ...]) -> None:
+        """Fetch the stable checkpoint ``proof`` (2f+1 messages at one seq)
+        certifies."""
         if self._state_transfer_pending:
             return
         self._state_transfer_pending = True
@@ -960,7 +970,7 @@ class BftReplica(Process):
             return
         target = candidates[self._state_transfer_attempt % len(candidates)]
         self._state_transfer_attempt += 1
-        self._p2p(target, StateRequestMsg(low_seq=seq, sender=self.pid))
+        self._p2p(target, StateRequestMsg(low_seq=proof[0].seq, sender=self.pid))
 
     def _on_state_request(self, src: str, msg: StateRequestMsg) -> None:
         if msg.sender != src:
@@ -969,30 +979,23 @@ class BftReplica(Process):
             return
         response = StateResponseMsg(
             stable_seq=self.stable_seq,
-            state_digest=digest(self._stable_snapshot),
-            snapshot=self._stable_snapshot,
+            snapshot=self._own_snapshots[self.stable_seq],
             checkpoint_proof=self._stable_proof,
             sender=self.pid,
         )
         self._p2p(src, response)
 
     def _on_state_response(self, src: str, msg: StateResponseMsg) -> None:
-        if digest(msg.snapshot) != msg.state_digest:
-            return
         # Proof: 2f+1 checkpoint messages from distinct replicas, same digest.
         if not self.verify_checkpoint_proof(
-            msg.stable_seq, msg.state_digest, msg.checkpoint_proof
+            msg.stable_seq, digest(msg.snapshot), msg.checkpoint_proof
         ):
             return
         # Only a certified answer ends the transfer; junk above left it
         # pending, so _retransmit_tick still rotates to the next candidate.
         self._state_transfer_pending = False
-        if msg.stable_seq <= self.stable_seq or msg.stable_seq <= self.last_executed:
-            return
-        self.restore_fn(msg.snapshot, msg.stable_seq)
-        self._install_checkpoint(msg.stable_seq, msg.snapshot, msg.checkpoint_proof)
-        self._awaiting.clear()
-        self._try_execute()
+        if msg.stable_seq > self.last_executed:
+            self._adopt(msg.stable_seq, msg.snapshot, msg.checkpoint_proof, restore=True)
 
     # ------------------------------------------------------------ view change
 

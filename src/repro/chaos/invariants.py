@@ -235,7 +235,7 @@ class InvariantChecker:
         for domain_id, replica in self._replicas():
             if replica.stable_seq <= 0:
                 continue
-            snapshot_digest = digest(replica._stable_snapshot)
+            snapshot_digest = digest(replica.stable_checkpoint()[1])
             key = (domain_id, replica.stable_seq)
             ref = self._checkpoint_ref.setdefault(key, snapshot_digest)
             if ref != snapshot_digest:

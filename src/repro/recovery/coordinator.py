@@ -201,12 +201,9 @@ class RecoveryCoordinator:
         element._clear_recovery_buffer()
         # Adopt the peer's stable checkpoint *after* un-diverging so any
         # execution it unblocks appends to the queue instead of the buffer.
-        if response.stable_seq > element.stable_seq:
-            element.adopt_stable_checkpoint(
-                response.stable_seq,
-                response.checkpoint_snapshot,
-                response.checkpoint_proof,
-            )
+        element.adopt_stable_checkpoint(
+            response.stable_seq, response.checkpoint_snapshot, response.checkpoint_proof
+        )
         self.transfers_completed += 1
         self.bytes_transferred += response.wire_size()
         if t.enabled:

@@ -125,7 +125,7 @@ def test_state_messages():
     request = StateRequestMsg(low_seq=16, sender="r3")
     assert request.trace_label() == "StateRequest(from=16)"
     response = StateResponseMsg(
-        stable_seq=16, state_digest=b"\x00" * 32, snapshot=b"s" * 100,
+        stable_seq=16, snapshot=b"s" * 100,
         checkpoint_proof=(), sender="r0",
     )
     assert response.wire_size() > 100

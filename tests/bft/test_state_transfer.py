@@ -1,8 +1,8 @@
 """State transfer: a lagging or diverged replica catches up from peers."""
 
-import pytest
-
+from repro.bft.messages import BftReply, ClientRequest
 from tests.bft.conftest import Harness
+from tests.equivalence import armed_timers
 
 
 class CountingApp:
@@ -86,7 +86,6 @@ def test_state_response_with_bad_snapshot_ignored():
 
     forged = StateResponseMsg(
         stable_seq=100,
-        state_digest=b"\x00" * 32,
         snapshot=b"999999",
         checkpoint_proof=(),
         sender=harness.replicas[1].pid,
@@ -116,7 +115,6 @@ def test_state_response_with_insufficient_proof_ignored():
     )  # only 2 < quorum of 3
     forged = StateResponseMsg(
         stable_seq=100,
-        state_digest=digest(snapshot),
         snapshot=snapshot,
         checkpoint_proof=proof,
         sender="grp-r1",
@@ -138,7 +136,6 @@ def test_state_response_from_foreign_senders_ignored():
     )
     forged = StateResponseMsg(
         stable_seq=50,
-        state_digest=digest(snapshot),
         snapshot=snapshot,
         checkpoint_proof=proof,
         sender="grp-r1",
@@ -147,12 +144,6 @@ def test_state_response_from_foreign_senders_ignored():
     assert harness.replicas[0].last_executed == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="BFT state transfer carries the application snapshot but not "
-    "client_table, so a caught-up replica treats a client's retransmitted "
-    "old timestamps as new (ROADMAP item 6(b))",
-)
 def test_state_transfer_carries_the_client_table():
     harness, _apps = make_app_harness()
     lagger = harness.replicas[3]
@@ -164,4 +155,33 @@ def test_state_transfer_carries_the_client_table():
     harness.run(until=harness.network.now + 5.0)
     assert all(r.last_executed == 12 for r in harness.replicas)
     assert all(r.client_table["a"][0] == 3 for r in harness.replicas[:3])
-    assert lagger.client_table.get("a", (0, None))[0] == 3
+    assert lagger.client_table.get("a", (0, b""))[0] == 3
+    # A retransmit of a's last request is a duplicate to the caught-up
+    # replica too: it answers from its own pid with the peers' result and
+    # does not count the request as outstanding.
+    sent = []
+    lagger._p2p = lambda dst, message: sent.append((dst, message))
+    lagger.deliver("a", ClientRequest(client_id="a", timestamp=3, payload=b"1"))
+    [(dst, reply)] = sent
+    assert dst == "a" and isinstance(reply, BftReply)
+    assert (reply.sender, reply.timestamp) == (lagger.pid, 3)
+    assert reply.result == harness.replicas[0].client_table["a"][1]
+    assert "_vc_timer" not in armed_timers(lagger)
+
+
+def test_adopting_an_older_checkpoint_keeps_a_later_client_entry():
+    harness, _apps = make_app_harness()
+    harness.invoke_and_run([b"1"] * 2, client_name="a")
+    harness.invoke_and_run([b"1"] * 2, client_name="b")
+    harness.run(until=harness.network.now + 1.0)
+    seq, snapshot, proof = harness.replicas[0].stable_checkpoint()
+    assert seq == 4
+    # A fresh replica of the same group whose application is already past
+    # the checkpoint for client a, as after a recovery-level catch-up.
+    fresh, _ = make_app_harness()
+    joiner = fresh.replicas[3]
+    joiner.client_table["a"] = (9, b"later")
+    assert joiner.adopt_stable_checkpoint(seq, snapshot, proof)
+    assert joiner.stable_seq == 4
+    assert joiner.client_table["a"] == (9, b"later")
+    assert joiner.client_table["b"] == harness.replicas[0].client_table["b"]

@@ -14,7 +14,7 @@ def make_replica(pid, stable=0, executed=0, high=100, snapshot=b""):
         stable_seq=stable,
         last_executed=executed,
         high_watermark=high,
-        _stable_snapshot=snapshot,
+        stable_checkpoint=lambda: (stable, snapshot, ()),
         key_store=None,
     )
 

@@ -10,15 +10,18 @@ adds or re-routes a message moves a hash; a change that means to says so by
 re-pinning (``PYTHONPATH=src python -m tests.chaos.test_replay_pins``).
 
 Each cell's system then runs on, healed, for an idle minute: with no
-request outstanding, no ordering replica may change view, and the primary a
-``vc`` cell crashed and recovered must be indistinguishable from a peer the
-adversary never touched (:func:`tests.equivalence.same_state`).
+request outstanding, no ordering replica may change view. The primary a
+``vc`` cell crashed and recovered and the element a ``rec`` cell restarted
+must then be indistinguishable from a peer the adversary never touched, and
+an ``xs`` cell's coordinator elements from each other
+(:func:`tests.equivalence.same_state`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -50,11 +53,6 @@ PINS = {
 #: draw, then one latency draw, per surviving copy) — the smoke cells run
 #: fixed latency and no ambient loss, so they cannot.
 LOSSY_PIN = "460daa9c46627ac7d9a9e84dda85bab7d907a0145d2a296160e8184ccbd59721"
-
-#: Cells whose idle minute still moves a view. BFT state transfer does not
-#: carry ``client_table``: a coordinator element caught up by it treats
-#: alice's retransmitted timestamps as new and climbs views alone.
-NOT_QUIESCENT = {"b1-p0-xs/0"}
 
 
 def _sha(value: object) -> str:
@@ -113,15 +111,29 @@ def test_smoke_cell_replays_bit_for_bit(cell):
     assert sha == PINS[label]
 
 
-def test_smoke_cell_quiesces(cell, request):
+def equivalent_pairs(label: str, system, result) -> list[tuple[str, str]]:
+    """The replica pairs a cell must leave indistinguishable: each ``xs``
+    coordinator pair; else each element a ``vc`` cell crashed or a ``rec``
+    cell restarted, against a peer the adversary never touched."""
+    if "-xs/" in label:
+        coordinators = sorted(p for p in system.elements if p.startswith("kv-txc-e"))
+        return list(itertools.combinations(coordinators, 2))
+    recovered = [
+        pid for tag, pid in (("-vc/", "calc-e0"), ("-rec", "calc-e2")) if tag in label
+    ]
+    untouched = [
+        pid for pid in sorted(system.elements)
+        if pid not in result.true_faulty and pid not in recovered
+    ]
+    return [(pid, untouched[0]) for pid in recovered]
+
+
+def test_smoke_cell_quiesces(cell):
     """Run on past the RunResult: the adversary is gone, so the network is
     healed. Settle 10 s, then idle 60 s: no live ordering replica changes
-    view or sits in a view change."""
+    view or sits in a view change, and every pair of
+    :func:`equivalent_pairs` is in the same state."""
     label, _sha, system, result = cell
-    if label in NOT_QUIESCENT:
-        request.applymarker(
-            pytest.mark.xfail(strict=True, reason="state transfer drops client_table")
-        )
     network = system.network
     network.run(until=network.now + 10.0)
     live = [
@@ -132,10 +144,9 @@ def test_smoke_cell_quiesces(cell, request):
     network.run(until=network.now + 60.0)
     assert {r.pid: r.view for r in live} == views
     assert not [r.pid for r in live if r.in_view_change]
-    if label.startswith("b4-p0-vc/"):
-        primary, *peers = (system.elements[f"calc-e{i}"] for i in range(4))
-        peer = next(p for p in peers if p.pid not in result.true_faulty)
-        assert same_state(primary, peer), (state_of(primary), state_of(peer))
+    for a, b in equivalent_pairs(label, system, result):
+        a, b = system.elements[a], system.elements[b]
+        assert same_state(a, b), (state_of(a), state_of(b))
 
 
 def test_lossy_jittered_cell_replays_bit_for_bit():

@@ -2,7 +2,7 @@
 
 :func:`same_state` compares two replicas of one ordering group on what
 decides their future behaviour: view, last executed sequence number, stable
-checkpoint, client table (timestamp and reply digest per client), the
+checkpoint, client table (timestamp and result digest per client), the
 outstanding requests, and which of the replica's timers are armed. Use it
 after an idle window, once both replicas have had time to catch up::
 
@@ -34,8 +34,8 @@ def state_of(replica: BftReplica) -> dict[str, object]:
         "last_executed": replica.last_executed,
         "stable_checkpoint": (stable_seq, digest(snapshot).hex()),
         "client_table": {
-            client: (timestamp, None if reply is None else digest(reply.result).hex())
-            for client, (timestamp, reply) in sorted(replica.client_table.items())
+            client: (timestamp, digest(result).hex())
+            for client, (timestamp, result) in sorted(replica.client_table.items())
         },
         "awaiting": dict(sorted(replica._awaiting.items())),
         "armed_timers": sorted(armed_timers(replica)),
