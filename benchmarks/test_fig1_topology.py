@@ -28,15 +28,15 @@ def test_fig1_singleton_client_replicated_server(benchmark):
     assert result == 42.0
 
     # The client's SMIOP request entered the server domain's ordering...
-    requests_in = trace.filter(kind="send", src="alice", label="Request(c=alice,t=2)")
+    requests_in = trace.filter(kind="send", src="alice", label="ClientRequest(client_id=alice,timestamp=2)")
     assert requests_in, "client request should appear on the wire"
     # ...the ordering protocol ran among the 4 elements...
-    prepares = trace.filter(kind="multicast", label="Prepare(v=0,n=2,i=calc-e1)")
+    prepares = trace.filter(kind="multicast", label="PrepareMsg(view=0,seq=2,sender=calc-e1)")
     assert prepares
     # ...and 3f+1 = 4 elements each sent a reply to the client.
     replies = [
         e for e in trace.filter(kind="send", dst="alice")
-        if e.label.startswith("SmiopReply")
+        if e.label.startswith("SmiopReply(")
     ]
     assert len(replies) == 4
 

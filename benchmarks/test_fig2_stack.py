@@ -28,19 +28,20 @@ def test_fig2_protocol_stack_traversal(benchmark):
     assert connection._next_request_id == 2
 
     # Layer 4 (secure reliable multicast): the three-phase pattern ran.
-    pre_prepares = trace.filter(kind="multicast", label="PrePrepare(v=0,n=2)")
+    pre_prepare = "PrePrepareMsg(view=0,seq=2,sender=calc-e0)"
+    pre_prepares = trace.filter(kind="multicast", label=pre_prepare)
     prepare_multicasts = [
-        e for e in trace.filter(kind="multicast") if e.label.startswith("Prepare(v=0,n=2")
+        e for e in trace.filter(kind="multicast") if e.label.startswith("PrepareMsg(view=0,seq=2,")
     ]
     commit_multicasts = [
-        e for e in trace.filter(kind="multicast") if e.label.startswith("Commit(v=0,n=2")
+        e for e in trace.filter(kind="multicast") if e.label.startswith("CommitMsg(view=0,seq=2,")
     ]
     assert len(pre_prepares) == 1
     assert len(prepare_multicasts) == 3  # every backup
     assert len(commit_multicasts) == 4  # every element
 
     # Layer 5 (IP multicast): each multicast fanned out to the 4 members.
-    deliveries = trace.filter(kind="deliver", label="PrePrepare(v=0,n=2)")
+    deliveries = trace.filter(kind="deliver", label=pre_prepare)
     assert len(deliveries) == 4
 
     # Back up the stack: each element unmarshalled and dispatched once, and

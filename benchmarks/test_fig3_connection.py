@@ -34,23 +34,23 @@ def test_fig3_connection_establishment(benchmark):
     # Step 1: open_request enters the GM.
     step1 = [
         e for e in trace.filter(kind="send", src="alice")
-        if e.dst in gm_ids and e.label.startswith("Request(")
+        if e.dst in gm_ids and e.label.startswith("ClientRequest(")
     ]
     # Steps 2 and 3: GM elements send key shares to the server elements and
     # to the client.
-    shares = [e for e in trace.filter(kind="send") if e.label.startswith("GmShare")]
+    shares = [e for e in trace.filter(kind="send") if e.label.startswith("GmShareEnvelope(")]
     step2 = [e for e in shares if e.dst in elements]
     step3 = [e for e in shares if e.dst == "alice"]
     # Step 4: the encrypted invocation (a BFT client request carrying the
     # SMIOP envelope) reaches the server domain.
     step4 = [
         e for e in trace.filter(kind="send", src="alice")
-        if e.dst in elements and e.label.startswith("Request(")
+        if e.dst in elements and e.label.startswith("ClientRequest(")
     ]
     # Step 5: replies back to the client.
     step5 = [
         e for e in trace.filter(kind="send", dst="alice")
-        if e.label.startswith("SmiopReply")
+        if e.label.startswith("SmiopReply(")
     ]
 
     assert step1 and step2 and step3 and step4 and step5
@@ -68,7 +68,7 @@ def test_fig3_connection_establishment(benchmark):
     collapse = {pid: "gm[4]" for pid in gm_ids}
     collapse.update({pid: "calc[4]" for pid in elements})
     diagram = render_sequence_diagram(
-        trace.events, ["alice", "gm[4]", "calc[4]"], collapse=collapse, max_rows=18
+        trace.events, ["alice", "gm[4]", "calc[4]"], collapse=collapse, max_rows=40
     )
     print("\n--- Figure 3 as a sequence diagram (merged fan-outs) ---")
     print(diagram)

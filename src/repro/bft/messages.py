@@ -5,8 +5,11 @@ Every message is a frozen dataclass (registered with
 
 * ``canonical_fields()`` — deterministic content for digests/signing,
 * ``wire_size()`` — estimated encoded size, so the simulated network can
-  model size-dependent delay and the benchmarks can count bytes,
-* ``trace_label()`` — compact label for figure traces.
+  model size-dependent delay and the benchmarks can count bytes.
+
+A figure trace labels a message by one rule (:mod:`repro.sim.trace`): its
+type name, then its ``int`` and ``str`` fields in declaration order, e.g.
+``PrepareMsg(view=0,seq=2,sender=calc-e1)``. No message writes its own.
 
 ``auth`` carries authentication material (MAC vector or signature) and is
 excluded from the canonical content, since the MAC covers the content.
@@ -86,9 +89,6 @@ class BftMessage:
     def wire_size(self) -> int:
         return _HEADER_OVERHEAD + _payload_size(self.canonical_fields())
 
-    def trace_label(self) -> str:
-        return type(self).__name__
-
 
 def _payload_size(value: Any) -> int:
     if value is None or isinstance(value, bool):
@@ -124,9 +124,6 @@ class ClientRequest(BftMessage):
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
-    def trace_label(self) -> str:
-        return f"Request(c={self.client_id},t={self.timestamp})"
-
 
 @message
 @dataclass(frozen=True)
@@ -147,9 +144,6 @@ class BatchMsg(BftMessage):
     def wire_size(self) -> int:
         return _HEADER_OVERHEAD + sum(r.wire_size() for r in self.requests)
 
-    def trace_label(self) -> str:
-        return f"Batch(k={len(self.requests)})"
-
 
 @message(unsigned=("batch",))
 @dataclass(frozen=True)
@@ -166,9 +160,6 @@ class PrePrepareMsg(BftMessage):
     def wire_size(self) -> int:
         return super().wire_size() + self.batch.wire_size() + _auth_size(self.auth)
 
-    def trace_label(self) -> str:
-        return f"PrePrepare(v={self.view},n={self.seq})"
-
 
 @message
 @dataclass(frozen=True)
@@ -184,9 +175,6 @@ class PrepareMsg(BftMessage):
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
-    def trace_label(self) -> str:
-        return f"Prepare(v={self.view},n={self.seq},i={self.sender})"
-
 
 @message
 @dataclass(frozen=True)
@@ -201,9 +189,6 @@ class CommitMsg(BftMessage):
 
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
-
-    def trace_label(self) -> str:
-        return f"Commit(v={self.view},n={self.seq},i={self.sender})"
 
 
 @message
@@ -221,9 +206,6 @@ class BftReply(BftMessage):
     def wire_size(self) -> int:
         return super().wire_size() + _auth_size(self.auth)
 
-    def trace_label(self) -> str:
-        return f"Reply(t={self.timestamp},i={self.sender})"
-
 
 @message
 @dataclass(frozen=True)
@@ -234,9 +216,6 @@ class CheckpointMsg(BftMessage):
     state_digest: bytes
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
-
-    def trace_label(self) -> str:
-        return f"Checkpoint(n={self.seq},i={self.sender})"
 
 
 @message
@@ -265,9 +244,6 @@ class ViewChangeMsg(BftMessage):
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
-    def trace_label(self) -> str:
-        return f"ViewChange(v={self.new_view},i={self.sender})"
-
 
 @message
 @dataclass(frozen=True)
@@ -279,9 +255,6 @@ class NewViewMsg(BftMessage):
     pre_prepares: tuple[PrePrepareMsg, ...]
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
-
-    def trace_label(self) -> str:
-        return f"NewView(v={self.new_view})"
 
 
 @message
@@ -299,9 +272,6 @@ class StatusMsg(BftMessage):
     last_executed: int
     stable_seq: int
     sender: str
-
-    def trace_label(self) -> str:
-        return f"Status(exec={self.last_executed},i={self.sender})"
 
 
 @message
@@ -323,10 +293,6 @@ class FillMsg(BftMessage):
             for pp, commits in self.entries
         )
 
-    def trace_label(self) -> str:
-        seqs = [pp.seq for pp, _ in self.entries]
-        return f"Fill(seqs={seqs})"
-
 
 @message
 @dataclass(frozen=True)
@@ -335,9 +301,6 @@ class StateRequestMsg(BftMessage):
 
     low_seq: int
     sender: str
-
-    def trace_label(self) -> str:
-        return f"StateRequest(from={self.low_seq})"
 
 
 @message
@@ -349,6 +312,3 @@ class StateResponseMsg(BftMessage):
     snapshot: bytes
     checkpoint_proof: tuple[CheckpointMsg, ...]
     sender: str
-
-    def trace_label(self) -> str:
-        return f"StateResponse(n={self.stable_seq})"

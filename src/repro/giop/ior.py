@@ -68,6 +68,3 @@ class ObjectRef:
             object_key=fields["object_key"],
             transport=fields["transport"],
         )
-
-    def trace_label(self) -> str:
-        return f"ObjectRef({self.interface_name}@{self.domain_id})"

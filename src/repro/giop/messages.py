@@ -69,9 +69,6 @@ class RequestMessage:
     args: tuple[Any, ...]
     byte_order: str
 
-    def trace_label(self) -> str:
-        return f"Request({self.interface_name}.{self.operation}#{self.request_id})"
-
     def canonical_fields(self) -> dict:  # hand-written: CDR is its wire form, not the schema
         return {
             "request_id": self.request_id,
@@ -97,9 +94,6 @@ class LocateRequestMessage:
     object_key: bytes
     byte_order: str
 
-    def trace_label(self) -> str:
-        return f"LocateRequest(#{self.request_id})"
-
 
 @dataclass(frozen=True)
 class LocateReplyMessage:
@@ -109,9 +103,6 @@ class LocateReplyMessage:
     locate_status: LocateStatus
     byte_order: str
 
-    def trace_label(self) -> str:
-        return f"LocateReply(#{self.request_id},{self.locate_status.name})"
-
 
 @dataclass(frozen=True)
 class CloseConnectionMessage:
@@ -119,18 +110,12 @@ class CloseConnectionMessage:
 
     byte_order: str
 
-    def trace_label(self) -> str:
-        return "CloseConnection"
-
 
 @dataclass(frozen=True)
 class MessageErrorMessage:
     """GIOP MessageError: the peer sent something unparseable (header only)."""
 
     byte_order: str
-
-    def trace_label(self) -> str:
-        return "MessageError"
 
 
 @dataclass(frozen=True)
@@ -145,9 +130,6 @@ class ReplyMessage:
     operation: str
     interface_name: str
     byte_order: str
-
-    def trace_label(self) -> str:
-        return f"Reply({self.interface_name}.{self.operation}#{self.request_id})"
 
     def canonical_fields(self) -> dict:  # hand-written: CDR is its wire form, not the schema
         return {

@@ -61,9 +61,6 @@ class SmiopRequest:
     ciphertext: bytes
     sender: str
 
-    def trace_label(self) -> str:
-        return f"SmiopRequest(conn={self.conn_id},req={self.request_id})"
-
 
 @message(kind="smiop_reply")
 @dataclass(frozen=True)
@@ -91,10 +88,6 @@ class SmiopReply:
     def wire_size(self) -> int:
         return 64 + len(self.ciphertext) + len(self.signature)
 
-    def trace_label(self) -> str:
-        kind = "Digest" if self.is_digest else ""
-        return f"Smiop{kind}Reply(conn={self.conn_id},req={self.request_id},i={self.sender})"
-
 
 @message
 @dataclass(frozen=True)
@@ -110,9 +103,6 @@ class BodyRequest:
     request_id: int
     requester: str
 
-    def trace_label(self) -> str:
-        return f"BodyRequest(conn={self.conn_id},req={self.request_id})"
-
 
 @message
 @dataclass(frozen=True)
@@ -127,9 +117,6 @@ class BodyReply:
 
     def wire_size(self) -> int:
         return 64 + len(self.ciphertext)
-
-    def trace_label(self) -> str:
-        return f"BodyReply(conn={self.conn_id},req={self.request_id},{len(self.ciphertext)}B)"
 
 
 # -- read fast path (Castro–Liskov read-only optimization) -----------------------
@@ -156,9 +143,6 @@ class ReadRequest:
 
     def wire_size(self) -> int:
         return 64 + len(self.ciphertext)
-
-    def trace_label(self) -> str:
-        return f"ReadRequest(conn={self.conn_id},read={self.read_id})"
 
 
 @message
@@ -190,12 +174,6 @@ class ReadReply:
 
     def wire_size(self) -> int:
         return 72 + len(self.ciphertext) + len(self.mac)
-
-    def trace_label(self) -> str:
-        return (
-            f"ReadReply(conn={self.conn_id},read={self.read_id},"
-            f"wm={self.watermark},{self.tier[0]}={self.sender})"
-        )
 
 
 def read_reply_mac(
@@ -229,9 +207,6 @@ class CommitFeed:
     def wire_size(self) -> int:
         return 48 + len(self.payload)
 
-    def trace_label(self) -> str:
-        return f"CommitFeed({self.domain_id}@{self.index},i={self.sender})"
-
 
 # -- Group Manager traffic ----------------------------------------------------------
 
@@ -249,9 +224,6 @@ class OpenRequest:
     def __post_init__(self) -> None:
         if self.requester_kind not in ("singleton", "domain"):
             raise ValueError(f"bad requester_kind {self.requester_kind!r}")
-
-    def trace_label(self) -> str:
-        return f"open_request({self.requester}->{self.target_domain})"
 
 
 @message
@@ -282,9 +254,6 @@ class ChangeRequest:
     request_id: int  # the request on which the fault was observed
     proof: tuple[ProofItem, ...] = ()
 
-    def trace_label(self) -> str:
-        return f"change_request(accused={list(self.accused)})"
-
 
 @message(kind="rekey_tick")
 @dataclass(frozen=True)
@@ -299,9 +268,6 @@ class RekeyTick:
 
     pid: str
     epoch: int
-
-    def trace_label(self) -> str:
-        return f"rekey_tick(epoch={self.epoch})"
 
 
 @message
@@ -404,6 +370,3 @@ class GmShareEnvelope:
 
     def wire_size(self) -> int:
         return 96 + len(self.ciphertext)
-
-    def trace_label(self) -> str:
-        return f"GmShare(conn={self.conn_id},key={self.key_id},gm={self.gm_element})"

@@ -23,16 +23,10 @@ from repro.sim.process import Process
 class _TcpSyn:
     conn_id: int
 
-    def trace_label(self) -> str:
-        return f"TcpSyn({self.conn_id})"
-
 
 @dataclass(frozen=True)
 class _TcpAck:
     conn_id: int
-
-    def trace_label(self) -> str:
-        return f"TcpAck({self.conn_id})"
 
 
 @dataclass(frozen=True)
@@ -42,9 +36,6 @@ class _GiopPacket:
 
     def wire_size(self) -> int:
         return len(self.wire) + 8
-
-    def trace_label(self) -> str:
-        return f"GiopPacket(conn={self.conn_id},{len(self.wire)}B)"
 
 
 class IiopServer(Process):

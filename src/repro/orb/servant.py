@@ -41,9 +41,6 @@ class PendingCall:
     operation: str
     args: tuple[Any, ...]
 
-    def trace_label(self) -> str:
-        return f"PendingCall({self.ref.interface_name}.{self.operation})"
-
 
 class Servant:
     """Base class for application objects.

@@ -63,9 +63,6 @@ class RejoinPetition:
     def body(self) -> bytes:
         return petition_body(self.element, self.domain_id, self.fresh_keys, self.nonce)
 
-    def trace_label(self) -> str:
-        return f"rejoin_petition({self.element},fresh={self.fresh_keys})"
-
 
 @message
 @dataclass(frozen=True)
@@ -75,9 +72,6 @@ class QueueStateRequest:
     requester: str
     domain_id: str
     attempt: int
-
-    def trace_label(self) -> str:
-        return f"queue_state_request({self.requester},attempt={self.attempt})"
 
 
 @message
@@ -131,10 +125,4 @@ class QueueStateResponse:
             + len(self.snapshot)
             + len(self.checkpoint_snapshot)
             + len(self.app_state)
-        )
-
-    def trace_label(self) -> str:
-        return (
-            f"queue_state_response(i={self.sender},exec={self.last_executed},"
-            f"{len(self.snapshot)}B)"
         )

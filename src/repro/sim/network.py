@@ -271,11 +271,9 @@ class Network:
         """Proxy to :meth:`Scheduler.run`."""
         self.scheduler.run(**kwargs)
 
-    def enable_trace(self, capacity: int | None = None) -> TraceRecorder:
+    def enable_trace(self) -> TraceRecorder:
         """Turn on message tracing and return the recorder."""
         self.trace.enabled = True
-        if capacity is not None:
-            self.trace.capacity = capacity
         return self.trace
 
     def enable_telemetry(self) -> Telemetry:

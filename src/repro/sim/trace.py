@@ -8,7 +8,7 @@ sequence of Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Iterator
 
 
@@ -17,8 +17,10 @@ class TraceEvent:
     """One network-level occurrence.
 
     ``kind`` is one of ``"send"``, ``"deliver"``, ``"drop"``, ``"multicast"``.
-    ``label`` summarises the payload (its class name, or the payload's own
-    ``trace_label()`` when it defines one).
+    ``label`` is derived from the payload by one rule: its type name, then
+    its ``int`` and ``str`` dataclass fields in declaration order, e.g.
+    ``PrepareMsg(view=0,seq=2,sender=calc-e1)``. A payload that is not a
+    dataclass is labelled by its type name alone.
     """
 
     time: float
@@ -33,27 +35,28 @@ class TraceEvent:
 
 
 def _label_for(payload: Any) -> str:
-    label_fn = getattr(payload, "trace_label", None)
-    if callable(label_fn):
-        return str(label_fn())
-    return type(payload).__name__
+    name = type(payload).__name__
+    if not is_dataclass(payload):
+        return name
+    shown = ",".join(
+        f"{f.name}={value}"
+        for f in fields(payload)
+        if isinstance(value := getattr(payload, f.name), (int, str))
+    )
+    return f"{name}({shown})"
 
 
 class TraceRecorder:
-    """Accumulates :class:`TraceEvent` records for later assertion/printing."""
+    """Accumulates :class:`TraceEvent` records for later assertion/printing.
 
-    def __init__(self, capacity: int | None = None) -> None:
+    The network records only while ``enabled`` is set (:meth:`Network.enable_trace`).
+    """
+
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self.capacity = capacity
         self.enabled = True
-        self.dropped = 0
 
     def record(self, time: float, kind: str, src: str, dst: str, payload: Any) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
         self.events.append(
             TraceEvent(
                 time=time,
@@ -67,7 +70,6 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.events.clear()
-        self.dropped = 0
 
     def filter(
         self,
@@ -93,23 +95,11 @@ class TraceRecorder:
             out.append(event)
         return out
 
-    def labels(self, kind: str | None = None) -> list[str]:
-        """The sequence of event labels, optionally restricted to one kind."""
-        return [e.label for e in self.events if kind is None or e.kind == kind]
-
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def render(self, limit: int | None = None) -> str:
-        """Human-readable multi-line rendering (used by figure benches)."""
-        rows = self.events if limit is None else self.events[:limit]
-        lines = [str(e) for e in rows]
-        if self.dropped:
-            lines.append(f"... {self.dropped} events dropped (capacity {self.capacity})")
-        return "\n".join(lines)
 
 
 def render_sequence_diagram(

@@ -14,7 +14,8 @@ request outstanding, no ordering replica may change view. The primary a
 ``vc`` cell crashed and recovered and the element a ``rec`` cell restarted
 must then be indistinguishable from a peer the adversary never touched, and
 an ``xs`` cell's coordinator elements from each other
-(:func:`tests.equivalence.same_state`).
+(:func:`tests.equivalence.same_state`). An ``xs`` cell's shard groups do not
+yet converge; that test is a strict xfail naming the cause.
 """
 
 from __future__ import annotations
@@ -128,12 +129,10 @@ def equivalent_pairs(label: str, system, result) -> list[tuple[str, str]]:
     return [(pid, untouched[0]) for pid in recovered]
 
 
-def test_smoke_cell_quiesces(cell):
-    """Run on past the RunResult: the adversary is gone, so the network is
-    healed. Settle 10 s, then idle 60 s: no live ordering replica changes
-    view or sits in a view change, and every pair of
-    :func:`equivalent_pairs` is in the same state."""
-    label, _sha, system, result = cell
+def idle_minute(system) -> tuple[list[BftReplica], dict[str, int]]:
+    """Run on past the RunResult, where the adversary is gone and the
+    network healed: settle 10 s, then idle 60 s. Returns the live ordering
+    replicas and their views as the idle minute began."""
     network = system.network
     network.run(until=network.now + 10.0)
     live = [
@@ -142,11 +141,43 @@ def test_smoke_cell_quiesces(cell):
     ]
     views = {r.pid: r.view for r in live}
     network.run(until=network.now + 60.0)
+    return live, views
+
+
+def test_smoke_cell_quiesces(cell):
+    """After :func:`idle_minute`, no live ordering replica has changed view
+    or sits in a view change, and every pair of :func:`equivalent_pairs` is
+    in the same state."""
+    label, _sha, system, result = cell
+    live, views = idle_minute(system)
     assert {r.pid: r.view for r in live} == views
     assert not [r.pid for r in live if r.in_view_change]
     for a, b in equivalent_pairs(label, system, result):
         a, b = system.elements[a], system.elements[b]
         assert same_state(a, b), (state_of(a), state_of(b))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "_on_state_response drops a certified answer once last_executed is at "
+        "or past its seq, so a shard element that has executed that far keeps "
+        "an older stable checkpoint (kv-s1-e3 at 16 against 24 in b1-p0-xs/0, "
+        "kv-s0-e3 at 40 against 48 in b1-p0-xs/1)"
+    ),
+)
+@pytest.mark.parametrize("label", [label for label in sorted(PINS) if "-xs/" in label])
+def test_xs_shard_groups_converge(label):
+    """After :func:`idle_minute`, every pair of each shard group of an
+    ``xs`` cell is in the same state."""
+    _sha, system, _result = smoke_cell(label)
+    idle_minute(system)
+    for shard in ("kv-s0-e", "kv-s1-e"):
+        members = sorted(p for p in system.elements if p.startswith(shard))
+        for a, b in itertools.combinations(members, 2):
+            a, b = system.elements[a], system.elements[b]
+            assert same_state(a, b), (state_of(a), state_of(b))
 
 
 def test_lossy_jittered_cell_replays_bit_for_bit():

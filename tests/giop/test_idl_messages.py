@@ -206,15 +206,6 @@ def test_decode_rejects_unknown_interface(repo):
         decode_message(empty, wire)
 
 
-def test_trace_labels(repo):
-    req = decode_message(
-        repo, encode_request(repo, "Calculator", "add", (1.0, 2.0), request_id=5)
-    )
-    assert req.trace_label() == "Request(Calculator.add#5)"
-    rep = decode_message(repo, encode_reply(repo, "Calculator", "add", 5, 3.0))
-    assert rep.trace_label() == "Reply(Calculator.add#5)"
-
-
 def test_canonical_fields_stable_across_byte_order(repo):
     """Unmarshalled content is byte-order independent — the voting premise."""
     big = decode_message(

@@ -22,7 +22,6 @@ from repro.giop.platforms import (
 def test_object_ref_fields():
     ref = ObjectRef("Bank", "domain-1", b"acct-7")
     assert ref.transport == "smiop"
-    assert ref.trace_label() == "ObjectRef(Bank@domain-1)"
 
 
 def test_object_ref_validation():

@@ -1,10 +1,9 @@
-"""Regression tests for the satellite fixes: empty-summary stats,
-TraceRecorder drop accounting, and the CLI subcommands."""
+"""Regression tests for the satellite fixes: empty-summary stats and the
+CLI subcommands."""
 
 import pytest
 
 from repro.obs.registry import EMPTY_SUMMARY, mean, percentile, summarize
-from repro.sim.trace import TraceRecorder
 from repro.__main__ import main
 
 
@@ -25,26 +24,6 @@ class TestSummarizeEmpty:
         s = summarize([1.0, 2.0, 3.0])
         assert s["count"] == 3
         assert s["mean"] == pytest.approx(2.0)
-
-
-class TestTraceRecorderDrops:
-    def test_drops_counted_and_rendered(self):
-        rec = TraceRecorder(capacity=2)
-        rec.record(0.0, "send", "a", "b", "first")
-        rec.record(1.0, "send", "a", "b", "second")
-        rec.record(2.0, "send", "a", "b", "third")
-        rec.record(3.0, "send", "a", "b", "fourth")
-        assert rec.dropped == 2
-        assert len(rec.events) == 2
-        assert "2 events dropped" in rec.render()
-
-    def test_clear_resets_drop_counter(self):
-        rec = TraceRecorder(capacity=1)
-        rec.record(0.0, "send", "a", "b", "first")
-        rec.record(1.0, "send", "a", "b", "second")
-        rec.clear()
-        assert rec.dropped == 0
-        assert "dropped" not in rec.render()
 
 
 class TestCli:

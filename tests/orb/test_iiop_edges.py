@@ -84,9 +84,11 @@ def test_smiop_adapter_delegates():
 def test_stub_repr_and_pending_call_label():
     from repro.giop.ior import ObjectRef
     from repro.orb.stubs import Stub
+    from repro.sim.trace import TraceRecorder
 
     ref = ObjectRef("Calculator", "dom", b"k")
     stub = Stub(ref, CALCULATOR, lambda *a: None)
     assert "Calculator@dom" in repr(stub)
-    call = PendingCall(ref, "add", (1.0, 2.0))
-    assert call.trace_label() == "PendingCall(Calculator.add)"
+    recorder = TraceRecorder()
+    recorder.record(0.0, "send", "a", "b", PendingCall(ref, "add", (1.0, 2.0)))
+    assert recorder.events[0].label == "PendingCall(operation=add)"

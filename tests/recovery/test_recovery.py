@@ -29,6 +29,7 @@ from repro.workloads.scenarios import (
     router_for,
     standard_repository,
 )
+from tests.equivalence import same_state, state_of
 
 
 def build_queue_mode_system(seed=7, byzantine=None, telemetry=False):
@@ -239,7 +240,9 @@ def test_restart_then_recover_catches_up():
 def test_recovered_element_has_its_peers_servant_state():
     """A queue position is adopted together with the servant state that
     belongs to it: the element that was down for 25 of 30 puts comes back
-    holding every key, and answering reads gets nobody expelled."""
+    holding every key, past a peer's stable checkpoint, and answering reads
+    gets nobody expelled; after an idle minute it is indistinguishable from
+    a peer that never left."""
     system = build_kv_system(seed=5)
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
@@ -250,9 +253,20 @@ def test_recovered_element_has_its_peers_servant_state():
     for i in range(5, 30):
         stub.put(f"k{i}", f"v{i}")
     victim.restart()
+    adopted = []
+    adopt = victim.adopt_stable_checkpoint
+
+    def recording_adopt(seq, snapshot, proof):
+        accepted = adopt(seq, snapshot, proof)
+        if accepted:
+            adopted.append(seq)
+        return accepted
+
+    victim.adopt_stable_checkpoint = recording_adopt
 
     verdict, recovered = recover(system, victim)
     assert verdict == b"OK" and recovered
+    assert adopted and adopted[0] > 0, adopted
     assert not victim.diverged
     stores = {
         element.pid: element.orb.adapter.servant_for(b"kv").data
@@ -269,6 +283,9 @@ def test_recovered_element_has_its_peers_servant_state():
     system.settle(3.0)
     for gm in system.gm_elements:
         assert gm.state.expelled == set()
+    system.settle(60.0)
+    peer = system.elements["kv-e0"]
+    assert same_state(victim, peer), (state_of(victim), state_of(peer))
 
 
 def test_recovered_shard_element_gets_its_transactions_back():

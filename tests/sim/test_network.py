@@ -62,11 +62,15 @@ def test_request_reply_round_trip():
 
 def test_send_to_unknown_process_is_dropped():
     net = make_net()
+    trace = net.enable_trace()
     a = Recorder("a")
     net.add_process(a)
     a.send("ghost", "boo")
     net.run()
     assert net.stats.messages_dropped == 1
+    assert net.stats.messages_delivered == 0
+    # Dropped once, at the sender's gate: no delivery is ever scheduled.
+    assert [(e.kind, e.dst) for e in trace] == [("send", "ghost"), ("drop", "ghost")]
 
 
 def test_crashed_process_neither_sends_nor_receives():
@@ -327,4 +331,4 @@ def test_trace_filter_and_labels():
     net.run()
     assert len(trace.filter(kind="send")) == 2
     assert len(trace.filter(kind="send", src="a")) == 1
-    assert trace.labels(kind="send") == ["str", "str"]
+    assert [e.label for e in trace.filter(kind="send")] == ["str", "str"]
