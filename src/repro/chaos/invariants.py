@@ -251,7 +251,7 @@ class InvariantChecker:
         of them from the corrupt set."""
         for client in self.system.clients.values():
             for conn_id, connection in client.endpoint.connections.items():
-                decision = connection.voter._decided
+                decision = connection.voter.decision
                 if decision is None or not decision.decided:
                     continue
                 supporters = set(decision.supporters)

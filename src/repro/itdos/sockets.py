@@ -283,7 +283,7 @@ class OutgoingConnection:
         if (
             self._on_reply is None
             or self.voter.current_request_id != envelope.request_id
-            or self.voter._decided is not None
+            or self.voter.decision is not None
         ):
             return  # decided (or superseded): nothing outstanding to push
         self._retry_attempt += 1

@@ -1,7 +1,7 @@
 """Per-connection voters.
 
 "There is a voter element for each connection in our protocol stack" (§3.6).
-Two kinds exist, matching the two directions of a connection:
+Three kinds exist, one per kind of vote a connection holds:
 
 * :class:`ReplyVoter` — on the client side of a connection to a replicated
   server: collates the ``n`` reply copies for the one outstanding request,
@@ -10,6 +10,9 @@ Two kinds exist, matching the two directions of a connection:
   stale request identifier ("the receiver neither uses the message's value
   nor penalizes the sender"). :meth:`ReplyVoter.refusal` lets the transport
   apply that rule before any crypto, so a forged stale copy is not garbage.
+* :class:`ReadVoter` — on the same client side, for the tentative read fast
+  path: decides at ``2f+1`` core ballots matching on *(watermark, value)*
+  and falls back to the ordered path instead of accusing anyone.
 * :class:`RequestVoter` — on each server element, for connections whose
   client is itself a replication domain: collates the ordered copies of a
   logical request and delivers one voted request to the ORB. Because the
@@ -17,7 +20,10 @@ Two kinds exist, matching the two directions of a connection:
   deterministic, every element delivers the same request at the same point
   (§3.6).
 
-Both bound their memory (voter garbage collection, experiment E9).
+Every vote keeps its copies in one :class:`_Ballots` box, which refuses a
+second copy from one sender and anything past its cap, so each voter's
+memory stays bounded (voter garbage collection, experiment E9). The shared
+:class:`_Voter` base keeps the discard, decision and dissent accounting.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Any, Callable
 from repro.itdos.vvm import (
     Comparator,
     VoteDecision,
-    ballot_key,
     dissenting_senders,
     majority_vote,
     watermarked_comparator,
@@ -73,8 +78,92 @@ class VoteOutcome:
     dissenters: tuple[str, ...]
 
 
-class ReplyVoter:
+class _Ballots:
+    """The copies of one vote: ``(sender, value)`` in arrival order, and
+    each sender's raw message."""
+
+    __slots__ = ("copies", "raw")
+
+    def __init__(self) -> None:
+        self.copies: list[tuple[str, Any]] = []
+        self.raw: dict[str, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self.copies)
+
+    def refusal(self, sender: str, cap: int) -> str | None:
+        """``"duplicate"`` or ``"overflow"`` if the copy can no longer
+        count, else None."""
+        if sender in self.raw:
+            return "duplicate"
+        if len(self.copies) >= cap:
+            return "overflow"
+        return None
+
+    def add(self, sender: str, value: Any, raw: Any = None) -> None:
+        self.copies.append((sender, value))
+        self.raw[sender] = raw
+
+    def vote(self, threshold: int, comparator: Comparator) -> VoteDecision:
+        return majority_vote(self.copies, threshold, comparator)
+
+    def outcome(self, request_id: int, decision: VoteDecision) -> VoteOutcome:
+        """A decided vote, represented by its first supporter's raw message."""
+        return VoteOutcome(
+            request_id, decision.value, self.raw.get(decision.supporters[0]),
+            decision.supporters, decision.dissenters,
+        )
+
+
+class _Voter:
+    """Discard, decision and dissent accounting shared by the voters."""
+
+    kind = ""  # the ``kind`` label of this voter's metric rows
+
+    def __init__(self, telemetry: Telemetry | None, owner: str) -> None:
+        self.telemetry = telemetry or NOOP_TELEMETRY
+        self.owner = owner  # reporting identity for audit-log entries
+        self.discarded = 0  # stale / duplicate / overflow copies dropped (E9)
+
+    def discard(self, reason: str, count: int = 1) -> None:
+        """Drop messages without penalty, keeping the count observable."""
+        self.discarded += count
+        t = self.telemetry
+        if t.enabled and count:
+            t.registry.counter(
+                "voter_discarded_total", "Messages voters dropped, by reason",
+                labels=("kind", "reason"),
+            ).labels(kind=self.kind, reason=reason).inc(count)
+
+    def _count_decision(self) -> None:
+        t = self.telemetry
+        if t.enabled:
+            t.registry.counter(
+                "voter_decisions_total", "Concluded votes", labels=("kind",)
+            ).labels(kind=self.kind).inc()
+
+    def _report_dissent(
+        self, audit_kind: str, dissenter: str, request_id: int | None, hard: bool,
+        evidence: dict[str, Any],
+    ) -> None:
+        """One dissenting copy to the health board, the metrics and the
+        audit log; the caller has checked that telemetry is enabled."""
+        t = self.telemetry
+        t.health.record_dissent(dissenter)
+        t.registry.counter(
+            "voter_dissent_total", "Dissenting reply copies, by element",
+            labels=("element",),
+        ).labels(element=dissenter).inc()
+        t.evidence(
+            audit_kind, accused=dissenter, reporter=self.owner, hard=hard,
+            detail=f"request={request_id}", evidence=evidence,
+        )
+
+
+class ReplyVoter(_Voter):
     """Client-side voter: one outstanding request per connection (§3.6)."""
+
+    kind = "reply"
 
     def __init__(
         self,
@@ -87,36 +176,18 @@ class ReplyVoter:
     ) -> None:
         if n < 3 * f + 1:
             raise ValueError(f"n={n} too small for f={f}")
+        super().__init__(telemetry, owner)
         self.n = n
         self.f = f
         self.on_decide = on_decide
         self.on_fault = on_fault or (lambda sender, request_id, evidence: None)
-        self.telemetry = telemetry or NOOP_TELEMETRY
-        self.owner = owner  # reporting identity for audit-log entries
         self.current_request_id: int | None = None
         self.comparator: Comparator = Comparator.exact()
-        self._ballots: list[tuple[str, Any]] = []
-        # Content keys parallel to ``_ballots``: byte-identical copies (the
-        # common case — all correct replicas of a deterministic servant)
-        # share comparator evaluations inside majority_vote. Purely a
-        # memoisation; decisions are identical with or without keys.
-        self._keys: list[bytes | None] = []
-        self._raw: dict[str, Any] = {}
-        self._decided: VoteDecision | None = None
-        self.discarded = 0  # stale / overflow messages dropped (E9)
+        self._box = _Ballots()
+        self.decision: VoteDecision | None = None
         # Elements already health-flagged for the current request, so a
         # straggler re-report does not double-count one dissent.
         self._dissent_reported: set[str] = set()
-
-    def discard(self, reason: str) -> None:
-        """Drop one message without penalty, keeping the count observable."""
-        self.discarded += 1
-        t = self.telemetry
-        if t.enabled:
-            t.registry.counter(
-                "voter_discarded_total", "Messages voters dropped, by reason",
-                labels=("kind", "reason"),
-            ).labels(kind="reply", reason=reason).inc()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -131,16 +202,14 @@ class ReplyVoter:
             raise ValueError("request identifiers must be strictly increasing")
         self.current_request_id = request_id
         self.comparator = comparator
-        self._ballots = []
-        self._keys = []
-        self._raw = {}
-        self._decided = None
+        self._box = _Ballots()
+        self.decision = None
         self._dissent_reported = set()
 
     @property
     def ballots_held(self) -> int:
         """Memory bound check for E9."""
-        return len(self._ballots)
+        return len(self._box)
 
     # -- message intake -------------------------------------------------------
 
@@ -149,11 +218,7 @@ class ReplyVoter:
         longer count, else None; both inputs travel in the clear."""
         if request_id != self.current_request_id:
             return "stale"
-        if sender in self._raw:
-            return "duplicate"
-        if len(self._ballots) >= self.n * MAX_BALLOTS_FACTOR:
-            return "overflow"
-        return None
+        return self._box.refusal(sender, self.n * MAX_BALLOTS_FACTOR)
 
     def offer(self, sender: str, request_id: int, value: Any, raw: Any = None) -> None:
         """Consider one reply copy.
@@ -165,10 +230,8 @@ class ReplyVoter:
         if (reason := self.refusal(sender, request_id)) is not None:
             self.discard(reason)
             return
-        self._ballots.append((sender, value))
-        self._keys.append(ballot_key(value))
-        self._raw[sender] = raw
-        if self._decided is None:
+        self._box.add(sender, value, raw)
+        if self.decision is None:
             self._maybe_decide()
         else:
             # Post-decision stragglers still inform fault detection — and
@@ -176,81 +239,54 @@ class ReplyVoter:
             # dissenter (the owner deduplicates accusations; a proof that
             # was too thin at decision time may be sufficient now).
             dissenters = list(
-                dissenting_senders(self._decided.value, self._ballots, self.comparator)
+                dissenting_senders(self.decision.value, self._box.copies, self.comparator)
             )
             if dissenters:
                 self._report_faults(dissenters)
 
     def _maybe_decide(self) -> None:
         # Early decision: f+1 identical values guarantee one correct sender.
-        decision = majority_vote(
-            self._ballots, self.f + 1, self.comparator, keys=self._keys
-        )
-        if not decision.decided and len(self._ballots) >= 2 * self.f + 1:
-            # 2f+1 total received but no f+1 agreement — with at most f
-            # faults this cannot happen for equal-valued correct replicas;
-            # keep waiting for more copies.
-            return
+        # With 2f+1 copies and no f+1 agreement (impossible for equal-valued
+        # correct replicas with at most f faults), keep waiting for more.
+        decision = self._box.vote(self.f + 1, self.comparator)
         if not decision.decided:
             return
-        self._decided = decision
-        t = self.telemetry
-        if t.enabled:
-            t.registry.counter(
-                "voter_decisions_total", "Concluded votes", labels=("kind",)
-            ).labels(kind="reply").inc()
-        representative = self._raw.get(decision.supporters[0])
-        outcome = VoteOutcome(
-            request_id=self.current_request_id or 0,
-            value=decision.value,
-            representative=representative,
-            supporters=decision.supporters,
-            dissenters=decision.dissenters,
-        )
+        self.decision = decision
+        self._count_decision()
+        outcome = self._box.outcome(self.current_request_id or 0, decision)
         if decision.dissenters:
             self._report_faults(list(decision.dissenters))
         self.on_decide(outcome)
 
     def _report_faults(self, senders: list[str]) -> None:
-        assert self._decided is not None
-        t = self.telemetry
-        if t.enabled:
+        assert self.decision is not None
+        raw = self._box.raw
+        if self.telemetry.enabled:
             # Signed ballots make the accusation transferable: anyone can
             # re-run the comparator and the signature checks offline.
             signed_ballots = [
-                {"sender": s, "plaintext": raw[0], "signature": raw[1]}
-                for s, raw in sorted(self._raw.items())
-                if _is_signed_raw(raw)
+                {"sender": s, "plaintext": r[0], "signature": r[1]}
+                for s, r in sorted(raw.items())
+                if _is_signed_raw(r)
             ]
             for sender in senders:
                 if sender not in self._dissent_reported:
                     self._dissent_reported.add(sender)
-                    t.health.record_dissent(sender)
-                    t.registry.counter(
-                        "voter_dissent_total", "Dissenting reply copies, by element",
-                        labels=("element",),
-                    ).labels(element=sender).inc()
                     # Hard only when the dissenting reply carried a valid
                     # signature (the transport verified it before offering):
                     # the element provably vouched for the wrong value. An
                     # unsigned dissent could still be wire damage.
-                    t.evidence(
-                        "vote-dissent",
-                        accused=sender,
-                        reporter=self.owner,
-                        hard=_is_signed_raw(self._raw.get(sender)),
-                        detail=f"request={self.current_request_id}",
+                    self._report_dissent(
+                        "vote-dissent", sender, self.current_request_id,
+                        hard=_is_signed_raw(raw.get(sender)),
                         evidence={
                             "request_id": self.current_request_id,
                             "dissenter": sender,
-                            "supporters": list(self._decided.supporters),
+                            "supporters": list(self.decision.supporters),
                             "ballots": signed_ballots,
                         },
                     )
-        evidence = [
-            (sender, value, self._raw.get(sender))
-            for sender, value in self._ballots
-        ]
+        evidence = [(sender, value, raw.get(sender)) for sender, value in self._box.copies]
         for sender in senders:
             self.on_fault(sender, self.current_request_id or 0, evidence)
 
@@ -267,7 +303,7 @@ class ReadOutcome:
     dissenters: tuple[str, ...]
 
 
-class ReadVoter:
+class ReadVoter(_Voter):
     """Client-side voter for the tentative read fast path.
 
     The Castro–Liskov read-only optimization acceptance rule: ``2f+1``
@@ -275,8 +311,9 @@ class ReadVoter:
     elements — at least f+1 of them correct, and all computed against the
     same committed prefix, so the decided value is the one an ordered read
     at that prefix would have returned. Read-tier ballots are recorded for
-    observability (per-tier reply lag) but are excluded from quorum
-    arithmetic entirely: correctness never rests on a non-voting reader.
+    observability (per-tier reply lag) in a box of their own, refused and
+    capped like core ballots, but are excluded from quorum arithmetic
+    entirely: correctness never rests on a non-voting reader.
 
     Unlike the :class:`ReplyVoter`, divergence is not a fault symptom here:
     honest elements race reads against in-flight writes, so mismatched
@@ -285,6 +322,8 @@ class ReadVoter:
     anyone — the owner falls back to the ordered path, whose ReplyVoter
     does assign blame.
     """
+
+    kind = "read"
 
     def __init__(
         self,
@@ -298,47 +337,34 @@ class ReadVoter:
     ) -> None:
         if n < 3 * f + 1:
             raise ValueError(f"n={n} too small for f={f}")
+        super().__init__(telemetry, owner)
         self.n = n
         self.f = f
         self.core_ids = frozenset(core_ids)
         self.on_decide = on_decide
         self.on_exhausted = on_exhausted
-        self.telemetry = telemetry or NOOP_TELEMETRY
-        self.owner = owner
         self.current_read_id: int | None = None
         self._comparator: Comparator = Comparator.exact()
-        self._ballots: list[tuple[str, Any]] = []  # sender -> (wm, value)
-        self._keys: list[bytes | None] = []
-        self._raw: dict[str, Any] = {}
-        # (sender, watermark) per read-tier reply for the current read.
-        self.reader_ballots: list[tuple[str, int]] = []
+        self._box = _Ballots()  # core ballots: sender -> (watermark, value)
+        self._readers = _Ballots()  # read-tier ballots: sender -> watermark
         # Read-tier replicas the current read was fanned to (rotated by the
         # owning connection; empty when the domain has no read tier).
         self.readers_polled: tuple[str, ...] = ()
-        self._decided: VoteDecision | None = None
+        self.decision: VoteDecision | None = None
         self._exhausted = False
-        self.discarded = 0
 
     @property
     def threshold(self) -> int:
         return 2 * self.f + 1
 
     @property
-    def decided(self) -> bool:
-        return self._decided is not None
+    def ballots_held(self) -> int:
+        return len(self._box) + len(self._readers)
 
     @property
-    def ballots_held(self) -> int:
-        return len(self._ballots) + len(self.reader_ballots)
-
-    def discard(self, reason: str) -> None:
-        self.discarded += 1
-        t = self.telemetry
-        if t.enabled:
-            t.registry.counter(
-                "voter_discarded_total", "Messages voters dropped, by reason",
-                labels=("kind", "reason"),
-            ).labels(kind="read", reason=reason).inc()
+    def reader_ballots(self) -> list[tuple[str, int]]:
+        """``(sender, watermark)`` per read-tier reply for the current read."""
+        return self._readers.copies
 
     def begin(
         self,
@@ -357,12 +383,10 @@ class ReadVoter:
             raise ValueError("read identifiers must be strictly increasing")
         self.current_read_id = read_id
         self._comparator = watermarked_comparator(value_comparator)
-        self._ballots = []
-        self._keys = []
-        self._raw = {}
-        self.reader_ballots = []
+        self._box = _Ballots()
+        self._readers = _Ballots()
         self.readers_polled = tuple(readers_polled)
-        self._decided = None
+        self.decision = None
         self._exhausted = False
 
     def abandon(self) -> None:
@@ -381,47 +405,37 @@ class ReadVoter:
         if read_id != self.current_read_id or self._exhausted:
             self.discard("stale")
             return
-        if tier != "core" or sender not in self.core_ids:
-            # Non-voting tier: observability only, never quorum input. A
-            # core element claiming tier="read" is demoting itself — its
-            # ballot simply stops counting, which is never an advantage.
-            self.reader_ballots.append((sender, watermark))
+        # Non-voting tier: observability only, never quorum input. A core
+        # element claiming tier="read" is demoting itself — its ballot
+        # simply stops counting, which is never an advantage.
+        core = tier == "core" and sender in self.core_ids
+        box = self._box if core else self._readers
+        if (reason := box.refusal(sender, self.n * MAX_BALLOTS_FACTOR)) is not None:
+            self.discard(reason)
             return
-        if sender in self._raw:
-            self.discard("duplicate")
+        if not core:
+            box.add(sender, watermark)
             return
-        if len(self._ballots) >= self.n * MAX_BALLOTS_FACTOR:
-            self.discard("overflow")
+        box.add(sender, (watermark, value), raw)
+        if self.decision is not None:
             return
-        ballot = (watermark, value)
-        self._ballots.append((sender, ballot))
-        self._keys.append(ballot_key(ballot))
-        self._raw[sender] = raw
-        if self._decided is not None:
-            return
-        decision = majority_vote(
-            self._ballots, self.threshold, self._comparator, keys=self._keys
-        )
+        decision = box.vote(self.threshold, self._comparator)
         if decision.decided:
-            self._decided = decision
-            t = self.telemetry
-            if t.enabled:
-                t.registry.counter(
-                    "voter_decisions_total", "Concluded votes", labels=("kind",)
-                ).labels(kind="read").inc()
+            self.decision = decision
+            self._count_decision()
             wm, decided_value = decision.value
             self.on_decide(
                 ReadOutcome(
                     read_id=read_id,
                     watermark=wm,
                     value=decided_value,
-                    representative=self._raw.get(decision.supporters[0]),
+                    representative=box.raw.get(decision.supporters[0]),
                     supporters=decision.supporters,
                     dissenters=decision.dissenters,
                 )
             )
             return
-        if len(self._raw) >= self.n:
+        if len(box) >= self.n:
             # Every core element answered and no 2f+1 (watermark, value)
             # agreement exists — concurrent writes moved the prefix under
             # us (or <=f elements lied). Report exhaustion exactly once.
@@ -429,13 +443,15 @@ class ReadVoter:
             self.on_exhausted(read_id)
 
 
-class RequestVoter:
+class RequestVoter(_Voter):
     """Server-side voter for requests from a replicated client domain.
 
     Ordered copies stream in; at ``f_client + 1`` equal copies the request
     is delivered once. State for a request id is garbage-collected on
     delivery; stale copies of already-delivered requests are discarded.
     """
+
+    kind = "request"
 
     def __init__(
         self,
@@ -445,34 +461,20 @@ class RequestVoter:
         telemetry: Telemetry | None = None,
         owner: str = "",
     ) -> None:
+        super().__init__(telemetry, owner)
         self.client_n = client_n
         self.client_f = client_f
         self.on_deliver = on_deliver
-        self.telemetry = telemetry or NOOP_TELEMETRY
-        self.owner = owner
-        self._ballots: dict[int, list[tuple[str, Any]]] = {}
-        # Parallel content keys per request id (see ReplyVoter._keys).
-        self._keys: dict[int, list[bytes | None]] = {}
-        self._raw: dict[int, dict[str, Any]] = {}
+        self._pending: dict[int, _Ballots] = {}  # one box per request id
         self._delivered_up_to = 0
-        self.discarded = 0
-
-    def discard(self, reason: str, count: int = 1) -> None:
-        """Drop messages without penalty, keeping the count observable."""
-        self.discarded += count
-        t = self.telemetry
-        if t.enabled and count:
-            t.registry.counter(
-                "voter_discarded_total", "Messages voters dropped, by reason",
-                labels=("kind", "reason"),
-            ).labels(kind="request", reason=reason).inc(count)
 
     @property
     def threshold(self) -> int:
         return self.client_f + 1
 
+    @property
     def ballots_held(self) -> int:
-        return sum(len(b) for b in self._ballots.values())
+        return sum(len(box) for box in self._pending.values())
 
     def offer(
         self,
@@ -487,68 +489,38 @@ class RequestVoter:
             # must never resurrect per-request state (E9).
             self.discard("stale")
             return
-        if request_id not in self._raw and len(self._raw) >= MAX_PENDING_REQUESTS:
-            highest = max(self._raw)
+        if request_id not in self._pending and len(self._pending) >= MAX_PENDING_REQUESTS:
+            highest = max(self._pending)
             if request_id > highest:
                 self.discard("overflow")
                 return
             # The new id precedes a tracked one, so the tracked maximum is
             # the furthest from delivery — evict it to stay bounded.
-            self.discard("overflow", len(self._ballots.pop(highest, [])))
-            self._keys.pop(highest, None)
-            self._raw.pop(highest, None)
-        raw_by_sender = self._raw.setdefault(request_id, {})
-        if sender in raw_by_sender:
-            self.discard("duplicate")
+            self.discard("overflow", len(self._pending.pop(highest)))
+        box = self._pending.setdefault(request_id, _Ballots())
+        if (reason := box.refusal(sender, self.client_n * MAX_BALLOTS_FACTOR)) is not None:
+            self.discard(reason)
             return
-        ballots = self._ballots.setdefault(request_id, [])
-        if len(ballots) >= self.client_n * MAX_BALLOTS_FACTOR:
-            self.discard("overflow")
+        box.add(sender, value, raw)
+        decision = box.vote(self.threshold, comparator)
+        if not decision.decided:
             return
-        ballots.append((sender, value))
-        keys = self._keys.setdefault(request_id, [])
-        keys.append(ballot_key(value))
-        raw_by_sender[sender] = raw
-        decision = majority_vote(ballots, self.threshold, comparator, keys=keys)
-        if decision.decided:
-            representative = raw_by_sender.get(decision.supporters[0])
-            outcome = VoteOutcome(
-                request_id=request_id,
-                value=decision.value,
-                representative=representative,
-                supporters=decision.supporters,
-                dissenters=decision.dissenters,
-            )
-            t = self.telemetry
-            if t.enabled:
-                t.registry.counter(
-                    "voter_decisions_total", "Concluded votes", labels=("kind",)
-                ).labels(kind="request").inc()
-                for dissenter in decision.dissenters:
-                    t.health.record_dissent(dissenter)
-                    t.registry.counter(
-                        "voter_dissent_total", "Dissenting reply copies, by element",
-                        labels=("element",),
-                    ).labels(element=dissenter).inc()
-                    # Ordered request copies are not individually signed, so
-                    # a divergent copy is soft evidence only.
-                    t.evidence(
-                        "request-dissent",
-                        accused=dissenter,
-                        reporter=self.owner,
-                        detail=f"request={request_id}",
-                        evidence={"request_id": request_id},
-                    )
-            # Requests must be delivered in id order per connection: the
-            # single-threaded client sends one at a time, so ids arrive in
-            # order and delivery here is naturally ordered.
-            self._delivered_up_to = request_id
-            del self._ballots[request_id]
-            del self._keys[request_id]
-            del self._raw[request_id]
-            # Drop any older stragglers wholesale.
-            for stale in [r for r in self._ballots if r <= request_id]:
-                self.discard("superseded", len(self._ballots.pop(stale, [])))
-                self._keys.pop(stale, None)
-                self._raw.pop(stale, None)
-            self.on_deliver(outcome)
+        outcome = box.outcome(request_id, decision)
+        self._count_decision()
+        if self.telemetry.enabled:
+            for dissenter in decision.dissenters:
+                # Ordered request copies are not individually signed, so
+                # a divergent copy is soft evidence only.
+                self._report_dissent(
+                    "request-dissent", dissenter, request_id, hard=False,
+                    evidence={"request_id": request_id},
+                )
+        # Requests must be delivered in id order per connection: the
+        # single-threaded client sends one at a time, so ids arrive in
+        # order and delivery here is naturally ordered.
+        self._delivered_up_to = request_id
+        del self._pending[request_id]
+        # Drop any older stragglers wholesale.
+        for stale in [r for r in self._pending if r <= request_id]:
+            self.discard("superseded", len(self._pending.pop(stale)))
+        self.on_deliver(outcome)

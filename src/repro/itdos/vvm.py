@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes
 from repro.giop.typecodes import (
     EnumType,
     PrimitiveType,
@@ -290,26 +288,10 @@ def dissenting_senders(
     )
 
 
-def ballot_key(value: Any) -> bytes | None:
-    """Content key for ballot deduplication, or None when uncomputable.
-
-    Equal canonical bytes imply the *same parsed value*, so two ballots with
-    the same key are interchangeable as vote candidates and as comparator
-    operands — the digest never substitutes for the comparator itself, it
-    only lets the vote skip re-running a deterministic comparison it has
-    already run.
-    """
-    try:
-        return digest(canonical_bytes(value))
-    except Exception:
-        return None
-
-
 def majority_vote(
     ballots: list[tuple[str, Any]],
     threshold: int,
     comparator: Comparator,
-    keys: list[bytes | None] | None = None,
 ) -> VoteDecision:
     """Find a value supported by at least ``threshold`` ballots.
 
@@ -318,43 +300,13 @@ def majority_vote(
     are tried in arrival order, so all deterministic voters that saw the
     same ordered ballots decide identically (§3.6: "each deterministic
     voter reaches a decision threshold in the same order").
-
-    ``keys``, when given, holds one content key per ballot (see
-    :func:`ballot_key`); byte-identical ballots then share a single
-    candidate trial and a single comparator evaluation per distinct peer
-    value. This is a pure memoisation of the deterministic comparator —
-    identical inputs give identical results — so the decision, supporters
-    and dissenters are exactly those of the unkeyed vote. ``None`` keys
-    always fall back to direct comparison.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    if keys is not None and len(keys) != len(ballots):
-        raise ValueError("keys must parallel ballots")
-    seen_candidate_keys: set[bytes] = set()
-    for index, (_, candidate) in enumerate(ballots):
-        candidate_key = keys[index] if keys is not None else None
-        if candidate_key is not None:
-            if candidate_key in seen_candidate_keys:
-                # Identical candidate value — identical support set; the
-                # earlier trial already failed to reach threshold.
-                continue
-            seen_candidate_keys.add(candidate_key)
-        eq_by_key: dict[bytes, bool] = {}
-        supporters_list: list[str] = []
-        for other_index, (sender, value) in enumerate(ballots):
-            value_key = keys[other_index] if keys is not None else None
-            if candidate_key is not None and value_key is not None:
-                cached = eq_by_key.get(value_key)
-                if cached is None:
-                    cached = comparator.equal(candidate, value)
-                    eq_by_key[value_key] = cached
-                equal = cached
-            else:
-                equal = comparator.equal(candidate, value)
-            if equal:
-                supporters_list.append(sender)
-        supporters = tuple(supporters_list)
+    for _, candidate in ballots:
+        supporters = tuple(
+            sender for sender, value in ballots if comparator.equal(candidate, value)
+        )
         if len(supporters) >= threshold:
             dissenters = tuple(
                 sender for sender, _ in ballots if sender not in supporters

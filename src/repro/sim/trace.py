@@ -112,9 +112,11 @@ def render_sequence_diagram(
 
     ``collapse`` maps process ids to lane names, letting a whole
     replication domain share one lane ("calc-e0".."calc-e3" -> "calc[4]").
-    Only ``send`` events between known lanes are drawn; consecutive
-    identical rows (same lanes + label) are merged with a repeat count —
-    exactly what a protocol figure does with fan-out arrows.
+    Only ``send`` events between known lanes are drawn; consecutive sends
+    between the same lanes of one payload type are merged into one row with
+    a repeat count — exactly what a protocol figure does with fan-out
+    arrows. The row shows the label if every merged label is equal, else
+    the type name.
     """
     collapse = collapse or {}
 
@@ -126,18 +128,20 @@ def render_sequence_diagram(
     header = "".join(p.center(width) for p in participants)
     columns = {p: i for i, p in enumerate(participants)}
     lines = [header]
-    merged: list[tuple[str, str, str, int]] = []  # (src, dst, label, count)
+    merged: list[tuple[str, str, str, str, int]] = []  # (src, dst, type, label, count)
     for event in events:
         if event.kind != "send":
             continue
         src, dst = lane_of(event.src), lane_of(event.dst)
         if src is None or dst is None or src == dst:
             continue
-        if merged and merged[-1][:3] == (src, dst, event.label):
-            merged[-1] = (src, dst, event.label, merged[-1][3] + 1)
+        name = event.label.partition("(")[0]  # every label starts with the type name
+        if merged and merged[-1][:3] == (src, dst, name):
+            label, count = merged[-1][3:]
+            merged[-1] = (src, dst, name, label if label == event.label else name, count + 1)
         else:
-            merged.append((src, dst, event.label, 1))
-    for src, dst, label, count in merged[:max_rows]:
+            merged.append((src, dst, name, event.label, 1))
+    for src, dst, _, label, count in merged[:max_rows]:
         a, b = columns[src], columns[dst]
         left, right = min(a, b), max(a, b)
         start = left * width + width // 2

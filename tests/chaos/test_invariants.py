@@ -127,7 +127,7 @@ def test_checkpoint_divergence_detected():
 def _client_with_vote(supporters, f=1, decided=True):
     decision = SimpleNamespace(decided=decided, supporters=list(supporters))
     connection = SimpleNamespace(
-        voter=SimpleNamespace(_decided=decision),
+        voter=SimpleNamespace(decision=decision),
         target=SimpleNamespace(f=f),
     )
     return SimpleNamespace(

@@ -242,8 +242,8 @@ def test_shards_one_wire_and_voter_behavior_is_identical():
         assert len(client.endpoint.connections) == 1
         return next(iter(client.endpoint.connections.values())).voter
 
-    plain_decision = the_voter(plain_client)._decided
-    sharded_decision = the_voter(sharded_client)._decided
+    plain_decision = the_voter(plain_client).decision
+    sharded_decision = the_voter(sharded_client).decision
     assert plain_decision.decided and sharded_decision.decided
     assert sorted(plain_decision.supporters) == sorted(sharded_decision.supporters)
 

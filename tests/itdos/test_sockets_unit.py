@@ -503,7 +503,7 @@ def test_duplicate_from_a_ballot_holder_is_dropped_before_decrypt(monkeypatch):
 
     connection.handle_reply = record
     system.settle(1.0)  # the new request's copies arrive and are voted
-    assert connection.voter._decided is not None and own
+    assert connection.voter.decision is not None and own
     decrypts = []
     monkeypatch.setattr(
         sockets, "decrypt", lambda key, ciphertext: decrypts.append(ciphertext)
@@ -522,9 +522,9 @@ def test_a_failed_decrypt_does_not_cost_the_sender_its_ballot():
     current = connection.voter.current_request_id
     connection.handle_reply(flipped(copies[0], request_id=current))
     assert garbage == [(sender, "decrypt")]
-    assert sender not in connection.voter._raw
+    assert sender not in connection.voter._box.raw
     system.settle(1.0)
-    assert sender in connection.voter._raw
+    assert sender in connection.voter._box.raw
 
 
 def test_stale_copy_under_a_missing_key_generation_is_not_parked():

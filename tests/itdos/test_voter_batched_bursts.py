@@ -7,10 +7,8 @@ and decisions identical to the one-at-a-time schedule (§3.6's GC rule,
 experiment E9, now under batch-shaped load).
 """
 
-import math
-
 from repro.itdos.voter import ReplyVoter, RequestVoter
-from repro.itdos.vvm import Comparator, ballot_key, majority_vote
+from repro.itdos.vvm import Comparator
 
 
 def test_request_voter_burst_of_many_ids_decides_each_once():
@@ -25,7 +23,7 @@ def test_request_voter_burst_of_many_ids_decides_each_once():
     assert [d.request_id for d in delivered] == list(range(1, 9))
     assert {d.value for d in delivered} == {f"val-{r}" for r in range(1, 9)}
     # Everything decided was garbage-collected.
-    assert voter.ballots_held() == 0
+    assert voter.ballots_held == 0
 
 
 def test_request_voter_burst_gc_drops_superseded_ids():
@@ -35,11 +33,11 @@ def test_request_voter_burst_gc_drops_superseded_ids():
     # c0 contributes copies for ids 1..6; c1's copies arrive only for id 6.
     for request_id in range(1, 7):
         voter.offer("c0", request_id, "v", cmp)
-    assert voter.ballots_held() == 6
+    assert voter.ballots_held == 6
     voter.offer("c1", 6, "v", cmp)
     assert [d.request_id for d in delivered] == [6]
     # Deciding id 6 garbage-collects the older stragglers wholesale.
-    assert voter.ballots_held() == 0
+    assert voter.ballots_held == 0
     assert voter.discarded >= 5
 
 
@@ -52,7 +50,7 @@ def test_request_voter_memory_bounded_across_burst():
         for i in range(20):
             voter.offer(f"fake-{i}", request_id, f"junk-{i}", cmp)
     per_id_cap = voter.client_n * 2
-    assert voter.ballots_held() <= 32 * per_id_cap
+    assert voter.ballots_held <= 32 * per_id_cap
     assert voter.discarded >= 32 * (20 - per_id_cap)
 
 
@@ -71,77 +69,3 @@ def test_reply_voter_rapid_begin_cycle_under_burst():
         assert voter.ballots_held <= voter.n * 2
     assert [d.request_id for d in decisions] == list(range(1, 17))
     assert voter.discarded == 15  # one stale straggler per later slot
-
-
-def test_keyed_vote_matches_unkeyed_vote_on_mixed_ballots():
-    cmp = Comparator.exact()
-    ballots = [
-        ("e0", {"a": 1}),
-        ("e1", {"a": 2}),
-        ("e2", {"a": 1}),
-        ("e3", {"a": 1}),
-    ]
-    keys = [ballot_key(v) for _, v in ballots]
-    plain = majority_vote(ballots, 3, cmp)
-    keyed = majority_vote(ballots, 3, cmp, keys=keys)
-    assert keyed == plain
-    assert keyed.decided and keyed.value == {"a": 1}
-    assert set(keyed.dissenters) == {"e1"}
-
-
-def test_keyed_vote_preserves_non_reflexive_float_semantics():
-    # NaN under CmpFloat is non-reflexive: identical NaN ballots must NOT
-    # decide, keys or no keys. This is exactly the case a naive
-    # "same-digest => equal" prefilter would get wrong; here the canonical
-    # encoder refuses NaN, so such ballots get no key and always take the
-    # direct-comparison path.
-    from repro.itdos.vvm import CmpFloat, Program
-
-    cmp = Comparator(equal=Program((CmpFloat(abs_tol=1e-9, rel_tol=1e-9),)).equal)
-    nan = float("nan")
-    ballots = [("e0", nan), ("e1", nan), ("e2", nan)]
-    keys = [ballot_key(v) for _, v in ballots]
-    assert keys == [None, None, None]
-    plain = majority_vote(ballots, 2, cmp)
-    keyed = majority_vote(ballots, 2, cmp, keys=keys)
-    assert keyed == plain
-    assert not keyed.decided
-    # Wrong-typed Byzantine values fail CmpFloat even against themselves;
-    # keyed dedup must not "decide" them either.
-    typed = [("e0", "not-a-number"), ("e1", "not-a-number")]
-    typed_keys = [ballot_key(v) for _, v in typed]
-    assert typed_keys[0] is not None and typed_keys[0] == typed_keys[1]
-    assert not majority_vote(typed, 2, cmp, keys=typed_keys).decided
-    assert not majority_vote(typed, 2, cmp).decided
-
-
-def test_keyed_vote_handles_unkeyable_ballots():
-    cmp = Comparator.exact()
-    unkeyable = object()  # canonical_bytes cannot encode this
-    assert ballot_key(unkeyable) is None
-    ballots = [("e0", "v"), ("e1", unkeyable), ("e2", "v")]
-    keys = [ballot_key(v) for _, v in ballots]
-    decision = majority_vote(ballots, 2, cmp, keys=keys)
-    assert decision.decided and decision.value == "v"
-    assert set(decision.dissenters) == {"e1"}
-
-
-def test_keyed_vote_comparator_call_count_collapses():
-    calls = []
-
-    def counting_equal(a, b):
-        calls.append(1)
-        return a == b
-
-    cmp = Comparator(equal=counting_equal)
-    ballots = [(f"e{i}", "same") for i in range(8)]
-    keys = [ballot_key(v) for _, v in ballots]
-    majority_vote(ballots, 8, cmp, keys=keys)
-    keyed_calls = len(calls)
-    calls.clear()
-    majority_vote(ballots, 8, cmp)
-    unkeyed_calls = len(calls)
-    # One candidate trial x one distinct value vs 8x8 comparisons.
-    assert keyed_calls == 1
-    assert unkeyed_calls == 8
-    assert not math.isnan(keyed_calls)

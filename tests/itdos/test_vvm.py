@@ -169,6 +169,28 @@ def test_vote_nontransitive_counts_support_per_candidate():
     assert set(decision.supporters) == {"a", "b"}
 
 
+def test_vote_on_mixed_struct_ballots():
+    ballots = [("e0", {"a": 1}), ("e1", {"a": 2}), ("e2", {"a": 1}), ("e3", {"a": 1})]
+    decision = majority_vote(ballots, 3, exact())
+    assert decision.decided and decision.value == {"a": 1}
+    assert decision.dissenters == ("e1",)
+
+
+def test_identical_wrong_typed_ballots_do_not_decide_under_cmpfloat():
+    # A Byzantine value of the wrong type fails CmpFloat even against an
+    # identical copy of itself, so two such copies never make a quorum.
+    cmp = compile_comparator(TC_DOUBLE)
+    ballots = [("e0", "not-a-number"), ("e1", "not-a-number")]
+    assert not majority_vote(ballots, 2, cmp).decided
+
+
+def test_unencodable_ballot_dissents():
+    ballots = [("e0", "v"), ("e1", object()), ("e2", "v")]
+    decision = majority_vote(ballots, 2, exact())
+    assert decision.decided and decision.value == "v"
+    assert decision.dissenters == ("e1",)
+
+
 @settings(max_examples=50)
 @given(
     honest=st.floats(min_value=-1e6, max_value=1e6),

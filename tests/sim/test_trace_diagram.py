@@ -108,3 +108,19 @@ def test_trace_clear():
     recorder.record(0.0, "send", "a", "b", "x")
     recorder.clear()
     assert len(recorder) == 0
+
+
+def test_sequence_diagram_merges_fan_out_by_type():
+    """Sends of one payload type between the same lanes form one row: the
+    label if all labels are equal, else the type name."""
+    events = [
+        TraceEvent(time=0.0, kind="send", src=f"g{i}", dst=f"e{j}",
+                   label=f"Share(sender=g{i},index={j})", payload=None)
+        for i in range(2) for j in range(4)
+    ] + [
+        TraceEvent(time=1.0, kind="send", src="e0", dst="g0", label="Ack(n=1)", payload=None),
+        TraceEvent(time=1.1, kind="send", src="e1", dst="g0", label="Ack(n=1)", payload=None),
+    ]
+    collapse = {**{f"g{i}": "gm" for i in range(2)}, **{f"e{j}": "calc" for j in range(4)}}
+    lines = render_sequence_diagram(events, ["gm", "calc"], collapse=collapse).splitlines()
+    assert [line.split("  ")[-1] for line in lines[1:]] == ["Share x8", "Ack(n=1) x2"]
