@@ -9,8 +9,9 @@ protocol over the deterministic simulator:
 * client request retransmission and ``f+1`` matching-reply acceptance;
 * periodic checkpoints with ``2f+1`` checkpoint quorums, log garbage
   collection, and a sliding watermark window;
-* view changes with prepared-certificate carry-over, so a faulty primary
-  cannot halt the system;
+* view changes that carry prepared requests into the new view, decided by
+  counting senders (no certificate is believed on the names it lists), so
+  a faulty primary cannot halt the system;
 * state transfer, so a replica that missed a stable checkpoint can fetch the
   application state and rejoin;
 * pluggable message authentication (none / pairwise HMAC / RSA signatures),

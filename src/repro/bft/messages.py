@@ -220,27 +220,19 @@ class CheckpointMsg(BftMessage):
 
 @message
 @dataclass(frozen=True)
-class PreparedCertificate(BftMessage):
-    """Proof that a request prepared at (view, seq): pre-prepare + 2f prepares."""
-
-    pre_prepare: PrePrepareMsg
-    prepares: tuple[PrepareMsg, ...]
-
-
-@message
-@dataclass(frozen=True)
 class ViewChangeMsg(BftMessage):
-    """<VIEW-CHANGE, v+1, n, C, P, i>.
-
-    ``stable_seq`` and ``checkpoint_proof`` establish the sender's stable
-    checkpoint; ``prepared`` carries a certificate for every request the
-    sender prepared above it.
+    """<VIEW-CHANGE, v+1, h, C, P, Q, i>, carrying no proofs: the sender's
+    stable seq, the ``(seq, state digest)`` of each checkpoint it holds from
+    there, and above it, per seq, executed entries included, the last
+    pre-prepare it accepted and the last ``(seq, view, digest)`` it prepared.
+    No claim is believed on one sender's word (``select_new_view``).
     """
 
     new_view: int
     stable_seq: int
-    checkpoint_proof: tuple[CheckpointMsg, ...]
-    prepared: tuple[PreparedCertificate, ...]
+    checkpoints: tuple[tuple[int, bytes], ...]
+    pre_prepared: tuple[PrePrepareMsg, ...]
+    prepared: tuple[tuple[int, int, bytes], ...]
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
@@ -263,7 +255,7 @@ class StatusMsg(BftMessage):
     """Periodic liveness beacon: how far this replica has progressed.
 
     Peers that are ahead respond with a :class:`FillMsg` carrying the
-    committed entries the sender is missing — the log-retransmission half
+    executed entries the sender is missing — the log-retransmission half
     of Castro–Liskov's status mechanism, which keeps lagging replicas
     inside the watermark window even before a checkpoint stabilises.
     """
@@ -277,21 +269,17 @@ class StatusMsg(BftMessage):
 @message
 @dataclass(frozen=True)
 class FillMsg(BftMessage):
-    """Committed log entries for a lagging peer.
+    """Executed log entries for a lagging peer: their pre-prepares.
 
-    Each entry is a pre-prepare plus a *commit certificate* (2f+1 commits
-    from distinct replicas for the same digest) — sufficient proof that the
-    request committed at that sequence number, independently of views.
+    One filler proves nothing; the lagger executes an entry once f+1
+    distinct replicas have filled the same digest at its sequence number.
     """
 
-    entries: tuple[tuple[PrePrepareMsg, tuple[CommitMsg, ...]], ...]
+    entries: tuple[PrePrepareMsg, ...]
     sender: str
 
     def wire_size(self) -> int:
-        return 48 + sum(
-            pp.wire_size() + sum(c.wire_size() for c in commits)
-            for pp, commits in self.entries
-        )
+        return 48 + sum(pp.wire_size() for pp in self.entries)
 
 
 @message
@@ -306,9 +294,8 @@ class StateRequestMsg(BftMessage):
 @message
 @dataclass(frozen=True)
 class StateResponseMsg(BftMessage):
-    """State snapshot + proof it matches a stable checkpoint."""
+    """The snapshot of the sender's stable checkpoint at ``stable_seq``."""
 
     stable_seq: int
     snapshot: bytes
-    checkpoint_proof: tuple[CheckpointMsg, ...]
     sender: str

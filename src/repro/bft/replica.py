@@ -23,7 +23,9 @@ is not splits the digest, and the ``checkpoint-divergence`` invariant fails.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Callable
 
 from repro.bft.auth import MessageAuth, NullAuth
@@ -36,7 +38,6 @@ from repro.bft.messages import (
     CommitMsg,
     FillMsg,
     NewViewMsg,
-    PreparedCertificate,
     PrepareMsg,
     PrePrepareMsg,
     StateRequestMsg,
@@ -78,6 +79,7 @@ class _LogEntry:
     # Phase entry times (telemetry only; 0.0 = phase not observed locally).
     t_pre_prepare: float = 0.0
     t_prepared: float = 0.0
+    fills: dict[str, bytes] = field(default_factory=dict)
 
     def matching_prepares(self, view: int, request_digest: bytes) -> int:
         return sum(
@@ -92,6 +94,65 @@ class _LogEntry:
             for c in self.commits.values()
             if c.view == view and c.request_digest == request_digest
         )
+
+
+def vouched(claims: dict[str, Any], claim: Any, f: int) -> bool:
+    """Did f+1 distinct senders (``claims`` holds one per direct sender)
+    each tell us ``claim`` themselves? The certificate rule: a checkpoint, a
+    committed entry or a prepared request is believed only on 2f+1 messages
+    received from their senders, or when f+1 replicas vouch for it directly,
+    so one of them is honest. Names listed inside a message never count."""
+    return sum(1 for held in claims.values() if held == claim) > f
+
+
+def select_new_view(
+    view_changes: tuple[ViewChangeMsg, ...], new_view: int, config: BftConfig
+) -> tuple[int, tuple[PrePrepareMsg, ...]] | None:
+    """The NEW-VIEW a view-change set decides by Castro–Liskov's MAC-only
+    rule: its last seq and pre-prepares, or None while it decides nothing.
+
+    It starts at the highest seq s that 2f+1 messages have reached (stable
+    seq <= s) and f+1 hold a checkpoint at, with one digest. Each seq n in
+    (s, s + log_window], up to the last one reported prepared, re-issues the
+    batch of (v, d) if 2f+1 messages below n report at n no prepare, one at
+    a lower view or (v, d), and f+1 a pre-prepare of d at a view >= v; else
+    an empty batch if 2f+1 report no prepare; else nothing is decided.
+    """
+    f, quorum = config.f, config.quorum
+    held = Counter(c for vc in view_changes for c in set(vc.checkpoints))
+    starts = [
+        seq for (seq, _), holders in held.items()
+        if holders > f and sum(vc.stable_seq <= seq for vc in view_changes) >= quorum
+    ]
+    if not starts:
+        return None
+    start = max(starts)
+    reports = [(
+        vc.stable_seq,
+        {seq: (view, d) for seq, view, d in vc.prepared},
+        {q.seq: q for q in vc.pre_prepared if q.request_digest == q.batch.content_digest()},
+    ) for vc in view_changes]
+    window = range(start + 1, start + config.log_window + 1)
+    top = max((seq for _, p, _ in reports for seq in p if seq in window), default=start)
+    pre_prepares = []
+    for seq in range(start + 1, top + 1):
+        below = [(p.get(seq), q.get(seq)) for stable, p, q in reports if stable < seq]
+        candidates = {p for p, _ in below if p} | {(q.view, q.request_digest) for _, q in below if q}
+        for view, d in sorted(candidates, reverse=True):
+            agree = sum(p is None or p[0] < view or p == (view, d) for p, _ in below)
+            carriers = [q for _, q in below if q and q.request_digest == d and q.view >= view]
+            if agree >= quorum and len(carriers) > f:
+                batch = carriers[0].batch
+                break
+        else:
+            if sum(p is None for p, _ in below) < quorum:
+                return None
+            batch = BatchMsg(requests=())
+        pre_prepares.append(PrePrepareMsg(
+            view=new_view, seq=seq, request_digest=batch.content_digest(),
+            batch=batch, sender=config.primary_of_view(new_view),
+        ))
+    return top, tuple(pre_prepares)
 
 
 class BftReplica(Process):
@@ -137,9 +198,15 @@ class BftReplica(Process):
         self.client_table: dict[str, tuple[int, bytes]] = {}
         # Checkpoint messages by seq then sender.
         self._checkpoints: dict[int, dict[str, CheckpointMsg]] = {}
-        # Our own snapshots by seq, retained until superseded.
-        self._own_snapshots: dict[int, bytes] = {}
+        # Our own snapshots by seq, retained until superseded (genesis at 0).
+        self._own_snapshots: dict[int, bytes] = {0: b""}
+        # The 2f+1 CheckpointMsgs we collected for our stable checkpoint.
         self._stable_proof: tuple[CheckpointMsg, ...] = ()
+        # What a view change reports above the stable checkpoint, kept across
+        # views: per seq, the last pre-prepare accepted and (view, digest)
+        # prepared.
+        self._pre_prepared: dict[int, PrePrepareMsg] = {}
+        self._prepared: dict[int, tuple[int, bytes]] = {}
         # View change machinery.
         self.in_view_change = False
         self._view_changes: dict[int, dict[str, ViewChangeMsg]] = {}
@@ -157,6 +224,11 @@ class BftReplica(Process):
         self._state_transfer_started = 0.0
         self._state_transfer_proof: tuple[CheckpointMsg, ...] = ()
         self._state_transfer_attempt = 0
+        # Executed pre-prepares, kept one checkpoint interval below the stable
+        # checkpoint, so f+1 peers can still fill a replica that lags it.
+        self._executed: dict[int, PrePrepareMsg] = {}
+        # Responder -> the (seq, snapshot digest) of its last state response.
+        self._state_claims: dict[str, tuple[int, bytes]] = {}
         # Retransmission machinery (lossy links): periodically re-multicast
         # our protocol messages for unfinished work, as the Castro–Liskov
         # library's status/retransmission mechanism does.
@@ -306,7 +378,10 @@ class BftReplica(Process):
         ):
             self._state_transfer_pending = False
             self._request_state_transfer(self._state_transfer_proof)
-        # Status beacon: lets peers that are ahead fill our log gaps.
+        self._send_status()
+
+    def _send_status(self) -> None:
+        """Status beacon: lets peers that are ahead fill our log gaps."""
         self._mcast(
             StatusMsg(
                 view=self.view,
@@ -319,69 +394,42 @@ class BftReplica(Process):
     # ----------------------------------------------------- status / log fill
 
     def _on_status(self, src: str, msg: StatusMsg) -> None:
+        if msg.sender == src and msg.stable_seq < self.stable_seq:
+            self._send_checkpoint(self.stable_seq, src)  # it may have missed ours
         if msg.sender != src or msg.last_executed >= self.last_executed:
             return
-        if msg.last_executed < self.stable_seq:
-            # The peer is behind our stable checkpoint: entries below it are
-            # garbage-collected here, so it needs the full state snapshot
-            # (entries above the checkpoint can still be filled afterwards).
-            self._on_state_request(
-                src, StateRequestMsg(low_seq=self.stable_seq, sender=src)
-            )
-        entries = []
-        low = max(msg.last_executed, self.stable_seq)
-        for seq in range(low + 1, min(self.last_executed, low + 8) + 1):
-            entry = self.log.get(seq)
-            if entry is None or not entry.executed or entry.pre_prepare is None:
-                break
-            matching = tuple(
-                c
-                for c in entry.commits.values()
-                if c.request_digest == entry.pre_prepare.request_digest
-            )
-            if len(matching) < self.config.quorum:
-                break
-            entries.append((entry.pre_prepare, matching[: self.config.quorum]))
+        span = range(msg.last_executed + 1, min(self.last_executed, msg.last_executed + 8) + 1)
+        entries = tuple(takewhile(bool, map(self._executed.get, span)))
         if entries:
-            self._p2p(src, FillMsg(entries=tuple(entries), sender=self.pid))
+            self._p2p(src, FillMsg(entries=entries, sender=self.pid))
+        elif msg.last_executed < self.stable_seq:
+            # The peer is behind the entries we keep: it needs the snapshot.
+            self._on_state_request(src, StateRequestMsg(low_seq=self.stable_seq, sender=src))
 
     def _on_fill(self, src: str, msg: FillMsg) -> None:
-        if msg.sender != src:
+        if msg.sender != src or src not in self.config.replica_ids:
             return
-        for pre_prepare, commits in msg.entries:
-            seq = pre_prepare.seq
-            if seq <= self.last_executed:
-                continue
-            if seq > self.high_watermark:
+        for pre_prepare in msg.entries:
+            seq, claim = pre_prepare.seq, pre_prepare.request_digest
+            if not self.last_executed < seq <= self.high_watermark:
                 # The log is a bounded buffer: a replica this far behind its
                 # own stable checkpoint must catch up through checkpoint
                 # stabilization or state transfer, not by growing the log
                 # past the window.
                 continue
-            # Validate the commit certificate: 2f+1 distinct replicas over
-            # the pre-prepare's digest, each individually authentic.
-            if pre_prepare.request_digest != pre_prepare.batch.content_digest():
-                return
-            senders = set()
-            for commit in commits:
-                if commit.request_digest != pre_prepare.request_digest:
-                    return
-                if commit.sender not in self.config.replica_ids:
-                    return
-                if commit.sender != self.pid and not self.auth.accept(
-                    commit.sender, commit
-                ):
-                    return
-                senders.add(commit.sender)
-            if len(senders) < self.config.quorum:
+            if claim != pre_prepare.batch.content_digest():
                 return
             entry = self._entry(seq)
-            entry.pre_prepare = pre_prepare
-            entry.prepared = True
-            entry.committed = True
-            entry.commit_sent = True
-            for commit in commits:
-                entry.commits[commit.sender] = commit
+            first = not entry.fills
+            entry.fills[src] = claim
+            if vouched(entry.fills, claim, self.config.f):
+                # f+1 fillers executed it, so one honest replica saw it commit.
+                entry.pre_prepare = self._pre_prepared[seq] = pre_prepare
+                entry.prepared = entry.committed = entry.commit_sent = True
+            elif first and seq == self.last_executed + 1:
+                # One filler is not enough: ask the others now, once per seq,
+                # rather than at the next beacon.
+                self._send_status()
         self._try_execute()
 
     # ------------------------------------------------------ client requests
@@ -567,15 +615,14 @@ class BftReplica(Process):
             return
         entry = self._entry(msg.seq)
         if entry.executed:
-            # Executed history is immutable. A new-view primary that lost the
-            # prepared certificate for this sequence (restarted peers, n-f
-            # amnesia) may re-issue a *different* pre-prepare for it at a
-            # higher view; accepting it would rewrite the stored
-            # pre-prepare/commit certificate — the very thing the status/fill
-            # protocol serves to lagging replicas — while our execution (and
-            # journal) keeps the original batch. Ignore it: lagging peers
-            # catch up from the retained certificate via FillMsg instead.
-            return
+            # Executed history is immutable: a different batch re-issued here
+            # is ignored. The same batch re-issued in a later view we join,
+            # without executing it again, so that peers which had not
+            # executed it can commit it in this view.
+            executed = entry.pre_prepare
+            if executed.request_digest != msg.request_digest or executed.view >= msg.view:
+                return
+            entry = self.log[msg.seq] = _LogEntry(executed=True)
         if entry.pre_prepare is not None:
             if entry.pre_prepare.view >= msg.view:
                 # Already accepted: a duplicate means the primary suspects
@@ -608,7 +655,7 @@ class BftReplica(Process):
                             },
                         )
                 return  # already accepted one for this (or a later) view
-        entry.pre_prepare = msg
+        entry.pre_prepare = self._pre_prepared[msg.seq] = msg
         entry.t_pre_prepare = self.now
         for request in msg.batch.requests:
             self._await(request)
@@ -662,6 +709,7 @@ class BftReplica(Process):
         if count >= 2 * self.config.f:
             entry.prepared = True
             entry.t_prepared = self.now
+            self._prepared[seq] = (pre_prepare.view, pre_prepare.request_digest)
             t = self.telemetry
             if t.enabled:
                 t.detect.observe_phase(
@@ -767,6 +815,7 @@ class BftReplica(Process):
             assert entry.pre_prepare is not None
             self.last_executed += 1
             entry.executed = True
+            self._executed[self.last_executed] = entry.pre_prepare
             # (seq, batch content digest) to the observer: the chaos checker
             # asserts every replica agrees on the digest at each sequence
             # number it executed — committed-sequence prefix agreement.
@@ -829,9 +878,13 @@ class BftReplica(Process):
         self._own_snapshots[seq] = snapshot
         self._send_checkpoint(seq)
 
-    def _send_checkpoint(self, seq: int) -> None:
+    def _send_checkpoint(self, seq: int, dst: str | None = None) -> None:
         state_digest = digest(self._own_snapshots[seq])
-        self._mcast(CheckpointMsg(seq=seq, state_digest=state_digest, sender=self.pid))
+        message = CheckpointMsg(seq=seq, state_digest=state_digest, sender=self.pid)
+        if dst is None:
+            self._mcast(message)
+        else:
+            self._p2p(dst, message)
 
     def _on_checkpoint(self, src: str, msg: CheckpointMsg) -> None:
         if msg.sender != src or msg.seq <= self.stable_seq:
@@ -868,24 +921,25 @@ class BftReplica(Process):
             self._maybe_flush()
 
     def _install_checkpoint(
-        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...]
+        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...] = ()
     ) -> None:
         """Make ``(seq, snapshot)`` the stable checkpoint and prune below it.
 
         The one place checkpoint bookkeeping moves, whether the certificate
-        formed here (:meth:`_stabilize`) or came from a peer (:meth:`_adopt`).
-        The caller has validated ``proof`` and brought the application to at
-        least ``seq``.
+        formed here (:meth:`_stabilize`) or peers vouched for it
+        (:meth:`_adopt`). The caller has brought the application to at least
+        ``seq``.
         """
         self.stable_seq = seq
         self._stable_proof = proof
         self._own_snapshots[seq] = snapshot
         if self.last_executed < seq:
             self.last_executed = seq
-        for old_seq in [s for s in self.log if s <= seq]:
-            del self.log[old_seq]
-        for old_seq in [s for s in self._checkpoints if s <= seq]:
-            del self._checkpoints[old_seq]
+        kept = seq - self.config.checkpoint_interval
+        for table, low in ((self.log, seq), (self._checkpoints, seq), (self._pre_prepared, seq),
+                           (self._prepared, seq), (self._executed, kept)):
+            for old_seq in [s for s in table if s <= low]:
+                del table[old_seq]
         for old_seq in [s for s in self._own_snapshots if s < seq]:
             del self._own_snapshots[old_seq]
         if self.is_primary:
@@ -893,51 +947,25 @@ class BftReplica(Process):
 
     # ---------------------------------------------- checkpoint fetch (recovery)
 
-    def stable_checkpoint(self) -> tuple[int, bytes, tuple[CheckpointMsg, ...]]:
-        """The latest stable checkpoint: ``(seq, snapshot, 2f+1 proof)``.
+    def stable_checkpoint(self) -> tuple[int, bytes]:
+        """The latest stable checkpoint: ``(seq, snapshot)``. A rejoining
+        element fetches peers' out of band (:mod:`repro.recovery.fetch`)."""
+        return self.stable_seq, self._own_snapshots.get(self.stable_seq, b"")
 
-        Public accessor for the recovery subsystem: a rejoining element
-        fetches peers' stable checkpoints out of band and validates them
-        with :meth:`verify_checkpoint_proof`.
-        """
-        snapshot = self._own_snapshots.get(self.stable_seq, b"")
-        return self.stable_seq, snapshot, self._stable_proof
-
-    def verify_checkpoint_proof(
-        self, seq: int, state_digest: bytes, proof: tuple[CheckpointMsg, ...]
-    ) -> bool:
-        """Is ``proof`` a valid 2f+1 certificate for ``(seq, digest)``?"""
-        senders = {c.sender for c in proof}
-        digests = {c.state_digest for c in proof}
-        seqs = {c.seq for c in proof}
-        return (
-            len(senders) >= self.config.quorum
-            and digests == {state_digest}
-            and seqs == {seq}
-            and senders.issubset(set(self.config.replica_ids))
-        )
-
-    def adopt_stable_checkpoint(
-        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...]
-    ) -> bool:
+    def adopt_stable_checkpoint(self, seq: int, snapshot: bytes) -> bool:
         """Adopt a peer's stable checkpoint without restoring the application.
 
-        Used by recovery-level state transfer: the caller brought the
-        application to (at least) ``seq`` by other means. A checkpoint
-        covers it and the client table (deterministic results only), so the
-        table merges forward here, then stable seq, proof and log pruning
-        move. Returns False if the proof fails or is not ahead.
+        Used by recovery-level state transfer, which brought the application
+        to (at least) ``seq`` and had f+1 peers vouch for ``(seq, snapshot)``.
+        The client table merges forward, then stable seq and log pruning
+        move. Returns False if it is not ahead.
         """
         if seq <= self.stable_seq:
             return False
-        if not self.verify_checkpoint_proof(seq, digest(snapshot), proof):
-            return False
-        self._adopt(seq, snapshot, proof, restore=False)
+        self._adopt(seq, snapshot, restore=False)
         return True
 
-    def _adopt(
-        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...], restore: bool
-    ) -> None:
+    def _adopt(self, seq: int, snapshot: bytes, restore: bool) -> None:
         """The one way a peer's certified checkpoint enters: restore the
         application part if ``restore``, merge the client table forward
         only (an entry never moves back in timestamp), install, and execute
@@ -948,20 +976,22 @@ class BftReplica(Process):
         for client_id, (timestamp, result) in state["clients"].items():
             if timestamp > self.client_table.get(client_id, (0, b""))[0]:
                 self.client_table[client_id] = (timestamp, result)
-        self._install_checkpoint(seq, snapshot, proof)
+        self._install_checkpoint(seq, snapshot)
         self._awaiting.clear()
         self._try_execute()
 
     # --------------------------------------------------------- state transfer
 
     def _request_state_transfer(self, proof: tuple[CheckpointMsg, ...]) -> None:
-        """Fetch the stable checkpoint ``proof`` (2f+1 messages at one seq)
-        certifies."""
+        """Fetch the stable checkpoint ``proof`` (2f+1 messages we received
+        ourselves) certifies; a newer one replaces a pending target."""
+        if not self._state_transfer_proof or proof[0].seq > self._state_transfer_proof[0].seq:
+            self._state_transfer_proof = proof
         if self._state_transfer_pending:
             return
+        proof = self._state_transfer_proof
         self._state_transfer_pending = True
         self._state_transfer_started = self.now
-        self._state_transfer_proof = proof
         # Ask a replica that vouched for the checkpoint (not ourselves);
         # rotate through candidates across retry attempts.
         candidates = sorted(m.sender for m in proof if m.sender != self.pid)
@@ -973,29 +1003,32 @@ class BftReplica(Process):
         self._p2p(target, StateRequestMsg(low_seq=proof[0].seq, sender=self.pid))
 
     def _on_state_request(self, src: str, msg: StateRequestMsg) -> None:
-        if msg.sender != src:
-            return
-        if self.stable_seq == 0 or not self._stable_proof:
-            return
-        response = StateResponseMsg(
-            stable_seq=self.stable_seq,
-            snapshot=self._own_snapshots[self.stable_seq],
-            checkpoint_proof=self._stable_proof,
-            sender=self.pid,
-        )
-        self._p2p(src, response)
+        if msg.sender == src and self.stable_seq:
+            snapshot = self._own_snapshots[self.stable_seq]
+            self._p2p(src, StateResponseMsg(self.stable_seq, snapshot, self.pid))
 
     def _on_state_response(self, src: str, msg: StateResponseMsg) -> None:
-        # Proof: 2f+1 checkpoint messages from distinct replicas, same digest.
-        if not self.verify_checkpoint_proof(
-            msg.stable_seq, digest(msg.snapshot), msg.checkpoint_proof
-        ):
+        """Adopt a snapshot whose ``(seq, digest)`` is the certificate we
+        collected ourselves, or one that f+1 responders sent us unasked."""
+        if msg.sender != src or src not in self.config.replica_ids:
+            return
+        claim = self._state_claims[src] = (msg.stable_seq, digest(msg.snapshot))
+        target = self._state_transfer_proof
+        requested = bool(target) and claim == (target[0].seq, target[0].state_digest)
+        if not requested and not vouched(self._state_claims, claim, self.config.f):
             return
         # Only a certified answer ends the transfer; junk above left it
         # pending, so _retransmit_tick still rotates to the next candidate.
         self._state_transfer_pending = False
+        try:
+            parse_canonical(msg.snapshot)
+        except ValueError:
+            return
         if msg.stable_seq > self.last_executed:
-            self._adopt(msg.stable_seq, msg.snapshot, msg.checkpoint_proof, restore=True)
+            self._adopt(msg.stable_seq, msg.snapshot, restore=True)
+        elif msg.stable_seq == self.last_executed and msg.stable_seq not in self._own_snapshots:
+            # Recovery moved our position here without a checkpoint at it.
+            self._adopt(msg.stable_seq, msg.snapshot, restore=False)
 
     # ------------------------------------------------------------ view change
 
@@ -1051,26 +1084,16 @@ class BftReplica(Process):
                 "View changes started, by group",
                 labels=("group",),
             ).labels(group=self.config.address).inc()
-        prepared_certs = []
-        for seq in sorted(self.log):
-            entry = self.log[seq]
-            if entry.prepared and entry.pre_prepare is not None and not entry.executed:
-                matching = tuple(
-                    p
-                    for p in entry.prepares.values()
-                    if p.view == entry.pre_prepare.view
-                    and p.request_digest == entry.pre_prepare.request_digest
-                )
-                prepared_certs.append(
-                    PreparedCertificate(
-                        pre_prepare=entry.pre_prepare, prepares=matching
-                    )
-                )
         message = ViewChangeMsg(
             new_view=new_view,
             stable_seq=self.stable_seq,
-            checkpoint_proof=self._stable_proof,
-            prepared=tuple(prepared_certs),
+            checkpoints=tuple(
+                (seq, digest(snapshot))
+                for seq, snapshot in sorted(self._own_snapshots.items())
+                if seq >= self.stable_seq
+            ),
+            pre_prepared=tuple(self._pre_prepared[seq] for seq in sorted(self._pre_prepared)),
+            prepared=tuple((seq, *self._prepared[seq]) for seq in sorted(self._prepared)),
             sender=self.pid,
         )
         self._last_view_change = message
@@ -1127,43 +1150,19 @@ class BftReplica(Process):
         if len(votes) < self.config.quorum:
             return
         view_changes = tuple(votes[s] for s in sorted(votes))
-        min_s = max(vc.stable_seq for vc in view_changes)
-        # Re-issue pre-prepares for every prepared request above min_s,
-        # choosing the certificate from the highest view per sequence.
-        best: dict[int, PreparedCertificate] = {}
-        for vc in view_changes:
-            for cert in vc.prepared:
-                seq = cert.pre_prepare.seq
-                if seq <= min_s:
-                    continue
-                current = best.get(seq)
-                if current is None or cert.pre_prepare.view > current.pre_prepare.view:
-                    best[seq] = cert
-        max_s = max(best) if best else min_s
-        pre_prepares = []
-        empty_batch = BatchMsg(requests=())
-        for seq in range(min_s + 1, max_s + 1):
-            # Sequence gaps are filled with an empty batch — a no-op that
-            # keeps execution contiguous without inventing null requests.
-            batch = best[seq].pre_prepare.batch if seq in best else empty_batch
-            pre_prepares.append(
-                PrePrepareMsg(
-                    view=new_view,
-                    seq=seq,
-                    request_digest=batch.content_digest(),
-                    batch=batch,
-                    sender=self.pid,
-                )
-            )
+        decision = select_new_view(view_changes, new_view, self.config)
+        if decision is None:
+            return  # the set decides nothing yet: wait for more view changes
+        next_seq, pre_prepares = decision
         new_view_msg = NewViewMsg(
             new_view=new_view,
             view_changes=view_changes,
-            pre_prepares=tuple(pre_prepares),
+            pre_prepares=pre_prepares,
             sender=self.pid,
         )
         self._last_new_view = new_view_msg
         self._enter_view(new_view)
-        self.next_seq = max_s
+        self.next_seq = next_seq
         self._mcast(new_view_msg)
         for pre_prepare in pre_prepares:
             # Process our own pre-prepares immediately (loopback also
@@ -1176,15 +1175,25 @@ class BftReplica(Process):
             return
         if self.config.primary_of_view(msg.new_view) != src:
             return
-        if len({vc.sender for vc in msg.view_changes}) < self.config.quorum:
-            return
         if msg.new_view == self.view and not self.in_view_change:
             return
         if src == self.pid:
             return  # we assembled it ourselves
+        members = {vc.sender for vc in msg.view_changes} & set(self.config.replica_ids)
+        if len(members) < max(self.config.quorum, len(msg.view_changes)) or not all(
+            vc.new_view == msg.new_view and (vc.sender == self.pid or self.auth.accept(vc.sender, vc))
+            for vc in msg.view_changes
+        ):
+            return
+        # A NEW-VIEW its own view-change set does not decide is a faulty
+        # primary's: the view-change timer moves past it.
+        decision = select_new_view(msg.view_changes, msg.new_view, self.config)
+        if decision is None or decision[1] != msg.pre_prepares:
+            return
         self._enter_view(msg.new_view)
         for pre_prepare in msg.pre_prepares:
             self._on_pre_prepare(src, pre_prepare)
+        self._drain_pending()
 
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
@@ -1201,10 +1210,11 @@ class BftReplica(Process):
                     self.log[seq] = _LogEntry()
         for view in [v for v in self._view_changes if v <= new_view]:
             del self._view_changes[view]
+        # Pending requests drain once the NEW-VIEW's pre-prepares are in the
+        # log (the callers'), so none takes a seq the NEW-VIEW re-issues.
         future, self._future = self._future, []
         for src, message in future:
             self.on_message(src, message)
-        self._drain_pending()
 
 
 def build_group(

@@ -10,6 +10,7 @@ pids run them.
 
 from __future__ import annotations
 
+from repro.bft.faults import CertificateForger
 from repro.itdos.messages import ReadRequest
 from repro.itdos.readtier import ReadOnlyElement
 from repro.itdos.replica import ItdosServerElement
@@ -39,6 +40,10 @@ class ForgedWatermarkElement(ItdosServerElement):
             super()._serve_read(src, envelope)
         finally:
             queue.processed_count = true_processed
+
+
+class CertificateForgingElement(CertificateForger, ItdosServerElement):
+    """A core element that forges every BFT certificate it sends."""
 
 
 class LaggingReader(ReadOnlyElement):

@@ -324,8 +324,13 @@ class ScheduleRunner:
                 reader_class=LaggingReader if byzantine else None,
             )
         else:
+            from repro.chaos.byzantine import CertificateForgingElement
+
+            # Forger cells: element 1 forges certificates (and equivocates).
+            forger = scenario.forger and self.fault_kinds != "benign"
             elements = system.add_server_domain(
-                "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()}
+                "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()},
+                byzantine={1: CertificateForgingElement} if forger else None,
             )
         client = system.add_client("alice")
         system.settle(0.5)  # GM coin-toss bootstrap
@@ -360,7 +365,7 @@ class ScheduleRunner:
         if cross_cell:
             txc_info = system.directory.domain(shard_map.coordinator_id)
             equivocators = frozenset({txc_info.element_ids[1]})
-        elif read_cell:
+        elif read_cell or scenario.forger:
             domain_info = system.directory.domain("calc")
             equivocators = frozenset({domain_info.element_ids[1]})
         else:
@@ -457,9 +462,13 @@ class ScheduleRunner:
             reader = system.read_tier("calc")[0]
             system.network.scheduler.schedule(CHAOS_WINDOW * 0.45, reader.restart)
         if scenario.forced_view_change:
+            # A forger cell keeps it down past the 2 s view-change timeout,
+            # so the view change runs, to the forger as view 1's primary.
             primary = elements[0]
             system.network.scheduler.schedule(CHAOS_WINDOW * 0.35, primary.crash)
-            system.network.scheduler.schedule(CHAOS_WINDOW * 0.55, primary.recover)
+            system.network.scheduler.schedule(
+                CHAOS_WINDOW * (1.6 if scenario.forger else 0.55), primary.recover
+            )
         if scenario.mid_run_recovery:
             victim = elements[2]
 

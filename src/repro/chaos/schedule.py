@@ -131,12 +131,16 @@ class Scenario:
     # replaying torn prepares. The invariants: no shard commits what
     # another shard aborted, and atomicity holds at every intensity.
     cross_shard: bool = False
+    # Element 1 forges every BFT certificate it sends (CertificateForger).
+    forger: bool = False
 
     @property
     def label(self) -> str:
         parts = [f"b{self.batch_size}", f"p{self.pipeline_window}"]
         if self.mid_run_recovery:
             parts.append("rec")
+        if self.forger:
+            parts.append("fg")
         if self.forced_view_change:
             parts.append("vc")
         if self.read_fastpath:
@@ -161,6 +165,7 @@ SMOKE_SCENARIOS: tuple[Scenario, ...] = (
     ),
     Scenario(read_fastpath=True),
     Scenario(cross_shard=True),
+    Scenario(forced_view_change=True, forger=True),
 )
 
 
@@ -191,6 +196,12 @@ def scenario_matrix(full: bool = False) -> tuple[Scenario, ...]:
             Scenario(mid_run_recovery=True, read_fastpath=True),
             Scenario(forced_view_change=True, read_fastpath=True),
         )
+    )
+    # The forger column: vc cells whose element 1 forges certificates.
+    cells.extend(
+        Scenario(batch_size=b, pipeline_window=p, mid_run_recovery=rec,
+                 forced_view_change=True, forger=True)
+        for b, p in ((1, 0), (4, 4)) for rec in (False, True)
     )
     # The cross-shard-commit column (E20): the atomic-commit invariants
     # under a Byzantine coordinator member, a mid-commit participant

@@ -486,8 +486,8 @@ class ItdosServerElement(QueueElement, BftReplica):
         invocation has a servant mid-call whose state matches no queue
         position. The response pairs the live queue snapshot and the
         servant state at its processed position with our stable PBFT
-        checkpoint certificate, so a core joiner can anchor the fetched
-        state to the BFT layer (a reader ignores the checkpoint triple).
+        checkpoint, so a core joiner can anchor the fetched state to the BFT
+        layer (a reader ignores the checkpoint pair).
         """
         if request.domain_id != self.domain_id or request.requester != src:
             return
@@ -495,7 +495,7 @@ class ItdosServerElement(QueueElement, BftReplica):
             return
         if self.diverged or self._parked is not None:
             return
-        stable_seq, snapshot, proof = self.stable_checkpoint()
+        stable_seq, snapshot = self.stable_checkpoint()
         t = self.telemetry
         if t.enabled:
             t.point(
@@ -514,7 +514,6 @@ class ItdosServerElement(QueueElement, BftReplica):
                 stable_seq=stable_seq,
                 checkpoint_snapshot=snapshot,
                 app_state=canonical_bytes({"app": self.servant_state()}),
-                checkpoint_proof=proof,
             ),
         )
 

@@ -410,17 +410,20 @@ class OutgoingConnection:
             )
 
     def handle_read_reply(self, src: str, reply: ReadReply) -> None:
-        """Feed one tentative reply through MAC check/decrypt/read-vote."""
+        """Feed one tentative reply through MAC check/decrypt/read-vote.
+
+        Late core replies of a settled read carry no information; a late
+        *reader* reply feeds the per-tier lag metric once, as its ballot
+        refuses a replay before the MAC and decrypt."""
         if reply.read_id != self.read_voter.current_read_id:
             return
         settled = self._read_handler is None
-        if settled and not (
-            reply.tier == "read" and self._read_decided_wm is not None
-        ):
-            # Late core replies of a settled read carry no information; late
-            # *reader* replies still feed the per-tier lag metric (after the
-            # MAC check below).
-            return
+        if settled:
+            if reply.tier != "read" or self._read_decided_wm is None:
+                return
+            if refusal := self.read_voter.refusal(reply.sender, reply.read_id, "read"):
+                self.read_voter.discard(refusal)
+                return
         # A reply re-labelled, replayed from another read or connection, or
         # claiming another sender costs one HMAC: the MAC binds them all.
         mac_key = self.endpoint.directory.read_key(
@@ -443,9 +446,9 @@ class OutgoingConnection:
             self.read_voter.discard("decrypt")
             self._garbage(reply.sender, "decrypt")
             return
-        if reply.tier == "read" and self._read_decided_wm is not None:
-            self._observe_reader_lag(reply.sender, reply.watermark)
         if settled:
+            self._observe_reader_lag(reply.sender, reply.watermark)
+            self.read_voter.offer(reply.sender, reply.read_id, reply.watermark, None, tier="read")
             return
         decoded = self._decode_reply(self.read_voter, self._read_memo, reply.sender, plaintext)
         if decoded is None:

@@ -393,6 +393,14 @@ class ReadVoter(_Voter):
         """The owner gave up on the current read (timeout -> fallback)."""
         self._exhausted = True
 
+    def refusal(self, sender: str, read_id: int, tier: str) -> str | None:
+        """``"stale"``, ``"duplicate"`` or ``"overflow"`` if a copy can no
+        longer count, else None; every input travels in the clear."""
+        if read_id != self.current_read_id or self._exhausted:
+            return "stale"
+        box = self._box if tier == "core" and sender in self.core_ids else self._readers
+        return box.refusal(sender, self.n * MAX_BALLOTS_FACTOR)
+
     def offer(
         self,
         sender: str,
@@ -402,20 +410,16 @@ class ReadVoter(_Voter):
         raw: Any = None,
         tier: str = "core",
     ) -> None:
-        if read_id != self.current_read_id or self._exhausted:
-            self.discard("stale")
-            return
-        # Non-voting tier: observability only, never quorum input. A core
-        # element claiming tier="read" is demoting itself — its ballot
-        # simply stops counting, which is never an advantage.
-        core = tier == "core" and sender in self.core_ids
-        box = self._box if core else self._readers
-        if (reason := box.refusal(sender, self.n * MAX_BALLOTS_FACTOR)) is not None:
+        if (reason := self.refusal(sender, read_id, tier)) is not None:
             self.discard(reason)
             return
-        if not core:
-            box.add(sender, watermark)
+        if tier != "core" or sender not in self.core_ids:
+            # Non-voting tier: observability only, never quorum input. A core
+            # element claiming tier="read" is demoting itself — its ballot
+            # simply stops counting, which is never an advantage.
+            self._readers.add(sender, watermark)
             return
+        box = self._box
         box.add(sender, (watermark, value), raw)
         if self.decision is not None:
             return

@@ -12,11 +12,10 @@ Drives the two halves of recovery for one
    ``MessageQueue.snapshot()``, servant state and stable PBFT checkpoint and
    cross-validates the fingerprints; this class supplies what is specific
    to a *core* element: the peer's execution position must cover our
-   buffering anchor, the checkpoint certificate must verify, and after the
-   restore the *buffered ordered tail* is replayed — every payload the
-   element's own ordering executed while it was diverged (buffered by
-   ``ItdosServerElement._bft_execute``) whose sequence number postdates the
-   adopted snapshot.
+   buffering anchor, and after the restore the *buffered ordered tail* is
+   replayed — every payload the element's own ordering executed while it
+   was diverged (buffered by ``ItdosServerElement._bft_execute``) whose
+   sequence number postdates the adopted snapshot.
 
 A quorum that only reaches ``f+1`` may be stale; staleness is safe because
 adoption additionally requires the peer's execution position to cover our
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.crypto.digests import digest
 from repro.itdos.queuestate import QueueOverflow
 from repro.recovery.fetch import StateFetch
 from repro.recovery.messages import (
@@ -175,14 +173,8 @@ class RecoveryCoordinator:
     def _adopt(self, response: QueueStateResponse) -> bool:
         element = self.element
         t = element.telemetry
-        # The checkpoint certificate must check out before anything mutates:
-        # 2f+1 signed-by-membership CheckpointMsgs over the peer's snapshot.
-        if response.stable_seq > 0 and not element.verify_checkpoint_proof(
-            response.stable_seq,
-            digest(response.checkpoint_snapshot),
-            response.checkpoint_proof,
-        ):
-            return False
+        # The fingerprint f+1 peers agreed on covers the stable checkpoint,
+        # so one of them vouches for it: it needs no proof of its own.
         if not element._restore_queue_state(response):
             return False  # refused whole: nothing adopted, the next round retries
         # Replay the buffered ordered tail past the snapshot position.
@@ -201,9 +193,7 @@ class RecoveryCoordinator:
         element._clear_recovery_buffer()
         # Adopt the peer's stable checkpoint *after* un-diverging so any
         # execution it unblocks appends to the queue instead of the buffer.
-        element.adopt_stable_checkpoint(
-            response.stable_seq, response.checkpoint_snapshot, response.checkpoint_proof
-        )
+        element.adopt_stable_checkpoint(response.stable_seq, response.checkpoint_snapshot)
         self.transfers_completed += 1
         self.bytes_transferred += response.wire_size()
         if t.enabled:

@@ -79,10 +79,10 @@ class QueueStateRequest:
 class QueueStateResponse:
     """One peer's view of the replicated queue, anchored to its checkpoint.
 
-    ``checkpoint_proof`` is the 2f+1 :class:`~repro.bft.messages.CheckpointMsg`
-    certificate for ``(stable_seq, checkpoint_snapshot)`` — the recovery
-    "checkpoint fetch RPC". Proof *contents* differ per peer (different
-    quorum subsets), so :meth:`fingerprint` covers everything except it.
+    ``(stable_seq, checkpoint_snapshot)`` is the peer's stable PBFT
+    checkpoint — the recovery "checkpoint fetch RPC". It carries no proof:
+    :meth:`fingerprint` covers it, so the fetch adopts it only when f+1
+    peers vouch for the same one.
 
     ``app_state`` is the canonical ``{"app": element.servant_state()}`` —
     each servant's ``get_state()`` keyed by object key, ``None`` if no
@@ -101,7 +101,6 @@ class QueueStateResponse:
     stable_seq: int
     checkpoint_snapshot: bytes
     app_state: bytes
-    checkpoint_proof: tuple = ()
 
     def fingerprint(self) -> bytes:
         """Digest used to cross-validate responses across peers."""

@@ -1,10 +1,11 @@
 """A certificate that arrives inside another message is never believed on
 the sender names it lists.
 
-Each test is one replica forging one certificate on the n = 4 harness
-(``protocol_auth="none"``): a state response (D1), a checkpoint claim in a
-view change (D2), a commit certificate in a log fill (D3) and a prepared
-certificate far past the log window (D4). The honest replicas must end as
+Each test runs one :class:`~repro.bft.faults.CertificateForger` on the
+n = 4 harness (``protocol_auth="none"``) and watches one of its lies: a
+made-up state response (D1), a checkpoint claimed far ahead in a view change
+(D2), a made-up batch filled at a lagger's next seq (D3) and a prepared
+request 500 seqs past the log window (D4). The honest replicas must end as
 the same correct state machine and answer every client.
 """
 
@@ -12,94 +13,27 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.bft.messages import (
-    BatchMsg,
-    CheckpointMsg,
-    ClientRequest,
-    CommitMsg,
-    FillMsg,
-    PreparedCertificate,
-    PrePrepareMsg,
-    StateRequestMsg,
-    StateResponseMsg,
-    ViewChangeMsg,
-)
-from repro.bft.replica import BftReplica
+from repro.bft.auth import HmacAuth
+from repro.bft.faults import CertificateForger
+from repro.bft.messages import NewViewMsg, StateRequestMsg, StateResponseMsg, ViewChangeMsg
+from repro.bft.replica import build_group
 from repro.crypto.digests import digest
-from repro.crypto.encoding import canonical_bytes
-from tests.bft.conftest import Harness
+from repro.crypto.signing import HmacAuthenticator
+from repro.sim import Network, NetworkConfig
+from tests.bft.conftest import Harness, make_config
 from tests.bft.test_state_transfer import CountingApp
 
 
-class Forger(BftReplica):
-    """Writes other replicas' names into every certificate it sends."""
-
-    def _names(self):
-        return self.config.replica_ids[: self.config.quorum]
-
-    def _p2p(self, dst, message):
-        if isinstance(message, StateResponseMsg):
-            snapshot = canonical_bytes({"app": b"999", "clients": {}})
-            message = StateResponseMsg(
-                stable_seq=message.stable_seq,
-                snapshot=snapshot,
-                checkpoint_proof=tuple(
-                    CheckpointMsg(seq=message.stable_seq, state_digest=digest(snapshot), sender=s)
-                    for s in self._names()
-                ),
-                sender=self.pid,
-            )
-        super()._p2p(dst, message)
-
-    def _on_status(self, src, msg):
-        if msg.sender != src or msg.last_executed >= self.last_executed:
-            return
-        batch = BatchMsg(
-            requests=(ClientRequest(client_id="forged", timestamp=1, payload=b"1000"),)
-        )
-        pre_prepare = PrePrepareMsg(
-            view=self.view, seq=msg.last_executed + 1,
-            request_digest=batch.content_digest(), batch=batch,
-            sender=self.config.primary_of_view(self.view),
-        )
-        commits = tuple(
-            CommitMsg(view=self.view, seq=pre_prepare.seq,
-                      request_digest=pre_prepare.request_digest, sender=s)
-            for s in self._names()
-        )
-        self._p2p(src, FillMsg(entries=((pre_prepare, commits),), sender=self.pid))
+class StableSeqForger(CertificateForger):
+    """D2 as found: every view change also claims a stable checkpoint at
+    1000, which takes the forger's reports out of every count below it."""
 
     def _mcast(self, message):
         if isinstance(message, ViewChangeMsg):
-            message = self.forge_view_change(message)
+            message = dataclasses.replace(
+                message, stable_seq=1000, checkpoints=((1000, b"\x09" * 32),)
+            )
         super()._mcast(message)
-
-    def forge_view_change(self, message):
-        batch = BatchMsg(
-            requests=(ClientRequest(client_id="forged", timestamp=1, payload=b"1000"),)
-        )
-        far = PrePrepareMsg(
-            view=self.view, seq=message.stable_seq + 500,
-            request_digest=batch.content_digest(), batch=batch, sender=self.pid,
-        )
-        return dataclasses.replace(
-            message,
-            prepared=message.prepared + (PreparedCertificate(pre_prepare=far, prepares=()),),
-        )
-
-
-class StableSeqForger(Forger):
-    """D2 as found: every view change claims a stable checkpoint at 1000."""
-
-    def forge_view_change(self, message):
-        return dataclasses.replace(
-            message,
-            stable_seq=1000,
-            checkpoint_proof=tuple(
-                CheckpointMsg(seq=1000, state_digest=b"\x09" * 32, sender=s)
-                for s in self._names()
-            ),
-        )
 
 
 def app_harness(byzantine=None, **overrides):
@@ -114,9 +48,10 @@ def app_harness(byzantine=None, **overrides):
 
 
 def test_d1_a_forged_state_response_is_not_adopted():
-    """r0 answers the lagger's state request with a made-up snapshot; the
-    two other responders are muted for requests (they still push)."""
-    harness, apps = app_harness(byzantine={"grp-r0": Forger})
+    """r0 answers the lagger's state request (it is asked first) with a
+    made-up snapshot; the two other responders are muted for requests (they
+    still push their snapshot on the lagger's status beacon)."""
+    harness, apps = app_harness(byzantine={"grp-r0": CertificateForger})
     lagger = harness.replicas[3]
     harness.network.partition({lagger.pid}, {r.pid for r in harness.replicas[:3]})
     harness.invoke_and_run([b"1"] * 8)
@@ -135,18 +70,10 @@ def test_a_malformed_pushed_snapshot_raises_nothing():
     harness, apps = app_harness()
     replica = harness.replicas[3]
     snapshot = b"\xff not a canonical encoding"
+    # f+1 senders of the same bytes: vouched for, and still never adopted.
     for sender in ("grp-r0", "grp-r1"):
         replica.on_message(
-            sender,
-            StateResponseMsg(
-                stable_seq=4,
-                snapshot=snapshot,
-                checkpoint_proof=tuple(
-                    CheckpointMsg(seq=4, state_digest=digest(snapshot), sender=s)
-                    for s in ("grp-r0", "grp-r1", "grp-r2")
-                ),
-                sender=sender,
-            ),
+            sender, StateResponseMsg(stable_seq=4, snapshot=snapshot, sender=sender)
         )
     assert replica.stable_seq == 0 and apps[replica.pid].total == 0
 
@@ -154,7 +81,9 @@ def test_a_malformed_pushed_snapshot_raises_nothing():
 def test_d3_a_forged_fill_is_not_executed():
     """r0 fills the healed lagger with a made-up batch at its next seq; no
     checkpoint stabilises, so only the log fill can catch it up."""
-    harness, apps = app_harness(byzantine={"grp-r0": Forger}, checkpoint_interval=1000)
+    harness, apps = app_harness(
+        byzantine={"grp-r0": CertificateForger}, checkpoint_interval=1000
+    )
     lagger = harness.replicas[3]
     harness.network.partition({lagger.pid}, {r.pid for r in harness.replicas[:3]})
     harness.invoke_and_run([b"1"] * 8)
@@ -198,9 +127,9 @@ def backed_off(base, elapsed):
 
 
 def bounded_recovery_window(config, partition):
-    """The bounded-recovery window after a partition of ``partition`` seconds: one client
-    retry plus one view-change timeout, each at the back-off the partition
-    drove it to. For the harness config and 5 s: 4 s + 4 s."""
+    """The bounded-recovery window after a partition of ``partition``
+    seconds: one client retry plus one view-change timeout, each at the
+    back-off the partition drove it to. For the harness and 5 s: 4 s + 4 s."""
     return backed_off(config.client_retry_timeout, partition) + backed_off(
         config.view_change_timeout, partition
     )
@@ -215,6 +144,44 @@ def test_d2_a_forged_stable_checkpoint_does_not_stop_the_group():
 
 
 def test_d4_a_prepared_certificate_past_the_window_is_ignored():
-    harness, answered = clients_under_a_primary_partition(Forger)
+    """r2 is also view 2's primary: its NEW-VIEW carries a pre-prepare its
+    view-change set does not decide, so the honest replicas move to view 3
+    and never execute the forged request."""
+    harness, answered = clients_under_a_primary_partition(CertificateForger)
     assert sorted(answered) == ["c0", "c1", "c2"]
     assert max(answered.values()) < 5.0
+    honest = [r for r in harness.replicas if r.pid != "grp-r2"]
+    assert all(client != "forged" for r in honest for _, client, _ in harness.executions(r))
+    assert {r.view for r in honest if not r.pid.endswith("r0")} == {3}
+
+
+def test_under_hmac_an_embedded_view_change_needs_its_senders_mac():
+    """View 1's primary r1 sends a MACed NEW-VIEW. Its embedded view changes
+    are believed only if each carries its own sender's MAC."""
+    config = make_config(f=1, auth_mode="hmac")
+    auths = HmacAuthenticator.bootstrap(list(config.replica_ids), seed=0)
+    network = Network(NetworkConfig(seed=0))
+    replicas = build_group(network, config, auth_factory=lambda pid: HmacAuth(auths[pid]))
+    primary, backup = replicas[1], replicas[2]
+    view_changes = [
+        ViewChangeMsg(
+            new_view=1, stable_seq=0, checkpoints=((0, digest(b"")),),
+            pre_prepared=(), prepared=(), sender=replica.pid,
+        )
+        for replica in replicas[1:]
+    ]
+
+    def new_view(embedded):
+        message = NewViewMsg(
+            new_view=1, view_changes=tuple(embedded), pre_prepares=(), sender=primary.pid
+        )
+        return primary.auth.stamp(message, config.replica_ids)
+
+    backup.deliver(primary.pid, new_view(view_changes))
+    assert backup.view == 0
+    stamped = [
+        replica.auth.stamp(vc, config.replica_ids)
+        for replica, vc in zip(replicas[1:], view_changes)
+    ]
+    backup.deliver(primary.pid, new_view(stamped))
+    assert backup.view == 1

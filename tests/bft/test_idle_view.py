@@ -2,9 +2,12 @@
 
 A backup's view-change timer runs only while a view change is in flight or
 a request it accepted is outstanding — one whose timestamp its client table
-has not reached. Each test ends the same way: no traffic for a minute, and
-no live replica may change view or sit in a view change.
+has not reached. Each test but the last ends the same way: no traffic for
+a minute, and no live replica may change view or sit in a view change. The
+last pins a replica left alone in a view change after a partition heals.
 """
+
+import pytest
 
 from repro.bft.messages import ClientRequest
 from tests.bft.conftest import Harness
@@ -70,3 +73,32 @@ def test_superseded_request_is_not_outstanding(harness):
     assert [ts for _, _, ts in harness.executions(backup)] == [2]
     assert not backup._awaiting
     assert_idle_minute_holds_view(harness)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "a replica alone in a view change climbs on its own: nobody answers a "
+        "view change for a view past the group's, and the f+1 join rule needs "
+        "two senders, so r0 still targets view 7 with 145 ViewChangeMsgs sent "
+        "and nothing executed 30 s after the heal"
+    ),
+)
+def test_a_partitioned_primary_rejoins_the_group_after_the_heal():
+    """r0, the view-0 primary, is cut off from its backups for 5 s with three
+    requests in flight; the backups move to view 2 and answer them. Within
+    5 s of the heal r0 must share the group's view and execution."""
+    harness = Harness()
+    primary, *backups = harness.replicas
+    harness.network.partition({primary.pid}, {r.pid for r in backups})
+    done = []
+    for name in ("c0", "c1", "c2"):
+        harness.client(name).invoke(b"x", done.append)
+    harness.run(until=5.0, max_events=1_000_000)
+    harness.network.heal()
+    harness.run(until=10.0, max_events=1_000_000)
+    assert len(done) == 3
+    assert {r.view for r in backups} == {primary.view}
+    assert {r.last_executed for r in backups} == {primary.last_executed}
+    assert not primary.in_view_change

@@ -3,10 +3,8 @@
 from repro.bft.messages import (
     BatchMsg,
     ClientRequest,
-    CommitMsg,
     FillMsg,
     NewViewMsg,
-    PreparedCertificate,
     PrepareMsg,
     PrePrepareMsg,
     StateRequestMsg,
@@ -75,24 +73,22 @@ def test_batch_digest_covers_membership_and_order():
 
 def test_view_change_canonical_fields_cover_certificates():
     pp = make_pre_prepare()
-    prepare = PrepareMsg(
-        view=0, seq=1, request_digest=pp.request_digest, sender="r1"
-    )
-    cert = PreparedCertificate(pre_prepare=pp, prepares=(prepare,))
     vc = ViewChangeMsg(
-        new_view=1, stable_seq=0, checkpoint_proof=(),
-        prepared=(cert,), sender="r1",
+        new_view=1, stable_seq=0, checkpoints=((0, b"\x00" * 32),),
+        pre_prepared=(pp,), prepared=((1, 0, pp.request_digest),), sender="r1",
     )
     fields = vc.canonical_fields()
     assert fields["new_view"] == 1
-    assert len(fields["prepared"]) == 1
+    assert len(fields["pre_prepared"]) == len(fields["prepared"]) == 1
+    assert fields["prepared"] == [[1, 0, pp.request_digest]]
     # Digestable end to end.
     assert len(vc.content_digest()) == 32
 
 
 def test_new_view_canonical_fields():
     vc = ViewChangeMsg(
-        new_view=1, stable_seq=0, checkpoint_proof=(), prepared=(), sender="r1"
+        new_view=1, stable_seq=0, checkpoints=(), pre_prepared=(), prepared=(),
+        sender="r1",
     )
     nv = NewViewMsg(
         new_view=1, view_changes=(vc,), pre_prepares=(make_pre_prepare(view=1),),
@@ -105,18 +101,13 @@ def test_state_messages():
     request = StateRequestMsg(low_seq=16, sender="r3")
     assert len(request.content_digest()) == 32
     response = StateResponseMsg(
-        stable_seq=16, snapshot=b"s" * 100,
-        checkpoint_proof=(), sender="r0",
+        stable_seq=16, snapshot=b"s" * 100, sender="r0",
     )
     assert response.wire_size() > 100
 
 
 def test_fill_size_scales_with_entries():
     pp = make_pre_prepare()
-    commits = tuple(
-        CommitMsg(view=0, seq=1, request_digest=pp.request_digest, sender=s)
-        for s in ("r0", "r1", "r2")
-    )
-    one = FillMsg(entries=((pp, commits),), sender="r0")
-    two = FillMsg(entries=((pp, commits), (pp, commits)), sender="r0")
+    one = FillMsg(entries=(pp,), sender="r0")
+    two = FillMsg(entries=(pp, pp), sender="r0")
     assert two.wire_size() > one.wire_size()

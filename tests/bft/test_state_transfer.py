@@ -85,10 +85,7 @@ def test_state_response_with_bad_snapshot_ignored():
     assert lagger.messages_sent["StateRequestMsg"] == 1
 
     forged = StateResponseMsg(
-        stable_seq=100,
-        snapshot=b"999999",
-        checkpoint_proof=(),
-        sender=harness.replicas[1].pid,
+        stable_seq=100, snapshot=b"999999", sender=harness.replicas[1].pid
     )
     lagger.deliver(harness.replicas[1].pid, forged)
     assert lagger.last_executed == 0
@@ -104,43 +101,25 @@ def test_state_response_with_bad_snapshot_ignored():
 
 
 def test_state_response_with_insufficient_proof_ignored():
+    """One pushed response is one voucher: f+1 = 2 are needed."""
     harness, apps = make_app_harness()
-    from repro.bft.messages import CheckpointMsg, StateResponseMsg
-    from repro.crypto.digests import digest
+    from repro.bft.messages import StateResponseMsg
 
-    snapshot = b"424242"
-    proof = (
-        CheckpointMsg(seq=100, state_digest=digest(snapshot), sender="grp-r1"),
-        CheckpointMsg(seq=100, state_digest=digest(snapshot), sender="grp-r2"),
-    )  # only 2 < quorum of 3
-    forged = StateResponseMsg(
-        stable_seq=100,
-        snapshot=snapshot,
-        checkpoint_proof=proof,
-        sender="grp-r1",
-    )
+    forged = StateResponseMsg(stable_seq=100, snapshot=b"424242", sender="grp-r1")
     harness.replicas[0].deliver("grp-r1", forged)
     assert harness.replicas[0].last_executed == 0
     assert apps[harness.replicas[0].pid].total == 0
 
 
 def test_state_response_from_foreign_senders_ignored():
+    """One pushed response from a replica, the same from non-members: the
+    non-members vouch for nothing, so the one response stays alone."""
     harness, apps = make_app_harness()
-    from repro.bft.messages import CheckpointMsg, StateResponseMsg
-    from repro.crypto.digests import digest
+    from repro.bft.messages import StateResponseMsg
 
-    snapshot = b"777"
-    proof = tuple(
-        CheckpointMsg(seq=50, state_digest=digest(snapshot), sender=f"intruder-{i}")
-        for i in range(3)
-    )
-    forged = StateResponseMsg(
-        stable_seq=50,
-        snapshot=snapshot,
-        checkpoint_proof=proof,
-        sender="grp-r1",
-    )
-    harness.replicas[0].deliver("grp-r1", forged)
+    for sender in ("grp-r1", "intruder-1", "intruder-2"):
+        forged = StateResponseMsg(stable_seq=50, snapshot=b"777", sender=sender)
+        harness.replicas[0].deliver(sender, forged)
     assert harness.replicas[0].last_executed == 0
 
 
@@ -174,14 +153,14 @@ def test_adopting_an_older_checkpoint_keeps_a_later_client_entry():
     harness.invoke_and_run([b"1"] * 2, client_name="a")
     harness.invoke_and_run([b"1"] * 2, client_name="b")
     harness.run(until=harness.network.now + 1.0)
-    seq, snapshot, proof = harness.replicas[0].stable_checkpoint()
+    seq, snapshot = harness.replicas[0].stable_checkpoint()
     assert seq == 4
     # A fresh replica of the same group whose application is already past
     # the checkpoint for client a, as after a recovery-level catch-up.
     fresh, _ = make_app_harness()
     joiner = fresh.replicas[3]
     joiner.client_table["a"] = (9, b"later")
-    assert joiner.adopt_stable_checkpoint(seq, snapshot, proof)
+    assert joiner.adopt_stable_checkpoint(seq, snapshot)
     assert joiner.stable_seq == 4
     assert joiner.client_table["a"] == (9, b"later")
     assert joiner.client_table["b"] == harness.replicas[0].client_table["b"]

@@ -3,7 +3,7 @@ checkpoint (the Castro–Liskov status/retransmission mechanism)."""
 
 import pytest
 
-from repro.bft.messages import BatchMsg, CommitMsg, FillMsg, PrePrepareMsg, ClientRequest
+from repro.bft.messages import BatchMsg, FillMsg, PrePrepareMsg, ClientRequest
 from tests.bft.conftest import Harness
 
 
@@ -23,55 +23,51 @@ def test_lagging_replica_filled_before_any_checkpoint():
     assert harness.executions(lagger) == harness.executions(harness.replicas[0])
 
 
-def test_fill_rejects_inconsistent_certificate():
-    harness = Harness()
-    replica = harness.replicas[1]
+def evil_pre_prepare(request_digest=None):
     request = ClientRequest(client_id="c", timestamp=1, payload=b"evil")
     batch = BatchMsg(requests=(request,))
-    pre_prepare = PrePrepareMsg(
-        view=0, seq=1, request_digest=batch.content_digest(),
+    return PrePrepareMsg(
+        view=0, seq=1, request_digest=request_digest or batch.content_digest(),
         batch=batch, sender="grp-r0",
     )
-    # Certificate with only 2 commits (< quorum 3).
-    commits = tuple(
-        CommitMsg(view=0, seq=1, request_digest=batch.content_digest(), sender=s)
-        for s in ("grp-r0", "grp-r2")
-    )
-    replica.deliver("grp-r0", FillMsg(entries=((pre_prepare, commits),), sender="grp-r0"))
+
+
+def fill(replica, pre_prepare, *fillers):
+    for filler in fillers:
+        replica.deliver(filler, FillMsg(entries=(pre_prepare,), sender=filler))
+
+
+def test_fill_rejects_inconsistent_certificate():
+    """One filler is not enough; f+1 = 2 distinct fillers are."""
+    harness = Harness()
+    replica = harness.replicas[1]
+    pre_prepare = evil_pre_prepare()
+    fill(replica, pre_prepare, "grp-r0", "grp-r0")
     assert replica.last_executed == 0
+    fill(replica, pre_prepare, "grp-r2")
+    assert replica.last_executed == 1
 
 
 def test_fill_rejects_digest_mismatch():
+    """f+1 fillers of a pre-prepare whose digest is not its batch's are
+    still not enough; f+1 fillers of the consistent one are."""
     harness = Harness()
     replica = harness.replicas[1]
-    request = ClientRequest(client_id="c", timestamp=1, payload=b"evil")
-    pre_prepare = PrePrepareMsg(
-        view=0, seq=1, request_digest=b"\x00" * 32,  # wrong digest
-        batch=BatchMsg(requests=(request,)), sender="grp-r0",
-    )
-    commits = tuple(
-        CommitMsg(view=0, seq=1, request_digest=b"\x00" * 32, sender=s)
-        for s in ("grp-r0", "grp-r2", "grp-r3")
-    )
-    replica.deliver("grp-r0", FillMsg(entries=((pre_prepare, commits),), sender="grp-r0"))
+    fill(replica, evil_pre_prepare(request_digest=b"\x00" * 32), "grp-r0", "grp-r2", "grp-r3")
     assert replica.last_executed == 0
+    fill(replica, evil_pre_prepare(), "grp-r0", "grp-r2")
+    assert replica.last_executed == 1
 
 
 def test_fill_rejects_foreign_commit_senders():
+    """Fillers outside the group vouch for nothing; f+1 replicas do."""
     harness = Harness()
     replica = harness.replicas[1]
-    request = ClientRequest(client_id="c", timestamp=1, payload=b"evil")
-    batch = BatchMsg(requests=(request,))
-    digest = batch.content_digest()
-    pre_prepare = PrePrepareMsg(
-        view=0, seq=1, request_digest=digest, batch=batch, sender="grp-r0"
-    )
-    commits = tuple(
-        CommitMsg(view=0, seq=1, request_digest=digest, sender=s)
-        for s in ("intruder-1", "intruder-2", "intruder-3")
-    )
-    replica.deliver("grp-r0", FillMsg(entries=((pre_prepare, commits),), sender="grp-r0"))
+    pre_prepare = evil_pre_prepare()
+    fill(replica, pre_prepare, "grp-r0", "intruder-1", "intruder-2", "intruder-3")
     assert replica.last_executed == 0
+    fill(replica, pre_prepare, "grp-r3")
+    assert replica.last_executed == 1
 
 
 def test_bft_progress_under_sustained_loss():

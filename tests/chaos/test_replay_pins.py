@@ -14,8 +14,9 @@ request outstanding, no ordering replica may change view. The primary a
 ``vc`` cell crashed and recovered and the element a ``rec`` cell restarted
 must then be indistinguishable from a peer the adversary never touched, and
 an ``xs`` cell's coordinator elements from each other
-(:func:`tests.equivalence.same_state`). An ``xs`` cell's shard groups do not
-yet converge; that test is a strict xfail naming the cause.
+(:func:`tests.equivalence.same_state`), and so must each shard group of an
+``xs`` cell; in ``b1-p0-xs/0`` they do not yet, a strict xfail naming the
+cause.
 """
 
 from __future__ import annotations
@@ -34,20 +35,22 @@ from repro.workloads.scenarios import build_calc_system
 from tests.equivalence import same_state, state_of
 
 PINS = {
-    "b1-p0/0": "71919451d2a2a24563110b893c3b782156f2734097ace04d099e5532a969ac0f",
-    "b1-p0/1": "3ffe27342fb8ad2775bbec4c8fb714bf90afaff649bdd9f120c9d2baad151fc2",
-    "b4-p4/0": "68e90c6d2b9b3825f2be10ab6741a731a62d1d481d054f2c867a1d37dc61f64a",
-    "b4-p4/1": "cbf701829d8636bd2a0d08b5803d46f99853614dc37e42750119159e3e3374bc",
-    "b4-p0-vc/0": "a4ec8fe5b4eafda881dac5673418bc9bc61df8895266a7198ea8ccf97f406705",
-    "b4-p0-vc/1": "3e4dddfffa29ea2c1419ee0342609c1bd7c6ccfc96eeaefd80191c8436fbefe4",
-    "b1-p4-rec/0": "cca4744eb238b999b1c67e041340d54dbc6e309aa39d65b3890d54e537e5a64b",
-    "b1-p4-rec/1": "a6868a3905d9eb3d2120a4b04bd0862aad471a3c8ccf9f4788f7e63b0c8ff125",
-    "b4-p4-rec-vc/0": "2270065aa1fbc38d6c6bdff5b1b59a270ab24a1418466a83198efed7d5eb6e39",
-    "b4-p4-rec-vc/1": "f3a961d08faa029fa9178cc86999f190ea94b5bf3b09eef926f365dc6224b0a3",
-    "b1-p0-rd/0": "313ee8d32ca77e959e9a19ade8c9b8c53f3b07635ef1766b3a16ead1d096693d",
-    "b1-p0-rd/1": "51ce93d59a0c3a2fe5ed76f3b99b67d2f72b6303cb32f870c7364907b40abf37",
-    "b1-p0-xs/0": "70fe69e137dd7c96d7e38323f33faf624e816c0a3a4a0334a8e1f1dace6d88e1",
-    "b1-p0-xs/1": "3f0ca06e00e452bfd2b033b4cf062590a064e424678401c11a6f18437ec93a34",
+    "b1-p0/0": "fb911405ffc9244e9d7ee8fab8b72baffc73911bd9f9792a391b8c103d4e3810",
+    "b1-p0/1": "53f982ea54099ffe3112b602940c4eb5eed072ede2ed50b2a38abd3f72241d71",
+    "b4-p4/0": "1ab372beb9ae3628c1b57fa1e0c84ad5f9080ee31312ed91b0770790a135aa09",
+    "b4-p4/1": "a6402ae1dabbe3d2c75f203cdb483fc90f4b41dd2c0d635d4a91e7128a157616",
+    "b4-p0-vc/0": "d5e543186359aa7f16375dc76bb064cf94370e5c79342d7f045108663ee39fb8",
+    "b4-p0-vc/1": "6f851d486facb43291a87e97176c01ce8ce2a69869ae5eeb9138e49d2d37f381",
+    "b1-p4-rec/0": "bfbeec1e5b093b4a36af76e15a50ee28c3ca69dc10841b11af751515be2953fe",
+    "b1-p4-rec/1": "15dcb162fc05b8a3dfc75e1ecebfa9e114fccde89739728dc42e02d52efdaccf",
+    "b4-p4-rec-vc/0": "9dfb083ebf4f096641941caf67e4ead2c572f21e11a0d6b680d2a65d9fa45ad2",
+    "b4-p4-rec-vc/1": "4ab0d98b38a603f675ef7fd8bce9e662d6640d390ade989e0d8f9013c2d91ba3",
+    "b1-p0-rd/0": "473bcaba5f8210e8eda5a899a90f76e1300d5cb050e3c68646b1b82881c314e7",
+    "b1-p0-rd/1": "b2de0f22dadc4296fc0eb0398e4ab3a928114ccbac65463b2dc20961339b7cf2",
+    "b1-p0-xs/0": "4c228050f406aa63b93cabb69c0bb2ec43d5944fc8c9890c2acc10d133de0d75",
+    "b1-p0-xs/1": "910a6caeedd5f674c1c85e00c82fb73a224513a301984364dcab389aa812d44a",
+    "b1-p0-fg-vc/0": "dce433a4a4bfb168f8dfb32c5d6243326d6b6227600f02e63b8583ac5b3c2995",
+    "b1-p0-fg-vc/1": "02515f2e9d3ccefd18913b36f7497105b24d37b096462273fc5b5e80b96c80b3",
 }
 
 #: Loss and jitter on: pins the order of the network RNG's draws (one loss
@@ -104,7 +107,7 @@ def lossy_cell() -> str:
 
 def test_pins_cover_the_smoke_slice():
     assert set(PINS) == {f"{s.label}/{seed}" for s in scenario_matrix() for seed in (0, 1)}
-    assert len(PINS) == 14
+    assert len(PINS) == 16
 
 
 def test_smoke_cell_replays_bit_for_bit(cell):
@@ -157,17 +160,20 @@ def test_smoke_cell_quiesces(cell):
         assert same_state(a, b), (state_of(a), state_of(b))
 
 
-@pytest.mark.xfail(
+DIVERGED = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason=(
         "_on_state_response drops a certified answer once last_executed is at "
         "or past its seq, so a shard element that has executed that far keeps "
-        "an older stable checkpoint (kv-s1-e3 at 16 against 24 in b1-p0-xs/0, "
-        "kv-s0-e3 at 40 against 48 in b1-p0-xs/1)"
+        "an older stable checkpoint (kv-s0-e0 at 40 against 48 in b1-p0-xs/0)"
     ),
 )
-@pytest.mark.parametrize("label", [label for label in sorted(PINS) if "-xs/" in label])
+
+
+@pytest.mark.parametrize(
+    "label", [pytest.param("b1-p0-xs/0", marks=DIVERGED), "b1-p0-xs/1"]
+)
 def test_xs_shard_groups_converge(label):
     """After :func:`idle_minute`, every pair of each shard group of an
     ``xs`` cell is in the same state."""

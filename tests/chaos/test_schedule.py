@@ -55,23 +55,26 @@ def test_intensity_zero_silences_the_plan():
 
 def test_smoke_slice_covers_every_dimension():
     assert scenario_matrix() == SMOKE_SCENARIOS
-    assert len(set(SMOKE_SCENARIOS)) == len(SMOKE_SCENARIOS) == 7
+    assert len(set(SMOKE_SCENARIOS)) == len(SMOKE_SCENARIOS) == 8
     assert any(s.batch_size > 1 for s in SMOKE_SCENARIOS)
     assert any(s.pipeline_window > 0 for s in SMOKE_SCENARIOS)
     assert any(s.mid_run_recovery for s in SMOKE_SCENARIOS)
     assert any(s.forced_view_change for s in SMOKE_SCENARIOS)
     assert any(s.read_fastpath for s in SMOKE_SCENARIOS)
     assert any(s.cross_shard for s in SMOKE_SCENARIOS)
+    assert any(s.forger for s in SMOKE_SCENARIOS)
 
 
 def test_full_matrix_is_the_cross_product():
     # 16-cell ordered cross product (batch x pipeline x recovery x view
-    # change) + the 4-cell read-fastpath column + the 2-cell cross-shard
-    # column.
+    # change) + the 4-cell read-fastpath column + the 4-cell forger column
+    # + the 2-cell cross-shard column.
     cells = scenario_matrix(full=True)
-    assert len(cells) == 22
-    assert len(set(cells)) == 22
+    assert len(cells) == 26
+    assert len(set(cells)) == 26
     assert sum(1 for s in cells if s.read_fastpath) == 4
+    assert sum(1 for s in cells if s.forger) == 4
+    assert all(s.forced_view_change for s in cells if s.forger)
     assert sum(1 for s in cells if s.cross_shard) == 2
 
 

@@ -188,8 +188,8 @@ def test_nesting_bound_is_a_value_error_not_a_stack_overflow():
 
 
 def test_bound_leaves_fourfold_headroom_over_the_deepest_protocol_message():
-    """A NewViewMsg carrying view-changes carrying prepared certificates
-    carrying a batched pre-prepare is the deepest thing on the wire."""
+    """A NewViewMsg carrying view-changes carrying batched pre-prepares is
+    the deepest thing on the wire."""
     from repro.bft import messages as bft
     from repro.net.wire import encode_wire_payload
 
@@ -198,12 +198,9 @@ def test_bound_leaves_fourfold_headroom_over_the_deepest_protocol_message():
         view=0, seq=1, request_digest=b"d", sender="e0",
         batch=bft.BatchMsg(requests=(request,)), auth={"e1": b"mac"},
     )
-    certificate = bft.PreparedCertificate(
-        pre_prepare=pre_prepare, prepares=(bft.PrepareMsg(0, 1, b"d", "e1"),)
-    )
     view_change = bft.ViewChangeMsg(
-        new_view=1, stable_seq=0, checkpoint_proof=(), prepared=(certificate,),
-        sender="e1",
+        new_view=1, stable_seq=0, checkpoints=((0, b"d"),), pre_prepared=(pre_prepare,),
+        prepared=((1, 0, b"d"),), sender="e1",
     )
     new_view = bft.NewViewMsg(
         new_view=1, view_changes=(view_change,), pre_prepares=(pre_prepare,), sender="e1"

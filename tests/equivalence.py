@@ -28,7 +28,7 @@ def armed_timers(replica: BftReplica) -> set[str]:
 
 def state_of(replica: BftReplica) -> dict[str, object]:
     """The fields :func:`same_state` compares, as one comparable dict."""
-    stable_seq, snapshot, _proof = replica.stable_checkpoint()
+    stable_seq, snapshot = replica.stable_checkpoint()
     return {
         "view": replica.view,
         "last_executed": replica.last_executed,

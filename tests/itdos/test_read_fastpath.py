@@ -282,7 +282,7 @@ def test_reader_consumes_four_message_types_and_nothing_else():
         )
 
     classes = schema.registered().values()
-    assert consumed <= set(classes) and len(classes) >= 30
+    assert consumed <= set(classes) and len(classes) >= 29
     for cls in classes:
         before = state()
         core.send(reader.pid, sample(cls))
@@ -293,8 +293,8 @@ def test_reader_consumes_four_message_types_and_nothing_else():
 
 def test_reader_is_unreachable_through_its_inherited_bft_handlers():
     """A reader used to be a BftReplica as a shell (a private config listed
-    it as a replica). A core element's FillMsg of *genuine* commit
-    certificates executed straight into the reader's queue — doubling it,
+    it as a replica). A core element's FillMsg of *genuine* executed
+    entries executed straight into the reader's queue — doubling it,
     arming the status beacon, and killing the commit feed (every later
     ``feed.index <= total_appended``). It has no such handlers now."""
     from repro.bft.messages import FillMsg, StatusMsg
@@ -310,12 +310,9 @@ def test_reader_is_unreachable_through_its_inherited_bft_handlers():
     core = system.elements["kv-e1"]
     assert reader.queue.total_appended == 5
     chain, timers = reader._append_chain, set(reader._timers)
-    entries = []
-    for seq in range(1, core.last_executed + 1):
-        entry = core.log[seq]
-        commits = tuple(entry.commits.values())[: core.config.quorum]
-        entries.append((entry.pre_prepare, commits))
-    core.send(reader.pid, FillMsg(entries=tuple(entries), sender=core.pid))
+    entries = tuple(core.log[seq].pre_prepare for seq in range(1, core.last_executed + 1))
+    for filler in ("kv-e1", "kv-e2"):
+        system.elements[filler].send(reader.pid, FillMsg(entries=entries, sender=filler))
     core.send(
         reader.pid,
         StatusMsg(view=0, last_executed=0, stable_seq=0, sender=core.pid),

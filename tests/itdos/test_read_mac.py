@@ -297,3 +297,40 @@ def test_read_reply_mac_is_the_hmac_of_head_then_ciphertext(
     assert read_reply_mac(
         key, conn_id, read_id, sender, tier, watermark, ciphertext
     ) == hmac_digest(key, head.encode() + ciphertext)
+
+
+def test_a_late_reader_reply_is_observed_once_however_often_it_is_replayed(monkeypatch):
+    """A reader's reply held back until its read decided, then delivered 50
+    times: one lag observation, and 49 copies refused before the MAC."""
+    from repro.net.transport import SimTransport
+
+    held: list[ReadReply] = []
+    real = SimTransport.transmit
+
+    def hold_reader_replies(self, src, dst, payload, size, extra_delay):
+        if isinstance(payload, ReadReply) and payload.tier == "read":
+            held.append(payload)
+            return None
+        return real(self, src, dst, payload, size, extra_delay)
+
+    monkeypatch.setattr(SimTransport, "transmit", hold_reader_replies)
+    system = make_kv(readers=1)
+    client = system.add_client("alice")
+    stub = client.stub(system.ref("kv", b"kv"))
+    stub.put("k", "v1")
+    assert stub.get("k") == "v1"
+    [late] = held
+    connection = connection_to(client, "kv")
+    assert connection._read_handler is None  # the read settled on core replies
+    registry = system.telemetry.registry
+
+    def duplicates():
+        family = registry.get("voter_discarded_total")
+        return family.labels(kind="read", reason="duplicate").value if family else 0
+
+    before = duplicates()
+    for _ in range(50):
+        client.on_message(late.sender, late)
+    lag = registry.get("read_tier_reply_lag")
+    assert lag.labels(element=late.sender).count == 1
+    assert duplicates() == before + 49

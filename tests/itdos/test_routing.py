@@ -157,7 +157,7 @@ EXPECTED = {
 
 def test_tables_cover_every_registered_type():
     names = set(payloads())
-    assert len(names) >= 31
+    assert len(names) >= 30
     for kind in KINDS:
         assert set(EXPECTED[kind]) == names, kind
 

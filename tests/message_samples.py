@@ -30,18 +30,11 @@ from repro.sim.network import payload_size
 
 MESSAGE_MODULES = (bft, itdos, recovery)
 
-#: Field values a hint cannot supply: validated enumerations, and the one
-#: bare ``tuple`` hint (which carries checkpoint messages).
+#: Field values a hint cannot supply: validated enumerations.
 _OVERRIDES: dict[str, dict[str, Any]] = {
     "OpenRequest": {"requester_kind": "singleton"},
     "ChangeRequest": {"requester_kind": "domain"},
     "CoinMessage": {"phase": "commit"},
-    "QueueStateResponse": {
-        "checkpoint_proof": tuple(
-            bft.CheckpointMsg(seq=8, state_digest=b"\x05" * 32, sender=f"kv-e{i}")
-            for i in range(3)
-        )
-    },
 }
 
 

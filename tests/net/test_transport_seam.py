@@ -150,6 +150,6 @@ def test_check_wire_chaos_cell_matches_the_reference_codec(scenario, seed, monke
 def test_the_checked_chaos_cells_crossed_the_deep_shapes():
     crossed = set().union(*CROSSED.values())
     assert len(CROSSED) == len(CHECKED_CELLS)
-    assert {"NewViewMsg", "ViewChangeMsg", "PreparedCertificate", "FillMsg",
+    assert {"NewViewMsg", "ViewChangeMsg", "FillMsg",
             "StateResponseMsg", "QueueStateResponse", "CommitFeed"} <= crossed
     assert len(crossed) >= 20, sorted(crossed)

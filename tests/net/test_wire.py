@@ -149,7 +149,7 @@ def test_every_protocol_message_type_is_registered():
 
 def test_queue_state_response_round_trips_with_servant_state():
     """The catch-up response crosses the seam byte-identically with a
-    non-empty ``app_state`` and a checkpoint certificate."""
+    non-empty ``app_state`` and a stable checkpoint."""
     import dataclasses
 
     from repro.crypto.encoding import canonical_bytes
@@ -167,10 +167,6 @@ def test_queue_state_response_round_trips_with_servant_state():
         stable_seq=8,
         checkpoint_snapshot=snapshot,
         app_state=canonical_bytes({"app": {"k0": "v0", "k1": "v1"}}),
-        checkpoint_proof=tuple(
-            bft.CheckpointMsg(seq=8, state_digest=b"\x05" * 32, sender=f"kv-e{i}")
-            for i in range(3)
-        ),
     )
     wire = assert_wire_encodable(response)
     decoded = decode_wire_payload(wire)

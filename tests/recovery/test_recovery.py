@@ -256,8 +256,8 @@ def test_recovered_element_has_its_peers_servant_state():
     adopted = []
     adopt = victim.adopt_stable_checkpoint
 
-    def recording_adopt(seq, snapshot, proof):
-        accepted = adopt(seq, snapshot, proof)
+    def recording_adopt(seq, snapshot):
+        accepted = adopt(seq, snapshot)
         if accepted:
             adopted.append(seq)
         return accepted
