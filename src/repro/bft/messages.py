@@ -287,7 +287,6 @@ class FillMsg(BftMessage):
 class StateRequestMsg(BftMessage):
     """Ask a peer for the application state at its stable checkpoint."""
 
-    low_seq: int
     sender: str
 
 

@@ -200,8 +200,6 @@ class BftReplica(Process):
         self._checkpoints: dict[int, dict[str, CheckpointMsg]] = {}
         # Our own snapshots by seq, retained until superseded (genesis at 0).
         self._own_snapshots: dict[int, bytes] = {0: b""}
-        # The 2f+1 CheckpointMsgs we collected for our stable checkpoint.
-        self._stable_proof: tuple[CheckpointMsg, ...] = ()
         # What a view change reports above the stable checkpoint, kept across
         # views: per seq, the last pre-prepare accepted and (view, digest)
         # prepared.
@@ -404,7 +402,7 @@ class BftReplica(Process):
             self._p2p(src, FillMsg(entries=entries, sender=self.pid))
         elif msg.last_executed < self.stable_seq:
             # The peer is behind the entries we keep: it needs the snapshot.
-            self._on_state_request(src, StateRequestMsg(low_seq=self.stable_seq, sender=src))
+            self._on_state_request(src, StateRequestMsg(sender=src))
 
     def _on_fill(self, src: str, msg: FillMsg) -> None:
         if msg.sender != src or src not in self.config.replica_ids:
@@ -907,7 +905,7 @@ class BftReplica(Process):
             # quorum: remember the proof and fetch state from a peer.
             self._request_state_transfer(proof)
             return
-        self._install_checkpoint(seq, own, proof)
+        self._install_checkpoint(seq, own)
         t = self.telemetry
         if t.enabled:
             t.health.record_checkpoint(self.pid, seq, self.last_executed - seq)
@@ -920,9 +918,7 @@ class BftReplica(Process):
             # The advanced watermark may admit batches the window held back.
             self._maybe_flush()
 
-    def _install_checkpoint(
-        self, seq: int, snapshot: bytes, proof: tuple[CheckpointMsg, ...] = ()
-    ) -> None:
+    def _install_checkpoint(self, seq: int, snapshot: bytes) -> None:
         """Make ``(seq, snapshot)`` the stable checkpoint and prune below it.
 
         The one place checkpoint bookkeeping moves, whether the certificate
@@ -931,7 +927,6 @@ class BftReplica(Process):
         ``seq``.
         """
         self.stable_seq = seq
-        self._stable_proof = proof
         self._own_snapshots[seq] = snapshot
         if self.last_executed < seq:
             self.last_executed = seq
@@ -1000,7 +995,7 @@ class BftReplica(Process):
             return
         target = candidates[self._state_transfer_attempt % len(candidates)]
         self._state_transfer_attempt += 1
-        self._p2p(target, StateRequestMsg(low_seq=proof[0].seq, sender=self.pid))
+        self._p2p(target, StateRequestMsg(sender=self.pid))
 
     def _on_state_request(self, src: str, msg: StateRequestMsg) -> None:
         if msg.sender == src and self.stable_seq:

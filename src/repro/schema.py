@@ -10,10 +10,9 @@ A message is a frozen dataclass decorated with :func:`message`, which reads
 * **ordered** — what rides inside a BFT request (``to_payload()`` /
   ``parse_payload``) for a message registered with ``kind=``:
   ``{"kind": kind, **fields}``, nested messages as plain dicts;
-* **wire** — what crosses a socket (:mod:`repro.net.wire`):
-  ``{"__wire__": name, "f": {...}}`` with every field, ``auth`` included.
-  Its constant bytes (the head, each field's key item) are laid out here,
-  once, so the codec writes and matches them without building that dict.
+* **wire** — what crosses a socket (:mod:`repro.net.wire`): every field's
+  value, ``auth`` included, in declaration order and without names; only a
+  message whose place does not say its class carries the class name.
 
 Sits below ``bft``, ``itdos``, ``recovery`` and ``net``; imports none of them.
 """
@@ -27,7 +26,6 @@ from typing import Any, Callable
 from repro.crypto.encoding import canonical_bytes
 
 _ATOMS = (int, str, bytes, bool)
-WIRE_KEY, FIELDS_KEY = "__wire__", "f"  # the wire form's two keys
 _BY_CLASS: dict[type, "Plan"] = {}
 _BY_NAME: dict[str, "Plan"] = {}
 _BY_KIND: dict[str, "Plan"] = {}
@@ -40,7 +38,8 @@ class Plan:
         hints = typing.get_type_hints(cls)  # PEP 563 strings resolved here, once
         self.cls = cls
         self.hints = hints
-        self.name = cls.__name__  # the ``__wire__`` tag
+        self.name = cls.__name__  # what the wire calls it
+        #: the fields in declaration order: the constructor's, and the wire's
         self.names = tuple(field.name for field in dataclasses.fields(cls))
         signed = tuple(n for n in self.names if n != "auth" and n not in unsigned)
         #: instance -> its signed form / every field; nested messages as dicts
@@ -48,11 +47,6 @@ class Plan:
         self.plain = _accessor(self.names, hints, "plain")
         #: per field, what restores its tuples and nested messages (or None)
         self.coercers = tuple((n, _coercer(hints[n])) for n in self.names)
-        #: the wire form's constants: the items before the field map; per
-        #: field, in canonical (sorted) order, (key item, name, coercer)
-        self.wire_head = b"".join(map(canonical_bytes, (WIRE_KEY, self.name, FIELDS_KEY)))
-        self.wire_keys = tuple((canonical_bytes(n), n, c) for n, c in sorted(self.coercers))
-        self.wire_fields = dict(self.coercers)  # for a field map in any other order
 
     def build(self, fields: dict) -> Any:
         """An instance from a decoded field dict: unknown keys ignored,
@@ -65,7 +59,7 @@ class Plan:
         return self.cls(**kwargs)
 
     def coerce(self, value: Any) -> Any:
-        """A field hinted as this class: already rebuilt (wire form), or
+        """A field hinted as this class: already rebuilt (named on the wire), or
         still the plain dict the ordered form carries."""
         if type(value) is self.cls:
             return value

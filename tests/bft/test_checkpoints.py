@@ -21,11 +21,17 @@ def test_checkpoint_quorum_required(harness):
 
 
 def test_stable_proof_retained(harness):
+    """What a replica keeps of a stable checkpoint is what it reads: the seq,
+    and its own snapshot at it (the one a state request is answered from),
+    the same on every replica; the quorum's checkpoint messages are dropped."""
     harness.invoke_and_run([f"{i}".encode() for i in range(4)])
     harness.run(until=harness.network.now + 2.0)
-    replica = harness.replicas[0]
-    assert len(replica._stable_proof) >= harness.config.quorum
-    assert all(c.seq == 4 for c in replica._stable_proof)
+    checkpoints = [replica.stable_checkpoint() for replica in harness.replicas]
+    assert {seq for seq, _ in checkpoints} == {4}
+    assert len({snapshot for _, snapshot in checkpoints}) == 1 and checkpoints[0][1]
+    for replica in harness.replicas:
+        assert replica.stable_seq == 4 and list(replica._own_snapshots) == [4]
+        assert all(seq > 4 for seq in replica._checkpoints)
 
 
 def test_window_limits_in_flight_requests():

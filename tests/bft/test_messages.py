@@ -98,7 +98,7 @@ def test_new_view_canonical_fields():
 
 
 def test_state_messages():
-    request = StateRequestMsg(low_seq=16, sender="r3")
+    request = StateRequestMsg(sender="r3")
     assert len(request.content_digest()) == 32
     response = StateResponseMsg(
         stable_seq=16, snapshot=b"s" * 100, sender="r0",

@@ -205,13 +205,13 @@ def test_bound_leaves_fourfold_headroom_over_the_deepest_protocol_message():
     new_view = bft.NewViewMsg(
         new_view=1, view_changes=(view_change,), pre_prepares=(pre_prepare,), sender="e1"
     )
+    from tests.net.reference_wire import Node, parse_tree
+
     raw = encode_wire_payload(new_view)
 
     def depth(value):
-        if isinstance(value, dict):
-            return 1 + max(map(depth, value.values()), default=0)
-        if isinstance(value, list):
-            return 1 + max(map(depth, value), default=0)
+        if isinstance(value, Node):
+            return 1 + max(map(depth, value.items), default=0)
         return 0
 
-    assert 4 * depth(encoding.parse_canonical(raw)) <= encoding.MAX_PARSE_DEPTH
+    assert 4 * depth(parse_tree(raw)) <= encoding.MAX_PARSE_DEPTH

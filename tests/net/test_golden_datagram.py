@@ -2,12 +2,13 @@
 
 Hand-laid, segment by segment, from the format definitions in
 ``repro.crypto.encoding`` (tag | ulong length | body, containers carry a
-ulong count, mapping keys sorted), ``repro.net.wire`` (a registered
-dataclass is ``{"__wire__": name, "f": {field: value}}``; a datagram is
-``{"dst", "p", "src"}`` with ``p`` the payload's own encoding) and
-``repro.net.framing`` (``RPN1`` | ulong length | body). They pin the wire
-format across rewrites of the send path: any byte that moves is a
-protocol change, not an optimisation.
+ulong count), ``repro.net.wire`` (a registered dataclass at the top of a
+payload is ``O``, its field count, its class name, then its field values in
+declaration order, without names; a datagram is the list ``dst``, ``p``,
+``src`` with ``p`` the payload's own encoding) and ``repro.net.framing``
+(``RPN1`` | ulong length | body). They pin the wire format across rewrites
+of the send path: any byte that moves is a protocol change, not an
+optimisation.
 """
 
 from repro.bft import messages as bft
@@ -17,31 +18,46 @@ from repro.net.wire import decode_datagram, encode_datagram, encode_wire_payload
 MESSAGE = bft.PrepareMsg(view=1, seq=2, request_digest=b"\xaa\xbb", sender="e1")
 
 PAYLOAD_HEX = (
-    "4d 00000082 00000002"  # M, 130 body bytes, 2 items
-    "  53 00000008 5f5f776972655f5f"  # S "__wire__"
+    "4f 0000002e 00000005"  # O, 46 body bytes, 5 fields
     "  53 0000000a 507265706172654d7367"  # S "PrepareMsg"
-    "  53 00000001 66"  # S "f"
-    "  4d 00000057 00000005"  # M, 87 body bytes, 5 fields in sorted order
-    "    53 00000004 61757468  4e"  # "auth": None
-    "    53 0000000e 726571756573745f646967657374  42 00000002 aabb"  # "request_digest"
-    "    53 00000006 73656e646572  53 00000002 6531"  # "sender": "e1"
-    "    53 00000003 736571  49 00000001 32"  # "seq": int "2"
-    "    53 00000004 76696577  49 00000001 31"  # "view": int "1"
+    "  49 00000001 31"  # view: int "1"
+    "  49 00000001 32"  # seq: int "2"
+    "  42 00000002 aabb"  # request_digest
+    "  53 00000002 6531"  # sender: "e1"
+    "  4e"  # auth: None
 )
 
 DATAGRAM_HEX = (
-    "4d 000000b4 00000003"  # M, 180 body bytes, 3 items
-    "  53 00000003 647374  53 00000002 6532"  # "dst": "e2"
-    "  53 00000001 70  42 00000087"  # "p": 135 payload bytes
+    "4c 0000004a 00000003"  # L, 74 body bytes, 3 items
+    "  53 00000002 6532"  # dst: "e2"
+    "  42 00000033"  # p: 51 payload bytes
     + PAYLOAD_HEX
-    + "  53 00000003 737263  53 00000002 6531"  # "src": "e1"
+    + "  53 00000002 6531"  # src: "e1"
 )
 
-FRAME_HEX = "52504e31 000000b9" + DATAGRAM_HEX  # RPN1, 185 body bytes
+FRAME_HEX = "52504e31 0000004f" + DATAGRAM_HEX  # RPN1, 79 body bytes
+
+#: A message in a field hinted as its class (here a tuple of them) is unnamed.
+BATCH = bft.BatchMsg(requests=(bft.ClientRequest(client_id="c", timestamp=1, payload=b"op"),))
+
+BATCH_HEX = (
+    "4f 00000037 00000001"  # O, 55 body bytes, 1 field
+    "  53 00000008 42617463684d7367"  # S "BatchMsg"
+    "  4c 00000021 00000001"  # requests: L, 33 body bytes, 1 item
+    "    4c 00000018 00000004"  # a ClientRequest, unnamed: L, 24 body bytes, 4 fields
+    "      53 00000001 63"  # client_id: "c"
+    "      49 00000001 31"  # timestamp: int "1"
+    "      42 00000002 6f70"  # payload: b"op"
+    "      4e"  # auth: None
+)
 
 
 def test_payload_bytes():
     assert encode_wire_payload(MESSAGE) == bytes.fromhex(PAYLOAD_HEX)
+
+
+def test_nested_message_bytes():
+    assert encode_wire_payload(BATCH) == bytes.fromhex(BATCH_HEX)
 
 
 def test_datagram_bytes():

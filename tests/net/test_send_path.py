@@ -51,8 +51,11 @@ def test_readdressed_datagram_equals_a_fresh_encode():
 
 @pytest.mark.parametrize("payload", [MESSAGE, b"", b"raw" * 5000, ("t", 1, None)])
 def test_datagram_envelope_is_the_canonical_mapping(payload):
+    """The envelope is the canonical encoding of three values without names,
+    ``dst`` first so a multicast swaps the head (the mapping ``{"dst", "p",
+    "src"}`` this test is named for lost its keys)."""
     assert encode_datagram("src-pid", "dst-pid", payload) == canonical_bytes(
-        {"src": "src-pid", "dst": "dst-pid", "p": wire.encode_wire_payload(payload)}
+        ["dst-pid", wire.encode_wire_payload(payload), "src-pid"]
     )
 
 
@@ -176,9 +179,9 @@ def test_nesting_bomb_is_an_ordinary_decode_error_in_both_backends():
 
 @pytest.mark.parametrize("name", [["PrepareMsg"], {"a": 1}, 7, None])
 def test_unhashable_wire_type_name_is_a_codec_error(name):
-    body = canonical_bytes(
-        {"src": "a", "dst": "b", "p": canonical_bytes({"__wire__": name, "f": {}})}
-    )
+    from tests.net.test_wire_reference import in_envelope, laid
+
+    body = in_envelope(laid(b"O", canonical_bytes(name), count=0))
     with pytest.raises(WireCodecError, match="unknown wire type"):
         decode_datagram(body)
 

@@ -1,17 +1,15 @@
-"""The plan-driven wire codec against the two-pass one it replaced.
+"""The positional wire codec against an independent two-pass one.
 
 ``tests/net/reference_wire.py`` is the oracle. Three properties:
 
 * **same bytes, same objects** on everything an honest sender builds: every
   sample message, hypothesis nestings of them, plain values;
 * **same accept set on hostile bytes**: whatever the reader accepts the
-  reference accepts with an equal result, and nothing the reference rejects
-  gets through. The reader may reject *more* in exactly two ways, each
-  pinned by a named example below: (i) an envelope that is not byte for
-  byte what ``encode_datagram`` lays out, (ii) a nested message that does
-  not build inside a value the two-pass decoder dropped unread (under an
-  unknown field key, or under a key a later duplicate overwrote);
-* **one exception type**: only ``WireCodecError`` leaves ``decode_datagram``.
+  reference accepts with an equal result, and whatever the reference
+  refuses the reader refuses: a frame off the layout (a wrong count or tag,
+  an unknown name, bytes left over, nesting past the bound) is refused by
+  both;
+* **one exception type**: only ``WireCodecError`` leaves either codec.
 """
 
 import dataclasses
@@ -24,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import schema
-from repro.bft import messages as bft
-from repro.crypto.encoding import MAX_PARSE_DEPTH, canonical_bytes, parse_canonical
+from repro.crypto.encoding import MAX_PARSE_DEPTH, canonical_bytes
 from repro.net import wire
 from repro.net.wire import WireCodecError
 from tests.crypto.test_encoding_reference import (
@@ -38,7 +35,8 @@ from tests.message_samples import sample, samples
 from tests.net import reference_wire as reference
 
 SAMPLES = samples()
-TAGS = b"SBILMNTFD"
+NAMES = sorted(schema.registered())
+TAGS = b"SBILMONTFD"
 LENGTHS = (0, 1, 2**31, 2**32 - 1)
 
 
@@ -128,11 +126,28 @@ def test_plain_values_match_the_reference(value):
 
 
 def test_the_writer_refuses_what_the_reference_refuses():
+    """What no reader could take back: a value its field's hint does not
+    admit is refused on encode, by both writers, as much as an opaque one."""
+
     class Opaque:
         pass
 
-    for value in (Opaque(), float("nan"), {1: "int key"}, {"k": Opaque()}, [{"a": 1, 2: 3}],
-                  dataclasses.replace(SAMPLES["PrepareMsg"], auth={"k": Opaque()})):
+    prepare, pre_prepare = SAMPLES["PrepareMsg"], SAMPLES["PrePrepareMsg"]
+    batch = pre_prepare.batch
+    for value in (
+        Opaque(), float("nan"), {1: "int key"}, {"k": Opaque()}, [{"a": 1, 2: 3}],
+        dataclasses.replace(prepare, auth={"k": Opaque()}),
+        dataclasses.replace(prepare, view="1"),  # a str in an int field
+        dataclasses.replace(prepare, request_digest="d"),  # a str in a bytes field
+        dataclasses.replace(prepare, sender=b"e1"),  # bytes in a str field
+        dataclasses.replace(SAMPLES["SmiopReply"], is_digest=1),  # an int in a bool field
+        dataclasses.replace(pre_prepare, batch=prepare),  # another class in a message field
+        dataclasses.replace(pre_prepare, batch=[batch.requests]),  # its fields as a list
+        dataclasses.replace(batch, requests=list(batch.requests)),  # a list, not a tuple
+        dataclasses.replace(batch, requests=(prepare,)),  # another class in the tuple
+    ):
+        with pytest.raises(WireCodecError):
+            wire.encode_wire_payload(value)
         assert_codecs_agree_on(value)
 
 
@@ -185,13 +200,14 @@ def mutated_frames(seed: int, count: int) -> list[bytes]:
 
 # Byte mutations mostly die of a length that no longer adds up. These edit
 # the item tree instead and re-lay every length, so they reach what lies
-# behind well-formed TLV: coercers, constructors, unknown and repeated
-# keys, maps out of order, one type where another is expected.
+# behind well-formed TLV: coercers, constructors, counts that do not match
+# a class, items in another order, one type where another is expected.
 
 
 def to_nodes(raw: bytes, pos: int = 0):
     """``raw`` as a tree: an atom is its bytes, ``L`` is ``[b"L", items]``,
-    ``M`` is ``[b"M", [key, value] pairs]``; and where the value ends."""
+    ``M`` is ``[b"M", [key, value] pairs]``, ``O`` is ``[b"O", [name, *values]]``;
+    and where the value ends."""
     tag = raw[pos : pos + 1]
     if tag in b"NTFD":
         end = pos + (9 if tag == b"D" else 1)
@@ -200,7 +216,7 @@ def to_nodes(raw: bytes, pos: int = 0):
     if tag in b"SBI":
         return raw[pos:end], end
     count, pos, items = int.from_bytes(raw[pos + 5 : pos + 9], "big"), pos + 9, []
-    for _ in range(count):
+    for _ in range(count + (tag == b"O")):
         item, pos = to_nodes(raw, pos)
         if tag == b"M":
             value, pos = to_nodes(raw, pos)
@@ -213,9 +229,9 @@ def to_bytes(node) -> bytes:
     if isinstance(node, bytes):
         return node
     tag, items = node
-    parts = items if tag == b"L" else [part for pair in items for part in pair]
+    parts = [part for pair in items for part in pair] if tag == b"M" else items
     body = b"".join(map(to_bytes, parts))
-    return tag + struct.pack(">II", len(body) + 4, len(items)) + body
+    return tag + struct.pack(">II", len(body) + 4, len(items) - (tag == b"O")) + body
 
 
 def values_of(node, found):
@@ -229,29 +245,40 @@ def values_of(node, found):
 
 def restructure(payload: bytes, rng: random.Random, donors: list[bytes]) -> bytes:
     """One to three of: a container's items shuffled, one repeated, dropped,
-    inserted (under a key that is sometimes a field name) or replaced by a
-    subtree of another message, a key renamed to another key of the tree."""
+    inserted or replaced by a subtree of another message, a mapping key or a
+    class name renamed, a message named where it was not or unnamed where it was."""
     tree = [b"L", [to_nodes(payload)[0]]]  # a root, so the payload is an item too
     for _ in range(rng.choice((1, 1, 2, 3))):
         found = [node for node in values_of(tree, []) if isinstance(node, list)]
-        tag, items = rng.choice(found)
+        node = rng.choice(found)
+        tag, items = node
         graft = rng.choice(values_of(to_nodes(rng.choice(donors))[0], []))
-        kind = rng.choice(("shuffle", "repeat", "drop", "insert", "replace", "rename"))
+        first = 1 if tag == b"O" else 0  # an O's name stays first
+        kind = rng.choice(("shuffle", "repeat", "drop", "insert", "replace", "rename", "name"))
         if kind == "shuffle":
-            rng.shuffle(items)
-        elif kind == "repeat" and items:
-            items.insert(rng.randrange(len(items) + 1), rng.choice(items))
-        elif kind == "drop" and items:
-            del items[rng.randrange(len(items))]
+            rest = items[first:]
+            rng.shuffle(rest)
+            items[first:] = rest
+        elif kind == "repeat" and len(items) > first:
+            items.insert(rng.randrange(first, len(items) + 1), rng.choice(items[first:]))
+        elif kind == "drop" and len(items) > first:
+            del items[rng.randrange(first, len(items))]
         elif kind == "insert":
-            key = canonical_bytes(rng.choice(("zz", "auth", "f", "__wire__", "view", "")))
-            items.insert(rng.randrange(len(items) + 1), [key, graft] if tag == b"M" else graft)
-        elif kind == "replace" and items:
-            at = rng.randrange(len(items))
+            key = canonical_bytes(rng.choice(("zz", "auth", "view", "")))
+            at = rng.randrange(first, len(items) + 1)
+            items.insert(at, [key, graft] if tag == b"M" else graft)
+        elif kind == "replace" and len(items) > first:
+            at = rng.randrange(first, len(items))
             items[at] = [items[at][0], graft] if tag == b"M" else graft
+        elif kind == "rename" and tag == b"O":
+            items[0] = canonical_bytes(rng.choice(NAMES + ["NoSuchType"]))
         elif kind == "rename" and items and tag == b"M":
             keys = [pair[0] for kind_, pairs in found if kind_ == b"M" for pair in pairs]
             items[rng.randrange(len(items))][0] = rng.choice(keys)
+        elif kind == "name" and tag == b"O":
+            node[:] = [b"L", items[1:]]
+        elif kind == "name" and tag == b"L" and node is not tree:
+            node[:] = [b"O", [canonical_bytes(rng.choice(NAMES)), *items]]
     return b"".join(map(to_bytes, tree[1]))  # none, one, or several: all judged
 
 
@@ -259,25 +286,6 @@ def restructured_frames(seed: int, count: int) -> list[bytes]:
     rng = random.Random(seed)
     payloads = [wire.encode_wire_payload(SAMPLES[label]) for label in sorted(SAMPLES)]
     return [in_envelope(restructure(rng.choice(payloads), rng, payloads)) for _ in range(count)]
-
-
-def without_what_two_passes_drop(raw: bytes) -> bytes:
-    """``raw`` re-encoded without the values the two-pass decoder never
-    decoded: overwritten duplicates (the tree lost them) and unknown field
-    keys (``Plan.build`` skipped them)."""
-
-    def keep(value):
-        if type(value) is list:
-            return [keep(item) for item in value]
-        if type(value) is not dict:
-            return value
-        if len(value) == 2 and "__wire__" in value and "f" in value:
-            names = schema.plan_named(value["__wire__"]).names
-            fields = {key: keep(item) for key, item in value["f"].items() if key in names}
-            return {"__wire__": value["__wire__"], "f": fields}
-        return {key: keep(item) for key, item in value.items()}
-
-    return canonical_bytes(keep(parse_canonical(raw)))
 
 
 def judge(body: bytes) -> str:
@@ -288,24 +296,15 @@ def judge(body: bytes) -> str:
         assert got is WireCodecError, f"{got.__name__} escaped on {body.hex()}"
     if expected_verdict == "raised":
         assert expected is WireCodecError  # the oracle's own contract
-        assert verdict == "raised", f"accepted what the reference rejects: {body.hex()}"
-        return "both reject"
+    assert verdict == expected_verdict, f"{verdict} where the reference {expected_verdict}: {body.hex()}"
     if verdict == "ok":
         assert same(got, expected), body.hex()
         return "both accept"
-    # The reader rejected what the reference accepts: only (i) or (ii).
-    envelope = parse_canonical(body)
-    if canonical_bytes({key: envelope[key] for key in ("dst", "p", "src")}) != body:
-        return "extra: envelope"
-    cleaned = without_what_two_passes_drop(envelope["p"])  # its keys sorted, too
-    assert same(wire.decode_wire_payload(cleaned), expected[2], key_order=False), body.hex()
-    return "extra: dropped value"
+    return "both reject"
 
 
 def tally(frames: list[bytes]) -> dict[str, int]:
-    counts = dict.fromkeys(
-        ("both accept", "both reject", "extra: envelope", "extra: dropped value"), 0
-    )
+    counts = dict.fromkeys(("both accept", "both reject"), 0)
     for body in frames:
         counts[judge(body)] += 1
     return counts
@@ -314,176 +313,166 @@ def tally(frames: list[bytes]) -> dict[str, int]:
 @pytest.mark.parametrize("seed", range(4))
 def test_mutated_frames_are_judged_as_the_reference_judges_them(seed):
     counts = tally(mutated_frames(seed, 1500))
-    # The fuzz reaches every side: mutants survive, mutants die, and the
-    # payload-level extra rejection stays the rarity it was sized as.
+    # The fuzz reaches both sides: mutants survive, mutants die.
     assert counts["both accept"] > 40 and counts["both reject"] > 500, counts
-    assert counts["extra: dropped value"] <= 15, counts
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_restructured_frames_are_judged_as_the_reference_judges_them(seed):
     counts = tally(restructured_frames(seed, 1500))
     assert counts["both accept"] > 300 and counts["both reject"] > 300, counts
-    assert counts["extra: envelope"] == 0, counts  # the envelope was laid by the book
 
 
 def test_every_unmutated_frame_is_accepted_by_both():
     assert {judge(body) for body in corpus()} == {"both accept"}
 
 
-def hand_laid(*items: bytes, count: int | None = None) -> bytes:
-    """An ``M`` holding ``items`` (already-encoded keys and values)."""
+def laid(tag: bytes, *items: bytes, count: int | None = None) -> bytes:
+    """A container of ``tag`` holding ``items`` (already encoded); its count
+    is the number of items unless given."""
     body = b"".join(items)
-    count = len(items) // 2 if count is None else count
-    return b"M" + struct.pack(">II", len(body) + 4, count) + body
+    count = len(items) if count is None else count
+    return tag + struct.pack(">II", len(body) + 4, count) + body
 
 
-def test_extra_rejection_i_an_envelope_out_of_layout():
-    """The reference takes any mapping with the three keys; the reader only
-    ``encode_datagram``'s bytes."""
-    dst, p, src = (
-        (canonical_bytes(key), canonical_bytes(value))
-        for key, value in (("dst", "b"), ("p", canonical_bytes(7)), ("src", "a"))
-    )
-    in_layout = hand_laid(*dst, *p, *src)
-    assert in_layout == wire.encode_datagram("a", "b", 7)
-    assert judge(in_layout) == "both accept"
-    extra_key = (canonical_bytes("zzz"), canonical_bytes(None))
-    for body in (
-        hand_laid(*src, *dst, *p),  # key order
-        hand_laid(*dst, *p, *src, *extra_key),  # a fourth key
-        hand_laid(*dst, *p, *src, *src),  # a repeated key: four items
-    ):
-        assert reference.decode_datagram(body) == ("a", "b", 7)
-        assert judge(body) == "extra: envelope"
+def named(name: str, *values: bytes, count: int | None = None) -> bytes:
+    """A named message: ``O``, the field count, the class name, ``values``."""
+    count = len(values) if count is None else count
+    return laid(b"O", canonical_bytes(name), *values, count=count)
 
 
-def message_bytes(name: str, *field_items: bytes) -> bytes:
-    return hand_laid(
-        canonical_bytes("__wire__"), canonical_bytes(name),
-        canonical_bytes("f"), hand_laid(*field_items),
-    )
-
-
-def test_extra_rejection_ii_a_broken_message_the_two_pass_decoder_never_built():
-    prepare = SAMPLES["PrepareMsg"]
-    good = wire.encode_wire_payload(prepare)
-    fields = [
-        part
-        for name in sorted(schema.plan_of(bft.PrepareMsg).names)
-        for part in (canonical_bytes(name), wire.encode_wire_payload(getattr(prepare, name)))
+def field_values(message, **values) -> list[bytes]:
+    """The fields of ``message`` in declaration order, each as the writer
+    lays it (from ``values`` where it names the field)."""
+    plan = schema.plan_of(type(message))
+    top = wire.encode_wire_payload(message)
+    found = to_nodes(top)[0][1][1:]
+    return [
+        wire.encode_wire_payload(values[name]) if name in values else to_bytes(node)
+        for name, node in zip(plan.names, found)
     ]
-    assert message_bytes("PrepareMsg", *fields) == good
-    broken = message_bytes("NoSuchType")
-    healthy = wire.encode_wire_payload(SAMPLES["CommitMsg"])
-    with pytest.raises(WireCodecError, match="unknown wire type"):
-        wire.decode_wire_payload(broken)
-
-    def datagram(payload):
-        return canonical_bytes({"dst": "b", "p": payload, "src": "a"})
-
-    # An unknown key is ignored by both - whatever well-formed value it holds.
-    for ignored in (canonical_bytes([1, {"k": None}]), healthy):
-        body = datagram(message_bytes("PrepareMsg", *fields, canonical_bytes("zz"), ignored))
-        assert judge(body) == "both accept"
-    # ... but the reader reads it, so a message that does not build is an error
-    unknown_key = datagram(message_bytes("PrepareMsg", *fields, canonical_bytes("zz"), broken))
-    assert same(reference.decode_datagram(unknown_key), ("a", "b", prepare))
-    assert judge(unknown_key) == "extra: dropped value"
-    # ... and so is one under a key that a later duplicate overwrites.
-    overwritten = datagram(message_bytes("PrepareMsg", canonical_bytes("auth"), broken, *fields))
-    assert same(reference.decode_datagram(overwritten), ("a", "b", prepare))
-    assert judge(overwritten) == "extra: dropped value"
-    # Malformed TLV under an ignored key was never acceptable to either.
-    torn = datagram(message_bytes("PrepareMsg", *fields, canonical_bytes("zz"), b"S\x00\x00\x00\x09ab"))
-    assert judge(torn) == "both reject"
-
-
-def test_message_shape_out_of_canonical_order_is_still_the_message():
-    """``f`` before ``__wire__``, fields unsorted, one absent (defaulted),
-    a key repeated: no encoder of ours writes these; both decoders build."""
-    prepare = SAMPLES["PrepareMsg"]
-    items = {
-        name: (canonical_bytes(name), wire.encode_wire_payload(getattr(prepare, name)))
-        for name in schema.plan_of(bft.PrepareMsg).names
-    }
-    unsorted = [part for name in ("view", "sender", "seq", "request_digest", "auth") for part in items[name]]
-    no_auth = [part for name in ("request_digest", "sender", "seq", "view") for part in items[name]]
-    repeated = [*items["view"], *unsorted]
-    for field_items, expected in (
-        (unsorted, prepare),
-        (no_auth, dataclasses.replace(prepare, auth=None)),
-        (repeated, prepare),
-    ):
-        for payload in (
-            message_bytes("PrepareMsg", *field_items),
-            hand_laid(canonical_bytes("f"), hand_laid(*field_items),
-                      canonical_bytes("__wire__"), canonical_bytes("PrepareMsg")),
-        ):
-            assert same(wire.decode_wire_payload(payload), expected)
-            assert judge(canonical_bytes({"dst": "b", "p": payload, "src": "a"})) == "both accept"
-    # Three items, one key twice: a two-key mapping to both decoders.
-    doubled = hand_laid(canonical_bytes("__wire__"), canonical_bytes("CommitMsg"),
-                        canonical_bytes("__wire__"), canonical_bytes("PrepareMsg"),
-                        canonical_bytes("f"), hand_laid(*unsorted))
-    assert same(wire.decode_wire_payload(doubled), prepare)
-    assert same(reference.decode_wire_payload(doubled), prepare)
-
-
-# -- (c) only WireCodecError -------------------------------------------------------
 
 
 def in_envelope(payload: bytes, src: bytes = b"a", dst: bytes = b"b") -> bytes:
     """``encode_datagram``'s layout around raw (possibly invalid) parts."""
-    return hand_laid(
-        canonical_bytes("dst"), b"S" + struct.pack(">I", len(dst)) + dst,
-        canonical_bytes("p"), b"B" + struct.pack(">I", len(payload)) + payload,
-        canonical_bytes("src"), b"S" + struct.pack(">I", len(src)) + src,
+    return laid(
+        b"L",
+        b"S" + struct.pack(">I", len(dst)) + dst,
+        b"B" + struct.pack(">I", len(payload)) + payload,
+        b"S" + struct.pack(">I", len(src)) + src,
     )
+
+
+def refused_by_both(payload: bytes) -> None:
+    """``payload`` is a ``WireCodecError`` to both codecs, alone and in an
+    envelope, and nothing else escapes."""
+    for codec in (wire, reference):
+        assert outcome(codec.decode_wire_payload, payload) == ("raised", WireCodecError)
+    assert judge(in_envelope(payload)) == "both reject"
+
+
+def test_an_envelope_out_of_layout_is_refused_by_both():
+    """Three items, ``dst`` ``p`` ``src``, in that order: nothing else."""
+    dst, p, src = canonical_bytes("b"), canonical_bytes(canonical_bytes(7)), canonical_bytes("a")
+    in_layout = laid(b"L", dst, p, src)
+    assert in_layout == wire.encode_datagram("a", "b", 7)
+    assert judge(in_layout) == "both accept"
+    for body in (
+        laid(b"L", src, dst, p),  # another order
+        laid(b"L", dst, p, src, canonical_bytes(None)),  # a fourth item
+        laid(b"L", dst, p, src, count=2),
+        laid(b"L", dst, p, src, count=4),
+        laid(b"M", dst, p, src, count=3),  # another container
+        canonical_bytes({"dst": "b", "p": canonical_bytes(7), "src": "a"}),  # the old mapping
+        laid(b"L", dst, canonical_bytes(7), src),  # p not bytes
+        laid(b"L", canonical_bytes(7), p, src),  # dst not a string
+    ):
+        assert judge(body) == "both reject"
+
+
+def test_fields_out_of_declaration_order_are_refused():
+    """Where the reversed fields' types differ the frame is refused; the
+    name-keyed mapping the wire used to carry is no message at all."""
+    prepare = SAMPLES["PrepareMsg"]
+    values = field_values(prepare)
+    refused_by_both(named("PrepareMsg", *values[::-1]))
+    old_form = canonical_bytes({"__wire__": "PrepareMsg", "f": {"view": 1}})
+    assert wire.decode_wire_payload(old_form) == {"__wire__": "PrepareMsg", "f": {"view": 1}}
+    assert judge(in_envelope(old_form)) == "both accept"  # ... a plain mapping
+
+
+def test_a_message_with_a_field_too_many_or_too_few_is_refused():
+    prepare = SAMPLES["PrepareMsg"]
+    values = field_values(prepare)
+    assert named("PrepareMsg", *values) == wire.encode_wire_payload(prepare)
+    for payload in (
+        named("PrepareMsg", *values, canonical_bytes(None)),  # one more, counted
+        named("PrepareMsg", *values[:-1]),  # one fewer, counted
+        named("PrepareMsg", *values, count=len(values) + 1),  # the count alone
+        named("PrepareMsg", *values, count=len(values) - 1),
+        named("PrepareMsg", *values[:-1], count=len(values)),  # the items alone
+        named("PrepareMsg"),
+    ):
+        refused_by_both(payload)
 
 
 HOSTILE = {
     "empty": b"",
-    "one byte": b"M",
-    "short of the first head": wire.encode_datagram("a", "b", 7)[:20],
-    "short of the payload head": wire.encode_datagram("a", "b", 7)[:25],
-    "short of the source head": wire.encode_datagram("a", "b", 7)[:-6],
+    "one byte": b"L",
+    "short of the first head": wire.encode_datagram("a", "b", 7)[:10],
+    "short of the payload head": wire.encode_datagram("a", "b", 7)[:17],
+    "short of the source head": wire.encode_datagram("a", "b", 7)[:-4],
     "src is not UTF-8": in_envelope(canonical_bytes(7), src=b"\xff\xfe"),
     "dst is not UTF-8": in_envelope(canonical_bytes(7), dst=b"\xc3"),
     "wire name is not UTF-8": in_envelope(
-        hand_laid(canonical_bytes("__wire__"), b"S\x00\x00\x00\x02\xff\xfe",
-                  canonical_bytes("f"), hand_laid())
+        laid(b"O", b"S\x00\x00\x00\x02\xff\xfe", count=0)
     ),
-    "field key is not UTF-8": in_envelope(
-        message_bytes("PrepareMsg", b"S\x00\x00\x00\x02\xff\xfe", canonical_bytes(1))
+    "wire name is not a string": in_envelope(laid(b"O", canonical_bytes(7), count=0)),
+    "no wire name": in_envelope(laid(b"O", count=0)),
+    "a str field is not UTF-8": in_envelope(
+        named("PrepareMsg", *field_values(SAMPLES["PrepareMsg"])[:3],
+              b"S\x00\x00\x00\x02\xff\xfe", canonical_bytes(None))
     ),
-    "mapping key is not UTF-8": in_envelope(hand_laid(b"S\x00\x00\x00\x01\xff", b"N")),
-    "field key is a list": in_envelope(
-        message_bytes("PrepareMsg", canonical_bytes(["view"]), canonical_bytes(1))
+    "mapping key is not UTF-8": in_envelope(laid(b"M", b"S\x00\x00\x00\x01\xff", b"N", count=1)),
+    # The name-keyed form the wire used to carry is a plain mapping now; with
+    # a key that is no string it is no value at all.
+    "field key is a list": in_envelope(canonical_bytes({"__wire__": "PrepareMsg", "f": {}})
+                                       .replace(b"M\x00\x00\x00\x04\x00\x00\x00\x00",
+                                                laid(b"M", canonical_bytes(["view"]), b"N", count=1))),
+    "field key is not UTF-8": in_envelope(canonical_bytes({"__wire__": "PrepareMsg", "f": {}})
+                                          .replace(b"M\x00\x00\x00\x04\x00\x00\x00\x00",
+                                                   laid(b"M", b"S\x00\x00\x00\x02\xff\xfe", b"N", count=1))),
+    "constructor misses its arguments": in_envelope(named("PrepareMsg")),
+    "fields is a list": in_envelope(
+        named("PrepareMsg", canonical_bytes(list(dataclasses.astuple(SAMPLES["PrepareMsg"]))[:4]))
     ),
+    "fields is a message": in_envelope(named("PrepareMsg", wire.encode_wire_payload(SAMPLES["CommitMsg"]))),
     "integer is not decimal": in_envelope(b"I\x00\x00\x00\x03abc"),
+    "int field is not decimal": in_envelope(
+        named("PrepareMsg", b"I\x00\x00\x00\x03abc", *field_values(SAMPLES["PrepareMsg"])[1:])
+    ),
     "coercer meets an int": in_envelope(
-        message_bytes("BatchMsg", canonical_bytes("requests"), canonical_bytes(7))
+        named("ViewChangeMsg", *field_values(SAMPLES["ViewChangeMsg"], checkpoints=7))
     ),
     "coercer meets a wrong arity": in_envelope(
-        message_bytes("NewViewMsg", canonical_bytes("view_changes"), canonical_bytes([[1, 2, 3]]))
+        named("ViewChangeMsg", *field_values(SAMPLES["ViewChangeMsg"], checkpoints=[[1, 2, 3]]))
     ),
-    "constructor misses its arguments": in_envelope(message_bytes("PrepareMsg")),
-    "fields is a list": in_envelope(
-        hand_laid(canonical_bytes("__wire__"), canonical_bytes("PrepareMsg"),
-                  canonical_bytes("f"), canonical_bytes([]))
+    "constructor refuses a value": in_envelope(
+        named("OpenRequest", *field_values(SAMPLES["OpenRequest"], requester_kind="nobody"))
     ),
-    "fields is a message": in_envelope(
-        hand_laid(canonical_bytes("f"), wire.encode_wire_payload(SAMPLES["CommitMsg"]),
-                  canonical_bytes("__wire__"), canonical_bytes("PrepareMsg"))
+    "a named message where an unnamed one is due": in_envelope(
+        named("PrePrepareMsg", *field_values(
+            SAMPLES["PrePrepareMsg"], batch=SAMPLES["PrePrepareMsg"].batch))
+    ),
+    "an unnamed message where a list of them is due": in_envelope(
+        named("FillMsg", field_values(SAMPLES["FillMsg"])[0][9:], canonical_bytes("e1"))
     ),
     "nesting bomb": nested_lists(3000),
     "nesting bomb in an envelope": in_envelope(nested_lists(3000)),
     "last byte missing": in_envelope(canonical_bytes(7))[:-1],
-    "payload length past the body": hand_laid(
-        canonical_bytes("dst"), canonical_bytes("b"),
-        canonical_bytes("p"), b"B" + struct.pack(">I", 9999) + canonical_bytes(7),
-        canonical_bytes("src"), canonical_bytes("a"),
+    "payload length past the body": laid(
+        b"L", canonical_bytes("b"), b"B" + struct.pack(">I", 9999) + canonical_bytes(7),
+        canonical_bytes("a"),
     ),
 }
 
@@ -495,20 +484,6 @@ def test_hostile_frame_is_a_codec_error_to_both(label):
     assert judge(HOSTILE[label]) == "both reject"
 
 
-def test_every_registered_message_has_a_field_without_a_default():
-    """Why "fields is a message" above is a rejection to both: read out of
-    canonical order, ``f`` is already an object and the reader refuses it;
-    the reference sees a dict with no field name in it and calls the
-    constructor bare - a ``TypeError`` for every class there is."""
-    for name, cls in schema.registered().items():
-        required = [
-            field.name
-            for field in dataclasses.fields(cls)
-            if field.default is field.default_factory is dataclasses.MISSING
-        ]
-        assert required, name
-
-
 def test_an_over_long_decimal_is_judged_as_the_reference_judges_it():
     """CPython >= 3.11 refuses to parse more than 4,300 digits (a
     ``ValueError``); 3.10 parses them. Either way: what the reference does."""
@@ -518,96 +493,50 @@ def test_an_over_long_decimal_is_judged_as_the_reference_judges_it():
     )
 
 
-def test_nesting_is_bounded_exactly_where_the_reference_bounds_it():
-    def in_lists(raw, levels):
-        for _ in range(levels):
-            raw = b"L" + struct.pack(">II", len(raw) + 4, 1) + raw
-        return raw
+def in_lists(raw: bytes, levels: int) -> bytes:
+    for _ in range(levels):
+        raw = laid(b"L", raw)
+    return raw
 
+
+def test_nesting_is_bounded_exactly_where_the_reference_bounds_it():
     assert judge(in_envelope(in_lists(b"N", MAX_PARSE_DEPTH))) == "both accept"
     assert judge(in_envelope(in_lists(b"N", MAX_PARSE_DEPTH + 1))) == "both reject"
-    # A message spends two levels: its mapping and its field map.
+    # A message spends one level, and each message inside it one more.
     message = wire.encode_wire_payload(SAMPLES["ClientRequest"])
-    assert judge(in_envelope(in_lists(message, MAX_PARSE_DEPTH - 2))) == "both accept"
-    assert judge(in_envelope(in_lists(message, MAX_PARSE_DEPTH - 1))) == "both reject"
+    assert judge(in_envelope(in_lists(message, MAX_PARSE_DEPTH - 1))) == "both accept"
+    assert judge(in_envelope(in_lists(message, MAX_PARSE_DEPTH))) == "both reject"
     with pytest.raises(WireCodecError, match="nested deeper"):
-        wire.decode_wire_payload(in_lists(message, MAX_PARSE_DEPTH - 1))
+        wire.decode_wire_payload(in_lists(message, MAX_PARSE_DEPTH))
+    batch = wire.encode_wire_payload(SAMPLES["BatchMsg"])  # its list, its requests: 3
+    assert judge(in_envelope(in_lists(batch, MAX_PARSE_DEPTH - 3))) == "both accept"
+    assert judge(in_envelope(in_lists(batch, MAX_PARSE_DEPTH - 2))) == "both reject"
 
 
-# -- (d) every registered plan, through its compiled writer and reader ----------------
-#
-# ``net/wire.py`` compiles a writer and a reader per plan from the field hints.
-# The reader reads the writer's layout inline and hands anything else to the
-# key-by-key path; these hold both paths to the reference for every plan,
-# with the handing-over observed, not assumed.
+def test_every_registered_message_has_a_field_without_a_default():
+    """A short frame is refused by its count; it could not be built either:
+    the reader passes every value positionally, and no registered class
+    would make up a missing one from a default."""
+    for name, cls in schema.registered().items():
+        required = [
+            field.name
+            for field in dataclasses.fields(cls)
+            if field.default is field.default_factory is dataclasses.MISSING
+        ]
+        assert required, name
 
 
-@pytest.fixture
-def handed_over(monkeypatch):
-    """The plans whose compiled reader handed a field map to the key-by-key
-    path (readers are recompiled against the counting fallback)."""
-    plans = []
-    fallback = wire._read_fields
-
-    def counted(raw, pos, limit, depth, plan, *read_so_far):
-        plans.append(plan.name)
-        return fallback(raw, pos, limit, depth, plan, *read_so_far)
-
-    monkeypatch.setattr(wire, "_read_fields", counted)
-    monkeypatch.setattr(wire, "_READERS", {})
-    return plans
+# -- (c) every registered plan, through its compiled writer and reader ----------------
 
 
 def plan_sample(name):
     return sample(schema.registered()[name])
 
 
-def field_items(message, names, **values):
-    """The fields ``names`` of ``message`` in that order, each as the writer
-    lays it: key item, then value (from ``values`` where it names the field,
-    which need not pass the message's own validation)."""
-    return [
-        part for field in names
-        for part in (canonical_bytes(field),
-                     wire.encode_wire_payload(values.get(field, getattr(message, field))))
-    ]
-
-
-#: A value of another atom type for an ``int``/``bytes``/``str`` slot.
-WRONG_TAG = {int: "7", bytes: 7, str: b"7"}
-
-
-def off_layout(message):
-    """label -> payload bytes outside the writer's layout for ``message``'s plan."""
-    plan = schema.plan_of(type(message))
-    names = sorted(plan.names)
-    unknown = (canonical_bytes("zz"), canonical_bytes(1))
-    shapes = {
-        "unknown extra key": message_bytes(plan.name, *field_items(message, names), *unknown),
-        "unknown key first": message_bytes(plan.name, *unknown, *field_items(message, names)),
-    }
-    if len(names) > 1:
-        shapes["fields out of writer order"] = message_bytes(
-            plan.name, *field_items(message, names[::-1])
-        )
-    for field in dataclasses.fields(message):
-        if (field.default, field.default_factory) != (dataclasses.MISSING, dataclasses.MISSING):
-            present = [name for name in names if name != field.name]
-            shapes[f"defaulted {field.name} absent"] = message_bytes(
-                plan.name, *field_items(message, present)
-            )
-        wrong = WRONG_TAG.get(plan.hints[field.name])
-        if wrong is not None:
-            shapes[f"wrong tag in {field.name}"] = message_bytes(
-                plan.name, *field_items(message, names, **{field.name: wrong})
-            )
-    return shapes
-
-
-@pytest.mark.parametrize("name", sorted(schema.registered()))
-def test_every_plan_writes_and_reads_as_the_reference_does(name, handed_over):
+@pytest.mark.parametrize("name", NAMES)
+def test_every_plan_writes_and_reads_as_the_reference_does(name):
     """Honest values in every auth form are written byte for byte as the
-    reference writes them and read back by the compiled reader alone."""
+    reference writes them and read back equal."""
     message = plan_sample(name)
     honest = [message]
     if "auth" in schema.plan_of(type(message)).names:
@@ -615,24 +544,136 @@ def test_every_plan_writes_and_reads_as_the_reference_does(name, handed_over):
                    for auth in (None, b"\x0b" * 32, {"e1": b"\x01" * 8, "e2": b"\x02" * 8})]
     for value in honest:
         assert_codecs_agree_on(value)
-    assert handed_over == []
+        assert same(wire.decode_wire_payload(wire.encode_wire_payload(value)), value)
 
 
-@pytest.mark.parametrize("name", sorted(schema.registered()))
-def test_a_bool_in_an_int_field_is_still_t_or_f(name, handed_over):
+@pytest.mark.parametrize("name", NAMES)
+def test_a_bool_in_an_int_field_is_still_t_or_f(name):
+    """A ``bool`` is an ``int``: an int field may hold one, laid ``T``/``F``
+    in the int's place, and it comes back a ``bool``."""
     message = plan_sample(name)
     plan = schema.plan_of(type(message))
-    int_fields = [field for field in sorted(plan.names) if plan.hints[field] is int]
+    int_fields = [field for field in plan.names if plan.hints[field] is int]
     for field, flag in zip(int_fields, itertools.cycle((True, False))):
         value = with_field(message, plan.names.index(field), flag)
         assert_codecs_agree_on(value)
-        assert canonical_bytes(field) + (b"T" if flag else b"F") in wire.encode_wire_payload(value)
-    assert handed_over.count(name) == 2 * len(int_fields)  # decoded, then re-decoded
+        position = plan.names.index(field)
+        assert field_values(value)[position] == (b"T" if flag else b"F")
+        assert getattr(wire.decode_wire_payload(wire.encode_wire_payload(value)), field) is flag
 
 
-@pytest.mark.parametrize("name", sorted(schema.registered()))
-def test_every_plan_hands_frames_off_its_layout_to_the_key_by_key_path(name, handed_over):
+#: Values of every other tag for each atom-hinted slot.
+WRONG = {int: ["7", b"7", None, 2.5, [7], {"k": 7}], bytes: [7, "7", None, True, 2.5, [b"7"]],
+         str: [b"7", 7, None, False, 2.5, ["7"]], bool: [1, "T", b"T", None, 2.5, [True]]}
+
+
+def off_layout(message) -> dict[str, bytes]:
+    """label -> payload bytes off the writer's layout for ``message``'s plan,
+    each of which both codecs refuse."""
+    plan = schema.plan_of(type(message))
+    values = field_values(message)
+    shapes = {
+        "one field too many": named(plan.name, *values, canonical_bytes(1)),
+        "one field too few": named(plan.name, *values[:-1]),
+        "count one over": named(plan.name, *values, count=len(values) + 1),
+        "count one under": named(plan.name, *values, count=len(values) - 1),
+        "trailing bytes": named(plan.name, *values) + b"N",
+        "trailing bytes inside": laid(b"O", canonical_bytes(plan.name), *values, b"N",
+                                      count=len(values)),
+        "another name": named("NoSuchType", *values),
+    }
+    for position, name in enumerate(plan.names):
+        for index, wrong in enumerate(WRONG.get(plan.hints[name], ())):
+            shapes[f"{name} holds {type(wrong).__name__} #{index}"] = named(
+                plan.name, *field_values(message, **{name: wrong})
+            )
+    return shapes
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_plan_hands_frames_off_its_layout_to_the_key_by_key_path(name):
+    """Named for the key-by-key fallback reader such frames once went to.
+    There is none now: every frame off the plan's layout is refused, by
+    the compiled reader and the reference alike."""
     for label, payload in off_layout(plan_sample(name)).items():
-        handed_over.clear()
-        assert judge(in_envelope(payload)) in ("both accept", "both reject"), label
-        assert handed_over[:1] == [name], label
+        assert judge(in_envelope(payload)) == "both reject", label
+
+
+# -- (d) hostile positional frames, as properties ------------------------------------
+
+
+PLANS = st.sampled_from(NAMES).map(plan_sample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PLANS, st.sampled_from((-1, 1)), st.booleans())
+def test_a_field_count_off_by_one_is_refused(message, by, items_too):
+    """The head's count one off, with the items to match it or not."""
+    values = field_values(message)
+    plan = schema.plan_of(type(message))
+    if items_too:
+        values = values + [canonical_bytes(0)] if by > 0 else values[:-1]
+    refused_by_both(named(plan.name, *values, count=len(plan.names) + by))
+
+
+ATOM_POSITIONS = [
+    (name, field, atom)
+    for name in NAMES
+    for field, atom in schema.plan_of(schema.registered()[name]).hints.items()
+    if atom in WRONG
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ATOM_POSITIONS), st.data())
+def test_a_wrong_atom_tag_in_any_position_is_refused(position, data):
+    name, field, atom = position
+    wrong = data.draw(st.sampled_from(WRONG[atom]))
+    refused_by_both(named(name, *field_values(plan_sample(name), **{field: wrong})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=12).filter(lambda text: text not in NAMES), PLANS)
+def test_an_unregistered_top_level_name_is_refused(name, message):
+    refused_by_both(named(name, *field_values(message)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SAMPLES)), st.binary(min_size=1, max_size=12), st.booleans())
+def test_trailing_bytes_are_refused(label, tail, inside):
+    """After the payload, or inside the message's container past its last field."""
+    message = SAMPLES[label]
+    if inside:
+        plan = schema.plan_of(type(message))
+        payload = laid(b"O", canonical_bytes(plan.name), *field_values(message), tail,
+                       count=len(plan.names))
+    else:
+        payload = wire.encode_wire_payload(message) + tail
+    refused_by_both(payload)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(SAMPLES)))
+def test_nesting_one_past_the_bound_is_refused(label):
+    """Each sample in plain lists to exactly the bound is taken; one level
+    more is refused by both."""
+    payload = wire.encode_wire_payload(SAMPLES[label])
+    depth = 1 + max(
+        (len(path) for path in container_paths(to_nodes(payload)[0])), default=0
+    )
+    at_bound = in_lists(payload, MAX_PARSE_DEPTH - depth)
+    assert judge(in_envelope(at_bound)) == "both accept"
+    refused_by_both(laid(b"L", at_bound))
+
+
+def container_paths(node, path=()):
+    """Every chain of containers below ``node`` (each a tuple of tags)."""
+    if not isinstance(node, list):
+        return []
+    tag, items = node
+    children = [value for _, value in items] if tag == b"M" else items
+    found = [path]
+    for child in children:
+        if isinstance(child, list):
+            found += container_paths(child, (*path, child[0]))
+    return found

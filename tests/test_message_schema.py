@@ -51,7 +51,7 @@ def test_three_forms_of_every_registered_type(name, cls):
     decoded = decode_wire_payload(wire)
     assert type(decoded) is cls and decoded == message
     assert encode_wire_payload(decoded) == wire
-    assert parse_canonical(wire)["__wire__"] == name
+    assert wire[:1] == b"O" and wire[9 : 14 + len(name)] == canonical_bytes(name)
 
     # signed: every field but ``auth`` and the declared unsigned ones
     if isinstance(message, BftMessage):
