@@ -3,8 +3,11 @@
 :func:`same_state` compares two replicas of one ordering group on what
 decides their future behaviour: view, last executed sequence number, stable
 checkpoint, client table (timestamp and result digest per client), the
-outstanding requests, and which of the replica's timers are armed. Use it
-after an idle window, once both replicas have had time to catch up::
+outstanding requests, and which of the replica's timers are armed. An ITDOS
+element adds what its queue decides: whether it is diverged, in queue mode
+its append chain and how many payloads it ever appended, and a digest of its
+servants' state. Use it after an idle window, once both replicas have had
+time to catch up::
 
     assert same_state(recovered, peer), (state_of(recovered), state_of(peer))
 """
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 from repro.bft.replica import BftReplica
 from repro.crypto.digests import digest
+from repro.crypto.encoding import canonical_bytes
+from repro.itdos.element import QueueElement
 
 
 def armed_timers(replica: BftReplica) -> set[str]:
@@ -29,7 +34,7 @@ def armed_timers(replica: BftReplica) -> set[str]:
 def state_of(replica: BftReplica) -> dict[str, object]:
     """The fields :func:`same_state` compares, as one comparable dict."""
     stable_seq, snapshot = replica.stable_checkpoint()
-    return {
+    state = {
         "view": replica.view,
         "last_executed": replica.last_executed,
         "stable_checkpoint": (stable_seq, digest(snapshot).hex()),
@@ -40,6 +45,13 @@ def state_of(replica: BftReplica) -> dict[str, object]:
         "awaiting": dict(sorted(replica._awaiting.items())),
         "armed_timers": sorted(armed_timers(replica)),
     }
+    if isinstance(replica, QueueElement):
+        state["diverged"] = replica.diverged
+        if replica.state_mode == "queue":
+            state["chain"] = replica._append_chain.hex()
+            state["appended"] = replica.queue.total_appended
+        state["servants"] = digest(canonical_bytes(replica.servant_state())).hex()
+    return state
 
 
 def same_state(a: BftReplica, b: BftReplica) -> bool:
