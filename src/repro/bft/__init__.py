@@ -12,8 +12,8 @@ protocol over the deterministic simulator:
 * view changes that carry prepared requests into the new view, decided by
   counting senders (no certificate is believed on the names it lists), so
   a faulty primary cannot halt the system;
-* state transfer, so a replica that missed a stable checkpoint can fetch the
-  application state and rejoin;
+* one catch-up round (:mod:`repro.bft.catchup`), so a replica that missed a
+  stable checkpoint, or disagrees with it, fetches the application state;
 * pluggable message authentication (none / pairwise HMAC / RSA signatures),
   mirroring the paper's split between cheap authenticators and transferable
   signatures.
@@ -29,6 +29,8 @@ from repro.bft.config import BftConfig
 from repro.bft.messages import (
     BatchMsg,
     BftReply,
+    CatchUpRequest,
+    CatchUpResponse,
     CheckpointMsg,
     ClientRequest,
     CommitMsg,
@@ -36,8 +38,6 @@ from repro.bft.messages import (
     NewViewMsg,
     PrepareMsg,
     PrePrepareMsg,
-    StateRequestMsg,
-    StateResponseMsg,
     StatusMsg,
     ViewChangeMsg,
 )
@@ -50,6 +50,8 @@ __all__ = [
     "BftConfig",
     "BftReplica",
     "BftReply",
+    "CatchUpRequest",
+    "CatchUpResponse",
     "CheckpointMsg",
     "ClientRequest",
     "CommitMsg",
@@ -61,8 +63,6 @@ __all__ = [
     "PrePrepareMsg",
     "PrepareMsg",
     "RsaAuth",
-    "StateRequestMsg",
-    "StateResponseMsg",
     "StatusMsg",
     "ViewChangeMsg",
     "build_group",

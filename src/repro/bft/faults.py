@@ -85,8 +85,8 @@ class SlowReplica(BftReplica):
 
 
 class CertificateForger(BftReplica):
-    """Lies inside every certificate it sends: a made-up snapshot for a
-    state request, a made-up batch for a lagger's next seq, a checkpoint 1000
+    """Lies inside every certificate it sends: a made-up checkpoint for a
+    catch-up request, a made-up batch for a lagger's next seq, a checkpoint 1000
     and a prepared request 500 past its stable seq in each view change, and,
     as a new primary, one pre-prepare more than its view-change set decides.
     """
@@ -105,8 +105,8 @@ class CertificateForger(BftReplica):
     def _lie(self, message: Any) -> Any:
         if isinstance(message, m.FillMsg):
             return replace(message, entries=(self._forged(message.entries[0].seq),))
-        if isinstance(message, m.StateResponseMsg):
-            return replace(message, snapshot=canonical_bytes({"app": b"999", "clients": {}}))
+        if isinstance(message, m.CatchUpResponse):
+            return replace(message, checkpoint=canonical_bytes({"app": b"999", "clients": {}}))
         if isinstance(message, m.ViewChangeMsg):
             far = self._forged(message.stable_seq + 500)
             return replace(

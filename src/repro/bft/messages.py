@@ -284,17 +284,32 @@ class FillMsg(BftMessage):
 
 @message
 @dataclass(frozen=True)
-class StateRequestMsg(BftMessage):
-    """Ask a peer for the application state at its stable checkpoint."""
+class CatchUpRequest(BftMessage):
+    """Attempt ``attempt`` of a catch-up round (:mod:`repro.bft.catchup`):
+    send me your stable checkpoint and whatever your layer keeps beside it."""
 
+    attempt: int
     sender: str
+    auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
 
 
 @message
 @dataclass(frozen=True)
-class StateResponseMsg(BftMessage):
-    """The snapshot of the sender's stable checkpoint at ``stable_seq``."""
+class CatchUpResponse(BftMessage):
+    """The responder's stable checkpoint at ``stable_seq`` and an opaque
+    ``blob`` the layer above fills: empty for a plain replica and the Group
+    Manager; a queue-mode ITDOS element's queue image, append chain and
+    servant state (:meth:`repro.itdos.element.QueueElement.queue_image`)."""
 
+    attempt: int
     stable_seq: int
-    snapshot: bytes
+    checkpoint: bytes
+    blob: bytes
     sender: str
+    auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
+
+    def fingerprint(self) -> bytes:
+        """What responders must agree on: the checkpoint and the blob."""
+        return digest(canonical_bytes(
+            {"seq": self.stable_seq, "checkpoint": digest(self.checkpoint), "blob": digest(self.blob)}
+        ))

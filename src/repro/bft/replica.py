@@ -11,9 +11,10 @@ requests. The normal-case flow:
 4. each replica sends its REPLY directly to the client.
 
 Checkpoints every ``k`` executions garbage-collect the log; view changes
-replace an unresponsive primary; state transfer catches up replicas that
-missed a stable checkpoint. The application is a pluggable upcall — ITDOS
-installs its message-queue state machine here (§3.1).
+replace an unresponsive primary; one catch-up round (:mod:`repro.bft.catchup`)
+fetches the state of a stable checkpoint a replica missed or disagrees
+with. The application is a pluggable upcall — ITDOS installs its
+message-queue state machine here (§3.1).
 
 A checkpoint covers the whole replicated state: the application snapshot
 and the client table. So ``execute_fn``'s results must be deterministic
@@ -29,10 +30,13 @@ from itertools import takewhile
 from typing import Any, Callable
 
 from repro.bft.auth import MessageAuth, NullAuth
+from repro.bft.catchup import CatchUp
 from repro.bft.config import BftConfig
 from repro.bft.messages import (
     BatchMsg,
     BftReply,
+    CatchUpRequest,
+    CatchUpResponse,
     CheckpointMsg,
     ClientRequest,
     CommitMsg,
@@ -40,8 +44,6 @@ from repro.bft.messages import (
     NewViewMsg,
     PrepareMsg,
     PrePrepareMsg,
-    StateRequestMsg,
-    StateResponseMsg,
     StatusMsg,
     ViewChangeMsg,
 )
@@ -218,15 +220,13 @@ class BftReplica(Process):
         # reaches it. The view-change timer runs while this is non-empty.
         self._awaiting: dict[str, int] = {}
         self._future: list[tuple[str, Any]] = []  # messages for future views
-        self._state_transfer_pending = False
-        self._state_transfer_started = 0.0
-        self._state_transfer_proof: tuple[CheckpointMsg, ...] = ()
-        self._state_transfer_attempt = 0
+        self.catch_up = CatchUp(
+            self, config.replica_ids, config.f, self._p2p,
+            self._catch_up_rank, self._catch_up_adopt, self._catch_up_failed,
+        )
         # Executed pre-prepares, kept one checkpoint interval below the stable
         # checkpoint, so f+1 peers can still fill a replica that lags it.
         self._executed: dict[int, PrePrepareMsg] = {}
-        # Responder -> the (seq, snapshot digest) of its last state response.
-        self._state_claims: dict[str, tuple[int, bytes]] = {}
         # Retransmission machinery (lossy links): periodically re-multicast
         # our protocol messages for unfinished work, as the Castro–Liskov
         # library's status/retransmission mechanism does.
@@ -243,8 +243,8 @@ class BftReplica(Process):
             CheckpointMsg: self._on_checkpoint,
             ViewChangeMsg: self._on_view_change,
             NewViewMsg: self._on_new_view,
-            StateRequestMsg: self._on_state_request,
-            StateResponseMsg: self._on_state_response,
+            CatchUpRequest: self._on_catch_up_request,
+            CatchUpResponse: self.catch_up.handle_response,
             StatusMsg: self._on_status,
             FillMsg: self._on_fill,
         }
@@ -326,7 +326,7 @@ class BftReplica(Process):
         self._retransmit_timer = None
         self._vc_timer = None
         self._batch_timer = None
-        self._state_transfer_pending = False
+        self.catch_up.stop()
 
     # --------------------------------------------------- retransmission tick
 
@@ -369,13 +369,6 @@ class BftReplica(Process):
         for seq in sorted(self._own_snapshots):
             if seq > self.stable_seq:
                 self._send_checkpoint(seq)
-        # A stalled state transfer: retry with the next candidate.
-        if self._state_transfer_pending and (
-            self.now - self._state_transfer_started
-            > 2 * self.config.view_change_timeout
-        ):
-            self._state_transfer_pending = False
-            self._request_state_transfer(self._state_transfer_proof)
         self._send_status()
 
     def _send_status(self) -> None:
@@ -398,11 +391,8 @@ class BftReplica(Process):
             return
         span = range(msg.last_executed + 1, min(self.last_executed, msg.last_executed + 8) + 1)
         entries = tuple(takewhile(bool, map(self._executed.get, span)))
-        if entries:
+        if entries:  # a peer behind the entries we keep catches up instead
             self._p2p(src, FillMsg(entries=entries, sender=self.pid))
-        elif msg.last_executed < self.stable_seq:
-            # The peer is behind the entries we keep: it needs the snapshot.
-            self._on_state_request(src, StateRequestMsg(sender=src))
 
     def _on_fill(self, src: str, msg: FillMsg) -> None:
         if msg.sender != src or src not in self.config.replica_ids:
@@ -412,7 +402,7 @@ class BftReplica(Process):
             if not self.last_executed < seq <= self.high_watermark:
                 # The log is a bounded buffer: a replica this far behind its
                 # own stable checkpoint must catch up through checkpoint
-                # stabilization or state transfer, not by growing the log
+                # stabilization or a catch-up round, not by growing the log
                 # past the window.
                 continue
             if claim != pre_prepare.batch.content_digest():
@@ -824,16 +814,20 @@ class BftReplica(Process):
                 )
             # Real progress: relax the escalated view-change patience.
             self._consecutive_view_changes = 0
-            # Every replica unpacks the batch in its recorded order, so
-            # execution stays deterministic across the group; all requests
-            # of one batch share its sequence number.
-            for request in entry.pre_prepare.batch.requests:
-                self._execute(request, self.last_executed)
-            if self.last_executed % self.config.checkpoint_interval == 0:
-                self._take_checkpoint(self.last_executed)
+            self._run(self.last_executed, entry.pre_prepare)
         self._sync_vc_timer()
         # Completed instances free pipeline-window slots for queued batches.
         self._maybe_flush()
+
+    def _run(self, seq: int, pre_prepare: PrePrepareMsg) -> None:
+        """Execute the batch ordered at ``seq``. Every replica unpacks it in
+        its recorded order, so execution stays deterministic across the
+        group; all requests of one batch share its sequence number."""
+        self.last_executed = seq
+        for request in pre_prepare.batch.requests:
+            self._execute(request, seq)
+        if seq % self.config.checkpoint_interval == 0:
+            self._take_checkpoint(seq)
 
     def _execute(self, request: ClientRequest, seq: int) -> None:
         last = self.client_table.get(request.client_id)
@@ -888,22 +882,16 @@ class BftReplica(Process):
         if msg.sender != src or msg.seq <= self.stable_seq:
             return
         self._checkpoints.setdefault(msg.seq, {})[src] = msg
-        by_digest: dict[bytes, list[CheckpointMsg]] = {}
-        for message in self._checkpoints[msg.seq].values():
-            by_digest.setdefault(message.state_digest, []).append(message)
-        for state_digest, messages in by_digest.items():
-            if len(messages) >= self.config.quorum:
-                self._stabilize(msg.seq, state_digest, tuple(messages))
+        held = Counter(m.state_digest for m in self._checkpoints[msg.seq].values())
+        for state_digest, count in held.items():
+            if count >= self.config.quorum:
+                self._stabilize(msg.seq, state_digest)
                 return
 
-    def _stabilize(
-        self, seq: int, state_digest: bytes, proof: tuple[CheckpointMsg, ...]
-    ) -> None:
+    def _stabilize(self, seq: int, state_digest: bytes) -> None:
         own = self._own_snapshots.get(seq)  # None while we have not executed seq
         if own is None or digest(own) != state_digest:
-            # We are behind the group, or our state diverged from the
-            # quorum: remember the proof and fetch state from a peer.
-            self._request_state_transfer(proof)
+            self._disagree(seq, state_digest)  # we are behind, or wrong
             return
         self._install_checkpoint(seq, own)
         t = self.telemetry
@@ -922,9 +910,8 @@ class BftReplica(Process):
         """Make ``(seq, snapshot)`` the stable checkpoint and prune below it.
 
         The one place checkpoint bookkeeping moves, whether the certificate
-        formed here (:meth:`_stabilize`) or peers vouched for it
-        (:meth:`_adopt`). The caller has brought the application to at least
-        ``seq``.
+        formed here (:meth:`_stabilize`) or was fetched (:meth:`_adopt`).
+        The caller has brought the application to at least ``seq``.
         """
         self.stable_seq = seq
         self._own_snapshots[seq] = snapshot
@@ -940,90 +927,108 @@ class BftReplica(Process):
         if self.is_primary:
             self.next_seq = max(self.next_seq, seq)
 
-    # ---------------------------------------------- checkpoint fetch (recovery)
+    # -------------------------------------------------------------- catch-up
 
     def stable_checkpoint(self) -> tuple[int, bytes]:
-        """The latest stable checkpoint: ``(seq, snapshot)``. A rejoining
-        element fetches peers' out of band (:mod:`repro.recovery.fetch`)."""
+        """The latest stable checkpoint: ``(seq, snapshot)``."""
         return self.stable_seq, self._own_snapshots.get(self.stable_seq, b"")
+
+    def _disagree(self, seq: int, state_digest: bytes) -> None:
+        """Our group certified ``(seq, state_digest)`` to us and our state is
+        not it: we have not executed seq, or we have and our digest differs.
+        A certificate newer than the last one starts one catch-up round; one
+        at or below it starts none, so a round that gave up is not retried
+        on every tick."""
+        last = self.catch_up.certificate
+        if last is not None and seq <= last[0]:
+            return
+        self.catch_up.certificate = (seq, state_digest)
+        self._start_catch_up()
+
+    def _start_catch_up(self) -> None:
+        if not self.catch_up.active:
+            self.catch_up.start()
+
+    def _catch_up_blob(self, src: str) -> bytes | None:
+        """What we add beside our checkpoint for ``src``; None: ``src`` gets
+        no answer from us. A plain replica answers its group, with nothing."""
+        return b"" if src in self.config.replica_ids else None
+
+    def _on_catch_up_request(self, src: str, msg: CatchUpRequest) -> None:
+        blob = self._catch_up_blob(src) if msg.sender == src else None
+        if blob is not None:
+            stable_seq, snapshot = self.stable_checkpoint()
+            self._p2p(src, CatchUpResponse(
+                attempt=msg.attempt, stable_seq=stable_seq, checkpoint=snapshot,
+                blob=blob, sender=self.pid,
+            ))
+
+    def _catch_up_rank(self, response: CatchUpResponse) -> int | None:
+        """A checkpoint at or past the one we were certified is fresh enough."""
+        target = self.catch_up.certificate
+        seq = response.stable_seq
+        if seq <= self.stable_seq or (target is not None and seq < target[0]):
+            return None
+        return seq
+
+    def _catch_up_adopt(self, response: CatchUpResponse) -> bool:
+        return self._adopt(response.stable_seq, response.checkpoint, restore=True)
+
+    def _catch_up_failed(self) -> None:
+        """Every attempt failed: we stay as we are until the next certificate
+        we disagree with, and say so as soft evidence against ourselves."""
+        t = self.telemetry
+        if t.enabled:
+            t.evidence(
+                "catch-up-failed", accused=self.pid, reporter=self.pid,
+                detail=f"{CatchUp.MAX_ATTEMPTS} attempts",
+            )
 
     def adopt_stable_checkpoint(self, seq: int, snapshot: bytes) -> bool:
         """Adopt a peer's stable checkpoint without restoring the application.
 
-        Used by recovery-level state transfer, which brought the application
-        to (at least) ``seq`` and had f+1 peers vouch for ``(seq, snapshot)``.
-        The client table merges forward, then stable seq and log pruning
-        move. Returns False if it is not ahead.
+        A queue-mode element's catch-up brought the application to (at
+        least) ``seq`` and had f+1 peers vouch for ``(seq, snapshot)``. The
+        client table merges forward, then stable seq and log pruning move.
+        Returns False if it is not ahead, or not a checkpoint.
         """
-        if seq <= self.stable_seq:
-            return False
-        self._adopt(seq, snapshot, restore=False)
-        return True
+        return seq > self.stable_seq and self._adopt(seq, snapshot, restore=False)
 
-    def _adopt(self, seq: int, snapshot: bytes, restore: bool) -> None:
-        """The one way a peer's certified checkpoint enters: restore the
-        application part if ``restore``, merge the client table forward
-        only (an entry never moves back in timestamp), install, and execute
-        whatever the log already holds past ``seq``."""
-        state = parse_canonical(snapshot)
+    def _adopt(self, seq: int, snapshot: bytes, restore: bool) -> bool:
+        """The one way a peer's checkpoint enters; False, with nothing
+        changed, for bytes that are not one. With ``restore`` the application
+        and the client table become the checkpoint's and every entry we
+        executed above ``seq`` runs again on top; without, the client table
+        merges forward only (an entry never moves back in timestamp). Then
+        it installs, and executes whatever the log already holds past it."""
+        try:
+            state = parse_canonical(snapshot)
+            app, clients = state["app"], dict(state["clients"])
+        except (KeyError, TypeError, ValueError):
+            return False
+        replay = []
         if restore:
-            self.restore_fn(state["app"], seq)
-        for client_id, (timestamp, result) in state["clients"].items():
-            if timestamp > self.client_table.get(client_id, (0, b""))[0]:
-                self.client_table[client_id] = (timestamp, result)
+            span = range(seq + 1, self.last_executed + 1)
+            replay = list(takewhile(bool, map(self._executed.get, span)))
+            self.restore_fn(app, seq)
+            self.client_table, self.last_executed = {}, min(self.last_executed, seq)
+        self._merge_clients(clients)
         self._install_checkpoint(seq, snapshot)
+        for pre_prepare in replay:
+            self._run(pre_prepare.seq, pre_prepare)
         self._awaiting.clear()
         self._try_execute()
+        return True
 
-    # --------------------------------------------------------- state transfer
-
-    def _request_state_transfer(self, proof: tuple[CheckpointMsg, ...]) -> None:
-        """Fetch the stable checkpoint ``proof`` (2f+1 messages we received
-        ourselves) certifies; a newer one replaces a pending target."""
-        if not self._state_transfer_proof or proof[0].seq > self._state_transfer_proof[0].seq:
-            self._state_transfer_proof = proof
-        if self._state_transfer_pending:
-            return
-        proof = self._state_transfer_proof
-        self._state_transfer_pending = True
-        self._state_transfer_started = self.now
-        # Ask a replica that vouched for the checkpoint (not ourselves);
-        # rotate through candidates across retry attempts.
-        candidates = sorted(m.sender for m in proof if m.sender != self.pid)
-        if not candidates:
-            self._state_transfer_pending = False
-            return
-        target = candidates[self._state_transfer_attempt % len(candidates)]
-        self._state_transfer_attempt += 1
-        self._p2p(target, StateRequestMsg(sender=self.pid))
-
-    def _on_state_request(self, src: str, msg: StateRequestMsg) -> None:
-        if msg.sender == src and self.stable_seq:
-            snapshot = self._own_snapshots[self.stable_seq]
-            self._p2p(src, StateResponseMsg(self.stable_seq, snapshot, self.pid))
-
-    def _on_state_response(self, src: str, msg: StateResponseMsg) -> None:
-        """Adopt a snapshot whose ``(seq, digest)`` is the certificate we
-        collected ourselves, or one that f+1 responders sent us unasked."""
-        if msg.sender != src or src not in self.config.replica_ids:
-            return
-        claim = self._state_claims[src] = (msg.stable_seq, digest(msg.snapshot))
-        target = self._state_transfer_proof
-        requested = bool(target) and claim == (target[0].seq, target[0].state_digest)
-        if not requested and not vouched(self._state_claims, claim, self.config.f):
-            return
-        # Only a certified answer ends the transfer; junk above left it
-        # pending, so _retransmit_tick still rotates to the next candidate.
-        self._state_transfer_pending = False
-        try:
-            parse_canonical(msg.snapshot)
-        except ValueError:
-            return
-        if msg.stable_seq > self.last_executed:
-            self._adopt(msg.stable_seq, msg.snapshot, restore=True)
-        elif msg.stable_seq == self.last_executed and msg.stable_seq not in self._own_snapshots:
-            # Recovery moved our position here without a checkpoint at it.
-            self._adopt(msg.stable_seq, msg.snapshot, restore=False)
+    def _merge_clients(self, clients: dict[str, Any]) -> None:
+        """Merge a peer's client table forward only (an entry never moves
+        back in timestamp); a request it shows executed is not outstanding."""
+        for client_id, (timestamp, result) in clients.items():
+            if timestamp > self.client_table.get(client_id, (0, b""))[0]:
+                self.client_table[client_id] = (timestamp, result)
+                if self._awaiting.get(client_id, 0) <= timestamp:
+                    self._awaiting.pop(client_id, None)
+        self._sync_vc_timer()
 
     # ------------------------------------------------------------ view change
 
@@ -1057,6 +1062,11 @@ class BftReplica(Process):
 
     def _on_vc_timeout(self) -> None:
         self._vc_timer = None
+        if self.catch_up.active and not self.in_view_change:
+            # We are fetching state: our requests wait on our own lag, not
+            # on the primary, so we suspect nobody until the round ends.
+            self._sync_vc_timer()
+            return
         # Escalate past the view we were TRYING to reach, not the view we
         # are in — otherwise a crashed would-be primary of view v+1 leaves
         # the group re-proposing v+1 forever.

@@ -51,7 +51,24 @@ from repro.orb.core import Orb
 from repro.orb.errors import ObjectNotExist
 from repro.orb.servant import PendingCall
 from repro.orb.stubs import Stub
-from repro.recovery.messages import QueueStateResponse
+
+
+def parse_image(blob: bytes) -> dict[str, Any] | None:
+    """A peer's queue image (the ``blob`` of a catch-up response, written by
+    ``ItdosServerElement._catch_up_blob``): the unprocessed queue, the append
+    chain, the payloads ever appended, the execution position with the
+    client table at it, and the servant state at the processed position.
+    None if ``blob`` is not one."""
+    try:
+        image = parse_canonical(blob)
+    except ValueError:
+        return None
+    if not isinstance(image, dict) or not {"queue", "app"} <= image.keys():
+        return None
+    kinds = {"appended": int, "last_executed": int, "chain": bytes, "clients": dict}
+    if all(isinstance(image.get(key), kind) for key, kind in kinds.items()):
+        return image
+    return None
 
 
 @dataclass
@@ -159,7 +176,7 @@ class QueueElement:
 
     def _mark_diverged(self) -> None:
         """Flag loss of sync (§3.1): the pump stops and reads are refused
-        until a catch-up re-adopts the queue from the core elements."""
+        until a catch-up round re-adopts the queue from the core elements."""
         self.diverged = True
 
     # -- servant-side stub factory (nested invocations) ------------------------
@@ -255,20 +272,19 @@ class QueueElement:
                 servant.set_state(kept[key])
             raise
 
-    def _restore_queue_state(self, response: QueueStateResponse) -> bool:
-        """Install a cross-validated peer's queue and the servant state at
-        its processed position. False — a failed adoption, the caller goes
-        another round — if either is refused, with the queue, the chain and
-        every servant left as they were."""
+    def _restore_queue_state(self, image: dict[str, Any]) -> bool:
+        """Install a cross-validated peer's queue image (:func:`parse_image`)
+        and the servant state at its processed position. False — a failed
+        adoption, the caller goes another round — if either is refused, with
+        the queue, the chain and every servant left as they were."""
         kept = self.queue.snapshot()
         try:
-            states = parse_canonical(response.app_state)["app"]
-            self.queue.restore(response.snapshot)
-            self._adopt_servant_state(states)
+            self.queue.restore(image["queue"])
+            self._adopt_servant_state(image["app"])
         except (KeyError, TypeError, ValueError, QueueOverflow, ObjectNotExist):
             self.queue.restore(kept)
             return False
-        self._append_chain = response.chain
+        self._append_chain = image["chain"]
         return True
 
     def _wipe_volatile(self) -> None:
@@ -340,9 +356,10 @@ class QueueElement:
         self._pump()
 
     def _skip_head(self) -> None:
-        """Discard a queue head we can never decrypt. In object mode the
-        checkpoint/state transfer machinery repairs the resulting state gap;
-        in queue mode the gap is unrecoverable (§3.1)."""
+        """Discard a queue head we can never decrypt. In object mode
+        checkpoint catch-up repairs the resulting state gap; in queue mode no
+        checkpoint can, so the element goes diverged and catches up from its
+        peers' queue images (§3.1)."""
         self.queue.pop_head()
         self.undecryptable_skipped += 1
         if self.state_mode == "queue":

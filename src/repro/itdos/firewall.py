@@ -14,14 +14,14 @@ from typing import Any
 
 from repro.bft.messages import (
     BftReply,
+    CatchUpRequest,
+    CatchUpResponse,
     CheckpointMsg,
     ClientRequest,
     CommitMsg,
     NewViewMsg,
     PrepareMsg,
     PrePrepareMsg,
-    StateRequestMsg,
-    StateResponseMsg,
     ViewChangeMsg,
 )
 from repro.itdos.messages import GmShareEnvelope, PayloadError, SmiopReply, parse_payload
@@ -36,8 +36,8 @@ _PROTOCOL_TYPES = (
     CheckpointMsg,
     ViewChangeMsg,
     NewViewMsg,
-    StateRequestMsg,
-    StateResponseMsg,
+    CatchUpRequest,
+    CatchUpResponse,
     GmShareEnvelope,
     SmiopReply,
 )

@@ -660,7 +660,7 @@ class GroupManagerElement(BftReplica):
         )
 
     def _gm_restore(self, snapshot: bytes, seq: int) -> None:
-        """Adopt replicated GM state fetched via BFT state transfer."""
+        """Adopt replicated GM state fetched by checkpoint catch-up."""
         data = parse_canonical(snapshot)
         if not isinstance(data, dict) or "phase" not in data:
             return

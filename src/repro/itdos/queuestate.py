@@ -113,7 +113,7 @@ class MessageQueue:
         )
 
     def restore(self, raw: bytes) -> None:
-        """Adopt a snapshot fetched via state transfer.
+        """Adopt a snapshot fetched by catch-up.
 
         Snapshots arrive from peers, so nothing is installed until the
         whole snapshot validates: entries must be well-formed

@@ -21,12 +21,12 @@ State maintenance:
   pump, so the reader's servant state and commit watermark
   (``queue.processed_count``) track the core elements exactly.
 * **Catch-up** — a reader that boots late, restarts, or detects a
-  persistent feed gap runs the same fetch-and-adopt round a rejoining core
-  element does (:class:`~repro.recovery.fetch.StateFetch`, same
-  ``QueueStateRequest``/``QueueStateResponse`` pair, same 2f+1 → f+1
-  quorum schedule over fingerprints of queue position, append chain, queue
-  snapshot and application state). It needs no petition and has no tail
-  to replay; it accepts any agreed state at or past its own position.
+  persistent feed gap runs the same round a rejoining core element does
+  (:class:`~repro.bft.catchup.CatchUp`, same
+  ``CatchUpRequest``/``CatchUpResponse`` pair, same 2f+1 → f+1 quorum
+  schedule over fingerprints of the checkpoint and the queue image). It
+  needs no petition and has no tail to replay; it accepts any agreed image
+  at or past its own position.
 
 Keying: the Group Manager registers and fences readers like core elements
 (they appear in every connection's participant set and receive
@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.bft.catchup import CatchUp
+from repro.bft.messages import CatchUpResponse
 from repro.crypto.signing import RsaSigner
 from repro.itdos.domain import SystemDirectory
-from repro.itdos.element import QueueElement
+from repro.itdos.element import QueueElement, parse_image
 from repro.itdos.messages import CommitFeed, GmShareEnvelope, ReadRequest
 from repro.orb.core import Orb
-from repro.recovery.fetch import StateFetch
-from repro.recovery.messages import QueueStateResponse
 from repro.sim.process import Process
 
 
@@ -76,10 +76,9 @@ class ReadOnlyElement(QueueElement, Process):
         # f+1 byte-identical feeds per index gate application (see module doc).
         self._feed_buffer: dict[int, dict[str, bytes]] = {}
         self._feed_stall_timer: Any = None
-        self._fetch = StateFetch(
-            self,
-            acceptable=lambda r: r.appended >= self.queue.total_appended,
-            adopt=self._adopt_sync,
+        info = self.domain_info
+        self._fetch = CatchUp(
+            self, info.element_ids, info.f, self.send, self._rank, self._adopt_sync,
             on_give_up=self._mark_diverged,  # cannot catch up: stop serving reads
         )
         self.feeds_applied = 0
@@ -87,7 +86,7 @@ class ReadOnlyElement(QueueElement, Process):
         # Delivery dispatch table: everything a reader consumes.
         self._handlers: dict[type, Callable[[str, Any], Any]] = {
             CommitFeed: self._handle_commit_feed,
-            QueueStateResponse: self._fetch.handle_response,
+            CatchUpResponse: self._fetch.handle_response,
             ReadRequest: self._serve_read,
             GmShareEnvelope: self._handle_server_share,
         }
@@ -229,8 +228,15 @@ class ReadOnlyElement(QueueElement, Process):
         if not self.syncing:
             self._fetch.start()
 
-    def _adopt_sync(self, response: QueueStateResponse) -> bool:
-        if not self._restore_queue_state(response):
+    def _rank(self, response: CatchUpResponse) -> int | None:
+        image = parse_image(response.blob)
+        if image is None or image["appended"] < self.queue.total_appended:
+            return None
+        return image["appended"]
+
+    def _adopt_sync(self, response: CatchUpResponse) -> bool:
+        image = parse_image(response.blob)
+        if image is None or not self._restore_queue_state(image):
             return False
         self.diverged = False
         self.syncs_completed += 1

@@ -16,23 +16,24 @@ makes the element a member of the 3f+1 group:
   awaiting a nested reply, ordered delivery continues into the queue, and
   only the awaited reply copies may jump the queue) and accusations (§3.6);
 * **recovery**: the tail buffer kept while diverged, the rejoin petition,
-  queue state transfer, and serving peers' catch-up fetches.
+  and what its catch-up round (:mod:`repro.bft.catchup`) fetches and serves.
 
 State modes (experiment E4):
 
 * ``queue`` — the paper's design: checkpoints cover the bounded queue
-  digest; a diverged element cannot be recovered by state transfer and is
-  flagged for expulsion (virtual synchrony, §3.1).
+  digest, which no checkpoint can rebuild a queue from. An element that
+  loses sync catches up or is expelled (virtual synchrony, §3.1): it goes
+  diverged and fetches peers' queue images in one catch-up round.
 * ``object`` — the Castro–Liskov baseline: checkpoints carry the full
-  application state; recovery works but costs bytes proportional to object
-  size.
+  application state; catch-up restores one, at a cost in bytes
+  proportional to object size.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.bft.messages import BftReply
+from repro.bft.messages import BftReply, CatchUpRequest
 from repro.bft.replica import BftReplica
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes, parse_canonical
@@ -59,7 +60,6 @@ from repro.itdos.voter import VoteOutcome
 from repro.orb.core import Orb
 from repro.orb.servant import PendingCall
 from repro.recovery.coordinator import RecoveryCoordinator
-from repro.recovery.messages import QueueStateRequest, QueueStateResponse
 
 STATIC_ACK = b"ACK"  # the CL-level reply is a static acknowledgement (§3.1)
 
@@ -94,8 +94,8 @@ class ItdosServerElement(QueueElement, BftReplica):
             self, directory, self.key_store, kind="domain", own_domain=domain_id
         )
         # Recovery (repro.recovery): while diverged, every payload our own
-        # ordering executes is buffered so a state transfer can replay the
-        # tail past whatever snapshot it adopts. The anchor is the execution
+        # ordering executes is buffered so a catch-up can replay the tail
+        # past whatever image it adopts. The anchor is the execution
         # position buffering started at — the buffer covers (anchor, now].
         self.recovery = RecoveryCoordinator(self)
         self._recovery_buffer: list[tuple[int, bytes]] = []
@@ -113,8 +113,6 @@ class ItdosServerElement(QueueElement, BftReplica):
             GmShareEnvelope: self._on_gm_share,
             BodyRequest: self._handle_body_request,
             ReadRequest: self._serve_read,
-            QueueStateRequest: self._serve_queue_state,
-            QueueStateResponse: self.recovery.fetch.handle_response,
             **dict.fromkeys(
                 (SmiopReply, ReadReply, BodyReply, BftReply), self._on_endpoint_message
             ),
@@ -126,7 +124,10 @@ class ItdosServerElement(QueueElement, BftReplica):
 
     def on_message(self, src: str, payload: Any) -> None:
         kind = type(payload)
-        if kind in self._shell_rows:
+        # A reader's catch-up request carries no replica authenticator.
+        if kind in self._shell_rows or (
+            kind is CatchUpRequest and src in self.domain_info.read_only_ids
+        ):
             self._handlers[kind](src, payload)
         else:  # PBFT's own rows, behind the replica's authenticator
             super().on_message(src, payload)
@@ -177,17 +178,63 @@ class ItdosServerElement(QueueElement, BftReplica):
     # -- divergence and the recovery tail buffer ----------------------------------------
 
     def _mark_diverged(self) -> None:
-        """Flag loss of sync and start buffering the ordered tail.
+        """Flag loss of sync, start buffering the ordered tail, and catch up.
 
         Everything :meth:`_bft_execute` sees from here on is kept (byte-
         bounded) so :class:`~repro.recovery.coordinator.RecoveryCoordinator`
-        can replay the entries that postdate whatever peer snapshot it
-        adopts. The anchor records where coverage begins.
+        can replay the entries that postdate whatever peer image it adopts.
+        The anchor records where coverage begins. A member in good standing
+        starts the catch-up round itself; a rejoining element runs it after
+        the GM's verdict.
         """
         super()._mark_diverged()
         if self._recovery_anchor is None:
             self._clear_recovery_buffer()
             self._recovery_anchor = self.last_executed
+        recovery = self.recovery
+        if recovery.in_good_standing and not recovery.active and not self.catch_up.active:
+            self.catch_up.start()
+
+    def _start_catch_up(self) -> None:
+        """A certified checkpoint we are behind or wrong at: no queue-mode
+        element can rebuild its queue from one, so it goes diverged."""
+        if self.state_mode == "queue":
+            self._mark_diverged()
+        else:
+            super()._start_catch_up()
+
+    def _catch_up_blob(self, src: str) -> bytes | None:
+        """Served to the domain's own elements — a core peer or a read-tier
+        element — and only from an element that is itself in sync: a
+        diverged element must not export state it does not trust, and one
+        parked on a nested invocation has a servant mid-call whose state
+        matches no queue position. In object mode a core peer needs the
+        checkpoint alone; everyone else gets the queue image (see
+        :func:`~repro.itdos.element.parse_image`)."""
+        if src not in self.domain_info.all_ids or self.diverged or self._parked is not None:
+            return None
+        if self.state_mode == "object" and src in self.config.replica_ids:
+            return b""
+        return canonical_bytes({
+            "appended": self.queue.total_appended, "chain": self._append_chain,
+            "queue": self.queue.snapshot(), "last_executed": self.last_executed,
+            "clients": self.client_table, "app": self.servant_state(),
+        })
+
+    def _catch_up_rank(self, response: Any) -> int | None:
+        if self.state_mode == "queue":
+            return self.recovery.rank(response)
+        return super()._catch_up_rank(response)
+
+    def _catch_up_adopt(self, response: Any) -> bool:
+        if self.state_mode == "queue":
+            return self.recovery.adopt(response)
+        return super()._catch_up_adopt(response)
+
+    def _catch_up_failed(self) -> None:
+        super()._catch_up_failed()
+        if self.recovery.active:
+            self.recovery._finish(False)
 
     def _buffer_tail(self, seq: int, payload: bytes) -> None:
         if self._recovery_anchor is None:
@@ -450,8 +497,7 @@ class ItdosServerElement(QueueElement, BftReplica):
         verifies the element's signature and replay nonce, re-adds it to
         domain membership, and rotates every affected communication group
         to a fresh membership key epoch. Membership only — use
-        :meth:`recover_membership` to also catch the replicated queue up
-        via state transfer.
+        :meth:`recover_membership` to also catch the replicated queue up.
         """
         self.recovery.petition(callback=callback)
 
@@ -461,13 +507,13 @@ class ItdosServerElement(QueueElement, BftReplica):
         fresh_keys: bool = False,
         on_complete: Callable[[bool], None] | None = None,
     ) -> None:
-        """Full recovery: rejoin handshake plus queue state transfer.
+        """Full recovery: rejoin handshake, then the catch-up round.
 
         The end-to-end path for a repaired or restarted element: petition
         the GM (readmission + key-epoch rotation; pass ``fresh_keys`` to
         force the rotation even when never expelled, the proactive-recovery
-        case), then adopt a cross-validated ``MessageQueue`` snapshot and
-        the servant state that goes with it from ``2f+1`` peers, and replay
+        case), then adopt a cross-validated queue image and the servant
+        state that goes with it from ``2f+1`` peers (f+1 late), and replay
         the buffered ordered tail. ``callback`` receives the GM verdict;
         ``on_complete`` fires when recovery finishes (with its success as
         a bool).
@@ -476,53 +522,13 @@ class ItdosServerElement(QueueElement, BftReplica):
             callback=callback, fresh_keys=fresh_keys, on_complete=on_complete
         )
 
-    def _serve_queue_state(self, src: str, request: QueueStateRequest) -> None:
-        """Answer a catch-up fetch (:mod:`repro.recovery.fetch`).
-
-        Served to the domain's own elements — a rejoining core peer or a
-        lagging read-tier element, with the same response — and only from
-        an element that is itself in sync: a diverged element must not
-        export state it does not trust, and one parked on a nested
-        invocation has a servant mid-call whose state matches no queue
-        position. The response pairs the live queue snapshot and the
-        servant state at its processed position with our stable PBFT
-        checkpoint, so a core joiner can anchor the fetched state to the BFT
-        layer (a reader ignores the checkpoint pair).
-        """
-        if request.domain_id != self.domain_id or request.requester != src:
-            return
-        if src not in self.domain_info.all_ids:
-            return
-        if self.diverged or self._parked is not None:
-            return
-        stable_seq, snapshot = self.stable_checkpoint()
-        t = self.telemetry
-        if t.enabled:
-            t.point(
-                "recovery.serve", pid=self.pid, peer=src, attempt=request.attempt
-            )
-        self.send(
-            src,
-            QueueStateResponse(
-                sender=self.pid,
-                domain_id=self.domain_id,
-                attempt=request.attempt,
-                appended=self.queue.total_appended,
-                chain=self._append_chain,
-                snapshot=self.queue.snapshot(),
-                last_executed=self.last_executed,
-                stable_seq=stable_seq,
-                checkpoint_snapshot=snapshot,
-                app_state=canonical_bytes({"app": self.servant_state()}),
-            ),
-        )
-
     def on_restart(self) -> None:
         """Reboot (:meth:`QueueElement._wipe_volatile`): a queue-mode element
-        comes back diverged until :meth:`recover_membership` re-adopts the
-        queue from peers; object mode instead heals through ordinary BFT
-        state transfer."""
+        comes back diverged, out of good standing until
+        :meth:`recover_membership`'s verdict, then re-adopts the queue from
+        peers; object mode instead heals through checkpoint catch-up."""
         super().on_restart()
+        self.recovery.in_good_standing = False
         self._wipe_volatile()
         self._body_cache.clear()
         self._reply_cache.clear()
@@ -544,28 +550,17 @@ class ItdosServerElement(QueueElement, BftReplica):
         return canonical_bytes(view)
 
     def _restore(self, snapshot: bytes, seq: int) -> None:
+        """Castro–Liskov-style catch-up (object mode): adopt the full object
+        state. A queue-mode element never gets here: it adopts a peer's queue
+        image instead (:meth:`RecoveryCoordinator.adopt`)."""
         data = parse_canonical(snapshot)
-        if not isinstance(data, dict):
+        if not isinstance(data, dict) or data.get("mode") != "object":
             return
         self._append_chain = data.get("chain", self._append_chain)
-        if data.get("mode") == "object":
-            # Castro–Liskov-style recovery: adopt the full object state.
-            self._adopt_servant_state(data.get("app"))
-            self.queue.items.clear()
-            self.queue.bytes_held = 0
-            self.queue.processed_count = data.get("appended", 0)
-            self.queue.total_appended = data.get("appended", 0)
-            self.diverged = False
-            self._clear_recovery_buffer()
-        else:
-            # Queue mode cannot reconstruct the queue contents from a
-            # digest checkpoint: the element is out of sync until the
-            # recovery subsystem re-adopts the queue from peers (or, if it
-            # never recovers, until expulsion — the virtual synchrony
-            # consequence §3.1 accepts). State transfer moved our execution
-            # position, so re-anchor the tail buffer at the restored
-            # position: entries before it were never buffered by us and
-            # must come from a peer snapshot at least this fresh.
-            self.diverged = True
-            self._clear_recovery_buffer()
-            self._recovery_anchor = seq
+        self._adopt_servant_state(data.get("app"))
+        self.queue.items.clear()
+        self.queue.bytes_held = 0
+        self.queue.processed_count = data.get("appended", 0)
+        self.queue.total_appended = data.get("appended", 0)
+        self.diverged = False
+        self._clear_recovery_buffer()

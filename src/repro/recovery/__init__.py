@@ -9,9 +9,10 @@ subsystem supplies the missing half of the membership lifecycle:
   handshake a repaired element sends the Group Manager (mirroring Figure
   3's connection handshake);
 * :class:`~repro.recovery.coordinator.RecoveryCoordinator` — drives the
-  petition and the message-queue state transfer: fetch
-  ``MessageQueue.snapshot()`` plus the stable PBFT checkpoint from peers,
-  cross-validate digests, restore, and replay the buffered ordered tail;
+  petition, then the element's catch-up round (:mod:`repro.bft.catchup`):
+  fetch the queue image plus the stable PBFT checkpoint from peers,
+  cross-validate fingerprints, restore, and replay the buffered ordered
+  tail;
 * :class:`~repro.recovery.proactive.ProactiveRecoveryScheduler` — the
   periodic restart→rejoin→state-transfer rotation that bounds how long an
   undetected adversary can dwell on any element.
@@ -27,18 +28,11 @@ defined here.
 # own otherwise dies half-way round the cycle.
 import repro.itdos  # noqa: F401  isort: skip
 from repro.recovery.coordinator import RecoveryCoordinator
-from repro.recovery.messages import (
-    QueueStateRequest,
-    QueueStateResponse,
-    RejoinPetition,
-    petition_body,
-)
+from repro.recovery.messages import RejoinPetition, petition_body
 from repro.recovery.proactive import ProactiveRecoveryScheduler
 
 __all__ = [
     "ProactiveRecoveryScheduler",
-    "QueueStateRequest",
-    "QueueStateResponse",
     "RecoveryCoordinator",
     "RejoinPetition",
     "petition_body",

@@ -7,15 +7,17 @@ Drives the two halves of recovery for one
    Manager's ordering and wait for the replicated verdict. A successful
    verdict means the GM has re-added the element to domain membership and
    rotated every affected connection key to a new membership epoch.
-2. **Queue state transfer** — one :class:`~repro.recovery.fetch.StateFetch`
-   round (the same one the read tier runs) fetches each peer's
-   ``MessageQueue.snapshot()``, servant state and stable PBFT checkpoint and
-   cross-validates the fingerprints; this class supplies what is specific
-   to a *core* element: the peer's execution position must cover our
-   buffering anchor, and after the restore the *buffered ordered tail* is
-   replayed — every payload the element's own ordering executed while it
-   was diverged (buffered by ``ItdosServerElement._bft_execute``) whose
-   sequence number postdates the adopted snapshot.
+2. **Catch-up** — the element's one catch-up round
+   (:class:`~repro.bft.catchup.CatchUp`, the same one the read tier and
+   PBFT's lag path run) fetches each peer's queue image and stable PBFT
+   checkpoint and cross-validates the fingerprints; this class supplies
+   what is specific to a queue-mode *core* element: the peer's execution
+   position must cover our buffering anchor, and after the restore the
+   *buffered ordered tail* is replayed — every payload the element's own
+   ordering executed while it was diverged (buffered by
+   ``ItdosServerElement._bft_execute``) whose sequence number postdates the
+   adopted image. A member in good standing that goes diverged runs the
+   same round on its own, with no petition.
 
 A quorum that only reaches ``f+1`` may be stale; staleness is safe because
 adoption additionally requires the peer's execution position to cover our
@@ -27,13 +29,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.bft.messages import CatchUpResponse
+from repro.itdos.element import parse_image
 from repro.itdos.queuestate import QueueOverflow
-from repro.recovery.fetch import StateFetch
-from repro.recovery.messages import (
-    QueueStateResponse,
-    RejoinPetition,
-    petition_body,
-)
+from repro.recovery.messages import RejoinPetition, petition_body
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.itdos.replica import ItdosServerElement
@@ -43,21 +42,18 @@ ADMITTED_VERDICTS = (b"READMITTED", b"REFRESHED", b"OK")
 
 
 class RecoveryCoordinator:
-    """Petition, then fetch → restore → replay the buffered tail."""
+    """Petition, then catch up: fetch → restore → replay the buffered tail."""
 
     def __init__(self, element: "ItdosServerElement") -> None:
         self.element = element
         self.active = False
+        #: False from a restart until the GM admits us again: only a member
+        #: in good standing starts a catch-up round on its own.
+        self.in_good_standing = True
         self.last_verdict: bytes | None = None
         self.transfers_completed = 0
         self.bytes_transferred = 0
         self._petition_nonce = 0
-        self.fetch = StateFetch(
-            element,
-            acceptable=self._covers_anchor,
-            adopt=self._adopt,
-            on_give_up=lambda: self._finish(False),
-        )
         self._span: Any = None
         self._on_complete: Callable[[bool], None] | None = None
 
@@ -116,13 +112,13 @@ class RecoveryCoordinator:
         fresh_keys: bool = False,
         on_complete: Callable[[bool], None] | None = None,
     ) -> None:
-        """Rejoin, then (queue mode) transfer state until caught up.
+        """Rejoin, then (queue mode) catch up.
 
         ``callback`` receives the GM's petition verdict; ``on_complete``
-        fires once the whole recovery finishes (``True``) or every transfer
+        fires once the whole recovery finishes (``True``) or every catch-up
         attempt is exhausted (``False``). In object mode the petition alone
-        completes recovery — servant state is repaired by the ordinary BFT
-        checkpoint/state-transfer machinery, not by queue adoption.
+        completes recovery — servant state is repaired by the ordinary
+        checkpoint catch-up, not by queue adoption.
         """
         element = self.element
         if self.active:
@@ -146,8 +142,10 @@ class RecoveryCoordinator:
                 callback(verdict)
             if verdict not in ADMITTED_VERDICTS:
                 self._finish(False)
-            elif element.state_mode == "queue":
-                self.fetch.start(
+                return
+            self.in_good_standing = True
+            if element.state_mode == "queue":
+                element.catch_up.start(
                     trace_parent=self._span.ctx if self._span is not None else None
                 )
             else:
@@ -156,44 +154,50 @@ class RecoveryCoordinator:
         with t.use(self._span.ctx if self._span is not None else None):
             self.petition(callback=on_verdict, fresh_keys=fresh_keys)
 
-    # -- queue state transfer ----------------------------------------------
+    # -- catch-up ----------------------------------------------------------
 
-    def _covers_anchor(self, response: QueueStateResponse) -> bool:
-        # A snapshot that predates our buffering anchor is useless: the
-        # buffer cannot bridge the gap between it and our own execution
-        # position.
+    def rank(self, response: CatchUpResponse) -> int | None:
+        """A peer's image by how many payloads it appended, if it covers our
+        buffering anchor: one from before it is useless, the buffer cannot
+        bridge the gap between it and our own execution position."""
         element = self.element
+        image = parse_image(response.blob)
         anchor = (
             element._recovery_anchor
             if element._recovery_anchor is not None
             else element.last_executed
         )
-        return response.last_executed >= anchor
+        if image is None or image["last_executed"] < anchor:
+            return None
+        return image["appended"]
 
-    def _adopt(self, response: QueueStateResponse) -> bool:
+    def adopt(self, response: CatchUpResponse) -> bool:
         element = self.element
         t = element.telemetry
+        image = parse_image(response.blob)
         # The fingerprint f+1 peers agreed on covers the stable checkpoint,
         # so one of them vouches for it: it needs no proof of its own.
-        if not element._restore_queue_state(response):
+        if image is None or not element._restore_queue_state(image):
             return False  # refused whole: nothing adopted, the next round retries
-        # Replay the buffered ordered tail past the snapshot position.
+        # Replay the buffered ordered tail past the image's position.
+        position = image["last_executed"]
         replayed = 0
         for seq, payload in element._recovery_buffer:
-            if seq <= response.last_executed:
+            if seq <= position:
                 continue
             try:
                 element._append(seq, payload)
             except (ValueError, QueueOverflow):
                 return False
             replayed += 1
-        if response.last_executed > element.last_executed:
-            element.last_executed = response.last_executed
+        if position > element.last_executed:
+            element.last_executed = position
         element.diverged = False
         element._clear_recovery_buffer()
         # Adopt the peer's stable checkpoint *after* un-diverging so any
         # execution it unblocks appends to the queue instead of the buffer.
-        element.adopt_stable_checkpoint(response.stable_seq, response.checkpoint_snapshot)
+        element.adopt_stable_checkpoint(response.stable_seq, response.checkpoint)
+        element._merge_clients(image["clients"])
         self.transfers_completed += 1
         self.bytes_transferred += response.wire_size()
         if t.enabled:
@@ -202,9 +206,9 @@ class RecoveryCoordinator:
                 parent=self._span.ctx if self._span is not None else None,
                 pid=element.pid,
                 source=response.sender,
-                adopted_exec=response.last_executed,
+                adopted_exec=position,
                 replayed=replayed,
-                snapshot_bytes=len(response.snapshot),
+                snapshot_bytes=len(image["queue"]),
             )
             t.registry.counter(
                 "recovery_transfers_total", "Queue state transfers completed"

@@ -26,7 +26,7 @@ class RecordingAuth(NullAuth):
 
 def stamped_types() -> set[type]:
     """Every type some replica stamps across: normal case, checkpoints, a
-    partitioned replica catching up (status, fill, state transfer), a client
+    partitioned replica catching up (status, fill, catch-up round), a client
     retry fanned out to backups, and a primary crash (view change)."""
     stamped: set[type] = set()
     harness, _ = make_app_harness()
@@ -61,15 +61,13 @@ def test_scenario_reaches_every_message_a_replica_can_send():
         if issubclass(cls, BftMessage) and "sender" in schema.plan_of(cls).names
     }
     assert senders <= stamped
-    assert without_auth(stamped) == [
-        "FillMsg", "StateRequestMsg", "StateResponseMsg", "StatusMsg",
-    ]
+    assert without_auth(stamped) == ["FillMsg", "StatusMsg"]
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="StatusMsg, FillMsg, StateRequestMsg and StateResponseMsg have no "
-    "auth field, so authenticated mode cannot stamp them (ROADMAP item 3)",
+    reason="StatusMsg and FillMsg have no auth field, so authenticated mode "
+    "cannot stamp them (ROADMAP item 1(a))",
 )
 def test_every_message_a_replica_sends_has_an_auth_field():
     assert without_auth(stamped_types()) == []

@@ -3,7 +3,7 @@ the sender names it lists.
 
 Each test runs one :class:`~repro.bft.faults.CertificateForger` on the
 n = 4 harness (``protocol_auth="none"``) and watches one of its lies: a
-made-up state response (D1), a checkpoint claimed far ahead in a view change
+made-up checkpoint in a catch-up response (D1), a checkpoint claimed far ahead in a view change
 (D2), a made-up batch filled at a lagger's next seq (D3) and a prepared
 request 500 seqs past the log window (D4). The honest replicas must end as
 the same correct state machine and answer every client.
@@ -15,7 +15,7 @@ import dataclasses
 
 from repro.bft.auth import HmacAuth
 from repro.bft.faults import CertificateForger
-from repro.bft.messages import NewViewMsg, StateRequestMsg, StateResponseMsg, ViewChangeMsg
+from repro.bft.messages import CatchUpRequest, CatchUpResponse, NewViewMsg, ViewChangeMsg
 from repro.bft.replica import build_group
 from repro.crypto.digests import digest
 from repro.crypto.signing import HmacAuthenticator
@@ -48,16 +48,16 @@ def app_harness(byzantine=None, **overrides):
 
 
 def test_d1_a_forged_state_response_is_not_adopted():
-    """r0 answers the lagger's state request (it is asked first) with a
-    made-up snapshot; the two other responders are muted for requests (they
-    still push their snapshot on the lagger's status beacon)."""
+    """r0 answers the lagger's catch-up request (it answers first) with a
+    made-up checkpoint; r1 is muted for requests, so beside the forgery only
+    r2's answer arrives: one answer, not a quorum, and it equals the
+    checkpoint the lagger's group certified to the lagger itself."""
     harness, apps = app_harness(byzantine={"grp-r0": CertificateForger})
     lagger = harness.replicas[3]
     harness.network.partition({lagger.pid}, {r.pid for r in harness.replicas[:3]})
     harness.invoke_and_run([b"1"] * 8)
     harness.network.heal()
-    for replica in harness.replicas[1:3]:
-        replica._handlers[StateRequestMsg] = lambda src, msg: None
+    harness.replicas[1]._handlers[CatchUpRequest] = lambda src, msg: None
     harness.invoke_and_run([b"1"] * 4, client_name="client2")
     harness.run(until=harness.network.now + 5.0)
     peers = harness.replicas[1:3]
@@ -69,13 +69,15 @@ def test_d1_a_forged_state_response_is_not_adopted():
 def test_a_malformed_pushed_snapshot_raises_nothing():
     harness, apps = app_harness()
     replica = harness.replicas[3]
+    replica.catch_up.start()
     snapshot = b"\xff not a canonical encoding"
-    # f+1 senders of the same bytes: vouched for, and still never adopted.
-    for sender in ("grp-r0", "grp-r1"):
-        replica.on_message(
-            sender, StateResponseMsg(stable_seq=4, snapshot=snapshot, sender=sender)
-        )
+    # 2f+1 senders of the same bytes: a quorum, and still never adopted.
+    for sender in ("grp-r0", "grp-r1", "grp-r2"):
+        replica.on_message(sender, CatchUpResponse(
+            attempt=1, stable_seq=4, checkpoint=snapshot, blob=b"", sender=sender
+        ))
     assert replica.stable_seq == 0 and apps[replica.pid].total == 0
+    assert replica.catch_up.active and replica.catch_up.attempt == 2
 
 
 def test_d3_a_forged_fill_is_not_executed():

@@ -2,13 +2,13 @@
 
 from repro.bft.messages import (
     BatchMsg,
+    CatchUpRequest,
+    CatchUpResponse,
     ClientRequest,
     FillMsg,
     NewViewMsg,
     PrepareMsg,
     PrePrepareMsg,
-    StateRequestMsg,
-    StateResponseMsg,
     ViewChangeMsg,
 )
 
@@ -98,12 +98,20 @@ def test_new_view_canonical_fields():
 
 
 def test_state_messages():
-    request = StateRequestMsg(sender="r3")
+    request = CatchUpRequest(attempt=1, sender="r3")
     assert len(request.content_digest()) == 32
-    response = StateResponseMsg(
-        stable_seq=16, snapshot=b"s" * 100, sender="r0",
+    response = CatchUpResponse(
+        attempt=1, stable_seq=16, checkpoint=b"s" * 100, blob=b"b" * 50, sender="r0",
     )
-    assert response.wire_size() > 100
+    assert response.wire_size() > 150
+    # Responders agree on the checkpoint and the blob, not on who answered.
+    other = CatchUpResponse(
+        attempt=2, stable_seq=16, checkpoint=b"s" * 100, blob=b"b" * 50, sender="r1",
+    )
+    assert other.fingerprint() == response.fingerprint()
+    assert CatchUpResponse(
+        attempt=1, stable_seq=16, checkpoint=b"s" * 100, blob=b"c" * 50, sender="r0",
+    ).fingerprint() != response.fingerprint()
 
 
 def test_fill_size_scales_with_entries():

@@ -1,8 +1,22 @@
-"""State transfer: a lagging or diverged replica catches up from peers."""
+"""Catch-up: a lagging or diverged replica fetches its way back from peers
+in one round (:mod:`repro.bft.catchup`)."""
 
-from repro.bft.messages import BftReply, ClientRequest
+import dataclasses
+
+from repro.bft.auth import HmacAuth
+from repro.bft.messages import (
+    BftReply,
+    CatchUpRequest,
+    CatchUpResponse,
+    CheckpointMsg,
+    ClientRequest,
+)
+from repro.bft.replica import build_group
+from repro.crypto.signing import HmacAuthenticator
+from repro.sim import FixedLatency, Network, NetworkConfig
+from tests.bft.conftest import make_config
 from tests.bft.conftest import Harness
-from tests.equivalence import armed_timers
+from tests.equivalence import armed_timers, same_state, state_of
 
 
 class CountingApp:
@@ -67,60 +81,63 @@ def test_caught_up_replica_rejoins_protocol():
 
 def test_state_response_with_bad_snapshot_ignored():
     harness, apps = make_app_harness()
-    from repro.bft.messages import StateRequestMsg, StateResponseMsg, StatusMsg
-
     lagger = harness.replicas[3]
     others = {r.pid for r in harness.replicas[:3]}
     harness.network.partition({lagger.pid}, others)
     harness.invoke_and_run([b"1"] * 8)
     harness.network.heal()
-    # The first candidate the lagger will ask never answers, and nobody
-    # pushes state at it unasked (peers do that on a StatusMsg from a
-    # replica behind their checkpoint) — only the pull can complete.
-    harness.replicas[0]._handlers[StateRequestMsg] = lambda src, msg: None
-    mcast = lagger._mcast
-    lagger._mcast = lambda m: None if isinstance(m, StatusMsg) else mcast(m)
+    # r0 never answers, so r1 and r2 are the only honest responders.
+    harness.replicas[0]._handlers[CatchUpRequest] = lambda src, msg: None
     harness.invoke_and_run([b"1"] * 4, client_name="client2")
-    harness.run_until(lambda: lagger._state_transfer_pending)
-    assert lagger.messages_sent["StateRequestMsg"] == 1
+    harness.run_until(lambda: lagger.catch_up.active)
+    assert lagger.messages_sent["CatchUpRequest"] == 3  # one attempt, every peer
 
-    forged = StateResponseMsg(
-        stable_seq=100, snapshot=b"999999", sender=harness.replicas[1].pid
+    forged = CatchUpResponse(
+        attempt=1, stable_seq=100, checkpoint=b"999999", blob=b"",
+        sender=harness.replicas[1].pid,
     )
     lagger.deliver(harness.replicas[1].pid, forged)
     assert lagger.last_executed == 0
     assert apps[lagger.pid].total == 0
-    # Junk neither cancels the transfer nor the retry that rotates to the
-    # next candidate, which completes it.
-    assert lagger._state_transfer_pending
+    # Junk neither ends the round nor the attempt: the honest answers that
+    # follow (r1's replaces its junk) complete it.
+    assert lagger.catch_up.active and lagger.catch_up.attempt == 1
     harness.run(until=harness.network.now + 3.0)
-    assert lagger.messages_sent["StateRequestMsg"] == 2
-    assert not lagger._state_transfer_pending
+    assert lagger.messages_sent["CatchUpRequest"] == 3
+    assert not lagger.catch_up.active
     assert lagger.last_executed >= 8
     assert apps[lagger.pid].total >= 8
 
 
-def test_state_response_with_insufficient_proof_ignored():
-    """One pushed response is one voucher: f+1 = 2 are needed."""
-    harness, apps = make_app_harness()
-    from repro.bft.messages import StateResponseMsg
+def respond(replica, sender, checkpoint=b"424242", seq=100):
+    replica.deliver(sender, CatchUpResponse(
+        attempt=replica.catch_up.attempt, stable_seq=seq, checkpoint=checkpoint,
+        blob=b"", sender=sender,
+    ))
 
-    forged = StateResponseMsg(stable_seq=100, snapshot=b"424242", sender="grp-r1")
-    harness.replicas[0].deliver("grp-r1", forged)
-    assert harness.replicas[0].last_executed == 0
-    assert apps[harness.replicas[0].pid].total == 0
+
+def test_state_response_with_insufficient_proof_ignored():
+    """A response outside a round is nobody's answer; in a round, one
+    responder is one voucher and the first attempts need 2f+1 = 3."""
+    harness, apps = make_app_harness()
+    replica = harness.replicas[0]
+    respond(replica, "grp-r1")
+    replica.catch_up.start()
+    respond(replica, "grp-r1")
+    assert replica.last_executed == 0
+    assert apps[replica.pid].total == 0
 
 
 def test_state_response_from_foreign_senders_ignored():
-    """One pushed response from a replica, the same from non-members: the
+    """One response from a replica, the same from non-members: the
     non-members vouch for nothing, so the one response stays alone."""
     harness, apps = make_app_harness()
-    from repro.bft.messages import StateResponseMsg
-
+    replica = harness.replicas[0]
+    replica.catch_up.start()
     for sender in ("grp-r1", "intruder-1", "intruder-2"):
-        forged = StateResponseMsg(stable_seq=50, snapshot=b"777", sender=sender)
-        harness.replicas[0].deliver(sender, forged)
-    assert harness.replicas[0].last_executed == 0
+        respond(replica, sender, checkpoint=b"777", seq=50)
+    assert list(replica.catch_up._responses) == ["grp-r1"]
+    assert replica.last_executed == 0
 
 
 def test_state_transfer_carries_the_client_table():
@@ -164,3 +181,39 @@ def test_adopting_an_older_checkpoint_keeps_a_later_client_entry():
     assert joiner.stable_seq == 4
     assert joiner.client_table["a"] == (9, b"later")
     assert joiner.client_table["b"] == harness.replicas[0].client_table["b"]
+
+
+def test_a_replica_wrong_at_an_executed_seq_restores_and_re_executes():
+    """r3's application goes wrong after seq 2 and it sees the group's
+    checkpoint at 4 only once it has executed 6: it restores the certified
+    checkpoint and runs 5 and 6 again on top, instead of dropping it."""
+    harness, apps = make_app_harness()
+    wrong, peer = harness.replicas[3], harness.replicas[0]
+    harness.invoke_and_run([b"1"] * 2)
+    apps[wrong.pid].total += 100
+    on_checkpoint = wrong._handlers[CheckpointMsg]
+    wrong._handlers[CheckpointMsg] = lambda src, msg: None
+    harness.invoke_and_run([b"1"] * 4)
+    harness.run(until=harness.network.now + 1.0)
+    assert wrong.last_executed == 6 and apps[wrong.pid].total == 106
+    wrong._handlers[CheckpointMsg] = on_checkpoint
+    harness.run(until=harness.network.now + 3.0)
+    assert wrong.catch_up.rounds == 1 and not wrong.catch_up.active
+    assert apps[wrong.pid].total == apps[peer.pid].total == 6
+    assert same_state(wrong, peer), (state_of(wrong), state_of(peer))
+
+
+def test_under_hmac_a_catch_up_request_needs_its_senders_mac():
+    config = make_config(f=1, auth_mode="hmac")
+    auths = HmacAuthenticator.bootstrap(list(config.replica_ids), seed=0)
+    network = Network(NetworkConfig(seed=0, latency=FixedLatency(0.001)))
+    replicas = build_group(network, config, auth_factory=lambda pid: HmacAuth(auths[pid]))
+    asker, responder = replicas[3], replicas[0]
+    request = asker.auth.stamp(CatchUpRequest(attempt=1, sender=asker.pid), (responder.pid,))
+    forged = dataclasses.replace(
+        request, auth={pid: bytes(32) for pid in request.auth}
+    )
+    responder.deliver(asker.pid, forged)
+    assert "CatchUpResponse" not in responder.messages_sent
+    responder.deliver(asker.pid, request)
+    assert responder.messages_sent["CatchUpResponse"] == 1

@@ -15,8 +15,7 @@ request outstanding, no ordering replica may change view. The primary a
 must then be indistinguishable from a peer the adversary never touched, and
 an ``xs`` cell's coordinator elements from each other
 (:func:`tests.equivalence.same_state`), and so must each shard group of an
-``xs`` cell; no element may be left diverged. The ``xs`` cells do not yet,
-a strict xfail naming the cause.
+``xs`` cell; no element may be left diverged.
 """
 
 from __future__ import annotations
@@ -41,14 +40,14 @@ PINS = {
     "b4-p4/1": "a6402ae1dabbe3d2c75f203cdb483fc90f4b41dd2c0d635d4a91e7128a157616",
     "b4-p0-vc/0": "d5e543186359aa7f16375dc76bb064cf94370e5c79342d7f045108663ee39fb8",
     "b4-p0-vc/1": "6f851d486facb43291a87e97176c01ce8ce2a69869ae5eeb9138e49d2d37f381",
-    "b1-p4-rec/0": "bfbeec1e5b093b4a36af76e15a50ee28c3ca69dc10841b11af751515be2953fe",
-    "b1-p4-rec/1": "15dcb162fc05b8a3dfc75e1ecebfa9e114fccde89739728dc42e02d52efdaccf",
-    "b4-p4-rec-vc/0": "9dfb083ebf4f096641941caf67e4ead2c572f21e11a0d6b680d2a65d9fa45ad2",
-    "b4-p4-rec-vc/1": "4ab0d98b38a603f675ef7fd8bce9e662d6640d390ade989e0d8f9013c2d91ba3",
-    "b1-p0-rd/0": "473bcaba5f8210e8eda5a899a90f76e1300d5cb050e3c68646b1b82881c314e7",
-    "b1-p0-rd/1": "b2de0f22dadc4296fc0eb0398e4ab3a928114ccbac65463b2dc20961339b7cf2",
-    "b1-p0-xs/0": "4c228050f406aa63b93cabb69c0bb2ec43d5944fc8c9890c2acc10d133de0d75",
-    "b1-p0-xs/1": "910a6caeedd5f674c1c85e00c82fb73a224513a301984364dcab389aa812d44a",
+    "b1-p4-rec/0": "e03d0c073de5aadb06d430b57f3951f94678a9b13fe20d27e5f954f179c59478",
+    "b1-p4-rec/1": "74f4fe374b40040dca28f53b89029d5a24fae5c8778fa0c86568d1678227a7ef",
+    "b4-p4-rec-vc/0": "1391c5baa9e6d3d1721b537cf0e7e4fd7d6c1dfaf0411b5daabaec8361bec929",
+    "b4-p4-rec-vc/1": "b9b214bf4fff9b422a80b9ba914d253554afe77adc0de38b6f7907fdd2b6eb43",
+    "b1-p0-rd/0": "6fda5b0f9a8dfd05471957d633c2b3e128c7ec7f538c78d401feefdf322e9072",
+    "b1-p0-rd/1": "2bc65b4caa2c45da1827ce8cefd60562618f7e50f6eee01f71d180b4f5c0e235",
+    "b1-p0-xs/0": "039273b8c4c8b9677528dec5446605bccc8925fe4d091945f2f89651fdb4b93f",
+    "b1-p0-xs/1": "21020a090e35ccd9dd6f5bd87707b44079dedb0de17bde6c1ae6583dfff2966e",
     "b1-p0-fg-vc/0": "dce433a4a4bfb168f8dfb32c5d6243326d6b6227600f02e63b8583ac5b3c2995",
     "b1-p0-fg-vc/1": "02515f2e9d3ccefd18913b36f7497105b24d37b096462273fc5b5e80b96c80b3",
 }
@@ -147,24 +146,11 @@ def idle_minute(system) -> tuple[list[BftReplica], dict[str, int]]:
     return live, views
 
 
-DIVERGED = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "nothing starts a catch-up for a queue-mode element that went diverged "
-        "(a head-stall skip, or PBFT state transfer into queue mode): "
-        "kv-s0-e0, kv-s1-e3 and kv-txc-e0 in b1-p0-xs/0, kv-s0-e3 in b1-p0-xs/1"
-    ),
-)
-
-
-def test_smoke_cell_quiesces(cell, request):
+def test_smoke_cell_quiesces(cell):
     """After :func:`idle_minute`, no live ordering replica has changed view
     or sits in a view change, no element is diverged, and every pair of
     :func:`equivalent_pairs` is in the same state."""
     label, _sha, system, result = cell
-    if "-xs/" in label:
-        request.applymarker(DIVERGED)
     live, views = idle_minute(system)
     assert {r.pid: r.view for r in live} == views
     assert not [r.pid for r in live if r.in_view_change]
@@ -174,9 +160,7 @@ def test_smoke_cell_quiesces(cell, request):
         assert same_state(a, b), (state_of(a), state_of(b))
 
 
-@pytest.mark.parametrize(
-    "label", [pytest.param(label, marks=DIVERGED) for label in ("b1-p0-xs/0", "b1-p0-xs/1")]
-)
+@pytest.mark.parametrize("label", ["b1-p0-xs/0", "b1-p0-xs/1"])
 def test_xs_shard_groups_converge(label):
     """After :func:`idle_minute`, every pair of each shard group of an
     ``xs`` cell is in the same state."""

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bft.messages import CatchUpRequest, CatchUpResponse
 from repro.chaos.byzantine import ForgedWatermarkElement, LaggingReader
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.messages import CommitFeed, ReadReply, ReadRequest
-from repro.recovery.messages import QueueStateRequest, QueueStateResponse
 from repro.workloads.scenarios import (
     KvStoreServant,
     standard_repository,
@@ -23,14 +23,14 @@ from repro.workloads.scenarios import (
 from tests.history import History
 
 # Everything the read tier can put on the wire. Its catch-up is the shared
-# QueueState pair, which a deployment without readers (and without a
-# recovery in progress) never sends either.
+# CatchUp pair, which a deployment without readers (and without a lagging,
+# diverged or recovering element) never sends either.
 READ_MESSAGE_TYPES = (
     ReadRequest,
     ReadReply,
     CommitFeed,
-    QueueStateRequest,
-    QueueStateResponse,
+    CatchUpRequest,
+    CatchUpResponse,
 )
 
 
@@ -258,14 +258,14 @@ def test_reader_is_a_queue_element_on_a_plain_process():
 
 def test_reader_consumes_four_message_types_and_nothing_else():
     """One sample of every registered message, sent by a core element: only
-    CommitFeed, QueueStateResponse, ReadRequest and GmShareEnvelope have a
+    CommitFeed, CatchUpResponse, ReadRequest and GmShareEnvelope have a
     handler on a reader at all; nothing else moves its queue, its chain,
     its feed counter or its timers."""
     from repro import schema
     from repro.itdos.messages import GmShareEnvelope
     from tests.message_samples import sample
 
-    consumed = {CommitFeed, QueueStateResponse, ReadRequest, GmShareEnvelope}
+    consumed = {CommitFeed, CatchUpResponse, ReadRequest, GmShareEnvelope}
     system = make_kv(readers=1)
     _, stub = client_and_stub(system)
     stub.put("k", "v")
@@ -282,7 +282,7 @@ def test_reader_consumes_four_message_types_and_nothing_else():
         )
 
     classes = schema.registered().values()
-    assert consumed <= set(classes) and len(classes) >= 29
+    assert consumed <= set(classes) and len(classes) >= 27
     for cls in classes:
         before = state()
         core.send(reader.pid, sample(cls))

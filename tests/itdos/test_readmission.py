@@ -3,8 +3,8 @@
 The paper's prototype stops at expulsion ("replacement remains to be
 implemented"). The extension implemented here: a repaired element petitions
 the Group Manager; the GM rekeys its groups with the element included; the
-element skips the ciphertext generations it missed and repairs its servant
-state through the ordinary object-mode state-transfer path.
+element repairs its servant state through object-mode checkpoint catch-up,
+which restores its group's certified checkpoints even while it is keyed out.
 """
 
 import pytest
@@ -52,13 +52,16 @@ def test_full_expel_repair_readmit_cycle():
     liar = expel_liar(system, client, stub)
 
     # Traffic while expelled: the element's queue head blocks on a key
-    # generation it will never receive (until readmission supplies a newer
-    # one, at which point the missed items are skipped).
+    # generation it will never receive, so it serves none of it. Its
+    # checkpoints then disagree with its group's, and object mode catches
+    # its servant state up from the certified ones.
+    served_before = len(liar.dispatched)
     for i in range(6):
         stub.put(f"missed-{i}", "x")
     system.settle(2.0)
     served_while_out = len(liar.dispatched)
-    assert len(liar.queue) >= 6  # backlog it cannot decrypt
+    assert served_while_out == served_before
+    assert liar.catch_up.rounds >= 1
 
     # Repair and petition.
     liar.repaired = True
@@ -74,9 +77,8 @@ def test_full_expel_repair_readmit_cycle():
         stub.put(f"back-{i}", "y")
     assert stub.size() == 15  # 1 + 6 + 8
     system.settle(6.0)
-    assert liar.undecryptable_skipped >= 1  # the missed generation drained
     assert len(liar.dispatched) > served_while_out
-    # ...and its servant state was repaired via state transfer.
+    # ...and its servant state was repaired by checkpoint catch-up.
     servant = liar.orb.adapter.servant_for(b"kv")
     assert servant.size() >= 7  # includes keys it never saw in plaintext
     assert not liar.diverged

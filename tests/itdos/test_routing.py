@@ -19,7 +19,7 @@ from typing import Any
 import pytest
 
 from repro import schema
-from repro.bft.messages import BftReply, PrepareMsg, StateRequestMsg
+from repro.bft.messages import BftReply, CatchUpRequest, PrepareMsg
 from repro.itdos.messages import CommitFeed, ReadRequest
 from repro.workloads.scenarios import build_read_heavy_system
 from tests.message_samples import sample
@@ -29,19 +29,18 @@ HANDLERS = {
     ("bft/auth.py", "accept"),
     *(("bft/replica.py", name) for name in (
         "_on_client_request", "_on_pre_prepare", "_on_prepare", "_on_commit",
-        "_on_checkpoint", "_on_view_change", "_on_new_view", "_on_state_request",
-        "_on_state_response", "_on_status", "_on_fill",
+        "_on_checkpoint", "_on_view_change", "_on_new_view", "_on_catch_up_request",
+        "_on_status", "_on_fill",
     )),
+    ("bft/catchup.py", "handle_response"),
     ("itdos/element.py", "_handle_server_share"),
     ("itdos/element.py", "_serve_read"),
     ("itdos/replica.py", "_handle_body_request"),
-    ("itdos/replica.py", "_serve_queue_state"),
     ("itdos/readtier.py", "_handle_commit_feed"),
     ("itdos/sockets.py", "handle_gm_share"),
     ("itdos/sockets.py", "handle_reply"),
     ("itdos/sockets.py", "handle_read_reply"),
     ("itdos/sockets.py", "handle_body_reply"),
-    ("recovery/fetch.py", "handle_response"),
 }
 #: The client engines look at every delivery a ladder shows them and claim
 #: only a ``BftReply``: they count as a branch for that type alone.
@@ -118,8 +117,8 @@ _PBFT = {
     "CheckpointMsg": ["accept", "_on_checkpoint"],
     "ViewChangeMsg": ["accept", "_on_view_change"],
     "NewViewMsg": ["accept", "_on_new_view"],
-    "StateRequestMsg": ["accept", "_on_state_request"],
-    "StateResponseMsg": ["accept", "_on_state_response"],
+    "CatchUpRequest": ["accept", "_on_catch_up_request"],
+    "CatchUpResponse": ["accept", "handle_response"],
     "StatusMsg": ["accept", "_on_status"],
     "FillMsg": ["accept", "_on_fill"],
 }
@@ -133,14 +132,12 @@ _LADDERS: dict[str, tuple[list[str], dict[str, list[str]]]] = {
         "GmShareEnvelope": ["_handle_server_share", "handle_gm_share"],
         "BodyRequest": ["_handle_body_request"],
         "ReadRequest": ["_serve_read"],
-        "QueueStateRequest": ["_serve_queue_state"],
-        "QueueStateResponse": ["handle_response"],
         "BftReply": ["handle_message", "accept"],  # the GM engine, then the gate
     }),
     "gm": (["accept"], {**_PBFT, "BftReply": ["handle_message", "accept"]}),
     "reader": ([], {
         "CommitFeed": ["_handle_commit_feed"],
-        "QueueStateResponse": ["handle_response"],
+        "CatchUpResponse": ["handle_response"],
         "ReadRequest": ["_serve_read"],
         "GmShareEnvelope": ["_handle_server_share"],
     }),
@@ -157,7 +154,7 @@ EXPECTED = {
 
 def test_tables_cover_every_registered_type():
     names = set(payloads())
-    assert len(names) >= 30
+    assert len(names) >= 28
     for kind in KINDS:
         assert set(EXPECTED[kind]) == names, kind
 
@@ -177,9 +174,9 @@ def test_a_table_is_the_replicas_own_extended_in_place():
     tests/bft/test_state_transfer.py does) takes effect for every kind of row."""
     server, src = build("server")
     seen = []
-    server._handlers[StateRequestMsg] = lambda src, msg: seen.append("pbft")
+    server._handlers[CatchUpRequest] = lambda src, msg: seen.append("pbft")
     server._handlers[ReadRequest] = lambda src, msg: seen.append("shell")
-    server.deliver(src, sample(StateRequestMsg))
+    server.deliver(src, sample(CatchUpRequest))
     server.deliver(src, sample(ReadRequest))
     assert seen == ["pbft", "shell"]
     assert PrepareMsg in server._handlers and BftReply in server._handlers

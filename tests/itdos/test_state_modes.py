@@ -2,8 +2,8 @@
 
 The groundwork for experiment E4 (§3.1/§5): object-mode checkpoints carry
 the whole application state (recoverable, expensive); queue-mode checkpoints
-carry a constant-size digest view (cheap, but a diverged element cannot be
-recovered — virtual synchrony demands its expulsion).
+carry a constant-size digest view (cheap, and no checkpoint can rebuild a
+queue: an element that loses sync fetches its peers' queue image instead).
 """
 
 import pytest
@@ -60,23 +60,26 @@ def test_object_mode_recovers_partitioned_element():
     assert not lagger.diverged
 
 
-def test_queue_mode_partitioned_element_diverges():
+def test_queue_mode_partitioned_element_catches_up():
     system = build_kv_system(state_mode="queue")
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
     stub.put("warm", "up")
-    lagger = system.domain_elements("kv")[3]
+    lagger, peer = system.domain_elements("kv")[3], system.domain_elements("kv")[0]
     others = {e.pid for e in system.domain_elements("kv")[:3]}
     system.network.partition({lagger.pid}, others)
     fill(stub, 8)
     system.network.heal()
     fill(stub, 4, prefix="post")
     system.settle(4.0)
-    # The element received a state snapshot it cannot use: flagged diverged,
-    # awaiting expulsion/rejoin (the §3.1 virtual-synchrony consequence).
-    assert lagger.diverged
+    # No checkpoint can rebuild its queue, so the element went diverged and
+    # fetched its peers' queue image in one catch-up round (§3.1: it
+    # catches up or it is expelled).
+    assert lagger.catch_up.rounds == 1 and lagger.recovery.transfers_completed == 1
+    assert not lagger.diverged
+    assert lagger._append_chain == peer._append_chain
     servant = lagger.orb.adapter.servant_for(b"kv")
-    assert servant.size() < 12  # it truly missed the traffic
+    assert servant.size() == peer.orb.adapter.servant_for(b"kv").size() == 13
 
 
 def test_service_unaffected_by_lagging_element_in_either_mode():

@@ -149,38 +149,35 @@ def test_every_protocol_message_type_is_registered():
 
 
 def test_queue_state_response_round_trips_with_servant_state():
-    """The catch-up response crosses the seam byte-identically with a
-    non-empty ``app_state`` and a stable checkpoint."""
+    """The catch-up response crosses the seam byte-identically with a queue
+    image that holds servant state, beside a stable checkpoint."""
     import dataclasses
 
+    from repro.bft.messages import CatchUpResponse
     from repro.crypto.encoding import canonical_bytes
-    from repro.recovery.messages import QueueStateResponse
 
-    snapshot = canonical_bytes({"mode": "queue", "chain": b"\x07" * 32, "appended": 8})
-    response = QueueStateResponse(
+    checkpoint = canonical_bytes({"mode": "queue", "chain": b"\x07" * 32, "appended": 8})
+    image = {
+        "appended": 9,
+        "chain": b"\x09" * 32,
+        "queue": canonical_bytes({"processed": 8, "items": [[9, b"payload"]]}),
+        "last_executed": 9,
+        "app": {"k0": "v0", "k1": "v1"},
+    }
+    response = CatchUpResponse(
+        attempt=2, stable_seq=8, checkpoint=checkpoint, blob=canonical_bytes(image),
         sender="kv-e1",
-        domain_id="kv",
-        attempt=2,
-        appended=9,
-        chain=b"\x09" * 32,
-        snapshot=canonical_bytes({"processed": 8, "items": [[9, b"payload"]]}),
-        last_executed=9,
-        stable_seq=8,
-        checkpoint_snapshot=snapshot,
-        app_state=canonical_bytes({"app": {"k0": "v0", "k1": "v1"}}),
     )
     wire = assert_wire_encodable(response)
     decoded = decode_wire_payload(wire)
     assert decoded == response
     assert decoded.fingerprint() == response.fingerprint()
     assert encode_wire_payload(decoded) == wire
-    without_app = dataclasses.replace(
-        response, app_state=canonical_bytes({"app": None})
-    )
+    without_app = dataclasses.replace(response, blob=canonical_bytes(dict(image, app=None)))
     assert without_app.fingerprint() != response.fingerprint()
     assert response.wire_size() - without_app.wire_size() == len(
-        response.app_state
-    ) - len(without_app.app_state)
+        response.blob
+    ) - len(without_app.blob)
 
 
 def test_registration_compiles_tuple_coercers_from_hints():

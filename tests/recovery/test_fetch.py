@@ -1,16 +1,19 @@
-"""repro.recovery.fetch.StateFetch against scripted responses.
+"""repro.bft.catchup.CatchUp against scripted responses.
 
 The driver is exercised on its own: a stub element records what is sent
 and which timers are armed, and the test plays the peers — so every rule
 of the round (who may answer, what counts as agreement, when it adopts,
-when it gives up) is pinned without a simulated deployment.
+when it gives up) is pinned without a simulated deployment. A response's
+``stable_seq`` stands for its freshness here, and its checkpoint bytes for
+the state it carries.
 """
 
 from types import SimpleNamespace
 
+from repro.bft.catchup import CatchUp
+from repro.bft.messages import CatchUpRequest, CatchUpResponse
+from repro.crypto.digests import digest
 from repro.obs.telemetry import NOOP_TELEMETRY
-from repro.recovery.fetch import StateFetch
-from repro.recovery.messages import QueueStateRequest, QueueStateResponse
 
 
 class StubElement:
@@ -24,7 +27,7 @@ class StubElement:
             f=f, n=n, element_ids=tuple(f"kv-e{i}" for i in range(n))
         )
         self.telemetry = NOOP_TELEMETRY
-        self.sent: list[tuple[str, QueueStateRequest]] = []
+        self.sent: list[tuple[str, CatchUpRequest]] = []
         self.timers: dict[int, tuple[float, object]] = {}
         self._next_handle = 0
 
@@ -45,18 +48,9 @@ class StubElement:
         callback()
 
 
-def response(sender, attempt=1, appended=10, tag=b"honest", domain="kv"):
-    return QueueStateResponse(
-        sender=sender,
-        domain_id=domain,
-        attempt=attempt,
-        appended=appended,
-        chain=tag.ljust(32, b"\x00"),
-        snapshot=b"",
-        last_executed=appended,
-        stable_seq=0,
-        checkpoint_snapshot=b"",
-        app_state=b"",
+def response(sender, attempt=1, appended=10, tag=b"honest", blob=b"state"):
+    return CatchUpResponse(
+        attempt=attempt, stable_seq=appended, checkpoint=tag, blob=blob, sender=sender
     )
 
 
@@ -71,7 +65,10 @@ def make_fetch(element=None, acceptable=lambda r: True, adopt_result=True):
     def on_give_up():
         log.gave_up += 1
 
-    fetch = StateFetch(element, acceptable, adopt, on_give_up)
+    fetch = CatchUp(
+        element, element.domain_info.element_ids, element.domain_info.f, element.send,
+        lambda r: r.stable_seq if acceptable(r) else None, adopt, on_give_up,
+    )
     return fetch, log
 
 
@@ -80,9 +77,9 @@ def test_round_asks_every_core_peer_but_not_itself():
     fetch.start()
     assert [dst for dst, _ in log.element.sent] == ["kv-e1", "kv-e2", "kv-e3"]
     assert {req.attempt for _, req in log.element.sent} == {1}
-    assert {req.requester for _, req in log.element.sent} == {"kv-e0"}
+    assert {req.sender for _, req in log.element.sent} == {"kv-e0"}
     [(delay, _)] = log.element.timers.values()
-    assert delay == StateFetch.FETCH_WINDOW
+    assert delay == CatchUp.FETCH_WINDOW
 
 
 def test_a_reader_asks_all_n_core_elements_and_needs_2f_plus_1():
@@ -111,7 +108,7 @@ def test_f_liars_with_a_matching_but_wrong_fingerprint_are_never_adopted():
     element = StubElement(f=2)  # n=7, six peers, two of them lying
     fetch, log = make_fetch(element)
     fetch.start()
-    for _ in range(StateFetch.MAX_ATTEMPTS):
+    for _ in range(CatchUp.MAX_ATTEMPTS):
         attempt = fetch.attempt
         for liar in ("kv-e1", "kv-e2"):
             fetch.handle_response(
@@ -125,7 +122,7 @@ def test_f_liars_with_a_matching_but_wrong_fingerprint_are_never_adopted():
     # stays one short, and the honest one wins although the forgery claims
     # to be fresher.
     fetch.start()
-    for _ in range(StateFetch.FULL_QUORUM_ATTEMPTS):
+    for _ in range(CatchUp.FULL_QUORUM_ATTEMPTS):
         element.fire_window()
     attempt = fetch.attempt
     assert fetch.required_matching() == 3
@@ -137,7 +134,7 @@ def test_f_liars_with_a_matching_but_wrong_fingerprint_are_never_adopted():
         assert log.adopted == []
         fetch.handle_response(honest, response(honest, attempt=attempt))
     [adopted] = log.adopted
-    assert adopted.appended == 10
+    assert adopted.stable_seq == 10
 
 
 def test_stale_misattributed_and_foreign_responses_are_ignored():
@@ -148,7 +145,7 @@ def test_stale_misattributed_and_foreign_responses_are_ignored():
     assert fetch.attempt == 2
     fetch.handle_response("kv-e1", response("kv-e1", attempt=1))  # stale round
     fetch.handle_response("kv-e1", response("kv-e2", attempt=2))  # sender != src
-    fetch.handle_response("kv-e2", response("kv-e2", attempt=2, domain="calc"))
+    fetch.handle_response("calc-e2", response("calc-e2", attempt=2))  # another domain
     fetch.handle_response("kv-r0", response("kv-r0", attempt=2))  # not a core element
     fetch.handle_response("kv-e0", response("kv-e0", attempt=2))  # ourselves
     assert fetch._responses == {}
@@ -168,7 +165,7 @@ def test_rounds_one_to_three_need_2f_plus_1_and_round_four_accepts_f_plus_1():
         fetch.handle_response("kv-e2", response("kv-e2", attempt=attempt))
         assert log.adopted == []
         [(delay, _)] = element.timers.values()
-        assert delay == StateFetch.FETCH_WINDOW * attempt  # the window grows
+        assert delay == CatchUp.FETCH_WINDOW * attempt  # the window grows
         element.fire_window()
     assert fetch.attempt == 4 and fetch.required_matching() == 2
     fetch.handle_response("kv-e1", response("kv-e1", attempt=4))
@@ -178,7 +175,7 @@ def test_rounds_one_to_three_need_2f_plus_1_and_round_four_accepts_f_plus_1():
 
 
 def test_agreement_the_caller_cannot_accept_is_not_adopted():
-    fetch, log = make_fetch(acceptable=lambda r: r.appended >= 10)
+    fetch, log = make_fetch(acceptable=lambda r: r.stable_seq >= 10)
     fetch.start()
     element = log.element
     for _ in range(3):
@@ -210,14 +207,29 @@ def test_last_attempt_gives_up_once_and_leaves_no_timer():
     fetch, log = make_fetch()
     fetch.start()
     element = log.element
-    for _ in range(StateFetch.MAX_ATTEMPTS):
+    for _ in range(CatchUp.MAX_ATTEMPTS):
         element.fire_window()
     assert log.gave_up == 1
     assert not fetch.active
     assert element.timers == {}
-    assert len(element.sent) == 3 * StateFetch.MAX_ATTEMPTS
+    assert len(element.sent) == 3 * CatchUp.MAX_ATTEMPTS
     # A late answer to the last round changes nothing.
     fetch.handle_response(
-        "kv-e1", response("kv-e1", attempt=StateFetch.MAX_ATTEMPTS)
+        "kv-e1", response("kv-e1", attempt=CatchUp.MAX_ATTEMPTS)
     )
     assert log.adopted == [] and log.gave_up == 1
+
+
+def test_one_answer_that_is_the_callers_own_certificate_is_enough():
+    """A checkpoint the caller's group certified to the caller itself needs
+    no quorum of answers; with a blob beside it, which no certificate
+    covers, it does."""
+    fetch, log = make_fetch()
+    fetch.certificate = (10, digest(b"honest"))
+    fetch.start()
+    fetch.handle_response("kv-e1", response("kv-e1", tag=b"forged", blob=b""))
+    fetch.handle_response("kv-e2", response("kv-e2"))
+    assert log.adopted == []
+    fetch.handle_response("kv-e3", response("kv-e3", blob=b""))
+    [adopted] = log.adopted
+    assert adopted.sender == "kv-e3"

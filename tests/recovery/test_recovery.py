@@ -7,19 +7,15 @@ model, where an expelled element cannot be repaired by object-state copy
 and must re-adopt the message queue from its peers.
 """
 
-import dataclasses
-
 import pytest
 
+from repro.bft.catchup import CatchUp
+from repro.bft.messages import CatchUpRequest, CatchUpResponse
 from repro.crypto.encoding import canonical_bytes
 from repro.itdos.bootstrap import ItdosSystem
 from repro.itdos.faults import LyingElement
-from repro.recovery.messages import (
-    QueueStateRequest,
-    QueueStateResponse,
-    RejoinPetition,
-    petition_body,
-)
+from repro.itdos.messages import GmShareEnvelope
+from repro.recovery.messages import RejoinPetition, petition_body
 from repro.workloads.scenarios import (
     CalculatorServant,
     KvStoreServant,
@@ -55,6 +51,19 @@ def expel_liar(system, stub):
     for gm in system.gm_elements:
         assert "calc-e2" in gm.state.expelled
     return system.elements["calc-e2"]
+
+
+def stall_head(system, pid="calc-e3"):
+    """``pid`` never receives the key shares of a new client's connection, so
+    that client's first request stalls its queue head until the element
+    skips it and goes diverged. Returns the element, its stall timer armed."""
+    stalled = system.elements[pid]
+    system.network.add_filter(
+        lambda src, dst, payload: dst != pid or not isinstance(payload, GmShareEnvelope)
+    )
+    assert system.add_client("bob").stub(system.ref("calc", b"calc")).add(2.0, 3.0) == 5.0
+    system.run_until(lambda: stalled._head_stall_timer is not None)
+    return stalled
 
 
 def recover(system, element, fresh_keys=False):
@@ -353,28 +362,21 @@ def test_a_rejected_adoption_touches_nothing(app):
     element = system.elements["kv-e0"]
     before = (element.queue.snapshot(), element._append_chain, element.servant_state())
     assert before[2] == {"a": {"mine": "1"}, "b": {}}
-    peer = QueueStateResponse(
-        sender="kv-e1",
-        domain_id="kv",
-        attempt=1,
-        appended=99,
-        chain=b"\x07" * 32,
-        snapshot=canonical_bytes({"processed": 98, "items": [[50, b"payload"]]}),
-        last_executed=50,
-        stable_seq=0,
-        checkpoint_snapshot=b"",
-        app_state=canonical_bytes({"app": app}),
-    )
+    peer = {
+        "appended": 99,
+        "chain": b"\x07" * 32,
+        "queue": canonical_bytes({"processed": 98, "items": [[50, b"payload"]]}),
+        "last_executed": 50,
+        "app": app,
+    }
     assert element._restore_queue_state(peer) is False
     after = (element.queue.snapshot(), element._append_chain, element.servant_state())
     assert after == before
-    # The same response with a state the servants accept is adopted whole.
-    good = dataclasses.replace(
-        peer, app_state=canonical_bytes({"app": {"a": {"k": "v"}}})
-    )
+    # The same image with a state the servants accept is adopted whole.
+    good = dict(peer, app={"a": {"k": "v"}})
     assert element._restore_queue_state(good) is True
-    assert element.queue.snapshot() == good.snapshot
-    assert element._append_chain == good.chain
+    assert element.queue.snapshot() == good["queue"]
+    assert element._append_chain == good["chain"]
     assert element.servant_state() == {"a": {"k": "v"}, "b": {}}
 
 
@@ -393,7 +395,7 @@ def test_element_parked_on_a_nested_call_does_not_vouch_for_state():
 
     sent = []
     responder.send = lambda dst, payload: sent.append((dst, payload))
-    request = QueueStateRequest(requester="bank-e1", domain_id="bank", attempt=1)
+    request = CatchUpRequest(attempt=1, sender="bank-e1")
     responder.deliver("bank-e1", request)
     assert sent == []
     del responder.send
@@ -403,7 +405,7 @@ def test_element_parked_on_a_nested_call_does_not_vouch_for_state():
     responder.send = lambda dst, payload: sent.append((dst, payload))
     responder.deliver("bank-e1", request)
     [(dst, response)] = sent
-    assert dst == "bank-e1" and isinstance(response, QueueStateResponse)
+    assert dst == "bank-e1" and isinstance(response, CatchUpResponse)
 
 
 def test_proactive_rotation_cycles_all_elements():
@@ -435,3 +437,35 @@ def test_proactive_rotation_cycles_all_elements():
         assert not element.crashed
     # Health board saw the epoch advance.
     assert system.telemetry.health.key_epoch == 4
+
+
+def test_a_catch_up_nobody_answers_gives_up_once_and_waits_for_a_new_checkpoint():
+    """Every peer ignores a diverged element's catch-up requests: it runs
+    exactly MAX_ATTEMPTS attempts, records the failure once (one counter, one
+    evidence entry) and stays diverged, retrying on no tick. The next
+    certified checkpoint it disagrees with starts one new round."""
+    system = build_queue_mode_system(telemetry=True)
+    alice = system.add_client("alice").stub(system.ref("calc", b"calc"))
+    assert alice.add(1.0, 1.0) == 2.0
+    system.settle(1.0)
+    peers = [system.elements[f"calc-e{i}"] for i in range(3)]
+    for peer in peers:
+        peer._handlers[CatchUpRequest] = lambda src, msg: None
+    stalled = stall_head(system)
+    system.run_until(lambda: stalled.catch_up.failures == 1)
+    system.settle(10.0)
+    assert stalled.messages_sent["CatchUpRequest"] == 3 * CatchUp.MAX_ATTEMPTS
+    assert (stalled.catch_up.rounds, stalled.catch_up.failures) == (1, 1)
+    assert stalled.diverged
+    audit = system.telemetry.audit.entries
+    assert [(e.accused, e.reporter) for e in audit if e.kind == "catch-up-failed"] == [
+        ("calc-e3", "calc-e3")
+    ]
+    for peer in peers:
+        peer._handlers[CatchUpRequest] = peer._on_catch_up_request
+    for i in range(4):
+        alice.add(float(i), 1.0)
+    system.settle(2.0)
+    assert (stalled.catch_up.rounds, stalled.catch_up.failures) == (2, 1)
+    assert not stalled.diverged
+    assert stalled._append_chain == peers[0]._append_chain
