@@ -2,10 +2,9 @@
 
 Every replica that is behind or wrong runs this same round. :class:`CatchUp`
 sends a :class:`~repro.bft.messages.CatchUpRequest` to every peer, keys the
-answers by sender, groups them by
-:meth:`~repro.bft.messages.CatchUpResponse.fingerprint` and hands the
-freshest group that reaches the quorum to the caller's ``adopt``. Four
-callers differ only in the functions they pass:
+answers by sender, and hands the freshest answer whose parts are vouched for
+to the caller's ``adopt``. Four callers differ only in the functions they
+pass:
 
 * a PBFT replica whose group certified a checkpoint it has not reached, or
   disagrees with (:class:`~repro.bft.replica.BftReplica`);
@@ -15,12 +14,13 @@ callers differ only in the functions they pass:
 * a lagging read-tier element (:class:`~repro.itdos.readtier.ReadOnlyElement`).
 
 A response carries the responder's stable checkpoint and an opaque ``blob``
-that the layer above fills (empty for a plain replica). It is adopted in
-one of two cases. Its checkpoint equals the :attr:`CatchUp.certificate` the
-caller collected itself (2f+1 checkpoint messages from their senders) and it
-carries no blob, which no certificate covers. Or enough distinct responders
-agree on its fingerprint: ``2f+1`` in the first
-:attr:`CatchUp.FULL_QUORUM_ATTEMPTS` rounds, enough that the state is both
+that the layer above fills (empty for a plain replica). Each part is vouched
+for on its own, so a liar's true parts still count. The checkpoint: it
+equals the :attr:`CatchUp.certificate` the caller collected itself (2f+1
+checkpoint messages from their senders), or enough distinct responders sent
+the same one. The blob, unless empty: enough distinct responders sent the
+same bytes; no certificate covers it. Enough is ``2f+1`` in the first
+:attr:`CatchUp.FULL_QUORUM_ATTEMPTS` attempts, so that the state is both
 correct and fresh, capped at the number of peers; ``f+1`` after that, since
 any f+1 matching answers contain an honest one, and staleness is for the
 caller's ``rank`` to refuse.
@@ -28,6 +28,7 @@ caller's ``rank`` to refuse.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Sequence
 
 from repro.bft.messages import CatchUpRequest, CatchUpResponse
@@ -39,15 +40,15 @@ class CatchUp:
 
     ``rank(response)`` is None for a state the caller cannot use, else its
     freshness (the highest wins); ``adopt(response) -> bool`` installs it
-    (False: try another round); ``on_give_up()`` runs once every attempt is
+    (False: try another attempt); ``on_give_up()`` runs once every attempt is
     exhausted. ``send(peer, request)`` puts a request on the wire.
     """
 
-    #: Simulated seconds round ``k`` collects responses for is ``k`` times
-    #: this — later rounds wait longer, peers may be settling a checkpoint.
+    #: Simulated seconds attempt ``k`` collects responses for is ``k`` times
+    #: this — later attempts wait longer, peers may be settling a checkpoint.
     FETCH_WINDOW = 0.25
     MAX_ATTEMPTS = 8
-    #: Rounds that insist on the 2f+1 freshness quorum before f+1 will do.
+    #: Attempts that insist on the 2f+1 freshness quorum before f+1 will do.
     FULL_QUORUM_ATTEMPTS = 3
 
     def __init__(
@@ -74,8 +75,8 @@ class CatchUp:
         self.attempt = 0
         self.rounds = 0  # rounds started, each up to MAX_ATTEMPTS attempts
         self.failures = 0  # rounds that exhausted every attempt
-        # sender -> (fingerprint, response) for the current attempt.
-        self._responses: dict[str, tuple[bytes, CatchUpResponse]] = {}
+        # sender -> its answer in the current attempt.
+        self._responses: dict[str, CatchUpResponse] = {}
         self._timer: Any = None
         self._trace_parent: Any = None
 
@@ -130,32 +131,30 @@ class CatchUp:
             return  # stale attempt
         if response.sender != src or src not in self._peers:
             return
-        self._responses[src] = (response.fingerprint(), response)
+        self._responses[src] = response
         # Adopt as soon as some answer qualifies — no need to sit out the
         # rest of the window.
         best = self._best()
         if best is not None:
             self._settle(best)
 
-    def _certified(self, response: CatchUpResponse) -> bool:
-        return not response.blob and self.certificate == (
-            response.stable_seq, digest(response.checkpoint)
-        )
-
     def _best(self) -> CatchUpResponse | None:
-        """The freshest usable response that is certified or has a quorum."""
+        """The freshest usable answer whose checkpoint and blob are each
+        vouched for (see the module doc)."""
         required = self.required_matching()
-        groups: dict[bytes, list[CatchUpResponse]] = {}
-        for fingerprint, response in self._responses.values():
-            groups.setdefault(fingerprint, []).append(response)
+        answers = [(r, (r.stable_seq, digest(r.checkpoint)), digest(r.blob))
+                   for r in self._responses.values()]
+        claims = Counter(claim for _, claim, _ in answers)
+        blobs = Counter(blob for _, _, blob in answers)
         best, best_rank = None, None
-        for members in groups.values():
-            candidate = members[0]
-            if len(members) < required and not self._certified(candidate):
+        for response, claim, blob in answers:
+            if claim != self.certificate and claims[claim] < required:
                 continue
-            rank = self._rank(candidate)
+            if response.blob and blobs[blob] < required:
+                continue
+            rank = self._rank(response)
             if rank is not None and (best_rank is None or rank > best_rank):
-                best, best_rank = candidate, rank
+                best, best_rank = response, rank
         return best
 
     def _settle(self, best: CatchUpResponse | None) -> None:

@@ -307,9 +307,3 @@ class CatchUpResponse(BftMessage):
     blob: bytes
     sender: str
     auth: dict[str, bytes] | bytes | None = field(default=None, compare=False)
-
-    def fingerprint(self) -> bytes:
-        """What responders must agree on: the checkpoint and the blob."""
-        return digest(canonical_bytes(
-            {"seq": self.stable_seq, "checkpoint": digest(self.checkpoint), "blob": digest(self.blob)}
-        ))

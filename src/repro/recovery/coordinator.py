@@ -158,8 +158,10 @@ class RecoveryCoordinator:
 
     def rank(self, response: CatchUpResponse) -> int | None:
         """A peer's image by how many payloads it appended, if it covers our
-        buffering anchor: one from before it is useless, the buffer cannot
-        bridge the gap between it and our own execution position."""
+        buffering anchor (one from before it is useless: the buffer cannot
+        bridge the gap between it and our own execution position) and its
+        checkpoint is not past it (parts vouched for one by one must still
+        belong together)."""
         element = self.element
         image = parse_image(response.blob)
         anchor = (
@@ -167,7 +169,7 @@ class RecoveryCoordinator:
             if element._recovery_anchor is not None
             else element.last_executed
         )
-        if image is None or image["last_executed"] < anchor:
+        if image is None or image["last_executed"] < max(anchor, response.stable_seq):
             return None
         return image["appended"]
 

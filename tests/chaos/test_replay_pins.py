@@ -46,7 +46,7 @@ PINS = {
     "b4-p4-rec-vc/1": "b9b214bf4fff9b422a80b9ba914d253554afe77adc0de38b6f7907fdd2b6eb43",
     "b1-p0-rd/0": "6fda5b0f9a8dfd05471957d633c2b3e128c7ec7f538c78d401feefdf322e9072",
     "b1-p0-rd/1": "2bc65b4caa2c45da1827ce8cefd60562618f7e50f6eee01f71d180b4f5c0e235",
-    "b1-p0-xs/0": "039273b8c4c8b9677528dec5446605bccc8925fe4d091945f2f89651fdb4b93f",
+    "b1-p0-xs/0": "2deb12e2f4bd1a9c7dbeff12329c587fad8d67a914376ac3d8288b396105ecd4",
     "b1-p0-xs/1": "21020a090e35ccd9dd6f5bd87707b44079dedb0de17bde6c1ae6583dfff2966e",
     "b1-p0-fg-vc/0": "dce433a4a4bfb168f8dfb32c5d6243326d6b6227600f02e63b8583ac5b3c2995",
     "b1-p0-fg-vc/1": "02515f2e9d3ccefd18913b36f7497105b24d37b096462273fc5b5e80b96c80b3",

@@ -171,10 +171,10 @@ def test_queue_state_response_round_trips_with_servant_state():
     wire = assert_wire_encodable(response)
     decoded = decode_wire_payload(wire)
     assert decoded == response
-    assert decoded.fingerprint() == response.fingerprint()
+    assert decoded.content_digest() == response.content_digest()
     assert encode_wire_payload(decoded) == wire
     without_app = dataclasses.replace(response, blob=canonical_bytes(dict(image, app=None)))
-    assert without_app.fingerprint() != response.fingerprint()
+    assert without_app.content_digest() != response.content_digest()
     assert response.wire_size() - without_app.wire_size() == len(
         response.blob
     ) - len(without_app.blob)

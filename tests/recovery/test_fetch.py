@@ -5,7 +5,8 @@ and which timers are armed, and the test plays the peers — so every rule
 of the round (who may answer, what counts as agreement, when it adopts,
 when it gives up) is pinned without a simulated deployment. A response's
 ``stable_seq`` stands for its freshness here, and its checkpoint bytes for
-the state it carries.
+the state it carries, in both its checkpoint and its blob unless a test
+splits them.
 """
 
 from types import SimpleNamespace
@@ -48,9 +49,10 @@ class StubElement:
         callback()
 
 
-def response(sender, attempt=1, appended=10, tag=b"honest", blob=b"state"):
+def response(sender, attempt=1, appended=10, tag=b"honest", blob=None):
     return CatchUpResponse(
-        attempt=attempt, stable_seq=appended, checkpoint=tag, blob=blob, sender=sender
+        attempt=attempt, stable_seq=appended, checkpoint=tag,
+        blob=tag if blob is None else blob, sender=sender,
     )
 
 
@@ -222,8 +224,8 @@ def test_last_attempt_gives_up_once_and_leaves_no_timer():
 
 def test_one_answer_that_is_the_callers_own_certificate_is_enough():
     """A checkpoint the caller's group certified to the caller itself needs
-    no quorum of answers; with a blob beside it, which no certificate
-    covers, it does."""
+    no quorum of answers; a blob beside it, which no certificate covers,
+    still does."""
     fetch, log = make_fetch()
     fetch.certificate = (10, digest(b"honest"))
     fetch.start()
@@ -233,3 +235,24 @@ def test_one_answer_that_is_the_callers_own_certificate_is_enough():
     fetch.handle_response("kv-e3", response("kv-e3", blob=b""))
     [adopted] = log.adopted
     assert adopted.sender == "kv-e3"
+
+
+def test_a_liars_true_blob_counts_and_its_forged_checkpoint_does_not():
+    """f liars send the honest blob beside a forged checkpoint: their blob
+    makes the quorum with the honest answers, their checkpoint never does,
+    so the answer adopted is an honest one."""
+    element = StubElement(f=2)  # n=7, six peers, two of them lying
+    fetch, log = make_fetch(element)
+    fetch.start()
+    for _ in range(CatchUp.FULL_QUORUM_ATTEMPTS):
+        element.fire_window()
+    attempt = fetch.attempt
+    for liar in ("kv-e1", "kv-e2"):
+        fetch.handle_response(liar, response(liar, attempt, tag=b"forged", blob=b"state"))
+    fetch.handle_response("kv-e3", response("kv-e3", attempt, blob=b"state"))
+    assert log.adopted == []  # the blob has three voices, the checkpoint one
+    fetch.handle_response("kv-e4", response("kv-e4", attempt, blob=b"state"))
+    assert log.adopted == []
+    fetch.handle_response("kv-e5", response("kv-e5", attempt, blob=b"state"))
+    [adopted] = log.adopted
+    assert adopted.checkpoint == b"honest"
