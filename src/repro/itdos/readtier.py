@@ -24,7 +24,7 @@ State maintenance:
   persistent feed gap runs the same round a rejoining core element does
   (:class:`~repro.bft.catchup.CatchUp`, same
   ``CatchUpRequest``/``CatchUpResponse`` pair, same 2f+1 → f+1 quorum
-  schedule over fingerprints of the checkpoint and the queue image). It
+  schedule over the queue images peers send). It
   needs no petition and has no tail to replay; it accepts any agreed image
   at or past its own position.
 

@@ -10,7 +10,7 @@ Drives the two halves of recovery for one
 2. **Catch-up** — the element's one catch-up round
    (:class:`~repro.bft.catchup.CatchUp`, the same one the read tier and
    PBFT's lag path run) fetches each peer's queue image and stable PBFT
-   checkpoint and cross-validates the fingerprints; this class supplies
+   checkpoint and cross-validates them; this class supplies
    what is specific to a queue-mode *core* element: the peer's execution
    position must cover our buffering anchor, and after the restore the
    *buffered ordered tail* is replayed — every payload the element's own
@@ -177,8 +177,8 @@ class RecoveryCoordinator:
         element = self.element
         t = element.telemetry
         image = parse_image(response.blob)
-        # The fingerprint f+1 peers agreed on covers the stable checkpoint,
-        # so one of them vouches for it: it needs no proof of its own.
+        # The round had the image and the stable checkpoint each vouched
+        # for (by f+1 peers, or the checkpoint by our own certificate).
         if image is None or not element._restore_queue_state(image):
             return False  # refused whole: nothing adopted, the next round retries
         # Replay the buffered ordered tail past the image's position.
