@@ -9,8 +9,10 @@ Measured: checkpoint snapshot size and the bytes a recovering (partitioned)
 element pulls over the wire, as the application's object state grows, under
 
 * ``object`` mode — the Castro–Liskov baseline (full-state checkpoints), and
-* ``queue`` mode — the paper's design (bounded queue view; a diverged
-  element is expelled rather than resynchronised).
+* ``queue`` mode — the paper's design (bounded queue view: no checkpoint
+  can rebuild a queue, so a lagging element goes diverged and fetches its
+  peers' queue image in one catch-up round — it catches up or it is
+  expelled, §3.1).
 """
 
 import random
@@ -70,7 +72,7 @@ def test_e4_state_synchronisation(benchmark):
                 f"{state_bytes:,}",
                 f"{snap:,}",
                 f"{wire:,}",
-                "recovered" if recovered else "diverged -> expel",
+                "recovered" if recovered else "diverged",
             ]
         )
     print_table(
@@ -86,12 +88,15 @@ def test_e4_state_synchronisation(benchmark):
     queue_snaps = [table[("queue", s)][0] for s in STATE_SIZES]
     assert max(queue_snaps) - min(queue_snaps) < 128
     assert max(queue_snaps) < object_snaps[0]
-    # Object mode recovers the laggard; queue mode flags it for expulsion.
+    # Both modes bring the laggard back: object mode by restoring a
+    # checkpoint, queue mode by adopting its peers' queue image.
     for s in STATE_SIZES:
         assert table[("object", s)][2] is True
-        assert table[("queue", s)][2] is False
-    # The recovery window costs strictly more wire bytes in object mode at
-    # the largest state size (the snapshot travels).
-    assert table[("object", STATE_SIZES[-1])][1] > table[("queue", STATE_SIZES[-1])][1]
+        assert table[("queue", s)][2] is True
+    # The recovery window costs about the same in both modes: a queue image
+    # carries the servant state at its processed position, as an object-mode
+    # checkpoint does (voting on that state instead is ROADMAP item 6).
+    big = STATE_SIZES[-1]
+    assert abs(table[("object", big)][1] - table[("queue", big)][1]) < 0.05 * table[("object", big)][1]
     benchmark.extra_info["object_snapshot_bytes"] = object_snaps
     benchmark.extra_info["queue_snapshot_bytes"] = queue_snaps
