@@ -12,8 +12,8 @@ integrity under a lying replica.
 """
 
 from benchmarks.conftest import once, print_table
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.workloads.scenarios import KvStoreServant, standard_repository
 
 SIZES = [2_000, 20_000, 200_000]
@@ -83,7 +83,7 @@ def test_e11_large_object_digest_voting(benchmark):
     assert savings[-1] >= savings[0]
 
     # Integrity: a lying element cannot corrupt the digest-voted object.
-    digest_bytes, _ = measure(THRESHOLD, 20_000, byzantine={1: LyingElement})
+    digest_bytes, _ = measure(THRESHOLD, 20_000, byzantine={"kv-e1": LyingElement})
     print_table(
         "E11b — digest voting under one lying element",
         ["object", "delivered correctly", "wire bytes"],

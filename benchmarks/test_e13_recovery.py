@@ -18,8 +18,8 @@ Measured, for missed-traffic depth D ∈ {8, 32, 128} voted invocations:
 """
 
 from benchmarks.conftest import once, print_table
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 
 MISSED_DEPTHS = [8, 32, 128]
@@ -35,7 +35,7 @@ def run_depth(depth: int, seed: int):
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("driver")
     stub = client.stub(system.ref("calc", b"calc"))

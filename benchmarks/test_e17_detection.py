@@ -81,14 +81,14 @@ def run_sweep(intensity: float) -> dict:
 
 def run_drill(seed: int) -> dict:
     from repro.itdos.bootstrap import ItdosSystem
-    from repro.itdos.faults import LyingElement
+    from repro.chaos.byzantine import LyingElement
     from repro.workloads.scenarios import CalculatorServant, standard_repository
 
     system = ItdosSystem(seed=seed, repository=standard_repository(), telemetry=True)
     system.add_server_domain(
         "calc", f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("bench-client")
     stub = client.stub(system.ref("calc", b"calc"))

@@ -13,7 +13,7 @@ masking must be perfect, detection need not be.
 """
 
 from benchmarks.conftest import once, print_table
-from repro.itdos.faults import IntermittentLyingElement, LyingElement
+from repro.chaos.byzantine import IntermittentLyingElement, LyingElement
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 from repro.itdos.bootstrap import ItdosSystem
 
@@ -26,7 +26,7 @@ def run_with_liars(f: int, liar_count: int, seed: int, liar_class=LyingElement):
         "calc",
         f=f,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={i: liar_class for i in range(liar_count)},
+        byzantine={f"calc-e{i}": liar_class for i in range(liar_count)},
     )
     client = system.add_client("driver")
     stub = client.stub(system.ref("calc", b"calc"))
@@ -89,7 +89,7 @@ def test_e6_fault_masking(benchmark):
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={0: LyingElement, 1: LyingElement},
+        byzantine={"calc-e0": LyingElement, "calc-e1": LyingElement},
     )
     client = system.add_client("driver")
     stub = client.stub(system.ref("calc", b"calc"))

@@ -13,7 +13,7 @@ element, and the rejection rate of forged proofs.
 """
 
 from benchmarks.conftest import once, print_table
-from repro.itdos.faults import LyingElement, forged_change_request
+from repro.chaos.byzantine import LyingElement, forged_change_request
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 from repro.itdos.bootstrap import ItdosSystem
 
@@ -25,7 +25,7 @@ def test_e7_expulsion_pipeline(benchmark):
             "calc",
             f=1,
             servants=lambda element: {b"calc": CalculatorServant()},
-            byzantine={2: LyingElement},
+            byzantine={"calc-e2": LyingElement},
         )
         client = system.add_client("alice")
         stub = client.stub(system.ref("calc", b"calc"))

@@ -12,7 +12,7 @@ from typing import Any
 from benchmarks.conftest import once, print_table
 from repro.crypto.symmetric import encrypt
 from repro.itdos.messages import SmiopReply
-from repro.itdos.replica import IncomingConnection, ItdosServerElement
+from repro.itdos.replica import IncomingConnection
 from repro.itdos.sockets import traffic_nonce
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 from repro.itdos.bootstrap import ItdosSystem
@@ -20,7 +20,7 @@ from repro.itdos.bootstrap import ItdosSystem
 FLOOD = 300
 
 
-class ReplyFloodElement(ItdosServerElement):
+class ReplyFloodElement:
     """Floods the client with garbage replies under stale/bogus ids."""
 
     def _send_reply(
@@ -51,7 +51,7 @@ def test_e9_voter_gc_under_reply_flood(benchmark):
             "calc",
             f=1,
             servants=lambda element: {b"calc": CalculatorServant()},
-            byzantine={3: ReplyFloodElement},
+            byzantine={"calc-e3": ReplyFloodElement},
         )
         client = system.add_client("alice")
         stub = client.stub(system.ref("calc", b"calc"))

@@ -15,8 +15,8 @@ exercised in one run:
 Run:  python examples/hardened_operations.py
 """
 
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.workloads.scenarios import KvStoreServant, standard_repository
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         f=1,
         servants=lambda element: {b"vault": KvStoreServant()},
         state_mode="object",
-        byzantine={2: LyingElement},  # vault-e2 is compromised
+        byzantine={"vault-e2": LyingElement},  # vault-e2 is compromised
     )
     client = system.add_client("operator")
     stub = client.stub(system.ref("vault", b"vault"))

@@ -27,7 +27,7 @@ work — in one run:
 Run:  python examples/intrusion_drill.py
 """
 
-from repro.itdos.faults import LyingElement, forged_change_request
+from repro.chaos.byzantine import LyingElement, forged_change_request
 from repro.workloads.scenarios import CalculatorServant, standard_repository
 from repro.itdos.bootstrap import ItdosSystem
 
@@ -38,7 +38,7 @@ def main() -> None:
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},  # calc-e2 is compromised
+        byzantine={"calc-e2": LyingElement},  # calc-e2 is compromised
     )
     print("Domain 'calc' (f=1):", list(system.directory.domain("calc").element_ids))
     print("  calc-e2 is COMPROMISED: it corrupts every result it returns.\n")

@@ -27,15 +27,15 @@ def demo_quickstart() -> None:
 
 def demo_intrusion() -> None:
     """Mask, detect, and expel a compromised replica."""
+    from repro.chaos.byzantine import LyingElement
     from repro.itdos.bootstrap import ItdosSystem
-    from repro.itdos.faults import LyingElement
     from repro.workloads.scenarios import CalculatorServant, standard_repository
 
     system = ItdosSystem(seed=5, repository=standard_repository())
     system.add_server_domain(
         "calc", f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("demo-client")
     stub = client.stub(system.ref("calc", b"calc"))
@@ -83,15 +83,15 @@ def _traced_calc_invocation():
 
 def _traced_intrusion_drill():
     """A calc system with a lying replica, run until the GM expels it."""
+    from repro.chaos.byzantine import LyingElement
     from repro.itdos.bootstrap import ItdosSystem
-    from repro.itdos.faults import LyingElement
     from repro.workloads.scenarios import CalculatorServant, standard_repository
 
     system = ItdosSystem(seed=5, repository=standard_repository(), telemetry=True)
     system.add_server_domain(
         "calc", f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("demo-client")
     stub = client.stub(system.ref("calc", b"calc"))
@@ -106,22 +106,22 @@ def _recovery_drill():
     Returns ``(system, liar, recovered, result)`` where ``recovered`` is
     the recovery outcome and ``result`` a post-recovery voted invocation.
     """
+    from repro.chaos.byzantine import LyingElement, repair
     from repro.itdos.bootstrap import ItdosSystem
-    from repro.itdos.faults import LyingElement
     from repro.workloads.scenarios import CalculatorServant, standard_repository
 
     system = ItdosSystem(seed=7, repository=standard_repository(), telemetry=True)
     system.add_server_domain(
         "calc", f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("demo-client")
     stub = client.stub(system.ref("calc", b"calc"))
     stub.add(2.0, 3.0)
     system.settle(3.0)  # voter detection, change_request, expulsion
     liar = system.elements["calc-e2"]
-    liar.repaired = True
+    repair(liar)
     for i in range(4):  # traffic the expelled element misses
         stub.add(float(i), 1.0)
     done: list[bool] = []

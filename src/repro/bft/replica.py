@@ -49,7 +49,7 @@ from repro.bft.messages import (
 )
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes, parse_canonical
-from repro.sim.process import Process
+from repro.sim.process import Process, with_behaviour
 from repro.sim.scheduler import TimerHandle
 
 ExecuteFn = Callable[[bytes, int, str, int], bytes]
@@ -1226,18 +1226,22 @@ def build_group(
     network: Any,
     config: BftConfig,
     auth_factory: Callable[[str], MessageAuth] | None = None,
-    byzantine: dict[str, type[BftReplica]] | None = None,
+    byzantine: dict[str, type] | None = None,
 ) -> list[BftReplica]:
     """Wire a full replication group onto a network.
 
     Creates the multicast group, instantiates one replica per configured id
-    (optionally substituting Byzantine classes per id), and joins them all.
+    (``byzantine`` puts a behaviour in front of the ids it names), and joins
+    them all.
     """
+    byzantine = byzantine or {}
+    unknown = set(byzantine) - set(config.replica_ids)
+    if unknown:
+        raise ValueError(f"no such replicas: {sorted(unknown)}")
     group = network.create_group(config.address)
     replicas = []
-    byzantine = byzantine or {}
     for pid in config.replica_ids:
-        cls = byzantine.get(pid, BftReplica)
+        cls = with_behaviour(BftReplica, byzantine.get(pid))
         replica = cls(pid, config, auth=auth_factory(pid) if auth_factory else None)
         network.add_process(replica)
         group.join(pid)

@@ -2,7 +2,7 @@
 
 The paper's claim is that ITDOS stays correct while up to f elements per
 domain are Byzantine — but hand-written fault behaviours
-(:mod:`repro.itdos.faults`) only cover faults someone thought of. This
+(:mod:`repro.chaos.byzantine`) only cover faults someone thought of. This
 subsystem adversarially explores message *schedules* instead: a seeded
 :class:`ChaosController` sits in the simulated wire and composes per-link
 drop / delay / duplicate / reorder, dynamic partitions, wire-level

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chaos.adversary import ChaosController, FaultEvent
+from repro.chaos.byzantine import CertificateForger, ForgedWatermarkElement, LaggingReader
 from repro.chaos.invariants import InvariantChecker, InvariantViolation, Violation
 from repro.chaos.schedule import PartitionWindow, Scenario, build_plan, scenario_matrix
 from repro.itdos.bootstrap import ItdosSystem
@@ -287,6 +288,19 @@ class ScheduleRunner:
     ) -> None:
         read_cell = scenario.read_fastpath
         cross_cell = scenario.cross_shard
+        # The cell's Byzantine processes, named once. Element 1 forges read
+        # watermarks (rd) or certificates (fg) and is also the wire
+        # equivocator, so the corrupt budget stays at f; the rd cell's one
+        # reader lags its commit feed, stale but legal replies, so it is not
+        # counted corrupt. The benign control cell keeps the topology and
+        # the plan's draws, but every process runs the honest code.
+        if read_cell:
+            named = {"calc-e1": ForgedWatermarkElement, "calc-r0": LaggingReader}
+        elif scenario.forger:
+            named = {"calc-e1": CertificateForger}
+        else:
+            named = {}
+        byzantine = {} if self.fault_kinds == "benign" else named
         router = None
         shard_map = None
         if cross_cell:
@@ -305,32 +319,13 @@ class ScheduleRunner:
                 system.elements[pid]
                 for pid in system.directory.domain(shard_map.domain_ids[0]).element_ids
             ]
-        elif read_cell:
-            from repro.chaos.byzantine import ForgedWatermarkElement, LaggingReader
-
-            # E19 adversaries, deterministic by construction: element 1
-            # forges read watermarks (and is also the wire equivocator, so
-            # the corrupt budget stays at f), and the single read-tier
-            # element lags its commit feed — stale but legal replies. The
-            # benign control cell keeps the topology but every element runs
-            # the honest code, matching the no-Byzantine contract.
-            byzantine = self.fault_kinds != "benign"
+        else:
             elements = system.add_server_domain(
                 "calc",
                 f=1,
                 servants=lambda element: {b"calc": CalculatorServant()},
-                byzantine={1: ForgedWatermarkElement} if byzantine else None,
-                readers=1,
-                reader_class=LaggingReader if byzantine else None,
-            )
-        else:
-            from repro.chaos.byzantine import CertificateForgingElement
-
-            # Forger cells: element 1 forges certificates (and equivocates).
-            forger = scenario.forger and self.fault_kinds != "benign"
-            elements = system.add_server_domain(
-                "calc", f=1, servants=lambda element: {b"calc": CalculatorServant()},
-                byzantine={1: CertificateForgingElement} if forger else None,
+                byzantine=byzantine,
+                readers=1 if read_cell else 0,
             )
         client = system.add_client("alice")
         system.settle(0.5)  # GM coin-toss bootstrap
@@ -365,9 +360,9 @@ class ScheduleRunner:
         if cross_cell:
             txc_info = system.directory.domain(shard_map.coordinator_id)
             equivocators = frozenset({txc_info.element_ids[1]})
-        elif read_cell or scenario.forger:
+        elif named:
             domain_info = system.directory.domain("calc")
-            equivocators = frozenset({domain_info.element_ids[1]})
+            equivocators = frozenset(named) & frozenset(domain_info.element_ids)
         else:
             domain_info = system.directory.domain("calc")
             equivocators = frozenset(
@@ -389,13 +384,14 @@ class ScheduleRunner:
                 plan, p_corrupt=0.0, p_equivocate=0.0, equivocators=frozenset()
             )
             equivocators = frozenset()
-        if cross_cell:
+        if cross_cell and self.intensity > 0:
             # Mid-commit participant partition: one shard-1 element and one
             # coordinator element lose the network while transactions are
             # in flight, healing before the horizon. One member per domain
             # keeps the cut inside the f bound, so atomicity AND post-storm
             # liveness must both survive it. (A benign fault: the control
-            # cell keeps it.)
+            # cell keeps it. Intensity zero is a clean wire, as in
+            # build_plan.)
             cut = frozenset(
                 {
                     system.directory.domain(shard_map.domain_ids[1]).element_ids[3],

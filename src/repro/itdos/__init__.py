@@ -23,8 +23,8 @@ The paper's primary contribution, assembled from the substrates:
   :mod:`~repro.itdos.replica`; :mod:`~repro.itdos.client`) — the two-thread
   model: Castro–Liskov delivery feeding an ORB loop, with nested
   invocations via parked generators (§3.1).
-* **Fault injection** (:mod:`~repro.itdos.faults`) and the **enclave
-  firewall proxy** (:mod:`~repro.itdos.firewall`, Figure 1).
+* **The enclave firewall proxy** (:mod:`~repro.itdos.firewall`, Figure 1).
+  The Byzantine behaviours live in :mod:`repro.chaos.byzantine`.
 
 Most users start from :class:`~repro.itdos.bootstrap.ItdosSystem`.
 """

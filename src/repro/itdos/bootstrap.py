@@ -42,6 +42,7 @@ from repro.orb.core import Orb
 from repro.orb.servant import Servant
 from repro.sim import FixedLatency, Network, NetworkConfig
 from repro.sim.latency import LatencyModel
+from repro.sim.process import with_behaviour
 
 ServantFactory = Callable[[QueueElement], dict[bytes, Servant]]
 
@@ -164,10 +165,9 @@ class ItdosSystem:
         n: int | None = None,
         platforms: list[PlatformProfile] | None = None,
         state_mode: str = "queue",
-        byzantine: dict[int, type[ItdosServerElement]] | None = None,
+        byzantine: dict[str, type] | None = None,
         queue_max_bytes: int = 1 << 22,
         readers: int = 0,
-        reader_class: type[ReadOnlyElement] | None = None,
     ) -> list[ItdosServerElement]:
         """Create a replicated server: ``n >= 3f+1`` elements (default 3f+1).
 
@@ -182,10 +182,17 @@ class ItdosSystem:
         fast path, excluded from all quorum arithmetic. With ``readers=0``
         (the default) construction is byte-for-byte what it was before the
         read tier existed — no extra RNG draws, no extra processes.
+
+        ``byzantine`` maps a pid of this domain, an element's or a reader's
+        (``calc-e1``, ``calc-r0``), to the behaviour put in front of its class.
         """
         count = n if n is not None else 3 * f + 1
         element_ids = tuple(f"{domain_id}-e{i}" for i in range(count))
         read_only_ids = tuple(f"{domain_id}-r{i}" for i in range(readers))
+        byzantine = byzantine or {}
+        unknown = set(byzantine) - set(element_ids) - set(read_only_ids)
+        if unknown:
+            raise ValueError(f"no such {domain_id} processes: {sorted(unknown)}")
         info = DomainInfo(
             domain_id=domain_id,
             element_ids=element_ids,
@@ -200,17 +207,16 @@ class ItdosSystem:
                 else assign_homogeneous(count)
             )
         group_addr = self.network.create_group(domain_id)
-        byzantine = byzantine or {}
         domain_auth = self._domain_auth(list(element_ids))
 
-        def build(pid: str, platform: PlatformProfile, cls: type, **kwargs: Any):
+        def build(pid: str, platform: PlatformProfile, base: type, **kwargs: Any):
             self.directory.platforms[pid] = platform
             self._register_pairwise(pid)
             self._register_read_keys(self.clients, [pid])
             signer = self._make_signer(pid)
             orb = Orb(self.directory.repository, platform=platform)
             orb.telemetry = self.network.telemetry
-            element = cls(
+            element = with_behaviour(base, byzantine.get(pid))(
                 pid, self.directory, domain_id, orb, signer,
                 queue_max_bytes=queue_max_bytes, **kwargs,
             )
@@ -223,7 +229,7 @@ class ItdosSystem:
         created = []
         for index, pid in enumerate(element_ids):
             element = build(
-                pid, platforms[index], byzantine.get(index, ItdosServerElement),
+                pid, platforms[index], ItdosServerElement,
                 state_mode=state_mode, auth=domain_auth(pid),
             )
             group_addr.join(pid)
@@ -238,7 +244,7 @@ class ItdosSystem:
             else assign_homogeneous(readers)
         )
         for pid, platform in zip(read_only_ids, reader_platforms):
-            build(pid, platform, reader_class or ReadOnlyElement)
+            build(pid, platform, ReadOnlyElement)
         return created
 
     def add_sharded_domain(

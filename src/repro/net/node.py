@@ -172,7 +172,6 @@ class NodeHarness:
         """Crash-restart path: petition the GM back in and adopt the queue."""
         loop = asyncio.get_running_loop()
         done: asyncio.Future[bool] = loop.create_future()
-        self.element.repaired = True
         self.element.recover_membership(
             fresh_keys=True,
             on_complete=lambda ok: None if done.done() else done.set_result(ok),

@@ -8,6 +8,7 @@ element employs a single-threaded execution model", §2).
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.telemetry import NOOP_TELEMETRY
@@ -39,8 +40,9 @@ class Process:
     A crashed process silently drops deliveries; this is the *crash* half of
     the fault model. A timer that falls due during a crash is held and fires
     on :meth:`recover`, so no periodic chain dies with a crash. Byzantine
-    behaviour is implemented by subclassing (see :mod:`repro.itdos.faults`),
-    never by flags scattered through correct-process code.
+    behaviour is a mixin put in front of a process's class
+    (:func:`with_behaviour`, :mod:`repro.chaos.byzantine`), never a flag
+    scattered through correct-process code.
     """
 
     def __init__(self, pid: ProcessId) -> None:
@@ -160,3 +162,18 @@ class Process:
     def __repr__(self) -> str:
         status = " CRASHED" if self.crashed else ""
         return f"<{type(self).__name__} {self.pid}{status}>"
+
+
+def with_behaviour(base: type, behaviour: type | None) -> type:
+    """``base``, or the Byzantine mixin ``behaviour`` in front of it. A
+    behaviour defining a method ``base`` lacks, a hook that would hook
+    nothing, is a :class:`TypeError`."""
+    if behaviour is None:
+        return base
+    for klass in behaviour.__mro__[:-1]:
+        for name, value in vars(klass).items():
+            if isinstance(value, FunctionType) and not hasattr(base, name):
+                raise TypeError(
+                    f"{behaviour.__name__}.{name} overrides nothing on {base.__name__}"
+                )
+    return type(behaviour.__name__, (behaviour, base), {})

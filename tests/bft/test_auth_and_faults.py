@@ -4,9 +4,9 @@ import pytest
 
 from repro.bft.auth import HmacAuth, NullAuth, RsaAuth
 from repro.bft.client import BftClient
-from repro.bft.faults import CorruptReplyReplica, SilentReplica, SlowReplica
 from repro.bft.messages import PrepareMsg
 from repro.bft.replica import build_group
+from repro.chaos.byzantine import CorruptReplyReplica, SilentReplica, SlowReplica
 from repro.crypto.signing import HmacAuthenticator, KeyRing
 from repro.sim import FixedLatency, Network, NetworkConfig
 from tests.bft.conftest import Harness, make_config

@@ -1,7 +1,7 @@
 """A certificate that arrives inside another message is never believed on
 the sender names it lists.
 
-Each test runs one :class:`~repro.bft.faults.CertificateForger` on the
+Each test runs one :class:`~repro.chaos.byzantine.CertificateForger` on the
 n = 4 harness (``protocol_auth="none"``) and watches one of its lies: a
 made-up checkpoint in a catch-up response (D1), a checkpoint claimed far ahead in a view change
 (D2), a made-up batch filled at a lagger's next seq (D3) and a prepared
@@ -14,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 
 from repro.bft.auth import HmacAuth
-from repro.bft.faults import CertificateForger
 from repro.bft.messages import CatchUpRequest, CatchUpResponse, NewViewMsg, ViewChangeMsg
 from repro.bft.replica import build_group
+from repro.chaos.byzantine import CertificateForger
 from repro.crypto.digests import digest
 from repro.crypto.signing import HmacAuthenticator
 from repro.sim import Network, NetworkConfig

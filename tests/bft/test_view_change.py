@@ -1,6 +1,6 @@
 """View changes: replacing a faulty primary while preserving committed work."""
 
-from repro.bft.faults import EquivocatingPrimaryReplica, StutteringPrimaryReplica
+from repro.chaos.byzantine import EquivocatingPrimaryReplica, StutteringPrimaryReplica
 from tests.bft.conftest import Harness
 
 

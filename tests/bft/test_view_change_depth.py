@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bft.faults import StutteringPrimaryReplica
+from repro.chaos.byzantine import StutteringPrimaryReplica
 from tests.bft.conftest import Harness
 
 

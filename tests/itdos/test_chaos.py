@@ -160,8 +160,6 @@ def test_forged_coin_reveal_is_refused_and_a_genuine_one_seeds_every_element():
 def test_combined_faults_loss_plus_liar_plus_crash():
     """Loss + one lying element + one crashed element, same domain, f=1 —
     the absolute boundary of the fault budget, plus network misbehaviour."""
-    from repro.itdos.faults import MuteElement
-
     system = make_system(seed=107)
     system.network.config.drop_probability = 0.05
     # One *crashed* element uses the crash budget; everyone else honest.

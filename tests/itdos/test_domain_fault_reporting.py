@@ -9,7 +9,7 @@ source, so the GM acts on f+1 matching change_requests):
   domain's request voters each detect the dissenter.
 """
 
-from repro.itdos.faults import LyingElement, RequestCorruptingElement
+from repro.chaos.byzantine import LyingElement, RequestCorruptingElement
 from tests.itdos.conftest import BankServant, LedgerServant, make_system
 
 
@@ -36,7 +36,7 @@ def bank_system(seed=0, bank_byzantine=None, ledger_byzantine=None):
 def test_lying_server_element_expelled_by_client_domain():
     """Bank elements (a replication domain) detect the lying ledger element
     and the GM expels it on f+1 matching domain change_requests."""
-    system = bank_system(ledger_byzantine={2: LyingElement})
+    system = bank_system(ledger_byzantine={"ledger-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("bank", b"bank"))
     assert stub.audited_deposit("acct", 10.0) == 10.0  # the lie is masked
@@ -56,7 +56,7 @@ def test_lying_server_element_expelled_by_client_domain():
 
 
 def test_domain_reports_carry_no_proof():
-    system = bank_system(ledger_byzantine={1: LyingElement})
+    system = bank_system(ledger_byzantine={"ledger-e1": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("bank", b"bank"))
     stub.audited_deposit("a", 5.0)
@@ -101,7 +101,7 @@ def test_single_domain_element_report_insufficient():
 def test_request_corrupting_client_element_expelled():
     """A bank element that corrupts its nested requests is detected by the
     ledger domain's request voters and expelled."""
-    system = bank_system(bank_byzantine={1: RequestCorruptingElement})
+    system = bank_system(bank_byzantine={"bank-e1": RequestCorruptingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("bank", b"bank"))
     # The corrupted copy loses the request vote; the honest 3 copies win.
@@ -116,7 +116,7 @@ def test_request_corrupting_client_element_expelled():
 
 
 def test_service_continues_after_client_element_expulsion():
-    system = bank_system(bank_byzantine={1: RequestCorruptingElement})
+    system = bank_system(bank_byzantine={"bank-e1": RequestCorruptingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("bank", b"bank"))
     stub.audited_deposit("acct", 20.0)

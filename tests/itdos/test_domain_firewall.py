@@ -126,7 +126,7 @@ def test_system_works_with_firewalls_installed():
 
 def test_firewall_blocks_exfiltration():
     """The StateLeakElement's side channel dies at the enclave boundary."""
-    from repro.itdos.faults import StateLeakElement
+    from repro.chaos.byzantine import StateLeakElement
     from repro.sim.process import Process
 
     class Eavesdropper(Process):
@@ -142,7 +142,7 @@ def test_firewall_blocks_exfiltration():
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={0: StateLeakElement},
+        byzantine={"calc-e0": StateLeakElement},
     )
     system.network.add_process(Eavesdropper())
     spy = system.network.get_process("eavesdropper")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.itdos.faults import LyingElement
+from repro.chaos.byzantine import LyingElement
 from repro.orb.errors import BadOperation, UserException
 from repro.orb.servant import Servant
 from tests.itdos.conftest import CALCULATOR, CalculatorServant, make_system
@@ -27,7 +27,7 @@ def test_f2_two_sequential_expulsions():
         "calc",
         f=2,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={1: LyingElement, 4: LyingElement},
+        byzantine={"calc-e1": LyingElement, "calc-e4": LyingElement},
     )
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))

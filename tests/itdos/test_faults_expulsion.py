@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.itdos.faults import (
+from repro.chaos.byzantine import (
     LyingElement,
     MuteElement,
     forged_change_request,
@@ -10,13 +10,13 @@ from repro.itdos.faults import (
 from tests.itdos.conftest import CalculatorServant, make_system
 
 
-def lying_system(seed=0, byz_index=2):
+def lying_system(seed=0):
     system = make_system(seed=seed)
     system.add_server_domain(
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={byz_index: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     return system
 
@@ -34,7 +34,7 @@ def test_mute_element_tolerated():
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={1: MuteElement},
+        byzantine={"calc-e1": MuteElement},
     )
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))

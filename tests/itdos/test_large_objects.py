@@ -13,8 +13,8 @@ verifies it against the voted digest.
 
 import pytest
 
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement, MuteElement
 from repro.workloads.scenarios import KvStoreServant, standard_repository
 
 THRESHOLD = 512
@@ -77,7 +77,7 @@ def test_large_reply_saves_bandwidth():
 
 
 def test_lying_element_cannot_corrupt_large_reply():
-    system, client, stub = build(byzantine={1: LyingElement})
+    system, client, stub = build(byzantine={"kv-e1": LyingElement})
     big = "w" * 20_000
     stub.put("big", big)
     assert stub.get("big") == big
@@ -87,19 +87,13 @@ def test_mute_supporter_falls_back_to_next():
     """If the first supporter asked for the body never answers, the client
     falls back to another supporter after a grace period."""
 
-    class MuteBodyElement(MuteElement):
+    class MuteBodyElement:
         # Participates in ordering and digest replies, but never serves
-        # bodies (MuteElement suppresses all replies; too strong). Override:
-        def _send_reply(self, record, request_id, plaintext):
-            # Send digests/normal replies normally...
-            from repro.itdos.replica import ItdosServerElement
-
-            ItdosServerElement._send_reply(self, record, request_id, plaintext)
-
+        # bodies (MuteElement suppresses all replies; too strong).
         def _handle_body_request(self, src, request):
-            return  # ...but never serve a body.
+            return
 
-    system, client, stub = build(byzantine={0: MuteBodyElement})
+    system, client, stub = build(byzantine={"kv-e0": MuteBodyElement})
     big = "q" * 20_000
     stub.put("big", big)
     assert stub.get("big") == big

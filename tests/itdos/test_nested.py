@@ -9,7 +9,7 @@ each bank element's reply voter resumes the parked servant generator.
 
 import pytest
 
-from repro.itdos.faults import LyingElement
+from repro.chaos.byzantine import LyingElement
 from tests.itdos.conftest import BankServant, LedgerServant, make_system
 
 
@@ -87,7 +87,7 @@ def test_plain_and_nested_operations_interleave():
 def test_nested_with_lying_ledger_element():
     """A Byzantine ledger element cannot corrupt the nested result the bank
     elements resume with."""
-    system = bank_system(ledger_byzantine={1: LyingElement})
+    system = bank_system(ledger_byzantine={"ledger-e1": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("bank", b"bank"))
     assert stub.audited_deposit("acct", 25.0) == 25.0

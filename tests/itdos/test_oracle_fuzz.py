@@ -91,14 +91,14 @@ def test_replicated_system_matches_oracle(ops, seed):
 @given(ops=operations)
 def test_oracle_match_with_byzantine_element(ops):
     """The oracle equivalence holds even with a lying element in the domain."""
-    from repro.itdos.faults import LyingElement
+    from repro.chaos.byzantine import LyingElement
 
     system = make_system(seed=4)
     system.add_server_domain(
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={1: LyingElement},
+        byzantine={"calc-e1": LyingElement},
     )
     client = system.add_client("fuzzer")
     stub = client.stub(system.ref("calc", b"calc"))

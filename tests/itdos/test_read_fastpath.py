@@ -38,7 +38,6 @@ def make_kv(
     readers: int = 0,
     read_fastpath: bool = True,
     byzantine: dict | None = None,
-    reader_class: type | None = None,
     seed: int = 0,
 ) -> ItdosSystem:
     system = ItdosSystem(
@@ -54,7 +53,6 @@ def make_kv(
         servants=lambda element: {b"kv": KvStoreServant()},
         readers=readers,
         byzantine=byzantine,
-        reader_class=reader_class,
     )
     system.settle(1.0)  # GM bootstrap
     return system
@@ -135,7 +133,7 @@ def test_divergent_replies_fall_back_transparently():
     diverge.)
     """
     system = make_kv(
-        byzantine={1: ForgedWatermarkElement, 2: ForgedWatermarkElement}
+        byzantine={"kv-e1": ForgedWatermarkElement, "kv-e2": ForgedWatermarkElement}
     )
     client, stub = client_and_stub(system)
     stub.put("k", "v1")
@@ -158,7 +156,7 @@ def test_divergent_replies_fall_back_transparently():
 
 
 def test_forged_watermark_within_f_cannot_steer_a_decision():
-    system = make_kv(byzantine={1: ForgedWatermarkElement})
+    system = make_kv(byzantine={"kv-e1": ForgedWatermarkElement})
     client, stub = client_and_stub(system)
     stub.put("k", "v1")
     stub.put("k", "v2")
@@ -354,7 +352,7 @@ def test_kv_builders_wire_the_servant_state_hooks():
 
 
 def test_lagging_reader_recovers_through_the_stall_timer():
-    system = make_kv(readers=1, reader_class=LaggingReader)
+    system = make_kv(readers=1, byzantine={"kv-r0": LaggingReader})
     client, stub = client_and_stub(system)
     for i in range(5):
         stub.put(f"k{i}", f"v{i}")
@@ -367,7 +365,7 @@ def test_lagging_reader_recovers_through_the_stall_timer():
     assert the_connection(client).read_fastpath_hits == 1
     # The buffered out-of-order feed arms the stall timer; once it fires
     # the reader state-syncs back to the committed prefix.
-    system.settle(LaggingReader.FEED_STALL_TIMEOUT + 2.0)
+    system.settle(reader.FEED_STALL_TIMEOUT + 2.0)
     assert reader.syncs_completed >= 1
     assert reader.queue.total_appended == 5
 

@@ -178,7 +178,7 @@ class SenderForgingElement(ForgedWatermarkElement):
 
 
 def test_forged_senders_within_f_are_discarded_and_never_form_a_quorum():
-    system = make_kv(byzantine={1: SenderForgingElement})
+    system = make_kv(byzantine={"kv-e1": SenderForgingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
     stub.put("k", "v1")

@@ -9,8 +9,8 @@ which restores its group's certified checkpoints even while it is keyed out.
 
 import pytest
 
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.itdos.messages import encode_payload
 from repro.workloads.scenarios import (
     KvStoreServant,
@@ -46,7 +46,7 @@ def expel_liar(system, client, stub):
 
 
 def test_full_expel_repair_readmit_cycle():
-    system = build_object_mode_system(seed=71, byzantine={2: LyingElement})
+    system = build_object_mode_system(seed=71, byzantine={"kv-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
     liar = expel_liar(system, client, stub)
@@ -105,7 +105,7 @@ def test_third_party_cannot_readmit():
     identity against the petitioned element), and the unsigned
     ``readmit_request`` that used to do the same thing is no longer a
     payload kind the GM knows."""
-    system = build_object_mode_system(seed=73, byzantine={2: LyingElement})
+    system = build_object_mode_system(seed=73, byzantine={"kv-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
     liar = expel_liar(system, client, stub)
@@ -126,7 +126,7 @@ def test_third_party_cannot_readmit():
 
 def test_readmitted_element_reexpelled_if_still_faulty():
     """If the 'repair' was a sham, detection and expulsion repeat."""
-    system = build_object_mode_system(seed=74, byzantine={2: LyingElement})
+    system = build_object_mode_system(seed=74, byzantine={"kv-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("kv", b"kv"))
     liar = expel_liar(system, client, stub)

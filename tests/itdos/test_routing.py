@@ -185,14 +185,20 @@ def test_a_table_is_the_replicas_own_extended_in_place():
 def test_an_overridden_handler_is_the_row():
     """Fault classes work by overriding a handler (or a send helper): rows are
     taken from ``self.<method>`` in ``__init__``, so the override binds."""
-    from repro.bft.faults import CorruptReplyReplica, SilentReplica, SlowReplica
-    from repro.chaos.byzantine import ForgedWatermarkElement, LaggingReader
+    from repro.chaos.byzantine import (
+        CorruptReplyReplica,
+        ForgedWatermarkElement,
+        LaggingReader,
+        SilentReplica,
+        SlowReplica,
+    )
     from tests.bft.conftest import Harness
 
     system = build_read_heavy_system(seed=3, readers=1)
     system.add_server_domain(
         "calc", f=1, servants=lambda element: {},
-        byzantine={1: ForgedWatermarkElement}, readers=1, reader_class=LaggingReader,
+        byzantine={"calc-e1": ForgedWatermarkElement, "calc-r0": LaggingReader},
+        readers=1,
     )
     forger = system.elements["calc-e1"]
     [lagger] = system.read_tier("calc")

@@ -4,8 +4,8 @@ Group Manager span attached."""
 
 import pytest
 
+from repro.chaos.byzantine import LyingElement
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.obs import Tracer, span_records, read_jsonl, write_jsonl
 from repro.workloads.scenarios import (
     CalculatorServant,
@@ -134,7 +134,7 @@ class TestHealthDrill:
         system.add_server_domain(
             "calc", f=1,
             servants=lambda element: {b"calc": CalculatorServant()},
-            byzantine={2: LyingElement},
+            byzantine={"calc-e2": LyingElement},
         )
         client = system.add_client("alice")
         stub = client.stub(system.ref("calc", b"calc"))

@@ -11,9 +11,9 @@ import pytest
 
 from repro.bft.catchup import CatchUp
 from repro.bft.messages import CatchUpRequest, CatchUpResponse
+from repro.chaos.byzantine import LyingElement
 from repro.crypto.encoding import canonical_bytes
 from repro.itdos.bootstrap import ItdosSystem
-from repro.itdos.faults import LyingElement
 from repro.itdos.messages import GmShareEnvelope
 from repro.recovery.messages import RejoinPetition, petition_body
 from repro.workloads.scenarios import (
@@ -79,7 +79,7 @@ def test_queue_mode_expel_recover_cycle():
     """The acceptance scenario: an expelled LyingElement with repaired=True
     is readmitted, catches up via queue state transfer (no object-state
     copy), and votes with the majority again."""
-    system = build_queue_mode_system(byzantine={2: LyingElement})
+    system = build_queue_mode_system(byzantine={"calc-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))
     liar = expel_liar(system, stub)
@@ -110,7 +110,7 @@ def test_queue_mode_expel_recover_cycle():
 
 def test_forged_petition_is_rejected():
     """A petition whose signature does not verify flips nothing."""
-    system = build_queue_mode_system(seed=8, byzantine={2: LyingElement})
+    system = build_queue_mode_system(seed=8, byzantine={"calc-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))
     liar = expel_liar(system, stub)
@@ -132,7 +132,7 @@ def test_forged_petition_is_rejected():
 def test_third_party_cannot_rejoin_someone_else():
     """Even a correctly signed petition is refused when submitted by a
     different BFT client than the petitioned element."""
-    system = build_queue_mode_system(seed=9, byzantine={2: LyingElement})
+    system = build_queue_mode_system(seed=9, byzantine={"calc-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))
     liar = expel_liar(system, stub)
@@ -194,7 +194,7 @@ def test_epoch_fence_kills_pre_expulsion_keys():
     """Post-readmission, generations from before the expulsion are fenced
     out of every honest key store even though the generation-retention
     window would have kept them — old-epoch ciphertexts cannot land."""
-    system = build_queue_mode_system(seed=12, byzantine={2: LyingElement})
+    system = build_queue_mode_system(seed=12, byzantine={"calc-e2": LyingElement})
     client = system.add_client("alice")
     stub = client.stub(system.ref("calc", b"calc"))
     liar = expel_liar(system, stub)

@@ -25,7 +25,7 @@ The simulator is deterministic, so the counts are exact; re-pin with
 
 from __future__ import annotations
 
-from repro.itdos.faults import LyingElement
+from repro.chaos.byzantine import LyingElement
 from tests.chaos.test_replay_pins import idle_minute, smoke_cell
 from tests.itdos.test_faults_expulsion import lying_system
 from tests.recovery.test_recovery import (
@@ -68,7 +68,7 @@ EXPULSION = {
 
 
 def rejoin_cost() -> dict[str, list[int]]:
-    system = build_queue_mode_system(byzantine={2: LyingElement})
+    system = build_queue_mode_system(byzantine={"calc-e2": LyingElement})
     stub = system.add_client("alice").stub(system.ref("calc", b"calc"))
     liar = expel_liar(system, stub)
     for i in range(5):

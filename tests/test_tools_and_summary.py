@@ -110,14 +110,14 @@ def test_system_summary():
 
 
 def test_system_summary_reflects_expulsion():
-    from repro.itdos.faults import LyingElement
+    from repro.chaos.byzantine import LyingElement
 
     system = make_system(seed=301)
     system.add_server_domain(
         "calc",
         f=1,
         servants=lambda element: {b"calc": CalculatorServant()},
-        byzantine={2: LyingElement},
+        byzantine={"calc-e2": LyingElement},
     )
     client = system.add_client("alice")
     client.stub(system.ref("calc", b"calc")).add(1.0, 1.0)
